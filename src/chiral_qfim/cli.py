@@ -18,35 +18,25 @@ explanatory line, never a stack trace.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .analytic import (
     COHERENT,
     FOCK_ONE_PLUS_ONE_MINUS,
     NOON_HV,
     SINGLE_PHOTON_H,
     InputStateKind,
-    coherent_bounds,
-    coherent_intensity_sensitivities,
     default_param_labels,
     fidelity_fringe,
-    fock_benchmark_bound,
-    single_photon_catalog,
 )
-from .channel import (
-    CHIRAL_NAMES,
-    ChiralParams,
-    DomainError,
-    apply_channel_kraus,
-    apply_channel_rk4,
-)
-from .estimation import ParamDerivative, channel_derivatives, compute_bounds, solve_sld
+from .channel import CHIRAL_NAMES, ChiralParams, DomainError
+from .estimation import compute_bounds
 from .experiments import (
     COMPARE_TOL,
     FIDELITY_FRINGE,
@@ -54,12 +44,11 @@ from .experiments import (
     QFIM_NUMERIC,
     SWEEP_METHODS,
     SweepSpec,
-    _csv_cell,
     compare_analytic_numeric,
     figure_presets,
+    panel_to_csv_text,
     prepare_input_state,
     run_sweep,
-    sweep_columns,
     sweep_to_csv_text,
 )
 from .fock import (
@@ -73,10 +62,8 @@ from .fock import (
     fock_product_state,
     hv_to_pm_amplitudes,
     hv_to_pm_state,
-    mode_operators,
     poisson_tail,
 )
-from .linalg import commutator, hermitian_eigen
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -219,14 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p_bounds)
 
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="write a sensitivity sweep as CSV",
-        epilog=(
-            "Set CHIRAL_QFIM_THREADS to evaluate grid points on a thread"
-            " pool; rows stay in grid order."
-        ),
-    )
+    p_sweep = sub.add_parser("sweep", help="write a sensitivity sweep as CSV")
     state_flags(p_sweep)
     grid_flags(p_sweep)
     p_sweep.add_argument(
@@ -594,35 +574,6 @@ def _custom_spec(cfg: CliConfig, kind: InputStateKind, default_methods) -> Sweep
     )
 
 
-def _panel_csv_text(members) -> str:
-    base = members[0][2]
-    for _, _, rows in members[1:]:
-        same = len(rows) == len(base) and all(
-            abs(a.coordinate - b.coordinate) <= 1e-12 for a, b in zip(rows, base)
-        )
-        if not same:
-            raise ValueError("panel members disagree on the sweep grid")
-    buffer = io.StringIO()
-    for label, spec, _ in members:
-        buffer.write(f"# spec: {label}: {spec.to_json()}\n")
-    header = [members[0][1].vary]
-    for label, spec, _ in members:
-        header.extend(f"{label}.{column}" for column in sweep_columns(spec))
-        header.append(f"{label}.status")
-    buffer.write(",".join(header) + "\n")
-    for i, base_row in enumerate(base):
-        cells = [format(base_row.coordinate, ".12g")]
-        for label, spec, rows in members:
-            row = rows[i]
-            cells.extend(
-                "" if row.values[c] is None else format(row.values[c], ".12g")
-                for c in sweep_columns(spec)
-            )
-            cells.append(_csv_cell(";".join(row.status)))
-        buffer.write(",".join(cells) + "\n")
-    return buffer.getvalue()
-
-
 def _emit_csv(cfg: CliConfig, text: str, rows: int, flagged: int) -> None:
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
@@ -650,7 +601,7 @@ def cmd_sweep(cfg: CliConfig) -> int:
                 f" {', '.join(sorted(presets))}"
             )
         members = [(label, spec, run_sweep(spec)) for label, spec in presets[cfg.preset]]
-        text = _panel_csv_text(members)
+        text = panel_to_csv_text(members)
         n_rows = len(members[0][2])
         flagged = sum(1 for _, _, rows in members for row in rows if row.status)
     else:
@@ -797,269 +748,10 @@ def cmd_fringe(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelftestResult:
-    name: str
-    residual: float
-    tolerance: float
-    passed: bool
-    note: str = ""
-
-
-_REF_PARAMS = ChiralParams.from_chiral(0.05, 0.3, 0.4, 0.2)
-
-
-def _support_coupled_diff(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Largest |a-b| entry in the eigenbasis of rho, skipping kernel pairs.
-
-    SLDs are only determined where an eigenvalue pair of rho is nonzero;
-    entries coupling two kernel directions are gauge and stay unchecked.
-    """
-    dec = hermitian_eigen(rho)
-    lam, v = dec.eigenvalues, dec.eigenvectors
-    keep = np.add.outer(lam, lam) > 1e-10 * float(lam[-1])
-    diff = v.conj().T @ (np.asarray(a, dtype=complex) - b) @ v
-    return float(np.abs(np.where(keep, diff, 0.0)).max())
-
-
-def _check_coherent_sld_closed_form() -> SelftestResult:
-    # one damped coherent mode: the plus arm holds |beta|^2 = 1, the minus
-    # arm is vacuum, and the SLD for the transmitted fraction must match
-    # n/(1-alpha) - |beta|^2 wherever the output support reaches
-    alpha, mean_n = 0.5, 1.0
-    space = FockSpace(20, 0)
-    state = coherent_product_state(
-        space, math.sqrt(mean_n), 0.0, truncation_budget=1e-15
-    )
-    params = ChiralParams(
-        alpha_plus=alpha, alpha_minus=alpha, phi_plus=0.0, phi_minus=0.0
-    )
-    output, derivs = channel_derivatives(state, params, ("alpha_plus",))
-    flipped = ParamDerivative(
-        param="eta_plus", drho=-derivs[0].drho, method=derivs[0].method
-    )
-    sld = solve_sld(output, flipped)
-    ops = mode_operators(space)
-    expected = ops.n_plus / (1.0 - alpha) - mean_n * np.eye(space.dim)
-    residual = _support_coupled_diff(output.rho, sld.L, expected)
-    return SelftestResult(
-        name="coherent-sld-closed-form",
-        residual=residual,
-        tolerance=1e-8,
-        passed=residual <= 1e-8,
-        note="damped coherent mode, alpha=0.5, mean photon number 1",
-    )
-
-
-def _check_zero_blocks() -> SelftestResult:
-    worst = 0.0
-    for kind in (
-        InputStateKind.coherent(1.0),
-        InputStateKind.single_photon_h(),
-        InputStateKind.noon_hv(),
-    ):
-        labels = default_param_labels(kind)
-        result = compute_bounds(prepare_input_state(kind), _REF_PARAMS, labels)
-        for absorption in ("x_d", "x_s"):
-            for phase in ("delta", "sigma"):
-                if phase in labels:
-                    worst = max(worst, abs(result.entry(absorption, phase)))
-    return SelftestResult(
-        name="absorption-phase-zero-block",
-        residual=worst,
-        tolerance=1e-10,
-        passed=worst <= 1e-10,
-        note="largest QFIM cross entry over the three input kinds",
-    )
-
-
-def _check_commutator() -> SelftestResult:
-    ops = mode_operators(FockSpace(6, 6))
-    eta_p = 1.0 - _REF_PARAMS.alpha_plus
-    eta_m = 1.0 - _REF_PARAMS.alpha_minus
-    l_d = ops.n_minus / eta_m - ops.n_plus / eta_p
-    generator = ops.n_plus - ops.n_minus
-    residual = float(np.abs(commutator(l_d, generator)).max())
-    return SelftestResult(
-        name="absorption-phase-commutator",
-        residual=residual,
-        tolerance=0.0,
-        passed=residual == 0.0,
-        note="number-diagonal operators commute exactly",
-    )
-
-
-def _check_coherent_saturation() -> SelftestResult:
-    n0 = 1.0
-    kind = InputStateKind.coherent(math.sqrt(n0))
-    closed = coherent_bounds(_REF_PARAMS, n0)
-    intensity = coherent_intensity_sensitivities(_REF_PARAMS, n0)
-    exact_gap = max(
-        abs(closed.value(name) - intensity.value(name)) for name in ("x_d", "x_s")
-    )
-    numeric = compute_bounds(
-        prepare_input_state(kind), _REF_PARAMS, default_param_labels(kind)
-    )
-    numeric_gap = max(
-        abs(numeric.bound(name) - closed.value(name)) for name in ("x_d", "x_s")
-    )
-    return SelftestResult(
-        name="coherent-saturation",
-        residual=numeric_gap,
-        tolerance=1e-6,
-        passed=exact_gap <= 1e-12 and numeric_gap <= 1e-6,
-        note=f"intensity matches the closed-form bound to {exact_gap:.1e}",
-    )
-
-
-def _check_single_photon_saturation() -> SelftestResult:
-    catalog = single_photon_catalog(_REF_PARAMS)
-    exact_gap = max(
-        abs(catalog.bounds.value(name) - catalog.intensity.value(name))
-        for name in ("x_d", "x_s")
-    )
-    kind = InputStateKind.single_photon_h()
-    numeric = compute_bounds(
-        prepare_input_state(kind), _REF_PARAMS, default_param_labels(kind)
-    )
-    numeric_gap = max(
-        abs(numeric.bound(name) - catalog.bounds.value(name))
-        for name in ("x_d", "x_s")
-    )
-    return SelftestResult(
-        name="single-photon-saturation",
-        residual=numeric_gap,
-        tolerance=1e-6,
-        passed=exact_gap <= 1e-12 and numeric_gap <= 1e-6,
-        note=f"intensity matches the closed-form bound to {exact_gap:.1e}",
-    )
-
-
-def _check_noon_advantage() -> SelftestResult:
-    params = ChiralParams.from_chiral(0.005, 0.01, 0.0, 0.0)
-    values = {}
-    for label, kind in (
-        ("noon", InputStateKind.noon_hv()),
-        ("single-photon", InputStateKind.single_photon_h()),
-    ):
-        result = compute_bounds(
-            prepare_input_state(kind), params, default_param_labels(kind)
-        )
-        values[label] = result.bound("x_d")
-    margin = values["noon"] - values["single-photon"]
-    return SelftestResult(
-        name="noon-advantage",
-        residual=margin,
-        tolerance=0.0,
-        passed=margin < 0.0,
-        note=(
-            f"x_d bound: noon {values['noon']:.6g}"
-            f" vs single-photon {values['single-photon']:.6g}"
-        ),
-    )
-
-
-def _check_fringe_doubling() -> SelftestResult:
-    def at(delta):
-        return ChiralParams.from_chiral(0.1, 0.5, delta, 0.0)
-
-    half_period = []
-    movement = []
-    for delta in np.linspace(0.0, math.pi, 33):
-        half_period.append(
-            abs(fidelity_fringe(NOON_HV, at(delta)) - fidelity_fringe(NOON_HV, at(delta + math.pi)))
-        )
-        movement.append(
-            abs(
-                fidelity_fringe(SINGLE_PHOTON_H, at(delta))
-                - fidelity_fringe(SINGLE_PHOTON_H, at(delta + math.pi))
-            )
-        )
-    residual = max(half_period)
-    moved = max(movement)
-    return SelftestResult(
-        name="fringe-period-doubling",
-        residual=residual,
-        tolerance=1e-12,
-        passed=residual <= 1e-12 and moved >= 0.1,
-        note=f"single-photon fringe moves {moved:.3g} under a half-period shift",
-    )
-
-
-def _check_channel_routes() -> SelftestResult:
-    params = ChiralParams(
-        alpha_plus=0.3, alpha_minus=0.1, phi_plus=0.4, phi_minus=0.2
-    )
-    state = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
-    kraus = apply_channel_kraus(state, params)
-    rk4 = apply_channel_rk4(state, params)
-    residual = float(np.abs(kraus.rho - rk4.rho).max())
-    return SelftestResult(
-        name="channel-routes-agreement",
-        residual=residual,
-        tolerance=1e-8,
-        passed=residual <= 1e-8,
-        note="Kraus map vs RK4-integrated rate equation on the noon input",
-    )
-
-
-def _check_semigroup() -> SelftestResult:
-    first = ChiralParams(alpha_plus=0.2, alpha_minus=0.1, phi_plus=0.3, phi_minus=0.1)
-    second = ChiralParams(alpha_plus=0.25, alpha_minus=0.15, phi_plus=0.2, phi_minus=0.4)
-    total = ChiralParams(
-        alpha_plus=1.0 - (1.0 - first.alpha_plus) * (1.0 - second.alpha_plus),
-        alpha_minus=1.0 - (1.0 - first.alpha_minus) * (1.0 - second.alpha_minus),
-        phi_plus=first.phi_plus + second.phi_plus,
-        phi_minus=first.phi_minus + second.phi_minus,
-    )
-    state = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
-    stepped = apply_channel_kraus(apply_channel_kraus(state, first), second)
-    direct = apply_channel_kraus(state, total)
-    residual = float(np.abs(stepped.rho - direct.rho).max())
-    return SelftestResult(
-        name="channel-semigroup-composition",
-        residual=residual,
-        tolerance=1e-10,
-        passed=residual <= 1e-10,
-        note="two damping steps equal one with the composed parameters",
-    )
-
-
-def _check_benchmark_bound() -> SelftestResult:
-    params = ChiralParams(alpha_plus=0.5, alpha_minus=0.5, phi_plus=0.0, phi_minus=0.0)
-    closed = fock_benchmark_bound(params)
-    kind = InputStateKind.fock_one_plus_one_minus()
-    numeric = compute_bounds(
-        prepare_input_state(kind), params, default_param_labels(kind)
-    )
-    residual = abs(numeric.bound("x_d") - closed.value("x_d"))
-    return SelftestResult(
-        name="benchmark-bound-match",
-        residual=residual,
-        tolerance=1e-6,
-        passed=residual <= 1e-6,
-        note="photon-pair input, alpha=0.5 on both modes",
-    )
-
-
-_SELFTEST_CHECKS = (
-    _check_coherent_sld_closed_form,
-    _check_zero_blocks,
-    _check_commutator,
-    _check_coherent_saturation,
-    _check_single_photon_saturation,
-    _check_noon_advantage,
-    _check_fringe_doubling,
-    _check_channel_routes,
-    _check_semigroup,
-    _check_benchmark_bound,
-)
-
-
 def cmd_selftest(cfg: CliConfig) -> int:
     results = []
     first_failure = None
-    for check in _SELFTEST_CHECKS:
+    for check in checks.CHECKS:
         result = check()
         results.append(result)
         if not cfg.emit_json:
@@ -1075,7 +767,7 @@ def cmd_selftest(cfg: CliConfig) -> int:
             first_failure = result.name
     if cfg.emit_json:
         payload = {
-            "checks": [asdict(result) for result in results],
+            "checks": [result.summary() for result in results],
             "passed": first_failure is None,
         }
         print(json.dumps(payload, sort_keys=True, indent=2))

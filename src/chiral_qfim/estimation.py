@@ -272,9 +272,7 @@ def channel_derivatives(
     return output, derivs
 
 
-def solve_sld(
-    rho_state: TwoModeState, drho: ParamDerivative, backend: str = "lapack"
-) -> SldMatrix:
+def solve_sld(rho_state: TwoModeState, drho: ParamDerivative) -> SldMatrix:
     """Solve ∂ρ = ½(Lρ + ρL) spectrally on the support of ρ.
 
     In the eigenbasis of ρ, L_jk = 2 ∂ρ_jk/(λ_j + λ_k); pairs with
@@ -282,7 +280,7 @@ def solve_sld(
     count and dropped weight go into metadata).  The residual reported is
     ‖∂ρ − ½(Lρ + ρL)‖_max projected onto the kept pairs.
     """
-    dec = hermitian_eigen(rho_state.rho, backend=backend)
+    dec = hermitian_eigen(rho_state.rho)
     lam = dec.eigenvalues
     v = dec.eigenvectors
     lam_max = float(lam[-1])
@@ -368,9 +366,7 @@ def assemble_qfim(rho_state: TwoModeState, slds) -> QfimResult:
     return _finish_qfim(params, f, {"route": "sld", "state_label": rho_state.label})
 
 
-def qfim_from_derivatives(
-    rho_state: TwoModeState, derivs, backend: str = "lapack"
-) -> QfimResult:
+def qfim_from_derivatives(rho_state: TwoModeState, derivs) -> QfimResult:
     """QFIM directly in the eigenbasis of ρ, bypassing explicit SLDs.
 
     F_ab = Σ_{kept (j,k)} 2 Re[∂ρ̃_a(j,k) · conj(∂ρ̃_b(j,k))]/(λ_j+λ_k),
@@ -380,7 +376,7 @@ def qfim_from_derivatives(
     params = tuple(d.param for d in derivs)
     if len(set(params)) != len(params):
         raise ValueError(f"duplicate parameter labels in {params}")
-    dec = hermitian_eigen(rho_state.rho, backend=backend)
+    dec = hermitian_eigen(rho_state.rho)
     lam = dec.eigenvalues
     v = dec.eigenvectors
     lam_max = float(lam[-1])
@@ -522,7 +518,6 @@ def compute_bounds(
     param_labels,
     method: str = ANALYTIC_KRAUS,
     via_slds: bool = False,
-    backend: str = "lapack",
 ) -> QfimResult:
     """Full pipeline: evolve, differentiate, QFIM, invert, bound.
 
@@ -531,8 +526,8 @@ def compute_bounds(
     """
     output, derivs = channel_derivatives(input_state, params, param_labels, method)
     if via_slds:
-        slds = [solve_sld(output, d, backend=backend) for d in derivs]
+        slds = [solve_sld(output, d) for d in derivs]
         qfim = assemble_qfim(output, slds)
     else:
-        qfim = qfim_from_derivatives(output, derivs, backend=backend)
+        qfim = qfim_from_derivatives(output, derivs)
     return invert_and_bound(qfim)

@@ -18,8 +18,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +70,6 @@ VARY_LABELS = CHIRAL_NAMES + (COMMON_ALPHA,)
 ALPHA_MAX = 0.999
 COMPARE_TOL = 1e-6
 DERIVATIVE_FLOOR = 1e-8
-THREADS_ENV = "CHIRAL_QFIM_THREADS"
 
 FIG2_CAPTION_NOTE = (
     "delta_x_d equals delta_x_s for the coherent input, so a single"
@@ -130,6 +127,10 @@ class SweepSpec:
             raise ValueError(f"unknown fixed parameters {sorted(unknown)}")
         if self.vary in self.fixed:
             raise ValueError(f"{self.vary!r} cannot be both varied and fixed")
+        if self.vary == COMMON_ALPHA and {"x_d", "x_s"} & set(self.fixed):
+            raise ValueError(
+                "an alpha sweep sets both absorptions itself; x_d and x_s cannot be fixed"
+            )
         if not self.methods:
             raise ValueError("at least one method is required")
         bad = set(self.methods) - set(SWEEP_METHODS)
@@ -457,20 +458,9 @@ def evaluate_point(spec: SweepSpec, state: TwoModeState, value: float) -> SweepR
 
 
 def run_sweep(spec: SweepSpec) -> list:
-    """Evaluate every requested method at every grid point, in grid order.
-
-    Points are independent; with CHIRAL_QFIM_THREADS > 1 they are computed
-    on a thread pool, but rows always come back ordered by grid index.
-    """
+    """Evaluate every requested method at every grid point, in grid order."""
     state = prepare_input_state(spec.input_state)
-    grid = spec.grid()
-    threads = int(os.environ.get(THREADS_ENV, "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda v: evaluate_point(spec, state, v), grid))
-    else:
-        rows = [evaluate_point(spec, state, v) for v in grid]
-    return rows
+    return [evaluate_point(spec, state, v) for v in spec.grid()]
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +510,37 @@ def _write_csv(rows, spec: SweepSpec, handle) -> None:
 def sweep_to_csv_text(rows, spec: SweepSpec) -> str:
     buffer = io.StringIO()
     _write_csv(rows, spec, buffer)
+    return buffer.getvalue()
+
+
+def panel_to_csv_text(members) -> str:
+    """One wide CSV for a figure panel's ``(label, spec, rows)`` members.
+
+    Each member's spec goes on its own ``# spec:`` line and its columns are
+    prefixed with its label; the members must share one sweep grid.
+    """
+    base = members[0][2]
+    for _, _, rows in members[1:]:
+        same = len(rows) == len(base) and all(
+            abs(a.coordinate - b.coordinate) <= 1e-12 for a, b in zip(rows, base)
+        )
+        if not same:
+            raise ValueError("panel members disagree on the sweep grid")
+    buffer = io.StringIO()
+    for label, spec, _ in members:
+        buffer.write(f"# spec: {label}: {spec.to_json()}\n")
+    header = [members[0][1].vary]
+    for label, spec, _ in members:
+        header.extend(f"{label}.{column}" for column in sweep_columns(spec))
+        header.append(f"{label}.status")
+    buffer.write(",".join(header) + "\n")
+    for i, base_row in enumerate(base):
+        cells = [_format_cell(base_row.coordinate)]
+        for _, spec, rows in members:
+            row = rows[i]
+            cells.extend(_format_cell(row.values[c]) for c in sweep_columns(spec))
+            cells.append(_csv_cell(";".join(row.status)))
+        buffer.write(",".join(cells) + "\n")
     return buffer.getvalue()
 
 

@@ -4,6 +4,11 @@ Every test emits a single pass/fail verdict line.  The line is printed
 immediately (visible under ``pytest -s``) and also recorded in ``VERDICTS``,
 which the conftest terminal-summary hook replays after capture ends so the
 verdicts appear in every run.
+
+Checks 1-3 and 6-10 take their shared residuals and tolerances from
+``chiral_qfim.checks``, the functions ``chiral-qfim selftest`` runs on its
+single-point defaults; here they run on wider grids, and each test adds
+only the assertions the selftest has no counterpart for.
 """
 
 import math
@@ -14,36 +19,23 @@ import numpy as np
 
 from chiral_qfim import (
     CHIRAL_NAMES,
-    NOON_HV,
-    SINGLE_PHOTON_H,
     ChiralParams,
     FockSpace,
     InputStateKind,
-    ParamDerivative,
     apply_channel_kraus,
-    apply_channel_rk4,
-    channel_derivatives,
+    checks,
     coherent_bounds,
-    coherent_intensity_sensitivities,
     coherent_product_state,
-    coherent_slds,
-    commutator,
     compute_bounds,
     default_coherent_space,
     default_param_labels,
     fidelity_fringe,
-    fock_benchmark_bound,
     hermitian_eigen,
     hv_to_pm_amplitudes,
-    mode_operators,
     noon_catalog,
     prepare_input_state,
     single_photon_catalog,
-    solve_sld,
 )
-
-ABSORPTION = ("x_d", "x_s")
-PHASES = ("delta", "sigma")
 
 VERDICTS: list = []
 
@@ -65,85 +57,63 @@ def coherent_state_for(n0: float, budget: float = 1e-10):
 
 
 def absorption_grid():
-    """10x10 chirality grid; the offset stays inside the physical wedge."""
+    """10x10 chirality grid as (x_d, x_s) pairs inside the physical wedge."""
     for x_s in np.linspace(0.05, 0.9, 10):
         for x_d in np.linspace(0.0, min(0.2 * (1.0 - x_s), x_s), 10):
             yield float(x_d), float(x_s)
 
 
+def absorption_points():
+    return [ChiralParams.from_chiral(x_d, x_s, 0.0, 0.0) for x_d, x_s in absorption_grid()]
+
+
 def test_coherent_intensity_saturates_qfim_bound_on_grid():
     t0 = time.perf_counter()
-    worst_exact = 0.0
-    worst_numeric = 0.0
-    points = 0
-    for n0 in (1.0, 4.0):
-        state = coherent_state_for(n0)
-        for x_d, x_s in absorption_grid():
-            params = ChiralParams.from_chiral(x_d, x_s, 0.0, 0.0)
-            closed = coherent_bounds(params, n0)
-            meter = coherent_intensity_sensitivities(params, n0)
-            result = compute_bounds(state, params, CHIRAL_NAMES)
-            for name in ABSORPTION:
-                worst_exact = max(
-                    worst_exact, abs(closed.value(name) - meter.value(name))
-                )
-                worst_numeric = max(
-                    worst_numeric, abs(result.bound(name) - closed.value(name))
-                )
-            points += 1
+    points = absorption_points()
+    probes = [(n0, coherent_state_for(n0)) for n0 in (1.0, 4.0)]
+    shared = checks.coherent_saturation(points, probes)
     elapsed = time.perf_counter() - t0
-    ok = worst_exact <= 1e-8 and worst_numeric <= 1e-6 and elapsed < 5.0
+    ok = shared.passed and elapsed < 5.0
     assert report(
         "1 coherent saturation",
         ok,
-        f"closed-form gap {worst_exact:.1e}, pipeline gap {worst_numeric:.1e},"
-        f" {points} points in {elapsed:.2f}s",
+        f"closed-form gap {shared.measured['closed_form_gap']:.1e}, pipeline gap"
+        f" {shared.residual:.1e}, {len(points) * len(probes)} points in {elapsed:.2f}s",
     )
 
 
 def test_single_photon_catalog_and_pipeline_agree_on_grid():
+    points = absorption_points()
+    shared = checks.single_photon_saturation(points)
     kind = InputStateKind.single_photon_h()
     state = prepare_input_state(kind)
     labels = default_param_labels(kind)
-    worst_exact = 0.0
-    worst_numeric = 0.0
-    for x_d, x_s in absorption_grid():
-        params = ChiralParams.from_chiral(x_d, x_s, 0.0, 0.0)
-        catalog = single_photon_catalog(params)
-        for name in ABSORPTION:
-            worst_exact = max(
-                worst_exact,
-                abs(catalog.bounds.value(name) - catalog.intensity.value(name)),
-            )
+    worst_formula = 0.0
+    for (x_d, x_s), params in zip(absorption_grid(), points):
         result = compute_bounds(state, params, labels)
-        worst_numeric = max(
-            worst_numeric,
+        worst_formula = max(
+            worst_formula,
             abs(result.bound("x_d") ** 2 - (1.0 - x_s - x_d**2)),
             abs(result.bound("x_s") ** 2 - x_s * (1.0 - x_s)),
             abs(result.covariance("x_d", "x_s") - (-x_s * x_d)),
         )
-    ok = worst_exact <= 1e-8 and worst_numeric <= 1e-6
+    ok = shared.passed and worst_formula <= 1e-6
     assert report(
         "2 single-photon saturation",
         ok,
-        f"closed-form gap {worst_exact:.1e}, variance/covariance gap"
-        f" {worst_numeric:.1e}",
+        f"closed-form gap {shared.measured['closed_form_gap']:.1e}, variance/covariance"
+        f" gap {worst_formula:.1e}",
     )
 
 
 def test_noon_bound_beats_weaker_probes_and_vanishes_with_loss():
-    params = ChiralParams.from_chiral(0.005, 0.01, 0.0, 0.0)
+    shared = checks.noon_advantage()
+    noon = shared.measured["noon"]
+    single = shared.measured["single-photon"]
+    coherent2 = compute_bounds(
+        coherent_state_for(2.0), checks.WEAK_ABSORPTION_POINT, CHIRAL_NAMES
+    ).bound("x_d")
     noon_kind = InputStateKind.noon_hv()
-    single_kind = InputStateKind.single_photon_h()
-    noon = compute_bounds(
-        prepare_input_state(noon_kind), params, default_param_labels(noon_kind)
-    ).bound("x_d")
-    single = compute_bounds(
-        prepare_input_state(single_kind), params, default_param_labels(single_kind)
-    ).bound("x_d")
-    coherent2 = compute_bounds(coherent_state_for(2.0), params, CHIRAL_NAMES).bound(
-        "x_d"
-    )
     trail = []
     for x_s in (1e-1, 1e-2, 1e-3):
         weak = ChiralParams.from_chiral(x_s / 2.0, x_s, 0.0, 0.0)
@@ -153,7 +123,7 @@ def test_noon_bound_beats_weaker_probes_and_vanishes_with_loss():
             ).bound("x_d")
         )
     ok = (
-        noon < single
+        shared.passed
         and noon < coherent2
         and trail[0] > trail[1] > trail[2]
         and trail[2] <= 0.05
@@ -278,37 +248,18 @@ def test_phase_bound_ratios_across_absorption_range():
 
 
 def test_closed_form_sld_for_damped_coherent_mode():
-    alpha, mean_n = 0.5, 1.0
-    space = FockSpace(20, 0)
-    state = coherent_product_state(
-        space, math.sqrt(mean_n), 0.0, truncation_budget=1e-15
-    )
-    params = ChiralParams(
-        alpha_plus=alpha, alpha_minus=alpha, phi_plus=0.0, phi_minus=0.0
-    )
-    output, derivs = channel_derivatives(state, params, ("alpha_plus",))
-    eta_oriented = ParamDerivative(
-        param="eta_plus", drho=-derivs[0].drho, method=derivs[0].method
-    )
-    numeric = solve_sld(output, eta_oriented)
-    ops = mode_operators(space)
-    expected = ops.n_plus / (1.0 - alpha) - mean_n * np.eye(space.dim)
-    dec = hermitian_eigen(output.rho)
-    keep = np.add.outer(dec.eigenvalues, dec.eigenvalues) > 1e-10 * float(
-        dec.eigenvalues[-1]
-    )
-    rotated = dec.eigenvectors.conj().T @ (numeric.L - expected) @ dec.eigenvectors
-    support_gap = float(np.abs(np.where(keep, rotated, 0.0)).max())
+    shared = checks.coherent_sld_closed_form()
+    output, eta_derivative, expected = checks.damped_coherent_mode()
     equation_gap = float(
         np.abs(
-            eta_oriented.drho - 0.5 * (expected @ output.rho + output.rho @ expected)
+            eta_derivative.drho - 0.5 * (expected @ output.rho + output.rho @ expected)
         ).max()
     )
-    ok = support_gap <= 1e-8 and equation_gap <= 1e-8
+    ok = shared.passed and equation_gap <= 1e-8
     assert report(
         "6 damped-coherent SLD closed form",
         ok,
-        f"support-coupled gap {support_gap:.1e}, defining-equation gap"
+        f"support-coupled gap {shared.residual:.1e}, defining-equation gap"
         f" {equation_gap:.1e} at cutoff 20",
     )
 
@@ -319,84 +270,43 @@ def test_absorption_phase_qfim_cross_block_vanishes():
         for x_s in (0.1, 0.4, 0.7)
         for fraction in (0.0, 0.3)
     ]
-    worst = 0.0
-    for kind in (
-        InputStateKind.coherent(1.0),
-        InputStateKind.single_photon_h(),
-        InputStateKind.noon_hv(),
-    ):
-        state = prepare_input_state(kind)
-        labels = default_param_labels(kind)
-        for params in cases:
-            result = compute_bounds(state, params, labels)
-            for absorption in ABSORPTION:
-                for phase in PHASES:
-                    if phase in labels:
-                        worst = max(worst, abs(result.entry(absorption, phase)))
-    space = FockSpace(12, 12)
-    slds = coherent_slds(ChiralParams.from_chiral(0.05, 0.3, 0.4, 0.2), 1.0, space)
-    l_d = next(s.L for s in slds if s.param == "x_d")
-    ops = mode_operators(space)
-    comm = float(np.abs(commutator(l_d, ops.n_plus - ops.n_minus)).max())
-    ok = worst <= 1e-10 and comm == 0.0
+    cross = checks.absorption_phase_zero_block(cases)
+    comm = checks.absorption_phase_commutator(cutoff=12)
     assert report(
         "7 absorption-phase decoupling",
-        ok,
-        f"largest QFIM cross entry {worst:.1e}; [L_d, G_delta] max entry {comm:g}",
+        cross.passed and comm.passed,
+        f"largest QFIM cross entry {cross.residual:.1e}; [L_d, G_delta] max entry"
+        f" {comm.residual:g}",
     )
 
 
 def test_fringe_period_halves_for_the_two_photon_probe():
-    def params_at(delta: float) -> ChiralParams:
-        return ChiralParams.from_chiral(0.1, 0.5, float(delta), 0.0)
-
-    noon_shift = 0.0
-    single_shift = 0.0
-    for delta in np.linspace(0.0, math.pi, 41):
-        noon_shift = max(
-            noon_shift,
-            abs(
-                fidelity_fringe(NOON_HV, params_at(delta))
-                - fidelity_fringe(NOON_HV, params_at(delta + math.pi))
-            ),
-        )
-        single_shift = max(
-            single_shift,
-            abs(
-                fidelity_fringe(SINGLE_PHOTON_H, params_at(delta))
-                - fidelity_fringe(SINGLE_PHOTON_H, params_at(delta + math.pi))
-            ),
-        )
+    shared = checks.fringe_period_doubling(samples=41)
     overlap_gap = 0.0
     for kind in (InputStateKind.single_photon_h(), InputStateKind.noon_hv()):
         state = prepare_input_state(kind)
         psi = hermitian_eigen(state.rho).eigenvectors[:, -1]
         for delta in np.linspace(0.0, 2.0 * math.pi, 9):
-            params = params_at(float(delta))
+            params = ChiralParams.from_chiral(0.1, 0.5, float(delta), 0.0)
             output = apply_channel_kraus(state, params)
             overlap = float(np.real(psi.conj() @ output.rho @ psi))
             overlap_gap = max(
                 overlap_gap, abs(overlap - fidelity_fringe(kind, params))
             )
-    ok = noon_shift <= 1e-12 and single_shift >= 0.1 and overlap_gap <= 1e-10
+    ok = shared.passed and overlap_gap <= 1e-10
     assert report(
         "8 fringe period doubling",
         ok,
-        f"two-photon half-period shift {noon_shift:.1e}, one-photon shift"
-        f" {single_shift:.3f}, formula-vs-channel gap {overlap_gap:.1e}",
+        f"two-photon half-period shift {shared.residual:.1e}, one-photon shift"
+        f" {shared.measured['single_photon_shift']:.3f}, formula-vs-channel gap"
+        f" {overlap_gap:.1e}",
     )
 
 
 def test_channel_routes_and_semigroup_agree():
-    first = ChiralParams(alpha_plus=0.3, alpha_minus=0.1, phi_plus=0.4, phi_minus=0.2)
-    second = ChiralParams(
-        alpha_plus=0.25, alpha_minus=0.15, phi_plus=0.1, phi_minus=0.3
-    )
-    composed = ChiralParams(
-        alpha_plus=1.0 - (1.0 - first.alpha_plus) * (1.0 - second.alpha_plus),
-        alpha_minus=1.0 - (1.0 - first.alpha_minus) * (1.0 - second.alpha_minus),
-        phi_plus=first.phi_plus + second.phi_plus,
-        phi_minus=first.phi_minus + second.phi_minus,
+    steps = (
+        checks.ROUTES_POINT,
+        ChiralParams(alpha_plus=0.25, alpha_minus=0.15, phi_plus=0.1, phi_minus=0.3),
     )
     amp_p, amp_m = hv_to_pm_amplitudes(math.sqrt(0.5), 0.0)
     states = (
@@ -405,51 +315,30 @@ def test_channel_routes_and_semigroup_agree():
         prepare_input_state(InputStateKind.noon_hv()),
         prepare_input_state(InputStateKind.fock_one_plus_one_minus()),
     )
-    route_gap = 0.0
-    semigroup_gap = 0.0
-    for state in states:
-        stepped = apply_channel_kraus(state, first)
-        integrated = apply_channel_rk4(state, first)
-        route_gap = max(
-            route_gap, float(np.abs(stepped.rho - integrated.rho).max())
-        )
-        twice = apply_channel_kraus(stepped, second)
-        direct = apply_channel_kraus(state, composed)
-        semigroup_gap = max(
-            semigroup_gap, float(np.abs(twice.rho - direct.rho).max())
-        )
-    ok = route_gap <= 1e-8 and semigroup_gap <= 1e-10
+    routes = checks.channel_routes_agreement(states)
+    semigroup = checks.channel_semigroup_composition(states, steps)
     assert report(
         "9 engine cross-validation",
-        ok,
-        f"Kraus-vs-RK4 gap {route_gap:.1e}, semigroup composition gap"
-        f" {semigroup_gap:.1e} over four input states",
+        routes.passed and semigroup.passed,
+        f"Kraus-vs-RK4 gap {routes.residual:.1e}, semigroup composition gap"
+        f" {semigroup.residual:.1e} over four input states",
     )
 
 
 def test_photon_pair_bound_matches_benchmark_formula():
-    kind = InputStateKind.fock_one_plus_one_minus()
-    state = prepare_input_state(kind)
-    labels = default_param_labels(kind)
-    worst = 0.0
-    for alpha_plus in np.linspace(0.05, 0.9, 6):
-        for alpha_minus in np.linspace(0.05, 0.9, 6):
-            params = ChiralParams(
-                alpha_plus=float(alpha_plus),
-                alpha_minus=float(alpha_minus),
-                phi_plus=0.0,
-                phi_minus=0.0,
-            )
-            closed = fock_benchmark_bound(params)
-            result = compute_bounds(state, params, labels)
-            worst = max(
-                worst,
-                abs(result.bound("x_d") - closed.value("x_d")),
-                abs(result.bound("x_s") - closed.value("x_s")),
-            )
-    ok = worst <= 1e-6
+    grid = [
+        ChiralParams(
+            alpha_plus=float(alpha_plus),
+            alpha_minus=float(alpha_minus),
+            phi_plus=0.0,
+            phi_minus=0.0,
+        )
+        for alpha_plus in np.linspace(0.05, 0.9, 6)
+        for alpha_minus in np.linspace(0.05, 0.9, 6)
+    ]
+    shared = checks.benchmark_bound_match(grid)
     assert report(
         "10 photon-pair benchmark",
-        ok,
-        f"largest gap to sqrt(a+(1-a+)+a-(1-a-))/2 over the grid: {worst:.1e}",
+        shared.passed,
+        f"largest gap to sqrt(a+(1-a+)+a-(1-a-))/2 over the grid: {shared.residual:.1e}",
     )

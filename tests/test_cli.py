@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from chiral_qfim import checks
 from chiral_qfim.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -287,28 +288,6 @@ def test_sweep_unknown_preset_lists_options(capsys):
     assert "fig4" in err
 
 
-def test_sweep_threaded_output_matches_serial(capsys, monkeypatch):
-    argv = (
-        "sweep",
-        "--state",
-        "noon",
-        "--vary",
-        "x_s",
-        "--start",
-        "0.1",
-        "--stop",
-        "0.5",
-        "--points",
-        "3",
-    )
-    code, serial, _ = run_cli(capsys, *argv)
-    assert code == EXIT_OK
-    monkeypatch.setenv("CHIRAL_QFIM_THREADS", "3")
-    code, threaded, _ = run_cli(capsys, *argv)
-    assert code == EXIT_OK
-    assert threaded == serial
-
-
 def test_preset_fig4_origin_values(capsys, tmp_path):
     target = tmp_path / "fig4.csv"
     code, out, err = run_cli(
@@ -496,6 +475,27 @@ def test_selftest_json_residuals_within_tolerance(capsys):
     for check in payload["checks"]:
         assert check["passed"] is True
         assert check["residual"] <= check["tolerance"]
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    def broken():
+        return checks.CheckResult(
+            name="coherent-saturation", residual=1.0, tolerance=1e-6, passed=False
+        )
+
+    registry = list(checks.CHECKS)
+    registry[3] = broken
+    monkeypatch.setattr(checks, "CHECKS", tuple(registry))
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == EXIT_SELFTEST
+    assert "FAIL coherent-saturation" in out
+    assert "checks passed" not in out
+    assert "selftest: FAILED at check 'coherent-saturation'" in err
+    code, out, err = run_cli(capsys, "selftest", "--json")
+    assert code == EXIT_SELFTEST
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert [c["passed"] for c in payload["checks"]].count(False) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,9 @@ def test_sweep_spec_validation():
         spec_for(SP, fixed={"xd": 0.1})
     with pytest.raises(ValueError, match="cannot be both varied and fixed"):
         spec_for(SP, fixed={"x_s": 0.1})
+    for name in ("x_d", "x_s"):
+        with pytest.raises(ValueError, match="x_d and x_s cannot be fixed"):
+            spec_for(SP, vary="alpha", start=0.1, stop=0.3, fixed={name: 0.05})
     with pytest.raises(ValueError, match="at least one method"):
         spec_for(SP, methods=())
     with pytest.raises(ValueError, match="unknown methods"):
@@ -264,17 +267,6 @@ def test_sweep_handles_fully_singular_points():
         assert all(v is None for v in row.values.values())
         assert any("unidentifiable" in flag for flag in row.status)
         assert any("unavailable" in flag for flag in row.status)
-
-
-def test_run_sweep_parallel_matches_serial(monkeypatch):
-    spec = spec_for(SP, points=4, fixed={"x_d": 0.02})
-    serial = run_sweep(spec)
-    monkeypatch.setenv("CHIRAL_QFIM_THREADS", "3")
-    parallel = run_sweep(spec)
-    assert [r.coordinate for r in parallel] == [r.coordinate for r in serial]
-    for a, b in zip(serial, parallel):
-        assert a.values == b.values
-        assert a.status == b.status
 
 
 # ---------------------------------------------------------------------------
