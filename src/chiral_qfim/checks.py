@@ -22,6 +22,7 @@ from .analytic import (
     InputStateKind,
     coherent_bounds,
     coherent_intensity_sensitivities,
+    coherent_slds,
     default_param_labels,
     fidelity_fringe,
     fock_benchmark_bound,
@@ -164,14 +165,18 @@ def absorption_phase_zero_block(points=(REFERENCE_POINT,)) -> CheckResult:
     )
 
 
-def absorption_phase_commutator(cutoff: int = 6) -> CheckResult:
-    """[L_d, G_delta] at REFERENCE_POINT on a ``cutoff`` x ``cutoff`` space.
+def absorption_phase_commutator() -> CheckResult:
+    """[L_d, G_delta] at REFERENCE_POINT for the coherent n0 = 1 probe.
 
-    L_d = n_minus/eta_minus - n_plus/eta_plus is the coherent x_d SLD and
-    G_delta = n_plus - n_minus generates the differential phase.
+    L_d is the x_d SLD of the ``coherent_slds`` catalog and G_delta =
+    n_plus - n_minus generates the differential phase.  Neither depends on
+    the probe, so it is truncated to a 6 x 6 space (tail 1e-6) to keep the
+    catalog cheap.
     """
-    ops = mode_operators(FockSpace(cutoff, cutoff))
-    l_d = ops.n_minus / REFERENCE_POINT.eta_minus - ops.n_plus / REFERENCE_POINT.eta_plus
+    space = FockSpace(6, 6)
+    slds = coherent_slds(REFERENCE_POINT, 1.0, space, truncation_budget=1e-5)
+    l_d = next(s.L for s in slds if s.param == "x_d")
+    ops = mode_operators(space)
     residual = _max_abs(commutator(l_d, ops.n_plus - ops.n_minus))
     return CheckResult(
         name="absorption-phase-commutator",

@@ -271,7 +271,7 @@ def test_absorption_phase_qfim_cross_block_vanishes():
         for fraction in (0.0, 0.3)
     ]
     cross = checks.absorption_phase_zero_block(cases)
-    comm = checks.absorption_phase_commutator(cutoff=12)
+    comm = checks.absorption_phase_commutator()
     assert report(
         "7 absorption-phase decoupling",
         cross.passed and comm.passed,
