@@ -20,6 +20,7 @@ to check it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -210,6 +211,22 @@ def _rotated_input(state: TwoModeState, params: ChiralParams) -> np.ndarray:
     return rho
 
 
+@functools.lru_cache(maxsize=64)
+def _root_binomials(cutoff: int) -> tuple:
+    """Rows √C(m+k, k), m = 0..cutoff−k, for k = 0..cutoff, in float64.
+
+    Each binomial is exact before its one rounding to float64, so the
+    table holds past the int64 range (cutoff ≥ 67).  Cached per cutoff and
+    read-only, since every channel call reuses it.
+    """
+    rows = []
+    for k in range(cutoff + 1):
+        row = np.sqrt([float(math.comb(m + k, k)) for m in range(cutoff + 1 - k)])
+        row.flags.writeable = False
+        rows.append(row)
+    return tuple(rows)
+
+
 def _damping_pair_weights(cutoff: int, alpha: float, derivative: bool = False):
     """Per-k weight matrices of the binomial photon-loss channel.
 
@@ -218,44 +235,45 @@ def _damping_pair_weights(cutoff: int, alpha: float, derivative: bool = False):
 
         W_k[m, m'] = √(C(m+k,k) C(m'+k,k)) · η^{(m+m')/2} · α^k,  η = 1−α.
 
-    With ``derivative`` the α-derivative of W_k is returned instead; the
-    α = 0 limit is handled explicitly (only k = 0 and k = 1 survive).
+    Returns ``(weights, derivatives)``.  With ``derivative`` the
+    α-derivatives ∂W_k/∂α = W_k · (k/α − (m+m')/(2η)) come from the same
+    pass; otherwise ``derivatives`` is None.  The α = 0 limit is handled
+    explicitly (only k = 0 and k = 1 survive).  None marks an all-zero W_k.
     """
     eta = 1.0 - alpha
     weights = []
-    for k in range(cutoff + 1):
-        d = cutoff + 1 - k
-        m = np.arange(d)
-        root_binom = np.sqrt([math.comb(mm + k, k) for mm in m])
+    derivatives = [] if derivative else None
+    for k, root_binom in enumerate(_root_binomials(cutoff)):
+        m = np.arange(root_binom.size)
         pair_binom = np.outer(root_binom, root_binom)
         msum = np.add.outer(m, m).astype(float)
         if alpha == 0.0:
-            if not derivative:
-                w = pair_binom if k == 0 else None
-            elif k == 0:
-                w = -0.5 * msum * pair_binom
-            elif k == 1:
-                w = pair_binom
-            else:
-                w = None
+            weights.append(pair_binom if k == 0 else None)
+            if derivative:
+                derivatives.append(
+                    -0.5 * msum * pair_binom if k == 0 else pair_binom if k == 1 else None
+                )
         else:
             base = pair_binom * eta ** (msum / 2.0) * alpha**k
+            weights.append(base)
             if derivative:
-                w = base * (k / alpha - msum / (2.0 * eta))
-            else:
-                w = base
-        weights.append(w)
-    return weights
+                derivatives.append(base * (k / alpha - msum / (2.0 * eta)))
+    return weights, derivatives
 
 
-def _damp_leading_mode(rho4: np.ndarray, weights) -> np.ndarray:
-    """Apply photon loss to the mode carried by the first two tensor axes."""
-    out = np.zeros_like(rho4)
+def _damp_leading_mode(rho: np.ndarray, weights) -> np.ndarray:
+    """Apply photon loss to the mode carried by the first two axes of ``rho``.
+
+    ``rho`` is one mode's matrix, or a two-mode tensor whose trailing axes
+    carry the other mode.
+    """
+    out = np.zeros_like(rho)
+    trailing = (None,) * (rho.ndim - 2)
     for k, w in enumerate(weights):
         if w is None:
             continue
         d = w.shape[0]
-        out[:d, :d] += w[:, :, None, None] * rho4[k : k + d, k : k + d]
+        out[:d, :d] += w[(..., *trailing)] * rho[k : k + d, k : k + d]
     return out
 
 
@@ -287,10 +305,29 @@ def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeSta
     rho = _apply_damping(
         rho,
         space,
-        _damping_pair_weights(space.cutoff_plus, params.alpha_plus),
-        _damping_pair_weights(space.cutoff_minus, params.alpha_minus),
+        _damping_pair_weights(space.cutoff_plus, params.alpha_plus)[0],
+        _damping_pair_weights(space.cutoff_minus, params.alpha_minus)[0],
     )
     return state.with_rho(rho)
+
+
+def mode_output_and_alpha_derivative(
+    rho: np.ndarray, alpha: float, phi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One mode's channel output and its exact ∂/∂α, from one weight pass.
+
+    ``rho`` is a single-mode density matrix on Fock levels 0..cutoff.  The
+    phase stage multiplies entry (n, n') by e^{−iφ(n−n')}; the loss stage
+    and its α-derivative apply the binomial weights of the two-mode engine
+    with the same kernel.  Storage stays real when the rotated input is.
+    """
+    if phi != 0.0:
+        u = np.exp(-1j * phi * np.arange(rho.shape[0]))
+        rho = rho * np.outer(u, u.conj())
+    elif not rho.imag.any():
+        rho = rho.real
+    weights, derivatives = _damping_pair_weights(rho.shape[0] - 1, alpha, derivative=True)
+    return _damp_leading_mode(rho, weights), _damp_leading_mode(rho, derivatives)
 
 
 def channel_alpha_derivative(
@@ -306,13 +343,15 @@ def channel_alpha_derivative(
         raise ValueError(f"mode must be 'plus' or 'minus', got {mode!r}")
     space = state.space
     rho = _rotated_input(state, params)
-    weights_plus = _damping_pair_weights(
+    weights_plus, d_plus = _damping_pair_weights(
         space.cutoff_plus, params.alpha_plus, derivative=(mode == "plus")
     )
-    weights_minus = _damping_pair_weights(
+    weights_minus, d_minus = _damping_pair_weights(
         space.cutoff_minus, params.alpha_minus, derivative=(mode == "minus")
     )
-    return _apply_damping(rho, space, weights_plus, weights_minus)
+    if mode == "plus":
+        return _apply_damping(rho, space, d_plus, weights_minus)
+    return _apply_damping(rho, space, weights_plus, d_minus)
 
 
 def channel_phi_derivative(

@@ -8,6 +8,12 @@ symmetric logarithmic derivatives L are solved spectrally on the support of
 pseudo-inverse.  This module is the oracle that the closed-form catalog is
 checked against, so it must stay independent of that catalog.
 
+Product inputs (states carrying per-mode ``factors``) take a per-mode
+route on the default exact method: the output is a product, so the QFIM
+is solved as two single-mode problems instead of one two-mode
+eigendecomposition.  The dense two-mode route serves everything else and
+is the oracle the per-mode route is tested against.
+
 Parameter labels are either the native channel coordinates
 ("alpha_plus", "alpha_minus", "phi_plus", "phi_minus") or the chiral
 combinations ("x_d", "x_s", "delta", "sigma").  Central differences
@@ -33,8 +39,9 @@ from .channel import (
     apply_channel_kraus,
     channel_alpha_derivative,
     channel_phi_derivative,
+    mode_output_and_alpha_derivative,
 )
-from .fock import TwoModeState
+from .fock import TwoModeState, require_trace_window
 from .linalg import as_complex_matrix, hermitian_eigen, hermiticity_defect
 
 CENTRAL_DIFFERENCE = "central_difference"
@@ -353,8 +360,7 @@ def _finish_qfim(params: tuple, f: np.ndarray, meta: dict) -> QfimResult:
 def assemble_qfim(rho_state: TwoModeState, slds) -> QfimResult:
     """F_ij = ½ tr[ρ(L_iL_j + L_jL_i)] from explicitly solved SLDs."""
     params = tuple(s.param for s in slds)
-    if len(set(params)) != len(params):
-        raise ValueError(f"duplicate parameter labels in {params}")
+    _require_distinct(params)
     n = len(slds)
     rho = rho_state.rho
     left = [rho @ s.L for s in slds]
@@ -366,17 +372,13 @@ def assemble_qfim(rho_state: TwoModeState, slds) -> QfimResult:
     return _finish_qfim(params, f, {"route": "sld", "state_label": rho_state.label})
 
 
-def qfim_from_derivatives(rho_state: TwoModeState, derivs) -> QfimResult:
-    """QFIM directly in the eigenbasis of ρ, bypassing explicit SLDs.
+def _eigenbasis_qfim(rho: np.ndarray, mats) -> np.ndarray:
+    """F_ab = Σ_{kept (j,k)} 2 Re[∂ρ̃_a(j,k) · conj(∂ρ̃_b(j,k))]/(λ_j+λ_k).
 
-    F_ab = Σ_{kept (j,k)} 2 Re[∂ρ̃_a(j,k) · conj(∂ρ̃_b(j,k))]/(λ_j+λ_k),
-    algebraically identical to the SLD route (same support rule) at one
-    eigendecomposition plus two rotations per parameter.
+    ``mats`` are the ∂ρ matrices; the support rule keeps pairs with
+    λ_j + λ_k > 1e-10·λ_max, as ``solve_sld`` does.
     """
-    params = tuple(d.param for d in derivs)
-    if len(set(params)) != len(params):
-        raise ValueError(f"duplicate parameter labels in {params}")
-    dec = hermitian_eigen(rho_state.rho)
+    dec = hermitian_eigen(rho)
     lam = dec.eigenvalues
     v = dec.eigenvectors
     lam_max = float(lam[-1])
@@ -394,20 +396,94 @@ def qfim_from_derivatives(rho_state: TwoModeState, derivs) -> QfimResult:
     weight = np.where(keep, 2.0 / np.where(keep, pair_sums, 1.0), 0.0)
     mirror = weight[:, ~support]
     real_basis = not np.iscomplexobj(v)
-    mats = [
-        d.drho.real if real_basis and not d.drho.imag.any() else d.drho
-        for d in derivs
-    ]
+    mats = [m.real if real_basis and not m.imag.any() else m for m in mats]
     rows = [(v_s.conj().T @ m) @ v for m in mats]
-    n = len(derivs)
+    n = len(mats)
     f = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
             prod = (rows[i] * np.conj(rows[j])).real
             val = float(np.sum(weight * prod) + np.sum(mirror * prod[:, ~support]))
             f[i, j] = f[j, i] = val
+    return f
+
+
+def _require_distinct(params: tuple) -> None:
+    if len(set(params)) != len(params):
+        raise ValueError(f"duplicate parameter labels in {params}")
+
+
+def qfim_from_derivatives(rho_state: TwoModeState, derivs) -> QfimResult:
+    """QFIM directly in the eigenbasis of ρ, bypassing explicit SLDs.
+
+    Algebraically identical to the SLD route (same support rule) at one
+    eigendecomposition plus two rotations per parameter.
+    """
+    params = tuple(d.param for d in derivs)
+    _require_distinct(params)
+    f = _eigenbasis_qfim(rho_state.rho, [d.drho for d in derivs])
     return _finish_qfim(
         params, f, {"route": "eigenbasis", "state_label": rho_state.label}
+    )
+
+
+def _native_pullback(param_labels: tuple) -> np.ndarray:
+    """B with ∂ρ/∂label_j = Σ_i B[i, j] ∂ρ/∂native_i, rows in ALPHA_PHI_NAMES order."""
+    b = np.zeros((len(ALPHA_PHI_NAMES), len(param_labels)))
+    for j, p in enumerate(param_labels):
+        if p in ALPHA_PHI_NAMES:
+            b[ALPHA_PHI_NAMES.index(p), j] = 1.0
+        elif p in _CHIRAL_COMBOS:
+            for native, weight in _CHIRAL_COMBOS[p]:
+                b[ALPHA_PHI_NAMES.index(native), j] = weight
+        else:
+            raise ValueError(
+                f"unknown parameter {p!r}; expected one of {ALL_PARAM_NAMES}"
+            )
+    return b
+
+
+def _product_qfim(
+    input_state: TwoModeState, params: ChiralParams, param_labels
+) -> QfimResult:
+    """QFIM of a product input, solved one mode at a time.
+
+    The channel acts on each mode separately, so a product input ρ₊ ⊗ ρ₋
+    gives the product output ρ₊' ⊗ ρ₋'.  Its native QFIM splits into an
+    (α₊, φ₊) block, solved on ρ₊' alone and scaled by tr ρ₋', and the
+    mirror (α₋, φ₋) block; the cross blocks are tr ∂ρ₊' · tr ∂ρ₋' = 0.
+    The requested labels follow through the constant native-to-label
+    pullback, the same combinations ``channel_derivatives`` forms.
+    """
+    labels = tuple(param_labels)
+    _require_distinct(labels)
+    pullback = _native_pullback(labels)
+    blocks, traces = [], []
+    for mode, factor, alpha, phi in (
+        ("plus", input_state.factors[0], params.alpha_plus, params.phi_plus),
+        ("minus", input_state.factors[1], params.alpha_minus, params.phi_minus),
+    ):
+        output, d_alpha = mode_output_and_alpha_derivative(factor, alpha, phi)
+        n = np.arange(output.shape[0])
+        derivs = (
+            ParamDerivative(param=f"alpha_{mode}", drho=d_alpha, method=ANALYTIC_KRAUS),
+            ParamDerivative(
+                param=f"phi_{mode}",
+                drho=-1j * (n[:, None] - n[None, :]) * output,
+                method=ANALYTIC_KRAUS,
+            ),
+        )
+        index = [ALPHA_PHI_NAMES.index(d.param) for d in derivs]
+        blocks.append((index, _eigenbasis_qfim(output, [d.drho for d in derivs])))
+        traces.append(np.trace(output))
+    require_trace_window(traces[0] * traces[1], input_state.trace_deficit_budget)
+    native = np.zeros((len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
+    for (index, block), other_trace in zip(blocks, reversed(traces)):
+        native[np.ix_(index, index)] = block * other_trace.real
+    return _finish_qfim(
+        labels,
+        pullback.T @ native @ pullback,
+        {"route": "per_mode", "state_label": input_state.label},
     )
 
 
@@ -521,9 +597,14 @@ def compute_bounds(
 ) -> QfimResult:
     """Full pipeline: evolve, differentiate, QFIM, invert, bound.
 
-    ``via_slds`` switches from the eigenbasis route to the explicit SLD
-    route (identical results, used for cross-validation).
+    A product input (one carrying ``factors``) on the default exact route
+    is solved one mode at a time; every other input, central differences
+    and ``via_slds`` run on the full two-mode density matrix.  ``via_slds``
+    switches from the eigenbasis route to the explicit SLD route
+    (identical results, used for cross-validation).
     """
+    if input_state.factors is not None and method == ANALYTIC_KRAUS and not via_slds:
+        return invert_and_bound(_product_qfim(input_state, params, param_labels))
     output, derivs = channel_derivatives(input_state, params, param_labels, method)
     if via_slds:
         slds = [solve_sld(output, d) for d in derivs]

@@ -36,7 +36,7 @@ from .analytic import (
     single_photon_catalog,
 )
 from .channel import CHIRAL_NAMES, ChiralParams, DomainError, apply_channel_kraus
-from .estimation import FD_STEP_SCALE, channel_derivatives, invert_and_bound, qfim_from_derivatives
+from .estimation import FD_STEP_SCALE, compute_bounds
 from .fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
@@ -359,8 +359,7 @@ def sweep_columns(spec: SweepSpec) -> tuple:
 
 def _eval_qfim_numeric(kind, params, state, cells, flags):
     labels = default_param_labels(kind)
-    output, derivs = channel_derivatives(state, params, labels)
-    result = invert_and_bound(qfim_from_derivatives(output, derivs))
+    result = compute_bounds(state, params, labels)
     for p in labels:
         column = f"{QFIM_NUMERIC}.delta_{p}"
         b = result.bound(p)

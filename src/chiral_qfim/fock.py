@@ -51,6 +51,17 @@ class StateValidationError(ValueError):
     """A density matrix violates the TwoModeState invariants."""
 
 
+def require_trace_window(tr: complex, budget: float) -> None:
+    """A density matrix trace must be real and lie in [1 − budget, 1]."""
+    if abs(tr.imag) > 1e-12:
+        raise StateValidationError(f"trace has imaginary part {tr.imag:.3e}")
+    lo = 1.0 - budget - 1e-12
+    if not (lo <= tr.real <= 1.0 + 1e-12):
+        raise StateValidationError(
+            f"trace {tr.real!r} outside [{lo!r}, 1] for budget {budget:.3e}"
+        )
+
+
 @dataclass(frozen=True)
 class FockSpace:
     """Truncated two-mode Fock space with per-mode photon-number cutoffs."""
@@ -133,6 +144,12 @@ class TwoModeState:
     trace window are checked at construction; positive semidefiniteness is
     checked by ``validate_psd`` (called by the constructors in this module,
     and by tests on channel outputs, where it would dominate the runtime).
+
+    ``factors`` holds the single-mode density matrices (ρ₊, ρ₋) with
+    ρ = ρ₊ ⊗ ρ₋ when the state is known to be a product.  Only the product
+    constructors of this module set it; every other state, including any
+    made by ``with_rho``, has ``None``, so a changed ρ never keeps stale
+    factors.
     """
 
     space: FockSpace
@@ -140,6 +157,7 @@ class TwoModeState:
     label: str = ""
     trace_deficit_budget: float = 0.0
     meta: dict = field(default_factory=dict)
+    factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rho = as_complex_matrix(self.rho)
@@ -148,15 +166,7 @@ class TwoModeState:
                 f"density matrix shape {rho.shape} does not match space dim {self.space.dim}"
             )
         rho = require_hermitian(rho, tol=1e-12)
-        tr = np.trace(rho)
-        if abs(tr.imag) > 1e-12:
-            raise StateValidationError(f"trace has imaginary part {tr.imag:.3e}")
-        lo = 1.0 - self.trace_deficit_budget - 1e-12
-        if not (lo <= tr.real <= 1.0 + 1e-12):
-            raise StateValidationError(
-                f"trace {tr.real!r} outside [{lo!r}, 1] for budget"
-                f" {self.trace_deficit_budget:.3e}"
-            )
+        require_trace_window(np.trace(rho), self.trace_deficit_budget)
         object.__setattr__(self, "rho", rho)
 
     def validate_psd(self, tol: float = PSD_TOL) -> "TwoModeState":
@@ -279,10 +289,9 @@ def coherent_product_state(
                 f"mode {name} cutoff {cutoff} keeps Poisson tail {tail:.3e}"
                 f" > budget {truncation_budget:.3e}; cutoff >= {needed} required"
             )
-    psi = np.kron(
-        _coherent_vector(amp_plus, space.cutoff_plus),
-        _coherent_vector(amp_minus, space.cutoff_minus),
-    )
+    vec_plus = _coherent_vector(amp_plus, space.cutoff_plus)
+    vec_minus = _coherent_vector(amp_minus, space.cutoff_minus)
+    psi = np.kron(vec_plus, vec_minus)
     rho = np.outer(psi, psi.conj())
     state = TwoModeState(
         space=space,
@@ -290,6 +299,8 @@ def coherent_product_state(
         label=f"coherent(amp+={amp_plus!r}, amp-={amp_minus!r})",
         trace_deficit_budget=2.0 * truncation_budget,
     )
+    factors = (np.outer(vec_plus, vec_plus.conj()), np.outer(vec_minus, vec_minus.conj()))
+    object.__setattr__(state, "factors", factors)
     return state.validate_psd()
 
 
@@ -321,4 +332,11 @@ def fock_product_state(space: FockSpace, n_plus: int, n_minus: int) -> TwoModeSt
     rho = np.zeros((space.dim, space.dim), dtype=np.complex128)
     k = space.index(n_plus, n_minus)
     rho[k, k] = 1.0
-    return TwoModeState(space=space, rho=rho, label=f"fock({n_plus},{n_minus})").validate_psd()
+    state = TwoModeState(space=space, rho=rho, label=f"fock({n_plus},{n_minus})")
+    factors = []
+    for cutoff, n in ((space.cutoff_plus, n_plus), (space.cutoff_minus, n_minus)):
+        projector = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+        projector[n, n] = 1.0
+        factors.append(projector)
+    object.__setattr__(state, "factors", tuple(factors))
+    return state.validate_psd()

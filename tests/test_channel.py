@@ -14,8 +14,10 @@ from chiral_qfim.channel import (
     channel_alpha_derivative,
     channel_phi_derivative,
     coordinate_jacobian,
+    mode_output_and_alpha_derivative,
     noon_output_analytic,
 )
+from chiral_qfim.estimation import compute_bounds
 from chiral_qfim.fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
@@ -23,6 +25,7 @@ from chiral_qfim.fock import (
     TwoModeState,
     coherent_product_state,
     default_coherent_space,
+    fock_product_state,
     hv_to_pm_state,
     mode_operators,
 )
@@ -335,3 +338,53 @@ def test_phi_derivative_matches_finite_difference(mode):
     ) / (2 * h)
     assert np.max(np.abs(exact - approx)) <= 1e-8
     assert abs(np.trace(exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha_plus", [0.0, 0.35])
+def test_single_mode_kernel_factors_the_two_mode_engine(alpha_plus):
+    params = ChiralParams(alpha_plus, 0.45, 0.6, -0.3)
+    for state in (
+        coherent_product_state(default_coherent_space(0.8, 0.5j)[0], 0.8, 0.5j),
+        fock_product_state(FockSpace(2, 3), 2, 1),
+    ):
+        rho_plus, rho_minus = state.factors
+        out_plus, d_plus = mode_output_and_alpha_derivative(
+            rho_plus, params.alpha_plus, params.phi_plus
+        )
+        out_minus, d_minus = mode_output_and_alpha_derivative(
+            rho_minus, params.alpha_minus, params.phi_minus
+        )
+        joint = apply_channel_kraus(state, params).rho
+        assert np.max(np.abs(np.kron(out_plus, out_minus) - joint)) <= 1e-15
+        exact_plus = channel_alpha_derivative(state, params, "plus")
+        assert np.max(np.abs(np.kron(d_plus, out_minus) - exact_plus)) <= 1e-14
+        exact_minus = channel_alpha_derivative(state, params, "minus")
+        assert np.max(np.abs(np.kron(out_plus, d_minus) - exact_minus)) <= 1e-14
+
+
+def test_loss_weights_past_int64_binomials():
+    # C(m+k, k) overflows int64 from cutoff 67 on; here the cutoff is 100
+    space, budget = default_coherent_space(0.0, 7.0, cap=None)
+    assert space == FockSpace(0, 100)
+    state = coherent_product_state(space, 0.0, 7.0, truncation_budget=budget)
+    params = ChiralParams(0.3, 0.4, 0.2, 0.5)
+    assert apply_channel_kraus(state, params).trace() == pytest.approx(state.trace(), abs=1e-12)
+    out, d_alpha = mode_output_and_alpha_derivative(state.factors[1], 0.4, 0.5)
+    assert abs(np.trace(out) - np.trace(state.factors[1])) <= 1e-12
+    assert abs(np.trace(d_alpha)) <= 1e-12
+    labels = ("alpha_minus", "phi_minus")
+    per_mode = compute_bounds(state, params, labels)
+    dense = compute_bounds(
+        TwoModeState(space, state.rho, trace_deficit_budget=state.trace_deficit_budget),
+        params,
+        labels,
+    )
+    assert per_mode.meta["route"] == "per_mode" and dense.meta["route"] == "eigenbasis"
+    # a damped coherent mode stays coherent with amplitude sqrt(eta)*7:
+    # F_alpha = 49/eta and F_phi = 4*49*eta
+    eta = 0.6
+    for result in (per_mode, dense):
+        assert result.bound("alpha_minus") == pytest.approx(math.sqrt(eta / 49.0), rel=1e-6)
+        assert result.bound("phi_minus") == pytest.approx(0.5 / math.sqrt(49.0 * eta), rel=1e-6)
+    for p in labels:
+        assert per_mode.bound(p) == pytest.approx(dense.bound(p), rel=1e-9, abs=0)

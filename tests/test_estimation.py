@@ -12,6 +12,7 @@ from chiral_qfim.channel import (
     apply_channel_kraus,
     coordinate_jacobian,
 )
+from chiral_qfim import estimation
 from chiral_qfim.estimation import (
     ANALYTIC_KRAUS,
     CENTRAL_DIFFERENCE,
@@ -30,7 +31,9 @@ from chiral_qfim.fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
     FockSpace,
+    TwoModeState,
     coherent_product_state,
+    default_coherent_space,
     fock_product_state,
     hv_to_pm_amplitudes,
     hv_to_pm_state,
@@ -400,3 +403,124 @@ def test_reparameterize_rejects_mixing_subsets():
         reparameterize_qfim(
             bad, coordinate_jacobian("alpha_phi", "chiral")
         )
+
+
+# ---------------------------------------------------------------------------
+# product inputs: the per-mode route against the dense two-mode route
+# ---------------------------------------------------------------------------
+
+ROUTE_TOL = 1e-9
+
+
+def uncapped_coherent(amp_h: complex, amp_v: complex):
+    amp_p, amp_m = hv_to_pm_amplitudes(amp_h, amp_v)
+    space, budget = default_coherent_space(amp_p, amp_m, cap=None)
+    return coherent_product_state(space, amp_p, amp_m, truncation_budget=budget)
+
+
+def without_factors(state):
+    return TwoModeState(
+        state.space, state.rho, trace_deficit_budget=state.trace_deficit_budget
+    )
+
+
+def assert_routes_agree(state, params, labels):
+    """Per-mode bounds match the dense eigenbasis and SLD routes."""
+    per_mode = compute_bounds(state, params, labels)
+    assert per_mode.meta["route"] == "per_mode"
+    for other in (
+        compute_bounds(without_factors(state), params, labels),
+        compute_bounds(state, params, labels, via_slds=True),
+    ):
+        assert other.meta["route"] != "per_mode"
+        assert per_mode.params == other.params
+        assert per_mode.identifiable == other.identifiable
+        assert np.max(np.abs(per_mode.F - other.F)) <= ROUTE_TOL * np.max(np.abs(other.F))
+        for p in labels:
+            if other.identifiable[p]:
+                assert per_mode.bound(p) == pytest.approx(other.bound(p), rel=ROUTE_TOL, abs=0)
+    return per_mode
+
+
+@pytest.mark.parametrize("n0", [1.0, 4.0])
+def test_per_mode_route_matches_dense_for_h_coherent_probes(n0):
+    state = uncapped_coherent(math.sqrt(n0), 0.0)
+    for params in (
+        ChiralParams.from_chiral(x_d=0.05, x_s=0.3, delta=0.0, sigma=0.0),
+        PARAMS_REF,
+    ):
+        result = assert_routes_agree(state, params, CHIRAL_NAMES)
+        assert all(result.identifiable.values())
+
+
+def test_per_mode_route_matches_dense_for_elliptical_probe():
+    # complex amplitudes in both modes and nonzero phases: the complex path
+    state = uncapped_coherent(1.1, 0.6 - 0.5j)
+    assert all(np.iscomplexobj(f) and f.imag.any() for f in state.factors)
+    for labels in (CHIRAL_NAMES, ALPHA_PHI_NAMES):
+        assert_routes_agree(state, PARAMS_REF, labels)
+
+
+def test_per_mode_route_matches_dense_for_fock_pair_with_lossless_edges():
+    state = fock_product_state(FockSpace(1, 1), 1, 1)
+    for x_d, x_s in ((0.1, 0.4), (0.2, 0.2), (-0.2, 0.2)):
+        params = ChiralParams.from_chiral(x_d=x_d, x_s=x_s, delta=0.7, sigma=0.3)
+        result = assert_routes_agree(state, params, CHIRAL_NAMES)
+        assert result.identifiable == {"x_d": True, "x_s": True, "delta": False, "sigma": False}
+
+
+def test_per_mode_route_scales_each_block_by_the_other_mode_trace():
+    # truncation tails near 1e-2 leave each mode's output trace visibly below 1
+    for cutoff, n0 in ((3, 1.0), (6, 4.0)):
+        amp_p, amp_m = hv_to_pm_amplitudes(math.sqrt(n0), 0.3j)
+        space = FockSpace(cutoff, cutoff)
+        state = coherent_product_state(space, amp_p, amp_m, truncation_budget=2e-2)
+        assert state.trace() < 0.995
+        assert_routes_agree(state, PARAMS_REF, CHIRAL_NAMES)
+
+
+def test_per_mode_route_forms_label_subsets_and_native_labels():
+    state = uncapped_coherent(1.0, 0.0)
+    for labels in (
+        ("delta", "x_d"),
+        ("x_s",),
+        ("sigma", "delta"),
+        ALPHA_PHI_NAMES,
+        ("phi_minus", "alpha_plus"),
+    ):
+        result = assert_routes_agree(state, PARAMS_REF, labels)
+        assert result.params == labels
+    with pytest.raises(ValueError, match="duplicate"):
+        compute_bounds(state, PARAMS_REF, ("x_d", "x_d"))
+    with pytest.raises(ValueError, match="unknown parameter"):
+        compute_bounds(state, PARAMS_REF, ("x_q",))
+
+
+def test_mode_factors_come_only_from_product_constructors():
+    state = uncapped_coherent(2.0, 0.0)
+    rho_plus, rho_minus = state.factors
+    assert np.max(np.abs(np.kron(rho_plus, rho_minus) - state.rho)) < 1e-15
+    assert state.with_rho(state.rho).factors is None
+    assert apply_channel_kraus(state, PARAMS_REF).factors is None
+    assert without_factors(state).factors is None
+    assert hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1)).factors is None
+    fock = fock_product_state(FockSpace(2, 3), 1, 2)
+    assert np.array_equal(np.kron(*fock.factors), fock.rho)
+
+
+def test_per_mode_route_diagonalizes_single_modes_only(monkeypatch):
+    state = uncapped_coherent(2.0, 0.0)
+    cutoff = max(state.space.cutoff_plus, state.space.cutoff_minus)
+    dims = []
+    original = estimation.hermitian_eigen
+
+    def recording(a, *args, **kwargs):
+        dims.append(np.shape(a)[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "hermitian_eigen", recording)
+    compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
+    assert dims and max(dims) <= cutoff + 1
+    dims.clear()
+    compute_bounds(without_factors(state), PARAMS_REF, CHIRAL_NAMES)
+    assert dims == [state.space.dim]
