@@ -25,8 +25,7 @@ from .channel import (
     CHIRAL_NAMES,
     ChiralParams,
     DomainError,
-    apply_channel_kraus,
-    channel_alpha_derivative,
+    channel_output_and_alpha_derivatives,
     channel_phi_derivative,
 )
 from .estimation import SldMatrix
@@ -234,7 +233,7 @@ def coherent_slds(
         raise DomainError(f"mean photon number must be positive, got {n0!r}")
     amp_p, amp_m = hv_to_pm_amplitudes(math.sqrt(n0), 0.0)
     state = coherent_product_state(space, amp_p, amp_m, truncation_budget=truncation_budget)
-    output = apply_channel_kraus(state, params)
+    output, d_alpha_p, d_alpha_m = channel_output_and_alpha_derivatives(state, params)
     ops = mode_operators(space)
     eye = np.eye(space.dim)
     eta_p, eta_m = params.eta_plus, params.eta_minus
@@ -247,8 +246,6 @@ def coherent_slds(
     l_delta = -1j * (g_delta @ rho - rho @ g_delta)
     l_sigma = -1j * (g_sigma @ rho - rho @ g_sigma)
 
-    d_alpha_p = channel_alpha_derivative(state, params, "plus")
-    d_alpha_m = channel_alpha_derivative(state, params, "minus")
     derivs = {
         "x_d": d_alpha_p - d_alpha_m,
         "x_s": d_alpha_p + d_alpha_m,

@@ -330,28 +330,48 @@ def mode_output_and_alpha_derivative(
     return _damp_leading_mode(rho, weights), _damp_leading_mode(rho, derivatives)
 
 
-def channel_alpha_derivative(
-    state: TwoModeState, params: ChiralParams, mode: str
-) -> np.ndarray:
-    """Exact ∂ρ_out/∂α_mode for mode "plus" or "minus".
+def channel_output_and_alpha_derivatives(
+    state: TwoModeState, params: ChiralParams
+) -> tuple[TwoModeState, np.ndarray, np.ndarray]:
+    """Channel output and its exact ∂/∂α₊, ∂/∂α₋ from one weight pass per mode.
 
-    Differentiates the loss weights of the chosen mode; the phase stage
-    and the other mode's loss are α-independent, so they apply unchanged.
-    Returns a traceless Hermitian matrix, not a state.
+    Each α-derivative swaps one mode's loss weights for their derivatives;
+    the phase stage and the other mode's loss are α-independent, so they
+    apply unchanged.  The derivatives are traceless Hermitian matrices,
+    not states.
     """
-    if mode not in ("plus", "minus"):
-        raise ValueError(f"mode must be 'plus' or 'minus', got {mode!r}")
     space = state.space
     rho = _rotated_input(state, params)
     weights_plus, d_plus = _damping_pair_weights(
-        space.cutoff_plus, params.alpha_plus, derivative=(mode == "plus")
+        space.cutoff_plus, params.alpha_plus, derivative=True
     )
     weights_minus, d_minus = _damping_pair_weights(
-        space.cutoff_minus, params.alpha_minus, derivative=(mode == "minus")
+        space.cutoff_minus, params.alpha_minus, derivative=True
     )
-    if mode == "plus":
-        return _apply_damping(rho, space, d_plus, weights_minus)
-    return _apply_damping(rho, space, weights_plus, d_minus)
+    return (
+        state.with_rho(_apply_damping(rho, space, weights_plus, weights_minus)),
+        _apply_damping(rho, space, d_plus, weights_minus),
+        _apply_damping(rho, space, weights_plus, d_minus),
+    )
+
+
+def mode_population_transfer(cutoff: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """One mode's photon-number transfer matrix T and its exact ∂T/∂α.
+
+    Loss maps populations to populations: p_out[m] = Σ_k T[m, m+k] p[m+k]
+    with T[m, m+k] = W_k[m, m], the diagonal of the k-photon-loss weights,
+    so the intensity moments never need the coherences.
+    """
+    transfer = np.zeros((cutoff + 1, cutoff + 1))
+    d_transfer = np.zeros_like(transfer)
+    weights, derivatives = _damping_pair_weights(cutoff, alpha, derivative=True)
+    for k, (w, d) in enumerate(zip(weights, derivatives)):
+        m = np.arange(cutoff + 1 - k)
+        if w is not None:
+            transfer[m, m + k] = np.diag(w)
+        if d is not None:
+            d_transfer[m, m + k] = np.diag(d)
+    return transfer, d_transfer
 
 
 def channel_phi_derivative(

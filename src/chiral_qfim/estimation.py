@@ -1,12 +1,13 @@
 """Numerical quantum Cramér–Rao pipeline.
 
 Everything here is obtained by linear algebra on channel outputs, with no
-closed-form input: parameter derivatives of ρ come from the channel engines
-(exact differentiation of the Kraus weights, or central differences), the
-symmetric logarithmic derivatives L are solved spectrally on the support of
-ρ, the QFIM is F_ij = ½ tr[ρ(L_iL_j + L_jL_i)], and bounds follow from its
-pseudo-inverse.  This module is the oracle that the closed-form catalog is
-checked against, so it must stay independent of that catalog.
+closed-form input: parameter derivatives of ρ come from exact
+differentiation of the Kraus weights (central differences of the channel
+output remain as the oracle that checks them), the symmetric logarithmic
+derivatives L are solved spectrally on the support of ρ, the QFIM is
+F_ij = ½ tr[ρ(L_iL_j + L_jL_i)], and bounds follow from its pseudo-inverse.
+This module is the oracle that the closed-form catalog is checked against,
+so it must stay independent of that catalog.
 
 Product inputs (states carrying per-mode ``factors``) take a per-mode
 route on the default exact method: the output is a product, so the QFIM
@@ -37,7 +38,7 @@ from .channel import (
     CoordinateJacobian,
     DomainError,
     apply_channel_kraus,
-    channel_alpha_derivative,
+    channel_output_and_alpha_derivatives,
     channel_phi_derivative,
     mode_output_and_alpha_derivative,
 )
@@ -196,25 +197,6 @@ def _finite_difference(
     )
 
 
-def _analytic_native_derivative(
-    input_state: TwoModeState,
-    params: ChiralParams,
-    name: str,
-    output_state: TwoModeState | None = None,
-) -> np.ndarray:
-    if name == "alpha_plus":
-        return channel_alpha_derivative(input_state, params, "plus")
-    if name == "alpha_minus":
-        return channel_alpha_derivative(input_state, params, "minus")
-    if output_state is None:
-        output_state = apply_channel_kraus(input_state, params)
-    if name == "phi_plus":
-        return channel_phi_derivative(output_state, "plus")
-    if name == "phi_minus":
-        return channel_phi_derivative(output_state, "minus")
-    raise ValueError(f"unknown native parameter {name!r}")
-
-
 def rho_derivative(
     input_state: TwoModeState,
     params: ChiralParams,
@@ -226,21 +208,11 @@ def rho_derivative(
     if param not in ALL_PARAM_NAMES:
         raise ValueError(f"unknown parameter {param!r}; expected one of {ALL_PARAM_NAMES}")
     if method == ANALYTIC_KRAUS:
-        if param in ALPHA_PHI_NAMES:
-            drho = _analytic_native_derivative(input_state, params, param)
-        else:
-            output = apply_channel_kraus(input_state, params)
-            drho = sum(
-                weight
-                * _analytic_native_derivative(input_state, params, native, output)
-                for native, weight in _CHIRAL_COMBOS[param]
-            )
-        meta = {}
-    elif method == CENTRAL_DIFFERENCE:
+        return channel_derivatives(input_state, params, (param,))[1][0]
+    if method == CENTRAL_DIFFERENCE:
         drho, meta = _finite_difference(input_state, params, param, step_scale)
-    else:
-        raise ValueError(f"unknown derivative method {method!r}")
-    return ParamDerivative(param=param, drho=drho, method=method, meta=meta)
+        return ParamDerivative(param=param, drho=drho, method=method, meta=meta)
+    raise ValueError(f"unknown derivative method {method!r}")
 
 
 def channel_derivatives(
@@ -251,31 +223,33 @@ def channel_derivatives(
 ) -> tuple[TwoModeState, list[ParamDerivative]]:
     """Channel output together with ∂ρ for each requested parameter.
 
-    Computes each needed native derivative once and reuses it across the
-    chiral combinations.
+    The exact route takes the output and both α-derivatives from one loss
+    weight pass per mode, the φ-derivatives from the output, and forms
+    every label through the constant native-to-label pullback.
     """
-    output = apply_channel_kraus(input_state, params)
     if method != ANALYTIC_KRAUS:
-        return output, [
+        return apply_channel_kraus(input_state, params), [
             rho_derivative(input_state, params, p, method=method) for p in param_labels
         ]
-    needed = set()
-    for p in param_labels:
-        if p in ALPHA_PHI_NAMES:
-            needed.add(p)
-        else:
-            needed.update(native for native, _ in _CHIRAL_COMBOS[p])
-    native = {
-        name: _analytic_native_derivative(input_state, params, name, output)
-        for name in sorted(needed)
-    }
-    derivs = []
-    for p in param_labels:
-        if p in ALPHA_PHI_NAMES:
-            drho = native[p]
-        else:
-            drho = sum(w * native[n] for n, w in _CHIRAL_COMBOS[p])
-        derivs.append(ParamDerivative(param=p, drho=drho, method=ANALYTIC_KRAUS))
+    labels = tuple(param_labels)
+    pullback = _native_pullback(labels)
+    output, d_alpha_plus, d_alpha_minus = channel_output_and_alpha_derivatives(
+        input_state, params
+    )
+    native = (
+        d_alpha_plus,
+        d_alpha_minus,
+        channel_phi_derivative(output, "plus"),
+        channel_phi_derivative(output, "minus"),
+    )
+    derivs = [
+        ParamDerivative(
+            param=p,
+            drho=sum(w * d for w, d in zip(pullback[:, j], native) if w),
+            method=ANALYTIC_KRAUS,
+        )
+        for j, p in enumerate(labels)
+    ]
     return output, derivs
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .analytic import (
     noon_intensity_sensitivities,
     single_photon_catalog,
 )
-from .channel import CHIRAL_NAMES, ChiralParams, DomainError, apply_channel_kraus
-from .estimation import FD_STEP_SCALE, compute_bounds
+from .channel import CHIRAL_NAMES, ChiralParams, DomainError, mode_population_transfer
+from .estimation import compute_bounds
 from .fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
@@ -47,6 +47,7 @@ from .fock import (
     fock_product_state,
     hv_to_pm_amplitudes,
     hv_to_pm_state,
+    require_trace_window,
 )
 
 QFIM_NUMERIC = "qfim_numeric"
@@ -149,11 +150,8 @@ class SweepSpec:
 
     def params_at(self, value: float) -> ChiralParams:
         if self.vary == COMMON_ALPHA:
-            return ChiralParams(
-                alpha_plus=value,
-                alpha_minus=value,
-                phi_plus=(self.fixed.get("sigma", 0.0) + self.fixed.get("delta", 0.0)) / 2.0,
-                phi_minus=(self.fixed.get("sigma", 0.0) - self.fixed.get("delta", 0.0)) / 2.0,
+            return ChiralParams.from_chiral(
+                0.0, value, self.fixed.get("delta", 0.0), self.fixed.get("sigma", 0.0)
             )
         coords = {name: self.fixed.get(name, 0.0) for name in CHIRAL_NAMES}
         coords[self.vary] = value
@@ -242,6 +240,41 @@ class IntensityStatistics(tuple):
     covariance = property(lambda self: self[4])
 
 
+def _output_populations(
+    state: TwoModeState, params: ChiralParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Output populations P[n₊, n₋] and their exact ∂/∂α₊ and ∂/∂α₋.
+
+    The phase stage leaves populations alone and loss maps them among
+    themselves, so only the input diagonal goes through each mode's
+    transfer matrix.  The output trace must stay in the state's window.
+    """
+    space = state.space
+    pops = np.diag(state.rho).real.reshape(space.cutoff_plus + 1, space.cutoff_minus + 1)
+    t_plus, dt_plus = mode_population_transfer(space.cutoff_plus, params.alpha_plus)
+    t_minus, dt_minus = mode_population_transfer(space.cutoff_minus, params.alpha_minus)
+    out = t_plus @ pops @ t_minus.T
+    require_trace_window(out.sum(), state.trace_deficit_budget)
+    return out, dt_plus @ pops @ t_minus.T, t_plus @ pops @ dt_minus.T
+
+
+def _mean_counts(pops: np.ndarray) -> tuple[float, float]:
+    """⟨n₊⟩ and ⟨n₋⟩ over populations P[n₊, n₋]; linear in P."""
+    return (
+        float(np.arange(pops.shape[0]) @ pops.sum(axis=1)),
+        float(np.arange(pops.shape[1]) @ pops.sum(axis=0)),
+    )
+
+
+def _moments(pops: np.ndarray) -> IntensityStatistics:
+    n_plus, n_minus = np.arange(pops.shape[0]), np.arange(pops.shape[1])
+    mean_p, mean_m = _mean_counts(pops)
+    var_p = float(n_plus**2 @ pops.sum(axis=1)) - mean_p**2
+    var_m = float(n_minus**2 @ pops.sum(axis=0)) - mean_m**2
+    cov = float(n_plus @ pops @ n_minus) - mean_p * mean_m
+    return IntensityStatistics(mean_p, mean_m, var_p, var_m, cov)
+
+
 def intensity_statistics(
     kind: InputStateKind, params: ChiralParams, state: TwoModeState | None = None
 ) -> IntensityStatistics:
@@ -252,26 +285,7 @@ def intensity_statistics(
     """
     if state is None:
         state = prepare_input_state(kind)
-    output = apply_channel_kraus(state, params)
-    pops = np.diag(output.rho).real
-    n_plus, n_minus = output.space.number_grids()
-    mean_p = float(pops @ n_plus)
-    mean_m = float(pops @ n_minus)
-    var_p = float(pops @ (n_plus**2)) - mean_p**2
-    var_m = float(pops @ (n_minus**2)) - mean_m**2
-    cov = float(pops @ (n_plus * n_minus)) - mean_p * mean_m
-    return IntensityStatistics(mean_p, mean_m, var_p, var_m, cov)
-
-
-def _intensity_signal(stats: IntensityStatistics, target: str) -> tuple[float, float]:
-    """Mean combination and its standard deviation for an absorption target."""
-    if target == "x_d":
-        signal = stats.mean_plus - stats.mean_minus
-        variance = stats.var_plus + stats.var_minus - 2.0 * stats.covariance
-    else:
-        signal = stats.mean_plus + stats.mean_minus
-        variance = stats.var_plus + stats.var_minus + 2.0 * stats.covariance
-    return signal, math.sqrt(max(variance, 0.0))
+    return _moments(_output_populations(state, params)[0])
 
 
 def error_propagation_sensitivity(
@@ -282,48 +296,32 @@ def error_propagation_sensitivity(
 ) -> float:
     """δX from intensity measurement: noise over moved signal.
 
-    The signal is ⟨n₊⟩ − ⟨n₋⟩ for x_d and ⟨n₊⟩ + ⟨n₋⟩ for x_s, its noise
-    combines the exact variances and covariance, and the denominator is a
-    finite-difference derivative of the signal (central where the domain
-    allows, one-sided at boundaries).  A derivative below 1e-8 means the
-    measurement carries no first-order information and is rejected.
+    The signal is ⟨n₊⟩ − ⟨n₋⟩ for x_d and ⟨n₊⟩ + ⟨n₋⟩ otherwise, its noise
+    combines the exact variances and covariance, and the denominator is
+    the signal's exact derivative, taken from the differentiated loss
+    weights (the phases do not move populations).  A derivative below 1e-8
+    means the measurement carries no first-order information and is
+    rejected.
     """
     if target not in CHIRAL_NAMES:
         raise ValueError(f"target must be one of {CHIRAL_NAMES}, got {target!r}")
     if state is None:
         state = prepare_input_state(kind)
-    coords = dict(zip(CHIRAL_NAMES, (params.x_d, params.x_s, params.delta, params.sigma)))
-
-    def signal_at(value: float) -> float:
-        shifted = dict(coords)
-        shifted[target] = value
-        stats = intensity_statistics(kind, ChiralParams.from_chiral(**shifted), state)
-        return _intensity_signal(stats, target if target == "x_d" else "x_s")[0]
-
-    h = FD_STEP_SCALE * max(1.0, abs(coords[target]))
-    center = coords[target]
-    samples = []
-    for offset in (center - h, center + h):
-        try:
-            samples.append(signal_at(offset))
-        except DomainError:
-            samples.append(None)
-    if samples[0] is not None and samples[1] is not None:
-        derivative = (samples[1] - samples[0]) / (2.0 * h)
-    elif samples[1] is not None:
-        derivative = (samples[1] - signal_at(center)) / h
-    elif samples[0] is not None:
-        derivative = (signal_at(center) - samples[0]) / h
-    else:
-        raise DomainError(f"no admissible finite-difference step for {target!r}")
+    pops, d_plus, d_minus = _output_populations(state, params)
+    sign = -1.0 if target == "x_d" else 1.0  # the signal is ⟨n₊⟩ + sign·⟨n₋⟩
+    # ∂/∂x_d = ∂/∂α₊ − ∂/∂α₋ and ∂/∂x_s = ∂/∂α₊ + ∂/∂α₋; phases move no population
+    derivative = 0.0
+    if target in ("x_d", "x_s"):
+        d_mean_p, d_mean_m = _mean_counts(d_plus + sign * d_minus)
+        derivative = d_mean_p + sign * d_mean_m
     if abs(derivative) < DERIVATIVE_FLOOR:
         raise DomainError(
             f"the intensity signal does not move with {target!r} here"
             f" (derivative {derivative:.3e}); no first-order sensitivity"
         )
-    stats = intensity_statistics(kind, params, state)
-    _, noise = _intensity_signal(stats, target if target == "x_d" else "x_s")
-    return noise / abs(derivative)
+    stats = _moments(pops)
+    variance = stats.var_plus + stats.var_minus + 2.0 * sign * stats.covariance
+    return math.sqrt(max(variance, 0.0)) / abs(derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -723,12 +721,12 @@ def figure_presets() -> dict:
             panel = _absorption_panel(x_d, note)
             presets[f"{fig}{letter}"] = panel
             surface.extend(
-                (f"{label}_xd{x_d:g}", _with_note(spec, SURFACE_NOTE))
+                (f"{label}_xd{x_d:g}", replace(spec, note=SURFACE_NOTE))
                 for label, spec in panel
             )
         presets[f"{fig}a"] = tuple(surface)
         benchmark = [
-            (label, _with_note(spec, BENCHMARK_NOTE))
+            (label, replace(spec, note=BENCHMARK_NOTE))
             for label, spec in _absorption_panel(FIG_XD_VALUES[0])
             if label in ("noon", "fock_pair")
         ]
@@ -755,17 +753,3 @@ def figure_presets() -> dict:
         )
     presets["fig4"] = tuple(fig4)
     return presets
-
-
-def _with_note(spec: SweepSpec, note: str) -> SweepSpec:
-    return SweepSpec(
-        input_state=spec.input_state,
-        vary=spec.vary,
-        start=spec.start,
-        stop=spec.stop,
-        points=spec.points,
-        fixed=spec.fixed,
-        methods=spec.methods,
-        output_path=spec.output_path,
-        note=note,
-    )

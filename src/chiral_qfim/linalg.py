@@ -1,7 +1,8 @@
 """Dense complex-matrix kernel.
 
-Matrix products, adjoints, commutators, and a Hermitian eigendecomposition
-for the operator sizes this package works with (a few hundred rows at most).
+Validation, Hermiticity checks, commutators, and a Hermitian
+eigendecomposition for the operator sizes this package works with (a few
+hundred rows at most).
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
 scalars are Python/NumPy complex numbers.  Finiteness (no NaN/Inf) is
 enforced whenever a matrix crosses a public entry point.
@@ -58,23 +59,6 @@ def as_complex_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}:"
-            f" inner dimensions {a.shape[1]} != {b.shape[0]}"
-        )
-    return a @ b
 
 
 def commutator(a, b) -> np.ndarray:

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from chiral_qfim import channel, estimation, experiments
+from chiral_qfim.analytic import InputStateKind
 from chiral_qfim.channel import (
+    CHIRAL_NAMES,
     COORDS_ALPHA_PHI,
     COORDS_CHIRAL,
     ChiralParams,
@@ -11,13 +14,14 @@ from chiral_qfim.channel import (
     RatePicture,
     apply_channel_kraus,
     apply_channel_rk4,
-    channel_alpha_derivative,
+    channel_output_and_alpha_derivatives,
     channel_phi_derivative,
     coordinate_jacobian,
     mode_output_and_alpha_derivative,
+    mode_population_transfer,
     noon_output_analytic,
 )
-from chiral_qfim.estimation import compute_bounds
+from chiral_qfim.estimation import channel_derivatives, compute_bounds
 from chiral_qfim.fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
@@ -302,7 +306,8 @@ def test_alpha_derivative_matches_finite_difference(mode):
     cspace, _ = default_coherent_space(0.8, 0.5)
     states.append(coherent_product_state(cspace, 0.8, 0.5))
     for state in states:
-        exact = channel_alpha_derivative(state, params, mode)
+        _, d_plus, d_minus = channel_output_and_alpha_derivatives(state, params)
+        exact = d_plus if mode == "plus" else d_minus
         approx = finite_difference_alpha(state, params, mode)
         assert np.max(np.abs(exact - approx)) <= 1e-8
         assert abs(np.trace(exact)) <= 1e-9
@@ -313,9 +318,39 @@ def test_alpha_derivative_at_zero_loss():
     params = ChiralParams(0.0, 0.2, 0.1, 0.0)
     space = FockSpace(2, 2)
     state = hv_to_pm_state(NOON_HV, space)
-    exact = channel_alpha_derivative(state, params, "plus")
+    output, exact, _ = channel_output_and_alpha_derivatives(state, params)
     approx = finite_difference_alpha(state, params, "plus")
     assert np.max(np.abs(exact - approx)) <= 1e-7
+    np.testing.assert_array_equal(output.rho, apply_channel_kraus(state, params).rho)
+
+
+def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
+    cutoffs = []
+    weights = channel._damping_pair_weights
+
+    def counting(cutoff, alpha, derivative=False):
+        cutoffs.append(cutoff)
+        return weights(cutoff, alpha, derivative)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the intensity route propagated the full density matrix")
+
+    monkeypatch.setattr(channel, "_damping_pair_weights", counting)
+    # unequal cutoffs tell the two modes' passes apart
+    state = hv_to_pm_state(NOON_HV, FockSpace(2, 3))
+    params = ChiralParams(0.3, 0.45, 0.6, -0.3)
+    channel_derivatives(state, params, CHIRAL_NAMES)
+    assert cutoffs == [2, 3]
+
+    for module in (channel, estimation, experiments):
+        if hasattr(module, "apply_channel_kraus"):
+            monkeypatch.setattr(module, "apply_channel_kraus", refuse)
+    monkeypatch.setattr(channel, "_apply_damping", refuse)
+    cutoffs.clear()
+    experiments.error_propagation_sensitivity(InputStateKind.noon_hv(), params, "x_d", state)
+    assert cutoffs == [2, 3]
+    experiments.intensity_statistics(InputStateKind.noon_hv(), params, state)
+    assert cutoffs == [2, 3, 2, 3]
 
 
 @pytest.mark.parametrize("mode", ["plus", "minus"])
@@ -354,12 +389,19 @@ def test_single_mode_kernel_factors_the_two_mode_engine(alpha_plus):
         out_minus, d_minus = mode_output_and_alpha_derivative(
             rho_minus, params.alpha_minus, params.phi_minus
         )
-        joint = apply_channel_kraus(state, params).rho
-        assert np.max(np.abs(np.kron(out_plus, out_minus) - joint)) <= 1e-15
-        exact_plus = channel_alpha_derivative(state, params, "plus")
+        joint, exact_plus, exact_minus = channel_output_and_alpha_derivatives(state, params)
+        assert np.max(np.abs(np.kron(out_plus, out_minus) - joint.rho)) <= 1e-15
         assert np.max(np.abs(np.kron(d_plus, out_minus) - exact_plus)) <= 1e-14
-        exact_minus = channel_alpha_derivative(state, params, "minus")
         assert np.max(np.abs(np.kron(out_plus, d_minus) - exact_minus)) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.35])
+def test_population_transfer_is_the_diagonal_of_the_loss_map(alpha):
+    pops = np.random.default_rng(5).random(6)
+    out, d_out = mode_output_and_alpha_derivative(np.diag(pops), alpha, 0.0)
+    transfer, d_transfer = mode_population_transfer(5, alpha)
+    np.testing.assert_allclose(transfer @ pops, np.diag(out), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(d_transfer @ pops, np.diag(d_out), rtol=0, atol=1e-14)
 
 
 def test_loss_weights_past_int64_binomials():

@@ -7,8 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from chiral_qfim.analytic import InputStateKind
-from chiral_qfim.channel import ChiralParams, DomainError
+from chiral_qfim.analytic import (
+    InputStateKind,
+    coherent_intensity_sensitivities,
+    noon_intensity_sensitivities,
+    single_photon_catalog,
+)
+from chiral_qfim.channel import ChiralParams, DomainError, apply_channel_kraus
 from chiral_qfim.experiments import (
     FIDELITY_FRINGE,
     INTENSITY_ANALYTIC,
@@ -27,7 +32,12 @@ from chiral_qfim.experiments import (
     sweep_to_csv_text,
     write_sweep_csv,
 )
-from chiral_qfim.fock import FockSpace
+from chiral_qfim.fock import (
+    FockSpace,
+    coherent_product_state,
+    default_coherent_space,
+    hv_to_pm_amplitudes,
+)
 
 SP = InputStateKind.single_photon_h()
 NOON = InputStateKind.noon_hv()
@@ -161,6 +171,58 @@ def test_error_propagation_reference_values():
         NOON, ChiralParams(alpha_plus=0.0, alpha_minus=0.0), "x_s"
     )
     assert noon == pytest.approx(0.0, abs=1e-7)
+
+
+# interior points, then the wedge edges alpha_- = 0, alpha_+ = 0 and x_s = 0.95
+INTENSITY_POINTS = [(0.1, 0.5), (0.005, 0.3), (0.05, 0.05), (-0.05, 0.05), (0.04, 0.95)]
+
+
+def _coherent_probe(n0, budget):
+    amp_p, amp_m = hv_to_pm_amplitudes(math.sqrt(n0), 0.0)
+    space, effective = default_coherent_space(amp_p, amp_m, budget=budget, cap=None)
+    return coherent_product_state(space, amp_p, amp_m, truncation_budget=effective)
+
+
+@pytest.mark.parametrize("x_d, x_s", INTENSITY_POINTS)
+def test_intensity_route_matches_closed_forms(x_d, x_s):
+    params = ChiralParams.from_chiral(x_d, x_s, 0.3, 0.1)
+    cases = [
+        (SP, None, single_photon_catalog(params).intensity, 1e-9),
+        (NOON, None, noon_intensity_sensitivities(params), 1e-9),
+    ]
+    for n0 in (1.0, 2.0):
+        kind = InputStateKind.coherent(math.sqrt(n0))
+        closed = coherent_intensity_sensitivities(params, n0)
+        # the closed form describes the untruncated beam: a 1e-16 tail keeps
+        # truncation below the tolerance, while the default 1e-10 budget
+        # alone shifts the sensitivities by up to about 4e-9
+        cases.append((kind, _coherent_probe(n0, 1e-16), closed, 1e-9))
+        cases.append((kind, None, closed, 1e-8))
+    for kind, state, closed, rel in cases:
+        for target in ("x_d", "x_s"):
+            value = error_propagation_sensitivity(kind, params, target, state)
+            assert value == pytest.approx(closed.values[target], rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("kind", [SP, NOON, COH1, FOCK])
+def test_intensity_statistics_equal_dense_population_moments(kind):
+    state = prepare_input_state(kind)
+    for params in (
+        ChiralParams(0.6, 0.4, 0.3, -0.2),
+        ChiralParams(0.0, 0.35, 0.1, 0.0),
+        ChiralParams(0.2, 0.0, 0.0, 0.4),
+    ):
+        pops = np.diag(apply_channel_kraus(state, params).rho).real
+        n_plus, n_minus = state.space.number_grids()
+        mean_p, mean_m = pops @ n_plus, pops @ n_minus
+        dense = (
+            mean_p,
+            mean_m,
+            pops @ n_plus**2 - mean_p**2,
+            pops @ n_minus**2 - mean_m**2,
+            pops @ (n_plus * n_minus) - mean_p * mean_m,
+        )
+        np.testing.assert_allclose(intensity_statistics(kind, params), dense, rtol=0, atol=1e-12)
 
 
 def test_error_propagation_rejects_phase_targets():

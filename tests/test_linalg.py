@@ -7,10 +7,8 @@ from chiral_qfim.linalg import (
     NonHermitianError,
     as_complex_matrix,
     commutator,
-    dagger,
     hermitian_eigen,
     hermiticity_defect,
-    matmul,
     require_hermitian,
 )
 
@@ -25,37 +23,17 @@ def random_hermitian(rng, n):
     return (a + a.conj().T) / 2
 
 
-def test_matmul_identity():
-    rng = np.random.default_rng(7)
-    m = random_complex(rng, 2)
-    np.testing.assert_allclose(matmul(np.eye(2), m), m, atol=0)
-
-
-def test_matmul_raising_lowering():
-    raising = np.array([[0, 1], [0, 0]], dtype=complex)
-    lowering = np.array([[0, 0], [1, 0]], dtype=complex)
-    np.testing.assert_allclose(
-        matmul(raising, lowering), np.array([[1, 0], [0, 0]], dtype=complex), atol=0
-    )
-
-
 def test_trace_cyclic_against_double_loop():
     rng = np.random.default_rng(11)
     a = random_complex(rng, 5)
     b = random_complex(rng, 5)
-    tr_ab = np.trace(matmul(a, b))
+    tr_ab = np.trace(a @ b)
     # independent double-loop evaluation of tr(BA)
     tr_ba = 0.0 + 0.0j
     for i in range(5):
         for k in range(5):
             tr_ba += b[i, k] * a[k, i]
     assert abs(tr_ab - tr_ba) <= 1e-12 * max(1.0, abs(tr_ab))
-
-
-def test_matmul_dimension_mismatch_names_shapes():
-    with pytest.raises(DimensionMismatchError) as err:
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-    assert "2x3" in str(err.value) and "2x2" in str(err.value)
 
 
 def test_as_complex_matrix_rejects_nonfinite():
@@ -128,7 +106,7 @@ def test_commutator_ladder_defect_top_level():
     a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     for n in range(1, cutoff + 1):
         a[n - 1, n] = np.sqrt(n)
-    c = commutator(a, dagger(a))
+    c = commutator(a, a.conj().T)
     expected = np.eye(cutoff + 1, dtype=complex)
     expected[cutoff, cutoff] = -cutoff
     np.testing.assert_allclose(c, expected, atol=1e-13)
@@ -153,7 +131,7 @@ def test_unitary_conjugation_preserves_hermiticity():
     rng = np.random.default_rng(31)
     x = random_hermitian(rng, 8)
     u = hermitian_eigen(random_hermitian(rng, 8)).eigenvectors
-    y = matmul(matmul(u, x), dagger(u))
+    y = u @ x @ u.conj().T
     assert hermiticity_defect(y) <= 1e-12 * max(1.0, np.abs(y).max())
 
 
