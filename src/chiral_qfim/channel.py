@@ -212,86 +212,90 @@ def _rotated_input(state: TwoModeState, params: ChiralParams) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _root_binomials(cutoff: int) -> tuple:
-    """Rows √C(m+k, k), m = 0..cutoff−k, for k = 0..cutoff, in float64.
+def _loss_tables(cutoff: int) -> tuple:
+    """α-independent tables of one mode's loss map, cached per cutoff.
 
-    Each binomial is exact before its one rounding to float64, so the
-    table holds past the int64 range (cutoff ≥ 67).  Cached per cutoff and
-    read-only, since every channel call reuses it.
+    ``root[k, m] = √C(m+k, k)`` for m+k ≤ cutoff and 0 beyond, so every
+    weight built from it vanishes where the k-photon-loss Kraus operator
+    has no entry; ``half_msum[m, m'] = (m+m')/2``; ``k`` is the loss count
+    shaped to broadcast over (m, m').  Each binomial is exact before its
+    one rounding to float64, so the table holds past the int64 range
+    (cutoff ≥ 67).  ``rows``, ``cols`` index the upper triangle of the
+    population transfer matrix, T[m, m+k].  The arrays are read-only and
+    of size (cutoff+1)² at most, so nothing cached grows with α.
     """
-    rows = []
-    for k in range(cutoff + 1):
-        row = np.sqrt([float(math.comb(m + k, k)) for m in range(cutoff + 1 - k)])
-        row.flags.writeable = False
-        rows.append(row)
-    return tuple(rows)
+    m = np.arange(cutoff + 1)
+    root = np.sqrt(
+        [[float(math.comb(i + k, k)) if i + k <= cutoff else 0.0 for i in m] for k in m]
+    )
+    rows, cols = np.triu_indices(cutoff + 1)
+    tables = (root, np.add.outer(m, m) / 2.0, m[:, None, None].astype(float), rows, cols)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _damping_pair_weights(cutoff: int, alpha: float, derivative: bool = False):
-    """Per-k weight matrices of the binomial photon-loss channel.
+def _loss_weights(cutoff: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """One mode's binomial photon-loss weights W[k, m, m'] and their ∂/∂α.
 
     The k-photon-loss Kraus operator maps ρ[m+k, m'+k] into position
     (m, m') with weight
 
-        W_k[m, m'] = √(C(m+k,k) C(m'+k,k)) · η^{(m+m')/2} · α^k,  η = 1−α.
+        W[k, m, m'] = √(C(m+k,k) C(m'+k,k)) · η^{(m+m')/2} · α^k,  η = 1−α,
 
-    Returns ``(weights, derivatives)``.  With ``derivative`` the
-    α-derivatives ∂W_k/∂α = W_k · (k/α − (m+m')/(2η)) come from the same
-    pass; otherwise ``derivatives`` is None.  The α = 0 limit is handled
-    explicitly (only k = 0 and k = 1 survive).  None marks an all-zero W_k.
+    zero where m+k or m'+k exceeds the cutoff, and
+    ∂W/∂α = W · (k/α − (m+m')/(2η)).  Both are (cutoff+1)³ arrays built by
+    broadcasting.  The α = 0 limit is explicit: only k = 0 survives in W,
+    and only k = 0 and k = 1 in ∂W.  The population transfer matrix is the
+    diagonal slice, T[m, m+k] = W[k, m, m].
     """
+    root, half_msum, k, _, _ = _loss_tables(cutoff)
+    weights = root[:, :, None] * root[:, None, :]
+    if alpha == 0.0:
+        derivatives = np.zeros_like(weights)
+        derivatives[0] = -half_msum * weights[0]
+        derivatives[1:2] = weights[1:2]
+        weights[1:] = 0.0
+        return weights, derivatives
     eta = 1.0 - alpha
-    weights = []
-    derivatives = [] if derivative else None
-    for k, root_binom in enumerate(_root_binomials(cutoff)):
-        m = np.arange(root_binom.size)
-        pair_binom = np.outer(root_binom, root_binom)
-        msum = np.add.outer(m, m).astype(float)
-        if alpha == 0.0:
-            weights.append(pair_binom if k == 0 else None)
-            if derivative:
-                derivatives.append(
-                    -0.5 * msum * pair_binom if k == 0 else pair_binom if k == 1 else None
-                )
-        else:
-            base = pair_binom * eta ** (msum / 2.0) * alpha**k
-            weights.append(base)
-            if derivative:
-                derivatives.append(base * (k / alpha - msum / (2.0 * eta)))
-    return weights, derivatives
+    weights *= eta**half_msum
+    # α^k by the scalar pow, which rounds correctly; numpy's vectorized
+    # power can be an ulp off
+    weights *= np.array([alpha**i for i in range(cutoff + 1)])[:, None, None]
+    return weights, weights * (k / alpha - half_msum / eta)
 
 
-def _damp_leading_mode(rho: np.ndarray, weights) -> np.ndarray:
-    """Apply photon loss to the mode carried by the first two axes of ``rho``.
+def _damp_mode(rho: np.ndarray, weights: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
+    """Apply one mode's loss weights to the (ket, bra) ``axes`` of ``rho``.
 
-    ``rho`` is one mode's matrix, or a two-mode tensor whose trailing axes
-    carry the other mode.
+    out[.., m, .., m', ..] = Σ_k W[k, m, m'] ρ[.., m+k, .., m'+k, ..].  The
+    shifted input is a strided view of a copy zero-padded along ``axes``,
+    so the contraction over k reads ρ in place instead of gathering a
+    (cutoff+1)-fold copy of it.
     """
-    out = np.zeros_like(rho)
-    trailing = (None,) * (rho.ndim - 2)
-    for k, w in enumerate(weights):
-        if w is None:
-            continue
-        d = w.shape[0]
-        out[:d, :d] += w[(..., *trailing)] * rho[k : k + d, k : k + d]
-    return out
+    d = rho.shape[axes[0]]
+    shape, window = list(rho.shape), [slice(None)] * rho.ndim
+    for axis in axes:
+        shape[axis], window[axis] = 2 * d - 1, slice(d)
+    padded = np.zeros(shape, dtype=rho.dtype)
+    padded[tuple(window)] = rho
+    strides = padded.strides
+    # shifted[k, .., m, .., m', ..] = padded[.., m+k, .., m'+k, ..]
+    shifted = np.ndarray(
+        (d, *rho.shape), rho.dtype, padded, 0, (strides[axes[0]] + strides[axes[1]], *strides)
+    )
+    index = "abcd"[: rho.ndim]
+    return np.einsum(f"k{index[axes[0]]}{index[axes[1]]},k{index}->{index}", weights, shifted)
 
 
 def _apply_damping(
-    rho: np.ndarray, space: FockSpace, weights_plus, weights_minus
+    rho: np.ndarray, space: FockSpace, weights_plus: np.ndarray, weights_minus: np.ndarray
 ) -> np.ndarray:
     dp = space.cutoff_plus + 1
     dm = space.cutoff_minus + 1
-    rho4 = rho.reshape(dp, dm, dp, dm)
-    # mode +: bring (bra+, ket+) to the front, damp, restore
-    rho4 = rho4.transpose(0, 2, 1, 3)
-    rho4 = _damp_leading_mode(rho4, weights_plus)
-    rho4 = rho4.transpose(0, 2, 1, 3)
-    # mode −: likewise with (bra−, ket−)
-    rho4 = rho4.transpose(1, 3, 0, 2)
-    rho4 = _damp_leading_mode(rho4, weights_minus)
-    rho4 = rho4.transpose(2, 0, 3, 1)
-    return rho4.reshape(dp * dm, dp * dm)
+    # axes (ket+, ket−, bra+, bra−)
+    rho4 = _damp_mode(rho.reshape(dp, dm, dp, dm), weights_plus, (0, 2))
+    return _damp_mode(rho4, weights_minus, (1, 3)).reshape(dp * dm, dp * dm)
 
 
 def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeState:
@@ -305,8 +309,8 @@ def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeSta
     rho = _apply_damping(
         rho,
         space,
-        _damping_pair_weights(space.cutoff_plus, params.alpha_plus)[0],
-        _damping_pair_weights(space.cutoff_minus, params.alpha_minus)[0],
+        _loss_weights(space.cutoff_plus, params.alpha_plus)[0],
+        _loss_weights(space.cutoff_minus, params.alpha_minus)[0],
     )
     return state.with_rho(rho)
 
@@ -326,8 +330,8 @@ def mode_output_and_alpha_derivative(
         rho = rho * np.outer(u, u.conj())
     elif not rho.imag.any():
         rho = rho.real
-    weights, derivatives = _damping_pair_weights(rho.shape[0] - 1, alpha, derivative=True)
-    return _damp_leading_mode(rho, weights), _damp_leading_mode(rho, derivatives)
+    weights, derivatives = _loss_weights(rho.shape[0] - 1, alpha)
+    return _damp_mode(rho, weights, (0, 1)), _damp_mode(rho, derivatives, (0, 1))
 
 
 def channel_output_and_alpha_derivatives(
@@ -342,12 +346,8 @@ def channel_output_and_alpha_derivatives(
     """
     space = state.space
     rho = _rotated_input(state, params)
-    weights_plus, d_plus = _damping_pair_weights(
-        space.cutoff_plus, params.alpha_plus, derivative=True
-    )
-    weights_minus, d_minus = _damping_pair_weights(
-        space.cutoff_minus, params.alpha_minus, derivative=True
-    )
+    weights_plus, d_plus = _loss_weights(space.cutoff_plus, params.alpha_plus)
+    weights_minus, d_minus = _loss_weights(space.cutoff_minus, params.alpha_minus)
     return (
         state.with_rho(_apply_damping(rho, space, weights_plus, weights_minus)),
         _apply_damping(rho, space, d_plus, weights_minus),
@@ -359,18 +359,16 @@ def mode_population_transfer(cutoff: int, alpha: float) -> tuple[np.ndarray, np.
     """One mode's photon-number transfer matrix T and its exact ∂T/∂α.
 
     Loss maps populations to populations: p_out[m] = Σ_k T[m, m+k] p[m+k]
-    with T[m, m+k] = W_k[m, m], the diagonal of the k-photon-loss weights,
+    with T[m, m+k] = W[k, m, m], the diagonal slice of the loss weights,
     so the intensity moments never need the coherences.
     """
+    _, _, _, rows, cols = _loss_tables(cutoff)
+    shift = cols - rows
     transfer = np.zeros((cutoff + 1, cutoff + 1))
     d_transfer = np.zeros_like(transfer)
-    weights, derivatives = _damping_pair_weights(cutoff, alpha, derivative=True)
-    for k, (w, d) in enumerate(zip(weights, derivatives)):
-        m = np.arange(cutoff + 1 - k)
-        if w is not None:
-            transfer[m, m + k] = np.diag(w)
-        if d is not None:
-            d_transfer[m, m + k] = np.diag(d)
+    weights, derivatives = _loss_weights(cutoff, alpha)
+    transfer[rows, cols] = weights[shift, rows, rows]
+    d_transfer[rows, cols] = derivatives[shift, rows, rows]
     return transfer, d_transfer
 
 

@@ -288,6 +288,27 @@ def intensity_statistics(
     return _moments(_output_populations(state, params)[0])
 
 
+def _intensity_sensitivities(state: TwoModeState, params: ChiralParams) -> dict:
+    """δx_d and δx_s from intensity measurement, from one population pass.
+
+    Maps each target to ``(sensitivity, derivative)``: the signal's noise
+    over its exact slope, or None where the slope is below the floor.
+    """
+    pops, d_plus, d_minus = _output_populations(state, params)
+    stats = _moments(pops)
+    out = {}
+    for target, sign in (("x_d", -1.0), ("x_s", 1.0)):
+        # the signal is ⟨n₊⟩ + sign·⟨n₋⟩, and ∂/∂x = ∂/∂α₊ + sign·∂/∂α₋
+        d_mean_p, d_mean_m = _mean_counts(d_plus + sign * d_minus)
+        derivative = d_mean_p + sign * d_mean_m
+        variance = stats.var_plus + stats.var_minus + 2.0 * sign * stats.covariance
+        sensitivity = None
+        if abs(derivative) >= DERIVATIVE_FLOOR:
+            sensitivity = math.sqrt(max(variance, 0.0)) / abs(derivative)
+        out[target] = (sensitivity, derivative)
+    return out
+
+
 def error_propagation_sensitivity(
     kind: InputStateKind,
     params: ChiralParams,
@@ -299,29 +320,21 @@ def error_propagation_sensitivity(
     The signal is ⟨n₊⟩ − ⟨n₋⟩ for x_d and ⟨n₊⟩ + ⟨n₋⟩ otherwise, its noise
     combines the exact variances and covariance, and the denominator is
     the signal's exact derivative, taken from the differentiated loss
-    weights (the phases do not move populations).  A derivative below 1e-8
-    means the measurement carries no first-order information and is
-    rejected.
+    weights (the phases do not move populations, so the derivative is zero
+    for delta and sigma).  A derivative below 1e-8 means the measurement
+    carries no first-order information and is rejected.
     """
     if target not in CHIRAL_NAMES:
         raise ValueError(f"target must be one of {CHIRAL_NAMES}, got {target!r}")
     if state is None:
         state = prepare_input_state(kind)
-    pops, d_plus, d_minus = _output_populations(state, params)
-    sign = -1.0 if target == "x_d" else 1.0  # the signal is ⟨n₊⟩ + sign·⟨n₋⟩
-    # ∂/∂x_d = ∂/∂α₊ − ∂/∂α₋ and ∂/∂x_s = ∂/∂α₊ + ∂/∂α₋; phases move no population
-    derivative = 0.0
-    if target in ("x_d", "x_s"):
-        d_mean_p, d_mean_m = _mean_counts(d_plus + sign * d_minus)
-        derivative = d_mean_p + sign * d_mean_m
-    if abs(derivative) < DERIVATIVE_FLOOR:
+    sensitivity, derivative = _intensity_sensitivities(state, params).get(target, (None, 0.0))
+    if sensitivity is None:
         raise DomainError(
             f"the intensity signal does not move with {target!r} here"
             f" (derivative {derivative:.3e}); no first-order sensitivity"
         )
-    stats = _moments(pops)
-    variance = stats.var_plus + stats.var_minus + 2.0 * sign * stats.covariance
-    return math.sqrt(max(variance, 0.0)) / abs(derivative)
+    return sensitivity
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +414,11 @@ def _eval_qfim_analytic(kind, params, cells, flags):
             flags.append(f"{QFIM_ANALYTIC}.{quantity}:unavailable")
 
 
-def _eval_intensity_exact(kind, params, state, cells, flags):
-    for target in ("x_d", "x_s"):
+def _eval_intensity_exact(params, state, cells, flags):
+    for target, (sensitivity, _) in _intensity_sensitivities(state, params).items():
         column = f"{INTENSITY_EXACT}.delta_{target}"
-        try:
-            cells[column] = error_propagation_sensitivity(kind, params, target, state)
-        except DomainError:
-            cells[column] = None
+        cells[column] = sensitivity
+        if sensitivity is None:
             flags.append(f"{column}:vanishing-derivative")
 
 
@@ -444,7 +455,7 @@ def evaluate_point(spec: SweepSpec, state: TwoModeState, value: float) -> SweepR
             elif method == QFIM_ANALYTIC:
                 _eval_qfim_analytic(kind, params, cells, flags)
             elif method == INTENSITY_EXACT:
-                _eval_intensity_exact(kind, params, state, cells, flags)
+                _eval_intensity_exact(params, state, cells, flags)
             elif method == INTENSITY_ANALYTIC:
                 _eval_intensity_analytic(kind, params, cells, flags)
             else:
@@ -577,11 +588,8 @@ def compare_analytic_numeric(
 ) -> ComparisonReport:
     """Sweep both QFIM routes and report their per-quantity deviations.
 
-    Bound deviations above ``tol`` are listed with their grid coordinate.
-    Covariance deviations are reported the same way but carry a note when
-    the closed-form sign convention disagrees with the pipeline, which is
-    the expected outcome for the coherent input; the numerical sign is
-    authoritative.
+    Deviations above ``tol``, of the bounds and of the covariance, are
+    listed with their grid coordinate.
     """
     if kind != grid.input_state:
         raise ValueError("the input kind and the sweep spec's input must match")
@@ -621,12 +629,6 @@ def compare_analytic_numeric(
                 points=len(devs),
                 worst_coordinate=worst[1],
             )
-    if kind.kind == COHERENT and "cov_x_d_x_s" in stats and stats["cov_x_d_x_s"].max_abs > tol:
-        notes.append(
-            "the closed-form cov(x_d, x_s) disagrees in sign with the"
-            " numerical pipeline; the numerical sign is authoritative and"
-            " the deviation is reported, not corrected"
-        )
     if kind.kind == NOON_HV:
         gaps = []
         for row in rows:

@@ -13,7 +13,8 @@ Two eigensolver backends are provided:
 * ``"jacobi"``: cyclic Jacobi rotations in pure Python/NumPy.  Orders of
   magnitude slower, but independent of LAPACK; it exists as a verification
   backend and is cross-checked against ``"lapack"`` in the test suite.
-  See ``benchmarks/bench_eigh.py`` for timings.
+  The eigensolve share of a bound computation is the ``perfbench``
+  ``--trace 1`` row ``linalg.eigh_share``.
 
 All tolerances are absolute-relative hybrids, ``tol * max(1, scale)``,
 because entries span [0, 1] but can be exactly 0.

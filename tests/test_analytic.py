@@ -23,6 +23,7 @@ from chiral_qfim.analytic import (
 from chiral_qfim.channel import ChiralParams, DomainError, apply_channel_kraus
 from chiral_qfim.estimation import (
     channel_derivatives,
+    compute_bounds,
     invert_and_bound,
     qfim_from_derivatives,
     solve_sld,
@@ -32,6 +33,7 @@ from chiral_qfim.fock import (
     SINGLE_PHOTON_H,
     FockSpace,
     coherent_product_state,
+    default_coherent_space,
     fock_product_state,
     hv_to_pm_amplitudes,
     hv_to_pm_state,
@@ -123,11 +125,11 @@ def test_coherent_bounds_reference_point():
     assert report.value("x_s") == pytest.approx(0.707107, abs=1e-6)
     assert report.value("delta") == pytest.approx(1.443376, abs=1e-6)
     assert report.value("sigma") == pytest.approx(1.443376, abs=1e-6)
-    assert report.covariances[("x_d", "x_s")] == pytest.approx(0.1, abs=1e-12)
+    assert report.covariances[("x_d", "x_s")] == pytest.approx(-0.1, abs=1e-12)
     assert report.covariances[("delta", "sigma")] == pytest.approx(
         0.1 / 0.24, abs=1e-12
     )
-    assert any("numerical" in note for note in report.notes)
+    assert not report.notes
 
 
 def test_coherent_bounds_covariances_vanish_without_chirality():
@@ -141,18 +143,19 @@ def test_coherent_bounds_rejects_nonpositive_photon_number():
         coherent_bounds(PARAMS_REF, n0=0.0)
 
 
-def test_coherent_covariance_sign_convention_differs_from_pipeline():
-    """The catalogued cov(x_d, x_s) is the negative of the pipeline's."""
-    space = FockSpace(14, 14)
-    amp_p, amp_m = hv_to_pm_amplitudes(1.0, 0.0)
-    state = coherent_product_state(space, amp_p, amp_m, truncation_budget=1e-13)
-    output, derivs = channel_derivatives(state, PARAMS_REF, ("x_d", "x_s"))
-    pipeline = invert_and_bound(qfim_from_derivatives(output, derivs))
-    catalog = coherent_bounds(PARAMS_REF, n0=1.0)
-    assert pipeline.covariance("x_d", "x_s") == pytest.approx(-0.1, abs=1e-8)
-    assert catalog.covariances[("x_d", "x_s")] == pytest.approx(
-        -pipeline.covariance("x_d", "x_s"), abs=1e-8
-    )
+def test_coherent_covariance_matches_pipeline():
+    """cov(x_d, x_s) = -x_d/n0 in the catalog and in the numeric pipeline.
+
+    Per-mode QFI n0/(2 eta_pm) inverts to cov = -(eta_- - eta_+)/(2 n0).
+    """
+    for n0 in (1.0, 4.0):
+        amp_p, amp_m = hv_to_pm_amplitudes(math.sqrt(n0), 0.0)
+        space, budget = default_coherent_space(amp_p, amp_m, budget=1e-13, cap=None)
+        state = coherent_product_state(space, amp_p, amp_m, truncation_budget=budget)
+        pipeline = compute_bounds(state, PARAMS_REF, ("x_d", "x_s"))
+        catalog = coherent_bounds(PARAMS_REF, n0=n0).covariances[("x_d", "x_s")]
+        assert catalog == -PARAMS_REF.x_d / n0
+        assert pipeline.covariance("x_d", "x_s") == pytest.approx(catalog, abs=1e-8)
 
 
 def test_coherent_intensity_saturates_bounds():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,33 +325,119 @@ def test_alpha_derivative_at_zero_loss():
     np.testing.assert_array_equal(output.rho, apply_channel_kraus(state, params).rho)
 
 
-def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
+def _count_weight_passes(monkeypatch):
+    """Record the cutoff of every loss-weight pass."""
     cutoffs = []
-    weights = channel._damping_pair_weights
+    weights = channel._loss_weights
 
-    def counting(cutoff, alpha, derivative=False):
+    def counting(cutoff, alpha):
         cutoffs.append(cutoff)
-        return weights(cutoff, alpha, derivative)
+        return weights(cutoff, alpha)
 
+    monkeypatch.setattr(channel, "_loss_weights", counting)
+    return cutoffs
+
+
+def _refuse_dense_propagation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the intensity route propagated the full density matrix")
 
-    monkeypatch.setattr(channel, "_damping_pair_weights", counting)
+    for module in (channel, estimation, experiments):
+        if hasattr(module, "apply_channel_kraus"):
+            monkeypatch.setattr(module, "apply_channel_kraus", refuse)
+    monkeypatch.setattr(channel, "_apply_damping", refuse)
+
+
+def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
+    cutoffs = _count_weight_passes(monkeypatch)
     # unequal cutoffs tell the two modes' passes apart
     state = hv_to_pm_state(NOON_HV, FockSpace(2, 3))
     params = ChiralParams(0.3, 0.45, 0.6, -0.3)
     channel_derivatives(state, params, CHIRAL_NAMES)
     assert cutoffs == [2, 3]
 
-    for module in (channel, estimation, experiments):
-        if hasattr(module, "apply_channel_kraus"):
-            monkeypatch.setattr(module, "apply_channel_kraus", refuse)
-    monkeypatch.setattr(channel, "_apply_damping", refuse)
+    _refuse_dense_propagation(monkeypatch)
     cutoffs.clear()
     experiments.error_propagation_sensitivity(InputStateKind.noon_hv(), params, "x_d", state)
     assert cutoffs == [2, 3]
     experiments.intensity_statistics(InputStateKind.noon_hv(), params, state)
     assert cutoffs == [2, 3, 2, 3]
+
+
+def test_sweep_point_takes_one_population_pass_for_both_targets(monkeypatch):
+    spec = experiments.SweepSpec(
+        input_state=InputStateKind.noon_hv(),
+        vary="x_s",
+        start=0.2,
+        stop=0.6,
+        points=2,
+        fixed={"x_d": 0.05},
+        methods=(experiments.INTENSITY_EXACT,),
+    )
+    state = hv_to_pm_state(NOON_HV, FockSpace(2, 3))
+    cutoffs = _count_weight_passes(monkeypatch)
+    _refuse_dense_propagation(monkeypatch)
+    row = experiments.evaluate_point(spec, state, 0.4)
+    assert cutoffs == [2, 3]
+    assert row.status == ()
+    for target in ("x_d", "x_s"):
+        assert row.values[f"{experiments.INTENSITY_EXACT}.delta_{target}"] > 0.0
+
+
+def _loss_weights_by_comb(cutoff, alpha):
+    """W_k[m, m'] and its alpha-derivative from math.comb, one entry at a time."""
+    size = cutoff + 1
+    weights = np.zeros((size, size, size))
+    derivatives = np.zeros_like(weights)
+    eta = 1.0 - alpha
+    for k in range(size):
+        for m in range(size - k):
+            for mp in range(size - k):
+                binom = math.sqrt(math.comb(m + k, k) * math.comb(mp + k, k))
+                half = (m + mp) / 2.0
+                weights[k, m, mp] = binom * eta**half * alpha**k
+                # d/dalpha of alpha^k eta^half, with 0^0 = 1
+                d_alpha_k = k * alpha ** (k - 1) if k > 0 else 0.0
+                d_eta = -half * eta ** (half - 1.0) if half > 0 else 0.0
+                derivatives[k, m, mp] = binom * (d_alpha_k * eta**half + alpha**k * d_eta)
+    return weights, derivatives
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 12, 70, 100])
+@pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.35, 0.999])
+def test_loss_weights_match_binomial_formula(cutoff, alpha):
+    weights, derivatives = channel._loss_weights(cutoff, alpha)
+    ref_w, ref_d = _loss_weights_by_comb(cutoff, alpha)
+    # relative to the largest entry, so underflowed tails do not matter
+    assert np.max(np.abs(weights - ref_w)) <= 1e-14 * np.max(np.abs(ref_w))
+    assert np.max(np.abs(derivatives - ref_d)) <= 1e-14 * np.max(np.abs(ref_d))
+    transfer, d_transfer = mode_population_transfer(cutoff, alpha)
+    np.testing.assert_allclose(transfer.sum(axis=0), 1.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(d_transfer.sum(axis=0), 0.0, rtol=0, atol=1e-13)
+
+
+def test_loss_weight_cache_holds_only_small_tables():
+    channel._loss_tables.cache_clear()
+    channel._loss_weights(100, 0.3)
+    channel._loss_weights(12, 0.3)
+    assert channel._loss_tables.cache_info().currsize == 2
+    cached = channel._loss_tables(100) + channel._loss_tables(12)
+    assert sum(table.nbytes for table in cached) < 1_000_000
+
+
+def test_dense_route_makes_no_cutoff_fold_copy():
+    space = FockSpace(24, 24)
+    product = coherent_product_state(space, 1.5, 0.8 + 0.3j, truncation_budget=1e-6)
+    state = TwoModeState(space, product.rho, trace_deficit_budget=product.trace_deficit_budget)
+    params = ChiralParams(0.3, 0.4, 0.2, 0.5)
+    tracemalloc.start()
+    try:
+        channel_output_and_alpha_derivatives(state, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a gathered copy of the 4-index tensor alone would be 25 copies of rho
+    assert peak < 16 * state.rho.nbytes
 
 
 @pytest.mark.parametrize("mode", ["plus", "minus"])

@@ -392,17 +392,15 @@ def test_fig4_origin_hierarchy_values():
 
 
 def test_compare_coherent_grid():
-    notes_seen = False
     for x_d in (0.0, 0.05, 0.1):
         spec = spec_for(
             COH1, start=0.15, stop=0.85, points=5, fixed={"x_d": x_d}
         )
         report = compare_analytic_numeric(COH1, spec)
         assert report.max_bound_deviation <= 1e-6
-        if x_d > 0.0:
-            assert any(q == "cov_x_d_x_s" for _, q, *_ in report.flagged)
-            notes_seen = notes_seen or any("sign" in n for n in report.notes)
-    assert notes_seen
+        assert report.stats["cov_x_d_x_s"].points == 5
+        assert not [f for f in report.flagged if f[1] == "cov_x_d_x_s"]
+        assert not any("sign" in n for n in report.notes)
 
 
 def test_compare_single_photon_and_noon_grids():
