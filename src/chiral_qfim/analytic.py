@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,6 +154,23 @@ def _check_domain(params: ChiralParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+def equal_split_photons(kind: InputStateKind) -> float:
+    """N₀ of a coherent kind that the coherent closed forms describe.
+
+    ``coherent_bounds`` and ``coherent_intensity_sensitivities`` take
+    |amp₊|² = |amp₋|² = N₀/2, which holds when the H and V amplitudes
+    share a phase; a kind with a relative phase is rejected.
+    """
+    if kind.kind != COHERENT:
+        raise ValueError(f"expected a coherent input kind, got {kind.kind!r}")
+    if not kind.zero_relative_phase:
+        raise DomainError(
+            "the coherent closed forms require zero relative phase between"
+            " the H and V amplitudes"
+        )
+    return kind.mean_photons
+
+
 def coherent_bounds(params: ChiralParams, n0: float) -> SensitivityReport:
     """Closed-form bound matrix entries for a coherent input."""
     if n0 <= 0.0:
@@ -180,22 +198,16 @@ def coherent_intensity_sensitivities(
 ) -> SensitivityReport:
     """Error-propagation sensitivities of mode-intensity measurements.
 
-    The N₀ decomposition underlying the closed form requires the H and V
-    amplitudes to share a phase, so a coherent ``kind`` with a relative
-    phase is rejected.  Equals ``coherent_bounds`` on X_d and X_s at every
-    parameter point (the intensity measurement saturates the bound).
+    The closed form splits N₀ equally between the circular modes, so a
+    coherent ``kind`` is checked by ``equal_split_photons``.  Equals
+    ``coherent_bounds`` on X_d and X_s at every parameter point (the
+    intensity measurement saturates the bound).
     """
     if kind is not None:
-        if kind.kind != COHERENT:
-            raise ValueError(f"expected a coherent input kind, got {kind.kind!r}")
-        if not kind.zero_relative_phase:
-            raise DomainError(
-                "intensity sensitivities require zero relative phase between"
-                " the H and V amplitudes"
-            )
-        if n0 is not None and not math.isclose(n0, kind.mean_photons):
+        kind_n0 = equal_split_photons(kind)
+        if n0 is not None and not math.isclose(n0, kind_n0):
             raise ValueError(f"n0 {n0!r} contradicts the kind's mean photon number")
-        n0 = kind.mean_photons
+        n0 = kind_n0
     if n0 is None:
         raise ValueError("either n0 or kind is required")
     if n0 <= 0.0:
@@ -277,7 +289,18 @@ def coherent_slds(
 # ---------------------------------------------------------------------------
 
 
-class SinglePhotonCatalog(tuple):
+class _Catalog(NamedTuple):
+    """The fields shared by the single-photon and NOON catalogs."""
+
+    rho_support: np.ndarray
+    slds: dict | None
+    qfim: np.ndarray | None
+    bounds: SensitivityReport
+    intensity: SensitivityReport
+    qfim_params = ("x_d", "x_s", "delta")
+
+
+class SinglePhotonCatalog(_Catalog):
     """(rho_support, slds, qfim, bounds, intensity) over {|1,0⟩,|0,1⟩,|0,0⟩}.
 
     At X_s = 0 the vacuum weight vanishes and the entries containing 1/X_s
@@ -286,16 +309,6 @@ class SinglePhotonCatalog(tuple):
     """
 
     __slots__ = ()
-
-    def __new__(cls, rho_support, slds, qfim, bounds, intensity):
-        return super().__new__(cls, (rho_support, slds, qfim, bounds, intensity))
-
-    rho_support = property(lambda self: self[0])
-    slds = property(lambda self: self[1])
-    qfim = property(lambda self: self[2])
-    bounds = property(lambda self: self[3])
-    intensity = property(lambda self: self[4])
-    qfim_params = ("x_d", "x_s", "delta")
 
 
 def single_photon_catalog(params: ChiralParams) -> SinglePhotonCatalog:
@@ -370,7 +383,7 @@ def single_photon_catalog(params: ChiralParams) -> SinglePhotonCatalog:
 # ---------------------------------------------------------------------------
 
 
-class NoonCatalog(tuple):
+class NoonCatalog(_Catalog):
     """(rho_support, slds, qfim, bounds, intensity) over the two-photon support.
 
     Support basis order: {|2,0⟩, |0,2⟩, |1,0⟩, |0,1⟩, |0,0⟩}.  At the
@@ -380,16 +393,6 @@ class NoonCatalog(tuple):
     """
 
     __slots__ = ()
-
-    def __new__(cls, rho_support, slds, qfim, bounds, intensity):
-        return super().__new__(cls, (rho_support, slds, qfim, bounds, intensity))
-
-    rho_support = property(lambda self: self[0])
-    slds = property(lambda self: self[1])
-    qfim = property(lambda self: self[2])
-    bounds = property(lambda self: self[3])
-    intensity = property(lambda self: self[4])
-    qfim_params = ("x_d", "x_s", "delta")
 
 
 def _noon_rho_support(params: ChiralParams) -> np.ndarray:

@@ -35,7 +35,7 @@ from .analytic import (
     default_param_labels,
     fidelity_fringe,
 )
-from .channel import CHIRAL_NAMES, ChiralParams, DomainError
+from .channel import ALPHA_PHI_NAMES, CHIRAL_NAMES, ChiralParams, DomainError
 from .estimation import compute_bounds
 from .experiments import (
     COMPARE_TOL,
@@ -80,7 +80,6 @@ STATE_CHOICES = {
     "fock-pair": FOCK_ONE_PLUS_ONE_MINUS,
 }
 
-_NATIVE_NAMES = ("alpha_plus", "alpha_minus", "phi_plus", "phi_minus")
 _CHIRAL_BY_FLAG = {"xd": "x_d", "xs": "x_s", "delta": "delta", "sigma": "sigma"}
 
 _CONFIG_KEYS = frozenset(
@@ -338,7 +337,7 @@ def merge_config(args: argparse.Namespace) -> CliConfig:
     for flag, name in _CHIRAL_BY_FLAG.items():
         value = pick(flag)
         point[name] = None if value is None else _as_float(f"--{flag}", value)
-    for name in _NATIVE_NAMES:
+    for name in ALPHA_PHI_NAMES:
         value = pick(name)
         flag = "--" + name.replace("_", "-")
         point[name] = None if value is None else _as_float(flag, value)
@@ -414,14 +413,14 @@ def _input_kind(cfg: CliConfig) -> InputStateKind:
 
 def _point_params(cfg: CliConfig) -> ChiralParams:
     chiral = {n: cfg.point[n] for n in CHIRAL_NAMES if cfg.point.get(n) is not None}
-    native = {n: cfg.point[n] for n in _NATIVE_NAMES if cfg.point.get(n) is not None}
+    native = {n: cfg.point[n] for n in ALPHA_PHI_NAMES if cfg.point.get(n) is not None}
     if chiral and native:
         raise DomainError(
             "mixed coordinates: use either --xd/--xs/--delta/--sigma or"
             " --alpha-plus/--alpha-minus/--phi-plus/--phi-minus, not both"
         )
     if native:
-        return ChiralParams(**{n: native.get(n, 0.0) for n in _NATIVE_NAMES})
+        return ChiralParams(**{n: native.get(n, 0.0) for n in ALPHA_PHI_NAMES})
     return ChiralParams.from_chiral(
         chiral.get("x_d", 0.0),
         chiral.get("x_s", 0.0),
@@ -477,17 +476,13 @@ def _matrix_lines(title: str, labels, matrix) -> list:
 
 
 def _bounds_payload(cfg, params, labels, result) -> dict:
-    chiral_view = {
-        "x_d": params.x_d,
-        "x_s": params.x_s,
-        "delta": params.delta,
-        "sigma": params.sigma,
-    }
-    native_view = {name: getattr(params, name) for name in _NATIVE_NAMES}
     inverse = result.F_inverse
     return {
         "state": cfg.state,
-        "parameters": {**native_view, **chiral_view},
+        "parameters": {
+            **dict(zip(ALPHA_PHI_NAMES, params.values("alpha_phi"))),
+            **dict(zip(CHIRAL_NAMES, params.values("chiral"))),
+        },
         "labels": list(labels),
         "qfim": [[float(v) for v in row] for row in result.F],
         "qfim_inverse": None
@@ -506,7 +501,7 @@ def _bounds_text(payload: dict) -> str:
     pars = payload["parameters"]
     lines.append(
         "native          "
-        + " ".join(f"{n}={format(pars[n], '.9g')}" for n in _NATIVE_NAMES)
+        + " ".join(f"{n}={format(pars[n], '.9g')}" for n in ALPHA_PHI_NAMES)
     )
     lines.append(
         "chiral          "
@@ -718,7 +713,7 @@ def cmd_fringe(cfg: CliConfig) -> int:
         return EXIT_OK
     if cfg.point.get("delta") is not None:
         raise DomainError("a fringe scan varies delta itself; drop --delta")
-    if any(cfg.point.get(name) is not None for name in _NATIVE_NAMES):
+    if any(cfg.point.get(name) is not None for name in ALPHA_PHI_NAMES):
         raise DomainError(
             "fringe scans fix the chiral coordinates --xd/--xs/--sigma;"
             " native flags cannot be held fixed while delta varies"

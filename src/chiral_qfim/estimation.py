@@ -160,10 +160,10 @@ def _rho_at(input_state: TwoModeState, params: ChiralParams) -> np.ndarray:
 
 
 def _finite_difference(
-    input_state: TwoModeState, params: ChiralParams, name: str, step_scale: float
+    input_state: TwoModeState, params: ChiralParams, name: str
 ) -> tuple[np.ndarray, dict]:
     x = _param_value(params, name)
-    h0 = step_scale * max(1.0, abs(x))
+    h0 = FD_STEP_SCALE * max(1.0, abs(x))
     last_error = None
     for shrink in range(3):
         h = h0 / 10.0**shrink
@@ -202,7 +202,6 @@ def rho_derivative(
     params: ChiralParams,
     param: str,
     method: str = ANALYTIC_KRAUS,
-    step_scale: float = FD_STEP_SCALE,
 ) -> ParamDerivative:
     """∂ρ_out/∂param of the channel output for the given input state."""
     if param not in ALL_PARAM_NAMES:
@@ -210,7 +209,7 @@ def rho_derivative(
     if method == ANALYTIC_KRAUS:
         return channel_derivatives(input_state, params, (param,))[1][0]
     if method == CENTRAL_DIFFERENCE:
-        drho, meta = _finite_difference(input_state, params, param, step_scale)
+        drho, meta = _finite_difference(input_state, params, param)
         return ParamDerivative(param=param, drho=drho, method=method, meta=meta)
     raise ValueError(f"unknown derivative method {method!r}")
 
@@ -223,15 +222,29 @@ def channel_derivatives(
 ) -> tuple[TwoModeState, list[ParamDerivative]]:
     """Channel output together with ∂ρ for each requested parameter.
 
-    The exact route takes the output and both α-derivatives from one loss
-    weight pass per mode, the φ-derivatives from the output, and forms
-    every label through the constant native-to-label pullback.
+    The exact route takes its matrices from ``_exact_derivatives``.
     """
     if method != ANALYTIC_KRAUS:
         return apply_channel_kraus(input_state, params), [
             rho_derivative(input_state, params, p, method=method) for p in param_labels
         ]
     labels = tuple(param_labels)
+    output, mats = _exact_derivatives(input_state, params, labels)
+    return output, [
+        ParamDerivative(param=p, drho=m, method=ANALYTIC_KRAUS)
+        for p, m in zip(labels, mats)
+    ]
+
+
+def _exact_derivatives(
+    input_state: TwoModeState, params: ChiralParams, labels: tuple
+) -> tuple[TwoModeState, list[np.ndarray]]:
+    """Channel output and the exact ∂ρ matrix of each label, unwrapped.
+
+    The output and both α-derivatives come from one loss weight pass per
+    mode, the φ-derivatives from the output, and every label through the
+    constant native-to-label pullback.
+    """
     pullback = _native_pullback(labels)
     output, d_alpha_plus, d_alpha_minus = channel_output_and_alpha_derivatives(
         input_state, params
@@ -242,15 +255,11 @@ def channel_derivatives(
         channel_phi_derivative(output, "plus"),
         channel_phi_derivative(output, "minus"),
     )
-    derivs = [
-        ParamDerivative(
-            param=p,
-            drho=sum(w * d for w, d in zip(pullback[:, j], native) if w),
-            method=ANALYTIC_KRAUS,
-        )
-        for j, p in enumerate(labels)
+    mats = [
+        sum(w * d for w, d in zip(pullback[:, j], native) if w)
+        for j in range(len(labels))
     ]
-    return output, derivs
+    return output, mats
 
 
 def solve_sld(rho_state: TwoModeState, drho: ParamDerivative) -> SldMatrix:
@@ -393,9 +402,14 @@ def qfim_from_derivatives(rho_state: TwoModeState, derivs) -> QfimResult:
     Algebraically identical to the SLD route (same support rule) at one
     eigendecomposition plus two rotations per parameter.
     """
-    params = tuple(d.param for d in derivs)
+    return _matrices_qfim(
+        rho_state, tuple(d.param for d in derivs), [d.drho for d in derivs]
+    )
+
+
+def _matrices_qfim(rho_state: TwoModeState, params: tuple, mats) -> QfimResult:
     _require_distinct(params)
-    f = _eigenbasis_qfim(rho_state.rho, [d.drho for d in derivs])
+    f = _eigenbasis_qfim(rho_state.rho, mats)
     return _finish_qfim(
         params, f, {"route": "eigenbasis", "state_label": rho_state.label}
     )
@@ -439,16 +453,9 @@ def _product_qfim(
     ):
         output, d_alpha = mode_output_and_alpha_derivative(factor, alpha, phi)
         n = np.arange(output.shape[0])
-        derivs = (
-            ParamDerivative(param=f"alpha_{mode}", drho=d_alpha, method=ANALYTIC_KRAUS),
-            ParamDerivative(
-                param=f"phi_{mode}",
-                drho=-1j * (n[:, None] - n[None, :]) * output,
-                method=ANALYTIC_KRAUS,
-            ),
-        )
-        index = [ALPHA_PHI_NAMES.index(d.param) for d in derivs]
-        blocks.append((index, _eigenbasis_qfim(output, [d.drho for d in derivs])))
+        d_phi = -1j * (n[:, None] - n[None, :]) * output
+        index = [ALPHA_PHI_NAMES.index(f"{name}_{mode}") for name in ("alpha", "phi")]
+        blocks.append((index, _eigenbasis_qfim(output, [d_alpha, d_phi])))
         traces.append(np.trace(output))
     require_trace_window(traces[0] * traces[1], input_state.trace_deficit_budget)
     native = np.zeros((len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
@@ -575,10 +582,16 @@ def compute_bounds(
     is solved one mode at a time; every other input, central differences
     and ``via_slds`` run on the full two-mode density matrix.  ``via_slds``
     switches from the eigenbasis route to the explicit SLD route
-    (identical results, used for cross-validation).
+    (identical results, used for cross-validation).  The default route
+    hands its ∂ρ matrices to the QFIM unwrapped; only the other routes
+    build ``ParamDerivative`` records.
     """
-    if input_state.factors is not None and method == ANALYTIC_KRAUS and not via_slds:
-        return invert_and_bound(_product_qfim(input_state, params, param_labels))
+    if method == ANALYTIC_KRAUS and not via_slds:
+        if input_state.factors is not None:
+            return invert_and_bound(_product_qfim(input_state, params, param_labels))
+        labels = tuple(param_labels)
+        output, mats = _exact_derivatives(input_state, params, labels)
+        return invert_and_bound(_matrices_qfim(output, labels, mats))
     output, derivs = channel_derivatives(input_state, params, param_labels, method)
     if via_slds:
         slds = [solve_sld(output, d) for d in derivs]

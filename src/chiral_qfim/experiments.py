@@ -19,6 +19,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .analytic import (
     coherent_bounds,
     coherent_intensity_sensitivities,
     default_param_labels,
+    equal_split_photons,
     fidelity_fringe,
     fock_benchmark_bound,
     noon_catalog,
@@ -223,21 +225,14 @@ def prepare_input_state(kind: InputStateKind) -> TwoModeState:
     return fock_product_state(FockSpace(1, 1), 1, 1)
 
 
-class IntensityStatistics(tuple):
+class IntensityStatistics(NamedTuple):
     """Exact first and second moments of the two output mode intensities."""
 
-    __slots__ = ()
-
-    def __new__(cls, mean_plus, mean_minus, var_plus, var_minus, covariance):
-        return super().__new__(
-            cls, (mean_plus, mean_minus, var_plus, var_minus, covariance)
-        )
-
-    mean_plus = property(lambda self: self[0])
-    mean_minus = property(lambda self: self[1])
-    var_plus = property(lambda self: self[2])
-    var_minus = property(lambda self: self[3])
-    covariance = property(lambda self: self[4])
+    mean_plus: float
+    mean_minus: float
+    var_plus: float
+    var_minus: float
+    covariance: float
 
 
 def _output_populations(
@@ -386,7 +381,7 @@ def _eval_qfim_numeric(kind, params, state, cells, flags):
 
 def _eval_qfim_analytic(kind, params, cells, flags):
     if kind.kind == COHERENT:
-        report = coherent_bounds(params, kind.mean_photons)
+        report = coherent_bounds(params, equal_split_photons(kind))
         cov = report.covariances.get(("x_d", "x_s"))
     elif kind.kind in (SINGLE_PHOTON_H, NOON_HV):
         catalog = (
@@ -424,7 +419,7 @@ def _eval_intensity_exact(params, state, cells, flags):
 
 def _eval_intensity_analytic(kind, params, cells, flags):
     if kind.kind == COHERENT:
-        report = coherent_intensity_sensitivities(params, kind.mean_photons)
+        report = coherent_intensity_sensitivities(params, kind=kind)
     elif kind.kind == SINGLE_PHOTON_H:
         report = single_photon_catalog(params).intensity
     elif kind.kind == NOON_HV:
@@ -589,10 +584,13 @@ def compare_analytic_numeric(
     """Sweep both QFIM routes and report their per-quantity deviations.
 
     Deviations above ``tol``, of the bounds and of the covariance, are
-    listed with their grid coordinate.
+    listed with their grid coordinate.  A coherent kind outside the
+    closed forms' equal split is refused, not reported as agreeing.
     """
     if kind != grid.input_state:
         raise ValueError("the input kind and the sweep spec's input must match")
+    if kind.kind == COHERENT:
+        equal_split_photons(kind)  # else no grid point has a closed form
     missing = {QFIM_NUMERIC, QFIM_ANALYTIC} - set(grid.methods)
     if missing:
         raise ValueError(

@@ -140,10 +140,11 @@ class TwoModeState:
     """Density matrix on a truncated two-mode Fock space.
 
     ``trace_deficit_budget`` bounds how far below 1 the trace may sit due
-    to truncation (0 for states that fit exactly).  Hermiticity and the
-    trace window are checked at construction; positive semidefiniteness is
-    checked by ``validate_psd`` (called by the constructors in this module,
-    and by tests on channel outputs, where it would dominate the runtime).
+    to truncation (0 for states that fit exactly).  Shape, finiteness,
+    Hermiticity and the trace window are checked at construction; positive
+    semidefiniteness is checked only on request, by ``validate_psd``, since
+    a full eigensolve would dominate the runtime.  The constructors of this
+    module build ρ = ψψ†, which is PSD by construction, and do not call it.
 
     ``factors`` holds the single-mode density matrices (ρ₊, ρ₋) with
     ρ = ρ₊ ⊗ ρ₋ when the state is known to be a product.  Only the product
@@ -301,7 +302,7 @@ def coherent_product_state(
     )
     factors = (np.outer(vec_plus, vec_plus.conj()), np.outer(vec_minus, vec_minus.conj()))
     object.__setattr__(state, "factors", factors)
-    return state.validate_psd()
+    return state
 
 
 def hv_to_pm_state(kind: str, space: FockSpace) -> TwoModeState:
@@ -324,7 +325,7 @@ def hv_to_pm_state(kind: str, space: FockSpace) -> TwoModeState:
     else:
         raise ValueError(f"unknown H/V state kind {kind!r}")
     rho = np.outer(psi, psi.conj())
-    return TwoModeState(space=space, rho=rho, label=kind).validate_psd()
+    return TwoModeState(space=space, rho=rho, label=kind)
 
 
 def fock_product_state(space: FockSpace, n_plus: int, n_minus: int) -> TwoModeState:
@@ -339,4 +340,4 @@ def fock_product_state(space: FockSpace, n_plus: int, n_minus: int) -> TwoModeSt
         projector[n, n] = 1.0
         factors.append(projector)
     object.__setattr__(state, "factors", tuple(factors))
-    return state.validate_psd()
+    return state

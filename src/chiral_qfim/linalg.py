@@ -4,15 +4,17 @@ Validation, Hermiticity checks, commutators, and a Hermitian
 eigendecomposition for the operator sizes this package works with (a few
 hundred rows at most).
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
-scalars are Python/NumPy complex numbers.  Finiteness (no NaN/Inf) is
-enforced whenever a matrix crosses a public entry point.
+scalars are Python/NumPy complex numbers.  Finiteness (no NaN/Inf) and
+Hermiticity are checked where a matrix crosses a public entry point; the
+eigensolvers' residuals are checked by the test suite, not on every call.
 
 Two eigensolver backends are provided:
 
 * ``"lapack"`` (default): ``numpy.linalg.eigh``, fast and robust.
-* ``"jacobi"``: cyclic Jacobi rotations in pure Python/NumPy.  Orders of
-  magnitude slower, but independent of LAPACK; it exists as a verification
-  backend and is cross-checked against ``"lapack"`` in the test suite.
+* ``"jacobi"``: cyclic Jacobi rotations in pure Python/NumPy, at most
+  ``JACOBI_SWEEP_BUDGET`` sweeps.  Orders of magnitude slower, but
+  independent of LAPACK; it exists as the reference backend and is
+  cross-checked against ``"lapack"`` in the test suite.
   The eigensolve share of a bound computation is the ``perfbench``
   ``--trace 1`` row ``linalg.eigh_share``.
 
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-EIGEN_RESIDUAL_TOL = 1e-10
 JACOBI_SWEEP_BUDGET = 100
 JACOBI_OFF_TOL = 1e-14  # times ||A||_F
 
@@ -78,11 +79,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    return hermiticity_defect(a) <= tol * max(1.0, scale)
-
-
 def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate and return the exactly Hermitian part (A + A†)/2."""
     a = as_complex_matrix(a)
@@ -125,42 +121,22 @@ class EigenDecomposition:
         return float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
 
 
-def hermitian_eigen(
-    a,
-    backend: str = "lapack",
-    *,
-    validate: bool = False,
-    sweep_budget: int = JACOBI_SWEEP_BUDGET,
-    hermiticity_tol: float = HERMITICITY_TOL,
-) -> EigenDecomposition:
+def hermitian_eigen(a, backend: str = "lapack") -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     The input is validated to be square and Hermitian within
-    ``hermiticity_tol * max(1, max|A|)`` and symmetrized before solving.
-    With ``validate=True`` the reconstruction and orthonormality residuals
-    are checked against ``1e-10 * max(1, max|A|)`` after solving.
+    ``HERMITICITY_TOL * max(1, max|A|)`` and symmetrized before solving.
     """
-    h = require_hermitian(a, tol=hermiticity_tol)
+    h = require_hermitian(a)
     if backend == "lapack":
         # a real symmetric matrix solves ~4x faster and yields real
         # eigenvectors, which downstream products inherit
         w, v = np.linalg.eigh(h.real if not h.imag.any() else h)
     elif backend == "jacobi":
-        w, v = _jacobi_eigh(h, sweep_budget)
+        w, v = _jacobi_eigh(h)
     else:
         raise ValueError(f"unknown eigensolver backend {backend!r}")
-    decomp = EigenDecomposition(eigenvalues=np.asarray(w, dtype=float), eigenvectors=v)
-    if validate:
-        scale = max(1.0, float(np.max(np.abs(h))))
-        rec = decomp.reconstruction_residual(h)
-        orth = decomp.orthonormality_residual()
-        if rec > EIGEN_RESIDUAL_TOL * scale or orth > EIGEN_RESIDUAL_TOL:
-            raise EigenConvergenceError(
-                f"eigendecomposition residuals out of bounds"
-                f" (reconstruction {rec:.3e}, orthonormality {orth:.3e})",
-                residual=max(rec, orth),
-            )
-    return decomp
+    return EigenDecomposition(eigenvalues=np.asarray(w, dtype=float), eigenvectors=v)
 
 
 def _offdiag_norm(h: np.ndarray) -> float:
@@ -168,7 +144,7 @@ def _offdiag_norm(h: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def _jacobi_eigh(h: np.ndarray, sweep_budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi rotations for a complex Hermitian matrix.
 
     Each (p, q) pass first strips the phase of h[p,q] and then applies the
@@ -184,7 +160,7 @@ def _jacobi_eigh(h: np.ndarray, sweep_budget: int) -> tuple[np.ndarray, np.ndarr
 
     threshold = JACOBI_OFF_TOL * float(np.linalg.norm(h))
     converged = False
-    for _ in range(sweep_budget):
+    for _ in range(JACOBI_SWEEP_BUDGET):
         if _offdiag_norm(h) <= threshold:
             converged = True
             break
@@ -226,7 +202,7 @@ def _jacobi_eigh(h: np.ndarray, sweep_budget: int) -> tuple[np.ndarray, np.ndarr
         converged = _offdiag_norm(h) <= threshold
     if not converged:
         raise EigenConvergenceError(
-            f"Jacobi sweep budget of {sweep_budget} exhausted",
+            f"Jacobi sweep budget of {JACOBI_SWEEP_BUDGET} exhausted",
             residual=_offdiag_norm(h),
         )
     w = np.real(np.diag(h))

@@ -524,3 +524,53 @@ def test_per_mode_route_diagonalizes_single_modes_only(monkeypatch):
     dims.clear()
     compute_bounds(without_factors(state), PARAMS_REF, CHIRAL_NAMES)
     assert dims == [state.space.dim]
+
+
+def _record_derivative_wrappers(monkeypatch):
+    built = []
+    original = ParamDerivative.__post_init__
+
+    def recording(self):
+        built.append(self.param)
+        original(self)
+
+    monkeypatch.setattr(ParamDerivative, "__post_init__", recording)
+    return built
+
+
+QUANTUM_LABELS = ("x_d", "x_s", "delta")
+
+
+@pytest.mark.parametrize(
+    "make_state, labels",
+    [
+        (lambda: uncapped_coherent(1.0, 0.0), CHIRAL_NAMES),
+        (lambda: hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1)), QUANTUM_LABELS),
+        (lambda: hv_to_pm_state(NOON_HV, FockSpace(2, 2)), QUANTUM_LABELS),
+        (lambda: fock_product_state(FockSpace(1, 1), 1, 1), QUANTUM_LABELS),
+    ],
+    ids=["coherent", "single-photon", "noon", "photon-pair"],
+)
+def test_default_route_builds_no_derivative_wrappers(monkeypatch, make_state, labels):
+    state = make_state()
+    built = _record_derivative_wrappers(monkeypatch)
+    result = compute_bounds(state, PARAMS_REF, labels)
+    assert built == []
+    assert result.params == labels
+    # the SLD route still wraps its derivatives, and agrees
+    reference = compute_bounds(state, PARAMS_REF, labels, via_slds=True)
+    assert built == list(labels)
+    np.testing.assert_allclose(result.F, reference.F, rtol=1e-8, atol=1e-10)
+
+
+def test_channel_derivatives_returns_param_derivative_records(monkeypatch):
+    state = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
+    built = _record_derivative_wrappers(monkeypatch)
+    output, derivs = channel_derivatives(state, PARAMS_REF, QUANTUM_LABELS)
+    assert all(type(d) is ParamDerivative for d in derivs)
+    assert [d.param for d in derivs] == built == list(QUANTUM_LABELS)
+    assert all(d.method == ANALYTIC_KRAUS for d in derivs)
+    # the records carry the matrices the unwrapped default route uses
+    wrapped = qfim_from_derivatives(output, derivs).F
+    unwrapped = compute_bounds(state, PARAMS_REF, QUANTUM_LABELS).F
+    assert np.max(np.abs(unwrapped - wrapped)) <= 1e-14 * np.max(np.abs(wrapped))

@@ -34,6 +34,7 @@ from chiral_qfim.experiments import (
 )
 from chiral_qfim.fock import (
     FockSpace,
+    TwoModeState,
     coherent_product_state,
     default_coherent_space,
     hv_to_pm_amplitudes,
@@ -123,6 +124,18 @@ def test_prepare_input_state_spaces():
     coherent = prepare_input_state(COH1)
     assert coherent.space.cutoff_plus >= 6
     assert np.trace(coherent.rho).real == pytest.approx(1.0, abs=1e-9)
+
+
+def test_prepare_input_state_runs_no_eigensolve(monkeypatch):
+    # ρ = ψψ† is PSD by construction; only the TwoModeState checks run
+    def refuse(*args, **kwargs):
+        raise AssertionError("input preparation ran an eigensolve")
+
+    monkeypatch.setattr(TwoModeState, "validate_psd", refuse)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for kind in (COH1, SP, NOON, FOCK):
+        assert prepare_input_state(kind).trace() == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +349,30 @@ def test_sweep_handles_fully_singular_points():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "kind", [InputStateKind.coherent(0.8, 0.6j), InputStateKind.coherent(1.0, 1j)]
+)
+def test_sweep_refuses_equal_split_closed_forms_for_phased_coherent_probes(kind):
+    # both coherent closed forms assume |amp+| = |amp-|, which a relative
+    # H/V phase breaks: their cells stay empty and are flagged
+    methods = (QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT, INTENSITY_ANALYTIC)
+    spec = spec_for(
+        kind, start=0.3, stop=0.5, points=2, fixed={"x_d": 0.05}, methods=methods
+    )
+    for row in run_sweep(spec):
+        for method in (QFIM_ANALYTIC, INTENSITY_ANALYTIC):
+            assert any(
+                flag.startswith(f"{method}:failed:") and "zero relative phase" in flag
+                for flag in row.status
+            )
+            assert all(
+                value is None
+                for column, value in row.values.items()
+                if column.startswith(f"{method}.")
+            )
+        assert row.values[f"{INTENSITY_EXACT}.delta_x_d"] is not None
+
+
 def test_saturation_rows_for_coherent_and_single_photon():
     for kind in (COH1, SP):
         spec = spec_for(
@@ -423,6 +460,10 @@ def test_compare_requires_both_routes_and_matching_kind():
         compare_analytic_numeric(SP, spec)
     with pytest.raises(ValueError, match="must match"):
         compare_analytic_numeric(NOON, spec_for(SP))
+    # a phased coherent probe has no closed form to compare against
+    phased = InputStateKind.coherent(0.8, 0.6j)
+    with pytest.raises(DomainError, match="zero relative phase"):
+        compare_analytic_numeric(phased, spec_for(phased, fixed={"x_d": 0.05}))
 
 
 # ---------------------------------------------------------------------------

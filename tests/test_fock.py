@@ -211,6 +211,14 @@ def test_state_validation_rejects_bad_inputs():
         TwoModeState(space=space, rho=good * 1.5)
 
 
+def test_coherent_state_rejects_nan_amplitude():
+    # the TwoModeState checks are the boundary that catches this
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        coherent_product_state(FockSpace(10, 10), complex("nan"), 0.5)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        coherent_product_state(FockSpace(10, 10), 0.5, complex(0.0, float("nan")))
+
+
 def test_validate_psd_flags_negative_eigenvalue():
     space = FockSpace(1, 0)
     rho = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)

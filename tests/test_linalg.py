@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chiral_qfim import linalg
 from chiral_qfim.linalg import (
     DimensionMismatchError,
     EigenConvergenceError,
@@ -21,6 +22,12 @@ def random_complex(rng, n, m=None):
 def random_hermitian(rng, n):
     a = random_complex(rng, n)
     return (a + a.conj().T) / 2
+
+
+def assert_small_residuals(dec, a):
+    """Reconstruction within 1e-10 * max(1, max|A|), orthonormality within 1e-10."""
+    assert dec.reconstruction_residual(a) <= 1e-10 * max(1.0, np.abs(a).max())
+    assert dec.orthonormality_residual() <= 1e-10
 
 
 def test_trace_cyclic_against_double_loop():
@@ -45,7 +52,9 @@ def test_as_complex_matrix_rejects_nonfinite():
 
 @pytest.mark.parametrize("backend", ["lapack", "jacobi"])
 def test_eigen_diagonal(backend):
-    dec = hermitian_eigen(np.diag([0.3, 0.7]).astype(complex), backend=backend, validate=True)
+    a = np.diag([0.3, 0.7]).astype(complex)
+    dec = hermitian_eigen(a, backend=backend)
+    assert_small_residuals(dec, a)
     np.testing.assert_allclose(dec.eigenvalues, [0.3, 0.7], atol=1e-14)
     np.testing.assert_allclose(np.abs(dec.eigenvectors), np.eye(2), atol=1e-12)
 
@@ -53,7 +62,8 @@ def test_eigen_diagonal(backend):
 @pytest.mark.parametrize("backend", ["lapack", "jacobi"])
 def test_eigen_pauli_y(backend):
     pauli_y = np.array([[0, -1j], [1j, 0]])
-    dec = hermitian_eigen(pauli_y, backend=backend, validate=True)
+    dec = hermitian_eigen(pauli_y, backend=backend)
+    assert_small_residuals(dec, pauli_y)
     np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-12)
 
 
@@ -61,9 +71,8 @@ def test_eigen_pauli_y(backend):
 def test_eigen_reconstruction_9x9(backend):
     rng = np.random.default_rng(23)
     a = random_hermitian(rng, 9)
-    dec = hermitian_eigen(a, backend=backend, validate=True)
-    assert dec.reconstruction_residual(a) <= 1e-10 * max(1.0, np.abs(a).max())
-    assert dec.orthonormality_residual() <= 1e-10
+    dec = hermitian_eigen(a, backend=backend)
+    assert_small_residuals(dec, a)
     assert np.all(np.diff(dec.eigenvalues) >= 0)
 
 
@@ -86,11 +95,12 @@ def test_eigen_unknown_backend():
         hermitian_eigen(np.eye(2, dtype=complex), backend="qr")
 
 
-def test_jacobi_sweep_budget_exhaustion_reports_residual():
+def test_jacobi_sweep_budget_exhaustion_reports_residual(monkeypatch):
     rng = np.random.default_rng(3)
     a = random_hermitian(rng, 30)
+    monkeypatch.setattr(linalg, "JACOBI_SWEEP_BUDGET", 1)
     with pytest.raises(EigenConvergenceError) as err:
-        hermitian_eigen(a, backend="jacobi", sweep_budget=1)
+        hermitian_eigen(a, backend="jacobi")
     assert err.value.residual > 0
 
 
