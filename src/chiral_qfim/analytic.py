@@ -4,9 +4,9 @@ Every quantity the numerical pipeline produces has a closed-form
 counterpart here: SLDs, QFIM entries, Cramér–Rao bounds, covariances,
 intensity-measurement sensitivities, the |1₊,1₋⟩ benchmark bound, and the
 projective fidelity fringes.  The comparison harness in ``experiments``
-checks the two against each other; where a closed-form entry is known to
-disagree with the numerical pipeline, the report carries a note and the
-numerical value is treated as authoritative.
+checks the two against each other.  A note on a report marks a limit: at
+a lossless point, where entries containing 1/α or 1/X_s diverge, the
+bounds are the finite limits of their closed forms.
 
 Phase convention: output coherences carry e^{−iΔ} (one-photon) and
 e^{−2iΔ} (two-photon) factors, matching the channel module's
@@ -48,10 +48,6 @@ QFIM_BOUND = "qfim_bound"
 INTENSITY_MEASUREMENT = "intensity_measurement"
 FIDELITY_FRINGE = "fidelity_fringe"
 _METHODS = (QFIM_BOUND, INTENSITY_MEASUREMENT, FIDELITY_FRINGE)
-
-# smallest absorption at which the 1/α factors of the NOON catalog are
-# evaluated directly; the α = 0 endpoint is reported as the limit instead
-NOON_ALPHA_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class InputStateKind:
@@ -101,11 +97,14 @@ class InputStateKind:
 
     @property
     def zero_relative_phase(self) -> bool:
-        """True when the H and V amplitudes have no relative phase."""
+        """True when the H and V amplitudes are in phase or anti-phase.
+
+        |amp±|² = (N ∓ 2 Im(amp_h* amp_v))/2, so the circular modes share
+        the photons equally exactly when Im(amp_h* amp_v) = 0.
+        """
         if self.kind != COHERENT:
             return True
-        cross = self.amp_h.conjugate() * self.amp_v
-        return cross.imag == 0.0 and cross.real >= 0.0
+        return (self.amp_h.conjugate() * self.amp_v).imag == 0.0
 
 
 def default_param_labels(kind: InputStateKind | str) -> tuple:
@@ -159,14 +158,15 @@ def equal_split_photons(kind: InputStateKind) -> float:
 
     ``coherent_bounds`` and ``coherent_intensity_sensitivities`` take
     |amp₊|² = |amp₋|² = N₀/2, which holds when the H and V amplitudes
-    share a phase; a kind with a relative phase is rejected.
+    are in phase or anti-phase; a kind with any other relative phase is
+    rejected.
     """
     if kind.kind != COHERENT:
         raise ValueError(f"expected a coherent input kind, got {kind.kind!r}")
     if not kind.zero_relative_phase:
         raise DomainError(
-            "the coherent closed forms require zero relative phase between"
-            " the H and V amplitudes"
+            "the coherent closed forms require zero relative phase, modulo pi,"
+            " between the H and V amplitudes"
         )
     return kind.mean_photons
 
@@ -386,10 +386,10 @@ def single_photon_catalog(params: ChiralParams) -> SinglePhotonCatalog:
 class NoonCatalog(_Catalog):
     """(rho_support, slds, qfim, bounds, intensity) over the two-photon support.
 
-    Support basis order: {|2,0⟩, |0,2⟩, |1,0⟩, |0,1⟩, |0,0⟩}.  At the
-    lossless endpoint α₊ = α₋ = 0 the entries containing 1/α diverge;
-    there ``slds`` and ``qfim`` are None and the absorption bounds carry
-    their one-sided limits (0), with a note.
+    Support basis order: {|2,0⟩, |0,2⟩, |1,0⟩, |0,1⟩, |0,0⟩}.  The bounds
+    are finite on the whole wedge.  Where an α is 0 the entries containing
+    1/α diverge; there ``slds`` and ``qfim`` are None and the bounds carry
+    their limits (0 for both absorptions at α₊ = α₋ = 0), with a note.
     """
 
     __slots__ = ()
@@ -429,11 +429,13 @@ def noon_intensity_sensitivities(params: ChiralParams) -> SensitivityReport:
 def noon_catalog(params: ChiralParams) -> NoonCatalog:
     """Closed-form state, SLDs, QFIM, and bounds for the |1_H,1_V⟩ input.
 
-    The 1/α entries are evaluated for α± ≥ 1e-6; the exact endpoint
-    α₊ = α₋ = 0 reports the limiting bounds instead (δX_d, δX_s → 0,
-    δΔ → 1/2), and absorptions inside (0, 1e-6) or vanishing in only one
-    mode are rejected.  The SLD diagonals are undefined at X_s = X_d = 0,
-    so SLD output is refused at that exact point.
+    The absorption bounds come from the (X_d, X_s) QFIM block multiplied
+    through by p·s, p = α₊η₊α₋η₋ and s = X_s² + X_d², whose entries g are
+    polynomials: var X_d = 2 g_ss/D, var X_s = 2 g_dd/D, cov = −2 g_ds/D,
+    D = 4[(α₊−α₋)² + 2α₊α₋(η₊η₋ + α₊α₋)].  D > 0 on the whole wedge but
+    at α₊ = α₋ = 0 (or α underflow), where the bounds take their limit 0
+    and no covariance is given.  The QFIM and SLDs hold 1/α, so where an
+    α is 0 they are None and the bounds, limits there, carry a note.
     """
     _check_domain(params)
     a_p, a_m = params.alpha_plus, params.alpha_minus
@@ -443,25 +445,38 @@ def noon_catalog(params: ChiralParams) -> NoonCatalog:
     intensity = noon_intensity_sensitivities(params)
     f_delta = 8.0 * eta_p**2 * eta_m**2 / (eta_p**2 + eta_m**2)
 
-    if a_p == 0.0 and a_m == 0.0:
-        bounds = SensitivityReport(
-            method=QFIM_BOUND,
-            values={"x_d": 0.0, "x_s": 0.0, "delta": 1.0 / math.sqrt(f_delta)},
-            notes=(
-                "lossless endpoint: the absorption entries diverge and the"
-                " absorption bounds are reported as their one-sided limits 0;"
-                " no finite QFIM or SLD realization exists here",
-            ),
-        )
-        return NoonCatalog(rho_support, None, None, bounds, intensity)
-    if min(a_p, a_m) < NOON_ALPHA_FLOOR:
-        raise DomainError(
-            f"the 1/alpha entries are evaluated for alpha >= {NOON_ALPHA_FLOOR};"
-            f" got alpha+ = {a_p!r}, alpha- = {a_m!r} (the exact lossless"
-            " endpoint alpha+ = alpha- = 0 is reported as a limit instead)"
-        )
-
     s = x_s**2 + x_d**2
+    p = a_p * eta_p * a_m * eta_m
+    # p times the 1/(α±η±) terms of the QFIM block
+    r_p = (1.0 - 2.0 * a_p) ** 2 * a_m * eta_m
+    r_m = (1.0 - 2.0 * a_m) ** 2 * a_p * eta_p
+    g_dd = s * (4.0 * p + r_p + r_m) + 4.0 * p * x_d**2
+    g_ss = s * (4.0 * p + r_p + r_m) + 4.0 * p * x_s**2
+    g_ds = s * (r_p - r_m) + 4.0 * p * x_s * x_d
+    d = 4.0 * ((a_p - a_m) ** 2 + 2.0 * a_p * a_m * (eta_p * eta_m + a_p * a_m))
+    scale = 2.0 / d if d else 0.0
+    # 0.0 − x keeps a vanishing covariance at +0.0
+    covariances = {("x_d", "x_s"): 0.0 - scale * g_ds} if d else {}
+    lossless = a_p == 0.0 or a_m == 0.0
+    bounds = SensitivityReport(
+        method=QFIM_BOUND,
+        values={
+            "x_d": math.sqrt(scale * g_ss),
+            "x_s": math.sqrt(scale * g_dd),
+            "delta": 1.0 / math.sqrt(f_delta),
+        },
+        covariances=covariances,
+        notes=(
+            "lossless mode: an absorption vanishes, the entries containing"
+            " 1/alpha diverge, and no finite QFIM or SLD realization exists;"
+            " the bounds are the limits of the closed form",
+        )
+        if lossless
+        else (),
+    )
+    if lossless:
+        return NoonCatalog(rho_support, None, None, bounds, intensity)
+
     q_p = (1.0 - 2.0 * a_p) ** 2 / (a_p * eta_p)
     q_m = (1.0 - 2.0 * a_m) ** 2 / (a_m * eta_m)
     f_dd = 4.0 + q_p + q_m + 4.0 * x_d**2 / s
@@ -470,42 +485,15 @@ def noon_catalog(params: ChiralParams) -> NoonCatalog:
     qfim = np.array(
         [[f_dd, f_ds, 0.0], [f_ds, f_ss, 0.0], [0.0, 0.0, f_delta]]
     )
-
-    l_d = np.diag(
-        [
-            -2.0 / eta_p,
-            2.0 / eta_m,
-            (1.0 - 2.0 * a_p) / (a_p * eta_p),
-            -(1.0 - 2.0 * a_m) / (a_m * eta_m),
-            2.0 * x_d / s,
-        ]
-    ).astype(np.complex128)
-    l_s = np.diag(
-        [
-            -2.0 / eta_p,
-            -2.0 / eta_m,
-            (1.0 - 2.0 * a_p) / (a_p * eta_p),
-            (1.0 - 2.0 * a_m) / (a_m * eta_m),
-            2.0 * x_s / s,
-        ]
-    ).astype(np.complex128)
+    u_p = (1.0 - 2.0 * a_p) / (a_p * eta_p)
+    u_m = (1.0 - 2.0 * a_m) / (a_m * eta_m)
+    l_d = np.diag([-2.0 / eta_p, 2.0 / eta_m, u_p, -u_m, 2.0 * x_d / s]).astype(np.complex128)
+    l_s = np.diag([-2.0 / eta_p, -2.0 / eta_m, u_p, u_m, 2.0 * x_s / s]).astype(np.complex128)
     z = 4j * eta_p * eta_m * cmath.exp(-2j * delta) / (eta_p**2 + eta_m**2)
     l_delta = np.zeros((5, 5), dtype=np.complex128)
     l_delta[0, 1] = z
     l_delta[1, 0] = z.conjugate()
     slds = {"x_d": l_d, "x_s": l_s, "delta": l_delta}
-
-    block = np.array([[f_dd, f_ds], [f_ds, f_ss]])
-    inv = np.linalg.inv(block)
-    bounds = SensitivityReport(
-        method=QFIM_BOUND,
-        values={
-            "x_d": math.sqrt(inv[0, 0]),
-            "x_s": math.sqrt(inv[1, 1]),
-            "delta": 1.0 / math.sqrt(f_delta),
-        },
-        covariances={("x_d", "x_s"): float(inv[0, 1])},
-    )
     return NoonCatalog(rho_support, slds, qfim, bounds, intensity)
 
 

@@ -217,22 +217,40 @@ def _loss_tables(cutoff: int) -> tuple:
 
     ``root[k, m] = √C(m+k, k)`` for m+k ≤ cutoff and 0 beyond, so every
     weight built from it vanishes where the k-photon-loss Kraus operator
-    has no entry; ``half_msum[m, m'] = (m+m')/2``; ``k`` is the loss count
-    shaped to broadcast over (m, m').  Each binomial is exact before its
-    one rounding to float64, so the table holds past the int64 range
-    (cutoff ≥ 67).  ``rows``, ``cols`` index the upper triangle of the
-    population transfer matrix, T[m, m+k].  The arrays are read-only and
-    of size (cutoff+1)² at most, so nothing cached grows with α.
+    has no entry; ``half_msum[m, m'] = (m+m')/2``.  Each binomial is exact
+    before its one rounding to float64, so the table holds past the int64
+    range (cutoff ≥ 67).  ``rows``, ``cols`` index the upper triangle of
+    the population transfer matrix, T[m, m+k].  The arrays are read-only
+    and of size (cutoff+1)² at most, so nothing cached grows with α.
     """
     m = np.arange(cutoff + 1)
     root = np.sqrt(
         [[float(math.comb(i + k, k)) if i + k <= cutoff else 0.0 for i in m] for k in m]
     )
     rows, cols = np.triu_indices(cutoff + 1)
-    tables = (root, np.add.outer(m, m) / 2.0, m[:, None, None].astype(float), rows, cols)
+    tables = (root, np.add.outer(m, m) / 2.0, rows, cols)
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def _scale_loss_weights(weights: np.ndarray, half_msum: np.ndarray, alpha: float) -> tuple:
+    """Scale root binomials (loss count k first) in place into the loss
+    weights of ``_loss_weights``, and return them with their ∂/∂α, for any
+    layout of (m, m') that ``half_msum`` = (m+m')/2 broadcasts against."""
+    if alpha == 0.0:
+        derivatives = np.zeros_like(weights)
+        derivatives[0] = -half_msum * weights[0]
+        derivatives[1:2] = weights[1:2]
+        weights[1:] = 0.0
+        return weights, derivatives
+    eta = 1.0 - alpha
+    k = np.arange(len(weights)).reshape((-1,) + (1,) * (weights.ndim - 1))
+    weights *= eta**half_msum
+    # α^k by the scalar pow, which rounds correctly; numpy's vectorized
+    # power can be an ulp off
+    weights *= np.array([alpha**i for i in range(len(weights))]).reshape(k.shape)
+    return weights, weights * (k / alpha - half_msum / eta)
 
 
 def _loss_weights(cutoff: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -249,20 +267,8 @@ def _loss_weights(cutoff: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     and only k = 0 and k = 1 in ∂W.  The population transfer matrix is the
     diagonal slice, T[m, m+k] = W[k, m, m].
     """
-    root, half_msum, k, _, _ = _loss_tables(cutoff)
-    weights = root[:, :, None] * root[:, None, :]
-    if alpha == 0.0:
-        derivatives = np.zeros_like(weights)
-        derivatives[0] = -half_msum * weights[0]
-        derivatives[1:2] = weights[1:2]
-        weights[1:] = 0.0
-        return weights, derivatives
-    eta = 1.0 - alpha
-    weights *= eta**half_msum
-    # α^k by the scalar pow, which rounds correctly; numpy's vectorized
-    # power can be an ulp off
-    weights *= np.array([alpha**i for i in range(cutoff + 1)])[:, None, None]
-    return weights, weights * (k / alpha - half_msum / eta)
+    root, half_msum, _, _ = _loss_tables(cutoff)
+    return _scale_loss_weights(root[:, :, None] * root[:, None, :], half_msum, alpha)
 
 
 def _damp_mode(rho: np.ndarray, weights: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
@@ -360,15 +366,15 @@ def mode_population_transfer(cutoff: int, alpha: float) -> tuple[np.ndarray, np.
 
     Loss maps populations to populations: p_out[m] = Σ_k T[m, m+k] p[m+k]
     with T[m, m+k] = W[k, m, m], the diagonal slice of the loss weights,
-    so the intensity moments never need the coherences.
+    so the intensity moments never need the coherences; only that slice
+    is built.
     """
-    _, _, _, rows, cols = _loss_tables(cutoff)
-    shift = cols - rows
+    root, half_msum, rows, cols = _loss_tables(cutoff)
+    weights, derivatives = _scale_loss_weights(root * root, np.diagonal(half_msum), alpha)
     transfer = np.zeros((cutoff + 1, cutoff + 1))
     d_transfer = np.zeros_like(transfer)
-    weights, derivatives = _loss_weights(cutoff, alpha)
-    transfer[rows, cols] = weights[shift, rows, rows]
-    d_transfer[rows, cols] = derivatives[shift, rows, rows]
+    transfer[rows, cols] = weights[cols - rows, rows]
+    d_transfer[rows, cols] = derivatives[cols - rows, rows]
     return transfer, d_transfer
 
 

@@ -52,8 +52,7 @@ FD_STEP_SCALE = 1e-5
 SUPPORT_RCOND = 1e-10
 SLD_RESIDUAL_TOL = 1e-8
 QFIM_PSD_TOL = 1e-9
-BLOCK_RCOND = 1e-9
-INVERT_RCOND = 1e-10
+RCOND = 1e-10
 KERNEL_COMPONENT_TOL = 1e-6
 
 ALL_PARAM_NAMES = ALPHA_PHI_NAMES + CHIRAL_NAMES
@@ -309,10 +308,10 @@ def solve_sld(rho_state: TwoModeState, drho: ParamDerivative) -> SldMatrix:
 
 
 def _detect_blocks(params: tuple, f: np.ndarray) -> tuple:
+    """Parameter groups coupled by |F_ij| > RCOND·sqrt(F_ii F_jj), a unit-free test."""
     n = len(params)
-    scale = float(np.abs(f).max())
-    thr = BLOCK_RCOND * max(scale, 1e-300)
-    adj = np.abs(f) > thr
+    root = np.sqrt(np.maximum(np.diag(f), 0.0))
+    adj = np.abs(f) > RCOND * root[:, None] * root
     seen = [False] * n
     blocks = []
     for start in range(n):
@@ -471,12 +470,18 @@ def _product_qfim(
 def invert_and_bound(qfim: QfimResult) -> QfimResult:
     """Pseudo-invert F on its identifiable subspace and extract bounds.
 
-    Bounds are δX_j = sqrt((F⁻¹)_jj); parameters overlapping the kernel of
-    F are flagged unidentifiable and get no bound.
+    The cut is made on the unit-diagonal C = D F D, D = diag(F)^(-1/2)
+    (0 where F_jj = 0), at RCOND of its largest eigenvalue (in [1, n]), so
+    like the bounds it does not depend on the parameters' units; then
+    F⁻¹ = D C⁺ D.  Bounds are δX_j = sqrt((F⁻¹)_jj); parameters
+    overlapping the kernel of C are flagged unidentifiable, without bound.
     """
     f = qfim.F
     n = len(qfim.params)
-    w, v = np.linalg.eigh(f)
+    # a Python loop over the few diagonal entries costs less than masked array ops
+    d = np.array([x**-0.5 if x > 0.0 else 0.0 for x in np.diag(f).tolist()])
+    scale = d[:, None] * d
+    w, v = np.linalg.eigh(f * scale)
     w_max = float(w[-1])
     if w_max <= 0.0:
         identifiable = {p: False for p in qfim.params}
@@ -489,16 +494,11 @@ def invert_and_bound(qfim: QfimResult) -> QfimResult:
             identifiable=identifiable,
             meta={**qfim.meta, "fully_singular": True},
         )
-    kept = w > INVERT_RCOND * w_max
+    kept = w > RCOND * w_max
     inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
-    f_inv = (v * inv_w) @ v.T
+    f_inv = ((v * inv_w) @ v.T) * scale
     f_inv = (f_inv + f_inv.T) / 2.0
-    kernel = v[:, ~kept]
-    flagged = (
-        np.max(np.abs(kernel), axis=1) > KERNEL_COMPONENT_TOL
-        if kernel.size
-        else np.zeros(n, dtype=bool)
-    )
+    flagged = np.abs(v[:, ~kept]).max(axis=1, initial=0.0) > KERNEL_COMPONENT_TOL
     identifiable = {p: not bool(flagged[i]) for i, p in enumerate(qfim.params)}
     bounds = {}
     for i, p in enumerate(qfim.params):

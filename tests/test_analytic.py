@@ -85,7 +85,9 @@ def test_zero_relative_phase_detection():
     assert InputStateKind.coherent(0.8, 0.6).zero_relative_phase
     assert InputStateKind.coherent(0.8).zero_relative_phase
     assert not InputStateKind.coherent(0.8, 0.6j).zero_relative_phase
-    assert not InputStateKind.coherent(0.8, -0.6).zero_relative_phase
+    # anti-phase amplitudes still split the photons equally: |amp+| = |amp-|
+    assert InputStateKind.coherent(0.8, -0.6).zero_relative_phase
+    assert InputStateKind.coherent(-0.8, 0.6).zero_relative_phase
     assert InputStateKind.single_photon_h().zero_relative_phase
 
 
@@ -384,11 +386,69 @@ def test_noon_delta_bound_continuous_at_endpoint():
     )
 
 
-def test_noon_catalog_rejects_tiny_or_mixed_zero_absorption():
-    with pytest.raises(DomainError, match="alpha >= 1e-06"):
-        noon_catalog(ChiralParams(alpha_plus=1e-7, alpha_minus=0.3))
-    with pytest.raises(DomainError, match="alpha >= 1e-06"):
-        noon_catalog(ChiralParams(alpha_plus=0.0, alpha_minus=0.3))
+def test_noon_catalog_at_tiny_absorption_matches_pipeline():
+    params = ChiralParams(alpha_plus=8.8e-7, alpha_minus=0.3, phi_plus=0.2)
+    state = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
+    pipeline = compute_bounds(state, params, ("x_d", "x_s", "delta"))
+    catalog = noon_catalog(params)
+    assert catalog.qfim is not None and not catalog.bounds.notes
+    for label in ("x_d", "x_s", "delta"):
+        assert catalog.bounds.value(label) == pytest.approx(
+            pipeline.bound(label), rel=1e-6
+        )
+    assert catalog.bounds.covariances[("x_d", "x_s")] == pytest.approx(
+        pipeline.covariance("x_d", "x_s"), rel=1e-6
+    )
+
+
+@pytest.mark.parametrize("alphas", [(0.1, 0.0), (0.4, 0.0), (0.0, 0.4)])
+def test_noon_catalog_with_one_lossless_mode_is_a_continuous_limit(alphas):
+    catalog = noon_catalog(ChiralParams(*alphas))
+    assert catalog.slds is None
+    assert catalog.qfim is None
+    assert any("limit" in note for note in catalog.bounds.notes)
+    # the lossless mode's absorption is known exactly, which leaves the
+    # photon-pair benchmark for both absorption coordinates
+    benchmark = fock_benchmark_bound(ChiralParams(*alphas))
+    for label in ("x_d", "x_s"):
+        assert catalog.bounds.value(label) == pytest.approx(
+            benchmark.value(label), rel=1e-12
+        )
+    lossy = max(alphas)
+    previous = math.inf
+    for small in (1e-3, 1e-6, 1e-9, 1e-12):
+        near = noon_catalog(
+            ChiralParams(*(a if a else small for a in alphas))
+        ).bounds
+        gap = max(
+            abs(near.value(label) - catalog.bounds.value(label))
+            for label in ("x_d", "x_s", "delta")
+        )
+        cov_gap = abs(
+            near.covariances[("x_d", "x_s")] - catalog.bounds.covariances[("x_d", "x_s")]
+        )
+        assert gap < previous
+        assert max(gap, cov_gap) <= small / lossy
+        previous = gap
+
+
+def test_noon_bounds_equal_block_inversion():
+    rng = np.random.default_rng(11)
+    for a_p, a_m in 10.0 ** rng.uniform(-3.0, math.log10(0.999), size=(200, 2)):
+        catalog = noon_catalog(ChiralParams(a_p, a_m, 0.3, 0.0))
+        inv = np.linalg.inv(catalog.qfim[:2, :2])
+        assert catalog.bounds.value("x_d") == pytest.approx(
+            math.sqrt(inv[0, 0]), rel=1e-11
+        )
+        assert catalog.bounds.value("x_s") == pytest.approx(
+            math.sqrt(inv[1, 1]), rel=1e-11
+        )
+        assert catalog.bounds.covariances[("x_d", "x_s")] == pytest.approx(
+            inv[0, 1], rel=1e-11, abs=1e-11 * math.sqrt(inv[0, 0] * inv[1, 1])
+        )
+        assert catalog.bounds.value("delta") == pytest.approx(
+            1.0 / math.sqrt(catalog.qfim[2, 2]), rel=1e-12
+        )
 
 
 def test_noon_intensity_closed_form():

@@ -326,15 +326,15 @@ def test_alpha_derivative_at_zero_loss():
 
 
 def _count_weight_passes(monkeypatch):
-    """Record the cutoff of every loss-weight pass."""
+    """Record the cutoff of every loss-weight pass, cube or diagonal."""
     cutoffs = []
-    weights = channel._loss_weights
+    scale = channel._scale_loss_weights
 
-    def counting(cutoff, alpha):
-        cutoffs.append(cutoff)
-        return weights(cutoff, alpha)
+    def counting(weights, half_msum, alpha):
+        cutoffs.append(len(weights) - 1)
+        return scale(weights, half_msum, alpha)
 
-    monkeypatch.setattr(channel, "_loss_weights", counting)
+    monkeypatch.setattr(channel, "_scale_loss_weights", counting)
     return cutoffs
 
 
@@ -482,13 +482,21 @@ def test_single_mode_kernel_factors_the_two_mode_engine(alpha_plus):
         assert np.max(np.abs(np.kron(out_plus, d_minus) - exact_minus)) <= 1e-14
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.35])
+@pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.35, 0.999])
 def test_population_transfer_is_the_diagonal_of_the_loss_map(alpha):
     pops = np.random.default_rng(5).random(6)
     out, d_out = mode_output_and_alpha_derivative(np.diag(pops), alpha, 0.0)
     transfer, d_transfer = mode_population_transfer(5, alpha)
     np.testing.assert_allclose(transfer @ pops, np.diag(out), rtol=0, atol=1e-14)
     np.testing.assert_allclose(d_transfer @ pops, np.diag(d_out), rtol=0, atol=1e-14)
+    # bit-identical to the slice T[m, m+k] = W[k, m, m] of the weight cube
+    for cutoff in (0, 1, 2, 12, 24, 70, 100):
+        weights, derivatives = channel._loss_weights(cutoff, alpha)
+        rows, cols = np.triu_indices(cutoff + 1)
+        for got, cube in zip(mode_population_transfer(cutoff, alpha), (weights, derivatives)):
+            expected = np.zeros_like(got)
+            expected[rows, cols] = cube[cols - rows, rows, rows]
+            np.testing.assert_array_equal(got, expected)
 
 
 def test_loss_weights_past_int64_binomials():

@@ -69,6 +69,26 @@ def test_bounds_coherent_phase_bound_json(capsys):
     assert list(payload) == sorted(payload)
 
 
+def test_bounds_noon_delta_next_to_full_absorption_json(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "bounds",
+        "--state",
+        "noon",
+        "--alpha-plus",
+        "0.9999",
+        "--alpha-minus",
+        "0.3",
+        "--json",
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    # closed form sqrt((eta+^2 + eta-^2) / (8 eta+^2 eta-^2))
+    expected = math.sqrt((1e-8 + 0.49) / (8.0 * 1e-8 * 0.49))
+    assert payload["bounds"]["delta"] == pytest.approx(expected, abs=1e-6)
+    assert payload["identifiable"]["delta"] is True
+
+
 def test_bounds_rejects_alpha_above_one(capsys):
     code, out, err = run_cli(
         capsys, "bounds", "--state", "noon", "--alpha-plus", "1.2"

@@ -18,6 +18,7 @@ from chiral_qfim.estimation import (
     CENTRAL_DIFFERENCE,
     NumericError,
     ParamDerivative,
+    QfimResult,
     assemble_qfim,
     channel_derivatives,
     compute_bounds,
@@ -341,6 +342,42 @@ def test_fully_singular_qfim_flags_everything():
     assert res.identifiable == {"delta": False, "sigma": False}
     assert res.bounds == {"delta": None, "sigma": None}
     assert res.meta.get("fully_singular") is True
+
+
+NOON_LABELS = ("x_d", "x_s", "delta")
+
+
+def noon_delta_closed_form(params: ChiralParams) -> float:
+    eta_p, eta_m = params.eta_plus, params.eta_minus
+    return math.sqrt((eta_p**2 + eta_m**2) / (8.0 * eta_p**2 * eta_m**2))
+
+
+@pytest.mark.parametrize("alphas", [(0.3, 0.1), (0.9999, 0.3)])
+def test_bounds_do_not_depend_on_parameter_units(alphas):
+    state = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
+    result = compute_bounds(state, ChiralParams(*alphas, 0.2, 0.0), NOON_LABELS)
+    # F' = B F B is the QFIM of theta_i / b_i, whose bounds are bound_i / b_i
+    b = np.array([1e-4, 1.0, 1e4])
+    scaled = invert_and_bound(
+        QfimResult(params=NOON_LABELS, F=result.F * np.outer(b, b), blocks=())
+    )
+    assert result.identifiable == {p: True for p in NOON_LABELS}
+    assert scaled.identifiable == result.identifiable
+    for i, p in enumerate(NOON_LABELS):
+        assert scaled.bound(p) == pytest.approx(result.bound(p) / b[i], rel=1e-12)
+    assert estimation._detect_blocks(NOON_LABELS, scaled.F) == result.blocks
+
+
+def test_noon_delta_bound_next_to_full_absorption_on_both_routes():
+    # F_delta ~ 8e-8 sits twelve decades below F_x_d ~ 2e4, yet its bound is finite
+    params = ChiralParams(0.9999, 0.3)
+    expected = noon_delta_closed_form(params)
+    assert expected == pytest.approx(3535.5339, abs=1e-4)
+    state = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
+    for via_slds in (False, True):
+        result = compute_bounds(state, params, NOON_LABELS, via_slds=via_slds)
+        assert result.identifiable["delta"]
+        assert result.bound("delta") == pytest.approx(expected, abs=1e-6)
 
 
 def test_pure_phase_channel_delta_bound_is_unity():

@@ -26,6 +26,7 @@ from chiral_qfim.experiments import (
     error_propagation_sensitivity,
     figure_presets,
     intensity_statistics,
+    method_quantities,
     prepare_input_state,
     run_sweep,
     sweep_columns,
@@ -279,8 +280,10 @@ def test_run_sweep_flags_failures_and_continues():
     # x_s = 0.05 gives alpha_minus < 0: no parameters at all
     assert any(flag.startswith("invalid-point:") for flag in rows[0].status)
     assert all(v is None for v in rows[0].values.values())
-    # x_s = 0.1 gives alpha_minus = 0: closed-form catalog refuses, pipeline works
-    assert any(flag.startswith("qfim_analytic:failed:") for flag in rows[1].status)
+    # x_s = 0.1 gives alpha_minus = 0: the catalog reports its limit, pipeline works
+    assert "qfim_analytic:limit-evaluated" in rows[1].status
+    assert not any(":failed:" in flag for flag in rows[1].status)
+    assert math.isfinite(rows[1].values[f"{QFIM_ANALYTIC}.delta_x_d"])
     assert rows[1].values[f"{QFIM_NUMERIC}.delta_delta"] is not None
     # x_s = 0.15 is a regular point
     assert rows[2].status == ()
@@ -371,6 +374,30 @@ def test_sweep_refuses_equal_split_closed_forms_for_phased_coherent_probes(kind)
                 if column.startswith(f"{method}.")
             )
         assert row.values[f"{INTENSITY_EXACT}.delta_x_d"] is not None
+
+
+@pytest.mark.parametrize(
+    "kind", [InputStateKind.coherent(0.8, -0.6), InputStateKind.coherent(-0.8, 0.6)]
+)
+def test_sweep_gives_anti_phase_coherent_probes_their_closed_forms(kind):
+    # anti-phase H/V amplitudes still split the photons equally between
+    # the circular modes, so the equal-split closed forms apply
+    pairs = ((QFIM_NUMERIC, QFIM_ANALYTIC), (INTENSITY_EXACT, INTENSITY_ANALYTIC))
+    spec = spec_for(
+        kind,
+        start=0.3,
+        stop=0.5,
+        points=2,
+        fixed={"x_d": 0.05},
+        methods=tuple(method for pair in pairs for method in pair),
+    )
+    for row in run_sweep(spec):
+        assert not any(":failed:" in flag for flag in row.status)
+        for numeric, analytic in pairs:
+            for quantity in method_quantities(kind, analytic):
+                assert row.value(analytic, quantity) == pytest.approx(
+                    row.value(numeric, quantity), abs=1e-6
+                )
 
 
 def test_saturation_rows_for_coherent_and_single_photon():

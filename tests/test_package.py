@@ -27,3 +27,45 @@ def test_exports_match_the_imports():
     imported = _imported_names()
     assert len(set(imported)) == len(imported)
     assert sorted(chiral_qfim.__all__) == sorted(imported)
+
+
+def _module_constants(tree: ast.Module) -> list:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names += [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    return names
+
+
+def _referenced_names(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_constant_is_read():
+    """An UPPER_CASE module constant that nothing reads is a stale setting."""
+    package = pathlib.Path(chiral_qfim.__file__).parent
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    referenced = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    stale = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _module_constants(tree)
+        if name not in referenced
+    ]
+    assert stale == []
