@@ -190,95 +190,73 @@ def coordinate_jacobian(from_coords: str, to_coords: str) -> CoordinateJacobian:
     return CoordinateJacobian(matrix=matrix, from_coords=from_coords, to_coords=to_coords)
 
 
-def _phase_factor(space: FockSpace, params: ChiralParams) -> np.ndarray:
-    """u[k] = e^{−i(φ₊ n₊ + φ₋ n₋)} so that ρ → ρ ∘ (u u†)."""
-    n_plus, n_minus = space.number_grids()
-    return np.exp(-1j * (params.phi_plus * n_plus + params.phi_minus * n_minus))
-
-
 def _rotated_input(state: TwoModeState, params: ChiralParams) -> np.ndarray:
-    """Phase-stage output, dropped to real storage when exactly real.
+    """Phase-stage output as the tensor ρ[ket+, ket−, bra+, bra−].
 
-    Loss weights are real, so a real array here keeps the whole damping
-    stage in real arithmetic (about twice as fast) with identical values.
+    ρ → ρ ∘ (u u†) with u[k] = e^{−i(φ₊ n₊ + φ₋ n₋)}, dropped to real
+    storage when exactly real: loss weights are real, so the whole damping
+    stage then runs in real arithmetic (about twice as fast).
     """
-    rho = state.rho
+    space, rho = state.space, state.rho
     if params.phi_plus != 0.0 or params.phi_minus != 0.0:
-        u = _phase_factor(state.space, params)
-        return rho * np.outer(u, u.conj())
-    if not rho.imag.any():
-        return rho.real
-    return rho
+        n_plus, n_minus = space.number_grids()
+        u = np.exp(-1j * (params.phi_plus * n_plus + params.phi_minus * n_minus))
+        rho = rho * np.outer(u, u.conj())
+    elif not rho.imag.any():
+        rho = rho.real
+    dp, dm = space.cutoff_plus + 1, space.cutoff_minus + 1
+    return rho.reshape(dp, dm, dp, dm)
 
 
 @functools.lru_cache(maxsize=64)
-def _loss_tables(cutoff: int) -> tuple:
-    """α-independent tables of one mode's loss map, cached per cutoff.
+def _root_binomials(cutoff: int) -> tuple:
+    """α-independent, read-only (cutoff+1)² tables, cached per cutoff.
 
-    ``root[k, m] = √C(m+k, k)`` for m+k ≤ cutoff and 0 beyond, so every
-    weight built from it vanishes where the k-photon-loss Kraus operator
-    has no entry; ``half_msum[m, m'] = (m+m')/2``.  Each binomial is exact
-    before its one rounding to float64, so the table holds past the int64
-    range (cutoff ≥ 67).  ``rows``, ``cols`` index the upper triangle of
-    the population transfer matrix, T[m, m+k].  The arrays are read-only
-    and of size (cutoff+1)² at most, so nothing cached grows with α.
+    ``root[k, m] = √C(m+k, k)`` for m+k ≤ cutoff and 0 beyond, where the
+    k-photon-loss Kraus operator has no entry; each binomial is exact
+    before its one rounding, so it holds past int64 (cutoff ≥ 67).
+    ``rows``, ``cols`` index the upper triangle T[m, m+k].
     """
     m = np.arange(cutoff + 1)
     root = np.sqrt(
         [[float(math.comb(i + k, k)) if i + k <= cutoff else 0.0 for i in m] for k in m]
     )
-    rows, cols = np.triu_indices(cutoff + 1)
-    tables = (root, np.add.outer(m, m) / 2.0, rows, cols)
+    tables = (root, *np.triu_indices(cutoff + 1))
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def _scale_loss_weights(weights: np.ndarray, half_msum: np.ndarray, alpha: float) -> tuple:
-    """Scale root binomials (loss count k first) in place into the loss
-    weights of ``_loss_weights``, and return them with their ∂/∂α, for any
-    layout of (m, m') that ``half_msum`` = (m+m')/2 broadcasts against."""
-    if alpha == 0.0:
-        derivatives = np.zeros_like(weights)
-        derivatives[0] = -half_msum * weights[0]
-        derivatives[1:2] = weights[1:2]
-        weights[1:] = 0.0
-        return weights, derivatives
+def _loss_tables(cutoff: int, alpha: float) -> tuple:
+    """One mode's loss map and its ∂/∂α as (cutoff+1)² tables.
+
+    The k-photon-loss Kraus operator maps ρ[m+k, m'+k] into (m, m') with
+    weight W[k, m, m'] = c_k g[k, m] g[k, m'], where
+
+        g[k, m] = √C(m+k, k) · η^{m/2},   c_k = α^k,   η = 1 − α,
+
+    and ∂W/∂α = dc_k g[k, m] g[k, m'] − W (m+m')/(2η), dc_k = k α^{k−1}.
+    Returns (c·g, dc·g, g, h) with h[m] = m/(2η).  Nothing divides by α,
+    so α = 0 is exact: c = (1, 0, ..) and dc = (0, 1, 0, ..).
+    """
     eta = 1.0 - alpha
-    k = np.arange(len(weights)).reshape((-1,) + (1,) * (weights.ndim - 1))
-    weights *= eta**half_msum
-    # α^k by the scalar pow, which rounds correctly; numpy's vectorized
+    # powers by the scalar pow, which rounds correctly; numpy's vectorized
     # power can be an ulp off
-    weights *= np.array([alpha**i for i in range(len(weights))]).reshape(k.shape)
-    return weights, weights * (k / alpha - half_msum / eta)
+    g = _root_binomials(cutoff)[0] * np.array([eta ** (m / 2) for m in range(cutoff + 1)])
+    c = np.array([[alpha**k] for k in range(cutoff + 1)])
+    dc = np.array([[k * alpha ** (k - 1) if k else 0.0] for k in range(cutoff + 1)])
+    return c * g, dc * g, g, np.arange(cutoff + 1) / (2.0 * eta)
 
 
-def _loss_weights(cutoff: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """One mode's binomial photon-loss weights W[k, m, m'] and their ∂/∂α.
+def _damp_mode(rho: np.ndarray, tables: tuple, axes: tuple, derivative: bool = True):
+    """Apply one mode's loss tables to the (ket, bra) ``axes`` of ``rho``.
 
-    The k-photon-loss Kraus operator maps ρ[m+k, m'+k] into position
-    (m, m') with weight
-
-        W[k, m, m'] = √(C(m+k,k) C(m'+k,k)) · η^{(m+m')/2} · α^k,  η = 1−α,
-
-    zero where m+k or m'+k exceeds the cutoff, and
-    ∂W/∂α = W · (k/α − (m+m')/(2η)).  Both are (cutoff+1)³ arrays built by
-    broadcasting.  The α = 0 limit is explicit: only k = 0 survives in W,
-    and only k = 0 and k = 1 in ∂W.  The population transfer matrix is the
-    diagonal slice, T[m, m+k] = W[k, m, m].
+    out[.., m, .., m', ..] = Σ_k W[k, m, m'] ρ[.., m+k, .., m'+k, ..] with
+    W = (c·g)_k ⊗ g_k, and with ``derivative`` also ∂out/∂α.  The shifted
+    input is a strided view of a zero-padded copy, so the contraction over
+    k reads ρ in place instead of gathering a (cutoff+1)-fold copy of it.
     """
-    root, half_msum, _, _ = _loss_tables(cutoff)
-    return _scale_loss_weights(root[:, :, None] * root[:, None, :], half_msum, alpha)
-
-
-def _damp_mode(rho: np.ndarray, weights: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
-    """Apply one mode's loss weights to the (ket, bra) ``axes`` of ``rho``.
-
-    out[.., m, .., m', ..] = Σ_k W[k, m, m'] ρ[.., m+k, .., m'+k, ..].  The
-    shifted input is a strided view of a copy zero-padded along ``axes``,
-    so the contraction over k reads ρ in place instead of gathering a
-    (cutoff+1)-fold copy of it.
-    """
+    weighted, d_weighted, g, h = tables
     d = rho.shape[axes[0]]
     shape, window = list(rho.shape), [slice(None)] * rho.ndim
     for axis in axes:
@@ -291,17 +269,13 @@ def _damp_mode(rho: np.ndarray, weights: np.ndarray, axes: tuple[int, int]) -> n
         (d, *rho.shape), rho.dtype, padded, 0, (strides[axes[0]] + strides[axes[1]], *strides)
     )
     index = "abcd"[: rho.ndim]
-    return np.einsum(f"k{index[axes[0]]}{index[axes[1]]},k{index}->{index}", weights, shifted)
-
-
-def _apply_damping(
-    rho: np.ndarray, space: FockSpace, weights_plus: np.ndarray, weights_minus: np.ndarray
-) -> np.ndarray:
-    dp = space.cutoff_plus + 1
-    dm = space.cutoff_minus + 1
-    # axes (ket+, ket−, bra+, bra−)
-    rho4 = _damp_mode(rho.reshape(dp, dm, dp, dm), weights_plus, (0, 2))
-    return _damp_mode(rho4, weights_minus, (1, 3)).reshape(dp * dm, dp * dm)
+    spec = f"k{index[axes[0]]},k{index[axes[1]]},k{index}->{index}"
+    out = np.einsum(spec, weighted, g, shifted)
+    if not derivative:
+        return out
+    ket, bra = [1] * rho.ndim, [1] * rho.ndim
+    ket[axes[0]] = bra[axes[1]] = d
+    return out, np.einsum(spec, d_weighted, g, shifted) - out * (h.reshape(ket) + h.reshape(bra))
 
 
 def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeState:
@@ -312,52 +286,47 @@ def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeSta
     """
     space = state.space
     rho = _rotated_input(state, params)
-    rho = _apply_damping(
-        rho,
-        space,
-        _loss_weights(space.cutoff_plus, params.alpha_plus)[0],
-        _loss_weights(space.cutoff_minus, params.alpha_minus)[0],
-    )
-    return state.with_rho(rho)
+    for cutoff, alpha, axes in (
+        (space.cutoff_plus, params.alpha_plus, (0, 2)),
+        (space.cutoff_minus, params.alpha_minus, (1, 3)),
+    ):
+        rho = _damp_mode(rho, _loss_tables(cutoff, alpha), axes, derivative=False)
+    return state.with_rho(rho.reshape(space.dim, space.dim))
 
 
 def mode_output_and_alpha_derivative(
-    rho: np.ndarray, alpha: float, phi: float
+    rho: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One mode's channel output and its exact ∂/∂α, from one weight pass.
+    """One mode's loss output and its exact ∂/∂α, from one table pass.
 
-    ``rho`` is a single-mode density matrix on Fock levels 0..cutoff.  The
-    phase stage multiplies entry (n, n') by e^{−iφ(n−n')}; the loss stage
-    and its α-derivative apply the binomial weights of the two-mode engine
-    with the same kernel.  Storage stays real when the rotated input is.
+    ``rho`` is a single-mode density matrix on Fock levels 0..cutoff; the
+    kernel is the two-mode engine's.  Storage stays real when ``rho`` is.
     """
-    if phi != 0.0:
-        u = np.exp(-1j * phi * np.arange(rho.shape[0]))
-        rho = rho * np.outer(u, u.conj())
-    elif not rho.imag.any():
+    if not rho.imag.any():
         rho = rho.real
-    weights, derivatives = _loss_weights(rho.shape[0] - 1, alpha)
-    return _damp_mode(rho, weights, (0, 1)), _damp_mode(rho, derivatives, (0, 1))
+    return _damp_mode(rho, _loss_tables(rho.shape[0] - 1, alpha), (0, 1))
 
 
 def channel_output_and_alpha_derivatives(
     state: TwoModeState, params: ChiralParams
 ) -> tuple[TwoModeState, np.ndarray, np.ndarray]:
-    """Channel output and its exact ∂/∂α₊, ∂/∂α₋ from one weight pass per mode.
+    """Channel output and its exact ∂/∂α₊, ∂/∂α₋ from one table pass per mode.
 
-    Each α-derivative swaps one mode's loss weights for their derivatives;
-    the phase stage and the other mode's loss are α-independent, so they
-    apply unchanged.  The derivatives are traceless Hermitian matrices,
-    not states.
+    The mode-plus loss stage and its ∂/∂α₊ are formed once; the mode-minus
+    loss maps the stage to the output and ∂/∂α₋, and its ∂/∂α₊ to the
+    output's.  The derivatives are traceless Hermitian matrices, not states.
     """
     space = state.space
     rho = _rotated_input(state, params)
-    weights_plus, d_plus = _loss_weights(space.cutoff_plus, params.alpha_plus)
-    weights_minus, d_minus = _loss_weights(space.cutoff_minus, params.alpha_minus)
+    tables_plus = _loss_tables(space.cutoff_plus, params.alpha_plus)
+    tables_minus = _loss_tables(space.cutoff_minus, params.alpha_minus)
+    stage, d_stage = _damp_mode(rho, tables_plus, (0, 2))
+    output, d_minus = _damp_mode(stage, tables_minus, (1, 3))
+    d_plus = _damp_mode(d_stage, tables_minus, (1, 3), derivative=False)
     return (
-        state.with_rho(_apply_damping(rho, space, weights_plus, weights_minus)),
-        _apply_damping(rho, space, d_plus, weights_minus),
-        _apply_damping(rho, space, weights_plus, d_minus),
+        state.with_rho(output.reshape(space.dim, space.dim)),
+        d_plus.reshape(space.dim, space.dim),
+        d_minus.reshape(space.dim, space.dim),
     )
 
 
@@ -365,16 +334,16 @@ def mode_population_transfer(cutoff: int, alpha: float) -> tuple[np.ndarray, np.
     """One mode's photon-number transfer matrix T and its exact ∂T/∂α.
 
     Loss maps populations to populations: p_out[m] = Σ_k T[m, m+k] p[m+k]
-    with T[m, m+k] = W[k, m, m], the diagonal slice of the loss weights,
-    so the intensity moments never need the coherences; only that slice
-    is built.
+    with T[m, m+k] = W[k, m, m] = (c·g)[k, m] g[k, m], the diagonal of the
+    loss map, so the intensity moments never need the coherences.
     """
-    root, half_msum, rows, cols = _loss_tables(cutoff)
-    weights, derivatives = _scale_loss_weights(root * root, np.diagonal(half_msum), alpha)
+    weighted, d_weighted, g, h = _loss_tables(cutoff, alpha)
+    _, rows, cols = _root_binomials(cutoff)
+    k = cols - rows
     transfer = np.zeros((cutoff + 1, cutoff + 1))
     d_transfer = np.zeros_like(transfer)
-    transfer[rows, cols] = weights[cols - rows, rows]
-    d_transfer[rows, cols] = derivatives[cols - rows, rows]
+    transfer[rows, cols] = (weighted * g)[k, rows]
+    d_transfer[rows, cols] = (d_weighted * g)[k, rows] - transfer[rows, cols] * 2 * h[rows]
     return transfer, d_transfer
 
 

@@ -439,6 +439,8 @@ def _product_qfim(
     gives the product output ρ₊' ⊗ ρ₋'.  Its native QFIM splits into an
     (α₊, φ₊) block, solved on ρ₊' alone and scaled by tr ρ₋', and the
     mirror (α₋, φ₋) block; the cross blocks are tr ∂ρ₊' · tr ∂ρ₋' = 0.
+    Each block is solved at φ = 0: the phase stage is the unitary e^{−iφn},
+    which commutes with n and so leaves the mode's (α, φ) block unchanged.
     The requested labels follow through the constant native-to-label
     pullback, the same combinations ``channel_derivatives`` forms.
     """
@@ -446,11 +448,9 @@ def _product_qfim(
     _require_distinct(labels)
     pullback = _native_pullback(labels)
     blocks, traces = [], []
-    for mode, factor, alpha, phi in (
-        ("plus", input_state.factors[0], params.alpha_plus, params.phi_plus),
-        ("minus", input_state.factors[1], params.alpha_minus, params.phi_minus),
-    ):
-        output, d_alpha = mode_output_and_alpha_derivative(factor, alpha, phi)
+    alphas = (params.alpha_plus, params.alpha_minus)
+    for mode, factor, alpha in zip(("plus", "minus"), input_state.factors, alphas):
+        output, d_alpha = mode_output_and_alpha_derivative(factor, alpha)
         n = np.arange(output.shape[0])
         d_phi = -1j * (n[:, None] - n[None, :]) * output
         index = [ALPHA_PHI_NAMES.index(f"{name}_{mode}") for name in ("alpha", "phi")]

@@ -242,10 +242,14 @@ def _output_populations(
 
     The phase stage leaves populations alone and loss maps them among
     themselves, so only the input diagonal goes through each mode's
-    transfer matrix.  The output trace must stay in the state's window.
+    transfer matrix; a product input gives it as outer(diag ρ₊, diag ρ₋).
+    The output trace must stay in the state's window.
     """
     space = state.space
-    pops = np.diag(state.rho).real.reshape(space.cutoff_plus + 1, space.cutoff_minus + 1)
+    if state.factors is None:
+        pops = np.diag(state.rho).real.reshape(space.cutoff_plus + 1, space.cutoff_minus + 1)
+    else:
+        pops = np.outer(*(np.diag(factor).real for factor in state.factors))
     t_plus, dt_plus = mode_population_transfer(space.cutoff_plus, params.alpha_plus)
     t_minus, dt_minus = mode_population_transfer(space.cutoff_minus, params.alpha_minus)
     out = t_plus @ pops @ t_minus.T

@@ -27,6 +27,7 @@ States are stored in the ± basis only; H/V appears solely in constructors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -36,7 +37,6 @@ import numpy as np
 from .linalg import as_complex_matrix, require_hermitian
 
 TRUNCATION_BUDGET_DEFAULT = 1e-10
-COHERENT_CUTOFF_CAP = 12
 PSD_TOL = 1e-10
 
 SINGLE_PHOTON_H = "single_photon_h"
@@ -135,40 +135,63 @@ def mode_operators(space: FockSpace) -> ModeOperators:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TwoModeState:
     """Density matrix on a truncated two-mode Fock space.
 
-    ``trace_deficit_budget`` bounds how far below 1 the trace may sit due
-    to truncation (0 for states that fit exactly).  Shape, finiteness,
-    Hermiticity and the trace window are checked at construction; positive
-    semidefiniteness is checked only on request, by ``validate_psd``, since
-    a full eigensolve would dominate the runtime.  The constructors of this
-    module build ρ = ψψ†, which is PSD by construction, and do not call it.
-
-    ``factors`` holds the single-mode density matrices (ρ₊, ρ₋) with
-    ρ = ρ₊ ⊗ ρ₋ when the state is known to be a product.  Only the product
-    constructors of this module set it; every other state, including any
-    made by ``with_rho``, has ``None``, so a changed ρ never keeps stale
-    factors.
+    A state holds its density matrix ``rho`` or, for a product ρ₊ ⊗ ρ₋,
+    only its single-mode ``factors`` (ρ₊, ρ₋); only the product
+    constructors of this module pass them.  Reading ``rho`` on a product
+    forms ρ₊ ⊗ ρ₋ once, for the dense route.  ``trace_deficit_budget``
+    bounds how far below 1 the trace may sit due to truncation.  Shape,
+    finiteness and Hermiticity of ρ or of each factor, and the trace
+    window, are checked at construction; positivity only by
+    ``validate_psd``, since the constructors here build PSD ψψ† matrices.
     """
 
     space: FockSpace
-    rho: np.ndarray
-    label: str = ""
-    trace_deficit_budget: float = 0.0
-    meta: dict = field(default_factory=dict)
-    factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    label: str
+    trace_deficit_budget: float
+    meta: dict
+    factors: tuple | None = field(repr=False)
+
+    def __init__(
+        self,
+        space: FockSpace,
+        rho: np.ndarray | None = None,
+        label: str = "",
+        trace_deficit_budget: float = 0.0,
+        meta: dict | None = None,
+        *,
+        factors: tuple | None = None,
+    ):
+        if (rho is None) == (factors is None):
+            raise StateValidationError("a state takes either rho or factors")
+        # frozen: fill the instance dict directly, then validate
+        vars(self).update(space=space, label=label, meta={} if meta is None else meta)
+        vars(self).update(trace_deficit_budget=trace_deficit_budget, factors=factors)
+        if rho is not None:
+            vars(self)["rho"] = rho
+        self.__post_init__()
 
     def __post_init__(self):
-        rho = as_complex_matrix(self.rho)
-        if rho.shape != (self.space.dim, self.space.dim):
-            raise StateValidationError(
-                f"density matrix shape {rho.shape} does not match space dim {self.space.dim}"
-            )
-        rho = require_hermitian(rho, tol=1e-12)
-        require_trace_window(np.trace(rho), self.trace_deficit_budget)
-        object.__setattr__(self, "rho", rho)
+        if self.factors is None:
+            vars(self)["rho"] = _checked(self.rho, self.space.dim)
+        else:
+            dims = (self.space.cutoff_plus + 1, self.space.cutoff_minus + 1)
+            factors = zip(self.factors, dims, strict=True)
+            vars(self)["factors"] = tuple(_checked(f, dim) for f, dim in factors)
+        require_trace_window(self._complex_trace(), self.trace_deficit_budget)
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        """ρ₊ ⊗ ρ₋ of a product state, formed on first read."""
+        return np.kron(*self.factors)
+
+    def _complex_trace(self) -> complex:
+        if self.factors is None:
+            return np.trace(self.rho)
+        return np.trace(self.factors[0]) * np.trace(self.factors[1])
 
     def validate_psd(self, tol: float = PSD_TOL) -> "TwoModeState":
         lam_min = float(np.linalg.eigvalsh(self.rho)[0])
@@ -177,29 +200,27 @@ class TwoModeState:
         return self
 
     def trace(self) -> float:
-        return float(np.trace(self.rho).real)
+        return float(self._complex_trace().real)
 
     def expectation(self, op: np.ndarray) -> complex:
         return complex(np.trace(self.rho @ op))
 
     def with_rho(
-        self,
-        rho: np.ndarray,
-        label: str | None = None,
-        trace_deficit_budget: float | None = None,
-        **meta,
+        self, rho: np.ndarray, label: str | None = None, trace_deficit_budget=None, **meta
     ) -> "TwoModeState":
-        return TwoModeState(
-            space=self.space,
-            rho=rho,
-            label=self.label if label is None else label,
-            trace_deficit_budget=(
-                self.trace_deficit_budget
-                if trace_deficit_budget is None
-                else trace_deficit_budget
-            ),
-            meta={**self.meta, **meta},
-        )
+        """A dense state on the same space; unset fields are kept, ``meta`` merged."""
+        if trace_deficit_budget is None:
+            trace_deficit_budget = self.trace_deficit_budget
+        label = self.label if label is None else label
+        return TwoModeState(self.space, rho, label, trace_deficit_budget, {**self.meta, **meta})
+
+
+def _checked(matrix, dim: int) -> np.ndarray:
+    """A finite Hermitian dim × dim matrix, returned exactly Hermitian."""
+    matrix = as_complex_matrix(matrix)
+    if matrix.shape != (dim, dim):
+        raise StateValidationError(f"matrix shape {matrix.shape} does not match dim {dim}")
+    return require_hermitian(matrix, tol=1e-12)
 
 
 def poisson_tail(mean: float, cutoff: int) -> float:
@@ -221,12 +242,24 @@ def poisson_tail(mean: float, cutoff: int) -> float:
 
 
 def min_cutoff_for_tail(mean: float, budget: float) -> int:
-    cutoff = 0
-    while poisson_tail(mean, cutoff) > budget:
-        cutoff += 1
-        if cutoff > 10_000:
+    """Smallest cutoff whose ``poisson_tail`` is within ``budget``, in one pass.
+
+    The Poisson terms are formed once, up to the first past the mean below
+    budget·1e-18; each tail is a suffix sum of them, never 1 − head.
+    """
+    if mean < 0:
+        raise ValueError(f"mean must be nonnegative, got {mean}")
+    if mean == 0.0:
+        return 0
+    log_mean, terms = math.log(mean), []
+    while len(terms) <= mean or terms[-1] > budget * 1e-18:
+        k = len(terms)
+        if k > 10_001:
             raise TruncationError(f"no practical cutoff reaches tail budget {budget}")
-    return cutoff
+        terms.append(math.exp(-mean + k * log_mean - math.lgamma(k + 1)))
+    # tails[c] = P(N > c), the sum of terms c+1 onward
+    tails = np.cumsum(terms[:0:-1])[::-1]
+    return int(np.argmax(tails <= budget))
 
 
 def hv_to_pm_amplitudes(amp_h: complex, amp_v: complex) -> tuple[complex, complex]:
@@ -241,13 +274,12 @@ def default_coherent_space(
     amp_plus: complex,
     amp_minus: complex,
     budget: float = TRUNCATION_BUDGET_DEFAULT,
-    cap: int | None = COHERENT_CUTOFF_CAP,
+    cap: int | None = None,
 ) -> tuple[FockSpace, float]:
-    """Smallest space meeting the per-mode Poisson tail budget, capped.
+    """Smallest space meeting the per-mode Poisson tail budget.
 
-    Returns the space together with the effective per-mode budget, which is
-    larger than ``budget`` when the cap binds (the actual tail mass then
-    becomes the guaranteed bound).
+    Returns the space together with the per-mode budget it meets: ``budget``
+    itself, or the larger tail left where a ``cap`` on the cutoff binds.
     """
     cutoffs = []
     effective = budget
@@ -260,12 +292,12 @@ def default_coherent_space(
     return FockSpace(cutoff_plus=cutoffs[0], cutoff_minus=cutoffs[1]), effective
 
 
-def _coherent_vector(amp: complex, cutoff: int) -> np.ndarray:
+def _coherent_factor(amp: complex, cutoff: int) -> np.ndarray:
     vec = np.zeros(cutoff + 1, dtype=np.complex128)
     vec[0] = math.exp(-0.5 * abs(amp) ** 2)
     for n in range(1, cutoff + 1):
         vec[n] = vec[n - 1] * amp / math.sqrt(n)
-    return vec
+    return np.outer(vec, vec.conj())
 
 
 def coherent_product_state(
@@ -274,7 +306,7 @@ def coherent_product_state(
     amp_minus: complex,
     truncation_budget: float = TRUNCATION_BUDGET_DEFAULT,
 ) -> TwoModeState:
-    """Truncated |amp₊⟩⊗|amp₋⟩ as a density matrix (not renormalized).
+    """Truncated |amp₊⟩⊗|amp₋⟩ as its two mode factors (not renormalized).
 
     The Poisson tail mass beyond each cutoff must not exceed
     ``truncation_budget``; the trace deficit is then at most twice that.
@@ -290,19 +322,15 @@ def coherent_product_state(
                 f"mode {name} cutoff {cutoff} keeps Poisson tail {tail:.3e}"
                 f" > budget {truncation_budget:.3e}; cutoff >= {needed} required"
             )
-    vec_plus = _coherent_vector(amp_plus, space.cutoff_plus)
-    vec_minus = _coherent_vector(amp_minus, space.cutoff_minus)
-    psi = np.kron(vec_plus, vec_minus)
-    rho = np.outer(psi, psi.conj())
-    state = TwoModeState(
-        space=space,
-        rho=rho,
+    return TwoModeState(
+        space,
         label=f"coherent(amp+={amp_plus!r}, amp-={amp_minus!r})",
         trace_deficit_budget=2.0 * truncation_budget,
+        factors=(
+            _coherent_factor(amp_plus, space.cutoff_plus),
+            _coherent_factor(amp_minus, space.cutoff_minus),
+        ),
     )
-    factors = (np.outer(vec_plus, vec_plus.conj()), np.outer(vec_minus, vec_minus.conj()))
-    object.__setattr__(state, "factors", factors)
-    return state
 
 
 def hv_to_pm_state(kind: str, space: FockSpace) -> TwoModeState:
@@ -329,15 +357,8 @@ def hv_to_pm_state(kind: str, space: FockSpace) -> TwoModeState:
 
 
 def fock_product_state(space: FockSpace, n_plus: int, n_minus: int) -> TwoModeState:
-    """|n₊, n₋⟩ projector."""
-    rho = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    k = space.index(n_plus, n_minus)
-    rho[k, k] = 1.0
-    state = TwoModeState(space=space, rho=rho, label=f"fock({n_plus},{n_minus})")
-    factors = []
-    for cutoff, n in ((space.cutoff_plus, n_plus), (space.cutoff_minus, n_minus)):
-        projector = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-        projector[n, n] = 1.0
-        factors.append(projector)
-    object.__setattr__(state, "factors", tuple(factors))
-    return state
+    """|n₊, n₋⟩ projector, as its two mode factors."""
+    space.index(n_plus, n_minus)  # raises TruncationError outside the cutoffs
+    cutoffs = (space.cutoff_plus, space.cutoff_minus)
+    factors = tuple(np.diag(np.eye(c + 1)[n]) for c, n in zip(cutoffs, (n_plus, n_minus)))
+    return TwoModeState(space, label=f"fock({n_plus},{n_minus})", factors=factors)

@@ -326,15 +326,15 @@ def test_alpha_derivative_at_zero_loss():
 
 
 def _count_weight_passes(monkeypatch):
-    """Record the cutoff of every loss-weight pass, cube or diagonal."""
+    """Record the cutoff of every loss-table pass, dense or population."""
     cutoffs = []
-    scale = channel._scale_loss_weights
+    tables = channel._loss_tables
 
-    def counting(weights, half_msum, alpha):
-        cutoffs.append(len(weights) - 1)
-        return scale(weights, half_msum, alpha)
+    def counting(cutoff, alpha):
+        cutoffs.append(cutoff)
+        return tables(cutoff, alpha)
 
-    monkeypatch.setattr(channel, "_scale_loss_weights", counting)
+    monkeypatch.setattr(channel, "_loss_tables", counting)
     return cutoffs
 
 
@@ -345,7 +345,7 @@ def _refuse_dense_propagation(monkeypatch):
     for module in (channel, estimation, experiments):
         if hasattr(module, "apply_channel_kraus"):
             monkeypatch.setattr(module, "apply_channel_kraus", refuse)
-    monkeypatch.setattr(channel, "_apply_damping", refuse)
+    monkeypatch.setattr(channel, "_rotated_input", refuse)
 
 
 def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
@@ -406,7 +406,10 @@ def _loss_weights_by_comb(cutoff, alpha):
 @pytest.mark.parametrize("cutoff", [0, 1, 12, 70, 100])
 @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.35, 0.999])
 def test_loss_weights_match_binomial_formula(cutoff, alpha):
-    weights, derivatives = channel._loss_weights(cutoff, alpha)
+    # W = (c.g)_k (x) g_k and dW = (dc.g)_k (x) g_k - W (m+m')/(2 eta), as the kernel forms them
+    weighted, d_weighted, g, h = channel._loss_tables(cutoff, alpha)
+    weights = weighted[:, :, None] * g[:, None, :]
+    derivatives = d_weighted[:, :, None] * g[:, None, :] - weights * (h[:, None] + h[None, :])
     ref_w, ref_d = _loss_weights_by_comb(cutoff, alpha)
     # relative to the largest entry, so underflowed tails do not matter
     assert np.max(np.abs(weights - ref_w)) <= 1e-14 * np.max(np.abs(ref_w))
@@ -417,11 +420,13 @@ def test_loss_weights_match_binomial_formula(cutoff, alpha):
 
 
 def test_loss_weight_cache_holds_only_small_tables():
-    channel._loss_tables.cache_clear()
-    channel._loss_weights(100, 0.3)
-    channel._loss_weights(12, 0.3)
-    assert channel._loss_tables.cache_info().currsize == 2
-    cached = channel._loss_tables(100) + channel._loss_tables(12)
+    channel._root_binomials.cache_clear()
+    for cutoff, alpha in ((100, 0.3), (12, 0.3), (12, 0.7)):
+        tables = channel._loss_tables(cutoff, alpha)
+        assert all(table.size <= (cutoff + 1) ** 2 for table in tables)
+    # one entry per cutoff, whatever the alpha
+    assert channel._root_binomials.cache_info().currsize == 2
+    cached = channel._root_binomials(100) + channel._root_binomials(12)
     assert sum(table.nbytes for table in cached) < 1_000_000
 
 
@@ -438,6 +443,18 @@ def test_dense_route_makes_no_cutoff_fold_copy():
         tracemalloc.stop()
     # a gathered copy of the 4-index tensor alone would be 25 copies of rho
     assert peak < 16 * state.rho.nbytes
+
+
+def test_single_mode_kernel_holds_no_cube():
+    # one (cutoff+1)^3 weight cube alone would be 8 MB at cutoff 100
+    factor = coherent_product_state(FockSpace(0, 100), 0.0, 3.5 + 3.5j).factors[1]
+    tracemalloc.start()
+    try:
+        mode_output_and_alpha_derivative(factor, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("mode", ["plus", "minus"])
@@ -464,18 +481,15 @@ def test_phi_derivative_matches_finite_difference(mode):
 
 @pytest.mark.parametrize("alpha_plus", [0.0, 0.35])
 def test_single_mode_kernel_factors_the_two_mode_engine(alpha_plus):
-    params = ChiralParams(alpha_plus, 0.45, 0.6, -0.3)
+    # at zero phase; phased agreement is assert_routes_agree's, at PARAMS_REF
+    params = ChiralParams(alpha_plus, 0.45)
     for state in (
         coherent_product_state(default_coherent_space(0.8, 0.5j)[0], 0.8, 0.5j),
         fock_product_state(FockSpace(2, 3), 2, 1),
     ):
         rho_plus, rho_minus = state.factors
-        out_plus, d_plus = mode_output_and_alpha_derivative(
-            rho_plus, params.alpha_plus, params.phi_plus
-        )
-        out_minus, d_minus = mode_output_and_alpha_derivative(
-            rho_minus, params.alpha_minus, params.phi_minus
-        )
+        out_plus, d_plus = mode_output_and_alpha_derivative(rho_plus, params.alpha_plus)
+        out_minus, d_minus = mode_output_and_alpha_derivative(rho_minus, params.alpha_minus)
         joint, exact_plus, exact_minus = channel_output_and_alpha_derivatives(state, params)
         assert np.max(np.abs(np.kron(out_plus, out_minus) - joint.rho)) <= 1e-15
         assert np.max(np.abs(np.kron(d_plus, out_minus) - exact_plus)) <= 1e-14
@@ -485,18 +499,23 @@ def test_single_mode_kernel_factors_the_two_mode_engine(alpha_plus):
 @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.35, 0.999])
 def test_population_transfer_is_the_diagonal_of_the_loss_map(alpha):
     pops = np.random.default_rng(5).random(6)
-    out, d_out = mode_output_and_alpha_derivative(np.diag(pops), alpha, 0.0)
+    out, d_out = mode_output_and_alpha_derivative(np.diag(pops), alpha)
     transfer, d_transfer = mode_population_transfer(5, alpha)
     np.testing.assert_allclose(transfer @ pops, np.diag(out), rtol=0, atol=1e-14)
     np.testing.assert_allclose(d_transfer @ pops, np.diag(d_out), rtol=0, atol=1e-14)
-    # bit-identical to the slice T[m, m+k] = W[k, m, m] of the weight cube
+    # bit-identical to the kernel's table products on the diagonal m = m':
+    # T[m, m+k] = (c.g)[k, m] g[k, m], minus T (h[m] + h[m]) in the derivative
     for cutoff in (0, 1, 2, 12, 24, 70, 100):
-        weights, derivatives = channel._loss_weights(cutoff, alpha)
+        weighted, d_weighted, g, h = channel._loss_tables(cutoff, alpha)
         rows, cols = np.triu_indices(cutoff + 1)
-        for got, cube in zip(mode_population_transfer(cutoff, alpha), (weights, derivatives)):
-            expected = np.zeros_like(got)
-            expected[rows, cols] = cube[cols - rows, rows, rows]
-            np.testing.assert_array_equal(got, expected)
+        transfer, d_transfer = mode_population_transfer(cutoff, alpha)
+        expected = np.zeros_like(transfer)
+        expected[rows, cols] = (weighted * g)[cols - rows, rows]
+        np.testing.assert_array_equal(transfer, expected)
+        expected[rows, cols] = (d_weighted * g)[cols - rows, rows] - expected[rows, cols] * (
+            h[rows] + h[rows]
+        )
+        np.testing.assert_array_equal(d_transfer, expected)
 
 
 def test_loss_weights_past_int64_binomials():
@@ -506,7 +525,7 @@ def test_loss_weights_past_int64_binomials():
     state = coherent_product_state(space, 0.0, 7.0, truncation_budget=budget)
     params = ChiralParams(0.3, 0.4, 0.2, 0.5)
     assert apply_channel_kraus(state, params).trace() == pytest.approx(state.trace(), abs=1e-12)
-    out, d_alpha = mode_output_and_alpha_derivative(state.factors[1], 0.4, 0.5)
+    out, d_alpha = mode_output_and_alpha_derivative(state.factors[1], 0.4)
     assert abs(np.trace(out) - np.trace(state.factors[1])) <= 1e-12
     assert abs(np.trace(d_alpha)) <= 1e-12
     labels = ("alpha_minus", "phi_minus")

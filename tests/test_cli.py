@@ -7,6 +7,8 @@ import math
 import pytest
 
 from chiral_qfim import checks
+from chiral_qfim.analytic import coherent_bounds
+from chiral_qfim.channel import ChiralParams
 from chiral_qfim.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -67,6 +69,17 @@ def test_bounds_coherent_phase_bound_json(capsys):
     # the pipeline covariance convention: negative for positive x_d
     assert payload["covariances"]["x_d,x_s"] == pytest.approx(-0.1, abs=1e-6)
     assert list(payload) == sorted(payload)
+
+
+@pytest.mark.parametrize("n0", [8, 20, 60])
+def test_bounds_bright_coherent_json_matches_closed_form(capsys, n0):
+    # the default truncation meets its tail budget at any brightness
+    argv = ["bounds", "--state", "coherent", "--n0", str(n0), "--xd", "0.1", "--xs", "0.3"]
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_OK, err
+    closed = coherent_bounds(ChiralParams.from_chiral(0.1, 0.3, 0.0, 0.0), n0).values
+    for name, bound in json.loads(out)["bounds"].items():
+        assert bound == pytest.approx(closed[name], rel=1e-6)
 
 
 def test_bounds_noon_delta_next_to_full_absorption_json(capsys):

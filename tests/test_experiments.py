@@ -3,17 +3,21 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chiral_qfim.analytic import (
     InputStateKind,
+    coherent_bounds,
     coherent_intensity_sensitivities,
     noon_intensity_sensitivities,
     single_photon_catalog,
 )
-from chiral_qfim.channel import ChiralParams, DomainError, apply_channel_kraus
+from chiral_qfim import experiments
+from chiral_qfim.channel import CHIRAL_NAMES, ChiralParams, DomainError, apply_channel_kraus
+from chiral_qfim.estimation import compute_bounds
 from chiral_qfim.experiments import (
     FIDELITY_FRINGE,
     INTENSITY_ANALYTIC,
@@ -544,3 +548,40 @@ def test_preset_panel_runs_end_to_end():
     assert all(b is not None for b in x_d_bounds)
     # a more strongly absorbing sample pins its absorption down better
     assert x_d_bounds == sorted(x_d_bounds, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# bright coherent probes: the default truncation at any brightness
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n0", [8.0, 20.0, 60.0])
+def test_bright_coherent_probe_matches_closed_form(n0):
+    params = ChiralParams.from_chiral(x_d=0.1, x_s=0.3, delta=0.0, sigma=0.0)
+    state = prepare_input_state(InputStateKind.coherent(math.sqrt(n0)))
+    result = compute_bounds(state, params, CHIRAL_NAMES)
+    closed = coherent_bounds(params, n0).values
+    for name in CHIRAL_NAMES:
+        assert result.bound(name) == pytest.approx(closed[name], rel=1e-6)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_product_input_never_forms_the_two_mode_matrix():
+    # a dense rho on this 1681-dim space would be 45 MB
+    space = FockSpace(40, 40)
+    amp_p, amp_m = hv_to_pm_amplitudes(math.sqrt(20.0), 0.3j)
+    params = ChiralParams.from_chiral(x_d=0.1, x_s=0.3, delta=0.7, sigma=0.3)
+    built = []
+    assert _peak_bytes(lambda: built.append(coherent_product_state(space, amp_p, amp_m))) < 2e6
+    state = built[0]
+    assert _peak_bytes(lambda: compute_bounds(state, params, CHIRAL_NAMES)) < 2e6
+    assert _peak_bytes(lambda: experiments._intensity_sensitivities(state, params)) < 2e6
+    assert "rho" not in vars(state)

@@ -174,6 +174,13 @@ def test_min_cutoff_for_tail_is_tight():
     mean, budget = 1.0, 1e-10
     c = min_cutoff_for_tail(mean, budget)
     assert poisson_tail(mean, c) <= budget < poisson_tail(mean, c - 1)
+    # the smallest cutoff within budget, as a cutoff-by-cutoff search finds it
+    means = [0.0, 1e-6, 0.01, 0.5, 2.0, 4.5, 8.0, 32.0, 333.3, *range(50, 1001, 50)]
+    for mean in means:
+        for budget in (10.0**-e for e in range(2, 17)):
+            c = min_cutoff_for_tail(mean, budget)
+            assert poisson_tail(mean, c) <= budget
+            assert c == 0 or poisson_tail(mean, c - 1) > budget
 
 
 def test_coherent_truncation_error_reports_required_cutoff():
@@ -193,6 +200,35 @@ def test_default_coherent_space_cap_relaxes_budget():
     space2, eff2 = default_coherent_space(2.0, 0.0, budget=1e-10, cap=None)
     assert eff2 == 1e-10
     assert poisson_tail(4.0, space2.cutoff_plus) <= 1e-10
+
+
+def test_product_state_holds_only_its_factors():
+    space = FockSpace(2, 3)
+    state = coherent_product_state(space, 0.3, 0.2j, truncation_budget=1e-2)
+    assert "rho" not in vars(state)
+    assert state.trace() == pytest.approx(np.trace(np.kron(*state.factors)).real, abs=1e-15)
+    # the dense route reads rho, which is formed once from the factors
+    np.testing.assert_array_equal(state.rho, np.kron(*state.factors))
+    assert vars(state)["rho"] is state.rho
+    fock = fock_product_state(space, 2, 1)
+    assert "rho" not in vars(fock)
+    k = space.index(2, 1)
+    assert np.count_nonzero(fock.rho) == 1 and fock.rho[k, k] == 1.0
+
+
+def test_product_factors_are_checked_like_rho():
+    space = FockSpace(1, 1)
+    vacuum = np.diag([1.0, 0.0])
+    with pytest.raises(StateValidationError, match="shape"):
+        TwoModeState(space, factors=(vacuum, np.eye(3) / 3))
+    with pytest.raises(NonHermitianError):
+        TwoModeState(space, factors=(vacuum, np.array([[1.0, 1.0], [0.0, 0.0]])))
+    with pytest.raises(StateValidationError, match="trace"):
+        TwoModeState(space, factors=(vacuum, vacuum * 0.5))
+    with pytest.raises(StateValidationError, match="either"):
+        TwoModeState(space)
+    with pytest.raises(StateValidationError, match="either"):
+        TwoModeState(space, np.kron(vacuum, vacuum), factors=(vacuum, vacuum))
 
 
 def test_state_validation_rejects_bad_inputs():
