@@ -190,22 +190,26 @@ def coordinate_jacobian(from_coords: str, to_coords: str) -> CoordinateJacobian:
     return CoordinateJacobian(matrix=matrix, from_coords=from_coords, to_coords=to_coords)
 
 
-def _rotated_input(state: TwoModeState, params: ChiralParams) -> np.ndarray:
-    """Phase-stage output as the tensor ρ[ket+, ket−, bra+, bra−].
+def _rotated_input(state: TwoModeState, params) -> np.ndarray:
+    """Phase-stage outputs at each of the grid points ``params``, stacked as
+    ρ[b, ket+, ket−, bra+, bra−].
 
-    ρ → ρ ∘ (u u†) with u[k] = e^{−i(φ₊ n₊ + φ₋ n₋)}, dropped to real
-    storage when exactly real: loss weights are real, so the whole damping
-    stage then runs in real arithmetic (about twice as fast).
+    ρ → ρ ∘ (u u†) with u[k] = e^{−i(φ₊ n₊ + φ₋ n₋)}.  Where no point has a
+    phase, the input itself is the one entry of the stack, shared by every
+    point, and dropped to real storage when exactly real: loss weights are
+    real, so the whole damping stage then runs in real arithmetic (about
+    twice as fast).
     """
     space, rho = state.space, state.rho
-    if params.phi_plus != 0.0 or params.phi_minus != 0.0:
+    phases = np.array([(p.phi_plus, p.phi_minus) for p in params])
+    if phases.any():
         n_plus, n_minus = space.number_grids()
-        u = np.exp(-1j * (params.phi_plus * n_plus + params.phi_minus * n_minus))
-        rho = rho * np.outer(u, u.conj())
+        u = np.exp(-1j * (phases[:, :1] * n_plus + phases[:, 1:] * n_minus))
+        rho = rho * (u[:, :, None] * u.conj()[:, None, :])
     elif not rho.imag.any():
         rho = rho.real
     dp, dm = space.cutoff_plus + 1, space.cutoff_minus + 1
-    return rho.reshape(dp, dm, dp, dm)
+    return rho.reshape(-1, dp, dm, dp, dm)
 
 
 @functools.lru_cache(maxsize=64)
@@ -227,7 +231,7 @@ def _root_binomials(cutoff: int) -> tuple:
     return tables
 
 
-def _loss_tables(cutoff: int, alpha: float) -> tuple:
+def _loss_tables(cutoff: int, alpha) -> tuple:
     """One mode's loss map and its ∂/∂α as (cutoff+1)² tables.
 
     The k-photon-loss Kraus operator maps ρ[m+k, m'+k] into (m, m') with
@@ -236,25 +240,29 @@ def _loss_tables(cutoff: int, alpha: float) -> tuple:
         g[k, m] = √C(m+k, k) · η^{m/2},   c_k = α^k,   η = 1 − α,
 
     and ∂W/∂α = dc_k g[k, m] g[k, m'] − W (m+m')/(2η), dc_k = k α^{k−1}.
-    Returns (c·g, dc·g, g, h) with h[m] = m/(2η).  Nothing divides by α,
-    so α = 0 is exact: c = (1, 0, ..) and dc = (0, 1, 0, ..).
+    Returns (c·g, dc·g, g, h) with h[m] = m/(2η).  ``alpha`` is one value
+    or an array of them, whose shape then leads every table.  Nothing
+    divides by α, so α = 0 is exact: c = (1, 0, ..) and dc = (0, 1, 0, ..).
     """
-    eta = 1.0 - alpha
-    # powers by the scalar pow, which rounds correctly; numpy's vectorized
-    # power can be an ulp off
-    g = _root_binomials(cutoff)[0] * np.array([eta ** (m / 2) for m in range(cutoff + 1)])
-    c = np.array([[alpha**k] for k in range(cutoff + 1)])
-    dc = np.array([[k * alpha ** (k - 1) if k else 0.0] for k in range(cutoff + 1)])
-    return c * g, dc * g, g, np.arange(cutoff + 1) / (2.0 * eta)
+    alpha = np.asarray(alpha, dtype=float)
+    eta = 1.0 - alpha[..., None]
+    k = np.arange(cutoff + 1)
+    g = _root_binomials(cutoff)[0] * eta[..., None, :] ** (k / 2)
+    c = alpha[..., None, None] ** k[:, None]
+    dc = k[:, None] * alpha[..., None, None] ** np.maximum(k - 1, 0)[:, None]
+    return c * g, dc * g, g, k / (2.0 * eta)
 
 
 def _damp_mode(rho: np.ndarray, tables: tuple, axes: tuple, derivative: bool = True):
     """Apply one mode's loss tables to the (ket, bra) ``axes`` of ``rho``.
 
-    out[.., m, .., m', ..] = Σ_k W[k, m, m'] ρ[.., m+k, .., m'+k, ..] with
-    W = (c·g)_k ⊗ g_k, and with ``derivative`` also ∂out/∂α.  The shifted
-    input is a strided view of a zero-padded copy, so the contraction over
-    k reads ρ in place instead of gathering a (cutoff+1)-fold copy of it.
+    out[b, .., m, .., m', ..] = Σ_k W[b, k, m, m'] ρ[b, .., m+k, .., m'+k, ..]
+    with W = (c·g)_k ⊗ g_k at each grid point b, and with ``derivative``
+    also ∂out/∂α.  ``tables`` lead with the grid axis; ``rho`` leads with
+    it too, or with one entry that every point shares.  The shifted input
+    is a strided view of a zero-padded copy (with a zero grid stride for a
+    shared entry), so the contraction over k reads ρ in place instead of
+    gathering a copy of it per k or per point.
     """
     weighted, d_weighted, g, h = tables
     d = rho.shape[axes[0]]
@@ -264,18 +272,26 @@ def _damp_mode(rho: np.ndarray, tables: tuple, axes: tuple, derivative: bool = T
     padded = np.zeros(shape, dtype=rho.dtype)
     padded[tuple(window)] = rho
     strides = padded.strides
-    # shifted[k, .., m, .., m', ..] = padded[.., m+k, .., m'+k, ..]
+    # shifted[b, k, .., m, .., m', ..] = padded[b, .., m+k, .., m'+k, ..]
     shifted = np.ndarray(
-        (d, *rho.shape), rho.dtype, padded, 0, (strides[axes[0]] + strides[axes[1]], *strides)
+        (len(weighted), d, *rho.shape[1:]),
+        rho.dtype,
+        padded,
+        0,
+        (strides[0] if len(rho) > 1 else 0, strides[axes[0]] + strides[axes[1]], *strides[1:]),
     )
-    index = "abcd"[: rho.ndim]
-    spec = f"k{index[axes[0]]},k{index[axes[1]]},k{index}->{index}"
+    index = "pqrs"[: rho.ndim - 1]
+    ket, bra = index[axes[0] - 1], index[axes[1] - 1]
+    spec = f"bk{ket},bk{bra},bk{index}->b{index}"
     out = np.einsum(spec, weighted, g, shifted)
     if not derivative:
         return out
-    ket, bra = [1] * rho.ndim, [1] * rho.ndim
-    ket[axes[0]] = bra[axes[1]] = d
-    return out, np.einsum(spec, d_weighted, g, shifted) - out * (h.reshape(ket) + h.reshape(bra))
+    h_ket, h_bra = [1] * rho.ndim, [1] * rho.ndim
+    h_ket[0] = h_bra[0] = len(h)
+    h_ket[axes[0]] = h_bra[axes[1]] = d
+    d_out = np.einsum(spec, d_weighted, g, shifted)
+    d_out -= out * (h.reshape(h_ket) + h.reshape(h_bra))
+    return out, d_out
 
 
 def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeState:
@@ -285,66 +301,83 @@ def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeSta
     on any truncation containing the input support.
     """
     space = state.space
-    rho = _rotated_input(state, params)
+    rho = _rotated_input(state, [params])
     for cutoff, alpha, axes in (
-        (space.cutoff_plus, params.alpha_plus, (0, 2)),
-        (space.cutoff_minus, params.alpha_minus, (1, 3)),
+        (space.cutoff_plus, params.alpha_plus, (1, 3)),
+        (space.cutoff_minus, params.alpha_minus, (2, 4)),
     ):
-        rho = _damp_mode(rho, _loss_tables(cutoff, alpha), axes, derivative=False)
+        rho = _damp_mode(rho, _loss_tables(cutoff, [alpha]), axes, derivative=False)
     return state.with_rho(rho.reshape(space.dim, space.dim))
 
 
-def mode_output_and_alpha_derivative(
-    rho: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
+def mode_output_and_alpha_derivative(rho: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
     """One mode's loss output and its exact ∂/∂α, from one table pass.
 
     ``rho`` is a single-mode density matrix on Fock levels 0..cutoff; the
-    kernel is the two-mode engine's.  Storage stays real when ``rho`` is.
+    kernel is the two-mode engine's.  ``alpha`` is one value, or a grid of
+    them that leads both results as a stacking axis.  Storage stays real
+    when ``rho`` is.
     """
     if not rho.imag.any():
         rho = rho.real
-    return _damp_mode(rho, _loss_tables(rho.shape[0] - 1, alpha), (0, 1))
+    tables = _loss_tables(rho.shape[0] - 1, np.atleast_1d(alpha))
+    out, d_out = _damp_mode(rho[None], tables, (1, 2))
+    return (out, d_out) if np.ndim(alpha) else (out[0], d_out[0])
+
+
+def grid_output_and_alpha_derivatives(state: TwoModeState, params) -> tuple:
+    """Channel outputs and their exact ∂/∂α₊, ∂/∂α₋ at each grid point.
+
+    ``params`` is a sequence of B ``ChiralParams``; each result is a
+    (B, dim, dim) stack, from one table pass per mode.  The mode-plus loss
+    stage and its ∂/∂α₊ are formed once; the mode-minus loss maps the
+    stage to the output and ∂/∂α₋, and its ∂/∂α₊ to the output's.  The
+    outputs are unchecked, and the derivatives are traceless Hermitian
+    matrices, not states.
+    """
+    space = state.space
+    rho = _rotated_input(state, params)
+    tables_plus = _loss_tables(space.cutoff_plus, [p.alpha_plus for p in params])
+    tables_minus = _loss_tables(space.cutoff_minus, [p.alpha_minus for p in params])
+    stage, d_stage = _damp_mode(rho, tables_plus, (1, 3))
+    output, d_minus = _damp_mode(stage, tables_minus, (2, 4))
+    d_plus = _damp_mode(d_stage, tables_minus, (2, 4), derivative=False)
+    shape = (len(params), space.dim, space.dim)
+    return output.reshape(shape), d_plus.reshape(shape), d_minus.reshape(shape)
 
 
 def channel_output_and_alpha_derivatives(
     state: TwoModeState, params: ChiralParams
 ) -> tuple[TwoModeState, np.ndarray, np.ndarray]:
-    """Channel output and its exact ∂/∂α₊, ∂/∂α₋ from one table pass per mode.
-
-    The mode-plus loss stage and its ∂/∂α₊ are formed once; the mode-minus
-    loss maps the stage to the output and ∂/∂α₋, and its ∂/∂α₊ to the
-    output's.  The derivatives are traceless Hermitian matrices, not states.
-    """
-    space = state.space
-    rho = _rotated_input(state, params)
-    tables_plus = _loss_tables(space.cutoff_plus, params.alpha_plus)
-    tables_minus = _loss_tables(space.cutoff_minus, params.alpha_minus)
-    stage, d_stage = _damp_mode(rho, tables_plus, (0, 2))
-    output, d_minus = _damp_mode(stage, tables_minus, (1, 3))
-    d_plus = _damp_mode(d_stage, tables_minus, (1, 3), derivative=False)
-    return (
-        state.with_rho(output.reshape(space.dim, space.dim)),
-        d_plus.reshape(space.dim, space.dim),
-        d_minus.reshape(space.dim, space.dim),
-    )
+    """Channel output state and its exact ∂/∂α₊, ∂/∂α₋: the grid of one point."""
+    output, d_plus, d_minus = grid_output_and_alpha_derivatives(state, [params])
+    return state.with_rho(output[0]), d_plus[0], d_minus[0]
 
 
-def mode_population_transfer(cutoff: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def mode_population_transfer(cutoff: int, alpha) -> tuple[np.ndarray, np.ndarray]:
     """One mode's photon-number transfer matrix T and its exact ∂T/∂α.
 
     Loss maps populations to populations: p_out[m] = Σ_k T[m, m+k] p[m+k]
     with T[m, m+k] = W[k, m, m] = (c·g)[k, m] g[k, m], the diagonal of the
-    loss map, so the intensity moments never need the coherences.
+    loss map, so the intensity moments never need the coherences.  An
+    array of ``alpha`` values leads both results with its shape.
     """
     weighted, d_weighted, g, h = _loss_tables(cutoff, alpha)
     _, rows, cols = _root_binomials(cutoff)
     k = cols - rows
-    transfer = np.zeros((cutoff + 1, cutoff + 1))
+    transfer = np.zeros((*g.shape[:-2], cutoff + 1, cutoff + 1))
     d_transfer = np.zeros_like(transfer)
-    transfer[rows, cols] = (weighted * g)[k, rows]
-    d_transfer[rows, cols] = (d_weighted * g)[k, rows] - transfer[rows, cols] * 2 * h[rows]
+    g = g[..., k, rows]
+    transfer[..., rows, cols] = weighted[..., k, rows] * g
+    d_transfer[..., rows, cols] = d_weighted[..., k, rows] * g - transfer[..., rows, cols] * 2 * h[
+        ..., rows
+    ]
     return transfer, d_transfer
+
+
+def phase_derivative(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Exact ∂ρ/∂φ = −i[diag(n), ρ] elementwise, for ρ or a stack of them."""
+    return -1j * (n[:, None] - n[None, :]) * rho
 
 
 def channel_phi_derivative(
@@ -354,8 +387,7 @@ def channel_phi_derivative(
     if mode not in ("plus", "minus"):
         raise ValueError(f"mode must be 'plus' or 'minus', got {mode!r}")
     n_plus, n_minus = output_state.space.number_grids()
-    n = n_plus if mode == "plus" else n_minus
-    return -1j * (n[:, None] - n[None, :]) * output_state.rho
+    return phase_derivative(output_state.rho, n_plus if mode == "plus" else n_minus)
 
 
 def _rk4_rhs_builder(space: FockSpace, rates: RatePicture):

@@ -46,6 +46,7 @@ from .experiments import (
     SweepSpec,
     compare_analytic_numeric,
     figure_presets,
+    flags_by_reason,
     panel_to_csv_text,
     prepare_input_state,
     run_sweep,
@@ -569,22 +570,22 @@ def _custom_spec(cfg: CliConfig, kind: InputStateKind, default_methods) -> Sweep
     )
 
 
-def _emit_csv(cfg: CliConfig, text: str, rows: int, flagged: int) -> None:
+def _emit_csv(cfg: CliConfig, text: str, n_rows: int, rows: list) -> None:
+    reasons = flags_by_reason(rows)
+    flagged = sum(1 for row in rows if row.status)
+    summary = {"rows": n_rows, "flagged_points": flagged, "flags_by_reason": reasons}
+    groups = ", ".join(f"{count} {reason}" for reason, count in reasons.items())
+    line = f"{n_rows} rows, {flagged} flagged points" + (f" ({groups})" if groups else "")
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        summary_stream = sys.stdout
-        summary = {"output": cfg.output, "rows": rows, "flagged_points": flagged}
+        summary["output"] = cfg.output
+        line = f"wrote {cfg.output}: {line}"
     else:
         sys.stdout.write(text)
-        summary_stream = sys.stderr
-        summary = {"rows": rows, "flagged_points": flagged}
     if cfg.emit_json:
-        print(json.dumps(summary, sort_keys=True), file=summary_stream)
-    elif cfg.output:
-        print(f"wrote {cfg.output}: {rows} rows, {flagged} flagged points")
-    else:
-        print(f"{rows} rows, {flagged} flagged points", file=summary_stream)
+        line = json.dumps(summary, sort_keys=True)
+    print(line, file=sys.stdout if cfg.output else sys.stderr)
 
 
 def cmd_sweep(cfg: CliConfig) -> int:
@@ -598,15 +599,14 @@ def cmd_sweep(cfg: CliConfig) -> int:
         members = [(label, spec, run_sweep(spec)) for label, spec in presets[cfg.preset]]
         text = panel_to_csv_text(members)
         n_rows = len(members[0][2])
-        flagged = sum(1 for _, _, rows in members for row in rows if row.status)
+        rows = [row for _, _, member_rows in members for row in member_rows]
     else:
         kind = _input_kind(cfg)
         spec = _custom_spec(cfg, kind, default_methods=(QFIM_NUMERIC,))
         rows = run_sweep(spec)
         text = sweep_to_csv_text(rows, spec)
         n_rows = len(rows)
-        flagged = sum(1 for row in rows if row.status)
-    _emit_csv(cfg, text, n_rows, flagged)
+    _emit_csv(cfg, text, n_rows, rows)
     return EXIT_OK
 
 
@@ -734,7 +734,7 @@ def cmd_fringe(cfg: CliConfig) -> int:
     )
     rows = run_sweep(spec)
     text = sweep_to_csv_text(rows, spec)
-    _emit_csv(cfg, text, len(rows), sum(1 for row in rows if row.status))
+    _emit_csv(cfg, text, len(rows), rows)
     return EXIT_OK
 
 

@@ -25,7 +25,6 @@ independent derivative paths.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,12 +37,12 @@ from .channel import (
     CoordinateJacobian,
     DomainError,
     apply_channel_kraus,
-    channel_output_and_alpha_derivatives,
-    channel_phi_derivative,
+    grid_output_and_alpha_derivatives,
     mode_output_and_alpha_derivative,
+    phase_derivative,
 )
 from .fock import TwoModeState, require_trace_window
-from .linalg import as_complex_matrix, hermitian_eigen, hermiticity_defect
+from .linalg import as_complex_matrix, hermitian_eigen, hermiticity_defect, require_hermitian
 
 CENTRAL_DIFFERENCE = "central_difference"
 ANALYTIC_KRAUS = "analytic_kraus"
@@ -221,44 +220,22 @@ def channel_derivatives(
 ) -> tuple[TwoModeState, list[ParamDerivative]]:
     """Channel output together with ∂ρ for each requested parameter.
 
-    The exact route takes its matrices from ``_exact_derivatives``.
+    The exact route takes the one-point grid of ``_native_derivatives`` and
+    combines them into each label's matrix.
     """
     if method != ANALYTIC_KRAUS:
         return apply_channel_kraus(input_state, params), [
             rho_derivative(input_state, params, p, method=method) for p in param_labels
         ]
     labels = tuple(param_labels)
-    output, mats = _exact_derivatives(input_state, params, labels)
-    return output, [
-        ParamDerivative(param=p, drho=m, method=ANALYTIC_KRAUS)
-        for p, m in zip(labels, mats)
-    ]
-
-
-def _exact_derivatives(
-    input_state: TwoModeState, params: ChiralParams, labels: tuple
-) -> tuple[TwoModeState, list[np.ndarray]]:
-    """Channel output and the exact ∂ρ matrix of each label, unwrapped.
-
-    The output and both α-derivatives come from one loss weight pass per
-    mode, the φ-derivatives from the output, and every label through the
-    constant native-to-label pullback.
-    """
     pullback = _native_pullback(labels)
-    output, d_alpha_plus, d_alpha_minus = channel_output_and_alpha_derivatives(
-        input_state, params
-    )
-    native = (
-        d_alpha_plus,
-        d_alpha_minus,
-        channel_phi_derivative(output, "plus"),
-        channel_phi_derivative(output, "minus"),
-    )
+    output, native = _native_derivatives(input_state, [params])
     mats = [
-        sum(w * d for w, d in zip(pullback[:, j], native) if w)
-        for j in range(len(labels))
+        sum(w * d[0] for w, d in zip(pullback[:, j], native) if w) for j in range(len(labels))
     ]
-    return output, mats
+    return input_state.with_rho(output[0]), [
+        ParamDerivative(param=p, drho=m, method=ANALYTIC_KRAUS) for p, m in zip(labels, mats)
+    ]
 
 
 def solve_sld(rho_state: TwoModeState, drho: ParamDerivative) -> SldMatrix:
@@ -330,13 +307,18 @@ def _detect_blocks(params: tuple, f: np.ndarray) -> tuple:
     return tuple(blocks)
 
 
-def _finish_qfim(params: tuple, f: np.ndarray, meta: dict) -> QfimResult:
-    f = np.real((f + f.T) / 2.0)
-    scale = max(1.0, float(np.abs(f).max()))
-    w_min = float(np.linalg.eigvalsh(f)[0])
-    if w_min < -QFIM_PSD_TOL * scale:
-        raise NumericError(f"QFIM has negative eigenvalue {w_min:.3e}")
-    return QfimResult(params=params, F=f, blocks=_detect_blocks(params, f), meta=meta)
+def _finish_qfim(params: tuple, f: np.ndarray, meta: dict) -> list:
+    """One QfimResult per QFIM of the (B, n, n) stack ``f``, each checked PSD."""
+    f = np.real((f + np.swapaxes(f, 1, 2)) / 2.0)
+    scale = np.maximum(1.0, np.abs(f).max(axis=(1, 2)))
+    w_min = np.linalg.eigvalsh(f)[:, 0]
+    negative = w_min < -QFIM_PSD_TOL * scale
+    if negative.any():
+        raise NumericError(f"QFIM has negative eigenvalue {w_min[np.argmax(negative)]:.3e}")
+    return [
+        QfimResult(params=params, F=fb, blocks=_detect_blocks(params, fb), meta=dict(meta))
+        for fb in f
+    ]
 
 
 def assemble_qfim(rho_state: TwoModeState, slds) -> QfimResult:
@@ -351,43 +333,43 @@ def assemble_qfim(rho_state: TwoModeState, slds) -> QfimResult:
         for j in range(i, n):
             t = complex(np.sum(left[i] * slds[j].L.T))
             f[i, j] = f[j, i] = t.real
-    return _finish_qfim(params, f, {"route": "sld", "state_label": rho_state.label})
+    meta = {"route": "sld", "state_label": rho_state.label}
+    return _finish_qfim(params, f[None], meta)[0]
 
 
-def _eigenbasis_qfim(rho: np.ndarray, mats) -> np.ndarray:
-    """F_ab = Σ_{kept (j,k)} 2 Re[∂ρ̃_a(j,k) · conj(∂ρ̃_b(j,k))]/(λ_j+λ_k).
+def _eigenbasis_qfim(rho: np.ndarray, mats, pullback: np.ndarray | None = None) -> np.ndarray:
+    """F[b, x, y] = Σ_{kept (j,k)} 2 Re[∂ρ̃_x(j,k) · conj(∂ρ̃_y(j,k))]/(λ_j+λ_k).
 
-    ``mats`` are the ∂ρ matrices; the support rule keeps pairs with
-    λ_j + λ_k > 1e-10·λ_max, as ``solve_sld`` does.
+    ``rho`` is a (B, d, d) stack of exactly Hermitian outputs and ``mats``
+    holds a (B, d, d) stack of ∂ρ matrices per parameter; at each point b
+    the support rule keeps pairs with λ_j + λ_k > 1e-10·λ_max, as
+    ``solve_sld`` does.  With a ``pullback`` B, the QFIM is that of the
+    labels ∂ρ̃_y = Σ_x B[x, y] ∂ρ̃_x, combined after the rotation.
     """
-    dec = hermitian_eigen(rho)
-    lam = dec.eigenvalues
-    v = dec.eigenvectors
-    lam_max = float(lam[-1])
-    if lam_max <= 0.0:
+    lam, v = np.linalg.eigh(rho.real if not rho.imag.any() else rho)
+    threshold = SUPPORT_RCOND * lam[:, -1:]
+    if (threshold <= 0.0).any():
         raise NumericError("density matrix has no positive eigenvalue")
-    threshold = SUPPORT_RCOND * lam_max
-    # Every kept pair (λ_j + λ_k > threshold) has at least one index with
-    # λ > threshold/2, so rotating ∂ρ onto those rows alone is exact; the
-    # mirrored (kernel, support) pairs contribute the same real addend by
-    # hermiticity and are restored by the second sum below.
-    support = lam > 0.5 * threshold
-    v_s = v[:, support]
-    pair_sums = lam[support, None] + lam[None, :]
-    keep = pair_sums > threshold
+    # Every kept pair (λ_j + λ_k > threshold) has an index with
+    # λ > threshold/2, and at every point those are among the last s of the
+    # ascending λ, so rotating ∂ρ onto those rows alone is exact; each
+    # (other, last-s) pair adds what its mirror does, by hermiticity, so the
+    # mirrors double the weight of the other columns.
+    s = int((lam > 0.5 * threshold).sum(axis=1).max())
+    pair_sums = lam[:, -s:, None] + lam[:, None, :]
+    keep = pair_sums > threshold[:, :, None]
     weight = np.where(keep, 2.0 / np.where(keep, pair_sums, 1.0), 0.0)
-    mirror = weight[:, ~support]
+    weight[:, :, : lam.shape[1] - s] *= 2.0
     real_basis = not np.iscomplexobj(v)
-    mats = [m.real if real_basis and not m.imag.any() else m for m in mats]
-    rows = [(v_s.conj().T @ m) @ v for m in mats]
-    n = len(mats)
-    f = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            prod = (rows[i] * np.conj(rows[j])).real
-            val = float(np.sum(weight * prod) + np.sum(mirror * prod[:, ~support]))
-            f[i, j] = f[j, i] = val
-    return f
+    v_s = np.swapaxes(v[:, :, -s:], 1, 2).conj()
+    rows = np.stack(
+        [v_s @ (m.real if real_basis and not m.imag.any() else m) @ v for m in mats], axis=1
+    )
+    if pullback is not None:
+        rows = np.einsum("xy,bxjk->byjk", pullback, rows)
+    rows = rows.reshape(*rows.shape[:2], -1)
+    weighted = weight.reshape(len(weight), 1, -1) * rows
+    return (weighted @ np.swapaxes(rows, 1, 2).conj()).real
 
 
 def _require_distinct(params: tuple) -> None:
@@ -401,17 +383,11 @@ def qfim_from_derivatives(rho_state: TwoModeState, derivs) -> QfimResult:
     Algebraically identical to the SLD route (same support rule) at one
     eigendecomposition plus two rotations per parameter.
     """
-    return _matrices_qfim(
-        rho_state, tuple(d.param for d in derivs), [d.drho for d in derivs]
-    )
-
-
-def _matrices_qfim(rho_state: TwoModeState, params: tuple, mats) -> QfimResult:
+    params = tuple(d.param for d in derivs)
     _require_distinct(params)
-    f = _eigenbasis_qfim(rho_state.rho, mats)
-    return _finish_qfim(
-        params, f, {"route": "eigenbasis", "state_label": rho_state.label}
-    )
+    f = _eigenbasis_qfim(rho_state.rho[None], [d.drho[None] for d in derivs])
+    meta = {"route": "eigenbasis", "state_label": rho_state.label}
+    return _finish_qfim(params, f, meta)[0]
 
 
 def _native_pullback(param_labels: tuple) -> np.ndarray:
@@ -430,10 +406,23 @@ def _native_pullback(param_labels: tuple) -> np.ndarray:
     return b
 
 
-def _product_qfim(
-    input_state: TwoModeState, params: ChiralParams, param_labels
-) -> QfimResult:
-    """QFIM of a product input, solved one mode at a time.
+def _native_derivatives(input_state: TwoModeState, params) -> tuple:
+    """Checked two-mode outputs at each grid point, and their ∂ρ along
+    (α₊, α₋, φ₊, φ₋).
+
+    Each output stack is checked once: finite, Hermitian and in the trace
+    window.  The outputs and both α-derivatives come from one loss table
+    pass per mode, the φ-derivatives from the checked outputs.
+    """
+    output, d_plus, d_minus = grid_output_and_alpha_derivatives(input_state, params)
+    output = require_hermitian(output)
+    require_trace_window(np.trace(output, axis1=1, axis2=2), input_state.trace_deficit_budget)
+    phases = [phase_derivative(output, n) for n in input_state.space.number_grids()]
+    return output, [d_plus, d_minus, *phases]
+
+
+def _product_qfim(input_state: TwoModeState, params, pullback: np.ndarray) -> np.ndarray:
+    """The labels' QFIM at each grid point of a product input, one mode at a time.
 
     The channel acts on each mode separately, so a product input ρ₊ ⊗ ρ₋
     gives the product output ρ₊' ⊗ ρ₋'.  Its native QFIM splits into an
@@ -441,30 +430,79 @@ def _product_qfim(
     mirror (α₋, φ₋) block; the cross blocks are tr ∂ρ₊' · tr ∂ρ₋' = 0.
     Each block is solved at φ = 0: the phase stage is the unitary e^{−iφn},
     which commutes with n and so leaves the mode's (α, φ) block unchanged.
-    The requested labels follow through the constant native-to-label
-    pullback, the same combinations ``channel_derivatives`` forms.
+    The product of the modes' output traces must lie in the window.  The
+    requested labels follow through the constant native-to-label pullback,
+    the same combinations ``channel_derivatives`` forms.
     """
-    labels = tuple(param_labels)
-    _require_distinct(labels)
-    pullback = _native_pullback(labels)
-    blocks, traces = [], []
-    alphas = (params.alpha_plus, params.alpha_minus)
-    for mode, factor, alpha in zip(("plus", "minus"), input_state.factors, alphas):
-        output, d_alpha = mode_output_and_alpha_derivative(factor, alpha)
-        n = np.arange(output.shape[0])
-        d_phi = -1j * (n[:, None] - n[None, :]) * output
-        index = [ALPHA_PHI_NAMES.index(f"{name}_{mode}") for name in ("alpha", "phi")]
-        blocks.append((index, _eigenbasis_qfim(output, [d_alpha, d_phi])))
-        traces.append(np.trace(output))
-    require_trace_window(traces[0] * traces[1], input_state.trace_deficit_budget)
-    native = np.zeros((len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
-    for (index, block), other_trace in zip(blocks, reversed(traces)):
-        native[np.ix_(index, index)] = block * other_trace.real
-    return _finish_qfim(
-        labels,
-        pullback.T @ native @ pullback,
-        {"route": "per_mode", "state_label": input_state.label},
+    (f_plus, tr_plus), (f_minus, tr_minus) = (
+        _mode_qfim(factor, [getattr(p, f"alpha_{mode}") for p in params])
+        for mode, factor in zip(("plus", "minus"), input_state.factors)
     )
+    require_trace_window(tr_plus * tr_minus, input_state.trace_deficit_budget)
+    # ALPHA_PHI_NAMES interleaves the modes: (α₊, α₋, φ₊, φ₋)
+    native = np.zeros((len(params), len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
+    native[:, 0::2, 0::2] = f_plus * tr_minus.real[:, None, None]
+    native[:, 1::2, 1::2] = f_minus * tr_plus.real[:, None, None]
+    return pullback.T @ native @ pullback
+
+
+def _mode_qfim(factor: np.ndarray, alphas: list) -> tuple:
+    """One mode's (α, φ) QFIM block and output trace at each grid point.
+
+    The output stack is checked once, finite and Hermitian.
+    """
+    output, d_alpha = mode_output_and_alpha_derivative(factor, alphas)
+    d_phi = phase_derivative(output, np.arange(output.shape[-1]))
+    trace = np.trace(output, axis1=1, axis2=2)
+    return _eigenbasis_qfim(require_hermitian(output), [d_alpha, d_phi]), trace
+
+
+def _inverted(results: list) -> list:
+    """``invert_and_bound`` of each result, over the stack of their QFIMs."""
+    params = results[0].params
+    f = np.stack([r.F for r in results])
+    diag = np.diagonal(f, axis1=1, axis2=2)
+    positive = diag > 0.0
+    d = np.where(positive, np.where(positive, diag, 1.0) ** -0.5, 0.0)
+    scale = d[:, :, None] * d[:, None, :]
+    w, v = np.linalg.eigh(f * scale)
+    w_max = w[:, -1]
+    kept = w > RCOND * w_max[:, None]
+    inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
+    f_inv = ((v * inv_w[:, None, :]) @ np.swapaxes(v, 1, 2)) * scale
+    f_inv = (f_inv + np.swapaxes(f_inv, 1, 2)) / 2.0
+    kernel = np.where(kept[:, None, :], 0.0, np.abs(v)).max(axis=2)
+    identifiable = kernel <= KERNEL_COMPONENT_TOL
+    both = identifiable[:, :, None] & identifiable[:, None, :]
+    sqfim = np.sqrt(np.where(both & (f_inv >= 0.0), f_inv, np.nan))
+    bounds = np.sqrt(np.maximum(np.diagonal(f_inv, axis1=1, axis2=2), 0.0))
+    pairs = [(i, j) for i in range(len(params)) for j in range(i + 1, len(params))]
+    out = []
+    for b, (result, ok, bound, inv) in enumerate(
+        zip(results, identifiable.tolist(), bounds.tolist(), f_inv.tolist())
+    ):
+        if w_max[b] <= 0.0:
+            fields = dict(
+                F_inverse=np.zeros_like(result.F),
+                bounds=dict.fromkeys(params),
+                covariances={},
+                sqfim=np.full_like(result.F, np.nan),
+                identifiable=dict.fromkeys(params, False),
+                meta={**result.meta, "fully_singular": True},
+            )
+        else:
+            fields = dict(
+                F_inverse=f_inv[b],
+                bounds={p: bound[i] if ok[i] else None for i, p in enumerate(params)},
+                covariances={
+                    (params[i], params[j]): inv[i][j] if ok[i] and ok[j] else None
+                    for i, j in pairs
+                },
+                sqfim=sqfim[b],
+                identifiable=dict(zip(params, ok)),
+            )
+        out.append(replace(result, **fields))
+    return out
 
 
 def invert_and_bound(qfim: QfimResult) -> QfimResult:
@@ -476,54 +514,7 @@ def invert_and_bound(qfim: QfimResult) -> QfimResult:
     F⁻¹ = D C⁺ D.  Bounds are δX_j = sqrt((F⁻¹)_jj); parameters
     overlapping the kernel of C are flagged unidentifiable, without bound.
     """
-    f = qfim.F
-    n = len(qfim.params)
-    # a Python loop over the few diagonal entries costs less than masked array ops
-    d = np.array([x**-0.5 if x > 0.0 else 0.0 for x in np.diag(f).tolist()])
-    scale = d[:, None] * d
-    w, v = np.linalg.eigh(f * scale)
-    w_max = float(w[-1])
-    if w_max <= 0.0:
-        identifiable = {p: False for p in qfim.params}
-        return replace(
-            qfim,
-            F_inverse=np.zeros_like(f),
-            bounds={p: None for p in qfim.params},
-            covariances={},
-            sqfim=np.full_like(f, np.nan),
-            identifiable=identifiable,
-            meta={**qfim.meta, "fully_singular": True},
-        )
-    kept = w > RCOND * w_max
-    inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
-    f_inv = ((v * inv_w) @ v.T) * scale
-    f_inv = (f_inv + f_inv.T) / 2.0
-    flagged = np.abs(v[:, ~kept]).max(axis=1, initial=0.0) > KERNEL_COMPONENT_TOL
-    identifiable = {p: not bool(flagged[i]) for i, p in enumerate(qfim.params)}
-    bounds = {}
-    for i, p in enumerate(qfim.params):
-        bounds[p] = math.sqrt(max(f_inv[i, i], 0.0)) if identifiable[p] else None
-    covariances = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pi, pj = qfim.params[i], qfim.params[j]
-            covariances[(pi, pj)] = (
-                float(f_inv[i, j]) if identifiable[pi] and identifiable[pj] else None
-            )
-    sqfim = np.full_like(f, np.nan)
-    for i in range(n):
-        for j in range(n):
-            pi, pj = qfim.params[i], qfim.params[j]
-            if identifiable[pi] and identifiable[pj] and f_inv[i, j] >= 0.0:
-                sqfim[i, j] = math.sqrt(f_inv[i, j])
-    return replace(
-        qfim,
-        F_inverse=f_inv,
-        bounds=bounds,
-        covariances=covariances,
-        sqfim=sqfim,
-        identifiable=identifiable,
-    )
+    return _inverted([qfim])[0]
 
 
 def reparameterize_qfim(qfim: QfimResult, jacobian: CoordinateJacobian) -> QfimResult:
@@ -555,7 +546,7 @@ def reparameterize_qfim(qfim: QfimResult, jacobian: CoordinateJacobian) -> QfimR
     b = b_full[np.ix_(idx, idx)]
     f_new = b.T @ qfim.F @ b
     new_params = tuple(to_names[i] for i in idx)
-    result = _finish_qfim(new_params, f_new, {**qfim.meta, "reparameterized": True})
+    result = _finish_qfim(new_params, f_new[None], {**qfim.meta, "reparameterized": True})[0]
     if qfim.bounds is not None:
         result = invert_and_bound(result)
     return result
@@ -569,6 +560,30 @@ def _coords_names(label: str) -> tuple:
     raise ValueError(f"unknown coordinate set {label!r}")
 
 
+def compute_bounds_grid(input_state: TwoModeState, params, param_labels) -> list:
+    """``compute_bounds``' default route at each of the grid points ``params``.
+
+    One pass serves every point: each layer, from the loss tables through
+    the eigensolves, the QFIM's PSD check and the inversion, carries a
+    leading grid axis of len(params).  A product input (one carrying
+    ``factors``) is solved one mode at a time, any other on its two-mode
+    outputs.  Every check applies at each point, and the first point that
+    fails one raises, with the message ``compute_bounds`` gives there.
+    """
+    labels = tuple(param_labels)
+    _require_distinct(labels)
+    pullback = _native_pullback(labels)
+    if not params:
+        return []
+    if input_state.factors is not None:
+        f, route = _product_qfim(input_state, params, pullback), "per_mode"
+    else:
+        f = _eigenbasis_qfim(*_native_derivatives(input_state, params), pullback)
+        route = "eigenbasis"
+    meta = {"route": route, "state_label": input_state.label}
+    return _inverted(_finish_qfim(labels, f, meta))
+
+
 def compute_bounds(
     input_state: TwoModeState,
     params: ChiralParams,
@@ -578,20 +593,15 @@ def compute_bounds(
 ) -> QfimResult:
     """Full pipeline: evolve, differentiate, QFIM, invert, bound.
 
-    A product input (one carrying ``factors``) on the default exact route
-    is solved one mode at a time; every other input, central differences
-    and ``via_slds`` run on the full two-mode density matrix.  ``via_slds``
-    switches from the eigenbasis route to the explicit SLD route
-    (identical results, used for cross-validation).  The default route
-    hands its ∂ρ matrices to the QFIM unwrapped; only the other routes
-    build ``ParamDerivative`` records.
+    The default route is ``compute_bounds_grid`` on a grid of one point:
+    a product input (one carrying ``factors``) is solved one mode at a
+    time, and its ∂ρ matrices go to the QFIM unwrapped.  Central
+    differences and ``via_slds`` (the explicit SLD route, identical
+    results, used for cross-validation) run per point on the full
+    two-mode density matrix and build ``ParamDerivative`` records.
     """
     if method == ANALYTIC_KRAUS and not via_slds:
-        if input_state.factors is not None:
-            return invert_and_bound(_product_qfim(input_state, params, param_labels))
-        labels = tuple(param_labels)
-        output, mats = _exact_derivatives(input_state, params, labels)
-        return invert_and_bound(_matrices_qfim(output, labels, mats))
+        return compute_bounds_grid(input_state, [params], param_labels)[0]
     output, derivs = channel_derivatives(input_state, params, param_labels, method)
     if via_slds:
         slds = [solve_sld(output, d) for d in derivs]

@@ -2,9 +2,11 @@
 
 The sweep engine evaluates quantum and classical sensitivity methods over
 one-dimensional parameter grids and writes the results as CSV, one row per
-grid point with one column per (method, quantity) pair.  Per-point
-failures (invalid parameter combinations, unidentifiable parameters,
-vanishing derivatives, closed-form domain limits) never abort a sweep;
+grid point with one column per (method, quantity) pair.  Each numeric
+method (``qfim_numeric``, ``intensity_exact``) runs once over all valid
+grid points, along a leading grid axis.  Per-point failures (invalid
+parameter combinations, unidentifiable parameters, vanishing derivatives,
+closed-form domain limits, failed numeric checks) never abort a sweep;
 they are recorded in the row's status column and the affected cells stay
 empty.
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -38,7 +41,7 @@ from .analytic import (
     single_photon_catalog,
 )
 from .channel import CHIRAL_NAMES, ChiralParams, DomainError, mode_population_transfer
-from .estimation import compute_bounds
+from .estimation import NumericError, compute_bounds_grid
 from .fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
@@ -235,42 +238,46 @@ class IntensityStatistics(NamedTuple):
     covariance: float
 
 
-def _output_populations(
-    state: TwoModeState, params: ChiralParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Output populations P[n₊, n₋] and their exact ∂/∂α₊ and ∂/∂α₋.
+def _output_populations(state: TwoModeState, params) -> tuple:
+    """Output populations P[b, n₊, n₋] at each grid point b of ``params``,
+    with their exact ∂/∂α₊ and ∂/∂α₋.
 
     The phase stage leaves populations alone and loss maps them among
-    themselves, so only the input diagonal goes through each mode's
-    transfer matrix; a product input gives it as outer(diag ρ₊, diag ρ₋).
-    The output trace must stay in the state's window.
+    themselves, so only the input diagonal goes through each mode's stack
+    of transfer matrices; a product input gives it as
+    outer(diag ρ₊, diag ρ₋).  Each output trace must stay in the state's
+    window.
     """
     space = state.space
     if state.factors is None:
         pops = np.diag(state.rho).real.reshape(space.cutoff_plus + 1, space.cutoff_minus + 1)
     else:
         pops = np.outer(*(np.diag(factor).real for factor in state.factors))
-    t_plus, dt_plus = mode_population_transfer(space.cutoff_plus, params.alpha_plus)
-    t_minus, dt_minus = mode_population_transfer(space.cutoff_minus, params.alpha_minus)
-    out = t_plus @ pops @ t_minus.T
-    require_trace_window(out.sum(), state.trace_deficit_budget)
-    return out, dt_plus @ pops @ t_minus.T, t_plus @ pops @ dt_minus.T
+    t_plus, dt_plus = mode_population_transfer(space.cutoff_plus, [p.alpha_plus for p in params])
+    t_minus, dt_minus = mode_population_transfer(
+        space.cutoff_minus, [p.alpha_minus for p in params]
+    )
+    t_minus, dt_minus = np.swapaxes(t_minus, 1, 2), np.swapaxes(dt_minus, 1, 2)
+    out = t_plus @ pops @ t_minus
+    require_trace_window(out.sum(axis=(1, 2)), state.trace_deficit_budget)
+    return out, dt_plus @ pops @ t_minus, t_plus @ pops @ dt_minus
 
 
-def _mean_counts(pops: np.ndarray) -> tuple[float, float]:
-    """⟨n₊⟩ and ⟨n₋⟩ over populations P[n₊, n₋]; linear in P."""
+def _mean_counts(pops: np.ndarray) -> tuple:
+    """⟨n₊⟩ and ⟨n₋⟩ over each P[b, n₊, n₋] of a stack; linear in P."""
     return (
-        float(np.arange(pops.shape[0]) @ pops.sum(axis=1)),
-        float(np.arange(pops.shape[1]) @ pops.sum(axis=0)),
+        pops.sum(axis=2) @ np.arange(pops.shape[1]),
+        pops.sum(axis=1) @ np.arange(pops.shape[2]),
     )
 
 
 def _moments(pops: np.ndarray) -> IntensityStatistics:
-    n_plus, n_minus = np.arange(pops.shape[0]), np.arange(pops.shape[1])
+    """The moments at each point of a population stack, as arrays."""
+    n_plus, n_minus = np.arange(pops.shape[1]), np.arange(pops.shape[2])
     mean_p, mean_m = _mean_counts(pops)
-    var_p = float(n_plus**2 @ pops.sum(axis=1)) - mean_p**2
-    var_m = float(n_minus**2 @ pops.sum(axis=0)) - mean_m**2
-    cov = float(n_plus @ pops @ n_minus) - mean_p * mean_m
+    var_p = pops.sum(axis=2) @ n_plus**2 - mean_p**2
+    var_m = pops.sum(axis=1) @ n_minus**2 - mean_m**2
+    cov = n_plus @ pops @ n_minus - mean_p * mean_m
     return IntensityStatistics(mean_p, mean_m, var_p, var_m, cov)
 
 
@@ -284,28 +291,34 @@ def intensity_statistics(
     """
     if state is None:
         state = prepare_input_state(kind)
-    return _moments(_output_populations(state, params)[0])
+    stats = _moments(_output_populations(state, [params])[0])
+    return IntensityStatistics(*(float(value[0]) for value in stats))
 
 
-def _intensity_sensitivities(state: TwoModeState, params: ChiralParams) -> dict:
-    """δx_d and δx_s from intensity measurement, from one population pass.
+def _intensity_sensitivities(state: TwoModeState, params) -> list:
+    """δx_d and δx_s from intensity measurement at each grid point of
+    ``params``, from one population pass.
 
-    Maps each target to ``(sensitivity, derivative)``: the signal's noise
-    over its exact slope, or None where the slope is below the floor.
+    Maps each target to ``(sensitivity, derivative)`` per point: the
+    signal's noise over its exact slope, or None where the slope is below
+    the floor.
     """
     pops, d_plus, d_minus = _output_populations(state, params)
     stats = _moments(pops)
-    out = {}
+    columns = {}
     for target, sign in (("x_d", -1.0), ("x_s", 1.0)):
         # the signal is ⟨n₊⟩ + sign·⟨n₋⟩, and ∂/∂x = ∂/∂α₊ + sign·∂/∂α₋
         d_mean_p, d_mean_m = _mean_counts(d_plus + sign * d_minus)
         derivative = d_mean_p + sign * d_mean_m
         variance = stats.var_plus + stats.var_minus + 2.0 * sign * stats.covariance
-        sensitivity = None
-        if abs(derivative) >= DERIVATIVE_FLOOR:
-            sensitivity = math.sqrt(max(variance, 0.0)) / abs(derivative)
-        out[target] = (sensitivity, derivative)
-    return out
+        usable = np.abs(derivative) >= DERIVATIVE_FLOOR
+        slope = np.where(usable, np.abs(derivative), 1.0)
+        sensitivity = np.sqrt(np.maximum(variance, 0.0)) / slope
+        columns[target] = [
+            (s if ok else None, d)
+            for s, ok, d in zip(sensitivity.tolist(), usable.tolist(), derivative.tolist())
+        ]
+    return [dict(zip(columns, point)) for point in zip(*columns.values())]
 
 
 def error_propagation_sensitivity(
@@ -327,7 +340,8 @@ def error_propagation_sensitivity(
         raise ValueError(f"target must be one of {CHIRAL_NAMES}, got {target!r}")
     if state is None:
         state = prepare_input_state(kind)
-    sensitivity, derivative = _intensity_sensitivities(state, params).get(target, (None, 0.0))
+    point = _intensity_sensitivities(state, [params])[0]
+    sensitivity, derivative = point.get(target, (None, 0.0))
     if sensitivity is None:
         raise DomainError(
             f"the intensity signal does not move with {target!r} here"
@@ -367,10 +381,8 @@ def sweep_columns(spec: SweepSpec) -> tuple:
     return tuple(cols)
 
 
-def _eval_qfim_numeric(kind, params, state, cells, flags):
-    labels = default_param_labels(kind)
-    result = compute_bounds(state, params, labels)
-    for p in labels:
+def _fill_bounds(kind, result, cells, flags):
+    for p in default_param_labels(kind):
         column = f"{QFIM_NUMERIC}.delta_{p}"
         b = result.bound(p)
         cells[column] = b
@@ -413,8 +425,8 @@ def _eval_qfim_analytic(kind, params, cells, flags):
             flags.append(f"{QFIM_ANALYTIC}.{quantity}:unavailable")
 
 
-def _eval_intensity_exact(params, state, cells, flags):
-    for target, (sensitivity, _) in _intensity_sensitivities(state, params).items():
+def _fill_intensity(sensitivities, cells, flags):
+    for target, (sensitivity, _) in sensitivities.items():
         column = f"{INTENSITY_EXACT}.delta_{target}"
         cells[column] = sensitivity
         if sensitivity is None:
@@ -434,40 +446,93 @@ def _eval_intensity_analytic(kind, params, cells, flags):
         cells[f"{INTENSITY_ANALYTIC}.delta_{target}"] = report.values[target]
 
 
-def evaluate_point(spec: SweepSpec, state: TwoModeState, value: float) -> SweepRow:
-    columns = sweep_columns(spec)
-    cells = {c: None for c in columns}
-    flags = []
-    kind = spec.input_state
+# what fails at one point flags that point's row, never the sweep
+POINT_ERRORS = (DomainError, ValueError, NumericError)
+
+
+def _each_point(batch, points: list) -> list:
+    """``batch(points)``, one result per point; when it raises, each point
+    alone, so that a failing point gets its own error message as its
+    result and every other point its own result."""
     try:
-        params = spec.params_at(value)
-    except (DomainError, ValueError) as exc:
-        return SweepRow(
-            coordinate=float(value),
-            values=cells,
-            status=(f"invalid-point:{exc}",),
-        )
-    for method in spec.methods:
-        try:
-            if method == QFIM_NUMERIC:
-                _eval_qfim_numeric(kind, params, state, cells, flags)
-            elif method == QFIM_ANALYTIC:
-                _eval_qfim_analytic(kind, params, cells, flags)
-            elif method == INTENSITY_EXACT:
-                _eval_intensity_exact(params, state, cells, flags)
-            elif method == INTENSITY_ANALYTIC:
-                _eval_intensity_analytic(kind, params, cells, flags)
-            else:
-                cells[f"{FIDELITY_FRINGE}.value"] = fidelity_fringe(kind, params)
-        except (DomainError, ValueError) as exc:
-            flags.append(f"{method}:failed:{exc}")
-    return SweepRow(coordinate=float(value), values=cells, status=tuple(flags))
+        return batch(points)
+    except POINT_ERRORS as exc:
+        if len(points) == 1:
+            return [str(exc)]
+    return [_each_point(batch, [point])[0] for point in points]
 
 
 def run_sweep(spec: SweepSpec) -> list:
-    """Evaluate every requested method at every grid point, in grid order."""
+    """Evaluate every requested method at every grid point, in grid order.
+
+    The numeric methods take all valid points in one grid pass each; the
+    closed forms go point by point.  Failures are kept as their messages:
+    a stored exception would hold this frame through its traceback, a
+    cycle that keeps every result alive until the garbage collector runs.
+    """
     state = prepare_input_state(spec.input_state)
-    return [evaluate_point(spec, state, v) for v in spec.grid()]
+    kind = spec.input_state
+    columns = sweep_columns(spec)
+    points = []
+    for value in spec.grid():
+        try:
+            points.append((float(value), spec.params_at(value)))
+        except (DomainError, ValueError) as exc:
+            points.append((float(value), f"invalid-point:{exc}"))
+    valid = [params for _, params in points if not isinstance(params, str)]
+    grid_methods = {
+        QFIM_NUMERIC: lambda batch: compute_bounds_grid(state, batch, default_param_labels(kind)),
+        INTENSITY_EXACT: lambda batch: _intensity_sensitivities(state, batch),
+    }
+    computed = {
+        method: iter(_each_point(run, valid) if valid else ())
+        for method, run in grid_methods.items()
+        if method in spec.methods
+    }
+    rows = []
+    for value, params in points:
+        cells = dict.fromkeys(columns)
+        if isinstance(params, str):
+            rows.append(SweepRow(value, cells, (params,)))
+            continue
+        flags = []
+        for method in spec.methods:
+            result = next(computed[method]) if method in computed else None
+            if isinstance(result, str):
+                flags.append(f"{method}:failed:{result}")
+                continue
+            try:
+                if method == QFIM_NUMERIC:
+                    _fill_bounds(kind, result, cells, flags)
+                elif method == QFIM_ANALYTIC:
+                    _eval_qfim_analytic(kind, params, cells, flags)
+                elif method == INTENSITY_EXACT:
+                    _fill_intensity(result, cells, flags)
+                elif method == INTENSITY_ANALYTIC:
+                    _eval_intensity_analytic(kind, params, cells, flags)
+                else:
+                    cells[f"{FIDELITY_FRINGE}.value"] = fidelity_fringe(kind, params)
+            except POINT_ERRORS as exc:
+                flags.append(f"{method}:failed:{exc}")
+        rows.append(SweepRow(value, cells, tuple(flags)))
+    return rows
+
+
+def flags_by_reason(rows) -> dict:
+    """Flagged rows per flag reason, the most common first.
+
+    A reason is a flag without its message: ``invalid-point`` for
+    ``invalid-point:<message>``, ``<method>:failed`` for
+    ``<method>:failed:<message>``, and the whole flag otherwise.
+    """
+    counts = Counter()
+    for row in rows:
+        reasons = []
+        for flag in row.status:
+            head, _, rest = flag.partition(":")
+            reasons.append(head if head == "invalid-point" else f"{head}:{rest.partition(':')[0]}")
+        counts.update(dict.fromkeys(reasons, 1))
+    return dict(counts.most_common())
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_complex_matrix, require_hermitian
+from .linalg import require_hermitian
 
 TRUNCATION_BUDGET_DEFAULT = 1e-10
 PSD_TOL = 1e-10
@@ -51,15 +51,22 @@ class StateValidationError(ValueError):
     """A density matrix violates the TwoModeState invariants."""
 
 
-def require_trace_window(tr: complex, budget: float) -> None:
-    """A density matrix trace must be real and lie in [1 − budget, 1]."""
+def require_trace_window(tr, budget: float) -> None:
+    """A density matrix trace must be real and lie in [1 − budget, 1].
+
+    ``tr`` is one trace or an array of them; the first that fails raises.
+    """
+    tr = np.asarray(tr)
+    lo = 1.0 - budget - 1e-12
+    bad = (np.abs(tr.imag) > 1e-12) | ~((lo <= tr.real) & (tr.real <= 1.0 + 1e-12))
+    if not bad.any():
+        return
+    tr = tr.flat[np.argmax(bad)]
     if abs(tr.imag) > 1e-12:
         raise StateValidationError(f"trace has imaginary part {tr.imag:.3e}")
-    lo = 1.0 - budget - 1e-12
-    if not (lo <= tr.real <= 1.0 + 1e-12):
-        raise StateValidationError(
-            f"trace {tr.real!r} outside [{lo!r}, 1] for budget {budget:.3e}"
-        )
+    raise StateValidationError(
+        f"trace {tr.real!r} outside [{lo!r}, 1] for budget {budget:.3e}"
+    )
 
 
 @dataclass(frozen=True)
@@ -216,8 +223,8 @@ class TwoModeState:
 
 
 def _checked(matrix, dim: int) -> np.ndarray:
-    """A finite Hermitian dim × dim matrix, returned exactly Hermitian."""
-    matrix = as_complex_matrix(matrix)
+    """A finite Hermitian dim × dim complex matrix, returned exactly Hermitian."""
+    matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (dim, dim):
         raise StateValidationError(f"matrix shape {matrix.shape} does not match dim {dim}")
     return require_hermitian(matrix, tol=1e-12)

@@ -6,7 +6,9 @@ hundred rows at most).
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
 scalars are Python/NumPy complex numbers.  Finiteness (no NaN/Inf) and
 Hermiticity are checked where a matrix crosses a public entry point; the
-eigensolvers' residuals are checked by the test suite, not on every call.
+Hermiticity checks reduce over the last two axes, so they also check a
+stack of matrices at once, and keep real input real.  The eigensolvers'
+residuals are checked by the test suite, not on every call.
 
 Two eigensolver backends are provided:
 
@@ -74,24 +76,36 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """max |A - A†|."""
-    return float(np.max(np.abs(a - a.conj().T)))
+def hermiticity_defect(a: np.ndarray):
+    """max |A - A†| over the last two axes: a float for one matrix, an array for a stack."""
+    defect = np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate and return the exactly Hermitian part (A + A†)/2."""
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    """Validate and return the exactly Hermitian part (A + A†)/2.
+
+    ``a`` is one matrix or a stack of them along leading axes; each must be
+    finite and Hermitian within ``tol * max(1, max|A|)`` of its own entries,
+    and the first that is not raises.  Real input stays real.
+    """
+    a = np.asarray(a)
+    if a.dtype != np.float64:
+        a = a.astype(np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise DimensionMismatchError(f"expected a square matrix, got {a.shape}")
-    scale = float(np.max(np.abs(a)))
-    defect = hermiticity_defect(a)
-    if defect > tol * max(1.0, scale):
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    defect = np.asarray(hermiticity_defect(a))
+    bad = defect > tol * np.maximum(1.0, scale)
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
         raise NonHermitianError(
-            f"matrix is not Hermitian: max|A - A†| = {defect:.3e}"
-            f" exceeds {tol:.1e} * max(1, {scale:.3e})"
+            f"matrix is not Hermitian: max|A - A†| = {defect[first]:.3e}"
+            f" exceeds {tol:.1e} * max(1, {scale[first]:.3e})"
         )
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
 @dataclass(frozen=True)

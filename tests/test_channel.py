@@ -364,24 +364,44 @@ def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
     assert cutoffs == [2, 3, 2, 3]
 
 
-def test_sweep_point_takes_one_population_pass_for_both_targets(monkeypatch):
+def test_sweep_takes_one_loss_table_pass_per_mode_per_numeric_method(monkeypatch):
+    # unequal amplitudes give unequal cutoffs, which tell the two modes' passes apart
+    kind = InputStateKind.coherent(1.0, 0.5j)
+    space = experiments.prepare_input_state(kind).space
+    assert space.cutoff_plus != space.cutoff_minus
+    cutoffs = _count_weight_passes(monkeypatch)
+    for points in (2, 7, 95):
+        spec = experiments.SweepSpec(
+            input_state=kind,
+            vary="x_s",
+            start=0.01,
+            stop=0.95,
+            points=points,
+            fixed={"x_d": 0.005},
+            methods=(experiments.QFIM_NUMERIC, experiments.INTENSITY_EXACT),
+        )
+        cutoffs.clear()
+        experiments.run_sweep(spec)
+        assert cutoffs == [space.cutoff_plus, space.cutoff_minus] * 2
+
+    # the intensity route propagates populations only, and one pass serves both targets
+    _refuse_dense_propagation(monkeypatch)
     spec = experiments.SweepSpec(
         input_state=InputStateKind.noon_hv(),
         vary="x_s",
         start=0.2,
         stop=0.6,
-        points=2,
+        points=5,
         fixed={"x_d": 0.05},
         methods=(experiments.INTENSITY_EXACT,),
     )
-    state = hv_to_pm_state(NOON_HV, FockSpace(2, 3))
-    cutoffs = _count_weight_passes(monkeypatch)
-    _refuse_dense_propagation(monkeypatch)
-    row = experiments.evaluate_point(spec, state, 0.4)
-    assert cutoffs == [2, 3]
-    assert row.status == ()
-    for target in ("x_d", "x_s"):
-        assert row.values[f"{experiments.INTENSITY_EXACT}.delta_{target}"] > 0.0
+    cutoffs.clear()
+    rows = experiments.run_sweep(spec)
+    assert cutoffs == [2, 2]
+    for row in rows:
+        assert row.status == ()
+        for target in ("x_d", "x_s"):
+            assert row.values[f"{experiments.INTENSITY_EXACT}.delta_{target}"] > 0.0
 
 
 def _loss_weights_by_comb(cutoff, alpha):

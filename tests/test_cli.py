@@ -309,6 +309,24 @@ def test_sweep_writes_file_with_summary(capsys, tmp_path):
     assert len(rows) == 3
 
 
+def test_sweep_summary_groups_flags_by_reason(capsys):
+    # x_s = 0 leaves alpha_minus = -0.05 outside the domain
+    argv = ["sweep", "--state", "fock-pair", "--vary", "x_s", "--start", "0", "--stop", "0.6"]
+    argv += ["--points", "3", "--fix", "x_d=0.05"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert err.strip() == (
+        "3 rows, 3 flagged points"
+        " (2 qfim_numeric.delta_delta:unidentifiable, 1 invalid-point)"
+    )
+    code, _, err = run_cli(capsys, *argv, "--json")
+    assert json.loads(err) == {
+        "rows": 3,
+        "flagged_points": 3,
+        "flags_by_reason": {"qfim_numeric.delta_delta:unidentifiable": 2, "invalid-point": 1},
+    }
+
+
 def test_sweep_custom_grid_requires_range_flags(capsys):
     code, out, err = run_cli(capsys, "sweep", "--state", "noon", "--vary", "x_s")
     assert code == EXIT_INVALID

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from chiral_qfim.analytic import (
     noon_intensity_sensitivities,
     single_photon_catalog,
 )
-from chiral_qfim import experiments
+from chiral_qfim import channel, experiments
 from chiral_qfim.channel import CHIRAL_NAMES, ChiralParams, DomainError, apply_channel_kraus
-from chiral_qfim.estimation import compute_bounds
+from chiral_qfim.estimation import NumericError, compute_bounds
 from chiral_qfim.experiments import (
     FIDELITY_FRINGE,
     INTENSITY_ANALYTIC,
@@ -29,6 +30,7 @@ from chiral_qfim.experiments import (
     compare_analytic_numeric,
     error_propagation_sensitivity,
     figure_presets,
+    flags_by_reason,
     intensity_statistics,
     method_quantities,
     prepare_input_state,
@@ -583,5 +585,103 @@ def test_product_input_never_forms_the_two_mode_matrix():
     assert _peak_bytes(lambda: built.append(coherent_product_state(space, amp_p, amp_m))) < 2e6
     state = built[0]
     assert _peak_bytes(lambda: compute_bounds(state, params, CHIRAL_NAMES)) < 2e6
-    assert _peak_bytes(lambda: experiments._intensity_sensitivities(state, params)) < 2e6
+    assert _peak_bytes(lambda: experiments._intensity_sensitivities(state, [params])) < 2e6
     assert "rho" not in vars(state)
+
+
+def _cells_close(row, ref, rel):
+    assert row.coordinate == ref.coordinate and row.values.keys() == ref.values.keys()
+    for column, value in row.values.items():
+        expected = ref.values[column]
+        assert (value is None) == (expected is None), column
+        if value is not None:
+            assert value == pytest.approx(expected, rel=rel, abs=0), column
+
+
+def _coarse_members():
+    """Every fig2a and fig4 member on a 7-point grid, plus each fig2a member
+    started at x_s = x_d, where the minus mode is lossless (fig4 starts at
+    alpha = 0, where both are)."""
+    presets = figure_presets()
+    for label, spec in presets["fig2a"] + presets["fig4"]:
+        yield label, replace(spec, points=7)
+    for label, spec in presets["fig2a"]:
+        yield f"{label}@alpha_minus=0", replace(spec, start=spec.fixed["x_d"], points=7)
+
+
+@pytest.mark.parametrize("label, spec", list(_coarse_members()), ids=lambda v: str(v)[:40])
+def test_grid_sweep_equals_the_batch_of_one(monkeypatch, label, spec):
+    rows = run_sweep(spec)
+    grid_intensity = experiments._intensity_sensitivities
+    monkeypatch.setattr(
+        experiments,
+        "compute_bounds_grid",
+        lambda state, points, labels: [compute_bounds(state, p, labels) for p in points],
+    )
+    monkeypatch.setattr(
+        experiments,
+        "_intensity_sensitivities",
+        lambda state, points: [grid_intensity(state, [p])[0] for p in points],
+    )
+    per_point = run_sweep(spec)
+    for row, ref in zip(rows, per_point, strict=True):
+        assert row.status == ref.status
+        _cells_close(row, ref, rel=1e-12)
+    if spec.fixed.get("x_d", 0.0) > spec.start:
+        assert rows[0].status[0].startswith("invalid-point:")
+
+
+@pytest.mark.parametrize("kind", [NOON, COH1], ids=["dense", "per_mode"])
+@pytest.mark.parametrize("fill", [math.nan, 0.0], ids=["nan", "zero"])
+def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
+    # x_d = 0.03 keeps every point's alpha_plus apart from every alpha_minus
+    spec = spec_for(kind, start=0.2, stop=0.6, points=5, fixed={"x_d": 0.03})
+    spec = replace(spec, methods=(QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT))
+    clean = run_sweep(spec)
+    broken = spec.params_at(spec.grid()[2])
+    tables = channel._loss_tables
+
+    def failing_at_one_point(cutoff, alpha):
+        out = tables(cutoff, alpha)
+        for table in out:
+            table[np.asarray(alpha) == broken.alpha_plus] = fill
+        return out
+
+    monkeypatch.setattr(channel, "_loss_tables", failing_at_one_point)
+    rows = run_sweep(spec)
+    state = prepare_input_state(kind)
+    with pytest.raises((DomainError, ValueError, NumericError)) as numeric:
+        compute_bounds(state, broken, experiments.default_param_labels(kind))
+    with pytest.raises((DomainError, ValueError, NumericError)) as intensity:
+        error_propagation_sensitivity(kind, broken, "x_d", state)
+    failed = tuple(f for f in rows[2].status if ":failed:" in f)
+    assert failed == (
+        f"{QFIM_NUMERIC}:failed:{numeric.value}",
+        f"{INTENSITY_EXACT}:failed:{intensity.value}",
+    )
+    if fill == 0.0 and kind == COH1:
+        assert numeric.type is NumericError
+    for i, (row, ref) in enumerate(zip(rows, clean, strict=True)):
+        if i == 2:
+            analytic = f"{QFIM_ANALYTIC}.delta_x_d"
+            assert row.values[f"{QFIM_NUMERIC}.delta_x_d"] is None
+            assert row.values[analytic] == ref.values[analytic]
+            continue
+        assert row.status == ref.status
+        _cells_close(row, ref, rel=1e-14)
+
+
+def test_flags_are_grouped_by_reason():
+    rows = [
+        SweepRow(0.0, {}, ("invalid-point:alpha_minus must lie in [0, 1), got -0.1",)),
+        SweepRow(0.1, {}, ("qfim_numeric.delta_delta:unidentifiable", "qfim_numeric:failed:x")),
+        SweepRow(0.2, {}, ("qfim_numeric.delta_delta:unidentifiable",)),
+        SweepRow(0.3, {}, ("qfim_numeric:failed:y", "qfim_numeric:failed:z")),
+        SweepRow(0.4, {}, ()),
+    ]
+    assert flags_by_reason(rows) == {
+        "qfim_numeric:failed": 2,
+        "qfim_numeric.delta_delta:unidentifiable": 2,
+        "invalid-point": 1,
+    }
+    assert list(flags_by_reason(rows))[0] == "qfim_numeric.delta_delta:unidentifiable"

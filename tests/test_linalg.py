@@ -151,3 +151,24 @@ def test_require_hermitian_symmetrizes_within_tolerance():
     assert hermiticity_defect(h) == 0.0
     with pytest.raises(NonHermitianError):
         require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_hermitian_checks_reduce_over_the_last_two_axes():
+    rng = np.random.default_rng(7)
+    stack = np.stack([random_hermitian(rng, 4) * s for s in (1.0, 1e3, 1e-3)])
+    assert hermiticity_defect(stack).shape == (3,)
+    h = require_hermitian(stack)
+    for i in range(3):
+        np.testing.assert_array_equal(h[i], require_hermitian(stack[i]))
+    real = stack.real + np.swapaxes(stack.real, 1, 2)
+    assert require_hermitian(real).dtype == np.float64
+    # each matrix is held to its own scale: 1e-10 passes at 1e3, not at 1e-3
+    skewed = stack.copy()
+    skewed[1, 0, 1] += 1e-10
+    require_hermitian(skewed)
+    skewed[2, 0, 1] += 1e-10
+    with pytest.raises(NonHermitianError, match="1.000e-10 exceeds 1.0e-12"):
+        require_hermitian(skewed)
+    skewed[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        require_hermitian(skewed)
