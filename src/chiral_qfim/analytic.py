@@ -24,6 +24,7 @@ import numpy as np
 
 from .channel import (
     CHIRAL_NAMES,
+    COORDS_ALPHA_PHI,
     ChiralParams,
     DomainError,
     channel_output_and_alpha_derivatives,
@@ -135,17 +136,81 @@ class SensitivityReport:
             raise ValueError(f"unknown method {self.method!r}; expected one of {_METHODS}")
         for p, v in self.values.items():
             if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"sensitivity for {p!r} must be finite and nonnegative, got {v!r}")
+                raise _value_error(p, v)
 
     def value(self, param: str) -> float:
         return self.values[param]
 
 
-def _check_domain(params: ChiralParams) -> float:
-    d = params.eta_plus * params.eta_minus
-    if d <= 0.0:
-        raise DomainError(f"(1-X_s)^2 - X_d^2 = {d!r} must be positive")
-    return d
+def _value_error(param: str, value: float) -> ValueError:
+    return ValueError(f"sensitivity for {param!r} must be finite and nonnegative, got {value!r}")
+
+
+class ParamGrid:
+    """The coordinates of a list of ChiralParams, one (B,) array each: the
+    grid axis along which every closed form here is evaluated elementwise.
+
+    The derived coordinates are ChiralParams' own properties, so a closed
+    form reads the same floats at a grid point as at that point alone.
+    """
+
+    eta_plus, eta_minus = ChiralParams.eta_plus, ChiralParams.eta_minus
+    x_d, x_s, delta = ChiralParams.x_d, ChiralParams.x_s, ChiralParams.delta
+
+    def __init__(self, params):
+        coords = np.array([p.values(COORDS_ALPHA_PHI) for p in params], dtype=float)
+        self.alpha_plus, self.alpha_minus, self.phi_plus, self.phi_minus = coords.reshape(-1, 4).T
+
+
+class SensitivityGrid(NamedTuple):
+    """One method's closed-form sensitivities at each point of a grid.
+
+    ``values`` and ``covariances`` hold (B,) arrays, a covariance NaN where
+    none is given; ``notes`` apply where ``limit`` is set.  ``errors[b]``
+    is the exception the scalar call raises at point b, or None.
+    """
+
+    method: str
+    values: dict
+    covariances: dict
+    errors: list
+    notes: tuple = ()
+    limit: np.ndarray | None = None
+
+    def report(self, b: int = 0) -> SensitivityReport:
+        """Point b as the scalar call returns it; raises that point's error."""
+        if self.errors[b] is not None:
+            raise type(self.errors[b])(*self.errors[b].args)
+        covariances = {pair: float(c[b]) for pair, c in self.covariances.items()}
+        return SensitivityReport(
+            method=self.method,
+            values={p: float(v[b]) for p, v in self.values.items()},
+            covariances={k: c for k, c in covariances.items() if not math.isnan(c)},
+            notes=self.notes if self.limit is not None and self.limit[b] else (),
+        )
+
+
+def _checked_grid(method, values, covariances=None, d=None, errors=None, **notes):
+    """A SensitivityGrid failing each point as its scalar call does, at the
+    first of: (1-X_s)^2 - X_d^2 = ``d`` not positive, an error already in
+    ``errors``, a value not finite and nonnegative (SensitivityReport's
+    check)."""
+    stacked = np.array(list(values.values()))
+    bad = ~(np.isfinite(stacked) & (stacked >= 0.0))
+    domain = np.zeros(stacked.shape[1], dtype=bool) if d is None else d <= 0.0
+    found = list(errors) if errors else [None] * stacked.shape[1]
+    for b in np.flatnonzero(domain | bad.any(axis=0)).tolist():
+        if domain[b]:
+            found[b] = DomainError(f"(1-X_s)^2 - X_d^2 = {float(d[b])!r} must be positive")
+        elif found[b] is None:
+            k = int(bad[:, b].argmax())
+            found[b] = _value_error(list(values)[k], float(stacked[k, b]))
+    return SensitivityGrid(method, values, covariances or {}, found, **notes)
+
+
+def _require_photons(n0: float) -> None:
+    if n0 <= 0.0:
+        raise DomainError(f"mean photon number must be positive, got {n0!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,23 +236,36 @@ def equal_split_photons(kind: InputStateKind) -> float:
     return kind.mean_photons
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def coherent_bounds_grid(grid: ParamGrid, n0: float) -> SensitivityGrid:
+    """``coherent_bounds`` at each point of ``grid``."""
+    _require_photons(n0)
+    d = grid.eta_plus * grid.eta_minus
+    absorb = np.sqrt((1.0 - grid.x_s) / n0)
+    phase = np.sqrt((1.0 - grid.x_s) / (n0 * d))
+    return _checked_grid(
+        QFIM_BOUND,
+        {"x_d": absorb, "x_s": absorb, "delta": phase, "sigma": phase},
+        {
+            # 0.0 − x keeps x_d = 0 at +0.0, which prints as 0, not -0
+            ("x_d", "x_s"): 0.0 - grid.x_d / n0,
+            ("delta", "sigma"): grid.x_d / (n0 * d),
+        },
+        d=d,
+    )
+
+
 def coherent_bounds(params: ChiralParams, n0: float) -> SensitivityReport:
     """Closed-form bound matrix entries for a coherent input."""
-    if n0 <= 0.0:
-        raise DomainError(f"mean photon number must be positive, got {n0!r}")
-    d = _check_domain(params)
-    x_d, x_s = params.x_d, params.x_s
-    absorb = math.sqrt((1.0 - x_s) / n0)
-    phase = math.sqrt((1.0 - x_s) / (n0 * d))
-    return SensitivityReport(
-        method=QFIM_BOUND,
-        values={"x_d": absorb, "x_s": absorb, "delta": phase, "sigma": phase},
-        covariances={
-            # 0.0 − x keeps x_d = 0 at +0.0, which prints as 0, not -0
-            ("x_d", "x_s"): 0.0 - x_d / n0,
-            ("delta", "sigma"): x_d / (n0 * d),
-        },
-    )
+    return coherent_bounds_grid(ParamGrid([params]), n0).report()
+
+
+@np.errstate(invalid="ignore")
+def coherent_intensity_grid(grid: ParamGrid, n0: float) -> SensitivityGrid:
+    """``coherent_intensity_sensitivities`` at each point of ``grid``."""
+    _require_photons(n0)
+    value = np.sqrt((1.0 - grid.x_s) / n0)
+    return _checked_grid(INTENSITY_MEASUREMENT, {"x_d": value, "x_s": value})
 
 
 def coherent_intensity_sensitivities(
@@ -210,12 +288,7 @@ def coherent_intensity_sensitivities(
         n0 = kind_n0
     if n0 is None:
         raise ValueError("either n0 or kind is required")
-    if n0 <= 0.0:
-        raise DomainError(f"mean photon number must be positive, got {n0!r}")
-    value = math.sqrt((1.0 - params.x_s) / n0)
-    return SensitivityReport(
-        method=INTENSITY_MEASUREMENT, values={"x_d": value, "x_s": value}
-    )
+    return coherent_intensity_grid(ParamGrid([params]), n0).report()
 
 
 def coherent_slds(
@@ -230,8 +303,7 @@ def coherent_slds(
     the exact channel derivatives, and agrees with the numerical solver on
     all support-coupled pairs.
     """
-    if n0 <= 0.0:
-        raise DomainError(f"mean photon number must be positive, got {n0!r}")
+    _require_photons(n0)
     amp_p, amp_m = hv_to_pm_amplitudes(math.sqrt(n0), 0.0)
     state = coherent_product_state(space, amp_p, amp_m, truncation_budget=truncation_budget)
     output, d_alpha_p, d_alpha_m = channel_output_and_alpha_derivatives(state, params)
@@ -311,6 +383,35 @@ class SinglePhotonCatalog(_Catalog):
     __slots__ = ()
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def single_photon_grid(grid: ParamGrid) -> tuple:
+    """``single_photon_catalog``'s (bounds, intensity) at each point of ``grid``.
+
+    Both fail at a point where the catalog call raises there.
+    """
+    eta_p, eta_m, x_d, x_s = grid.eta_plus, grid.eta_minus, grid.x_d, grid.x_s
+    values = {
+        "x_d": np.sqrt(1.0 - x_s - x_d**2),
+        "x_s": np.sqrt(x_s * (1.0 - x_s)),
+        "delta": np.sqrt((eta_p + eta_m) / (2.0 * eta_p * eta_m)),
+    }
+    lossless = x_s == 0.0
+    bounds = _checked_grid(
+        QFIM_BOUND,
+        values,
+        {("x_d", "x_s"): np.where(lossless, 0.0, -x_s * x_d)},
+        d=eta_p * eta_m,
+        notes=(
+            "lossless point: the vacuum weight vanishes, the entries"
+            " containing 1/X_s diverge, and no finite QFIM or L_s"
+            " realization exists; the bounds are their finite limits",
+        ),
+        limit=lossless,
+    )
+    intensity = {"x_d": values["x_d"], "x_s": values["x_s"]}
+    return bounds, SensitivityGrid(INTENSITY_MEASUREMENT, intensity, {}, bounds.errors)
+
+
 def single_photon_catalog(params: ChiralParams) -> SinglePhotonCatalog:
     """Closed-form state, SLDs, QFIM, and bounds for the |1_H⟩ input.
 
@@ -319,9 +420,10 @@ def single_photon_catalog(params: ChiralParams) -> SinglePhotonCatalog:
     input and is omitted.  Intensity measurement saturates the absorption
     bounds, so ``intensity`` equals ``bounds`` on X_d and X_s.
     """
-    d = _check_domain(params)
+    bounds, intensity = (g.report() for g in single_photon_grid(ParamGrid([params])))
     eta_p, eta_m = params.eta_plus, params.eta_minus
     x_d, x_s, delta = params.x_d, params.x_s, params.delta
+    d = eta_p * eta_m
 
     coherence = 0.5 * math.sqrt(d) * cmath.exp(-1j * delta)
     rho_support = np.array(
@@ -332,26 +434,7 @@ def single_photon_catalog(params: ChiralParams) -> SinglePhotonCatalog:
         ],
         dtype=np.complex128,
     )
-    values = {
-        "x_d": math.sqrt(1.0 - x_s - x_d**2),
-        "x_s": math.sqrt(x_s * (1.0 - x_s)),
-        "delta": math.sqrt((eta_p + eta_m) / (2.0 * eta_p * eta_m)),
-    }
-    intensity = SensitivityReport(
-        method=INTENSITY_MEASUREMENT,
-        values={"x_d": values["x_d"], "x_s": values["x_s"]},
-    )
-    if x_s == 0.0:
-        bounds = SensitivityReport(
-            method=QFIM_BOUND,
-            values=values,
-            covariances={("x_d", "x_s"): 0.0},
-            notes=(
-                "lossless point: the vacuum weight vanishes, the entries"
-                " containing 1/X_s diverge, and no finite QFIM or L_s"
-                " realization exists; the bounds are their finite limits",
-            ),
-        )
+    if bounds.notes:
         return SinglePhotonCatalog(rho_support, None, None, bounds, intensity)
 
     l_d = np.diag([-1.0 / eta_p, 1.0 / eta_m, 0.0]).astype(np.complex128)
@@ -368,12 +451,6 @@ def single_photon_catalog(params: ChiralParams) -> SinglePhotonCatalog:
     f_delta = 2.0 * eta_p * eta_m / (eta_p + eta_m)
     qfim = np.array(
         [[f_dd, f_ds, 0.0], [f_ds, f_ss, 0.0], [0.0, 0.0, f_delta]]
-    )
-
-    bounds = SensitivityReport(
-        method=QFIM_BOUND,
-        values=values,
-        covariances={("x_d", "x_s"): -x_s * x_d},
     )
     return SinglePhotonCatalog(rho_support, slds, qfim, bounds, intensity)
 
@@ -410,39 +487,44 @@ def _noon_rho_support(params: ChiralParams) -> np.ndarray:
     return rho
 
 
+@np.errstate(invalid="ignore")
+def noon_intensity_grid(grid: ParamGrid) -> SensitivityGrid:
+    """``noon_intensity_sensitivities`` at each point of ``grid``."""
+    eta_p, eta_m = grid.eta_plus, grid.eta_minus
+    return _checked_grid(
+        INTENSITY_MEASUREMENT,
+        {
+            "x_d": 0.5 * np.sqrt(eta_p + eta_m + 2.0 * eta_p * eta_m),
+            "x_s": 0.5 * np.sqrt(eta_p + eta_m - 2.0 * eta_p * eta_m),
+        },
+    )
+
+
 def noon_intensity_sensitivities(params: ChiralParams) -> SensitivityReport:
     """Intensity-measurement sensitivities for the |1_H,1_V⟩ input.
 
     Defined on the whole parameter domain; unlike the catalogued QFIM
     these contain no 1/α factors.
     """
-    eta_p, eta_m = params.eta_plus, params.eta_minus
-    return SensitivityReport(
-        method=INTENSITY_MEASUREMENT,
-        values={
-            "x_d": 0.5 * math.sqrt(eta_p + eta_m + 2.0 * eta_p * eta_m),
-            "x_s": 0.5 * math.sqrt(eta_p + eta_m - 2.0 * eta_p * eta_m),
-        },
-    )
+    return noon_intensity_grid(ParamGrid([params])).report()
 
 
-def noon_catalog(params: ChiralParams) -> NoonCatalog:
-    """Closed-form state, SLDs, QFIM, and bounds for the |1_H,1_V⟩ input.
+@np.errstate(divide="ignore", invalid="ignore")
+def noon_grid(grid: ParamGrid) -> tuple:
+    """``noon_catalog``'s (bounds, intensity) at each point of ``grid``; both
+    fail at a point where the catalog call raises there.
 
     The absorption bounds come from the (X_d, X_s) QFIM block multiplied
     through by p·s, p = α₊η₊α₋η₋ and s = X_s² + X_d², whose entries g are
     polynomials: var X_d = 2 g_ss/D, var X_s = 2 g_dd/D, cov = −2 g_ds/D,
     D = 4[(α₊−α₋)² + 2α₊α₋(η₊η₋ + α₊α₋)].  D > 0 on the whole wedge but
     at α₊ = α₋ = 0 (or α underflow), where the bounds take their limit 0
-    and no covariance is given.  The QFIM and SLDs hold 1/α, so where an
-    α is 0 they are None and the bounds, limits there, carry a note.
+    and no covariance is given.
     """
-    _check_domain(params)
-    a_p, a_m = params.alpha_plus, params.alpha_minus
-    eta_p, eta_m = params.eta_plus, params.eta_minus
-    x_d, x_s, delta = params.x_d, params.x_s, params.delta
-    rho_support = _noon_rho_support(params)
-    intensity = noon_intensity_sensitivities(params)
+    a_p, a_m = grid.alpha_plus, grid.alpha_minus
+    eta_p, eta_m = grid.eta_plus, grid.eta_minus
+    x_d, x_s = grid.x_d, grid.x_s
+    intensity = noon_intensity_grid(grid)
     f_delta = 8.0 * eta_p**2 * eta_m**2 / (eta_p**2 + eta_m**2)
 
     s = x_s**2 + x_d**2
@@ -454,29 +536,46 @@ def noon_catalog(params: ChiralParams) -> NoonCatalog:
     g_ss = s * (4.0 * p + r_p + r_m) + 4.0 * p * x_s**2
     g_ds = s * (r_p - r_m) + 4.0 * p * x_s * x_d
     d = 4.0 * ((a_p - a_m) ** 2 + 2.0 * a_p * a_m * (eta_p * eta_m + a_p * a_m))
-    scale = 2.0 / d if d else 0.0
-    # 0.0 − x keeps a vanishing covariance at +0.0
-    covariances = {("x_d", "x_s"): 0.0 - scale * g_ds} if d else {}
-    lossless = a_p == 0.0 or a_m == 0.0
-    bounds = SensitivityReport(
-        method=QFIM_BOUND,
-        values={
-            "x_d": math.sqrt(scale * g_ss),
-            "x_s": math.sqrt(scale * g_dd),
-            "delta": 1.0 / math.sqrt(f_delta),
+    given = d != 0.0
+    scale = np.where(given, 2.0 / d, 0.0)
+    bounds = _checked_grid(
+        QFIM_BOUND,
+        {
+            "x_d": np.sqrt(scale * g_ss),
+            "x_s": np.sqrt(scale * g_dd),
+            "delta": 1.0 / np.sqrt(f_delta),
         },
-        covariances=covariances,
+        # 0.0 − x keeps a vanishing covariance at +0.0
+        {("x_d", "x_s"): np.where(given, 0.0 - scale * g_ds, np.nan)},
+        d=eta_p * eta_m,
+        errors=intensity.errors,
         notes=(
             "lossless mode: an absorption vanishes, the entries containing"
             " 1/alpha diverge, and no finite QFIM or SLD realization exists;"
             " the bounds are the limits of the closed form",
-        )
-        if lossless
-        else (),
+        ),
+        limit=(a_p == 0.0) | (a_m == 0.0),
     )
-    if lossless:
+    return bounds, intensity._replace(errors=bounds.errors)
+
+
+def noon_catalog(params: ChiralParams) -> NoonCatalog:
+    """Closed-form state, SLDs, QFIM, and bounds for the |1_H,1_V⟩ input.
+
+    The bounds are those of ``noon_grid``.  The QFIM and SLDs hold 1/α, so
+    where an α is 0 they are None and the bounds, limits there, carry a
+    note.
+    """
+    bounds, intensity = (g.report() for g in noon_grid(ParamGrid([params])))
+    rho_support = _noon_rho_support(params)
+    if bounds.notes:
         return NoonCatalog(rho_support, None, None, bounds, intensity)
 
+    a_p, a_m = params.alpha_plus, params.alpha_minus
+    eta_p, eta_m = params.eta_plus, params.eta_minus
+    x_d, x_s, delta = params.x_d, params.x_s, params.delta
+    s = x_s**2 + x_d**2
+    f_delta = 8.0 * eta_p**2 * eta_m**2 / (eta_p**2 + eta_m**2)
     q_p = (1.0 - 2.0 * a_p) ** 2 / (a_p * eta_p)
     q_m = (1.0 - 2.0 * a_m) ** 2 / (a_m * eta_m)
     f_dd = 4.0 + q_p + q_m + 4.0 * x_d**2 / s
@@ -502,15 +601,36 @@ def noon_catalog(params: ChiralParams) -> NoonCatalog:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(invalid="ignore")
+def fock_benchmark_grid(grid: ParamGrid) -> SensitivityGrid:
+    """``fock_benchmark_bound`` at each point of ``grid``."""
+    value = np.sqrt(grid.alpha_plus * grid.eta_plus + grid.alpha_minus * grid.eta_minus) / 2.0
+    return _checked_grid(QFIM_BOUND, {"x_d": value, "x_s": value})
+
+
 def fock_benchmark_bound(params: ChiralParams) -> SensitivityReport:
     """Bound for the |1₊,1₋⟩ product input: √(α₊η₊ + α₋η₋)/2 for X_d and X_s."""
-    value = (
-        math.sqrt(
-            params.alpha_plus * params.eta_plus + params.alpha_minus * params.eta_minus
+    return fock_benchmark_grid(ParamGrid([params])).report()
+
+
+@np.errstate(invalid="ignore")
+def fidelity_fringe_grid(kind: InputStateKind | str, grid: ParamGrid) -> SensitivityGrid:
+    """``fidelity_fringe`` at each point of ``grid``, as the grid's ``value``."""
+    name = kind.kind if isinstance(kind, InputStateKind) else kind
+    x_d, x_s, delta = grid.x_d, grid.x_s, grid.delta
+    if name == SINGLE_PHOTON_H:
+        root = np.sqrt((1.0 - x_s) ** 2 - x_d**2)
+        value = 0.5 * (1.0 - x_s + root * np.cos(delta))
+    elif name == NOON_HV:
+        a = (1.0 - x_s) ** 2 + x_d**2
+        b = (1.0 - x_s) ** 2 - x_d**2
+        value = 0.5 * (a + b * np.cos(2.0 * delta))
+    else:
+        raise ValueError(
+            f"fidelity fringes are defined for {SINGLE_PHOTON_H!r} and {NOON_HV!r},"
+            f" not {name!r}"
         )
-        / 2.0
-    )
-    return SensitivityReport(method=QFIM_BOUND, values={"x_d": value, "x_s": value})
+    return _checked_grid(FIDELITY_FRINGE, {"value": value})
 
 
 def fidelity_fringe(kind: InputStateKind | str, params: ChiralParams) -> float:
@@ -519,16 +639,4 @@ def fidelity_fringe(kind: InputStateKind | str, params: ChiralParams) -> float:
     The single-photon fringe oscillates with period 2π in Δ; the NOON
     fringe with period π (doubled frequency).
     """
-    name = kind.kind if isinstance(kind, InputStateKind) else kind
-    x_d, x_s, delta = params.x_d, params.x_s, params.delta
-    if name == SINGLE_PHOTON_H:
-        root = math.sqrt((1.0 - x_s) ** 2 - x_d**2)
-        return 0.5 * (1.0 - x_s + root * math.cos(delta))
-    if name == NOON_HV:
-        a = (1.0 - x_s) ** 2 + x_d**2
-        b = (1.0 - x_s) ** 2 - x_d**2
-        return 0.5 * (a + b * math.cos(2.0 * delta))
-    raise ValueError(
-        f"fidelity fringes are defined for {SINGLE_PHOTON_H!r} and {NOON_HV!r},"
-        f" not {name!r}"
-    )
+    return fidelity_fringe_grid(kind, ParamGrid([params])).report().value("value")

@@ -25,7 +25,8 @@ independent derivative paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +54,8 @@ SLD_RESIDUAL_TOL = 1e-8
 QFIM_PSD_TOL = 1e-9
 RCOND = 1e-10
 KERNEL_COMPONENT_TOL = 1e-6
+# bit k of a QFIM's coupling code is entry k of its flattened n x n pattern (n ≤ 8)
+_BITS = 1 << np.arange(64, dtype=np.uint64)
 
 ALL_PARAM_NAMES = ALPHA_PHI_NAMES + CHIRAL_NAMES
 
@@ -284,41 +287,45 @@ def solve_sld(rho_state: TwoModeState, drho: ParamDerivative) -> SldMatrix:
     )
 
 
-def _detect_blocks(params: tuple, f: np.ndarray) -> tuple:
-    """Parameter groups coupled by |F_ij| > RCOND·sqrt(F_ii F_jj), a unit-free test."""
+def _detect_blocks(params: tuple, f: np.ndarray) -> list:
+    """The parameter groups of each QFIM of the (B, n, n) stack ``f``.
+
+    i and j are coupled when |F_ij| or |F_ji| > RCOND·sqrt(F_ii F_jj), a
+    unit-free test made as one stacked comparison.  Each point's coupling
+    pattern is coded as one integer, and each distinct code (a sweep has
+    few) is resolved into groups once.
+    """
     n = len(params)
-    root = np.sqrt(np.maximum(np.diag(f), 0.0))
-    adj = np.abs(f) > RCOND * root[:, None] * root
-    seen = [False] * n
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, group = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            group.append(i)
-            for j in range(n):
-                if not seen[j] and (adj[i, j] or adj[j, i]):
-                    seen[j] = True
-                    stack.append(j)
-        blocks.append(tuple(params[i] for i in sorted(group)))
-    return tuple(blocks)
+    root = np.sqrt(np.maximum(np.diagonal(f, axis1=1, axis2=2), 0.0))
+    adj = np.abs(f) > RCOND * root[:, :, None] * root[:, None, :]
+    codes = (adj.reshape(len(f), n * n) @ _BITS[: n * n]).tolist()
+    groups = {}
+    for code in set(codes):
+        group = list(range(n))
+        for i, j in itertools.combinations(range(n), 2):
+            if (code >> (i * n + j) | code >> (j * n + i)) & 1 and group[i] != group[j]:
+                group = [group[i] if g == group[j] else g for g in group]
+        groups[code] = tuple(
+            tuple(p for p, g in zip(params, group) if g == label) for label in dict.fromkeys(group)
+        )
+    return [groups[code] for code in codes]
 
 
-def _finish_qfim(params: tuple, f: np.ndarray, meta: dict) -> list:
-    """One QfimResult per QFIM of the (B, n, n) stack ``f``, each checked PSD."""
+def _checked_qfim(f: np.ndarray) -> np.ndarray:
+    """The real symmetric part of the (B, n, n) stack ``f``, checked PSD at each point."""
     f = np.real((f + np.swapaxes(f, 1, 2)) / 2.0)
     scale = np.maximum(1.0, np.abs(f).max(axis=(1, 2)))
     w_min = np.linalg.eigvalsh(f)[:, 0]
     negative = w_min < -QFIM_PSD_TOL * scale
     if negative.any():
         raise NumericError(f"QFIM has negative eigenvalue {w_min[np.argmax(negative)]:.3e}")
-    return [
-        QfimResult(params=params, F=fb, blocks=_detect_blocks(params, fb), meta=dict(meta))
-        for fb in f
-    ]
+    return f
+
+
+def _finish_qfim(params: tuple, f: np.ndarray, meta: dict) -> QfimResult:
+    """The QfimResult of a (1, n, n) stack ``f``, checked PSD, not yet inverted."""
+    f = _checked_qfim(f)
+    return QfimResult(params=params, F=f[0], blocks=_detect_blocks(params, f)[0], meta=meta)
 
 
 def assemble_qfim(rho_state: TwoModeState, slds) -> QfimResult:
@@ -334,7 +341,7 @@ def assemble_qfim(rho_state: TwoModeState, slds) -> QfimResult:
             t = complex(np.sum(left[i] * slds[j].L.T))
             f[i, j] = f[j, i] = t.real
     meta = {"route": "sld", "state_label": rho_state.label}
-    return _finish_qfim(params, f[None], meta)[0]
+    return _finish_qfim(params, f[None], meta)
 
 
 def _eigenbasis_qfim(rho: np.ndarray, mats, pullback: np.ndarray | None = None) -> np.ndarray:
@@ -387,7 +394,7 @@ def qfim_from_derivatives(rho_state: TwoModeState, derivs) -> QfimResult:
     _require_distinct(params)
     f = _eigenbasis_qfim(rho_state.rho[None], [d.drho[None] for d in derivs])
     meta = {"route": "eigenbasis", "state_label": rho_state.label}
-    return _finish_qfim(params, f, meta)[0]
+    return _finish_qfim(params, f, meta)
 
 
 def _native_pullback(param_labels: tuple) -> np.ndarray:
@@ -457,10 +464,10 @@ def _mode_qfim(factor: np.ndarray, alphas: list) -> tuple:
     return _eigenbasis_qfim(require_hermitian(output), [d_alpha, d_phi]), trace
 
 
-def _inverted(results: list) -> list:
-    """``invert_and_bound`` of each result, over the stack of their QFIMs."""
-    params = results[0].params
-    f = np.stack([r.F for r in results])
+def _inverted(params: tuple, f: np.ndarray, blocks: list, meta: dict) -> list:
+    """One inverted QfimResult per QFIM of the checked (B, n, n) stack ``f``,
+    as ``invert_and_bound`` describes, each built once from the stacked
+    inversion."""
     diag = np.diagonal(f, axis1=1, axis2=2)
     positive = diag > 0.0
     d = np.where(positive, np.where(positive, diag, 1.0) ** -0.5, 0.0)
@@ -476,32 +483,29 @@ def _inverted(results: list) -> list:
     both = identifiable[:, :, None] & identifiable[:, None, :]
     sqfim = np.sqrt(np.where(both & (f_inv >= 0.0), f_inv, np.nan))
     bounds = np.sqrt(np.maximum(np.diagonal(f_inv, axis1=1, axis2=2), 0.0))
-    pairs = [(i, j) for i in range(len(params)) for j in range(i + 1, len(params))]
+    pairs = list(itertools.combinations(range(len(params)), 2))
+    # a point whose F vanishes is fully singular: nothing identifiable, F⁻¹ = 0
+    singular = (w_max <= 0.0).tolist()
     out = []
-    for b, (result, ok, bound, inv) in enumerate(
-        zip(results, identifiable.tolist(), bounds.tolist(), f_inv.tolist())
+    for fb, inv_b, sq_b, block, ok, bound, inv, lost in zip(
+        f, f_inv, sqfim, blocks, identifiable.tolist(), bounds.tolist(), f_inv.tolist(), singular
     ):
-        if w_max[b] <= 0.0:
-            fields = dict(
-                F_inverse=np.zeros_like(result.F),
-                bounds=dict.fromkeys(params),
-                covariances={},
-                sqfim=np.full_like(result.F, np.nan),
-                identifiable=dict.fromkeys(params, False),
-                meta={**result.meta, "fully_singular": True},
-            )
-        else:
-            fields = dict(
-                F_inverse=f_inv[b],
+        covariances = {
+            (params[i], params[j]): inv[i][j] if ok[i] and ok[j] else None for i, j in pairs
+        }
+        out.append(
+            QfimResult(
+                params=params,
+                F=fb,
+                blocks=block,
+                F_inverse=inv_b,
                 bounds={p: bound[i] if ok[i] else None for i, p in enumerate(params)},
-                covariances={
-                    (params[i], params[j]): inv[i][j] if ok[i] and ok[j] else None
-                    for i, j in pairs
-                },
-                sqfim=sqfim[b],
+                covariances={} if lost else covariances,
+                sqfim=sq_b,
                 identifiable=dict(zip(params, ok)),
+                meta={**meta, "fully_singular": True} if lost else dict(meta),
             )
-        out.append(replace(result, **fields))
+        )
     return out
 
 
@@ -514,7 +518,7 @@ def invert_and_bound(qfim: QfimResult) -> QfimResult:
     F⁻¹ = D C⁺ D.  Bounds are δX_j = sqrt((F⁻¹)_jj); parameters
     overlapping the kernel of C are flagged unidentifiable, without bound.
     """
-    return _inverted([qfim])[0]
+    return _inverted(qfim.params, qfim.F[None], [qfim.blocks], qfim.meta)[0]
 
 
 def reparameterize_qfim(qfim: QfimResult, jacobian: CoordinateJacobian) -> QfimResult:
@@ -546,7 +550,7 @@ def reparameterize_qfim(qfim: QfimResult, jacobian: CoordinateJacobian) -> QfimR
     b = b_full[np.ix_(idx, idx)]
     f_new = b.T @ qfim.F @ b
     new_params = tuple(to_names[i] for i in idx)
-    result = _finish_qfim(new_params, f_new[None], {**qfim.meta, "reparameterized": True})[0]
+    result = _finish_qfim(new_params, f_new[None], {**qfim.meta, "reparameterized": True})
     if qfim.bounds is not None:
         result = invert_and_bound(result)
     return result
@@ -580,8 +584,9 @@ def compute_bounds_grid(input_state: TwoModeState, params, param_labels) -> list
     else:
         f = _eigenbasis_qfim(*_native_derivatives(input_state, params), pullback)
         route = "eigenbasis"
+    f = _checked_qfim(f)
     meta = {"route": route, "state_label": input_state.label}
-    return _inverted(_finish_qfim(labels, f, meta))
+    return _inverted(labels, f, _detect_blocks(labels, f), meta)
 
 
 def compute_bounds(

@@ -30,15 +30,16 @@ from .analytic import (
     COHERENT,
     FOCK_ONE_PLUS_ONE_MINUS,
     InputStateKind,
-    coherent_bounds,
-    coherent_intensity_sensitivities,
+    ParamGrid,
+    coherent_bounds_grid,
+    coherent_intensity_grid,
     default_param_labels,
     equal_split_photons,
-    fidelity_fringe,
-    fock_benchmark_bound,
-    noon_catalog,
-    noon_intensity_sensitivities,
-    single_photon_catalog,
+    fidelity_fringe_grid,
+    fock_benchmark_grid,
+    noon_grid,
+    noon_intensity_grid,
+    single_photon_grid,
 )
 from .channel import CHIRAL_NAMES, ChiralParams, DomainError, mode_population_transfer
 from .estimation import NumericError, compute_bounds_grid
@@ -381,69 +382,61 @@ def sweep_columns(spec: SweepSpec) -> tuple:
     return tuple(cols)
 
 
-def _fill_bounds(kind, result, cells, flags):
+def _put_column(cells, flags, column, values, computed, reason):
+    """Store a column; flag ``column:reason`` where a computed point has no value."""
+    cells[column] = values
+    for point_flags, value, ok in zip(flags, values, computed):
+        if value is None and ok:
+            point_flags.append(f"{column}:{reason}")
+
+
+def _fill_bounds(kind, method, results, computed, cells, flags):
     for p in default_param_labels(kind):
-        column = f"{QFIM_NUMERIC}.delta_{p}"
-        b = result.bound(p)
-        cells[column] = b
-        if b is None:
-            flags.append(f"{column}:unidentifiable")
-    column = f"{QFIM_NUMERIC}.cov_x_d_x_s"
-    cov = result.covariances.get(("x_d", "x_s")) if result.covariances else None
-    cells[column] = cov
-    if cov is None:
-        flags.append(f"{column}:unavailable")
+        bounds = [r.bounds[p] if ok else None for r, ok in zip(results, computed)]
+        _put_column(cells, flags, f"{method}.delta_{p}", bounds, computed, "unidentifiable")
+    cov = [r.covariances.get(("x_d", "x_s")) if ok else None for r, ok in zip(results, computed)]
+    _put_column(cells, flags, f"{method}.cov_x_d_x_s", cov, computed, "unavailable")
 
 
-def _eval_qfim_analytic(kind, params, cells, flags):
-    if kind.kind == COHERENT:
-        report = coherent_bounds(params, equal_split_photons(kind))
-        cov = report.covariances.get(("x_d", "x_s"))
-    elif kind.kind in (SINGLE_PHOTON_H, NOON_HV):
-        catalog = (
-            single_photon_catalog(params)
-            if kind.kind == SINGLE_PHOTON_H
-            else noon_catalog(params)
-        )
-        report = catalog.bounds
-        cov = report.covariances.get(("x_d", "x_s"))
-        if report.notes:
-            flags.append(f"{QFIM_ANALYTIC}:limit-evaluated")
-    else:
-        report = fock_benchmark_bound(params)
-        cov = None
-    for quantity in method_quantities(kind, QFIM_ANALYTIC):
-        if quantity == "cov_x_d_x_s":
-            cells[f"{QFIM_ANALYTIC}.{quantity}"] = cov
-            if cov is None:
-                flags.append(f"{QFIM_ANALYTIC}.{quantity}:unavailable")
-            continue
-        param = quantity.removeprefix("delta_")
-        value = report.values.get(param)
-        cells[f"{QFIM_ANALYTIC}.{quantity}"] = value
-        if value is None:
-            flags.append(f"{QFIM_ANALYTIC}.{quantity}:unavailable")
-
-
-def _fill_intensity(sensitivities, cells, flags):
-    for target, (sensitivity, _) in sensitivities.items():
-        column = f"{INTENSITY_EXACT}.delta_{target}"
-        cells[column] = sensitivity
-        if sensitivity is None:
-            flags.append(f"{column}:vanishing-derivative")
-
-
-def _eval_intensity_analytic(kind, params, cells, flags):
-    if kind.kind == COHERENT:
-        report = coherent_intensity_sensitivities(params, kind=kind)
-    elif kind.kind == SINGLE_PHOTON_H:
-        report = single_photon_catalog(params).intensity
-    elif kind.kind == NOON_HV:
-        report = noon_intensity_sensitivities(params)
-    else:
-        raise DomainError("no closed-form intensity sensitivities for this input")
+def _fill_intensity(kind, method, results, computed, cells, flags):
     for target in ("x_d", "x_s"):
-        cells[f"{INTENSITY_ANALYTIC}.delta_{target}"] = report.values[target]
+        values = [r[target][0] if ok else None for r, ok in zip(results, computed)]
+        column = f"{method}.delta_{target}"
+        _put_column(cells, flags, column, values, computed, "vanishing-derivative")
+
+
+def _closed_form_grid(kind: InputStateKind, method: str, grid: ParamGrid):
+    """The closed form behind a sweep method, at every point of ``grid``."""
+    bound = method == QFIM_ANALYTIC
+    if method == FIDELITY_FRINGE:
+        return fidelity_fringe_grid(kind, grid)
+    if kind.kind == COHERENT:
+        closed_form = coherent_bounds_grid if bound else coherent_intensity_grid
+        return closed_form(grid, equal_split_photons(kind))
+    if kind.kind == FOCK_ONE_PLUS_ONE_MINUS:
+        if bound:
+            return fock_benchmark_grid(grid)
+        raise DomainError("no closed-form intensity sensitivities for this input")
+    if kind.kind == NOON_HV and not bound:
+        return noon_intensity_grid(grid)
+    bounds, intensity = (single_photon_grid if kind.kind == SINGLE_PHOTON_H else noon_grid)(grid)
+    return bounds if bound else intensity
+
+
+def _fill_closed_form(kind, method, result, computed, cells, flags):
+    if result.limit is not None:
+        for point_flags, limit, ok in zip(flags, result.limit.tolist(), computed):
+            if limit and ok:
+                point_flags.append(f"{method}:limit-evaluated")
+    for quantity in method_quantities(kind, method):
+        if quantity == "cov_x_d_x_s":
+            column = result.covariances[("x_d", "x_s")]
+        else:
+            column = result.values[quantity.removeprefix("delta_")]
+        values = [
+            v if ok and not math.isnan(v) else None for v, ok in zip(column.tolist(), computed)
+        ]
+        _put_column(cells, flags, f"{method}.{quantity}", values, computed, "unavailable")
 
 
 # what fails at one point flags that point's row, never the sweep
@@ -451,24 +444,29 @@ POINT_ERRORS = (DomainError, ValueError, NumericError)
 
 
 def _each_point(batch, points: list) -> list:
-    """``batch(points)``, one result per point; when it raises, each point
-    alone, so that a failing point gets its own error message as its
-    result and every other point its own result."""
+    """``batch(points)``, one result per point; when it raises, each half
+    again, so that a failing point gets its own error message as its
+    result, from a call on it alone, and every other point its own result.
+    One failing point among B costs at most 1 + 2·⌈log₂ B⌉ calls."""
     try:
         return batch(points)
     except POINT_ERRORS as exc:
         if len(points) == 1:
             return [str(exc)]
-    return [_each_point(batch, [point])[0] for point in points]
+    half = len(points) // 2
+    return _each_point(batch, points[:half]) + _each_point(batch, points[half:])
 
 
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate every requested method at every grid point, in grid order.
 
-    The numeric methods take all valid points in one grid pass each; the
-    closed forms go point by point.  Failures are kept as their messages:
-    a stored exception would hold this frame through its traceback, a
-    cycle that keeps every result alive until the garbage collector runs.
+    Each method runs once over all valid points: the numeric methods as
+    one grid pass, the closed forms as elementwise array formulas.  Its
+    cells are filled a whole column at a time, and each point's flags
+    follow from the column and its failures.  Failures are kept as their
+    messages: a stored exception would hold this frame through its
+    traceback, a cycle that keeps every result alive until the garbage
+    collector runs.
     """
     state = prepare_input_state(spec.input_state)
     kind = spec.input_state
@@ -481,40 +479,41 @@ def run_sweep(spec: SweepSpec) -> list:
             points.append((float(value), f"invalid-point:{exc}"))
     valid = [params for _, params in points if not isinstance(params, str)]
     grid_methods = {
-        QFIM_NUMERIC: lambda batch: compute_bounds_grid(state, batch, default_param_labels(kind)),
-        INTENSITY_EXACT: lambda batch: _intensity_sensitivities(state, batch),
+        QFIM_NUMERIC: (
+            lambda batch: compute_bounds_grid(state, batch, default_param_labels(kind)),
+            _fill_bounds,
+        ),
+        INTENSITY_EXACT: (lambda batch: _intensity_sensitivities(state, batch), _fill_intensity),
     }
-    computed = {
-        method: iter(_each_point(run, valid) if valid else ())
-        for method, run in grid_methods.items()
-        if method in spec.methods
-    }
+    cells = dict.fromkeys(columns, (None,) * len(valid))
+    flags = [[] for _ in valid]
+    grid = ParamGrid(valid)
+    for method in spec.methods if valid else ():
+        if method in grid_methods:
+            run, fill = grid_methods[method]
+            results = _each_point(run, valid)
+            errors = [r if isinstance(r, str) else None for r in results]
+        else:
+            fill = _fill_closed_form
+            try:
+                results = _closed_form_grid(kind, method, grid)
+                errors = [None if e is None else str(e) for e in results.errors]
+            except POINT_ERRORS as exc:
+                results, errors = None, [str(exc)] * len(valid)
+        for point_flags, error in zip(flags, errors):
+            if error is not None:
+                point_flags.append(f"{method}:failed:{error}")
+        computed = [error is None for error in errors]
+        if any(computed):
+            fill(kind, method, results, computed, cells, flags)
+    computed_rows = zip(zip(*cells.values()), flags)
     rows = []
     for value, params in points:
-        cells = dict.fromkeys(columns)
         if isinstance(params, str):
-            rows.append(SweepRow(value, cells, (params,)))
-            continue
-        flags = []
-        for method in spec.methods:
-            result = next(computed[method]) if method in computed else None
-            if isinstance(result, str):
-                flags.append(f"{method}:failed:{result}")
-                continue
-            try:
-                if method == QFIM_NUMERIC:
-                    _fill_bounds(kind, result, cells, flags)
-                elif method == QFIM_ANALYTIC:
-                    _eval_qfim_analytic(kind, params, cells, flags)
-                elif method == INTENSITY_EXACT:
-                    _fill_intensity(result, cells, flags)
-                elif method == INTENSITY_ANALYTIC:
-                    _eval_intensity_analytic(kind, params, cells, flags)
-                else:
-                    cells[f"{FIDELITY_FRINGE}.value"] = fidelity_fringe(kind, params)
-            except POINT_ERRORS as exc:
-                flags.append(f"{method}:failed:{exc}")
-        rows.append(SweepRow(value, cells, tuple(flags)))
+            rows.append(SweepRow(value, dict.fromkeys(columns), (params,)))
+        else:
+            row_cells, row_flags = next(computed_rows)
+            rows.append(SweepRow(value, dict(zip(columns, row_cells)), tuple(row_flags)))
     return rows
 
 
@@ -555,33 +554,21 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def write_sweep_csv(rows, spec: SweepSpec, target) -> None:
-    """Write rows as CSV with a `# spec:` comment carrying the sweep spec.
+def sweep_to_csv_text(rows, spec: SweepSpec) -> str:
+    """Rows as CSV text with a `# spec:` comment carrying the sweep spec.
 
-    ``target`` is a path or a text file object.  Cells hold 12 significant
-    digits; undefined cells are empty and explained in the status column.
+    Cells hold 12 significant digits; undefined cells are empty and
+    explained in the status column.
     """
-    if hasattr(target, "write"):
-        _write_csv(rows, spec, target)
-        return
-    with open(target, "w", encoding="utf-8", newline="") as handle:
-        _write_csv(rows, spec, handle)
-
-
-def _write_csv(rows, spec: SweepSpec, handle) -> None:
     columns = sweep_columns(spec)
-    handle.write(f"# spec: {spec.to_json()}\n")
-    handle.write(",".join([spec.vary, *columns, "status"]) + "\n")
+    buffer = io.StringIO()
+    buffer.write(f"# spec: {spec.to_json()}\n")
+    buffer.write(",".join([spec.vary, *columns, "status"]) + "\n")
     for row in rows:
         cells = [_format_cell(row.coordinate)]
         cells.extend(_format_cell(row.values[c]) for c in columns)
         cells.append(_csv_cell(";".join(row.status)))
-        handle.write(",".join(cells) + "\n")
-
-
-def sweep_to_csv_text(rows, spec: SweepSpec) -> str:
-    buffer = io.StringIO()
-    _write_csv(rows, spec, buffer)
+        buffer.write(",".join(cells) + "\n")
     return buffer.getvalue()
 
 
@@ -697,16 +684,13 @@ def compare_analytic_numeric(
                 worst_coordinate=worst[1],
             )
     if kind.kind == NOON_HV:
-        gaps = []
-        for row in rows:
-            analytic = row.values[f"{QFIM_ANALYTIC}.delta_x_d"]
-            if analytic is None or analytic == 0.0:
-                continue
-            try:
-                benchmark = fock_benchmark_bound(grid.params_at(row.coordinate))
-            except (DomainError, ValueError):
-                continue
-            gaps.append(abs(analytic - benchmark.value("x_d")) / analytic)
+        column = f"{QFIM_ANALYTIC}.delta_x_d"
+        bounded = [row for row in rows if row.values[column]]  # valid points, bound not 0
+        benchmark = fock_benchmark_grid(ParamGrid([grid.params_at(r.coordinate) for r in bounded]))
+        gaps = [
+            abs(row.values[column] - b) / row.values[column]
+            for row, b in zip(bounded, benchmark.values["x_d"].tolist())
+        ]
         if gaps:
             notes.append(
                 "NOON vs photon-pair benchmark on delta_x_d: max relative gap"

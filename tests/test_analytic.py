@@ -10,15 +10,24 @@ from chiral_qfim.analytic import (
     INTENSITY_MEASUREMENT,
     QFIM_BOUND,
     InputStateKind,
+    ParamGrid,
     SensitivityReport,
     coherent_bounds,
+    coherent_bounds_grid,
+    coherent_intensity_grid,
     coherent_intensity_sensitivities,
     coherent_slds,
     default_param_labels,
     fidelity_fringe,
+    fidelity_fringe_grid,
     fock_benchmark_bound,
+    fock_benchmark_grid,
     noon_catalog,
+    noon_grid,
+    noon_intensity_grid,
+    noon_intensity_sensitivities,
     single_photon_catalog,
+    single_photon_grid,
 )
 from chiral_qfim.channel import ChiralParams, DomainError, apply_channel_kraus
 from chiral_qfim.estimation import (
@@ -580,3 +589,131 @@ def test_single_photon_delta_bound_equals_one_photon_coherent():
         assert single.bounds.value("delta") == pytest.approx(
             coherent.value("delta"), abs=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# grid axis: each closed form over many points equals it at each point alone
+# ---------------------------------------------------------------------------
+
+
+def _out_of_domain(alpha_plus: float, alpha_minus: float = 0.3) -> ChiralParams:
+    """Parameters with an alpha outside [0, 1), which ChiralParams refuses,
+    so they are set past its constructor.  alpha_plus >= 1 makes
+    (1-X_s)^2 - X_d^2 <= 0 and so reaches the closed forms' domain check.
+    """
+    params = ChiralParams(0.5, 0.3, 0.2, -0.1)
+    object.__setattr__(params, "alpha_plus", alpha_plus)
+    object.__setattr__(params, "alpha_minus", alpha_minus)
+    return params
+
+
+def _wedge_and_edges() -> list:
+    rng = np.random.default_rng(2021)
+    alphas = rng.uniform(0.0, 1.0, size=(500, 2)).tolist()
+    phases = rng.uniform(-math.pi, math.pi, size=(500, 2)).tolist()
+    return [ChiralParams(*a, *phi) for a, phi in zip(alphas, phases)] + [
+        ChiralParams(0.0, 0.0, 0.4, 0.1),  # x_s = 0, that is alpha+ = alpha- = 0
+        ChiralParams(0.0, 0.3, 0.2, 0.0),  # alpha+ = 0
+        ChiralParams(0.3, 0.0, 0.2, 0.0),  # alpha- = 0
+        _out_of_domain(1.0),  # d = 0
+        _out_of_domain(1.5),  # d < 0, and negative radicands in the other forms
+        _out_of_domain(-0.5, -0.5),  # gain: d > 0 but negative radicands
+    ]
+
+
+# name -> (grid form, scalar form); a fringe is read from its grid's "value"
+CLOSED_FORMS = {
+    "coherent_bounds": (lambda g: coherent_bounds_grid(g, 2.5), lambda p: coherent_bounds(p, 2.5)),
+    "coherent_intensity": (
+        lambda g: coherent_intensity_grid(g, 2.5),
+        lambda p: coherent_intensity_sensitivities(p, 2.5),
+    ),
+    "single_photon.bounds": (
+        lambda g: single_photon_grid(g)[0],
+        lambda p: single_photon_catalog(p).bounds,
+    ),
+    "single_photon.intensity": (
+        lambda g: single_photon_grid(g)[1],
+        lambda p: single_photon_catalog(p).intensity,
+    ),
+    "noon.bounds": (lambda g: noon_grid(g)[0], lambda p: noon_catalog(p).bounds),
+    "noon.intensity": (lambda g: noon_grid(g)[1], lambda p: noon_catalog(p).intensity),
+    "noon_intensity": (noon_intensity_grid, noon_intensity_sensitivities),
+    "fock_benchmark": (fock_benchmark_grid, fock_benchmark_bound),
+    "fringe.single_photon": (
+        lambda g: fidelity_fringe_grid(SINGLE_PHOTON_H, g),
+        lambda p: fidelity_fringe(SINGLE_PHOTON_H, p),
+    ),
+    "fringe.noon": (
+        lambda g: fidelity_fringe_grid(NOON_HV, g),
+        lambda p: fidelity_fringe(NOON_HV, p),
+    ),
+}
+
+
+def _outcome(call):
+    """repr of what ``call()`` returns (exact to the bit, sign of zero
+    included), or the type and message of what it raises."""
+    try:
+        return repr(call())
+    except (DomainError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_grid_closed_forms_equal_the_scalar_forms_bit_for_bit(name):
+    grid_form, scalar_form = CLOSED_FORMS[name]
+    points = _wedge_and_edges()
+    grid = grid_form(ParamGrid(points))
+    failures = 0
+    for b, params in enumerate(points):
+        if name.startswith("fringe"):
+            got = _outcome(lambda: grid.report(b).value("value"))
+        else:
+            got = _outcome(lambda: grid.report(b))
+        assert got == _outcome(lambda: scalar_form(params)), (name, params)
+        failures += got.startswith(("DomainError", "ValueError"))
+    # only the three points outside the domain fail, and not in every form
+    assert failures <= 3
+
+
+@pytest.mark.parametrize("catalog", [single_photon_grid, noon_grid])
+def test_grid_closed_forms_keep_the_domain_check_at_each_point(catalog):
+    points = [PARAMS_REF, _out_of_domain(1.0), PARAMS_REF, _out_of_domain(1.5)]
+    grid = ParamGrid(points)
+    for form in (coherent_bounds_grid(grid, 1.0), *catalog(grid)):
+        assert [error is None for error in form.errors] == [True, False, True, False]
+        assert all(type(form.errors[b]) is DomainError for b in (1, 3))
+        assert str(form.errors[1]) == "(1-X_s)^2 - X_d^2 = 0.0 must be positive"
+        with pytest.raises(DomainError, match=r"= -0\.35 must be positive"):
+            form.report(3)
+        assert form.report(0) == form.report(2)
+
+
+def test_grid_sensitivity_check_names_the_first_bad_value():
+    # alpha+ = 1.5: eta+ = -0.5 makes both noon intensity radicands negative
+    grid = noon_intensity_grid(ParamGrid([PARAMS_REF, _out_of_domain(1.5)]))
+    assert grid.errors[0] is None
+    assert type(grid.errors[1]) is ValueError
+    assert str(grid.errors[1]) == "sensitivity for 'x_d' must be finite and nonnegative, got nan"
+    with pytest.raises(ValueError, match="'x_d' must be finite and nonnegative, got nan"):
+        noon_intensity_sensitivities(_out_of_domain(1.5))
+    # gain on both modes keeps d = 2.25 > 0, yet the intensity's x_s radicand
+    # is negative: the catalog fails there as its intensity does, before its bounds
+    gain = _out_of_domain(-0.5, -0.5)
+    with pytest.raises(ValueError, match="'x_s' must be finite and nonnegative, got nan"):
+        noon_catalog(gain)
+    bounds, intensity = noon_grid(ParamGrid([PARAMS_REF, gain]))
+    assert bounds.errors[0] is None and str(bounds.errors[1]) == str(intensity.errors[1])
+
+
+def test_noon_grid_gives_no_covariance_where_both_modes_are_lossless():
+    points = [ChiralParams(0.0, 0.0, 0.3, 0.0), ChiralParams(0.0, 0.2), PARAMS_REF]
+    bounds, _ = noon_grid(ParamGrid(points))
+    cov = bounds.covariances[("x_d", "x_s")]
+    assert math.isnan(cov[0]) and not np.isnan(cov[1:]).any()
+    assert bounds.limit.tolist() == [True, True, False]
+    assert bounds.values["x_d"][0] == 0.0 and bounds.values["x_s"][0] == 0.0
+    assert bounds.report(0).covariances == {}
+    assert bounds.report(0).notes and not bounds.report(2).notes
+    assert noon_catalog(points[0]).bounds == bounds.report(0)

@@ -1,5 +1,6 @@
 """Tests for the numerical QFIM pipeline: derivatives, SLDs, assembly, bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -342,6 +343,8 @@ def test_fully_singular_qfim_flags_everything():
     assert res.identifiable == {"delta": False, "sigma": False}
     assert res.bounds == {"delta": None, "sigma": None}
     assert res.meta.get("fully_singular") is True
+    assert res.covariances == {}
+    assert not res.F_inverse.any() and np.isnan(res.sqfim).all()
 
 
 NOON_LABELS = ("x_d", "x_s", "delta")
@@ -365,7 +368,7 @@ def test_bounds_do_not_depend_on_parameter_units(alphas):
     assert scaled.identifiable == result.identifiable
     for i, p in enumerate(NOON_LABELS):
         assert scaled.bound(p) == pytest.approx(result.bound(p) / b[i], rel=1e-12)
-    assert estimation._detect_blocks(NOON_LABELS, scaled.F) == result.blocks
+    assert estimation._detect_blocks(NOON_LABELS, scaled.F[None]) == [result.blocks]
 
 
 def test_noon_delta_bound_next_to_full_absorption_on_both_routes():
@@ -612,3 +615,52 @@ def test_channel_derivatives_returns_param_derivative_records(monkeypatch):
     wrapped = qfim_from_derivatives(output, derivs).F
     unwrapped = compute_bounds(state, PARAMS_REF, QUANTUM_LABELS).F
     assert np.max(np.abs(unwrapped - wrapped)) <= 1e-14 * np.max(np.abs(wrapped))
+
+
+def graph_walk_blocks(params: tuple, f: np.ndarray) -> tuple:
+    """Reference grouping of one QFIM: a depth-first walk that tests each
+    |F_ij| > RCOND·sqrt(F_ii F_jj) (either order) as it reaches it."""
+    n = len(params)
+    root = np.sqrt(np.maximum(np.diag(f), 0.0))
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack, group = [start], []
+        seen[start] = True
+        while stack:
+            i = stack.pop()
+            group.append(i)
+            for j in range(n):
+                coupled = max(abs(f[i, j]), abs(f[j, i])) > estimation.RCOND * root[i] * root[j]
+                if not seen[j] and coupled:
+                    seen[j] = True
+                    stack.append(j)
+        blocks.append(tuple(params[i] for i in sorted(group)))
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_stacked_block_detection_equals_the_graph_walk(n):
+    params = CHIRAL_NAMES[:n]
+    pairs = list(itertools.combinations(range(n), 2))
+    diagonals = [np.ones(n), np.arange(n) + 1.0, np.eye(n)[0], 1.0 - np.eye(n)[n - 1], np.zeros(n)]
+    stack = []
+    # every symmetric coupling pattern: 8 for n = 3, 64 for n = 4
+    for pattern in itertools.product((False, True), repeat=len(pairs)):
+        for diag in diagonals:
+            f = np.diag(diag)
+            root = np.sqrt(diag)
+            for (i, j), coupled in zip(pairs, pattern):
+                # just above or below the unit-free cut; 0 where a diagonal is 0
+                scale = root[i] * root[j] or 1.0
+                f[i, j] = f[j, i] = scale * (10.0 if coupled else 0.1) * estimation.RCOND
+                if not coupled and root[i] * root[j] == 0.0:
+                    f[i, j] = f[j, i] = 0.0
+            stack.append(f)
+    stack = np.array(stack)
+    assert len(stack) == 2 ** len(pairs) * len(diagonals)
+    assert estimation._detect_blocks(params, stack) == [graph_walk_blocks(params, f) for f in stack]
+    # the patterns are all distinct, so every grouping of n parameters shows up
+    assert len(set(estimation._detect_blocks(params, stack))) == {3: 5, 4: 15}[n]

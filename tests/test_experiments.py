@@ -13,6 +13,7 @@ from chiral_qfim.analytic import (
     InputStateKind,
     coherent_bounds,
     coherent_intensity_sensitivities,
+    noon_catalog,
     noon_intensity_sensitivities,
     single_photon_catalog,
 )
@@ -37,7 +38,6 @@ from chiral_qfim.experiments import (
     run_sweep,
     sweep_columns,
     sweep_to_csv_text,
-    write_sweep_csv,
 )
 from chiral_qfim.fock import (
     FockSpace,
@@ -298,9 +298,8 @@ def test_run_sweep_flags_failures_and_continues():
 def test_sweep_csv_round_trip_and_formatting():
     spec = spec_for(SP, points=3, fixed={"x_d": 0.02}, methods=(QFIM_NUMERIC,))
     rows = run_sweep(spec)
-    buffer = io.StringIO()
-    write_sweep_csv(rows, spec, buffer)
-    lines = buffer.getvalue().strip().split("\n")
+    text = sweep_to_csv_text(rows, spec)
+    lines = text.strip().split("\n")
     recovered = SweepSpec.from_json(lines[0].removeprefix("# spec: "))
     assert recovered == spec
     header = lines[1].split(",")
@@ -309,7 +308,7 @@ def test_sweep_csv_round_trip_and_formatting():
     assert first[0] == "0.1"
     value = float(first[1])
     assert value == pytest.approx(rows[0].values[header[1]], rel=1e-11)
-    assert "nan" not in buffer.getvalue().lower()
+    assert "nan" not in text.lower()
 
 
 def test_sweep_csv_empty_marker_for_undefined_cells():
@@ -669,6 +668,67 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
             continue
         assert row.status == ref.status
         _cells_close(row, ref, rel=1e-14)
+
+
+def test_a_failing_point_costs_few_grid_calls(monkeypatch):
+    spec = spec_for(NOON, start=0.1, stop=0.6, points=95, fixed={"x_d": 0.03})
+    clean = run_sweep(spec)
+    broken = spec.params_at(spec.grid()[47])
+    grid_route = experiments.compute_bounds_grid
+    calls = []
+
+    def failing_at_one_point(state, points, labels):
+        calls.append(len(points))
+        if broken in points:
+            raise NumericError(f"a grid of {len(points)} points fails")
+        return grid_route(state, points, labels)
+
+    monkeypatch.setattr(experiments, "compute_bounds_grid", failing_at_one_point)
+    rows = run_sweep(spec)
+    # bisection: the whole grid, then two halves per level down to the point
+    assert calls[0] == 95
+    assert len(calls) <= 1 + 2 * math.ceil(math.log2(95)) == 15
+    assert rows[47].status == (f"{QFIM_NUMERIC}:failed:a grid of 1 points fails",)
+    for i, (row, ref) in enumerate(zip(rows, clean, strict=True)):
+        if i != 47:
+            assert row.status == ref.status
+            _cells_close(row, ref, rel=1e-14)
+
+
+def test_a_closed_form_failing_at_one_point_flags_only_its_own_row(monkeypatch):
+    spec = spec_for(NOON, start=0.2, stop=0.6, points=5, fixed={"x_d": 0.03})
+    clean = run_sweep(spec)
+
+    class PastTheDomainAtOnePoint(experiments.ParamGrid):
+        def __init__(self, params):
+            super().__init__(params)
+            self.alpha_plus = np.where(np.arange(len(params)) == 2, 1.0, self.alpha_plus)
+
+    monkeypatch.setattr(experiments, "ParamGrid", PastTheDomainAtOnePoint)
+    rows = run_sweep(spec)
+    broken = spec.params_at(spec.grid()[2])
+    object.__setattr__(broken, "alpha_plus", 1.0)
+    with pytest.raises(DomainError) as scalar:
+        noon_catalog(broken)
+    assert rows[2].status == clean[2].status + (f"{QFIM_ANALYTIC}:failed:{scalar.value}",)
+    for column, value in rows[2].values.items():
+        if column.startswith(QFIM_ANALYTIC):
+            assert value is None
+        else:
+            assert value == clean[2].values[column]
+    for i, (row, ref) in enumerate(zip(rows, clean, strict=True)):
+        if i != 2:
+            assert row.status == ref.status and row.values == ref.values
+
+
+def test_closed_form_flags_keep_their_order_at_the_lossless_endpoint():
+    spec = dict(figure_presets()["fig4"])["noon"]
+    row = run_sweep(replace(spec, points=4))[0]
+    assert row.coordinate == 0.0
+    assert row.status == (
+        f"{QFIM_ANALYTIC}:limit-evaluated",
+        f"{QFIM_ANALYTIC}.cov_x_d_x_s:unavailable",
+    )
 
 
 def test_flags_are_grouped_by_reason():
