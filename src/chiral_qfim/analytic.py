@@ -22,15 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (
-    CHIRAL_NAMES,
-    COORDS_ALPHA_PHI,
-    ChiralParams,
-    DomainError,
-    channel_output_and_alpha_derivatives,
-    channel_phi_derivative,
-)
-from .estimation import SldMatrix
+from .channel import CHIRAL_NAMES, COORDS_ALPHA_PHI, ChiralParams, DomainError
+from .estimation import SldMatrix, channel_derivatives
 from .fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
@@ -306,7 +299,7 @@ def coherent_slds(
     _require_photons(n0)
     amp_p, amp_m = hv_to_pm_amplitudes(math.sqrt(n0), 0.0)
     state = coherent_product_state(space, amp_p, amp_m, truncation_budget=truncation_budget)
-    output, d_alpha_p, d_alpha_m = channel_output_and_alpha_derivatives(state, params)
+    output, records = channel_derivatives(state, params, CHIRAL_NAMES)
     ops = mode_operators(space)
     eye = np.eye(space.dim)
     eta_p, eta_m = params.eta_plus, params.eta_minus
@@ -319,16 +312,7 @@ def coherent_slds(
     l_delta = -1j * (g_delta @ rho - rho @ g_delta)
     l_sigma = -1j * (g_sigma @ rho - rho @ g_sigma)
 
-    derivs = {
-        "x_d": d_alpha_p - d_alpha_m,
-        "x_s": d_alpha_p + d_alpha_m,
-        "delta": 0.5 * (
-            channel_phi_derivative(output, "plus") - channel_phi_derivative(output, "minus")
-        ),
-        "sigma": 0.5 * (
-            channel_phi_derivative(output, "plus") + channel_phi_derivative(output, "minus")
-        ),
-    }
+    derivs = {d.param: d.drho for d in records}
     support_rank = int(np.sum(np.linalg.eigvalsh(rho) > 1e-10))
     notes = {
         "x_d": "the transmitted-fraction orientation is the negative of this operator",

@@ -147,49 +147,6 @@ class RatePicture:
         )
 
 
-@dataclass(frozen=True)
-class CoordinateJacobian:
-    """Constant Jacobian ∂(to)/∂(from) between the two coordinate sets."""
-
-    matrix: np.ndarray
-    from_coords: str
-    to_coords: str
-
-
-_J_CHIRAL_FROM_ALPHA = np.array(
-    [
-        [0.5, -0.5, 0.0, 0.0],
-        [0.5, 0.5, 0.0, 0.0],
-        [0.0, 0.0, 1.0, -1.0],
-        [0.0, 0.0, 1.0, 1.0],
-    ]
-)
-
-_J_ALPHA_FROM_CHIRAL = np.array(
-    [
-        [1.0, 1.0, 0.0, 0.0],
-        [-1.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.5, 0.5],
-        [0.0, 0.0, -0.5, 0.5],
-    ]
-)
-
-
-def coordinate_jacobian(from_coords: str, to_coords: str) -> CoordinateJacobian:
-    """Jacobian between (α₊,α₋,φ₊,φ₋) and (X_d,X_s,Δ,Σ), row = target."""
-    known = {COORDS_ALPHA_PHI, COORDS_CHIRAL}
-    for label in (from_coords, to_coords):
-        if label not in known:
-            raise ValueError(f"unknown coordinate set {label!r}; expected one of {sorted(known)}")
-    if from_coords == to_coords:
-        matrix = np.eye(4)
-    elif to_coords == COORDS_CHIRAL:
-        matrix = _J_CHIRAL_FROM_ALPHA.copy()
-    else:
-        matrix = _J_ALPHA_FROM_CHIRAL.copy()
-    return CoordinateJacobian(matrix=matrix, from_coords=from_coords, to_coords=to_coords)
-
-
 def _rotated_input(state: TwoModeState, params) -> np.ndarray:
     """Phase-stage outputs at each of the grid points ``params``, stacked as
     ρ[b, ket+, ket−, bra+, bra−].
@@ -346,14 +303,6 @@ def grid_output_and_alpha_derivatives(state: TwoModeState, params) -> tuple:
     return output.reshape(shape), d_plus.reshape(shape), d_minus.reshape(shape)
 
 
-def channel_output_and_alpha_derivatives(
-    state: TwoModeState, params: ChiralParams
-) -> tuple[TwoModeState, np.ndarray, np.ndarray]:
-    """Channel output state and its exact ∂/∂α₊, ∂/∂α₋: the grid of one point."""
-    output, d_plus, d_minus = grid_output_and_alpha_derivatives(state, [params])
-    return state.with_rho(output[0]), d_plus[0], d_minus[0]
-
-
 def mode_population_transfer(cutoff: int, alpha) -> tuple[np.ndarray, np.ndarray]:
     """One mode's photon-number transfer matrix T and its exact ∂T/∂α.
 
@@ -378,16 +327,6 @@ def mode_population_transfer(cutoff: int, alpha) -> tuple[np.ndarray, np.ndarray
 def phase_derivative(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Exact ∂ρ/∂φ = −i[diag(n), ρ] elementwise, for ρ or a stack of them."""
     return -1j * (n[:, None] - n[None, :]) * rho
-
-
-def channel_phi_derivative(
-    output_state: TwoModeState, mode: str
-) -> np.ndarray:
-    """Exact ∂ρ_out/∂φ_mode = −i[n_mode, ρ_out], evaluated elementwise."""
-    if mode not in ("plus", "minus"):
-        raise ValueError(f"mode must be 'plus' or 'minus', got {mode!r}")
-    n_plus, n_minus = output_state.space.number_grids()
-    return phase_derivative(output_state.rho, n_plus if mode == "plus" else n_minus)
 
 
 def _rk4_rhs_builder(space: FockSpace, rates: RatePicture):
@@ -475,32 +414,3 @@ def apply_channel_rk4(
         trace_deficit_budget=state.trace_deficit_budget + 1e-9,
         **meta,
     )
-
-
-def noon_output_analytic(params: ChiralParams, space: FockSpace) -> TwoModeState:
-    """Closed-form channel output for the two-photon NOON input.
-
-    Seven nonzero entries: three diagonal decay products per the binomial
-    loss weights, plus the |2,0⟩⟨0,2| coherence damped by η₊η₋ and rotated
-    by e^{−i2Δ} (in this package's sign convention, verified against the
-    Kraus engine).
-    """
-    if space.cutoff_plus < 2 or space.cutoff_minus < 2:
-        raise ValueError("noon_output_analytic needs cutoffs >= 2 in both modes")
-    ap, am = params.alpha_plus, params.alpha_minus
-    hp, hm = params.eta_plus, params.eta_minus
-    rho = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    k20 = space.index(2, 0)
-    k02 = space.index(0, 2)
-    k10 = space.index(1, 0)
-    k01 = space.index(0, 1)
-    k00 = space.index(0, 0)
-    rho[k20, k20] = 0.5 * hp**2
-    rho[k02, k02] = 0.5 * hm**2
-    rho[k10, k10] = ap * hp
-    rho[k01, k01] = am * hm
-    rho[k00, k00] = 0.5 * (ap**2 + am**2)
-    cross = -0.5 * hp * hm * np.exp(-2j * params.delta)
-    rho[k20, k02] = cross
-    rho[k02, k20] = np.conj(cross)
-    return TwoModeState(space=space, rho=rho, label="noon_output_analytic")

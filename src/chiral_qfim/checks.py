@@ -20,16 +20,23 @@ import numpy as np
 
 from .analytic import (
     InputStateKind,
-    coherent_bounds,
-    coherent_intensity_sensitivities,
+    ParamGrid,
+    coherent_bounds_grid,
+    coherent_intensity_grid,
     coherent_slds,
     default_param_labels,
     fidelity_fringe,
-    fock_benchmark_bound,
-    single_photon_catalog,
+    fock_benchmark_grid,
+    single_photon_grid,
 )
 from .channel import CHIRAL_NAMES, ChiralParams, apply_channel_kraus, apply_channel_rk4
-from .estimation import ParamDerivative, channel_derivatives, compute_bounds, solve_sld
+from .estimation import (
+    ParamDerivative,
+    channel_derivatives,
+    compute_bounds,
+    compute_bounds_grid,
+    solve_sld,
+)
 from .experiments import prepare_input_state
 from .fock import NOON_HV, SINGLE_PHOTON_H, FockSpace, coherent_product_state, mode_operators
 from .linalg import commutator, hermitian_eigen
@@ -95,7 +102,21 @@ class CheckResult:
 
 
 def _max_abs(matrix) -> float:
-    return float(np.abs(matrix).max())
+    return float(np.abs(matrix).max(initial=0.0))
+
+
+def _closed_values(sensitivities) -> dict:
+    """The value arrays of a closed-form ``SensitivityGrid``; a point whose
+    scalar call fails raises that error, through ``report``."""
+    for b, error in enumerate(sensitivities.errors):
+        if error is not None:
+            sensitivities.report(b)
+    return sensitivities.values
+
+
+def _bound_gap(results, closed: dict) -> float:
+    """Largest gap between the pipeline's absorption bounds and ``closed``."""
+    return max(_max_abs([r.bound(name) for r in results] - closed[name]) for name in ABSORPTION)
 
 
 def damped_coherent_mode():
@@ -111,9 +132,7 @@ def damped_coherent_mode():
     state = coherent_product_state(space, math.sqrt(mean_n), 0.0, truncation_budget=1e-15)
     params = ChiralParams(alpha_plus=alpha, alpha_minus=alpha, phi_plus=0.0, phi_minus=0.0)
     output, derivs = channel_derivatives(state, params, ("alpha_plus",))
-    eta_derivative = ParamDerivative(
-        param="eta_plus", drho=-derivs[0].drho, method=derivs[0].method
-    )
+    eta_derivative = ParamDerivative(param="eta_plus", drho=-derivs[0].drho)
     expected = mode_operators(space).n_plus / (1.0 - alpha) - mean_n * np.eye(space.dim)
     return output, eta_derivative, expected
 
@@ -148,10 +167,8 @@ def absorption_phase_zero_block(points=(REFERENCE_POINT,)) -> CheckResult:
         InputStateKind.single_photon_h(),
         InputStateKind.noon_hv(),
     ):
-        state = prepare_input_state(kind)
         labels = default_param_labels(kind)
-        for params in points:
-            result = compute_bounds(state, params, labels)
+        for result in compute_bounds_grid(prepare_input_state(kind), points, labels):
             for absorption in ABSORPTION:
                 for phase in ("delta", "sigma"):
                     if phase in labels:
@@ -197,16 +214,16 @@ def coherent_saturation(points=(REFERENCE_POINT,), probes=None) -> CheckResult:
     """
     if probes is None:
         probes = ((1.0, prepare_input_state(InputStateKind.coherent(1.0))),)
+    grid = ParamGrid(points)
     exact_gap = 0.0
     numeric_gap = 0.0
     for n0, state in probes:
-        for params in points:
-            closed = coherent_bounds(params, n0)
-            meter = coherent_intensity_sensitivities(params, n0)
-            result = compute_bounds(state, params, CHIRAL_NAMES)
-            for name in ABSORPTION:
-                exact_gap = max(exact_gap, abs(closed.value(name) - meter.value(name)))
-                numeric_gap = max(numeric_gap, abs(result.bound(name) - closed.value(name)))
+        closed = _closed_values(coherent_bounds_grid(grid, n0))
+        meter = _closed_values(coherent_intensity_grid(grid, n0))
+        results = compute_bounds_grid(state, points, CHIRAL_NAMES)
+        for name in ABSORPTION:
+            exact_gap = max(exact_gap, _max_abs(closed[name] - meter[name]))
+        numeric_gap = max(numeric_gap, _bound_gap(results, closed))
     return CheckResult(
         name="coherent-saturation",
         residual=numeric_gap,
@@ -223,17 +240,10 @@ def single_photon_saturation(points=(REFERENCE_POINT,)) -> CheckResult:
     The residual and ``measured`` split as in ``coherent_saturation``.
     """
     kind = InputStateKind.single_photon_h()
-    state = prepare_input_state(kind)
-    labels = default_param_labels(kind)
-    exact_gap = 0.0
-    numeric_gap = 0.0
-    for params in points:
-        catalog = single_photon_catalog(params)
-        result = compute_bounds(state, params, labels)
-        for name in ABSORPTION:
-            closed = catalog.bounds.value(name)
-            exact_gap = max(exact_gap, abs(closed - catalog.intensity.value(name)))
-            numeric_gap = max(numeric_gap, abs(result.bound(name) - closed))
+    closed, meter = map(_closed_values, single_photon_grid(ParamGrid(points)))
+    results = compute_bounds_grid(prepare_input_state(kind), points, default_param_labels(kind))
+    exact_gap = max(_max_abs(closed[name] - meter[name]) for name in ABSORPTION)
+    numeric_gap = _bound_gap(results, closed)
     return CheckResult(
         name="single-photon-saturation",
         residual=numeric_gap,
@@ -352,14 +362,9 @@ def channel_semigroup_composition(states=None, steps=SEMIGROUP_STEPS) -> CheckRe
 def benchmark_bound_match(points=(BENCHMARK_POINT,)) -> CheckResult:
     """Photon-pair pipeline bounds against the benchmark formula, x_d and x_s."""
     kind = InputStateKind.fock_one_plus_one_minus()
-    state = prepare_input_state(kind)
-    labels = default_param_labels(kind)
-    residual = 0.0
-    for params in points:
-        closed = fock_benchmark_bound(params)
-        result = compute_bounds(state, params, labels)
-        for name in ABSORPTION:
-            residual = max(residual, abs(result.bound(name) - closed.value(name)))
+    closed = _closed_values(fock_benchmark_grid(ParamGrid(points)))
+    results = compute_bounds_grid(prepare_input_state(kind), points, default_param_labels(kind))
+    residual = _bound_gap(results, closed)
     return CheckResult(
         name="benchmark-bound-match",
         residual=residual,

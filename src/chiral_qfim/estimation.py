@@ -2,25 +2,23 @@
 
 Everything here is obtained by linear algebra on channel outputs, with no
 closed-form input: parameter derivatives of ρ come from exact
-differentiation of the Kraus weights (central differences of the channel
-output remain as the oracle that checks them), the symmetric logarithmic
-derivatives L are solved spectrally on the support of ρ, the QFIM is
-F_ij = ½ tr[ρ(L_iL_j + L_jL_i)], and bounds follow from its pseudo-inverse.
-This module is the oracle that the closed-form catalog is checked against,
-so it must stay independent of that catalog.
+differentiation of the Kraus weights, the QFIM is
+F_xy = Σ_(j,k) 2 Re[∂ρ̃_x(j,k) conj(∂ρ̃_y(j,k))]/(λ_j+λ_k) over the
+support pairs of the eigenbasis of ρ, and bounds follow from its
+pseudo-inverse.  This module is the route that the closed-form catalog is
+checked against, so it must stay independent of that catalog.
+``solve_sld`` solves one symmetric logarithmic derivative explicitly, for
+the checks that compare it with a closed form.
 
-Product inputs (states carrying per-mode ``factors``) take a per-mode
-route on the default exact method: the output is a product, so the QFIM
-is solved as two single-mode problems instead of one two-mode
-eigendecomposition.  The dense two-mode route serves everything else and
-is the oracle the per-mode route is tested against.
+``compute_bounds_grid`` is the one route, over a grid of points, and
+``compute_bounds`` is its grid of one.  Product inputs (states carrying
+per-mode ``factors``) are solved as two single-mode problems instead of
+one two-mode eigendecomposition; any other input on its two-mode output.
 
 Parameter labels are either the native channel coordinates
 ("alpha_plus", "alpha_minus", "phi_plus", "phi_minus") or the chiral
-combinations ("x_d", "x_s", "delta", "sigma").  Central differences
-perturb the requested coordinate directly; the exact route differentiates
-natively and forms the constant linear combinations, giving two genuinely
-independent derivative paths.
+combinations ("x_d", "x_s", "delta", "sigma").  Derivatives are taken
+natively and the chiral labels formed as constant linear combinations.
 """
 
 from __future__ import annotations
@@ -33,11 +31,7 @@ import numpy as np
 from .channel import (
     ALPHA_PHI_NAMES,
     CHIRAL_NAMES,
-    COORDS_CHIRAL,
     ChiralParams,
-    CoordinateJacobian,
-    DomainError,
-    apply_channel_kraus,
     grid_output_and_alpha_derivatives,
     mode_output_and_alpha_derivative,
     phase_derivative,
@@ -45,10 +39,6 @@ from .channel import (
 from .fock import TwoModeState, require_trace_window
 from .linalg import as_complex_matrix, hermitian_eigen, hermiticity_defect, require_hermitian
 
-CENTRAL_DIFFERENCE = "central_difference"
-ANALYTIC_KRAUS = "analytic_kraus"
-
-FD_STEP_SCALE = 1e-5
 SUPPORT_RCOND = 1e-10
 SLD_RESIDUAL_TOL = 1e-8
 QFIM_PSD_TOL = 1e-9
@@ -78,7 +68,6 @@ class ParamDerivative:
 
     param: str
     drho: np.ndarray
-    method: str
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -110,9 +99,8 @@ class SldMatrix:
 class QfimResult:
     """QFIM over an ordered parameter set, with bounds once inverted.
 
-    ``bounds``/``covariances``/``sqfim``/``identifiable`` are filled by
-    ``invert_and_bound``; ``sqfim`` holds sqrt((F⁻¹)_ij) with NaN where
-    the entry is negative or involves an unidentifiable parameter.
+    ``bounds``/``covariances``/``identifiable`` are filled by
+    ``invert_and_bound``.
     """
 
     params: tuple
@@ -121,7 +109,6 @@ class QfimResult:
     F_inverse: np.ndarray | None = None
     bounds: dict | None = None
     covariances: dict | None = None
-    sqfim: np.ndarray | None = None
     identifiable: dict | None = None
     meta: dict = field(default_factory=dict)
 
@@ -140,96 +127,14 @@ class QfimResult:
         return float(self.F[self.params.index(p1), self.params.index(p2)])
 
 
-def _shifted_params(params: ChiralParams, name: str, value: float) -> ChiralParams:
-    if name in ALPHA_PHI_NAMES:
-        kw = dict(zip(ALPHA_PHI_NAMES, params.values("alpha_phi")))
-        kw[name] = value
-        return ChiralParams(**kw)
-    kw = dict(zip(CHIRAL_NAMES, params.values(COORDS_CHIRAL)))
-    kw[name] = value
-    return ChiralParams.from_chiral(**kw)
-
-
-def _param_value(params: ChiralParams, name: str) -> float:
-    if name in ALPHA_PHI_NAMES:
-        return dict(zip(ALPHA_PHI_NAMES, params.values("alpha_phi")))[name]
-    return dict(zip(CHIRAL_NAMES, params.values(COORDS_CHIRAL)))[name]
-
-
-def _rho_at(input_state: TwoModeState, params: ChiralParams) -> np.ndarray:
-    return apply_channel_kraus(input_state, params).rho
-
-
-def _finite_difference(
-    input_state: TwoModeState, params: ChiralParams, name: str
-) -> tuple[np.ndarray, dict]:
-    x = _param_value(params, name)
-    h0 = FD_STEP_SCALE * max(1.0, abs(x))
-    last_error = None
-    for shrink in range(3):
-        h = h0 / 10.0**shrink
-        meta = {"step": h}
-        if shrink:
-            meta["step_shrunk"] = True
-        # central stencil when both neighbors are in the domain
-        try:
-            hi = _shifted_params(params, name, x + h)
-            lo = _shifted_params(params, name, x - h)
-            drho = (_rho_at(input_state, hi) - _rho_at(input_state, lo)) / (2 * h)
-            meta["stencil"] = "central"
-            return drho, meta
-        except DomainError as err:
-            last_error = err
-        # one-sided second-order stencils at a domain boundary
-        for direction, sign in (("forward", 1.0), ("backward", -1.0)):
-            try:
-                f0 = _rho_at(input_state, params)
-                f1 = _rho_at(input_state, _shifted_params(params, name, x + sign * h))
-                f2 = _rho_at(
-                    input_state, _shifted_params(params, name, x + 2 * sign * h)
-                )
-                drho = sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2 * h)
-                meta["stencil"] = direction
-                return drho, meta
-            except DomainError as err:
-                last_error = err
-    raise NumericError(
-        f"no valid finite-difference stencil for {name!r} at {x!r}: {last_error}"
-    )
-
-
-def rho_derivative(
-    input_state: TwoModeState,
-    params: ChiralParams,
-    param: str,
-    method: str = ANALYTIC_KRAUS,
-) -> ParamDerivative:
-    """∂ρ_out/∂param of the channel output for the given input state."""
-    if param not in ALL_PARAM_NAMES:
-        raise ValueError(f"unknown parameter {param!r}; expected one of {ALL_PARAM_NAMES}")
-    if method == ANALYTIC_KRAUS:
-        return channel_derivatives(input_state, params, (param,))[1][0]
-    if method == CENTRAL_DIFFERENCE:
-        drho, meta = _finite_difference(input_state, params, param)
-        return ParamDerivative(param=param, drho=drho, method=method, meta=meta)
-    raise ValueError(f"unknown derivative method {method!r}")
-
-
 def channel_derivatives(
-    input_state: TwoModeState,
-    params: ChiralParams,
-    param_labels,
-    method: str = ANALYTIC_KRAUS,
+    input_state: TwoModeState, params: ChiralParams, param_labels
 ) -> tuple[TwoModeState, list[ParamDerivative]]:
     """Channel output together with ∂ρ for each requested parameter.
 
-    The exact route takes the one-point grid of ``_native_derivatives`` and
-    combines them into each label's matrix.
+    Takes the one-point grid of ``_native_derivatives`` and combines them
+    into each label's matrix.
     """
-    if method != ANALYTIC_KRAUS:
-        return apply_channel_kraus(input_state, params), [
-            rho_derivative(input_state, params, p, method=method) for p in param_labels
-        ]
     labels = tuple(param_labels)
     pullback = _native_pullback(labels)
     output, native = _native_derivatives(input_state, [params])
@@ -237,7 +142,7 @@ def channel_derivatives(
         sum(w * d[0] for w, d in zip(pullback[:, j], native) if w) for j in range(len(labels))
     ]
     return input_state.with_rho(output[0]), [
-        ParamDerivative(param=p, drho=m, method=ANALYTIC_KRAUS) for p, m in zip(labels, mats)
+        ParamDerivative(param=p, drho=m) for p, m in zip(labels, mats)
     ]
 
 
@@ -322,28 +227,6 @@ def _checked_qfim(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _finish_qfim(params: tuple, f: np.ndarray, meta: dict) -> QfimResult:
-    """The QfimResult of a (1, n, n) stack ``f``, checked PSD, not yet inverted."""
-    f = _checked_qfim(f)
-    return QfimResult(params=params, F=f[0], blocks=_detect_blocks(params, f)[0], meta=meta)
-
-
-def assemble_qfim(rho_state: TwoModeState, slds) -> QfimResult:
-    """F_ij = ½ tr[ρ(L_iL_j + L_jL_i)] from explicitly solved SLDs."""
-    params = tuple(s.param for s in slds)
-    _require_distinct(params)
-    n = len(slds)
-    rho = rho_state.rho
-    left = [rho @ s.L for s in slds]
-    f = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            t = complex(np.sum(left[i] * slds[j].L.T))
-            f[i, j] = f[j, i] = t.real
-    meta = {"route": "sld", "state_label": rho_state.label}
-    return _finish_qfim(params, f[None], meta)
-
-
 def _eigenbasis_qfim(rho: np.ndarray, mats, pullback: np.ndarray | None = None) -> np.ndarray:
     """F[b, x, y] = Σ_{kept (j,k)} 2 Re[∂ρ̃_x(j,k) · conj(∂ρ̃_y(j,k))]/(λ_j+λ_k).
 
@@ -377,24 +260,6 @@ def _eigenbasis_qfim(rho: np.ndarray, mats, pullback: np.ndarray | None = None) 
     rows = rows.reshape(*rows.shape[:2], -1)
     weighted = weight.reshape(len(weight), 1, -1) * rows
     return (weighted @ np.swapaxes(rows, 1, 2).conj()).real
-
-
-def _require_distinct(params: tuple) -> None:
-    if len(set(params)) != len(params):
-        raise ValueError(f"duplicate parameter labels in {params}")
-
-
-def qfim_from_derivatives(rho_state: TwoModeState, derivs) -> QfimResult:
-    """QFIM directly in the eigenbasis of ρ, bypassing explicit SLDs.
-
-    Algebraically identical to the SLD route (same support rule) at one
-    eigendecomposition plus two rotations per parameter.
-    """
-    params = tuple(d.param for d in derivs)
-    _require_distinct(params)
-    f = _eigenbasis_qfim(rho_state.rho[None], [d.drho[None] for d in derivs])
-    meta = {"route": "eigenbasis", "state_label": rho_state.label}
-    return _finish_qfim(params, f, meta)
 
 
 def _native_pullback(param_labels: tuple) -> np.ndarray:
@@ -480,15 +345,13 @@ def _inverted(params: tuple, f: np.ndarray, blocks: list, meta: dict) -> list:
     f_inv = (f_inv + np.swapaxes(f_inv, 1, 2)) / 2.0
     kernel = np.where(kept[:, None, :], 0.0, np.abs(v)).max(axis=2)
     identifiable = kernel <= KERNEL_COMPONENT_TOL
-    both = identifiable[:, :, None] & identifiable[:, None, :]
-    sqfim = np.sqrt(np.where(both & (f_inv >= 0.0), f_inv, np.nan))
     bounds = np.sqrt(np.maximum(np.diagonal(f_inv, axis1=1, axis2=2), 0.0))
     pairs = list(itertools.combinations(range(len(params)), 2))
     # a point whose F vanishes is fully singular: nothing identifiable, F⁻¹ = 0
     singular = (w_max <= 0.0).tolist()
     out = []
-    for fb, inv_b, sq_b, block, ok, bound, inv, lost in zip(
-        f, f_inv, sqfim, blocks, identifiable.tolist(), bounds.tolist(), f_inv.tolist(), singular
+    for fb, inv_b, block, ok, bound, inv, lost in zip(
+        f, f_inv, blocks, identifiable.tolist(), bounds.tolist(), f_inv.tolist(), singular
     ):
         covariances = {
             (params[i], params[j]): inv[i][j] if ok[i] and ok[j] else None for i, j in pairs
@@ -501,7 +364,6 @@ def _inverted(params: tuple, f: np.ndarray, blocks: list, meta: dict) -> list:
                 F_inverse=inv_b,
                 bounds={p: bound[i] if ok[i] else None for i, p in enumerate(params)},
                 covariances={} if lost else covariances,
-                sqfim=sq_b,
                 identifiable=dict(zip(params, ok)),
                 meta={**meta, "fully_singular": True} if lost else dict(meta),
             )
@@ -521,51 +383,9 @@ def invert_and_bound(qfim: QfimResult) -> QfimResult:
     return _inverted(qfim.params, qfim.F[None], [qfim.blocks], qfim.meta)[0]
 
 
-def reparameterize_qfim(qfim: QfimResult, jacobian: CoordinateJacobian) -> QfimResult:
-    """Transform a QFIM from jacobian.from_coords into jacobian.to_coords.
-
-    Uses the pullback F' = Bᵀ F B with B = ∂(from)/∂(to).  Subsets of the
-    four parameters are supported as long as the transformation does not
-    mix them with the missing ones (true for the absorption and phase
-    sectors separately).
-    """
-    from_names = _coords_names(jacobian.from_coords)
-    to_names = _coords_names(jacobian.to_coords)
-    for p in qfim.params:
-        if p not in from_names:
-            raise ValueError(
-                f"QFIM parameter {p!r} is not part of coordinate set"
-                f" {jacobian.from_coords!r}"
-            )
-    b_full = np.linalg.inv(jacobian.matrix)  # ∂(from)/∂(to), constant
-    idx = [from_names.index(p) for p in qfim.params]
-    # the subset must be closed under the transformation
-    complement = [i for i in range(4) if i not in idx]
-    sub = b_full[np.ix_(idx, complement)]
-    if complement and np.abs(sub).max() > 1e-14:
-        raise ValueError(
-            "requested parameter subset mixes with omitted coordinates;"
-            " reparameterize the full set instead"
-        )
-    b = b_full[np.ix_(idx, idx)]
-    f_new = b.T @ qfim.F @ b
-    new_params = tuple(to_names[i] for i in idx)
-    result = _finish_qfim(new_params, f_new[None], {**qfim.meta, "reparameterized": True})
-    if qfim.bounds is not None:
-        result = invert_and_bound(result)
-    return result
-
-
-def _coords_names(label: str) -> tuple:
-    if label == "alpha_phi":
-        return ALPHA_PHI_NAMES
-    if label == COORDS_CHIRAL:
-        return CHIRAL_NAMES
-    raise ValueError(f"unknown coordinate set {label!r}")
-
-
 def compute_bounds_grid(input_state: TwoModeState, params, param_labels) -> list:
-    """``compute_bounds``' default route at each of the grid points ``params``.
+    """Bounds at each of the grid points ``params``: evolve, differentiate,
+    QFIM, invert, bound.
 
     One pass serves every point: each layer, from the loss tables through
     the eigensolves, the QFIM's PSD check and the inversion, carries a
@@ -575,7 +395,8 @@ def compute_bounds_grid(input_state: TwoModeState, params, param_labels) -> list
     fails one raises, with the message ``compute_bounds`` gives there.
     """
     labels = tuple(param_labels)
-    _require_distinct(labels)
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate parameter labels in {labels}")
     pullback = _native_pullback(labels)
     if not params:
         return []
@@ -589,28 +410,6 @@ def compute_bounds_grid(input_state: TwoModeState, params, param_labels) -> list
     return _inverted(labels, f, _detect_blocks(labels, f), meta)
 
 
-def compute_bounds(
-    input_state: TwoModeState,
-    params: ChiralParams,
-    param_labels,
-    method: str = ANALYTIC_KRAUS,
-    via_slds: bool = False,
-) -> QfimResult:
-    """Full pipeline: evolve, differentiate, QFIM, invert, bound.
-
-    The default route is ``compute_bounds_grid`` on a grid of one point:
-    a product input (one carrying ``factors``) is solved one mode at a
-    time, and its ∂ρ matrices go to the QFIM unwrapped.  Central
-    differences and ``via_slds`` (the explicit SLD route, identical
-    results, used for cross-validation) run per point on the full
-    two-mode density matrix and build ``ParamDerivative`` records.
-    """
-    if method == ANALYTIC_KRAUS and not via_slds:
-        return compute_bounds_grid(input_state, [params], param_labels)[0]
-    output, derivs = channel_derivatives(input_state, params, param_labels, method)
-    if via_slds:
-        slds = [solve_sld(output, d) for d in derivs]
-        qfim = assemble_qfim(output, slds)
-    else:
-        qfim = qfim_from_derivatives(output, derivs)
-    return invert_and_bound(qfim)
+def compute_bounds(input_state: TwoModeState, params: ChiralParams, param_labels) -> QfimResult:
+    """``compute_bounds_grid`` on a grid of one point."""
+    return compute_bounds_grid(input_state, [params], param_labels)[0]

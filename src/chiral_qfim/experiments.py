@@ -230,13 +230,14 @@ def prepare_input_state(kind: InputStateKind) -> TwoModeState:
 
 
 class IntensityStatistics(NamedTuple):
-    """Exact first and second moments of the two output mode intensities."""
+    """Exact first and second moments of the two output mode intensities,
+    one entry per grid point."""
 
-    mean_plus: float
-    mean_minus: float
-    var_plus: float
-    var_minus: float
-    covariance: float
+    mean_plus: np.ndarray
+    mean_minus: np.ndarray
+    var_plus: np.ndarray
+    var_minus: np.ndarray
+    covariance: np.ndarray
 
 
 def _output_populations(state: TwoModeState, params) -> tuple:
@@ -280,20 +281,6 @@ def _moments(pops: np.ndarray) -> IntensityStatistics:
     var_m = pops.sum(axis=1) @ n_minus**2 - mean_m**2
     cov = n_plus @ pops @ n_minus - mean_p * mean_m
     return IntensityStatistics(mean_p, mean_m, var_p, var_m, cov)
-
-
-def intensity_statistics(
-    kind: InputStateKind, params: ChiralParams, state: TwoModeState | None = None
-) -> IntensityStatistics:
-    """Moments of n₊ and n₋ on the channel output, traced exactly.
-
-    Both number operators are diagonal in the Fock basis, so the moments
-    are sums over the output populations; nothing is sampled.
-    """
-    if state is None:
-        state = prepare_input_state(kind)
-    stats = _moments(_output_populations(state, [params])[0])
-    return IntensityStatistics(*(float(value[0]) for value in stats))
 
 
 def _intensity_sensitivities(state: TwoModeState, params) -> list:

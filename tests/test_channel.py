@@ -8,19 +8,14 @@ from chiral_qfim import channel, estimation, experiments
 from chiral_qfim.analytic import InputStateKind
 from chiral_qfim.channel import (
     CHIRAL_NAMES,
-    COORDS_ALPHA_PHI,
-    COORDS_CHIRAL,
     ChiralParams,
     DomainError,
     RatePicture,
     apply_channel_kraus,
     apply_channel_rk4,
-    channel_output_and_alpha_derivatives,
-    channel_phi_derivative,
-    coordinate_jacobian,
+    grid_output_and_alpha_derivatives,
     mode_output_and_alpha_derivative,
     mode_population_transfer,
-    noon_output_analytic,
 )
 from chiral_qfim.estimation import channel_derivatives, compute_bounds
 from chiral_qfim.fock import (
@@ -34,6 +29,7 @@ from chiral_qfim.fock import (
     hv_to_pm_state,
     mode_operators,
 )
+from oracles import finite_difference, noon_output_analytic
 
 
 def random_density(rng, space):
@@ -88,26 +84,6 @@ def test_rate_picture_validation():
         RatePicture(0.1, 0.1, 0.0, 0.0, t=0.0)
     with pytest.raises(DomainError):
         ChiralParams(0.1, 0.1).to_rates(t=-1.0)
-
-
-def test_coordinate_jacobian_blocks():
-    j = coordinate_jacobian(COORDS_ALPHA_PHI, COORDS_CHIRAL)
-    expected = np.array(
-        [
-            [0.5, -0.5, 0, 0],
-            [0.5, 0.5, 0, 0],
-            [0, 0, 1, -1],
-            [0, 0, 1, 1],
-        ]
-    )
-    np.testing.assert_allclose(j.matrix, expected, atol=0)
-    j_inv = coordinate_jacobian(COORDS_CHIRAL, COORDS_ALPHA_PHI)
-    np.testing.assert_allclose(j.matrix @ j_inv.matrix, np.eye(4), atol=1e-14)
-    np.testing.assert_allclose(
-        coordinate_jacobian(COORDS_CHIRAL, COORDS_CHIRAL).matrix, np.eye(4), atol=0
-    )
-    with pytest.raises(ValueError):
-        coordinate_jacobian("polar", COORDS_CHIRAL)
 
 
 def test_kraus_identity_channel():
@@ -201,17 +177,17 @@ def test_noon_analytic_lossless_limit():
     out = noon_output_analytic(params, space)
     state = hv_to_pm_state(NOON_HV, space)
     k20, k02 = space.index(2, 0), space.index(0, 2)
-    assert out.rho[k20, k20] == pytest.approx(0.5)
-    assert out.rho[k02, k20] == pytest.approx(-0.5 * np.exp(2j * params.delta))
+    assert out[k20, k20] == pytest.approx(0.5)
+    assert out[k02, k20] == pytest.approx(-0.5 * np.exp(2j * params.delta))
     # applying the channel to the projector gives the same matrix
-    np.testing.assert_allclose(out.rho, apply_channel_kraus(state, params).rho, atol=1e-14)
+    np.testing.assert_allclose(out, apply_channel_kraus(state, params).rho, atol=1e-14)
 
 
 def test_noon_analytic_vacuum_weight():
     space = FockSpace(2, 2)
     out = noon_output_analytic(ChiralParams(0.5, 0.5, 0.0, 0.0), space)
     k00 = space.index(0, 0)
-    assert out.rho[k00, k00].real == pytest.approx(0.25)
+    assert out[k00, k00].real == pytest.approx(0.25)
 
 
 def test_noon_analytic_matches_kraus_on_grid():
@@ -224,7 +200,7 @@ def test_noon_analytic_matches_kraus_on_grid():
                 params = ChiralParams(ap, am, delta, 0.0)
                 direct = noon_output_analytic(params, space)
                 oracle = apply_channel_kraus(state, params)
-                worst = max(worst, np.max(np.abs(direct.rho - oracle.rho)))
+                worst = max(worst, np.max(np.abs(direct - oracle.rho)))
     assert worst <= 1e-12
 
 
@@ -276,29 +252,6 @@ def test_photon_number_decay_all_inputs():
             assert abs(n_out - eta * n_in) <= 1e-10
 
 
-def finite_difference_alpha(state, params, mode, h=1e-5):
-    kw = dict(
-        alpha_plus=params.alpha_plus,
-        alpha_minus=params.alpha_minus,
-        phi_plus=params.phi_plus,
-        phi_minus=params.phi_minus,
-    )
-    name = f"alpha_{mode}"
-    alpha = kw[name]
-    if alpha >= h:
-        hi = dict(kw, **{name: alpha + h})
-        lo = dict(kw, **{name: alpha - h})
-        return (
-            apply_channel_kraus(state, ChiralParams(**hi)).rho
-            - apply_channel_kraus(state, ChiralParams(**lo)).rho
-        ) / (2 * h)
-    # second-order one-sided stencil at the α = 0 boundary
-    f0 = apply_channel_kraus(state, ChiralParams(**kw)).rho
-    f1 = apply_channel_kraus(state, ChiralParams(**dict(kw, **{name: alpha + h}))).rho
-    f2 = apply_channel_kraus(state, ChiralParams(**dict(kw, **{name: alpha + 2 * h}))).rho
-    return (-3 * f0 + 4 * f1 - f2) / (2 * h)
-
-
 @pytest.mark.parametrize("mode", ["plus", "minus"])
 def test_alpha_derivative_matches_finite_difference(mode):
     params = ChiralParams(0.3, 0.45, 0.6, -0.3)
@@ -306,10 +259,10 @@ def test_alpha_derivative_matches_finite_difference(mode):
     states = [hv_to_pm_state(NOON_HV, space), hv_to_pm_state(SINGLE_PHOTON_H, space)]
     cspace, _ = default_coherent_space(0.8, 0.5)
     states.append(coherent_product_state(cspace, 0.8, 0.5))
+    name = f"alpha_{mode}"
     for state in states:
-        _, d_plus, d_minus = channel_output_and_alpha_derivatives(state, params)
-        exact = d_plus if mode == "plus" else d_minus
-        approx = finite_difference_alpha(state, params, mode)
+        exact = channel_derivatives(state, params, (name,))[1][0].drho
+        approx, _ = finite_difference(state, params, name)
         assert np.max(np.abs(exact - approx)) <= 1e-8
         assert abs(np.trace(exact)) <= 1e-9
         assert np.max(np.abs(exact - exact.conj().T)) <= 1e-10
@@ -319,9 +272,10 @@ def test_alpha_derivative_at_zero_loss():
     params = ChiralParams(0.0, 0.2, 0.1, 0.0)
     space = FockSpace(2, 2)
     state = hv_to_pm_state(NOON_HV, space)
-    output, exact, _ = channel_output_and_alpha_derivatives(state, params)
-    approx = finite_difference_alpha(state, params, "plus")
-    assert np.max(np.abs(exact - approx)) <= 1e-7
+    output, derivs = channel_derivatives(state, params, ("alpha_plus",))
+    approx, stencil = finite_difference(state, params, "alpha_plus")
+    assert stencil == "forward"
+    assert np.max(np.abs(derivs[0].drho - approx)) <= 1e-7
     np.testing.assert_array_equal(output.rho, apply_channel_kraus(state, params).rho)
 
 
@@ -360,7 +314,7 @@ def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
     cutoffs.clear()
     experiments.error_propagation_sensitivity(InputStateKind.noon_hv(), params, "x_d", state)
     assert cutoffs == [2, 3]
-    experiments.intensity_statistics(InputStateKind.noon_hv(), params, state)
+    experiments._output_populations(state, [params])
     assert cutoffs == [2, 3, 2, 3]
 
 
@@ -457,7 +411,7 @@ def test_dense_route_makes_no_cutoff_fold_copy():
     params = ChiralParams(0.3, 0.4, 0.2, 0.5)
     tracemalloc.start()
     try:
-        channel_output_and_alpha_derivatives(state, params)
+        grid_output_and_alpha_derivatives(state, [params])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -482,19 +436,9 @@ def test_phi_derivative_matches_finite_difference(mode):
     params = ChiralParams(0.3, 0.45, 0.6, -0.3)
     space = FockSpace(2, 2)
     state = hv_to_pm_state(NOON_HV, space)
-    out = apply_channel_kraus(state, params)
-    exact = channel_phi_derivative(out, mode)
-    h = 1e-6
     name = f"phi_{mode}"
-    kw = dict(
-        alpha_plus=0.3, alpha_minus=0.45, phi_plus=0.6, phi_minus=-0.3
-    )
-    hi = dict(kw, **{name: kw[name] + h})
-    lo = dict(kw, **{name: kw[name] - h})
-    approx = (
-        apply_channel_kraus(state, ChiralParams(**hi)).rho
-        - apply_channel_kraus(state, ChiralParams(**lo)).rho
-    ) / (2 * h)
+    exact = channel_derivatives(state, params, (name,))[1][0].drho
+    approx, _ = finite_difference(state, params, name)
     assert np.max(np.abs(exact - approx)) <= 1e-8
     assert abs(np.trace(exact)) <= 1e-12
 
@@ -510,10 +454,10 @@ def test_single_mode_kernel_factors_the_two_mode_engine(alpha_plus):
         rho_plus, rho_minus = state.factors
         out_plus, d_plus = mode_output_and_alpha_derivative(rho_plus, params.alpha_plus)
         out_minus, d_minus = mode_output_and_alpha_derivative(rho_minus, params.alpha_minus)
-        joint, exact_plus, exact_minus = channel_output_and_alpha_derivatives(state, params)
-        assert np.max(np.abs(np.kron(out_plus, out_minus) - joint.rho)) <= 1e-15
-        assert np.max(np.abs(np.kron(d_plus, out_minus) - exact_plus)) <= 1e-14
-        assert np.max(np.abs(np.kron(out_plus, d_minus) - exact_minus)) <= 1e-14
+        joint, exact_plus, exact_minus = grid_output_and_alpha_derivatives(state, [params])
+        assert np.max(np.abs(np.kron(out_plus, out_minus) - joint[0])) <= 1e-15
+        assert np.max(np.abs(np.kron(d_plus, out_minus) - exact_plus[0])) <= 1e-14
+        assert np.max(np.abs(np.kron(out_plus, d_minus) - exact_minus[0])) <= 1e-14
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.35, 0.999])

@@ -6,27 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from chiral_qfim.channel import (
-    ALPHA_PHI_NAMES,
-    CHIRAL_NAMES,
-    ChiralParams,
-    apply_channel_kraus,
-    coordinate_jacobian,
-)
+from chiral_qfim.channel import ALPHA_PHI_NAMES, CHIRAL_NAMES, ChiralParams, apply_channel_kraus
 from chiral_qfim import estimation
 from chiral_qfim.estimation import (
-    ANALYTIC_KRAUS,
-    CENTRAL_DIFFERENCE,
     NumericError,
     ParamDerivative,
     QfimResult,
-    assemble_qfim,
     channel_derivatives,
     compute_bounds,
     invert_and_bound,
-    qfim_from_derivatives,
-    reparameterize_qfim,
-    rho_derivative,
     solve_sld,
 )
 from chiral_qfim.fock import (
@@ -41,6 +29,7 @@ from chiral_qfim.fock import (
     hv_to_pm_state,
     mode_operators,
 )
+from oracles import finite_difference, sld_route_bounds
 
 
 def coherent_state_n0(n0: float, space: FockSpace, budget: float = 1e-13):
@@ -51,21 +40,26 @@ def coherent_state_n0(n0: float, space: FockSpace, budget: float = 1e-13):
 PARAMS_REF = ChiralParams.from_chiral(x_d=0.1, x_s=0.5, delta=0.7, sigma=0.3)
 
 
+def derivative(state, params, label):
+    """The exact ∂ρ_out/∂label alone."""
+    return channel_derivatives(state, params, (label,))[1][0]
+
+
 # ---------------------------------------------------------------------------
-# rho_derivative
+# channel_derivatives
 # ---------------------------------------------------------------------------
 
 
 def test_delta_derivative_of_diagonal_state_vanishes():
     state = fock_product_state(FockSpace(2, 2), 1, 1)
-    d = rho_derivative(state, PARAMS_REF, "delta", method=ANALYTIC_KRAUS)
+    d = derivative(state, PARAMS_REF, "delta")
     assert np.max(np.abs(d.drho)) == 0.0
 
 
 def test_single_photon_delta_derivative_off_diagonal_magnitude():
     space = FockSpace(1, 1)
     state = hv_to_pm_state(SINGLE_PHOTON_H, space)
-    d = rho_derivative(state, PARAMS_REF, "delta", method=ANALYTIC_KRAUS)
+    d = derivative(state, PARAMS_REF, "delta")
     i10 = space.index(1, 0)
     i01 = space.index(0, 1)
     expected = 0.5 * math.sqrt(PARAMS_REF.eta_plus * PARAMS_REF.eta_minus)
@@ -78,37 +72,35 @@ def test_single_photon_delta_derivative_off_diagonal_magnitude():
 def test_finite_difference_matches_analytic_on_noon():
     params = ChiralParams(alpha_plus=0.3, alpha_minus=0.1, phi_plus=0.4, phi_minus=0.0)
     state = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
-    for label in ("alpha_plus", "alpha_minus", "phi_plus", "x_d", "delta"):
-        d_an = rho_derivative(state, params, label, method=ANALYTIC_KRAUS)
-        d_fd = rho_derivative(state, params, label, method=CENTRAL_DIFFERENCE)
-        assert np.max(np.abs(d_an.drho - d_fd.drho)) < 1e-7, label
+    labels = ("alpha_plus", "alpha_minus", "phi_plus", "x_d", "delta")
+    for d_an in channel_derivatives(state, params, labels)[1]:
+        d_fd, _ = finite_difference(state, params, d_an.param)
+        assert np.max(np.abs(d_an.drho - d_fd)) < 1e-7, d_an.param
 
 
 def test_finite_difference_uses_one_sided_stencil_at_boundary():
     params = ChiralParams(alpha_plus=0.0, alpha_minus=0.2)
     state = hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1))
-    d = rho_derivative(state, params, "alpha_plus", method=CENTRAL_DIFFERENCE)
-    assert d.meta["stencil"] == "forward"
-    d_an = rho_derivative(state, params, "alpha_plus", method=ANALYTIC_KRAUS)
-    assert np.max(np.abs(d.drho - d_an.drho)) < 1e-7
+    d_fd, stencil = finite_difference(state, params, "alpha_plus")
+    assert stencil == "forward"
+    d_an = derivative(state, params, "alpha_plus")
+    assert np.max(np.abs(d_fd - d_an.drho)) < 1e-7
 
 
 def test_chiral_derivative_is_combination_of_native_ones():
     state = hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1))
-    d_xd = rho_derivative(state, PARAMS_REF, "x_d", method=ANALYTIC_KRAUS)
-    d_p = rho_derivative(state, PARAMS_REF, "alpha_plus", method=ANALYTIC_KRAUS)
-    d_m = rho_derivative(state, PARAMS_REF, "alpha_minus", method=ANALYTIC_KRAUS)
+    d_xd = derivative(state, PARAMS_REF, "x_d")
+    d_p = derivative(state, PARAMS_REF, "alpha_plus")
+    d_m = derivative(state, PARAMS_REF, "alpha_minus")
     assert np.max(np.abs(d_xd.drho - (d_p.drho - d_m.drho))) < 1e-13
 
 
-def test_rho_derivative_rejects_unknown_labels_and_methods():
+def test_channel_derivatives_rejects_unknown_labels():
     state = hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1))
     with pytest.raises(ValueError, match="unknown parameter"):
-        rho_derivative(state, PARAMS_REF, "x_q")
-    with pytest.raises(ValueError, match="unknown derivative method"):
-        rho_derivative(state, PARAMS_REF, "x_d", method="secant")
+        channel_derivatives(state, PARAMS_REF, ("x_q",))
     with pytest.raises(NumericError, match="Hermiticity"):
-        ParamDerivative(param="x_d", drho=np.array([[0.0, 1.0], [0.0, 0.0]]), method=ANALYTIC_KRAUS)
+        ParamDerivative(param="x_d", drho=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_channel_derivatives_shares_output_and_matches_singles():
@@ -117,7 +109,7 @@ def test_channel_derivatives_shares_output_and_matches_singles():
     direct = apply_channel_kraus(state, PARAMS_REF)
     assert np.max(np.abs(output.rho - direct.rho)) == 0.0
     for d in derivs:
-        single = rho_derivative(state, PARAMS_REF, d.param, method=ANALYTIC_KRAUS)
+        single = derivative(state, PARAMS_REF, d.param)
         assert np.max(np.abs(d.drho - single.drho)) < 1e-14
 
 
@@ -196,14 +188,12 @@ def test_sld_metadata_counts_kernel_pairs():
 
 
 # ---------------------------------------------------------------------------
-# assemble_qfim / qfim_from_derivatives
+# QFIM assembly
 # ---------------------------------------------------------------------------
 
 
-def coherent_qfim(params, n0=1.0, labels=CHIRAL_NAMES, via_slds=False):
-    space = FockSpace(14, 14)
-    state = coherent_state_n0(n0, space)
-    return compute_bounds(state, params, labels, method=ANALYTIC_KRAUS, via_slds=via_slds)
+def coherent_qfim(params, n0=1.0, labels=CHIRAL_NAMES):
+    return compute_bounds(coherent_state_n0(n0, FockSpace(14, 14)), params, labels)
 
 
 def test_coherent_qfim_absorption_entry():
@@ -257,18 +247,14 @@ def test_sld_route_equals_eigenbasis_route():
         coherent_state_n0(1.0, FockSpace(12, 12), budget=1e-10),
     ):
         fast = compute_bounds(state, params, CHIRAL_NAMES)
-        slow = compute_bounds(state, params, CHIRAL_NAMES, via_slds=True)
+        slow = sld_route_bounds(state, params, CHIRAL_NAMES)
         assert np.max(np.abs(fast.F - slow.F)) < 1e-10, state.label
 
 
 def test_qfim_rejects_duplicate_labels():
     state = hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1))
-    output, derivs = channel_derivatives(state, PARAMS_REF, ("x_d",))
     with pytest.raises(ValueError, match="duplicate"):
-        qfim_from_derivatives(output, [derivs[0], derivs[0]])
-    sld = solve_sld(output, derivs[0])
-    with pytest.raises(ValueError, match="duplicate"):
-        assemble_qfim(output, [sld, sld])
+        compute_bounds(state, PARAMS_REF, ("x_d", "x_d"))
 
 
 def test_qfim_positive_semidefinite_on_grid():
@@ -314,17 +300,6 @@ def test_coherent_bounds_closed_forms():
     assert all(res.identifiable.values())
 
 
-def test_sqfim_entries_square_root_of_inverse():
-    params = ChiralParams.from_chiral(x_d=0.1, x_s=0.5, delta=0.0, sigma=0.0)
-    res = coherent_qfim(params)
-    i, j = res.params.index("delta"), res.params.index("sigma")
-    assert res.sqfim[i, i] == pytest.approx(res.bound("delta"), abs=1e-12)
-    assert res.sqfim[i, j] == pytest.approx(math.sqrt(res.covariance("delta", "sigma")), abs=1e-12)
-    # negative inverse entries have no real square root and stay masked
-    i, j = res.params.index("x_d"), res.params.index("x_s")
-    assert math.isnan(res.sqfim[i, j])
-
-
 def test_fock_input_has_no_phase_information():
     state = fock_product_state(FockSpace(2, 2), 1, 1)
     params = ChiralParams.from_chiral(x_d=0.1, x_s=0.5, delta=0.7, sigma=0.3)
@@ -344,7 +319,7 @@ def test_fully_singular_qfim_flags_everything():
     assert res.bounds == {"delta": None, "sigma": None}
     assert res.meta.get("fully_singular") is True
     assert res.covariances == {}
-    assert not res.F_inverse.any() and np.isnan(res.sqfim).all()
+    assert not res.F_inverse.any()
 
 
 NOON_LABELS = ("x_d", "x_s", "delta")
@@ -377,8 +352,10 @@ def test_noon_delta_bound_next_to_full_absorption_on_both_routes():
     expected = noon_delta_closed_form(params)
     assert expected == pytest.approx(3535.5339, abs=1e-4)
     state = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
-    for via_slds in (False, True):
-        result = compute_bounds(state, params, NOON_LABELS, via_slds=via_slds)
+    for result in (
+        compute_bounds(state, params, NOON_LABELS),
+        sld_route_bounds(state, params, NOON_LABELS),
+    ):
         assert result.identifiable["delta"]
         assert result.bound("delta") == pytest.approx(expected, abs=1e-6)
 
@@ -406,19 +383,8 @@ def test_coherent_bound_scales_inverse_square_root_of_intensity():
 
 
 # ---------------------------------------------------------------------------
-# reparameterize_qfim
+# native against chiral coordinates
 # ---------------------------------------------------------------------------
-
-
-def test_reparameterize_identity_and_round_trip():
-    state = hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1))
-    params = ChiralParams.from_chiral(x_d=0.1, x_s=0.5, delta=0.7, sigma=0.0)
-    res = compute_bounds(state, params, CHIRAL_NAMES)
-    ident = reparameterize_qfim(res, coordinate_jacobian("chiral", "chiral"))
-    assert np.max(np.abs(ident.F - res.F)) < 1e-14
-    pushed = reparameterize_qfim(res, coordinate_jacobian("chiral", "alpha_phi"))
-    back = reparameterize_qfim(pushed, coordinate_jacobian("alpha_phi", "chiral"))
-    assert np.max(np.abs(back.F - res.F)) < 1e-12
 
 
 def test_native_qfim_equals_reparameterized_chiral():
@@ -426,23 +392,13 @@ def test_native_qfim_equals_reparameterized_chiral():
     params = ChiralParams(alpha_plus=0.6, alpha_minus=0.4)
     native = compute_bounds(state, params, ("alpha_plus", "alpha_minus"))
     chiral = compute_bounds(state, params, ("x_d", "x_s"))
-    pushed = reparameterize_qfim(chiral, coordinate_jacobian("chiral", "alpha_phi"))
-    assert pushed.params == ("alpha_plus", "alpha_minus")
+    # J[a, i] = ∂(x_d, x_s)_a/∂(alpha_plus, alpha_minus)_i, and F_native = Jᵀ F_chiral J
+    jacobian = np.array([[0.5, -0.5], [0.5, 0.5]])
+    pushed = invert_and_bound(
+        QfimResult(params=native.params, F=jacobian.T @ chiral.F @ jacobian, blocks=())
+    )
     assert np.max(np.abs(pushed.F - native.F)) < 1e-8
     assert pushed.bounds["alpha_plus"] == pytest.approx(native.bounds["alpha_plus"], abs=1e-8)
-
-
-def test_reparameterize_rejects_mixing_subsets():
-    state = hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1))
-    params = ChiralParams.from_chiral(x_d=0.1, x_s=0.5, delta=0.7, sigma=0.0)
-    res = compute_bounds(state, params, ("x_d", "delta"))
-    with pytest.raises(ValueError, match="mixes"):
-        reparameterize_qfim(res, coordinate_jacobian("chiral", "alpha_phi"))
-    bad = compute_bounds(state, params, ("x_d", "x_s"))
-    with pytest.raises(ValueError, match="not part of"):
-        reparameterize_qfim(
-            bad, coordinate_jacobian("alpha_phi", "chiral")
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +426,7 @@ def assert_routes_agree(state, params, labels):
     assert per_mode.meta["route"] == "per_mode"
     for other in (
         compute_bounds(without_factors(state), params, labels),
-        compute_bounds(state, params, labels, via_slds=True),
+        sld_route_bounds(state, params, labels),
     ):
         assert other.meta["route"] != "per_mode"
         assert per_mode.params == other.params
@@ -599,7 +555,7 @@ def test_default_route_builds_no_derivative_wrappers(monkeypatch, make_state, la
     assert built == []
     assert result.params == labels
     # the SLD route still wraps its derivatives, and agrees
-    reference = compute_bounds(state, PARAMS_REF, labels, via_slds=True)
+    reference = sld_route_bounds(state, PARAMS_REF, labels)
     assert built == list(labels)
     np.testing.assert_allclose(result.F, reference.F, rtol=1e-8, atol=1e-10)
 
@@ -610,9 +566,8 @@ def test_channel_derivatives_returns_param_derivative_records(monkeypatch):
     output, derivs = channel_derivatives(state, PARAMS_REF, QUANTUM_LABELS)
     assert all(type(d) is ParamDerivative for d in derivs)
     assert [d.param for d in derivs] == built == list(QUANTUM_LABELS)
-    assert all(d.method == ANALYTIC_KRAUS for d in derivs)
     # the records carry the matrices the unwrapped default route uses
-    wrapped = qfim_from_derivatives(output, derivs).F
+    wrapped = estimation._eigenbasis_qfim(output.rho[None], [d.drho[None] for d in derivs])[0]
     unwrapped = compute_bounds(state, PARAMS_REF, QUANTUM_LABELS).F
     assert np.max(np.abs(unwrapped - wrapped)) <= 1e-14 * np.max(np.abs(wrapped))
 

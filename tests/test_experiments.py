@@ -32,7 +32,6 @@ from chiral_qfim.experiments import (
     error_propagation_sensitivity,
     figure_presets,
     flags_by_reason,
-    intensity_statistics,
     method_quantities,
     prepare_input_state,
     run_sweep,
@@ -148,6 +147,12 @@ def test_prepare_input_state_runs_no_eigensolve(monkeypatch):
 # ---------------------------------------------------------------------------
 # intensity statistics and error propagation
 # ---------------------------------------------------------------------------
+
+
+def intensity_statistics(kind, params):
+    """Moments of n₊ and n₋ on the output at one point, from the population route."""
+    pops = experiments._output_populations(prepare_input_state(kind), [params])[0]
+    return experiments.IntensityStatistics(*(float(v[0]) for v in experiments._moments(pops)))
 
 
 def test_intensity_statistics_single_photon():

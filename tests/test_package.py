@@ -42,6 +42,14 @@ def _module_constants(tree: ast.Module) -> list:
     return names
 
 
+def _private_definitions(tree: ast.Module) -> list:
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+
+
 def _referenced_names(tree: ast.Module) -> set:
     names = set()
     for node in ast.walk(tree):
@@ -55,7 +63,9 @@ def _referenced_names(tree: ast.Module) -> set:
 
 
 def test_every_module_constant_is_read():
-    """An UPPER_CASE module constant that nothing reads is a stale setting."""
+    """An UPPER_CASE module constant that nothing in the package reads is a
+    stale setting, and a private module-level function or class that
+    nothing reads is a stale helper."""
     package = pathlib.Path(chiral_qfim.__file__).parent
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -65,7 +75,7 @@ def test_every_module_constant_is_read():
     stale = [
         f"{module}:{name}"
         for module, tree in trees.items()
-        for name in _module_constants(tree)
+        for name in _module_constants(tree) + _private_definitions(tree)
         if name not in referenced
     ]
     assert stale == []
