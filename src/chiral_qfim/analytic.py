@@ -28,7 +28,6 @@ from .fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
     FockSpace,
-    TwoModeState,
     coherent_product_state,
     hv_to_pm_amplitudes,
     mode_operators,

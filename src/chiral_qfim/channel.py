@@ -215,36 +215,33 @@ def _damp_mode(rho: np.ndarray, tables: tuple, axes: tuple, derivative: bool = T
 
     out[b, .., m, .., m', ..] = Σ_k W[b, k, m, m'] ρ[b, .., m+k, .., m'+k, ..]
     with W = (c·g)_k ⊗ g_k at each grid point b, and with ``derivative``
-    also ∂out/∂α.  ``tables`` lead with the grid axis; ``rho`` leads with
-    it too, or with one entry that every point shares.  The shifted input
-    is a strided view of a zero-padded copy (with a zero grid stride for a
-    shared entry), so the contraction over k reads ρ in place instead of
-    gathering a copy of it per k or per point.
+    also ∂out/∂α.  The tables' leading axes are the grid's; ``rho`` leads
+    with as many, each of the grid's length or of one entry that every
+    point along it shares.  The shifted input is a strided view of a flat
+    buffer holding each of ρ's matrices followed by as many zeros (with a
+    zero stride along a shared axis), so the contraction over k reads ρ in
+    place.  A shift past the last level reads on into the next row or the
+    zero tail, where its weight g[k, m] (m+k > cutoff) is exactly zero.
     """
     weighted, d_weighted, g, h = tables
-    d = rho.shape[axes[0]]
-    shape, window = list(rho.shape), [slice(None)] * rho.ndim
-    for axis in axes:
-        shape[axis], window[axis] = 2 * d - 1, slice(d)
-    padded = np.zeros(shape, dtype=rho.dtype)
-    padded[tuple(window)] = rho
-    strides = padded.strides
-    # shifted[b, k, .., m, .., m', ..] = padded[b, .., m+k, .., m'+k, ..]
-    shifted = np.ndarray(
-        (len(weighted), d, *rho.shape[1:]),
-        rho.dtype,
-        padded,
-        0,
-        (strides[0] if len(rho) > 1 else 0, strides[axes[0]] + strides[axes[1]], *strides[1:]),
-    )
-    index = "pqrs"[: rho.ndim - 1]
-    ket, bra = index[axes[0] - 1], index[axes[1] - 1]
-    spec = f"bk{ket},bk{bra},bk{index}->b{index}"
+    lead, d = weighted.ndim - 2, rho.shape[axes[0]]
+    size = math.prod(rho.shape[lead:])
+    flat = np.zeros((*rho.shape[:lead], 2 * size), dtype=rho.dtype)
+    window = flat[..., :size].reshape(rho.shape)
+    window[...] = rho
+    strides = [stride if n > 1 else 0 for stride, n in zip(window.strides, rho.shape[:lead])]
+    strides += [window.strides[axes[0]] + window.strides[axes[1]], *window.strides[lead:]]
+    # shifted[b, k, .., m, .., m', ..] = window[b, .., m+k, .., m'+k, ..]
+    shape = (*weighted.shape[:lead], d, *rho.shape[lead:])
+    shifted = np.ndarray(shape, rho.dtype, flat, 0, strides)
+    index = "pqrs"[: rho.ndim - lead]
+    ket, bra = index[axes[0] - lead], index[axes[1] - lead]
+    spec = f"...k{ket},...k{bra},...k{index}->...{index}"
     out = np.einsum(spec, weighted, g, shifted)
     if not derivative:
         return out
-    h_ket, h_bra = [1] * rho.ndim, [1] * rho.ndim
-    h_ket[0] = h_bra[0] = len(h)
+    h_ket = [*h.shape[:-1]] + [1] * (rho.ndim - lead)
+    h_bra = list(h_ket)
     h_ket[axes[0]] = h_bra[axes[1]] = d
     d_out = np.einsum(spec, d_weighted, g, shifted)
     d_out -= out * (h.reshape(h_ket) + h.reshape(h_bra))
@@ -270,16 +267,19 @@ def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeSta
 def mode_output_and_alpha_derivative(rho: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
     """One mode's loss output and its exact ∂/∂α, from one table pass.
 
-    ``rho`` is a single-mode density matrix on Fock levels 0..cutoff; the
-    kernel is the two-mode engine's.  ``alpha`` is one value, or a grid of
-    them that leads both results as a stacking axis.  Storage stays real
-    when ``rho`` is.
+    ``rho`` is a single-mode density matrix on Fock levels 0..cutoff, or a
+    stack of them; the kernel is the two-mode engine's.  ``alpha`` is one
+    value or an array whose shape leads both results, its first axis over
+    a stack's matrices.  Storage stays real when ``rho`` is.
     """
     if not rho.imag.any():
         rho = rho.real
-    tables = _loss_tables(rho.shape[0] - 1, np.atleast_1d(alpha))
-    out, d_out = _damp_mode(rho[None], tables, (1, 2))
-    return (out, d_out) if np.ndim(alpha) else (out[0], d_out[0])
+    alpha = np.asarray(alpha, dtype=float)
+    d = rho.shape[-1]
+    rho = rho.reshape(-1, 1, d, d)
+    tables = _loss_tables(d - 1, alpha.reshape(len(rho), -1))
+    out, d_out = _damp_mode(rho, tables, (2, 3))
+    return out.reshape(*alpha.shape, d, d), d_out.reshape(*alpha.shape, d, d)
 
 
 def grid_output_and_alpha_derivatives(state: TwoModeState, params) -> tuple:

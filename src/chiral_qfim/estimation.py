@@ -12,8 +12,9 @@ the checks that compare it with a closed form.
 
 ``compute_bounds_grid`` is the one route, over a grid of points, and
 ``compute_bounds`` is its grid of one.  Product inputs (states carrying
-per-mode ``factors``) are solved as two single-mode problems instead of
-one two-mode eigendecomposition; any other input on its two-mode output.
+per-mode ``factors``) are solved as one single-mode problem over a stack
+of both modes instead of one two-mode eigendecomposition; any other input
+on its two-mode output.
 
 Parameter labels are either the native channel coordinates
 ("alpha_plus", "alpha_minus", "phi_plus", "phi_minus") or the chiral
@@ -231,9 +232,10 @@ def _eigenbasis_qfim(rho: np.ndarray, mats, pullback: np.ndarray | None = None) 
     """F[b, x, y] = Σ_{kept (j,k)} 2 Re[∂ρ̃_x(j,k) · conj(∂ρ̃_y(j,k))]/(λ_j+λ_k).
 
     ``rho`` is a (B, d, d) stack of exactly Hermitian outputs and ``mats``
-    holds a (B, d, d) stack of ∂ρ matrices per parameter; at each point b
-    the support rule keeps pairs with λ_j + λ_k > 1e-10·λ_max, as
-    ``solve_sld`` does.  With a ``pullback`` B, the QFIM is that of the
+    holds a (B, d, d) stack of ∂ρ matrices per parameter, or a generator's
+    diagonal n for ∂ρ = −i[n, ρ], rotated as −i(λ_k − λ_j)(V† n V)_jk; at
+    each point b the support rule keeps pairs with λ_j + λ_k > 1e-10·λ_max,
+    as ``solve_sld`` does.  With a ``pullback`` B, the QFIM is that of the
     labels ∂ρ̃_y = Σ_x B[x, y] ∂ρ̃_x, combined after the rotation.
     """
     lam, v = np.linalg.eigh(rho.real if not rho.imag.any() else rho)
@@ -253,7 +255,13 @@ def _eigenbasis_qfim(rho: np.ndarray, mats, pullback: np.ndarray | None = None) 
     real_basis = not np.iscomplexobj(v)
     v_s = np.swapaxes(v[:, :, -s:], 1, 2).conj()
     rows = np.stack(
-        [v_s @ (m.real if real_basis and not m.imag.any() else m) @ v for m in mats], axis=1
+        [
+            -1j * (lam[:, None, :] - lam[:, -s:, None]) * ((v_s * m) @ v)
+            if m.ndim == 1
+            else v_s @ (m.real if real_basis and not m.imag.any() else m) @ v
+            for m in mats
+        ],
+        axis=1,
     )
     if pullback is not None:
         rows = np.einsum("xy,bxjk->byjk", pullback, rows)
@@ -294,7 +302,7 @@ def _native_derivatives(input_state: TwoModeState, params) -> tuple:
 
 
 def _product_qfim(input_state: TwoModeState, params, pullback: np.ndarray) -> np.ndarray:
-    """The labels' QFIM at each grid point of a product input, one mode at a time.
+    """The labels' QFIM at each grid point of a product input, both modes in one pass.
 
     The channel acts on each mode separately, so a product input ρ₊ ⊗ ρ₋
     gives the product output ρ₊' ⊗ ρ₋'.  Its native QFIM splits into an
@@ -302,31 +310,29 @@ def _product_qfim(input_state: TwoModeState, params, pullback: np.ndarray) -> np
     mirror (α₋, φ₋) block; the cross blocks are tr ∂ρ₊' · tr ∂ρ₋' = 0.
     Each block is solved at φ = 0: the phase stage is the unitary e^{−iφn},
     which commutes with n and so leaves the mode's (α, φ) block unchanged.
-    The product of the modes' output traces must lie in the window.  The
-    requested labels follow through the constant native-to-label pullback,
-    the same combinations ``channel_derivatives`` forms.
+    The modes form one (2B, d, d) stack at their common cutoff, the smaller
+    padded with zero levels, which loss keeps empty.  The output stack is
+    checked once, finite and Hermitian, and the product of the modes'
+    output traces must lie in the window.  The requested labels follow
+    through the constant native-to-label pullback, the same combinations
+    ``channel_derivatives`` forms.
     """
-    (f_plus, tr_plus), (f_minus, tr_minus) = (
-        _mode_qfim(factor, [getattr(p, f"alpha_{mode}") for p in params])
-        for mode, factor in zip(("plus", "minus"), input_state.factors)
-    )
+    d = max(len(factor) for factor in input_state.factors)
+    stack = np.zeros((2, d, d), dtype=complex)
+    for padded, factor in zip(stack, input_state.factors):
+        padded[: len(factor), : len(factor)] = factor
+    alphas = [[p.alpha_plus for p in params], [p.alpha_minus for p in params]]
+    output, d_alpha = mode_output_and_alpha_derivative(stack, alphas)
+    output = require_hermitian(output.reshape(-1, d, d))
+    f = _eigenbasis_qfim(output, [d_alpha.reshape(-1, d, d), np.arange(d)])
+    f_plus, f_minus = f.reshape(2, -1, 2, 2)
+    tr_plus, tr_minus = np.trace(output, axis1=1, axis2=2).reshape(2, -1)
     require_trace_window(tr_plus * tr_minus, input_state.trace_deficit_budget)
     # ALPHA_PHI_NAMES interleaves the modes: (α₊, α₋, φ₊, φ₋)
     native = np.zeros((len(params), len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
     native[:, 0::2, 0::2] = f_plus * tr_minus.real[:, None, None]
     native[:, 1::2, 1::2] = f_minus * tr_plus.real[:, None, None]
     return pullback.T @ native @ pullback
-
-
-def _mode_qfim(factor: np.ndarray, alphas: list) -> tuple:
-    """One mode's (α, φ) QFIM block and output trace at each grid point.
-
-    The output stack is checked once, finite and Hermitian.
-    """
-    output, d_alpha = mode_output_and_alpha_derivative(factor, alphas)
-    d_phi = phase_derivative(output, np.arange(output.shape[-1]))
-    trace = np.trace(output, axis1=1, axis2=2)
-    return _eigenbasis_qfim(require_hermitian(output), [d_alpha, d_phi]), trace
 
 
 def _inverted(params: tuple, f: np.ndarray, blocks: list, meta: dict) -> list:
@@ -390,9 +396,9 @@ def compute_bounds_grid(input_state: TwoModeState, params, param_labels) -> list
     One pass serves every point: each layer, from the loss tables through
     the eigensolves, the QFIM's PSD check and the inversion, carries a
     leading grid axis of len(params).  A product input (one carrying
-    ``factors``) is solved one mode at a time, any other on its two-mode
-    outputs.  Every check applies at each point, and the first point that
-    fails one raises, with the message ``compute_bounds`` gives there.
+    ``factors``) is solved as one stack of its two modes, any other on its
+    two-mode outputs.  Every check applies at each point, and the first
+    point that fails one raises, with the message ``compute_bounds`` gives there.
     """
     labels = tuple(param_labels)
     if len(set(labels)) != len(labels):

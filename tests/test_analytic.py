@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from chiral_qfim.analytic import (
-    COHERENT,
     INTENSITY_MEASUREMENT,
     QFIM_BOUND,
     InputStateKind,

@@ -318,8 +318,10 @@ def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
     assert cutoffs == [2, 3, 2, 3]
 
 
-def test_sweep_takes_one_loss_table_pass_per_mode_per_numeric_method(monkeypatch):
-    # unequal amplitudes give unequal cutoffs, which tell the two modes' passes apart
+def test_sweep_takes_one_stacked_numeric_pass_and_one_intensity_pass_per_mode(monkeypatch):
+    # unequal amplitudes give unequal cutoffs, which tell the passes apart: the
+    # numeric route stacks both modes at their common cutoff, the intensity
+    # route propagates each mode's populations at its own
     kind = InputStateKind.coherent(1.0, 0.5j)
     space = experiments.prepare_input_state(kind).space
     assert space.cutoff_plus != space.cutoff_minus
@@ -336,7 +338,11 @@ def test_sweep_takes_one_loss_table_pass_per_mode_per_numeric_method(monkeypatch
         )
         cutoffs.clear()
         experiments.run_sweep(spec)
-        assert cutoffs == [space.cutoff_plus, space.cutoff_minus] * 2
+        assert cutoffs == [
+            max(space.cutoff_plus, space.cutoff_minus),
+            space.cutoff_plus,
+            space.cutoff_minus,
+        ]
 
     # the intensity route propagates populations only, and one pass serves both targets
     _refuse_dense_propagation(monkeypatch)
@@ -417,6 +423,73 @@ def test_dense_route_makes_no_cutoff_fold_copy():
         tracemalloc.stop()
     # a gathered copy of the 4-index tensor alone would be 25 copies of rho
     assert peak < 16 * state.rho.nbytes
+
+
+def damp_by_padding(rho, tables, axes):
+    """``channel._damp_mode`` with each shift read from an np.pad zero-padded
+    copy, (2d-1)^2 entries per matrix, instead of the flat zero-tailed buffer."""
+    weighted, d_weighted, g, h = tables
+    lead, d = weighted.ndim - 2, rho.shape[axes[0]]
+    rho = np.broadcast_to(rho, (*weighted.shape[:lead], *rho.shape[lead:]))
+    padded = np.pad(rho, [(0, d - 1) if axis in axes else (0, 0) for axis in range(rho.ndim)])
+    s = padded.strides
+    shifted = np.lib.stride_tricks.as_strided(
+        padded,
+        (*rho.shape[:lead], d, *rho.shape[lead:]),
+        (*s[:lead], s[axes[0]] + s[axes[1]], *s[lead:]),
+    )
+    index = "pqrs"[: rho.ndim - lead]
+    ket, bra = index[axes[0] - lead], index[axes[1] - lead]
+    spec = f"...k{ket},...k{bra},...k{index}->...{index}"
+    out = np.einsum(spec, weighted, g, shifted)
+    h_ket = [*h.shape[:-1]] + [1] * (rho.ndim - lead)
+    h_bra = list(h_ket)
+    h_ket[axes[0]] = h_bra[axes[1]] = d
+    d_out = np.einsum(spec, d_weighted, g, shifted)
+    d_out -= out * (h.reshape(h_ket) + h.reshape(h_bra))
+    return out, d_out
+
+
+KERNEL_ALPHAS = (0.0, 0.35, 1 - 1e-9)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 12, 100])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_flat_buffer_read_equals_zero_padded_read_on_single_mode_stacks(cutoff, dtype):
+    rng = np.random.default_rng(cutoff)
+    d = cutoff + 1
+    stack = rng.standard_normal((2, 1, d, d)).astype(dtype)
+    if dtype is complex:
+        stack += 1j * rng.standard_normal(stack.shape)
+    stack += np.swapaxes(stack, -1, -2).conj()
+    # two matrices each shared by every alpha along the second grid axis, one
+    # matrix shared by every alpha, and one matrix per alpha
+    for rho, alphas in (
+        (stack, [KERNEL_ALPHAS, KERNEL_ALPHAS[::-1]]),
+        (stack[:1], [KERNEL_ALPHAS]),
+        (stack.reshape(1, 2, d, d), [KERNEL_ALPHAS[:2]]),
+    ):
+        tables = channel._loss_tables(cutoff, np.array(alphas))
+        for flat, padded in zip(
+            channel._damp_mode(rho, tables, (2, 3)), damp_by_padding(rho, tables, (2, 3))
+        ):
+            np.testing.assert_array_equal(flat, padded)
+
+
+@pytest.mark.parametrize("cutoffs", [(0, 1), (1, 0), (1, 12), (12, 1), (12, 12)])
+def test_flat_buffer_read_equals_zero_padded_read_on_the_dense_tensor(cutoffs):
+    space = FockSpace(*cutoffs)
+    dp, dm = cutoffs[0] + 1, cutoffs[1] + 1
+    rng = np.random.default_rng(sum(cutoffs))
+    shared = random_density(rng, space).rho
+    per_point = np.stack([random_density(rng, space).rho.real for _ in KERNEL_ALPHAS])
+    for rho in (shared.reshape(1, dp, dm, dp, dm), per_point.reshape(-1, dp, dm, dp, dm)):
+        for cutoff, axes in ((cutoffs[0], (1, 3)), (cutoffs[1], (2, 4))):
+            tables = channel._loss_tables(cutoff, np.array(KERNEL_ALPHAS))
+            for flat, padded in zip(
+                channel._damp_mode(rho, tables, axes), damp_by_padding(rho, tables, axes)
+            ):
+                np.testing.assert_array_equal(flat, padded)
 
 
 def test_single_mode_kernel_holds_no_cube():

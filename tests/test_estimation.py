@@ -6,14 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from chiral_qfim.channel import ALPHA_PHI_NAMES, CHIRAL_NAMES, ChiralParams, apply_channel_kraus
-from chiral_qfim import estimation
+from chiral_qfim.channel import (
+    ALPHA_PHI_NAMES,
+    CHIRAL_NAMES,
+    ChiralParams,
+    apply_channel_kraus,
+    mode_output_and_alpha_derivative,
+    phase_derivative,
+)
+from chiral_qfim import channel, estimation
 from chiral_qfim.estimation import (
     NumericError,
     ParamDerivative,
     QfimResult,
     channel_derivatives,
     compute_bounds,
+    compute_bounds_grid,
     invert_and_bound,
     solve_sld,
 )
@@ -29,6 +37,7 @@ from chiral_qfim.fock import (
     hv_to_pm_state,
     mode_operators,
 )
+from chiral_qfim.linalg import require_hermitian
 from oracles import finite_difference, sld_route_bounds
 
 
@@ -521,6 +530,87 @@ def test_per_mode_route_diagonalizes_single_modes_only(monkeypatch):
     compute_bounds(without_factors(state), PARAMS_REF, CHIRAL_NAMES)
     # the two-mode output, then the equilibrated QFIM
     assert dims == [state.space.dim, len(CHIRAL_NAMES)]
+
+
+def coherent_pm(amp_plus: complex, amp_minus: complex):
+    space, budget = default_coherent_space(amp_plus, amp_minus)
+    return coherent_product_state(space, amp_plus, amp_minus, truncation_budget=budget)
+
+
+def per_mode_kernel_qfim(state, points, labels):
+    """The labels' checked QFIM stack from one kernel pass and one unpadded
+    eigensolve per mode, with ∂ρ/∂φ formed as a matrix."""
+    blocks, traces = [], []
+    for mode, factor in zip(("plus", "minus"), state.factors):
+        alphas = [getattr(p, f"alpha_{mode}") for p in points]
+        output, d_alpha = mode_output_and_alpha_derivative(factor, alphas)
+        output = require_hermitian(output)
+        d_phi = phase_derivative(output, np.arange(len(factor)))
+        blocks.append(estimation._eigenbasis_qfim(output, [d_alpha, d_phi]))
+        traces.append(np.trace(output, axis1=1, axis2=2).real[:, None, None])
+    native = np.zeros((len(points), len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
+    native[:, 0::2, 0::2] = blocks[0] * traces[1]
+    native[:, 1::2, 1::2] = blocks[1] * traces[0]
+    pullback = estimation._native_pullback(labels)
+    return estimation._checked_qfim(pullback.T @ native @ pullback)
+
+
+STACK_POINTS = [PARAMS_REF, ChiralParams(0.0, 0.35, 0.2, -0.4), ChiralParams(0.6, 0.1)]
+
+
+@pytest.mark.parametrize(
+    "make_state",
+    [
+        lambda: coherent_pm(1.5, 0.3),
+        lambda: coherent_pm(2 + 0.5j, 0.0),
+        lambda: coherent_pm(0.0, 1.2),
+        lambda: fock_product_state(FockSpace(1, 3), 1, 2),
+    ],
+    ids=["coherent-17-6", "coherent-complex-23-0", "coherent-0-14", "fock-1-2"],
+)
+def test_stacked_route_matches_per_mode_kernel_and_dense_route(make_state):
+    # unequal cutoffs: the smaller factor is padded with zero levels.  The
+    # dense route's support rule is relative to the joint largest eigenvalue,
+    # which moves bounds by 2e-11 at this 1e-10 truncation, so it is held to
+    # ROUTE_TOL and the per-mode kernel, whose rule is the stack's, to 1e-12
+    state = make_state()
+    assert state.space.cutoff_plus != state.space.cutoff_minus
+    for labels in (CHIRAL_NAMES, ALPHA_PHI_NAMES):
+        stacked = compute_bounds_grid(state, STACK_POINTS, labels)
+        f = per_mode_kernel_qfim(state, STACK_POINTS, labels)
+        kernel = estimation._inverted(labels, f, estimation._detect_blocks(labels, f), {})
+        dense = [compute_bounds(without_factors(state), p, labels) for p in STACK_POINTS]
+        for result, *references in zip(stacked, kernel, dense, strict=True):
+            assert result.meta["route"] == "per_mode"
+            for reference, rel in zip(references, (1e-12, ROUTE_TOL)):
+                assert result.blocks == reference.blocks
+                assert result.identifiable == reference.identifiable
+                for p in labels:
+                    if reference.identifiable[p]:
+                        expected = reference.bound(p)
+                        assert result.bound(p) == pytest.approx(expected, rel=rel, abs=0)
+
+
+def test_a_product_grid_takes_one_table_pass_and_one_mode_eigensolve(monkeypatch):
+    state = coherent_pm(1.5, 0.3)
+    assert state.space == FockSpace(17, 6)
+    passes, shapes = [], []
+    tables, eigh = channel._loss_tables, np.linalg.eigh
+
+    def counting_tables(cutoff, alpha):
+        passes.append((cutoff, np.shape(alpha)))
+        return tables(cutoff, alpha)
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(channel, "_loss_tables", counting_tables)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    compute_bounds_grid(state, STACK_POINTS, CHIRAL_NAMES)
+    # both modes at the common cutoff 17, then the equilibrated QFIMs
+    assert passes == [(17, (2, len(STACK_POINTS)))]
+    assert shapes == [(2 * len(STACK_POINTS), 18, 18), (len(STACK_POINTS), 4, 4)]
 
 
 def _record_derivative_wrappers(monkeypatch):

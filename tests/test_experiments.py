@@ -1,7 +1,6 @@
 """Sweep engine: grids, moments, error propagation, CSV, comparisons."""
 
 import csv
-import io
 import math
 import tracemalloc
 from dataclasses import replace

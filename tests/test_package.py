@@ -79,3 +79,33 @@ def test_every_module_constant_is_read():
         if name not in referenced
     ]
     assert stale == []
+
+
+def _unread_imports(tree: ast.Module) -> list:
+    """Names a module imports (``import a.b`` binds ``a``) and never loads."""
+    bound = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in bound if name not in loaded]
+
+
+def test_every_import_is_read():
+    """A name a module imports and never reads is a stale import; the package
+    ``__init__`` imports to re-export, which the ``__all__`` tests cover."""
+    package = pathlib.Path(chiral_qfim.__file__).parent
+    stale = [
+        f"{path.name}:{name}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert stale == []
