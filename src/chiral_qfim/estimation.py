@@ -232,10 +232,9 @@ def _eigenbasis_qfim(rho: np.ndarray, mats, pullback: np.ndarray | None = None) 
     """F[b, x, y] = Σ_{kept (j,k)} 2 Re[∂ρ̃_x(j,k) · conj(∂ρ̃_y(j,k))]/(λ_j+λ_k).
 
     ``rho`` is a (B, d, d) stack of exactly Hermitian outputs and ``mats``
-    holds a (B, d, d) stack of ∂ρ matrices per parameter, or a generator's
-    diagonal n for ∂ρ = −i[n, ρ], rotated as −i(λ_k − λ_j)(V† n V)_jk; at
-    each point b the support rule keeps pairs with λ_j + λ_k > 1e-10·λ_max,
-    as ``solve_sld`` does.  With a ``pullback`` B, the QFIM is that of the
+    holds a (B, d, d) stack of ∂ρ matrices per parameter; at each point b
+    the support rule keeps pairs with λ_j + λ_k > 1e-10·λ_max, as
+    ``solve_sld`` does.  With a ``pullback`` B, the QFIM is that of the
     labels ∂ρ̃_y = Σ_x B[x, y] ∂ρ̃_x, combined after the rotation.
     """
     lam, v = np.linalg.eigh(rho.real if not rho.imag.any() else rho)
@@ -255,13 +254,7 @@ def _eigenbasis_qfim(rho: np.ndarray, mats, pullback: np.ndarray | None = None) 
     real_basis = not np.iscomplexobj(v)
     v_s = np.swapaxes(v[:, :, -s:], 1, 2).conj()
     rows = np.stack(
-        [
-            -1j * (lam[:, None, :] - lam[:, -s:, None]) * ((v_s * m) @ v)
-            if m.ndim == 1
-            else v_s @ (m.real if real_basis and not m.imag.any() else m) @ v
-            for m in mats
-        ],
-        axis=1,
+        [v_s @ (m.real if real_basis and not m.imag.any() else m) @ v for m in mats], axis=1
     )
     if pullback is not None:
         rows = np.einsum("xy,bxjk->byjk", pullback, rows)
@@ -323,8 +316,12 @@ def _product_qfim(input_state: TwoModeState, params, pullback: np.ndarray) -> np
         padded[: len(factor), : len(factor)] = factor
     alphas = [[p.alpha_plus for p in params], [p.alpha_minus for p in params]]
     output, d_alpha = mode_output_and_alpha_derivative(stack, alphas)
-    output = require_hermitian(output.reshape(-1, d, d))
-    f = _eigenbasis_qfim(output, [d_alpha.reshape(-1, d, d), np.arange(d)])
+    output, d_alpha = output.reshape(-1, d, d), d_alpha.reshape(-1, d, d)
+    # ∂ρ/∂φ of the unsymmetrized output: an unpadded mode then gets the
+    # same bits as when it is solved alone
+    d_phi = phase_derivative(output, np.arange(d))
+    output = require_hermitian(output)
+    f = _eigenbasis_qfim(output, [d_alpha, d_phi])
     f_plus, f_minus = f.reshape(2, -1, 2, 2)
     tr_plus, tr_minus = np.trace(output, axis1=1, axis2=2).reshape(2, -1)
     require_trace_window(tr_plus * tr_minus, input_state.trace_deficit_budget)

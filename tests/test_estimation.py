@@ -539,13 +539,14 @@ def coherent_pm(amp_plus: complex, amp_minus: complex):
 
 def per_mode_kernel_qfim(state, points, labels):
     """The labels' checked QFIM stack from one kernel pass and one unpadded
-    eigensolve per mode, with ∂ρ/∂φ formed as a matrix."""
+    eigensolve per mode, with ∂ρ/∂φ formed as a matrix from the kernel's
+    output before its Hermitian part is taken."""
     blocks, traces = [], []
     for mode, factor in zip(("plus", "minus"), state.factors):
         alphas = [getattr(p, f"alpha_{mode}") for p in points]
         output, d_alpha = mode_output_and_alpha_derivative(factor, alphas)
-        output = require_hermitian(output)
         d_phi = phase_derivative(output, np.arange(len(factor)))
+        output = require_hermitian(output)
         blocks.append(estimation._eigenbasis_qfim(output, [d_alpha, d_phi]))
         traces.append(np.trace(output, axis1=1, axis2=2).real[:, None, None])
     native = np.zeros((len(points), len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
@@ -589,6 +590,22 @@ def test_stacked_route_matches_per_mode_kernel_and_dense_route(make_state):
                     if reference.identifiable[p]:
                         expected = reference.bound(p)
                         assert result.bound(p) == pytest.approx(expected, rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("n0", [1.0, 4.0, 9.0])
+def test_stacked_route_is_bit_identical_to_per_mode_kernel_on_equal_cutoffs(n0):
+    # an H-polarized coherent probe has equal mode cutoffs, so nothing is
+    # padded and each mode's matrices are those the per-mode kernel solves
+    state = coherent_pm(*hv_to_pm_amplitudes(math.sqrt(n0), 0.0))
+    assert state.space.cutoff_plus == state.space.cutoff_minus
+    for point in STACK_POINTS:
+        result = compute_bounds(state, point, CHIRAL_NAMES)
+        f = per_mode_kernel_qfim(state, [point], CHIRAL_NAMES)
+        (reference,) = estimation._inverted(
+            CHIRAL_NAMES, f, estimation._detect_blocks(CHIRAL_NAMES, f), {}
+        )
+        assert np.array_equal(result.F, f[0])
+        assert result.bounds == reference.bounds
 
 
 def test_a_product_grid_takes_one_table_pass_and_one_mode_eigensolve(monkeypatch):
