@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import CHIRAL_NAMES, COORDS_ALPHA_PHI, ChiralParams, DomainError
+from .channel import CHIRAL_NAMES, ChiralParams, DomainError, ParamGrid
 from .estimation import SldMatrix, channel_derivatives
 from .fock import (
     NOON_HV,
@@ -136,22 +136,6 @@ class SensitivityReport:
 
 def _value_error(param: str, value: float) -> ValueError:
     return ValueError(f"sensitivity for {param!r} must be finite and nonnegative, got {value!r}")
-
-
-class ParamGrid:
-    """The coordinates of a list of ChiralParams, one (B,) array each: the
-    grid axis along which every closed form here is evaluated elementwise.
-
-    The derived coordinates are ChiralParams' own properties, so a closed
-    form reads the same floats at a grid point as at that point alone.
-    """
-
-    eta_plus, eta_minus = ChiralParams.eta_plus, ChiralParams.eta_minus
-    x_d, x_s, delta = ChiralParams.x_d, ChiralParams.x_s, ChiralParams.delta
-
-    def __init__(self, params):
-        coords = np.array([p.values(COORDS_ALPHA_PHI) for p in params], dtype=float)
-        self.alpha_plus, self.alpha_minus, self.phi_plus, self.phi_minus = coords.reshape(-1, 4).T
 
 
 class SensitivityGrid(NamedTuple):

@@ -120,6 +120,50 @@ class ChiralParams:
         raise ValueError(f"unknown coordinate set {coords!r}")
 
 
+class ParamGrid:
+    """Channel parameters as one (B,) array per coordinate: the grid axis of
+    the numeric routes and the closed forms.  ``ParamGrid(params)`` takes a
+    sequence of ChiralParams, ``from_chiral`` validates coordinate arrays.
+    The derived coordinates are ChiralParams' own properties, so a closed
+    form reads the same floats at a grid point as at that point alone."""
+
+    eta_plus, eta_minus = ChiralParams.eta_plus, ChiralParams.eta_minus
+    x_d, x_s, delta = ChiralParams.x_d, ChiralParams.x_s, ChiralParams.delta
+    values = ChiralParams.values
+
+    def __init__(self, params):
+        coords = np.array([p.values(COORDS_ALPHA_PHI) for p in params], dtype=float)
+        self.alpha_plus, self.alpha_minus, self.phi_plus, self.phi_minus = coords.reshape(-1, 4).T
+
+    def __len__(self) -> int:
+        return len(self.alpha_plus)
+
+    def __getitem__(self, index) -> "ParamGrid":
+        """The points at ``index``, a slice or a mask, as a grid."""
+        part = ParamGrid(())
+        coords = (coord[index] for coord in self.values(COORDS_ALPHA_PHI))
+        part.alpha_plus, part.alpha_minus, part.phi_plus, part.phi_minus = coords
+        return part
+
+    @classmethod
+    def from_chiral(cls, x_d, x_s, delta, sigma) -> tuple:
+        """The grid of the points ``ChiralParams.from_chiral`` accepts, and
+        per point None or the message it raises there: checked elementwise,
+        with a ChiralParams built only at a rejected point, for its message."""
+        coords = np.broadcast_arrays(x_s + x_d, x_s - x_d, (sigma + delta) / 2, (sigma - delta) / 2)
+        coords = np.array(coords, dtype=float)
+        ok = np.isfinite(coords).all(axis=0) & ((coords[:2] >= 0) & (coords[:2] < 1)).all(axis=0)
+        errors = [None] * ok.size
+        for b in np.flatnonzero(~ok).tolist():
+            try:
+                ChiralParams(*coords[:, b].tolist())
+            except DomainError as exc:
+                errors[b] = str(exc)
+        grid = cls(())
+        grid.alpha_plus, grid.alpha_minus, grid.phi_plus, grid.phi_minus = coords[:, ok]
+        return grid, errors
+
+
 @dataclass(frozen=True)
 class RatePicture:
     """Master-equation rates: damping γ± and phase θ± over time t."""
@@ -147,8 +191,8 @@ class RatePicture:
         )
 
 
-def _rotated_input(state: TwoModeState, params) -> np.ndarray:
-    """Phase-stage outputs at each of the grid points ``params``, stacked as
+def _rotated_input(state: TwoModeState, grid: ParamGrid) -> np.ndarray:
+    """Phase-stage outputs at each point of ``grid``, stacked as
     ρ[b, ket+, ket−, bra+, bra−].
 
     ρ → ρ ∘ (u u†) with u[k] = e^{−i(φ₊ n₊ + φ₋ n₋)}.  Where no point has a
@@ -158,10 +202,9 @@ def _rotated_input(state: TwoModeState, params) -> np.ndarray:
     twice as fast).
     """
     space, rho = state.space, state.rho
-    phases = np.array([(p.phi_plus, p.phi_minus) for p in params])
-    if phases.any():
+    if grid.phi_plus.any() or grid.phi_minus.any():
         n_plus, n_minus = space.number_grids()
-        u = np.exp(-1j * (phases[:, :1] * n_plus + phases[:, 1:] * n_minus))
+        u = np.exp(-1j * (grid.phi_plus[:, None] * n_plus + grid.phi_minus[:, None] * n_minus))
         rho = rho * (u[:, :, None] * u.conj()[:, None, :])
     elif not rho.imag.any():
         rho = rho.real
@@ -255,7 +298,7 @@ def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeSta
     on any truncation containing the input support.
     """
     space = state.space
-    rho = _rotated_input(state, [params])
+    rho = _rotated_input(state, ParamGrid([params]))
     for cutoff, alpha, axes in (
         (space.cutoff_plus, params.alpha_plus, (1, 3)),
         (space.cutoff_minus, params.alpha_minus, (2, 4)),
@@ -282,24 +325,23 @@ def mode_output_and_alpha_derivative(rho: np.ndarray, alpha) -> tuple[np.ndarray
     return out.reshape(*alpha.shape, d, d), d_out.reshape(*alpha.shape, d, d)
 
 
-def grid_output_and_alpha_derivatives(state: TwoModeState, params) -> tuple:
-    """Channel outputs and their exact ∂/∂α₊, ∂/∂α₋ at each grid point.
+def grid_output_and_alpha_derivatives(state: TwoModeState, grid: ParamGrid) -> tuple:
+    """Channel outputs and their exact ∂/∂α₊, ∂/∂α₋ at each point of ``grid``.
 
-    ``params`` is a sequence of B ``ChiralParams``; each result is a
-    (B, dim, dim) stack, from one table pass per mode.  The mode-plus loss
-    stage and its ∂/∂α₊ are formed once; the mode-minus loss maps the
-    stage to the output and ∂/∂α₋, and its ∂/∂α₊ to the output's.  The
-    outputs are unchecked, and the derivatives are traceless Hermitian
-    matrices, not states.
+    Each result is a (len(grid), dim, dim) stack, from one table pass per
+    mode.  The mode-plus loss stage and its ∂/∂α₊ are formed once; the
+    mode-minus loss maps the stage to the output and ∂/∂α₋, and its ∂/∂α₊
+    to the output's.  The outputs are unchecked, and the derivatives are
+    traceless Hermitian matrices, not states.
     """
     space = state.space
-    rho = _rotated_input(state, params)
-    tables_plus = _loss_tables(space.cutoff_plus, [p.alpha_plus for p in params])
-    tables_minus = _loss_tables(space.cutoff_minus, [p.alpha_minus for p in params])
+    rho = _rotated_input(state, grid)
+    tables_plus = _loss_tables(space.cutoff_plus, grid.alpha_plus)
+    tables_minus = _loss_tables(space.cutoff_minus, grid.alpha_minus)
     stage, d_stage = _damp_mode(rho, tables_plus, (1, 3))
     output, d_minus = _damp_mode(stage, tables_minus, (2, 4))
     d_plus = _damp_mode(d_stage, tables_minus, (2, 4), derivative=False)
-    shape = (len(params), space.dim, space.dim)
+    shape = (len(grid), space.dim, space.dim)
     return output.reshape(shape), d_plus.reshape(shape), d_minus.reshape(shape)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .analytic import (
     InputStateKind,
-    ParamGrid,
     coherent_bounds_grid,
     coherent_intensity_grid,
     coherent_slds,
@@ -29,7 +28,7 @@ from .analytic import (
     fock_benchmark_grid,
     single_photon_grid,
 )
-from .channel import CHIRAL_NAMES, ChiralParams, apply_channel_kraus, apply_channel_rk4
+from .channel import CHIRAL_NAMES, ChiralParams, ParamGrid, apply_channel_kraus, apply_channel_rk4
 from .estimation import (
     ParamDerivative,
     channel_derivatives,
@@ -168,7 +167,7 @@ def absorption_phase_zero_block(points=(REFERENCE_POINT,)) -> CheckResult:
         InputStateKind.noon_hv(),
     ):
         labels = default_param_labels(kind)
-        for result in compute_bounds_grid(prepare_input_state(kind), points, labels):
+        for result in compute_bounds_grid(prepare_input_state(kind), ParamGrid(points), labels):
             for absorption in ABSORPTION:
                 for phase in ("delta", "sigma"):
                     if phase in labels:
@@ -220,7 +219,7 @@ def coherent_saturation(points=(REFERENCE_POINT,), probes=None) -> CheckResult:
     for n0, state in probes:
         closed = _closed_values(coherent_bounds_grid(grid, n0))
         meter = _closed_values(coherent_intensity_grid(grid, n0))
-        results = compute_bounds_grid(state, points, CHIRAL_NAMES)
+        results = compute_bounds_grid(state, grid, CHIRAL_NAMES)
         for name in ABSORPTION:
             exact_gap = max(exact_gap, _max_abs(closed[name] - meter[name]))
         numeric_gap = max(numeric_gap, _bound_gap(results, closed))
@@ -240,8 +239,9 @@ def single_photon_saturation(points=(REFERENCE_POINT,)) -> CheckResult:
     The residual and ``measured`` split as in ``coherent_saturation``.
     """
     kind = InputStateKind.single_photon_h()
-    closed, meter = map(_closed_values, single_photon_grid(ParamGrid(points)))
-    results = compute_bounds_grid(prepare_input_state(kind), points, default_param_labels(kind))
+    grid = ParamGrid(points)
+    closed, meter = map(_closed_values, single_photon_grid(grid))
+    results = compute_bounds_grid(prepare_input_state(kind), grid, default_param_labels(kind))
     exact_gap = max(_max_abs(closed[name] - meter[name]) for name in ABSORPTION)
     numeric_gap = _bound_gap(results, closed)
     return CheckResult(
@@ -362,8 +362,9 @@ def channel_semigroup_composition(states=None, steps=SEMIGROUP_STEPS) -> CheckRe
 def benchmark_bound_match(points=(BENCHMARK_POINT,)) -> CheckResult:
     """Photon-pair pipeline bounds against the benchmark formula, x_d and x_s."""
     kind = InputStateKind.fock_one_plus_one_minus()
-    closed = _closed_values(fock_benchmark_grid(ParamGrid(points)))
-    results = compute_bounds_grid(prepare_input_state(kind), points, default_param_labels(kind))
+    grid = ParamGrid(points)
+    closed = _closed_values(fock_benchmark_grid(grid))
+    results = compute_bounds_grid(prepare_input_state(kind), grid, default_param_labels(kind))
     residual = _bound_gap(results, closed)
     return CheckResult(
         name="benchmark-bound-match",

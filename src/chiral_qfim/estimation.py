@@ -10,11 +10,11 @@ checked against, so it must stay independent of that catalog.
 ``solve_sld`` solves one symmetric logarithmic derivative explicitly, for
 the checks that compare it with a closed form.
 
-``compute_bounds_grid`` is the one route, over a grid of points, and
-``compute_bounds`` is its grid of one.  Product inputs (states carrying
-per-mode ``factors``) are solved as one single-mode problem over a stack
-of both modes instead of one two-mode eigendecomposition; any other input
-on its two-mode output.
+``compute_bounds_grid`` is the one route, over a grid of points, with
+stacked results; ``compute_bounds`` is its grid of one, as a QfimResult.
+Product inputs (states carrying per-mode ``factors``) are solved as one
+single-mode problem over a stack of both modes instead of one two-mode
+eigendecomposition; any other input on its two-mode output.
 
 Parameter labels are either the native channel coordinates
 ("alpha_plus", "alpha_minus", "phi_plus", "phi_minus") or the chiral
@@ -33,6 +33,7 @@ from .channel import (
     ALPHA_PHI_NAMES,
     CHIRAL_NAMES,
     ChiralParams,
+    ParamGrid,
     grid_output_and_alpha_derivatives,
     mode_output_and_alpha_derivative,
     phase_derivative,
@@ -119,13 +120,57 @@ class QfimResult:
         return self.bounds[param]
 
     def covariance(self, p1: str, p2: str) -> float | None:
+        """cov(p1, p2); None where either is unidentifiable, as when F = 0."""
         if self.covariances is None:
             raise ValueError("covariances not computed; call invert_and_bound first")
-        key = (p1, p2) if (p1, p2) in self.covariances else (p2, p1)
-        return self.covariances[key]
+        if p1 not in self.params or p2 not in self.params:
+            raise KeyError((p1, p2))
+        return self.covariances.get((p1, p2), self.covariances.get((p2, p1)))
 
     def entry(self, p1: str, p2: str) -> float:
         return float(self.F[self.params.index(p1), self.params.index(p2)])
+
+
+@dataclass
+class GridBounds:
+    """Inverted QFIMs along a grid axis: F and F⁻¹ (B, n, n), bounds (B, n),
+    defined where ``identifiable``, each point's coupled groups, and where
+    F vanishes.  ``grid_bounds[b]`` is point b as one ``QfimResult``."""
+
+    params: tuple
+    F: np.ndarray
+    F_inverse: np.ndarray
+    bounds: np.ndarray
+    identifiable: np.ndarray
+    blocks: list
+    fully_singular: np.ndarray
+    meta: dict
+
+    def __len__(self) -> int:
+        return len(self.F)
+
+    def __getitem__(self, b: int) -> QfimResult:
+        ok, bound = self.identifiable[b].tolist(), self.bounds[b].tolist()
+        inv = self.F_inverse[b].tolist()
+        lost = bool(self.fully_singular[b])
+        p, pairs = self.params, itertools.combinations(range(len(self.params)), 2)
+        covariances = {(p[i], p[j]): inv[i][j] if ok[i] and ok[j] else None for i, j in pairs}
+        return QfimResult(
+            params=p,
+            F=self.F[b],
+            blocks=self.blocks[b],
+            F_inverse=self.F_inverse[b],
+            bounds={name: v if k else None for name, v, k in zip(p, bound, ok)},
+            covariances={} if lost else covariances,
+            identifiable=dict(zip(p, ok)),
+            meta={**self.meta, "fully_singular": True} if lost else dict(self.meta),
+        )
+
+    def covariance(self, p1: str, p2: str) -> np.ndarray:
+        """cov(p1, p2) at each point, NaN where either is unidentifiable."""
+        i, j = self.params.index(p1), self.params.index(p2)
+        ok = self.identifiable[:, i] & self.identifiable[:, j]
+        return np.where(ok, self.F_inverse[:, i, j], np.nan)
 
 
 def channel_derivatives(
@@ -138,7 +183,7 @@ def channel_derivatives(
     """
     labels = tuple(param_labels)
     pullback = _native_pullback(labels)
-    output, native = _native_derivatives(input_state, [params])
+    output, native = _native_derivatives(input_state, ParamGrid([params]))
     mats = [
         sum(w * d[0] for w, d in zip(pullback[:, j], native) if w) for j in range(len(labels))
     ]
@@ -228,12 +273,12 @@ def _checked_qfim(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _eigenbasis_qfim(rho: np.ndarray, mats, pullback: np.ndarray | None = None) -> np.ndarray:
+def _eigenbasis_qfim(rho, mats, pullback: np.ndarray | None = None, modes: int = 1):
     """F[b, x, y] = Σ_{kept (j,k)} 2 Re[∂ρ̃_x(j,k) · conj(∂ρ̃_y(j,k))]/(λ_j+λ_k).
 
-    ``rho`` is a (B, d, d) stack of exactly Hermitian outputs and ``mats``
-    holds a (B, d, d) stack of ∂ρ matrices per parameter; at each point b
-    the support rule keeps pairs with λ_j + λ_k > 1e-10·λ_max, as
+    ``rho`` stacks ``modes`` blocks of B exactly Hermitian outputs (one per
+    mode of a product input) and ``mats`` one such stack of ∂ρ matrices per
+    parameter; the support rule keeps pairs with λ_j + λ_k > 1e-10·λ_max, as
     ``solve_sld`` does.  With a ``pullback`` B, the QFIM is that of the
     labels ∂ρ̃_y = Σ_x B[x, y] ∂ρ̃_x, combined after the rotation.
     """
@@ -241,12 +286,26 @@ def _eigenbasis_qfim(rho: np.ndarray, mats, pullback: np.ndarray | None = None) 
     threshold = SUPPORT_RCOND * lam[:, -1:]
     if (threshold <= 0.0).any():
         raise NumericError("density matrix has no positive eigenvalue")
-    # Every kept pair (λ_j + λ_k > threshold) has an index with
-    # λ > threshold/2, and at every point those are among the last s of the
-    # ascending λ, so rotating ∂ρ onto those rows alone is exact; each
-    # (other, last-s) pair adds what its mirror does, by hermiticity, so the
-    # mirrors double the weight of the other columns.
-    s = int((lam > 0.5 * threshold).sum(axis=1).max())
+    # Every kept pair (λ_j + λ_k > threshold) has an index with λ > threshold/2,
+    # among the last s of the ascending λ, so rotating ∂ρ onto those rows alone
+    # is exact; each (other, last-s) pair adds what its mirror does, by
+    # hermiticity, so the mirrors double the weight of the other columns.  A
+    # point's modes share its largest s, and the points of each s are solved
+    # apart: no point's sums, nor its bits, depend on the rest of the stack.
+    s = (lam > 0.5 * threshold).sum(axis=1).reshape(modes, -1).max(axis=0).tolist()
+    if min(s) == max(s):
+        return _rotated_qfim(lam, v, threshold, mats, s[0], pullback)
+    s_all = np.array(s * modes)
+    order = np.argsort(s_all, kind="stable")  # each run of one s, then back in point order
+    parts = [
+        _rotated_qfim(lam[at], v[at], threshold[at], [m[at] for m in mats], s_all[at[0]], pullback)
+        for at in np.split(order, np.flatnonzero(np.diff(s_all[order])) + 1)
+    ]
+    return np.concatenate(parts)[np.argsort(order)]
+
+
+def _rotated_qfim(lam, v, threshold, mats, s: int, pullback) -> np.ndarray:
+    """``_eigenbasis_qfim`` where every kept pair has an index among the last s."""
     pair_sums = lam[:, -s:, None] + lam[:, None, :]
     keep = pair_sums > threshold[:, :, None]
     weight = np.where(keep, 2.0 / np.where(keep, pair_sums, 1.0), 0.0)
@@ -279,7 +338,7 @@ def _native_pullback(param_labels: tuple) -> np.ndarray:
     return b
 
 
-def _native_derivatives(input_state: TwoModeState, params) -> tuple:
+def _native_derivatives(input_state: TwoModeState, grid: ParamGrid) -> tuple:
     """Checked two-mode outputs at each grid point, and their ∂ρ along
     (α₊, α₋, φ₊, φ₋).
 
@@ -287,14 +346,14 @@ def _native_derivatives(input_state: TwoModeState, params) -> tuple:
     window.  The outputs and both α-derivatives come from one loss table
     pass per mode, the φ-derivatives from the checked outputs.
     """
-    output, d_plus, d_minus = grid_output_and_alpha_derivatives(input_state, params)
+    output, d_plus, d_minus = grid_output_and_alpha_derivatives(input_state, grid)
     output = require_hermitian(output)
     require_trace_window(np.trace(output, axis1=1, axis2=2), input_state.trace_deficit_budget)
     phases = [phase_derivative(output, n) for n in input_state.space.number_grids()]
     return output, [d_plus, d_minus, *phases]
 
 
-def _product_qfim(input_state: TwoModeState, params, pullback: np.ndarray) -> np.ndarray:
+def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> np.ndarray:
     """The labels' QFIM at each grid point of a product input, both modes in one pass.
 
     The channel acts on each mode separately, so a product input ρ₊ ⊗ ρ₋
@@ -314,28 +373,26 @@ def _product_qfim(input_state: TwoModeState, params, pullback: np.ndarray) -> np
     stack = np.zeros((2, d, d), dtype=complex)
     for padded, factor in zip(stack, input_state.factors):
         padded[: len(factor), : len(factor)] = factor
-    alphas = [[p.alpha_plus for p in params], [p.alpha_minus for p in params]]
-    output, d_alpha = mode_output_and_alpha_derivative(stack, alphas)
+    output, d_alpha = mode_output_and_alpha_derivative(stack, [grid.alpha_plus, grid.alpha_minus])
     output, d_alpha = output.reshape(-1, d, d), d_alpha.reshape(-1, d, d)
     # ∂ρ/∂φ of the unsymmetrized output: an unpadded mode then gets the
     # same bits as when it is solved alone
     d_phi = phase_derivative(output, np.arange(d))
     output = require_hermitian(output)
-    f = _eigenbasis_qfim(output, [d_alpha, d_phi])
+    f = _eigenbasis_qfim(output, [d_alpha, d_phi], modes=2)
     f_plus, f_minus = f.reshape(2, -1, 2, 2)
     tr_plus, tr_minus = np.trace(output, axis1=1, axis2=2).reshape(2, -1)
     require_trace_window(tr_plus * tr_minus, input_state.trace_deficit_budget)
     # ALPHA_PHI_NAMES interleaves the modes: (α₊, α₋, φ₊, φ₋)
-    native = np.zeros((len(params), len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
+    native = np.zeros((len(grid), len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
     native[:, 0::2, 0::2] = f_plus * tr_minus.real[:, None, None]
     native[:, 1::2, 1::2] = f_minus * tr_plus.real[:, None, None]
     return pullback.T @ native @ pullback
 
 
-def _inverted(params: tuple, f: np.ndarray, blocks: list, meta: dict) -> list:
-    """One inverted QfimResult per QFIM of the checked (B, n, n) stack ``f``,
-    as ``invert_and_bound`` describes, each built once from the stacked
-    inversion."""
+def _inverted(params: tuple, f: np.ndarray, blocks: list, meta: dict) -> GridBounds:
+    """The checked (B, n, n) QFIM stack ``f`` inverted at each point, as
+    ``invert_and_bound`` describes, in one stacked pass."""
     diag = np.diagonal(f, axis1=1, axis2=2)
     positive = diag > 0.0
     d = np.where(positive, np.where(positive, diag, 1.0) ** -0.5, 0.0)
@@ -349,29 +406,8 @@ def _inverted(params: tuple, f: np.ndarray, blocks: list, meta: dict) -> list:
     kernel = np.where(kept[:, None, :], 0.0, np.abs(v)).max(axis=2)
     identifiable = kernel <= KERNEL_COMPONENT_TOL
     bounds = np.sqrt(np.maximum(np.diagonal(f_inv, axis1=1, axis2=2), 0.0))
-    pairs = list(itertools.combinations(range(len(params)), 2))
     # a point whose F vanishes is fully singular: nothing identifiable, F⁻¹ = 0
-    singular = (w_max <= 0.0).tolist()
-    out = []
-    for fb, inv_b, block, ok, bound, inv, lost in zip(
-        f, f_inv, blocks, identifiable.tolist(), bounds.tolist(), f_inv.tolist(), singular
-    ):
-        covariances = {
-            (params[i], params[j]): inv[i][j] if ok[i] and ok[j] else None for i, j in pairs
-        }
-        out.append(
-            QfimResult(
-                params=params,
-                F=fb,
-                blocks=block,
-                F_inverse=inv_b,
-                bounds={p: bound[i] if ok[i] else None for i, p in enumerate(params)},
-                covariances={} if lost else covariances,
-                identifiable=dict(zip(params, ok)),
-                meta={**meta, "fully_singular": True} if lost else dict(meta),
-            )
-        )
-    return out
+    return GridBounds(params, f, f_inv, bounds, identifiable, blocks, w_max <= 0.0, meta)
 
 
 def invert_and_bound(qfim: QfimResult) -> QfimResult:
@@ -386,9 +422,9 @@ def invert_and_bound(qfim: QfimResult) -> QfimResult:
     return _inverted(qfim.params, qfim.F[None], [qfim.blocks], qfim.meta)[0]
 
 
-def compute_bounds_grid(input_state: TwoModeState, params, param_labels) -> list:
-    """Bounds at each of the grid points ``params``: evolve, differentiate,
-    QFIM, invert, bound.
+def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels) -> GridBounds:
+    """Bounds at each point of ``grid``: evolve, differentiate, QFIM,
+    invert, bound.
 
     One pass serves every point: each layer, from the loss tables through
     the eigensolves, the QFIM's PSD check and the inversion, carries a
@@ -401,12 +437,12 @@ def compute_bounds_grid(input_state: TwoModeState, params, param_labels) -> list
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate parameter labels in {labels}")
     pullback = _native_pullback(labels)
-    if not params:
-        return []
+    if not len(grid):
+        return _inverted(labels, np.zeros((0, len(labels), len(labels))), [], {})
     if input_state.factors is not None:
-        f, route = _product_qfim(input_state, params, pullback), "per_mode"
+        f, route = _product_qfim(input_state, grid, pullback), "per_mode"
     else:
-        f = _eigenbasis_qfim(*_native_derivatives(input_state, params), pullback)
+        f = _eigenbasis_qfim(*_native_derivatives(input_state, grid), pullback)
         route = "eigenbasis"
     f = _checked_qfim(f)
     meta = {"route": route, "state_label": input_state.label}
@@ -414,5 +450,5 @@ def compute_bounds_grid(input_state: TwoModeState, params, param_labels) -> list
 
 
 def compute_bounds(input_state: TwoModeState, params: ChiralParams, param_labels) -> QfimResult:
-    """``compute_bounds_grid`` on a grid of one point."""
-    return compute_bounds_grid(input_state, [params], param_labels)[0]
+    """``compute_bounds_grid`` on a grid of one point, as its QfimResult."""
+    return compute_bounds_grid(input_state, ParamGrid([params]), param_labels)[0]

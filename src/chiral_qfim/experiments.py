@@ -2,13 +2,13 @@
 
 The sweep engine evaluates quantum and classical sensitivity methods over
 one-dimensional parameter grids and writes the results as CSV, one row per
-grid point with one column per (method, quantity) pair.  Each numeric
-method (``qfim_numeric``, ``intensity_exact``) runs once over all valid
-grid points, along a leading grid axis.  Per-point failures (invalid
-parameter combinations, unidentifiable parameters, vanishing derivatives,
-closed-form domain limits, failed numeric checks) never abort a sweep;
-they are recorded in the row's status column and the affected cells stay
-empty.
+grid point with one column per (method, quantity) pair.  A sweep stays on
+its validated ``ParamGrid``, through one grid pass per numeric method and
+array formulas for the closed forms, to its CSV columns.  Per-point
+failures (invalid parameter combinations, unidentifiable parameters,
+vanishing derivatives, closed-form domain limits, failed numeric checks)
+never abort a sweep; they are recorded in the row's status column and the
+affected cells stay empty.
 
 ``figure_presets`` returns the grids behind the three reference figure
 families: absorption sensitivities against X_s at four chirality offsets,
@@ -17,7 +17,6 @@ and the phase sensitivity against a common absorption α.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from collections import Counter
@@ -30,7 +29,6 @@ from .analytic import (
     COHERENT,
     FOCK_ONE_PLUS_ONE_MINUS,
     InputStateKind,
-    ParamGrid,
     coherent_bounds_grid,
     coherent_intensity_grid,
     default_param_labels,
@@ -41,7 +39,13 @@ from .analytic import (
     noon_intensity_grid,
     single_photon_grid,
 )
-from .channel import CHIRAL_NAMES, ChiralParams, DomainError, mode_population_transfer
+from .channel import (
+    CHIRAL_NAMES,
+    ChiralParams,
+    DomainError,
+    ParamGrid,
+    mode_population_transfer,
+)
 from .estimation import NumericError, compute_bounds_grid
 from .fock import (
     NOON_HV,
@@ -154,14 +158,12 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
 
-    def params_at(self, value: float) -> ChiralParams:
-        if self.vary == COMMON_ALPHA:
-            return ChiralParams.from_chiral(
-                0.0, value, self.fixed.get("delta", 0.0), self.fixed.get("sigma", 0.0)
-            )
+    def param_grid(self) -> tuple:
+        """``ParamGrid.from_chiral`` on the sweep's grid values; a common
+        absorption is x_s at x_d = 0, which an alpha sweep cannot fix."""
         coords = {name: self.fixed.get(name, 0.0) for name in CHIRAL_NAMES}
-        coords[self.vary] = value
-        return ChiralParams.from_chiral(**coords)
+        coords["x_s" if self.vary == COMMON_ALPHA else self.vary] = self.grid()
+        return ParamGrid.from_chiral(**coords)
 
     def to_json(self) -> str:
         payload = {
@@ -212,6 +214,25 @@ class SweepRow:
         return self.values[f"{method}.{quantity}"]
 
 
+@dataclass(frozen=True)
+class SweepTable:
+    """A sweep's rows as (N,) arrays: ``coordinates`` and each of ``columns``
+    (NaN where a cell is empty), with each row's ``status`` flags; indexing
+    or iterating gives ``SweepRow``s."""
+
+    coordinates: np.ndarray
+    columns: dict
+    status: list
+
+    def __len__(self) -> int:
+        return len(self.coordinates)
+
+    def __getitem__(self, i: int) -> SweepRow:
+        values = {column: cells[i].item() for column, cells in self.columns.items()}
+        values = {column: None if math.isnan(v) else v for column, v in values.items()}
+        return SweepRow(self.coordinates[i].item(), values, self.status[i])
+
+
 def prepare_input_state(kind: InputStateKind) -> TwoModeState:
     """Truncated two-mode density matrix for an input kind.
 
@@ -240,8 +261,8 @@ class IntensityStatistics(NamedTuple):
     covariance: np.ndarray
 
 
-def _output_populations(state: TwoModeState, params) -> tuple:
-    """Output populations P[b, n₊, n₋] at each grid point b of ``params``,
+def _output_populations(state: TwoModeState, grid: ParamGrid) -> tuple:
+    """Output populations P[b, n₊, n₋] at each point b of ``grid``,
     with their exact ∂/∂α₊ and ∂/∂α₋.
 
     The phase stage leaves populations alone and loss maps them among
@@ -255,43 +276,43 @@ def _output_populations(state: TwoModeState, params) -> tuple:
         pops = np.diag(state.rho).real.reshape(space.cutoff_plus + 1, space.cutoff_minus + 1)
     else:
         pops = np.outer(*(np.diag(factor).real for factor in state.factors))
-    t_plus, dt_plus = mode_population_transfer(space.cutoff_plus, [p.alpha_plus for p in params])
-    t_minus, dt_minus = mode_population_transfer(
-        space.cutoff_minus, [p.alpha_minus for p in params]
-    )
+    t_plus, dt_plus = mode_population_transfer(space.cutoff_plus, grid.alpha_plus)
+    t_minus, dt_minus = mode_population_transfer(space.cutoff_minus, grid.alpha_minus)
     t_minus, dt_minus = np.swapaxes(t_minus, 1, 2), np.swapaxes(dt_minus, 1, 2)
     out = t_plus @ pops @ t_minus
     require_trace_window(out.sum(axis=(1, 2)), state.trace_deficit_budget)
     return out, dt_plus @ pops @ t_minus, t_plus @ pops @ dt_minus
 
 
+def _expected(marginal: np.ndarray, power: int = 1) -> np.ndarray:
+    """Σ_n n^power P[b, n] at each point b, summed point by point: a matrix
+    product's sum order, and so a point's bits, would depend on B."""
+    return (marginal * np.arange(marginal.shape[1]) ** power).sum(axis=1)
+
+
 def _mean_counts(pops: np.ndarray) -> tuple:
     """⟨n₊⟩ and ⟨n₋⟩ over each P[b, n₊, n₋] of a stack; linear in P."""
-    return (
-        pops.sum(axis=2) @ np.arange(pops.shape[1]),
-        pops.sum(axis=1) @ np.arange(pops.shape[2]),
-    )
+    return _expected(pops.sum(axis=2)), _expected(pops.sum(axis=1))
 
 
 def _moments(pops: np.ndarray) -> IntensityStatistics:
     """The moments at each point of a population stack, as arrays."""
-    n_plus, n_minus = np.arange(pops.shape[1]), np.arange(pops.shape[2])
     mean_p, mean_m = _mean_counts(pops)
-    var_p = pops.sum(axis=2) @ n_plus**2 - mean_p**2
-    var_m = pops.sum(axis=1) @ n_minus**2 - mean_m**2
-    cov = n_plus @ pops @ n_minus - mean_p * mean_m
+    var_p = _expected(pops.sum(axis=2), 2) - mean_p**2
+    var_m = _expected(pops.sum(axis=1), 2) - mean_m**2
+    cov = _expected((pops * np.arange(pops.shape[2])).sum(axis=2)) - mean_p * mean_m
     return IntensityStatistics(mean_p, mean_m, var_p, var_m, cov)
 
 
-def _intensity_sensitivities(state: TwoModeState, params) -> list:
-    """δx_d and δx_s from intensity measurement at each grid point of
-    ``params``, from one population pass.
+def _intensity_sensitivities(state: TwoModeState, grid: ParamGrid) -> dict:
+    """δx_d and δx_s from intensity measurement at each point of ``grid``,
+    from one population pass.
 
-    Maps each target to ``(sensitivity, derivative)`` per point: the
-    signal's noise over its exact slope, or None where the slope is below
-    the floor.
+    Maps each target to its (sensitivity, derivative, usable) columns: the
+    signal's noise over its exact slope, that slope, and where the slope
+    reaches the floor; elsewhere the sensitivity is undefined.
     """
-    pops, d_plus, d_minus = _output_populations(state, params)
+    pops, d_plus, d_minus = _output_populations(state, grid)
     stats = _moments(pops)
     columns = {}
     for target, sign in (("x_d", -1.0), ("x_s", 1.0)):
@@ -301,12 +322,14 @@ def _intensity_sensitivities(state: TwoModeState, params) -> list:
         variance = stats.var_plus + stats.var_minus + 2.0 * sign * stats.covariance
         usable = np.abs(derivative) >= DERIVATIVE_FLOOR
         slope = np.where(usable, np.abs(derivative), 1.0)
-        sensitivity = np.sqrt(np.maximum(variance, 0.0)) / slope
-        columns[target] = [
-            (s if ok else None, d)
-            for s, ok, d in zip(sensitivity.tolist(), usable.tolist(), derivative.tolist())
-        ]
-    return [dict(zip(columns, point)) for point in zip(*columns.values())]
+        columns[target] = (np.sqrt(np.maximum(variance, 0.0)) / slope, derivative, usable)
+    return columns
+
+
+def _intensity_columns(state: TwoModeState, grid: ParamGrid) -> dict:
+    """δx_d and δx_s by sweep quantity, NaN where the signal does not move."""
+    columns = _intensity_sensitivities(state, grid)
+    return {f"delta_{t}": np.where(usable, s, np.nan) for t, (s, _, usable) in columns.items()}
 
 
 def error_propagation_sensitivity(
@@ -328,14 +351,14 @@ def error_propagation_sensitivity(
         raise ValueError(f"target must be one of {CHIRAL_NAMES}, got {target!r}")
     if state is None:
         state = prepare_input_state(kind)
-    point = _intensity_sensitivities(state, [params])[0]
-    sensitivity, derivative = point.get(target, (None, 0.0))
-    if sensitivity is None:
+    columns = _intensity_sensitivities(state, ParamGrid([params]))
+    sensitivity, derivative, usable = columns.get(target, ([None], [0.0], [False]))
+    if not usable[0]:
         raise DomainError(
             f"the intensity signal does not move with {target!r} here"
-            f" (derivative {derivative:.3e}); no first-order sensitivity"
+            f" (derivative {derivative[0]:.3e}); no first-order sensitivity"
         )
-    return sensitivity
+    return float(sensitivity[0])
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +392,12 @@ def sweep_columns(spec: SweepSpec) -> tuple:
     return tuple(cols)
 
 
-def _put_column(cells, flags, column, values, computed, reason):
-    """Store a column; flag ``column:reason`` where a computed point has no value."""
-    cells[column] = values
-    for point_flags, value, ok in zip(flags, values, computed):
-        if value is None and ok:
-            point_flags.append(f"{column}:{reason}")
-
-
-def _fill_bounds(kind, method, results, computed, cells, flags):
-    for p in default_param_labels(kind):
-        bounds = [r.bounds[p] if ok else None for r, ok in zip(results, computed)]
-        _put_column(cells, flags, f"{method}.delta_{p}", bounds, computed, "unidentifiable")
-    cov = [r.covariances.get(("x_d", "x_s")) if ok else None for r, ok in zip(results, computed)]
-    _put_column(cells, flags, f"{method}.cov_x_d_x_s", cov, computed, "unavailable")
-
-
-def _fill_intensity(kind, method, results, computed, cells, flags):
-    for target in ("x_d", "x_s"):
-        values = [r[target][0] if ok else None for r, ok in zip(results, computed)]
-        column = f"{method}.delta_{target}"
-        _put_column(cells, flags, column, values, computed, "vanishing-derivative")
+def _bound_columns(state: TwoModeState, grid: ParamGrid, labels: tuple) -> dict:
+    """One grid pass's bounds and x_d-x_s covariance, by sweep quantity."""
+    result = compute_bounds_grid(state, grid, labels)
+    bounds = np.where(result.identifiable, result.bounds, np.nan)
+    columns = {f"delta_{p}": bounds[:, i] for i, p in enumerate(result.params)}
+    return {**columns, "cov_x_d_x_s": result.covariance("x_d", "x_s")}
 
 
 def _closed_form_grid(kind: InputStateKind, method: str, grid: ParamGrid):
@@ -410,98 +418,84 @@ def _closed_form_grid(kind: InputStateKind, method: str, grid: ParamGrid):
     return bounds if bound else intensity
 
 
-def _fill_closed_form(kind, method, result, computed, cells, flags):
-    if result.limit is not None:
-        for point_flags, limit, ok in zip(flags, result.limit.tolist(), computed):
-            if limit and ok:
-                point_flags.append(f"{method}:limit-evaluated")
-    for quantity in method_quantities(kind, method):
-        if quantity == "cov_x_d_x_s":
-            column = result.covariances[("x_d", "x_s")]
-        else:
-            column = result.values[quantity.removeprefix("delta_")]
-        values = [
-            v if ok and not math.isnan(v) else None for v, ok in zip(column.tolist(), computed)
-        ]
-        _put_column(cells, flags, f"{method}.{quantity}", values, computed, "unavailable")
+def _closed_form_columns(kind: InputStateKind, method: str, grid: ParamGrid) -> tuple:
+    """The closed form behind a sweep method as columns by quantity, each
+    point's error message (None where it holds) and where it took a limit."""
+    try:
+        result = _closed_form_grid(kind, method, grid)
+    except POINT_ERRORS as exc:
+        return {}, [str(exc)] * len(grid), None
+    quantities = method_quantities(kind, method)
+    values = {q: result.values.get(q.removeprefix("delta_")) for q in quantities}
+    if "cov_x_d_x_s" in values:
+        values["cov_x_d_x_s"] = result.covariances[("x_d", "x_s")]
+    return values, [None if e is None else str(e) for e in result.errors], result.limit
 
 
 # what fails at one point flags that point's row, never the sweep
 POINT_ERRORS = (DomainError, ValueError, NumericError)
 
 
-def _each_point(batch, points: list) -> list:
-    """``batch(points)``, one result per point; when it raises, each half
-    again, so that a failing point gets its own error message as its
-    result, from a call on it alone, and every other point its own result.
-    One failing point among B costs at most 1 + 2·⌈log₂ B⌉ calls."""
+def _each_point(batch, grid: ParamGrid) -> tuple:
+    """``batch(grid)``'s columns and per point an error message or None; when
+    it raises, each half again, so that a failing point gets NaN cells and
+    its own message, from a call on it alone, and every other point its own
+    cells.  One failing point among B costs at most 1 + 2·⌈log₂ B⌉ calls."""
     try:
-        return batch(points)
+        return batch(grid), [None] * len(grid)
     except POINT_ERRORS as exc:
-        if len(points) == 1:
-            return [str(exc)]
-    half = len(points) // 2
-    return _each_point(batch, points[:half]) + _each_point(batch, points[half:])
+        if len(grid) == 1:
+            return {}, [str(exc)]
+    half = len(grid) // 2
+    parts = [_each_point(batch, grid[:half]), _each_point(batch, grid[half:])]
+    columns = {
+        key: np.concatenate([part.get(key, np.full(len(errs), np.nan)) for part, errs in parts])
+        for key in {**parts[0][0], **parts[1][0]}
+    }
+    return columns, parts[0][1] + parts[1][1]
 
 
-def run_sweep(spec: SweepSpec) -> list:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every requested method at every grid point, in grid order.
 
-    Each method runs once over all valid points: the numeric methods as
-    one grid pass, the closed forms as elementwise array formulas.  Its
-    cells are filled a whole column at a time, and each point's flags
-    follow from the column and its failures.  Failures are kept as their
-    messages: a stored exception would hold this frame through its
+    Each method runs once over the grid of valid points and fills its
+    columns whole; only flagged rows' flags are touched.  Failures are kept
+    as their messages: a stored exception would hold this frame through its
     traceback, a cycle that keeps every result alive until the garbage
     collector runs.
     """
     state = prepare_input_state(spec.input_state)
     kind = spec.input_state
-    columns = sweep_columns(spec)
-    points = []
-    for value in spec.grid():
-        try:
-            points.append((float(value), spec.params_at(value)))
-        except (DomainError, ValueError) as exc:
-            points.append((float(value), f"invalid-point:{exc}"))
-    valid = [params for _, params in points if not isinstance(params, str)]
+    labels = default_param_labels(kind)
+    grid, invalid = spec.param_grid()
+    at = np.flatnonzero([message is None for message in invalid])  # the rows of the grid
+    flags = [[] if message is None else [f"invalid-point:{message}"] for message in invalid]
+    columns = {column: np.full(len(invalid), np.nan) for column in sweep_columns(spec)}
+    # method -> (grid pass to columns by quantity, what an empty cell means)
     grid_methods = {
-        QFIM_NUMERIC: (
-            lambda batch: compute_bounds_grid(state, batch, default_param_labels(kind)),
-            _fill_bounds,
-        ),
-        INTENSITY_EXACT: (lambda batch: _intensity_sensitivities(state, batch), _fill_intensity),
+        QFIM_NUMERIC: (lambda part: _bound_columns(state, part, labels), "unidentifiable"),
+        INTENSITY_EXACT: (lambda part: _intensity_columns(state, part), "vanishing-derivative"),
     }
-    cells = dict.fromkeys(columns, (None,) * len(valid))
-    flags = [[] for _ in valid]
-    grid = ParamGrid(valid)
-    for method in spec.methods if valid else ():
+    for method in spec.methods if len(grid) else ():
         if method in grid_methods:
-            run, fill = grid_methods[method]
-            results = _each_point(run, valid)
-            errors = [r if isinstance(r, str) else None for r in results]
+            batch, reason = grid_methods[method]
+            (values, errors), limit = _each_point(batch, grid), None
         else:
-            fill = _fill_closed_form
-            try:
-                results = _closed_form_grid(kind, method, grid)
-                errors = [None if e is None else str(e) for e in results.errors]
-            except POINT_ERRORS as exc:
-                results, errors = None, [str(exc)] * len(valid)
-        for point_flags, error in zip(flags, errors):
-            if error is not None:
-                point_flags.append(f"{method}:failed:{error}")
-        computed = [error is None for error in errors]
-        if any(computed):
-            fill(kind, method, results, computed, cells, flags)
-    computed_rows = zip(zip(*cells.values()), flags)
-    rows = []
-    for value, params in points:
-        if isinstance(params, str):
-            rows.append(SweepRow(value, dict.fromkeys(columns), (params,)))
-        else:
-            row_cells, row_flags = next(computed_rows)
-            rows.append(SweepRow(value, dict(zip(columns, row_cells)), tuple(row_flags)))
-    return rows
+            values, errors, limit = _closed_form_columns(kind, method, grid)
+            reason = "unavailable"
+        computed = np.array([error is None for error in errors])
+        for b in np.flatnonzero(~computed).tolist():
+            flags[at[b]].append(f"{method}:failed:{errors[b]}")
+        if limit is not None:
+            for row in at[computed & limit].tolist():
+                flags[row].append(f"{method}:limit-evaluated")
+        for quantity in method_quantities(kind, method):
+            column = f"{method}.{quantity}"
+            columns[column][at] = cells = np.where(computed, values.get(quantity, np.nan), np.nan)
+            empty = "unavailable" if quantity == "cov_x_d_x_s" else reason
+            for row in at[computed & np.isnan(cells)].tolist():
+                flags[row].append(f"{column}:{empty}")
+    return SweepTable(spec.grid(), columns, [tuple(row_flags) for row_flags in flags])
 
 
 def flags_by_reason(rows) -> dict:
@@ -526,37 +520,39 @@ def flags_by_reason(rows) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    return format(value, ".12g")
+def _format_column(values: np.ndarray) -> list:
+    """A numeric column's cells: 12 significant digits, empty where NaN."""
+    return ["" if v != v else format(v, ".12g") for v in values.tolist()]
 
 
 def _csv_cell(text: str) -> str:
     """Quote a text cell when it would otherwise break the row apart.
 
     Numeric cells never need this; status messages may carry commas."""
-    if any(ch in text for ch in ',"\n'):
+    if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def sweep_to_csv_text(rows, spec: SweepSpec) -> str:
+def _table_cells(rows: SweepTable, spec: SweepSpec) -> list:
+    """A sweep's formatted columns, then its status column."""
+    cells = [_format_column(rows.columns[column]) for column in sweep_columns(spec)]
+    return cells + [[_csv_cell(";".join(status)) for status in rows.status]]
+
+
+def _csv_text(head: list, cells: list) -> str:
+    """The ``head`` lines, then one line per row of the formatted columns."""
+    return "".join([*(line + "\n" for line in head), *(",".join(r) + "\n" for r in zip(*cells))])
+
+
+def sweep_to_csv_text(rows: SweepTable, spec: SweepSpec) -> str:
     """Rows as CSV text with a `# spec:` comment carrying the sweep spec.
 
     Cells hold 12 significant digits; undefined cells are empty and
     explained in the status column.
     """
-    columns = sweep_columns(spec)
-    buffer = io.StringIO()
-    buffer.write(f"# spec: {spec.to_json()}\n")
-    buffer.write(",".join([spec.vary, *columns, "status"]) + "\n")
-    for row in rows:
-        cells = [_format_cell(row.coordinate)]
-        cells.extend(_format_cell(row.values[c]) for c in columns)
-        cells.append(_csv_cell(";".join(row.status)))
-        buffer.write(",".join(cells) + "\n")
-    return buffer.getvalue()
+    head = [f"# spec: {spec.to_json()}", ",".join([spec.vary, *sweep_columns(spec), "status"])]
+    return _csv_text(head, [_format_column(rows.coordinates), *_table_cells(rows, spec)])
 
 
 def panel_to_csv_text(members) -> str:
@@ -567,27 +563,18 @@ def panel_to_csv_text(members) -> str:
     """
     base = members[0][2]
     for _, _, rows in members[1:]:
-        same = len(rows) == len(base) and all(
-            abs(a.coordinate - b.coordinate) <= 1e-12 for a, b in zip(rows, base)
-        )
-        if not same:
+        if len(rows) != len(base) or not (
+            np.abs(rows.coordinates - base.coordinates) <= 1e-12
+        ).all():
             raise ValueError("panel members disagree on the sweep grid")
-    buffer = io.StringIO()
-    for label, spec, _ in members:
-        buffer.write(f"# spec: {label}: {spec.to_json()}\n")
+    head = [f"# spec: {label}: {spec.to_json()}" for label, spec, _ in members]
     header = [members[0][1].vary]
-    for label, spec, _ in members:
+    cells = [_format_column(base.coordinates)]
+    for label, spec, rows in members:
         header.extend(f"{label}.{column}" for column in sweep_columns(spec))
         header.append(f"{label}.status")
-    buffer.write(",".join(header) + "\n")
-    for i, base_row in enumerate(base):
-        cells = [_format_cell(base_row.coordinate)]
-        for _, spec, rows in members:
-            row = rows[i]
-            cells.extend(_format_cell(row.values[c]) for c in sweep_columns(spec))
-            cells.append(_csv_cell(";".join(row.status)))
-        buffer.write(",".join(cells) + "\n")
-    return buffer.getvalue()
+        cells.extend(_table_cells(rows, spec))
+    return _csv_text([*head, ",".join(header)], cells)
 
 
 # ---------------------------------------------------------------------------
@@ -649,35 +636,24 @@ def compare_analytic_numeric(
     flagged = []
     notes = []
     for quantity in quantities:
-        devs = []
-        # start below zero so even an all-zero column records a coordinate
-        worst = (-1.0, None)
-        for row in rows:
-            numeric = row.values[f"{QFIM_NUMERIC}.{quantity}"]
-            analytic = row.values[f"{QFIM_ANALYTIC}.{quantity}"]
-            if numeric is None or analytic is None:
-                continue
-            dev = abs(numeric - analytic)
-            devs.append(dev)
-            if dev > worst[0]:
-                worst = (dev, row.coordinate)
-            if dev > tol:
-                flagged.append((row.coordinate, quantity, numeric, analytic, dev))
-        if devs:
+        numeric, analytic = (rows.columns[f"{m}.{quantity}"] for m in (QFIM_NUMERIC, QFIM_ANALYTIC))
+        both = ~(np.isnan(numeric) | np.isnan(analytic))
+        coords, devs = rows.coordinates[both], np.abs(numeric - analytic)[both]
+        cells = zip(coords.tolist(), numeric[both].tolist(), analytic[both].tolist(), devs.tolist())
+        flagged.extend((c, quantity, n, a, dev) for c, n, a, dev in cells if dev > tol)
+        if devs.size:
             stats[quantity] = DeviationStats(
-                max_abs=float(max(devs)),
-                mean_abs=float(sum(devs) / len(devs)),
+                max_abs=float(devs.max()),
+                mean_abs=sum(devs.tolist()) / len(devs),
                 points=len(devs),
-                worst_coordinate=worst[1],
+                worst_coordinate=float(coords[devs.argmax()]),
             )
     if kind.kind == NOON_HV:
-        column = f"{QFIM_ANALYTIC}.delta_x_d"
-        bounded = [row for row in rows if row.values[column]]  # valid points, bound not 0
-        benchmark = fock_benchmark_grid(ParamGrid([grid.params_at(r.coordinate) for r in bounded]))
-        gaps = [
-            abs(row.values[column] - b) / row.values[column]
-            for row, b in zip(bounded, benchmark.values["x_d"].tolist())
-        ]
+        points, invalid = grid.param_grid()
+        bound = rows.columns[f"{QFIM_ANALYTIC}.delta_x_d"][[m is None for m in invalid]]
+        bounded = (bound != 0.0) & ~np.isnan(bound)
+        benchmark = fock_benchmark_grid(points[bounded]).values["x_d"]
+        gaps = (np.abs(bound[bounded] - benchmark) / bound[bounded]).tolist()
         if gaps:
             notes.append(
                 "NOON vs photon-pair benchmark on delta_x_d: max relative gap"

@@ -9,7 +9,6 @@ from chiral_qfim.analytic import (
     INTENSITY_MEASUREMENT,
     QFIM_BOUND,
     InputStateKind,
-    ParamGrid,
     SensitivityReport,
     coherent_bounds,
     coherent_bounds_grid,
@@ -28,7 +27,7 @@ from chiral_qfim.analytic import (
     single_photon_catalog,
     single_photon_grid,
 )
-from chiral_qfim.channel import ChiralParams, DomainError, apply_channel_kraus
+from chiral_qfim.channel import ChiralParams, DomainError, ParamGrid, apply_channel_kraus
 from chiral_qfim.estimation import (
     channel_derivatives,
     compute_bounds,

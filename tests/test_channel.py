@@ -10,6 +10,7 @@ from chiral_qfim.channel import (
     CHIRAL_NAMES,
     ChiralParams,
     DomainError,
+    ParamGrid,
     RatePicture,
     apply_channel_kraus,
     apply_channel_rk4,
@@ -314,7 +315,7 @@ def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
     cutoffs.clear()
     experiments.error_propagation_sensitivity(InputStateKind.noon_hv(), params, "x_d", state)
     assert cutoffs == [2, 3]
-    experiments._output_populations(state, [params])
+    experiments._output_populations(state, ParamGrid([params]))
     assert cutoffs == [2, 3, 2, 3]
 
 
@@ -417,7 +418,7 @@ def test_dense_route_makes_no_cutoff_fold_copy():
     params = ChiralParams(0.3, 0.4, 0.2, 0.5)
     tracemalloc.start()
     try:
-        grid_output_and_alpha_derivatives(state, [params])
+        grid_output_and_alpha_derivatives(state, ParamGrid([params]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -527,7 +528,8 @@ def test_single_mode_kernel_factors_the_two_mode_engine(alpha_plus):
         rho_plus, rho_minus = state.factors
         out_plus, d_plus = mode_output_and_alpha_derivative(rho_plus, params.alpha_plus)
         out_minus, d_minus = mode_output_and_alpha_derivative(rho_minus, params.alpha_minus)
-        joint, exact_plus, exact_minus = grid_output_and_alpha_derivatives(state, [params])
+        grid = ParamGrid([params])
+        joint, exact_plus, exact_minus = grid_output_and_alpha_derivatives(state, grid)
         assert np.max(np.abs(np.kron(out_plus, out_minus) - joint[0])) <= 1e-15
         assert np.max(np.abs(np.kron(d_plus, out_minus) - exact_plus[0])) <= 1e-14
         assert np.max(np.abs(np.kron(out_plus, d_minus) - exact_minus[0])) <= 1e-14

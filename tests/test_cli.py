@@ -48,6 +48,16 @@ def test_bounds_single_photon_table_contains_reference_value(capsys):
     assert "unidentifiable" not in out
 
 
+def test_bounds_json_of_a_fully_singular_point_has_no_covariances(capsys):
+    # the vacuum probe carries no information: F = 0 at every point
+    point = ("--xs", "0.3", "--xd", "0.1")
+    code, out, _ = run_cli(capsys, "bounds", "--state", "coherent", "--n0", "0", *point, "--json")
+    payload = json.loads(out)
+    assert code == EXIT_OK
+    assert payload["fully_singular"] is True
+    assert payload["covariances"] == {}
+
+
 def test_bounds_coherent_phase_bound_json(capsys):
     code, out, err = run_cli(
         capsys,

@@ -10,6 +10,7 @@ from chiral_qfim.channel import (
     ALPHA_PHI_NAMES,
     CHIRAL_NAMES,
     ChiralParams,
+    ParamGrid,
     apply_channel_kraus,
     mode_output_and_alpha_derivative,
     phase_derivative,
@@ -328,6 +329,17 @@ def test_fully_singular_qfim_flags_everything():
     assert res.bounds == {"delta": None, "sigma": None}
     assert res.meta.get("fully_singular") is True
     assert res.covariances == {}
+
+
+def test_covariance_of_a_fully_singular_result_is_none():
+    state = fock_product_state(FockSpace(2, 2), 1, 1)
+    params = ChiralParams.from_chiral(x_d=0.1, x_s=0.5, delta=0.7, sigma=0.3)
+    res = compute_bounds(state, params, ("delta", "sigma"))
+    assert res.meta["fully_singular"] and res.covariances == {}
+    assert res.covariance("delta", "sigma") is None
+    assert res.covariance("sigma", "delta") is None
+    with pytest.raises(KeyError):
+        res.covariance("delta", "x_d")
     assert not res.F_inverse.any()
 
 
@@ -577,7 +589,7 @@ def test_stacked_route_matches_per_mode_kernel_and_dense_route(make_state):
     state = make_state()
     assert state.space.cutoff_plus != state.space.cutoff_minus
     for labels in (CHIRAL_NAMES, ALPHA_PHI_NAMES):
-        stacked = compute_bounds_grid(state, STACK_POINTS, labels)
+        stacked = compute_bounds_grid(state, ParamGrid(STACK_POINTS), labels)
         f = per_mode_kernel_qfim(state, STACK_POINTS, labels)
         kernel = estimation._inverted(labels, f, estimation._detect_blocks(labels, f), {})
         dense = [compute_bounds(without_factors(state), p, labels) for p in STACK_POINTS]
@@ -624,7 +636,7 @@ def test_a_product_grid_takes_one_table_pass_and_one_mode_eigensolve(monkeypatch
 
     monkeypatch.setattr(channel, "_loss_tables", counting_tables)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    compute_bounds_grid(state, STACK_POINTS, CHIRAL_NAMES)
+    compute_bounds_grid(state, ParamGrid(STACK_POINTS), CHIRAL_NAMES)
     # both modes at the common cutoff 17, then the equilibrated QFIMs
     assert passes == [(17, (2, len(STACK_POINTS)))]
     assert shapes == [(2 * len(STACK_POINTS), 18, 18), (len(STACK_POINTS), 4, 4)]

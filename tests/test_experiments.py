@@ -3,6 +3,7 @@
 import csv
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,15 @@ from chiral_qfim.analytic import (
     single_photon_catalog,
 )
 from chiral_qfim import channel, experiments
-from chiral_qfim.channel import CHIRAL_NAMES, ChiralParams, DomainError, apply_channel_kraus
-from chiral_qfim.estimation import NumericError, compute_bounds
+from chiral_qfim.channel import (
+    CHIRAL_NAMES,
+    COORDS_ALPHA_PHI,
+    ChiralParams,
+    DomainError,
+    ParamGrid,
+    apply_channel_kraus,
+)
+from chiral_qfim.estimation import NumericError, QfimResult, compute_bounds
 from chiral_qfim.experiments import (
     FIDELITY_FRINGE,
     INTENSITY_ANALYTIC,
@@ -32,6 +40,7 @@ from chiral_qfim.experiments import (
     figure_presets,
     flags_by_reason,
     method_quantities,
+    panel_to_csv_text,
     prepare_input_state,
     run_sweep,
     sweep_columns,
@@ -109,12 +118,28 @@ def test_sweep_spec_json_round_trip():
     assert SweepSpec.from_json(spec_for(NOON).to_json()) == spec_for(NOON)
 
 
-def test_params_at_common_alpha():
-    spec = spec_for(SP, vary="alpha", start=0.0, stop=0.9, fixed={"delta": 0.4})
-    params = spec.params_at(0.3)
-    assert params.alpha_plus == params.alpha_minus == 0.3
-    assert params.delta == pytest.approx(0.4, abs=1e-15)
-    assert params.sigma == pytest.approx(0.0, abs=1e-15)
+def test_param_grid_common_alpha():
+    spec = spec_for(SP, vary="alpha", start=0.0, stop=0.9, points=4, fixed={"delta": 0.4})
+    grid, invalid = spec.param_grid()
+    assert invalid == [None] * 4
+    assert grid.alpha_plus.tolist() == grid.alpha_minus.tolist() == [0.0, 0.3, 0.6, 0.9]
+    assert grid.delta == pytest.approx(0.4, abs=1e-15)
+    assert grid.phi_plus + grid.phi_minus == pytest.approx(0.0, abs=1e-15)
+
+
+def test_param_grid_gives_each_rejected_point_the_chiral_params_message():
+    spec = spec_for(SP, vary="x_d", start=-0.5, stop=0.5, points=11, fixed={"x_s": 0.3})
+    grid, invalid = spec.param_grid()
+    expected, valid = [], []
+    for value in spec.grid():
+        try:
+            valid.append(ChiralParams.from_chiral(value, 0.3, 0.0, 0.0).values(COORDS_ALPHA_PHI))
+            expected.append(None)
+        except DomainError as exc:
+            expected.append(str(exc))
+    assert invalid == expected
+    assert list(zip(*grid.values(COORDS_ALPHA_PHI))) == valid
+    assert 0 < len(grid) < len(invalid)
 
 
 def test_sweep_row_rejects_non_finite_cells():
@@ -150,7 +175,7 @@ def test_prepare_input_state_runs_no_eigensolve(monkeypatch):
 
 def intensity_statistics(kind, params):
     """Moments of n₊ and n₋ on the output at one point, from the population route."""
-    pops = experiments._output_populations(prepare_input_state(kind), [params])[0]
+    pops = experiments._output_populations(prepare_input_state(kind), ParamGrid([params]))[0]
     return experiments.IntensityStatistics(*(float(v[0]) for v in experiments._moments(pops)))
 
 
@@ -344,6 +369,72 @@ def test_sweep_csv_quotes_status_messages_with_commas():
     parsed = list(csv.reader(lines[1:]))
     assert all(len(line) == len(parsed[0]) for line in parsed)
     assert "alpha_minus" in parsed[1][-1]
+
+
+def _reference_cell(value) -> str:
+    return "" if value is None else format(value, ".12g")
+
+
+def _reference_status(status) -> str:
+    text = ";".join(status)
+    return '"' + text.replace('"', '""') + '"' if any(ch in text for ch in ',"\n') else text
+
+
+def reference_csv_text(rows, spec) -> str:
+    """A sweep's CSV written a row at a time, one format(v, '.12g') per cell."""
+    columns = sweep_columns(spec)
+    lines = [f"# spec: {spec.to_json()}", ",".join([spec.vary, *columns, "status"])]
+    for row in rows:
+        cells = [_reference_cell(row.coordinate)]
+        cells += [_reference_cell(row.values[column]) for column in columns]
+        lines.append(",".join([*cells, _reference_status(row.status)]))
+    return "\n".join(lines) + "\n"
+
+
+FIGURE_MEMBERS = [*figure_presets()["fig2a"], *figure_presets()["fig4"]]
+
+
+@pytest.mark.parametrize("label, spec", FIGURE_MEMBERS, ids=[m[0] for m in FIGURE_MEMBERS])
+def test_figure_member_csv_equals_a_per_row_reference_writer(label, spec):
+    rows = run_sweep(spec)
+    assert sweep_to_csv_text(rows, spec) == reference_csv_text(rows, spec)
+
+
+@pytest.mark.parametrize("panel", ["fig2e", "fig4"])
+def test_panel_csv_equals_a_per_row_reference_writer(panel):
+    members = [(label, spec, run_sweep(spec)) for label, spec in figure_presets()[panel]]
+    lines = [f"# spec: {label}: {spec.to_json()}" for label, spec, _ in members]
+    header = [members[0][1].vary]
+    for label, spec, _ in members:
+        header += [f"{label}.{column}" for column in sweep_columns(spec)] + [f"{label}.status"]
+    lines.append(",".join(header))
+    for i, base in enumerate(members[0][2]):
+        cells = [_reference_cell(base.coordinate)]
+        for _, spec, rows in members:
+            row = rows[i]
+            cells += [_reference_cell(row.values[column]) for column in sweep_columns(spec)]
+            cells.append(_reference_status(row.status))
+        lines.append(",".join(cells))
+    assert panel_to_csv_text(members) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("label", ["coherent_xd0.2", "noon_xd0.2"])
+def test_a_figure_sweep_builds_no_per_point_objects(monkeypatch, label):
+    # x_d = 0.2 puts the first grid values outside the domain
+    spec = dict(figure_presets()["fig2a"])[label]
+    built = Counter()
+    for cls in (ChiralParams, QfimResult):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    rows = run_sweep(spec)
+    counts = dict(built)
+    invalid = [row for row in rows if row.status[:1] and row.status[0].startswith("invalid-point")]
+    # a ChiralParams only where the grid check rejects a point, for its message
+    assert 0 < len(invalid) < len(rows)
+    assert counts == {"ChiralParams": len(invalid)}
 
 
 def test_sweep_handles_fully_singular_points():
@@ -588,17 +679,15 @@ def test_product_input_never_forms_the_two_mode_matrix():
     assert _peak_bytes(lambda: built.append(coherent_product_state(space, amp_p, amp_m))) < 2e6
     state = built[0]
     assert _peak_bytes(lambda: compute_bounds(state, params, CHIRAL_NAMES)) < 2e6
-    assert _peak_bytes(lambda: experiments._intensity_sensitivities(state, [params])) < 2e6
+    grid = ParamGrid([params])
+    assert _peak_bytes(lambda: experiments._intensity_sensitivities(state, grid)) < 2e6
     assert "rho" not in vars(state)
 
 
-def _cells_close(row, ref, rel):
-    assert row.coordinate == ref.coordinate and row.values.keys() == ref.values.keys()
-    for column, value in row.values.items():
-        expected = ref.values[column]
-        assert (value is None) == (expected is None), column
-        if value is not None:
-            assert value == pytest.approx(expected, rel=rel, abs=0), column
+def point_at(spec, b):
+    """Point b of a sweep's valid grid as ChiralParams."""
+    grid, _ = spec.param_grid()
+    return ChiralParams(*(float(c[b]) for c in grid.values(COORDS_ALPHA_PHI)))
 
 
 def _coarse_members():
@@ -615,21 +704,21 @@ def _coarse_members():
 @pytest.mark.parametrize("label, spec", list(_coarse_members()), ids=lambda v: str(v)[:40])
 def test_grid_sweep_equals_the_batch_of_one(monkeypatch, label, spec):
     rows = run_sweep(spec)
-    grid_intensity = experiments._intensity_sensitivities
-    monkeypatch.setattr(
-        experiments,
-        "compute_bounds_grid",
-        lambda state, points, labels: [compute_bounds(state, p, labels) for p in points],
-    )
-    monkeypatch.setattr(
-        experiments,
-        "_intensity_sensitivities",
-        lambda state, points: [grid_intensity(state, [p])[0] for p in points],
-    )
+    each_point = experiments._each_point
+
+    def one_point_at_a_time(batch, grid):
+        # a batch of more than one point fails, so the bisection runs each alone
+        def alone(part):
+            if len(part) > 1:
+                raise NumericError("one point at a time")
+            return batch(part)
+
+        return each_point(alone, grid)
+
+    monkeypatch.setattr(experiments, "_each_point", one_point_at_a_time)
     per_point = run_sweep(spec)
-    for row, ref in zip(rows, per_point, strict=True):
-        assert row.status == ref.status
-        _cells_close(row, ref, rel=1e-12)
+    # the same bits: no point's arithmetic depends on the grid around it
+    assert list(rows) == list(per_point)
     if spec.fixed.get("x_d", 0.0) > spec.start:
         assert rows[0].status[0].startswith("invalid-point:")
 
@@ -641,7 +730,7 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
     spec = spec_for(kind, start=0.2, stop=0.6, points=5, fixed={"x_d": 0.03})
     spec = replace(spec, methods=(QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT))
     clean = run_sweep(spec)
-    broken = spec.params_at(spec.grid()[2])
+    broken = point_at(spec, 2)
     tables = channel._loss_tables
 
     def failing_at_one_point(cutoff, alpha):
@@ -670,20 +759,20 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
             assert row.values[f"{QFIM_NUMERIC}.delta_x_d"] is None
             assert row.values[analytic] == ref.values[analytic]
             continue
-        assert row.status == ref.status
-        _cells_close(row, ref, rel=1e-14)
+        # every other point's cells keep their bits through the bisection
+        assert row == ref
 
 
 def test_a_failing_point_costs_few_grid_calls(monkeypatch):
     spec = spec_for(NOON, start=0.1, stop=0.6, points=95, fixed={"x_d": 0.03})
     clean = run_sweep(spec)
-    broken = spec.params_at(spec.grid()[47])
+    broken = point_at(spec, 47).alpha_plus
     grid_route = experiments.compute_bounds_grid
     calls = []
 
     def failing_at_one_point(state, points, labels):
         calls.append(len(points))
-        if broken in points:
+        if broken in points.alpha_plus:
             raise NumericError(f"a grid of {len(points)} points fails")
         return grid_route(state, points, labels)
 
@@ -695,22 +784,23 @@ def test_a_failing_point_costs_few_grid_calls(monkeypatch):
     assert rows[47].status == (f"{QFIM_NUMERIC}:failed:a grid of 1 points fails",)
     for i, (row, ref) in enumerate(zip(rows, clean, strict=True)):
         if i != 47:
-            assert row.status == ref.status
-            _cells_close(row, ref, rel=1e-14)
+            # the bisection's smaller grids give every other point the same bits
+            assert row == ref
 
 
 def test_a_closed_form_failing_at_one_point_flags_only_its_own_row(monkeypatch):
     spec = spec_for(NOON, start=0.2, stop=0.6, points=5, fixed={"x_d": 0.03})
     clean = run_sweep(spec)
+    closed_form_grid = experiments._closed_form_grid
 
-    class PastTheDomainAtOnePoint(experiments.ParamGrid):
-        def __init__(self, params):
-            super().__init__(params)
-            self.alpha_plus = np.where(np.arange(len(params)) == 2, 1.0, self.alpha_plus)
+    def past_the_domain_at_one_point(kind, method, grid):
+        broken = grid[:]
+        broken.alpha_plus = np.where(np.arange(len(grid)) == 2, 1.0, grid.alpha_plus)
+        return closed_form_grid(kind, method, broken)
 
-    monkeypatch.setattr(experiments, "ParamGrid", PastTheDomainAtOnePoint)
+    monkeypatch.setattr(experiments, "_closed_form_grid", past_the_domain_at_one_point)
     rows = run_sweep(spec)
-    broken = spec.params_at(spec.grid()[2])
+    broken = point_at(spec, 2)
     object.__setattr__(broken, "alpha_plus", 1.0)
     with pytest.raises(DomainError) as scalar:
         noon_catalog(broken)
