@@ -244,26 +244,13 @@ def coherent_intensity_grid(grid: ParamGrid, n0: float) -> SensitivityGrid:
     return _checked_grid(INTENSITY_MEASUREMENT, {"x_d": value, "x_s": value})
 
 
-def coherent_intensity_sensitivities(
-    params: ChiralParams,
-    n0: float | None = None,
-    *,
-    kind: InputStateKind | None = None,
-) -> SensitivityReport:
+def coherent_intensity_sensitivities(params: ChiralParams, n0: float) -> SensitivityReport:
     """Error-propagation sensitivities of mode-intensity measurements.
 
-    The closed form splits N₀ equally between the circular modes, so a
-    coherent ``kind`` is checked by ``equal_split_photons``.  Equals
-    ``coherent_bounds`` on X_d and X_s at every parameter point (the
-    intensity measurement saturates the bound).
+    The closed form splits N₀ equally between the circular modes (see
+    ``equal_split_photons``).  Equals ``coherent_bounds`` on X_d and X_s at
+    every parameter point (the intensity measurement saturates the bound).
     """
-    if kind is not None:
-        kind_n0 = equal_split_photons(kind)
-        if n0 is not None and not math.isclose(n0, kind_n0):
-            raise ValueError(f"n0 {n0!r} contradicts the kind's mean photon number")
-        n0 = kind_n0
-    if n0 is None:
-        raise ValueError("either n0 or kind is required")
     return coherent_intensity_grid(ParamGrid([params]), n0).report()
 
 

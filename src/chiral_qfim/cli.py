@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -52,19 +52,7 @@ from .experiments import (
     run_sweep,
     sweep_to_csv_text,
 )
-from .fock import (
-    TRUNCATION_BUDGET_DEFAULT,
-    FockSpace,
-    StateValidationError,
-    TruncationError,
-    TwoModeState,
-    coherent_product_state,
-    default_coherent_space,
-    fock_product_state,
-    hv_to_pm_amplitudes,
-    hv_to_pm_state,
-    poisson_tail,
-)
+from .fock import StateValidationError, TruncationError
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -83,65 +71,13 @@ STATE_CHOICES = {
 
 _CHIRAL_BY_FLAG = {"xd": "x_d", "xs": "x_s", "delta": "delta", "sigma": "sigma"}
 
-_CONFIG_KEYS = frozenset(
-    {
-        "schema",
-        "state",
-        "xd",
-        "xs",
-        "delta",
-        "sigma",
-        "alpha_plus",
-        "alpha_minus",
-        "phi_plus",
-        "phi_minus",
-        "n0",
-        "amp_h",
-        "amp_v",
-        "cutoff",
-        "budget",
-        "preset",
-        "vary",
-        "start",
-        "stop",
-        "points",
-        "fix",
-        "methods",
-        "output",
-        "tol",
-        "json",
-    }
-)
+# one flagged deviation of a ComparisonReport, field by field
+_FLAGGED_FIELDS = ("coordinate", "quantity", "numeric", "analytic", "deviation")
 
 
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """One resolved command: file config merged under the given flags."""
-
-    subcommand: str
-    state: str | None
-    point: dict
-    n0: float | None
-    amp_h: complex | None
-    amp_v: complex | None
-    cutoff: int | None
-    budget: float | None
-    preset: str | None
-    vary: str | None
-    start: float | None
-    stop: float | None
-    points: int | None
-    fixed: dict | None
-    methods: tuple | None
-    output: str | None
-    tol: float | None
-    emit_json: bool
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -255,7 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _config_keys(parser: argparse.ArgumentParser) -> set:
+    """Keys a config file may hold: every subcommand's option names and
+    ``schema``, but not ``config`` or ``subcommand``."""
+    names = set().union(*(vars(parser.parse_args([name])) for name in _HANDLERS))
+    return names - {"config", "subcommand"} | {"schema"}
+
+
+def _load_config_file(path: str, keys: set) -> dict:
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -265,10 +208,18 @@ def _load_config_file(path: str) -> dict:
             f"config file {path!r} needs \"schema\": {CONFIG_SCHEMA},"
             f" got {data.get('schema')!r}"
         )
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(set(data) - keys)
     if unknown:
         raise DomainError(f"unknown config keys {unknown} in {path!r}")
     return data
+
+
+def _as_state(name: str, value) -> str:
+    if value not in STATE_CHOICES:
+        raise DomainError(
+            f"unknown state {value!r}; choose one of {', '.join(sorted(STATE_CHOICES))}"
+        )
+    return value
 
 
 def _as_float(name: str, value) -> float:
@@ -294,24 +245,24 @@ def _parse_complex(name: str, value) -> complex:
         ) from None
 
 
-def _parse_fix(value) -> dict:
+def _parse_fix(name: str, value) -> dict:
     fixed = {}
     if isinstance(value, dict):
         for key, item in value.items():
             fixed[str(key)] = _as_float(f"fix[{key}]", item)
         return fixed
     for item in value:
-        name, sep, text = str(item).partition("=")
-        if not sep or not name:
-            raise DomainError(f"--fix expects NAME=VALUE, got {item!r}")
+        coordinate, sep, text = str(item).partition("=")
+        if not sep or not coordinate:
+            raise DomainError(f"{name} expects NAME=VALUE, got {item!r}")
         try:
-            fixed[name.strip()] = float(text)
+            fixed[coordinate.strip()] = float(text)
         except ValueError:
-            raise DomainError(f"--fix {item!r}: {text!r} is not a number") from None
+            raise DomainError(f"{name} {item!r}: {text!r} is not a number") from None
     return fixed
 
 
-def _parse_methods(value) -> tuple:
+def _parse_methods(name: str, value) -> tuple:
     if isinstance(value, str):
         names = [part.strip() for part in value.split(",") if part.strip()]
     else:
@@ -319,62 +270,36 @@ def _parse_methods(value) -> tuple:
     return tuple(names)
 
 
-def merge_config(args: argparse.Namespace) -> CliConfig:
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+# option -> check of its merged value, in the order the checks run
+_CHECKERS = {
+    "state": _as_state,
+    **dict.fromkeys((*_CHIRAL_BY_FLAG, *ALPHA_PHI_NAMES, "n0"), _as_float),
+    "amp_h": _parse_complex,
+    "amp_v": _parse_complex,
+    "cutoff": _as_int,
+    "budget": _as_float,
+    "start": _as_float,
+    "stop": _as_float,
+    "points": _as_int,
+    "fix": _parse_fix,
+    "methods": _parse_methods,
+    "tol": _as_float,
+}
 
-    def pick(name):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return file_cfg.get(name)
 
-    state = pick("state")
-    if state is not None and state not in STATE_CHOICES:
-        raise DomainError(
-            f"unknown state {state!r}; choose one of {', '.join(sorted(STATE_CHOICES))}"
-        )
-
-    point = {}
-    for flag, name in _CHIRAL_BY_FLAG.items():
-        value = pick(flag)
-        point[name] = None if value is None else _as_float(f"--{flag}", value)
-    for name in ALPHA_PHI_NAMES:
-        value = pick(name)
-        flag = "--" + name.replace("_", "-")
-        point[name] = None if value is None else _as_float(flag, value)
-
-    n0 = pick("n0")
-    amp_h = pick("amp_h")
-    amp_v = pick("amp_v")
-    cutoff = pick("cutoff")
-    budget = pick("budget")
-    points = pick("points")
-    fix = pick("fix")
-    methods = pick("methods")
-    tol = pick("tol")
-    start = pick("start")
-    stop = pick("stop")
-
-    return CliConfig(
-        subcommand=args.subcommand,
-        state=state,
-        point=point,
-        n0=None if n0 is None else _as_float("--n0", n0),
-        amp_h=None if amp_h is None else _parse_complex("--amp-h", amp_h),
-        amp_v=None if amp_v is None else _parse_complex("--amp-v", amp_v),
-        cutoff=None if cutoff is None else _as_int("--cutoff", cutoff),
-        budget=None if budget is None else _as_float("--budget", budget),
-        preset=pick("preset"),
-        vary=pick("vary"),
-        start=None if start is None else _as_float("--start", start),
-        stop=None if stop is None else _as_float("--stop", stop),
-        points=None if points is None else _as_int("--points", points),
-        fixed=None if fix is None else _parse_fix(fix),
-        methods=None if methods is None else _parse_methods(methods),
-        output=pick("output"),
-        tol=None if tol is None else _as_float("--tol", tol),
-        emit_json=bool(pick("json")),
-    )
+def merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """``args`` with each option that no flag set taken from the
+    ``--config`` file, and each value checked in ``_CHECKERS`` order; a
+    file value is checked even where this subcommand has no such option."""
+    file_cfg = _load_config_file(args.config, _config_keys(parser)) if args.config else {}
+    for name in {**_CHECKERS, **vars(args), **file_cfg}:
+        value = getattr(args, name, None)
+        if value is None:
+            value = file_cfg.get(name)
+        if value is not None and name in _CHECKERS:
+            value = _CHECKERS[name]("--" + name.replace("_", "-"), value)
+        setattr(args, name, value)
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -382,39 +307,42 @@ def merge_config(args: argparse.Namespace) -> CliConfig:
 # ---------------------------------------------------------------------------
 
 
-def _input_kind(cfg: CliConfig) -> InputStateKind:
-    if cfg.state is None:
+def _input_kind(args) -> InputStateKind:
+    if args.state is None:
         raise DomainError(
             "no input state selected; pass --state "
             + "/".join(sorted(STATE_CHOICES))
         )
-    kind_name = STATE_CHOICES[cfg.state]
+    kind_name = STATE_CHOICES[args.state]
     if kind_name != COHERENT:
-        if cfg.n0 is not None or cfg.amp_h is not None or cfg.amp_v is not None:
+        if args.n0 is not None or args.amp_h is not None or args.amp_v is not None:
             raise DomainError(
-                f"--n0/--amp-h/--amp-v apply to --state coherent, not {cfg.state!r}"
+                f"--n0/--amp-h/--amp-v apply to --state coherent, not {args.state!r}"
             )
-        if kind_name == SINGLE_PHOTON_H:
-            return InputStateKind.single_photon_h()
-        if kind_name == NOON_HV:
-            return InputStateKind.noon_hv()
-        return InputStateKind.fock_one_plus_one_minus()
-    if cfg.amp_h is not None or cfg.amp_v is not None:
-        if cfg.n0 is not None:
+        return InputStateKind(kind_name)
+    if args.amp_h is not None or args.amp_v is not None:
+        if args.n0 is not None:
             raise DomainError("give either --n0 or explicit --amp-h/--amp-v, not both")
-        return InputStateKind.coherent(cfg.amp_h or 0j, cfg.amp_v or 0j)
-    if cfg.n0 is None:
+        return InputStateKind.coherent(args.amp_h or 0j, args.amp_v or 0j)
+    if args.n0 is None:
         raise DomainError(
             "a coherent input needs --n0 (mean photon number) or --amp-h/--amp-v"
         )
-    if not (math.isfinite(cfg.n0) and cfg.n0 >= 0.0):
-        raise DomainError(f"--n0 must be a finite nonnegative number, got {cfg.n0!r}")
-    return InputStateKind.coherent(math.sqrt(cfg.n0), 0j)
+    if not (math.isfinite(args.n0) and args.n0 >= 0.0):
+        raise DomainError(f"--n0 must be a finite nonnegative number, got {args.n0!r}")
+    return InputStateKind.coherent(math.sqrt(args.n0), 0j)
 
 
-def _point_params(cfg: CliConfig) -> ChiralParams:
-    chiral = {n: cfg.point[n] for n in CHIRAL_NAMES if cfg.point.get(n) is not None}
-    native = {n: cfg.point[n] for n in ALPHA_PHI_NAMES if cfg.point.get(n) is not None}
+def _given(args, flags) -> dict:
+    """The coordinates of ``flags`` that a flag or the config file set, by
+    chiral or native name."""
+    values = {_CHIRAL_BY_FLAG.get(flag, flag): getattr(args, flag) for flag in flags}
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _point_params(args) -> ChiralParams:
+    chiral = _given(args, _CHIRAL_BY_FLAG)
+    native = _given(args, ALPHA_PHI_NAMES)
     if chiral and native:
         raise DomainError(
             "mixed coordinates: use either --xd/--xs/--delta/--sigma or"
@@ -422,38 +350,7 @@ def _point_params(cfg: CliConfig) -> ChiralParams:
         )
     if native:
         return ChiralParams(**{n: native.get(n, 0.0) for n in ALPHA_PHI_NAMES})
-    return ChiralParams.from_chiral(
-        chiral.get("x_d", 0.0),
-        chiral.get("x_s", 0.0),
-        chiral.get("delta", 0.0),
-        chiral.get("sigma", 0.0),
-    )
-
-
-def _input_state(cfg: CliConfig, kind: InputStateKind) -> TwoModeState:
-    if kind.kind != COHERENT:
-        if cfg.budget is not None:
-            raise DomainError("--budget applies only to coherent inputs")
-        if cfg.cutoff is None:
-            return prepare_input_state(kind)
-        space = FockSpace(cfg.cutoff, cfg.cutoff)
-        if kind.kind == FOCK_ONE_PLUS_ONE_MINUS:
-            return fock_product_state(space, 1, 1)
-        return hv_to_pm_state(kind.kind, space)
-    amp_p, amp_m = hv_to_pm_amplitudes(kind.amp_h, kind.amp_v)
-    budget = TRUNCATION_BUDGET_DEFAULT if cfg.budget is None else cfg.budget
-    if cfg.cutoff is None:
-        space, budget = default_coherent_space(amp_p, amp_m, budget=budget)
-    else:
-        space = FockSpace(cfg.cutoff, cfg.cutoff)
-        if cfg.budget is None:
-            # an explicit cutoff wins: accept whatever tail it leaves
-            budget = max(
-                budget,
-                poisson_tail(abs(amp_p) ** 2, space.cutoff_plus),
-                poisson_tail(abs(amp_m) ** 2, space.cutoff_minus),
-            )
-    return coherent_product_state(space, amp_p, amp_m, truncation_budget=budget)
+    return ChiralParams.from_chiral(*(chiral.get(n, 0.0) for n in CHIRAL_NAMES))
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +373,10 @@ def _matrix_lines(title: str, labels, matrix) -> list:
     return lines
 
 
-def _bounds_payload(cfg, params, labels, result) -> dict:
+def _bounds_payload(args, params, labels, result) -> dict:
     inverse = result.F_inverse
     return {
-        "state": cfg.state,
+        "state": args.state,
         "parameters": {
             **dict(zip(ALPHA_PHI_NAMES, params.values("alpha_phi"))),
             **dict(zip(CHIRAL_NAMES, params.values("chiral"))),
@@ -530,14 +427,14 @@ def _bounds_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_bounds(cfg: CliConfig) -> int:
-    kind = _input_kind(cfg)
-    params = _point_params(cfg)
-    state = _input_state(cfg, kind)
+def cmd_bounds(args) -> int:
+    kind = _input_kind(args)
+    params = _point_params(args)
+    state = prepare_input_state(kind, args.cutoff, args.budget)
     labels = default_param_labels(kind)
     result = compute_bounds(state, params, labels)
-    payload = _bounds_payload(cfg, params, labels, result)
-    if cfg.emit_json:
+    payload = _bounds_payload(args, params, labels, result)
+    if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(_bounds_text(payload))
@@ -549,64 +446,64 @@ def cmd_bounds(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _custom_spec(cfg: CliConfig, kind: InputStateKind, default_methods) -> SweepSpec:
+def _custom_spec(args, kind: InputStateKind, default_methods) -> SweepSpec:
     for flag, value in (
-        ("--vary", cfg.vary),
-        ("--start", cfg.start),
-        ("--stop", cfg.stop),
-        ("--points", cfg.points),
+        ("--vary", args.vary),
+        ("--start", args.start),
+        ("--stop", args.stop),
+        ("--points", args.points),
     ):
         if value is None:
             raise DomainError(f"custom sweep needs {flag} (or use --preset)")
-    methods = default_methods if cfg.methods is None else cfg.methods
+    methods = default_methods if args.methods is None else args.methods
     return SweepSpec(
         input_state=kind,
-        vary=cfg.vary,
-        start=cfg.start,
-        stop=cfg.stop,
-        points=cfg.points,
-        fixed=cfg.fixed or {},
+        vary=args.vary,
+        start=args.start,
+        stop=args.stop,
+        points=args.points,
+        fixed=args.fix or {},
         methods=tuple(methods),
     )
 
 
-def _emit_csv(cfg: CliConfig, text: str, n_rows: int, rows: list) -> None:
-    reasons = flags_by_reason(rows)
-    flagged = sum(1 for row in rows if row.status)
+def _emit_csv(args, text: str, n_rows: int, statuses: list) -> None:
+    reasons = flags_by_reason(statuses)
+    flagged = sum(1 for status in statuses if status)
     summary = {"rows": n_rows, "flagged_points": flagged, "flags_by_reason": reasons}
     groups = ", ".join(f"{count} {reason}" for reason, count in reasons.items())
     line = f"{n_rows} rows, {flagged} flagged points" + (f" ({groups})" if groups else "")
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        summary["output"] = cfg.output
-        line = f"wrote {cfg.output}: {line}"
+        summary["output"] = args.output
+        line = f"wrote {args.output}: {line}"
     else:
         sys.stdout.write(text)
-    if cfg.emit_json:
+    if args.json:
         line = json.dumps(summary, sort_keys=True)
-    print(line, file=sys.stdout if cfg.output else sys.stderr)
+    print(line, file=sys.stdout if args.output else sys.stderr)
 
 
-def cmd_sweep(cfg: CliConfig) -> int:
-    if cfg.preset is not None:
+def cmd_sweep(args) -> int:
+    if args.preset is not None:
         presets = figure_presets()
-        if cfg.preset not in presets:
+        if args.preset not in presets:
             raise DomainError(
-                f"unknown preset {cfg.preset!r}; available:"
+                f"unknown preset {args.preset!r}; available:"
                 f" {', '.join(sorted(presets))}"
             )
-        members = [(label, spec, run_sweep(spec)) for label, spec in presets[cfg.preset]]
+        members = [(label, spec, run_sweep(spec)) for label, spec in presets[args.preset]]
         text = panel_to_csv_text(members)
         n_rows = len(members[0][2])
-        rows = [row for _, _, member_rows in members for row in member_rows]
+        statuses = [status for _, _, rows in members for status in rows.status]
     else:
-        kind = _input_kind(cfg)
-        spec = _custom_spec(cfg, kind, default_methods=(QFIM_NUMERIC,))
+        kind = _input_kind(args)
+        spec = _custom_spec(args, kind, default_methods=(QFIM_NUMERIC,))
         rows = run_sweep(spec)
         text = sweep_to_csv_text(rows, spec)
-        n_rows = len(rows)
-    _emit_csv(cfg, text, n_rows, rows)
+        n_rows, statuses = len(rows), rows.status
+    _emit_csv(args, text, n_rows, statuses)
     return EXIT_OK
 
 
@@ -615,53 +512,36 @@ def cmd_sweep(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_compare(cfg: CliConfig) -> int:
-    kind = _input_kind(cfg)
+def cmd_compare(args) -> int:
+    kind = _input_kind(args)
     spec = SweepSpec(
         input_state=kind,
-        vary=cfg.vary or "x_s",
-        start=0.05 if cfg.start is None else cfg.start,
-        stop=0.9 if cfg.stop is None else cfg.stop,
-        points=8 if cfg.points is None else cfg.points,
-        fixed=cfg.fixed or {},
+        vary=args.vary or "x_s",
+        start=0.05 if args.start is None else args.start,
+        stop=0.9 if args.stop is None else args.stop,
+        points=8 if args.points is None else args.points,
+        fixed=args.fix or {},
         methods=(QFIM_NUMERIC, QFIM_ANALYTIC),
     )
-    tol = COMPARE_TOL if cfg.tol is None else cfg.tol
+    tol = COMPARE_TOL if args.tol is None else args.tol
     report = compare_analytic_numeric(kind, spec, tol=tol)
     bound_flags = [item for item in report.flagged if item[1].startswith("delta_")]
     payload = {
-        "state": cfg.state,
+        "state": args.state,
         "tolerance": tol,
         "grid": json.loads(spec.to_json()),
-        "stats": {
-            quantity: {
-                "max_abs": stats.max_abs,
-                "mean_abs": stats.mean_abs,
-                "points": stats.points,
-                "worst_coordinate": stats.worst_coordinate,
-            }
-            for quantity, stats in report.stats.items()
-        },
-        "flagged": [
-            {
-                "coordinate": coordinate,
-                "quantity": quantity,
-                "numeric": numeric,
-                "analytic": analytic,
-                "deviation": deviation,
-            }
-            for coordinate, quantity, numeric, analytic, deviation in report.flagged
-        ],
+        "stats": {quantity: asdict(stats) for quantity, stats in report.stats.items()},
+        "flagged": [dict(zip(_FLAGGED_FIELDS, item)) for item in report.flagged],
         "notes": list(report.notes),
         "max_bound_deviation": report.max_bound_deviation,
     }
-    if cfg.emit_json:
+    if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         lines = [
-            f"comparison for {cfg.state}: {spec.vary} in"
+            f"comparison for {args.state}: {spec.vary} in"
             f" [{format(spec.start, '.9g')}, {format(spec.stop, '.9g')}]"
-            f" ({spec.points} points), fixed {cfg.fixed or {}}"
+            f" ({spec.points} points), fixed {args.fix or {}}"
         ]
         lines.append(f"  {'quantity':<16} {'max_abs':>12} {'mean_abs':>12}  worst at")
         for quantity, stats in sorted(report.stats.items()):
@@ -691,14 +571,14 @@ def cmd_compare(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fringe(cfg: CliConfig) -> int:
-    kind = _input_kind(cfg)
-    if cfg.points is None:
-        params = _point_params(cfg)
+def cmd_fringe(args) -> int:
+    kind = _input_kind(args)
+    if args.points is None:
+        params = _point_params(args)
         value = fidelity_fringe(kind, params)
-        if cfg.emit_json:
+        if args.json:
             payload = {
-                "state": cfg.state,
+                "state": args.state,
                 "delta": params.delta,
                 "x_d": params.x_d,
                 "x_s": params.x_s,
@@ -707,34 +587,30 @@ def cmd_fringe(cfg: CliConfig) -> int:
             print(json.dumps(payload, sort_keys=True))
         else:
             print(
-                f"fidelity fringe for {cfg.state} at delta="
+                f"fidelity fringe for {args.state} at delta="
                 f"{format(params.delta, '.9g')}: {format(value, '.9g')}"
             )
         return EXIT_OK
-    if cfg.point.get("delta") is not None:
+    if args.delta is not None:
         raise DomainError("a fringe scan varies delta itself; drop --delta")
-    if any(cfg.point.get(name) is not None for name in ALPHA_PHI_NAMES):
+    if _given(args, ALPHA_PHI_NAMES):
         raise DomainError(
             "fringe scans fix the chiral coordinates --xd/--xs/--sigma;"
             " native flags cannot be held fixed while delta varies"
         )
-    fixed = {
-        name: cfg.point[name]
-        for name in ("x_d", "x_s", "sigma")
-        if cfg.point.get(name) is not None
-    }
+    fixed = _given(args, ("xd", "xs", "sigma"))
     spec = SweepSpec(
         input_state=kind,
         vary="delta",
-        start=0.0 if cfg.start is None else cfg.start,
-        stop=2.0 * math.pi if cfg.stop is None else cfg.stop,
-        points=cfg.points,
+        start=0.0 if args.start is None else args.start,
+        stop=2.0 * math.pi if args.stop is None else args.stop,
+        points=args.points,
         fixed=fixed,
         methods=(FIDELITY_FRINGE,),
     )
     rows = run_sweep(spec)
     text = sweep_to_csv_text(rows, spec)
-    _emit_csv(cfg, text, len(rows), rows)
+    _emit_csv(args, text, len(rows), rows.status)
     return EXIT_OK
 
 
@@ -743,13 +619,13 @@ def cmd_fringe(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_selftest(cfg: CliConfig) -> int:
+def cmd_selftest(args) -> int:
     results = []
     first_failure = None
     for check in checks.CHECKS:
         result = check()
         results.append(result)
-        if not cfg.emit_json:
+        if not args.json:
             mark = "ok  " if result.passed else "FAIL"
             line = (
                 f"{mark} {result.name:<32} residual {result.residual: 11.4e}"
@@ -760,7 +636,7 @@ def cmd_selftest(cfg: CliConfig) -> int:
             print(line)
         if first_failure is None and not result.passed:
             first_failure = result.name
-    if cfg.emit_json:
+    if args.json:
         payload = {
             "checks": [result.summary() for result in results],
             "passed": first_failure is None,
@@ -769,7 +645,7 @@ def cmd_selftest(cfg: CliConfig) -> int:
     if first_failure is not None:
         print(f"selftest: FAILED at check {first_failure!r}", file=sys.stderr)
         return EXIT_SELFTEST
-    if not cfg.emit_json:
+    if not args.json:
         print(f"selftest: {len(results)} checks passed")
     return EXIT_OK
 
@@ -800,8 +676,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID
     try:
-        cfg = merge_config(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        args = merge_config(parser, args)
+        return _HANDLERS[args.subcommand](args)
     except np.linalg.LinAlgError as exc:
         return _fail(EXIT_NUMERIC, "numeric failure", exc)
     except OSError as exc:

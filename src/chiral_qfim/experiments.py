@@ -50,6 +50,7 @@ from .estimation import NumericError, compute_bounds_grid
 from .fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
+    TRUNCATION_BUDGET_DEFAULT,
     FockSpace,
     TwoModeState,
     coherent_product_state,
@@ -57,6 +58,7 @@ from .fock import (
     fock_product_state,
     hv_to_pm_amplitudes,
     hv_to_pm_state,
+    poisson_tail,
     require_trace_window,
 )
 
@@ -233,21 +235,36 @@ class SweepTable:
         return SweepRow(self.coordinates[i].item(), values, self.status[i])
 
 
-def prepare_input_state(kind: InputStateKind) -> TwoModeState:
+def prepare_input_state(
+    kind: InputStateKind, cutoff: int | None = None, budget: float | None = None
+) -> TwoModeState:
     """Truncated two-mode density matrix for an input kind.
 
-    The quantum inputs get their exact minimal spaces; coherent inputs get
-    the default tail-budgeted space.
+    The quantum inputs get their exact minimal spaces, or ``cutoff`` in
+    both modes, and take no ``budget``.  Coherent inputs get the smallest
+    space whose per-mode Poisson tail meets ``budget`` (default
+    ``TRUNCATION_BUDGET_DEFAULT``), or ``cutoff`` in both modes, which
+    must meet ``budget`` when one is given and otherwise keeps the tail it
+    leaves.
     """
-    if kind.kind == COHERENT:
-        amp_p, amp_m = hv_to_pm_amplitudes(kind.amp_h, kind.amp_v)
-        space, budget = default_coherent_space(amp_p, amp_m)
-        return coherent_product_state(space, amp_p, amp_m, truncation_budget=budget)
-    if kind.kind == SINGLE_PHOTON_H:
-        return hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1))
-    if kind.kind == NOON_HV:
-        return hv_to_pm_state(NOON_HV, FockSpace(2, 2))
-    return fock_product_state(FockSpace(1, 1), 1, 1)
+    if kind.kind != COHERENT:
+        if budget is not None:
+            raise DomainError("--budget applies only to coherent inputs")
+        if cutoff is None:
+            cutoff = 2 if kind.kind == NOON_HV else 1
+        space = FockSpace(cutoff, cutoff)
+        if kind.kind == FOCK_ONE_PLUS_ONE_MINUS:
+            return fock_product_state(space, 1, 1)
+        return hv_to_pm_state(kind.kind, space)
+    amp_p, amp_m = hv_to_pm_amplitudes(kind.amp_h, kind.amp_v)
+    tail = TRUNCATION_BUDGET_DEFAULT if budget is None else budget
+    if cutoff is None:
+        space, tail = default_coherent_space(amp_p, amp_m, budget=tail)
+    else:
+        space = FockSpace(cutoff, cutoff)
+        if budget is None:
+            tail = max(tail, *(poisson_tail(abs(amp) ** 2, cutoff) for amp in (amp_p, amp_m)))
+    return coherent_product_state(space, amp_p, amp_m, truncation_budget=tail)
 
 
 class IntensityStatistics(NamedTuple):
@@ -498,17 +515,18 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return SweepTable(spec.grid(), columns, [tuple(row_flags) for row_flags in flags])
 
 
-def flags_by_reason(rows) -> dict:
-    """Flagged rows per flag reason, the most common first.
+def flags_by_reason(statuses) -> dict:
+    """Flagged rows per flag reason, the most common first, from each row's
+    status tuple (``SweepTable.status``).
 
     A reason is a flag without its message: ``invalid-point`` for
     ``invalid-point:<message>``, ``<method>:failed`` for
     ``<method>:failed:<message>``, and the whole flag otherwise.
     """
     counts = Counter()
-    for row in rows:
+    for status in statuses:
         reasons = []
-        for flag in row.status:
+        for flag in status:
             head, _, rest = flag.partition(":")
             reasons.append(head if head == "invalid-point" else f"{head}:{rest.partition(':')[0]}")
         counts.update(dict.fromkeys(reasons, 1))

@@ -16,6 +16,7 @@ from chiral_qfim.analytic import (
     coherent_intensity_sensitivities,
     coherent_slds,
     default_param_labels,
+    equal_split_photons,
     fidelity_fringe,
     fidelity_fringe_grid,
     fock_benchmark_bound,
@@ -184,28 +185,18 @@ def test_coherent_intensity_saturates_bounds():
 
 
 def test_coherent_intensity_accepts_matching_kind():
-    kind = InputStateKind.coherent(2.0)
-    report = coherent_intensity_sensitivities(PARAMS_REF, kind=kind)
-    assert report.value("x_s") == pytest.approx(math.sqrt(0.5 / 4.0), abs=1e-12)
-    report = coherent_intensity_sensitivities(PARAMS_REF, 4.0, kind=kind)
-    assert report.value("x_d") == pytest.approx(math.sqrt(0.5 / 4.0), abs=1e-12)
+    # in phase or anti-phase, the kind's photons split equally between the modes
+    for kind in (InputStateKind.coherent(2.0), InputStateKind.coherent(1.6, -1.2)):
+        report = coherent_intensity_sensitivities(PARAMS_REF, equal_split_photons(kind))
+        assert report.value("x_s") == pytest.approx(math.sqrt(0.5 / 4.0), abs=1e-12)
+        assert report.value("x_d") == pytest.approx(math.sqrt(0.5 / 4.0), abs=1e-12)
 
 
-def test_coherent_intensity_rejects_relative_phase_and_mismatches():
+def test_equal_split_photons_rejects_relative_phase_and_non_coherent_kinds():
     with pytest.raises(DomainError, match="zero relative phase"):
-        coherent_intensity_sensitivities(
-            PARAMS_REF, kind=InputStateKind.coherent(0.8, 0.6j)
-        )
+        equal_split_photons(InputStateKind.coherent(0.8, 0.6j))
     with pytest.raises(ValueError, match="coherent input kind"):
-        coherent_intensity_sensitivities(
-            PARAMS_REF, kind=InputStateKind.single_photon_h()
-        )
-    with pytest.raises(ValueError, match="contradicts"):
-        coherent_intensity_sensitivities(
-            PARAMS_REF, 1.0, kind=InputStateKind.coherent(2.0)
-        )
-    with pytest.raises(ValueError, match="either n0 or kind"):
-        coherent_intensity_sensitivities(PARAMS_REF)
+        equal_split_photons(InputStateKind.single_photon_h())
 
 
 def test_coherent_slds_match_numerical_solver():

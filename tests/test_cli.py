@@ -181,6 +181,28 @@ def test_bounds_explicit_cutoff_accepts_its_own_tail(capsys):
     assert payload["bounds"]["x_s"] == pytest.approx(math.sqrt(0.7), abs=1e-4)
 
 
+@pytest.mark.parametrize("state, cutoff", [("single-photon", 3), ("noon", 4), ("fock-pair", 2)])
+def test_bounds_cutoff_enlarges_a_quantum_state_without_moving_its_bounds(capsys, state, cutoff):
+    point = ("bounds", "--state", state, "--xd", "0.05", "--xs", "0.3", "--delta", "0.4", "--json")
+    code, out, err = run_cli(capsys, *point)
+    assert code == EXIT_OK
+    minimal = json.loads(out)["bounds"]
+    code, out, err = run_cli(capsys, *point, "--cutoff", str(cutoff))
+    assert code == EXIT_OK
+    enlarged = json.loads(out)["bounds"]
+    assert enlarged.keys() == minimal.keys()
+    for label, value in minimal.items():
+        assert enlarged[label] == pytest.approx(value, rel=1e-9)
+
+
+@pytest.mark.parametrize("state", ["single-photon", "noon", "fock-pair"])
+def test_bounds_refuses_a_budget_for_a_quantum_state(capsys, state):
+    code, out, err = run_cli(capsys, "bounds", "--state", state, "--budget", "1e-9", "--xs", "0.3")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "chiral-qfim: invalid input: --budget applies only to coherent inputs\n"
+
+
 def test_bounds_amplitude_flags(capsys):
     # H amplitude sqrt(2) is the two-photon coherent reference
     code, out, err = run_cli(
@@ -262,6 +284,60 @@ def test_missing_config_file_is_io_failure(capsys, tmp_path):
         capsys, "bounds", "--config", str(tmp_path / "absent.json")
     )
     assert code == EXIT_IO
+
+
+def run_with_config(capsys, tmp_path, payload, *argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema": 1, **payload}))
+    return run_cli(capsys, *argv, "--config", str(config))
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"state": "noon", "xs": True}, "--xs must be a number, got True"),
+        ({"state": "noon", "xs": "0.5"}, "--xs must be a number, got '0.5'"),
+        ({"state": "noon", "cutoff": 3.0}, "--cutoff must be an integer, got 3.0"),
+        (
+            {"state": "coherent", "amp_h": "bad"},
+            "--amp-h expects a complex number such as '0.6+0.2j', got 'bad'",
+        ),
+        ({"state": "noon", "fix": {"x_d": "a"}}, "fix[x_d] must be a number, got 'a'"),
+        ({"state": "bogus"}, "unknown state 'bogus'; choose one of"),
+        # every known key is checked, in a fixed order, also one bounds does not read
+        ({"state": "noon", "points": "x"}, "--points must be an integer, got 'x'"),
+        ({"state": "noon", "n0": "x", "xd": "y"}, "--xd must be a number, got 'y'"),
+    ],
+)
+def test_config_file_checks_each_value(capsys, tmp_path, payload, message):
+    code, out, err = run_with_config(capsys, tmp_path, payload, "bounds")
+    assert code == EXIT_INVALID
+    assert err.startswith(f"chiral-qfim: invalid input: {message}")
+
+
+@pytest.mark.parametrize("key", ["config", "subcommand"])
+def test_config_file_refuses_the_config_and_subcommand_keys(capsys, tmp_path, key):
+    code, out, err = run_with_config(capsys, tmp_path, {"state": "noon", key: "x"}, "bounds")
+    assert code == EXIT_INVALID
+    assert f"unknown config keys ['{key}']" in err
+
+
+def test_config_file_accepts_the_options_of_other_subcommands(capsys, tmp_path):
+    payload = {"state": "noon", "xs": 0.3, "preset": "fig2a", "tol": 1e-3, "vary": "x_s"}
+    code, out, err = run_with_config(capsys, tmp_path, payload, "bounds", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["parameters"]["x_s"] == pytest.approx(0.3)
+
+
+def test_selftest_config_with_only_json(capsys, tmp_path, monkeypatch):
+    def passing():
+        return checks.CheckResult(name="stub", residual=0.0, tolerance=1e-6, passed=True)
+
+    monkeypatch.setattr(checks, "CHECKS", (passing,))
+    code, out, err = run_with_config(capsys, tmp_path, {"json": True}, "selftest")
+    assert code == EXIT_OK
+    assert json.loads(out)["passed"] is True
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -47,17 +47,24 @@ from chiral_qfim.experiments import (
     sweep_to_csv_text,
 )
 from chiral_qfim.fock import (
+    NOON_HV,
+    SINGLE_PHOTON_H,
     FockSpace,
+    TruncationError,
     TwoModeState,
     coherent_product_state,
     default_coherent_space,
+    fock_product_state,
     hv_to_pm_amplitudes,
+    hv_to_pm_state,
+    poisson_tail,
 )
 
 SP = InputStateKind.single_photon_h()
 NOON = InputStateKind.noon_hv()
 COH1 = InputStateKind.coherent(1.0)
 FOCK = InputStateKind.fock_one_plus_one_minus()
+COH_HV = InputStateKind.coherent(0.6 + 0.2j, 0.3)
 
 
 def spec_for(kind, **overrides):
@@ -166,6 +173,59 @@ def test_prepare_input_state_runs_no_eigensolve(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     for kind in (COH1, SP, NOON, FOCK):
         assert prepare_input_state(kind).trace() == pytest.approx(1.0, abs=1e-9)
+
+
+def _coherent_reference(kind, space, budget):
+    amp_p, amp_m = hv_to_pm_amplitudes(kind.amp_h, kind.amp_v)
+    if space is None:
+        space, budget = default_coherent_space(amp_p, amp_m, budget=budget)
+    return coherent_product_state(space, amp_p, amp_m, truncation_budget=budget)
+
+
+def _open_tail(kind, cutoff):
+    # without a budget an explicit cutoff keeps the larger of its own tail and the default
+    amps = hv_to_pm_amplitudes(kind.amp_h, kind.amp_v)
+    return max(1e-10, *(poisson_tail(abs(a) ** 2, cutoff) for a in amps))
+
+
+@pytest.mark.parametrize(
+    "kind, cutoff, budget, reference",
+    [
+        (SP, None, None, lambda: hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1))),
+        (NOON, None, None, lambda: hv_to_pm_state(NOON_HV, FockSpace(2, 2))),
+        (FOCK, None, None, lambda: fock_product_state(FockSpace(1, 1), 1, 1)),
+        (SP, 3, None, lambda: hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(3, 3))),
+        (NOON, 4, None, lambda: hv_to_pm_state(NOON_HV, FockSpace(4, 4))),
+        (FOCK, 2, None, lambda: fock_product_state(FockSpace(2, 2), 1, 1)),
+        (COH1, None, None, lambda: _coherent_reference(COH1, None, 1e-10)),
+        (COH1, None, 1e-6, lambda: _coherent_reference(COH1, None, 1e-6)),
+        (COH1, 30, 1e-6, lambda: _coherent_reference(COH1, FockSpace(30, 30), 1e-6)),
+        (COH1, 9, None, lambda: _coherent_reference(COH1, FockSpace(9, 9), _open_tail(COH1, 9))),
+        (
+            COH_HV,
+            12,
+            None,
+            lambda: _coherent_reference(COH_HV, FockSpace(12, 12), _open_tail(COH_HV, 12)),
+        ),
+    ],
+)
+def test_prepare_input_state_equals_the_state_built_by_hand(kind, cutoff, budget, reference):
+    state, expected = prepare_input_state(kind, cutoff, budget), reference()
+    assert state.space == expected.space
+    assert state.trace_deficit_budget == expected.trace_deficit_budget
+    if expected.factors is None:
+        assert state.factors is None
+        assert np.array_equal(state.rho, expected.rho)
+    else:
+        assert all(map(np.array_equal, state.factors, expected.factors))
+
+
+def test_prepare_input_state_refuses_a_budget_for_a_quantum_kind_and_a_short_cutoff():
+    for kind in (SP, NOON, FOCK):
+        with pytest.raises(DomainError, match="--budget applies only to coherent inputs"):
+            prepare_input_state(kind, budget=1e-9)
+    with pytest.raises(TruncationError, match="cutoff >= 16 required"):
+        prepare_input_state(InputStateKind.coherent(2.0), 3, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -826,16 +886,16 @@ def test_closed_form_flags_keep_their_order_at_the_lossless_endpoint():
 
 
 def test_flags_are_grouped_by_reason():
-    rows = [
-        SweepRow(0.0, {}, ("invalid-point:alpha_minus must lie in [0, 1), got -0.1",)),
-        SweepRow(0.1, {}, ("qfim_numeric.delta_delta:unidentifiable", "qfim_numeric:failed:x")),
-        SweepRow(0.2, {}, ("qfim_numeric.delta_delta:unidentifiable",)),
-        SweepRow(0.3, {}, ("qfim_numeric:failed:y", "qfim_numeric:failed:z")),
-        SweepRow(0.4, {}, ()),
+    statuses = [
+        ("invalid-point:alpha_minus must lie in [0, 1), got -0.1",),
+        ("qfim_numeric.delta_delta:unidentifiable", "qfim_numeric:failed:x"),
+        ("qfim_numeric.delta_delta:unidentifiable",),
+        ("qfim_numeric:failed:y", "qfim_numeric:failed:z"),
+        (),
     ]
-    assert flags_by_reason(rows) == {
+    assert flags_by_reason(statuses) == {
         "qfim_numeric:failed": 2,
         "qfim_numeric.delta_delta:unidentifiable": 2,
         "invalid-point": 1,
     }
-    assert list(flags_by_reason(rows))[0] == "qfim_numeric.delta_delta:unidentifiable"
+    assert list(flags_by_reason(statuses))[0] == "qfim_numeric.delta_delta:unidentifiable"
