@@ -463,7 +463,7 @@ def noon_intensity_sensitivities(params: ChiralParams) -> SensitivityReport:
     return noon_intensity_grid(ParamGrid([params])).report()
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def noon_grid(grid: ParamGrid) -> tuple:
     """``noon_catalog``'s (bounds, intensity) at each point of ``grid``; both
     fail at a point where the catalog call raises there.
@@ -472,8 +472,10 @@ def noon_grid(grid: ParamGrid) -> tuple:
     through by p·s, p = α₊η₊α₋η₋ and s = X_s² + X_d², whose entries g are
     polynomials: var X_d = 2 g_ss/D, var X_s = 2 g_dd/D, cov = −2 g_ds/D,
     D = 4[(α₊−α₋)² + 2α₊α₋(η₊η₋ + α₊α₋)].  D > 0 on the whole wedge but
-    at α₊ = α₋ = 0 (or α underflow), where the bounds take their limit 0
-    and no covariance is given.
+    at α₊ = α₋ = 0.  Where 2/D is not finite (D = 0, or D so small that
+    the absorptions underflow, as at α± = 1e-300), the bounds take their
+    limit 0, no covariance is given, and ``limit`` is set, as it is where
+    an α is 0.
     """
     a_p, a_m = grid.alpha_plus, grid.alpha_minus
     eta_p, eta_m = grid.eta_plus, grid.eta_minus
@@ -490,8 +492,9 @@ def noon_grid(grid: ParamGrid) -> tuple:
     g_ss = s * (4.0 * p + r_p + r_m) + 4.0 * p * x_s**2
     g_ds = s * (r_p - r_m) + 4.0 * p * x_s * x_d
     d = 4.0 * ((a_p - a_m) ** 2 + 2.0 * a_p * a_m * (eta_p * eta_m + a_p * a_m))
-    given = d != 0.0
-    scale = np.where(given, 2.0 / d, 0.0)
+    scale = 2.0 / d
+    given = np.isfinite(scale)
+    scale = np.where(given, scale, 0.0)
     bounds = _checked_grid(
         QFIM_BOUND,
         {
@@ -504,11 +507,11 @@ def noon_grid(grid: ParamGrid) -> tuple:
         d=eta_p * eta_m,
         errors=intensity.errors,
         notes=(
-            "lossless mode: an absorption vanishes, the entries containing"
-            " 1/alpha diverge, and no finite QFIM or SLD realization exists;"
-            " the bounds are the limits of the closed form",
+            "lossless mode: an absorption vanishes (or underflows), the entries"
+            " containing 1/alpha diverge, and no finite QFIM or SLD realization"
+            " exists; the bounds are the limits of the closed form",
         ),
-        limit=(a_p == 0.0) | (a_m == 0.0),
+        limit=(a_p == 0.0) | (a_m == 0.0) | ~given,
     )
     return bounds, intensity._replace(errors=bounds.errors)
 
@@ -516,9 +519,10 @@ def noon_grid(grid: ParamGrid) -> tuple:
 def noon_catalog(params: ChiralParams) -> NoonCatalog:
     """Closed-form state, SLDs, QFIM, and bounds for the |1_H,1_V⟩ input.
 
-    The bounds are those of ``noon_grid``.  The QFIM and SLDs hold 1/α, so
-    where an α is 0 they are None and the bounds, limits there, carry a
-    note.
+    The bounds are those of ``noon_grid``.  The QFIM and SLDs hold 1/α and
+    1/(X_s² + X_d²), so where an α is 0, or where the absorptions underflow
+    and ``noon_grid`` takes the limit, they are None and the bounds, limits
+    there, carry a note.
     """
     bounds, intensity = (g.report() for g in noon_grid(ParamGrid([params])))
     rho_support = _noon_rho_support(params)

@@ -366,9 +366,51 @@ def mode_population_transfer(cutoff: int, alpha) -> tuple[np.ndarray, np.ndarray
     return transfer, d_transfer
 
 
+def output_blocks(state: TwoModeState) -> tuple:
+    """The index blocks of every channel output of ``state``, read from the
+    input's nonzero pattern alone: tuples of levels, in order of their
+    lowest level.
+
+    The phase stage rescales each entry in place, and loss maps |a,b⟩⟨c,d|
+    to |a−k,b−l⟩⟨c−k,d−l|, so an output entry can be nonzero only where an
+    input entry reaches it: an OR over every (k, l) shift, formed per mode
+    as a suffix OR along the shared ket-bra diagonal, by doubling.  Two
+    levels share a block when a reachable entry couples them; a level that
+    no entry reaches is empty at every point and belongs to no block.  The
+    blocks follow from minimum-label propagation, each pass O(dim²).
+    """
+    space = state.space
+    dp, dm = space.cutoff_plus + 1, space.cutoff_minus + 1
+    reach = (state.rho != 0).reshape(dp, dm, dp, dm)
+    shift = 1
+    while shift < max(dp, dm):
+        if shift < dp:
+            reach[:-shift, :, :-shift] |= reach[shift:, :, shift:]
+        if shift < dm:
+            reach[:, :-shift, :, :-shift] |= reach[:, shift:, :, shift:]
+        shift *= 2
+    # a Hermitian input reaches a symmetric pattern; each level starts at
+    # its least neighbour (0 if unreached)
+    reach = reach.reshape(space.dim, space.dim)
+    label = reach.argmax(axis=1)
+    while True:
+        # the least label among a level and its neighbours, then that label's own
+        hooked = np.where(reach, label, label[:, None]).min(axis=1)
+        hooked = hooked[hooked]
+        if hooked.tolist() == label.tolist():
+            break
+        label = hooked
+    blocks = {}
+    for level, (root, reached) in enumerate(zip(label.tolist(), reach.any(axis=1).tolist())):
+        if reached:
+            blocks.setdefault(root, []).append(level)
+    return tuple(map(tuple, blocks.values()))
+
+
 def phase_derivative(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Exact ∂ρ/∂φ = −i[diag(n), ρ] elementwise, for ρ or a stack of them."""
-    return -1j * (n[:, None] - n[None, :]) * rho
+    """Exact ∂ρ/∂φ = −i[diag(n), ρ] elementwise, for ρ or a stack of them;
+    a stack of ``n`` vectors broadcasts against the matrices' leading axes."""
+    return -1j * (n[..., :, None] - n[..., None, :]) * rho
 
 
 def _rk4_rhs_builder(space: FockSpace, rates: RatePicture):

@@ -215,7 +215,7 @@ def _load_config_file(path: str, keys: set) -> dict:
 
 
 def _as_state(name: str, value) -> str:
-    if value not in STATE_CHOICES:
+    if not isinstance(value, str) or value not in STATE_CHOICES:
         raise DomainError(
             f"unknown state {value!r}; choose one of {', '.join(sorted(STATE_CHOICES))}"
         )

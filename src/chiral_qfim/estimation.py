@@ -13,8 +13,10 @@ the checks that compare it with a closed form.
 ``compute_bounds_grid`` is the one route, over a grid of points, with
 stacked results; ``compute_bounds`` is its grid of one, as a QfimResult.
 Product inputs (states carrying per-mode ``factors``) are solved as one
-single-mode problem over a stack of both modes instead of one two-mode
-eigendecomposition; any other input on its two-mode output.
+single-mode problem over a stack of both modes; any other input block by
+block, over a stack of the output blocks that the input's nonzero pattern
+fixes (``channel.output_blocks``), with the blocks' QFIMs summed.  Both
+solve at zero phase, which leaves the QFIM unchanged.
 
 Parameter labels are either the native channel coordinates
 ("alpha_plus", "alpha_minus", "phi_plus", "phi_minus") or the chiral
@@ -24,6 +26,7 @@ natively and the chiral labels formed as constant linear combinations.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 
@@ -36,6 +39,7 @@ from .channel import (
     ParamGrid,
     grid_output_and_alpha_derivatives,
     mode_output_and_alpha_derivative,
+    output_blocks,
     phase_derivative,
 )
 from .fock import TwoModeState, require_trace_window
@@ -178,16 +182,20 @@ def channel_derivatives(
 ) -> tuple[TwoModeState, list[ParamDerivative]]:
     """Channel output together with ∂ρ for each requested parameter.
 
-    Takes the one-point grid of ``_native_derivatives`` and combines them
-    into each label's matrix.
+    The output is checked once: finite, Hermitian and in the trace window.
+    Both α-derivatives come from one loss table pass per mode, the
+    φ-derivatives from the checked output, and each label's matrix is their
+    constant combination.
     """
     labels = tuple(param_labels)
     pullback = _native_pullback(labels)
-    output, native = _native_derivatives(input_state, ParamGrid([params]))
-    mats = [
-        sum(w * d[0] for w, d in zip(pullback[:, j], native) if w) for j in range(len(labels))
-    ]
-    return input_state.with_rho(output[0]), [
+    output, d_plus, d_minus = grid_output_and_alpha_derivatives(input_state, ParamGrid([params]))
+    output = require_hermitian(output[0])
+    require_trace_window(np.trace(output), input_state.trace_deficit_budget)
+    phases = [phase_derivative(output, n) for n in input_state.space.number_grids()]
+    native = [d_plus[0], d_minus[0], *phases]
+    mats = [sum(w * d for w, d in zip(pullback[:, j], native) if w) for j in range(len(labels))]
+    return input_state.with_rho(output), [
         ParamDerivative(param=p, drho=m) for p, m in zip(labels, mats)
     ]
 
@@ -273,24 +281,31 @@ def _checked_qfim(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _eigenbasis_qfim(rho, mats, pullback: np.ndarray | None = None, modes: int = 1):
+def _eigenbasis_qfim(
+    rho, mats, pullback: np.ndarray | None = None, modes: int = 1, allow_empty: bool = False
+):
     """F[b, x, y] = Σ_{kept (j,k)} 2 Re[∂ρ̃_x(j,k) · conj(∂ρ̃_y(j,k))]/(λ_j+λ_k).
 
-    ``rho`` stacks ``modes`` blocks of B exactly Hermitian outputs (one per
-    mode of a product input) and ``mats`` one such stack of ∂ρ matrices per
-    parameter; the support rule keeps pairs with λ_j + λ_k > 1e-10·λ_max, as
-    ``solve_sld`` does.  With a ``pullback`` B, the QFIM is that of the
-    labels ∂ρ̃_y = Σ_x B[x, y] ∂ρ̃_x, combined after the rotation.
+    ``rho`` stacks ``modes`` blocks of B exactly Hermitian matrices (one per
+    mode of a product input, or per block of one output) and ``mats`` one
+    such stack of ∂ρ matrices per parameter, and gives each matrix's QFIM.
+    Each is cut at its own scale: the support rule keeps pairs with
+    λ_j + λ_k > 1e-10·λ_max, as ``solve_sld`` does.  A matrix whose
+    λ_max ≤ 0 raises, or with ``allow_empty`` (a block that the channel
+    leaves empty there) gives 0.  With a ``pullback`` B, the QFIM is that of
+    the labels ∂ρ̃_y = Σ_x B[x, y] ∂ρ̃_x, combined after the rotation.
     """
     lam, v = np.linalg.eigh(rho.real if not rho.imag.any() else rho)
     threshold = SUPPORT_RCOND * lam[:, -1:]
     if (threshold <= 0.0).any():
-        raise NumericError("density matrix has no positive eigenvalue")
+        if not allow_empty:
+            raise NumericError("density matrix has no positive eigenvalue")
+        threshold[threshold <= 0.0] = np.inf
     # Every kept pair (λ_j + λ_k > threshold) has an index with λ > threshold/2,
     # among the last s of the ascending λ, so rotating ∂ρ onto those rows alone
     # is exact; each (other, last-s) pair adds what its mirror does, by
     # hermiticity, so the mirrors double the weight of the other columns.  A
-    # point's modes share its largest s, and the points of each s are solved
+    # point's matrices share its largest s, and the points of each s are solved
     # apart: no point's sums, nor its bits, depend on the rest of the stack.
     s = (lam > 0.5 * threshold).sum(axis=1).reshape(modes, -1).max(axis=0).tolist()
     if min(s) == max(s):
@@ -338,19 +353,41 @@ def _native_pullback(param_labels: tuple) -> np.ndarray:
     return b
 
 
-def _native_derivatives(input_state: TwoModeState, grid: ParamGrid) -> tuple:
-    """Checked two-mode outputs at each grid point, and their ∂ρ along
-    (α₊, α₋, φ₊, φ₋).
+def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> np.ndarray:
+    """The labels' QFIM at each grid point of a dense input, block by block.
 
-    Each output stack is checked once: finite, Hermitian and in the trace
-    window.  The outputs and both α-derivatives come from one loss table
-    pass per mode, the φ-derivatives from the checked outputs.
+    Loss keeps each mode's coherence order, so every output is block
+    diagonal in the ``output_blocks`` of the input, and its QFIM is the sum
+    of its blocks' QFIMs.  The blocks of each output and of its native
+    derivatives are gathered into one zero-padded (K·B, s, s) stack, each
+    cut at its own λ_max; a block that the channel leaves empty at a point
+    gives 0 there.  A fully coherent input is one block, the whole output.
+    Every point is solved at φ± = 0: the phase stage is the unitary
+    e^{−i(φ₊n₊ + φ₋n₋)}, which commutes with n₊ and n₋ and so leaves the
+    QFIM unchanged, and a real input then keeps real outputs.  The output
+    stack is checked once, finite, Hermitian and in the trace window.
     """
-    output, d_plus, d_minus = grid_output_and_alpha_derivatives(input_state, grid)
+    blocks, dim = output_blocks(input_state), input_state.space.dim
+    size = max(map(len, blocks))
+    # each block's levels, padded with an extra level that holds zeros
+    levels = np.array([block + (dim,) * (size - len(block)) for block in blocks])[:, None]
+    at_zero = copy.copy(grid)
+    at_zero.phi_plus = at_zero.phi_minus = np.zeros(len(grid))
+    output, d_plus, d_minus = grid_output_and_alpha_derivatives(input_state, at_zero)
     output = require_hermitian(output)
     require_trace_window(np.trace(output, axis1=1, axis2=2), input_state.trace_deficit_budget)
-    phases = [phase_derivative(output, n) for n in input_state.space.number_grids()]
-    return output, [d_plus, d_minus, *phases]
+    padded = np.zeros((3, len(grid), dim + 1, dim + 1), output.dtype)
+    padded[:, :, :dim, :dim] = output, d_plus, d_minus
+    # (3, K, B, s, s): block k of each point's output and α-derivatives
+    points = np.arange(len(grid))[:, None, None]
+    stack = padded[:, points, levels[..., None], levels[..., None, :]]
+    # ∂/∂φ± of the checked outputs, from each gathered level's (n₊, n₋)
+    numbers = np.array(np.divmod(levels, input_state.space.cutoff_minus + 1))
+    d_phi = phase_derivative(stack[0], numbers).reshape(2, -1, size, size)
+    output, d_plus, d_minus = stack.reshape(3, -1, size, size)
+    mats = [d_plus, d_minus, *d_phi]
+    f = _eigenbasis_qfim(output, mats, pullback, len(blocks), allow_empty=True)
+    return f.reshape(len(blocks), len(grid), *f.shape[1:]).sum(axis=0)
 
 
 def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> np.ndarray:
@@ -429,9 +466,11 @@ def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels
     One pass serves every point: each layer, from the loss tables through
     the eigensolves, the QFIM's PSD check and the inversion, carries a
     leading grid axis of len(params).  A product input (one carrying
-    ``factors``) is solved as one stack of its two modes, any other on its
-    two-mode outputs.  Every check applies at each point, and the first
-    point that fails one raises, with the message ``compute_bounds`` gives there.
+    ``factors``) is solved as one stack of its two modes, any other as one
+    stack of its output blocks, each cut at its own scale; both at φ± = 0,
+    so the bounds at any phases equal those at zero phase.  Every check
+    applies at each point, and the first point that fails one raises, with
+    the message ``compute_bounds`` gives there.
     """
     labels = tuple(param_labels)
     if len(set(labels)) != len(labels):
@@ -442,8 +481,7 @@ def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels
     if input_state.factors is not None:
         f, route = _product_qfim(input_state, grid, pullback), "per_mode"
     else:
-        f = _eigenbasis_qfim(*_native_derivatives(input_state, grid), pullback)
-        route = "eigenbasis"
+        f, route = _block_qfim(input_state, grid, pullback), "eigenbasis"
     f = _checked_qfim(f)
     meta = {"route": route, "state_label": input_state.label}
     return _inverted(labels, f, _detect_blocks(labels, f), meta)

@@ -41,7 +41,6 @@ from .analytic import (
 )
 from .channel import (
     CHIRAL_NAMES,
-    ChiralParams,
     DomainError,
     ParamGrid,
     mode_population_transfer,
@@ -58,7 +57,6 @@ from .fock import (
     fock_product_state,
     hv_to_pm_amplitudes,
     hv_to_pm_state,
-    poisson_tail,
     require_trace_window,
 )
 
@@ -243,9 +241,8 @@ def prepare_input_state(
     The quantum inputs get their exact minimal spaces, or ``cutoff`` in
     both modes, and take no ``budget``.  Coherent inputs get the smallest
     space whose per-mode Poisson tail meets ``budget`` (default
-    ``TRUNCATION_BUDGET_DEFAULT``), or ``cutoff`` in both modes, which
-    must meet ``budget`` when one is given and otherwise keeps the tail it
-    leaves.
+    ``TRUNCATION_BUDGET_DEFAULT``), or ``cutoff`` in both modes, which must
+    meet the same budget.
     """
     if kind.kind != COHERENT:
         if budget is not None:
@@ -262,8 +259,6 @@ def prepare_input_state(
         space, tail = default_coherent_space(amp_p, amp_m, budget=tail)
     else:
         space = FockSpace(cutoff, cutoff)
-        if budget is None:
-            tail = max(tail, *(poisson_tail(abs(amp) ** 2, cutoff) for amp in (amp_p, amp_m)))
     return coherent_product_state(space, amp_p, amp_m, truncation_budget=tail)
 
 
@@ -347,35 +342,6 @@ def _intensity_columns(state: TwoModeState, grid: ParamGrid) -> dict:
     """δx_d and δx_s by sweep quantity, NaN where the signal does not move."""
     columns = _intensity_sensitivities(state, grid)
     return {f"delta_{t}": np.where(usable, s, np.nan) for t, (s, _, usable) in columns.items()}
-
-
-def error_propagation_sensitivity(
-    kind: InputStateKind,
-    params: ChiralParams,
-    target: str,
-    state: TwoModeState | None = None,
-) -> float:
-    """δX from intensity measurement: noise over moved signal.
-
-    The signal is ⟨n₊⟩ − ⟨n₋⟩ for x_d and ⟨n₊⟩ + ⟨n₋⟩ otherwise, its noise
-    combines the exact variances and covariance, and the denominator is
-    the signal's exact derivative, taken from the differentiated loss
-    weights (the phases do not move populations, so the derivative is zero
-    for delta and sigma).  A derivative below 1e-8 means the measurement
-    carries no first-order information and is rejected.
-    """
-    if target not in CHIRAL_NAMES:
-        raise ValueError(f"target must be one of {CHIRAL_NAMES}, got {target!r}")
-    if state is None:
-        state = prepare_input_state(kind)
-    columns = _intensity_sensitivities(state, ParamGrid([params]))
-    sensitivity, derivative, usable = columns.get(target, ([None], [0.0], [False]))
-    if not usable[0]:
-        raise DomainError(
-            f"the intensity signal does not move with {target!r} here"
-            f" (derivative {derivative[0]:.3e}); no first-order sensitivity"
-        )
-    return float(sensitivity[0])
 
 
 # ---------------------------------------------------------------------------

@@ -705,3 +705,19 @@ def test_noon_grid_gives_no_covariance_where_both_modes_are_lossless():
     assert bounds.report(0).covariances == {}
     assert bounds.report(0).notes and not bounds.report(2).notes
     assert noon_catalog(points[0]).bounds == bounds.report(0)
+
+
+@pytest.mark.parametrize("alphas", [(1e-300, 1e-300), (1e-170, 1e-200), (1.5e-155, 1.5e-155)])
+def test_noon_catalog_takes_the_limit_where_the_absorptions_underflow(alphas):
+    # X_s² + X_d² and D underflow to 0 (or 2/D overflows) though both α > 0:
+    # the grid flags the limit and the catalog returns the limit catalog
+    params = ChiralParams(*alphas, 0.3, -0.2)
+    bounds, _ = noon_grid(ParamGrid([params]))
+    assert bounds.limit.tolist() == [True]
+    assert math.isnan(bounds.covariances[("x_d", "x_s")][0])
+    catalog = noon_catalog(params)
+    assert catalog.slds is None and catalog.qfim is None
+    assert catalog.bounds == bounds.report(0)
+    assert catalog.bounds.value("x_d") == 0.0 and catalog.bounds.value("x_s") == 0.0
+    assert catalog.bounds.value("delta") == pytest.approx(0.5, rel=1e-12)
+    assert any("underflows" in note for note in catalog.bounds.notes)

@@ -313,7 +313,7 @@ def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
 
     _refuse_dense_propagation(monkeypatch)
     cutoffs.clear()
-    experiments.error_propagation_sensitivity(InputStateKind.noon_hv(), params, "x_d", state)
+    experiments._intensity_sensitivities(state, ParamGrid([params]))
     assert cutoffs == [2, 3]
     experiments._output_populations(state, ParamGrid([params]))
     assert cutoffs == [2, 3, 2, 3]
@@ -583,3 +583,101 @@ def test_loss_weights_past_int64_binomials():
         assert result.bound("phi_minus") == pytest.approx(0.5 / math.sqrt(49.0 * eta), rel=1e-6)
     for p in labels:
         assert per_mode.bound(p) == pytest.approx(dense.bound(p), rel=1e-9, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# output blocks: the sectors loss keeps apart, from the input pattern alone
+# ---------------------------------------------------------------------------
+
+
+def walked_output_blocks(state):
+    """Reference blocks: every output entry that each nonzero input entry
+    reaches under each (k, l) loss shift, then a graph walk over the levels."""
+    dp, dm = state.space.cutoff_plus + 1, state.space.cutoff_minus + 1
+    neighbours = {}
+    for a, b, c, d in zip(*np.nonzero(state.rho.reshape(dp, dm, dp, dm))):
+        for k in range(min(a, c) + 1):
+            for l in range(min(b, d) + 1):
+                ket, bra = (a - k) * dm + b - l, (c - k) * dm + d - l
+                neighbours.setdefault(ket, set()).add(bra)
+                neighbours.setdefault(bra, set()).add(ket)
+    seen, blocks = set(), []
+    for start in sorted(neighbours):
+        if start not in seen:
+            stack, block = [start], set()
+            while stack:
+                level = stack.pop()
+                if level not in block:
+                    block.add(level)
+                    stack.extend(neighbours[level] - block)
+            seen |= block
+            blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
+def sparse_mixture(rng, space, terms):
+    """A mixture of ``terms`` random pure states, each on two or three levels."""
+    rho = np.zeros((space.dim, space.dim), dtype=complex)
+    for _ in range(terms):
+        psi = np.zeros(space.dim, dtype=complex)
+        levels = rng.choice(space.dim, size=min(space.dim, rng.integers(2, 4)), replace=False)
+        psi[levels] = rng.standard_normal(len(levels)) + 1j * rng.standard_normal(len(levels))
+        rho += np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    return TwoModeState(space, rho / terms, label="sparse mixture")
+
+
+def test_output_blocks_of_the_quantum_inputs():
+    noon = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
+    # |0,0⟩, |0,1⟩, the (|0,2⟩, |2,0⟩) coherence, |1,0⟩; the levels (1,1),
+    # (1,2), (2,1), (2,2) are never populated
+    assert channel.output_blocks(noon) == ((0,), (1,), (2, 6), (3,))
+    single = hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1))
+    assert channel.output_blocks(single) == ((0,), (1, 2))
+    assert channel.output_blocks(hv_to_pm_state(NOON_HV, FockSpace(4, 3))) == (
+        (0,), (1,), (2, 8), (4,),
+    )
+
+
+def test_a_dense_coherent_input_is_one_block():
+    product = coherent_product_state(FockSpace(6, 4), 1.1, 0.6 - 0.5j, truncation_budget=1e-2)
+    state = TwoModeState(product.space, product.rho, trace_deficit_budget=4e-2)
+    assert channel.output_blocks(state) == (tuple(range(state.space.dim)),)
+    # an empty mode leaves its excited levels out of every output
+    vacuum_minus = coherent_product_state(FockSpace(6, 4), 1.1, 0.0, truncation_budget=1e-2)
+    state = TwoModeState(vacuum_minus.space, vacuum_minus.rho, trace_deficit_budget=2e-2)
+    assert channel.output_blocks(state) == (tuple(range(0, state.space.dim, 5)),)
+
+
+@pytest.mark.parametrize("cutoffs", [(1, 1), (2, 3), (3, 2), (4, 4), (6, 1)])
+def test_output_blocks_equal_the_walked_reachable_pattern(cutoffs):
+    rng = np.random.default_rng(sum(cutoffs))
+    space = FockSpace(*cutoffs)
+    for terms in (1, 2, 3, 5, 8) * 4:
+        state = sparse_mixture(rng, space, terms)
+        assert channel.output_blocks(state) == walked_output_blocks(state)
+        # a Hermitian input need not hold the populations of the levels it couples
+        upper = np.triu(state.rho * rng.integers(0, 2, state.rho.shape), 1)
+        rho = upper + upper.conj().T
+        rho[0, 0] = 1.0
+        hermitian = TwoModeState(space, rho, label="hermitian")
+        assert channel.output_blocks(hermitian) == walked_output_blocks(hermitian)
+    assert channel.output_blocks(random_density(rng, space)) == (tuple(range(space.dim)),)
+
+
+def test_output_blocks_hold_every_output_of_the_grid():
+    rng = np.random.default_rng(5)
+    states = [
+        hv_to_pm_state(NOON_HV, FockSpace(2, 2)),
+        hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(2, 1)),
+        sparse_mixture(rng, FockSpace(3, 2), 3),
+    ]
+    alphas = (0.0, 1e-300, 0.3, 1 - 1e-6)
+    points = [ChiralParams(a, b, 0.3, -0.2) for a in alphas for b in alphas]
+    for state in states:
+        blocks = channel.output_blocks(state)
+        inside = np.zeros((state.space.dim, state.space.dim), dtype=bool)
+        for block in blocks:
+            inside[np.ix_(block, block)] = True
+        output, d_plus, d_minus = grid_output_and_alpha_derivatives(state, ParamGrid(points))
+        for stack in (output, d_plus, d_minus):
+            assert not stack[:, ~inside].any()

@@ -161,24 +161,20 @@ def test_bounds_cutoff_too_small_for_budget(capsys):
     assert "cutoff" in err
 
 
-def test_bounds_explicit_cutoff_accepts_its_own_tail(capsys):
-    # without --budget the requested cutoff wins over the default budget
-    code, out, err = run_cli(
-        capsys,
-        "bounds",
-        "--state",
-        "coherent",
-        "--n0",
-        "1",
-        "--cutoff",
-        "9",
-        "--xs",
-        "0.3",
-        "--json",
-    )
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["bounds"]["x_s"] == pytest.approx(math.sqrt(0.7), abs=1e-4)
+@pytest.mark.parametrize("cutoff, tail", [(20, "9.647e-01"), (40, "3.231e-02"), (60, "4.485e-07")])
+def test_bounds_explicit_cutoff_is_held_to_the_default_budget(capsys, cutoff, tail):
+    # without --budget a requested cutoff must still meet the default budget:
+    # at cutoff 60 the x_d bound would be 1.3e-5 off the closed form
+    point = ("bounds", "--state", "coherent", "--n0", "60", "--xd", "0.05", "--xs", "0.2")
+    code, out, err = run_cli(capsys, *point, "--cutoff", str(cutoff))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert f"keeps Poisson tail {tail} > budget 1.000e-10; cutoff >= 71 required" in err
+    closed = coherent_bounds(ChiralParams.from_chiral(0.05, 0.2, 0.0, 0.0), 60.0).values
+    for flags, rel in ((("--cutoff", "71"), 1e-8), (("--cutoff", "40", "--budget", "0.05"), 0.2)):
+        code, out, err = run_cli(capsys, *point, *flags, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["bounds"]["x_d"] == pytest.approx(closed["x_d"], rel=rel)
 
 
 @pytest.mark.parametrize("state, cutoff", [("single-photon", 3), ("noon", 4), ("fock-pair", 2)])
@@ -307,6 +303,9 @@ def run_with_config(capsys, tmp_path, payload, *argv):
         # every known key is checked, in a fixed order, also one bounds does not read
         ({"state": "noon", "points": "x"}, "--points must be an integer, got 'x'"),
         ({"state": "noon", "n0": "x", "xd": "y"}, "--xd must be a number, got 'y'"),
+        # a value that is not a string, hashable or not, is no state either
+        ({"state": ["noon"]}, "unknown state ['noon']; choose one of"),
+        ({"state": 1}, "unknown state 1; choose one of"),
     ],
 )
 def test_config_file_checks_each_value(capsys, tmp_path, payload, message):

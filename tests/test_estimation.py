@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chiral_qfim.analytic import noon_grid, single_photon_grid
 from chiral_qfim.channel import (
     ALPHA_PHI_NAMES,
     CHIRAL_NAMES,
@@ -738,3 +739,100 @@ def test_stacked_block_detection_equals_the_graph_walk(n):
     assert estimation._detect_blocks(params, stack) == [graph_walk_blocks(params, f) for f in stack]
     # the patterns are all distinct, so every grouping of n parameters shows up
     assert len(set(estimation._detect_blocks(params, stack))) == {3: 5, 4: 15}[n]
+
+
+# ---------------------------------------------------------------------------
+# dense inputs: one solve per output block, at φ = 0
+# ---------------------------------------------------------------------------
+
+QUANTUM_STATES = {
+    "noon": (hv_to_pm_state(NOON_HV, FockSpace(2, 2)), noon_grid),
+    "single_photon": (hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1)), single_photon_grid),
+}
+
+
+@pytest.mark.parametrize("name", QUANTUM_STATES)
+def test_block_route_solves_no_eigenproblem_larger_than_its_blocks(monkeypatch, name):
+    state, _ = QUANTUM_STATES[name]
+    dims = []
+    original = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        dims.append(np.shape(a)[-2:])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    grid = ParamGrid([PARAMS_REF, ChiralParams(0.2, 0.6)])
+    result = compute_bounds_grid(state, grid, QUANTUM_LABELS)
+    # the 2 x 2 block stack, then the equilibrated QFIMs
+    assert dims == [(2, 2), (3, 3)]
+    assert result[0].meta["route"] == "eigenbasis"
+
+
+@pytest.mark.parametrize("name", QUANTUM_STATES)
+def test_block_route_bounds_do_not_depend_on_the_phases(name):
+    state, _ = QUANTUM_STATES[name]
+    for labels in (QUANTUM_LABELS, ALPHA_PHI_NAMES):
+        for alphas in ((0.3, 0.1), (1e-13, 0.999), (0.6, 0.6)):
+            phased = compute_bounds(state, ChiralParams(*alphas, 0.3, -0.2), labels)
+            plain = compute_bounds(state, ChiralParams(*alphas), labels)
+            assert np.array_equal(phased.F, plain.F)
+            assert np.array_equal(phased.F_inverse, plain.F_inverse)
+            assert phased.bounds == plain.bounds
+
+
+def test_an_empty_block_contributes_nothing_and_a_product_mode_still_raises():
+    empty = np.zeros((1, 2, 2))
+    d_rho = np.array([[[1.0, 0.0], [0.0, -1.0]]])
+    with pytest.raises(NumericError, match="density matrix has no positive eigenvalue"):
+        estimation._eigenbasis_qfim(empty, [d_rho])
+    assert not estimation._eigenbasis_qfim(empty, [d_rho], allow_empty=True).any()
+    # a product of two negative modes is a state whose modes are not
+    flipped = coherent_product_state(FockSpace(3, 3), 0.3, 0.2, truncation_budget=1e-3)
+    state = TwoModeState(
+        flipped.space, factors=tuple(-f for f in flipped.factors), trace_deficit_budget=2e-3
+    )
+    with pytest.raises(NumericError, match="density matrix has no positive eigenvalue"):
+        compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
+
+
+EDGE_ALPHAS = (0.0, 1e-300, 1e-13, 1e-9, 1e-6, 0.3, 0.999, 1 - 1e-6)
+
+
+def _edge_cells():
+    for name, (state, closed) in QUANTUM_STATES.items():
+        for alphas in itertools.product(EDGE_ALPHAS, repeat=2):
+            params = ChiralParams(*alphas, 0.3, -0.2)
+            limit = closed(ParamGrid([params]))[0].limit[0]
+            marks = ()
+            if limit and 0.0 in alphas:
+                reason = "ROADMAP item 1 step 2: a divergence at an exact alpha = 0"
+                marks = pytest.mark.xfail(strict=True, reason=reason)
+            yield pytest.param(name, params, id=f"{name}-{alphas[0]:g}-{alphas[1]:g}", marks=marks)
+
+
+@pytest.mark.parametrize("name, params", _edge_cells())
+def test_block_route_is_right_or_unidentifiable_on_the_edge_grid(name, params):
+    # where the closed form takes a limit, the bound must reach it; elsewhere
+    # it is right to 1e-6 or flagged unidentifiable
+    state, closed = QUANTUM_STATES[name]
+    reference = closed(ParamGrid([params]))[0]
+    result = compute_bounds(state, params, QUANTUM_LABELS)
+    for label in QUANTUM_LABELS:
+        value = result.bounds[label]
+        if value is None and not reference.limit[0]:
+            continue
+        assert value == pytest.approx(reference.values[label][0], rel=1e-6, abs=1e-12), label
+
+
+@pytest.mark.parametrize("name", QUANTUM_STATES)
+def test_block_route_matches_the_closed_forms_at_interior_points(name):
+    state, closed = QUANTUM_STATES[name]
+    rng = np.random.default_rng(11)
+    alphas, phases = rng.uniform(0.0, 1.0, (2, 300)), rng.uniform(-3.0, 3.0, (2, 300))
+    grid = ParamGrid([ChiralParams(*p) for p in np.vstack([alphas, phases]).T])
+    result = compute_bounds_grid(state, grid, QUANTUM_LABELS)
+    reference = closed(grid)[0]
+    assert result.identifiable.all()
+    for j, label in enumerate(QUANTUM_LABELS):
+        np.testing.assert_allclose(result.bounds[:, j], reference.values[label], rtol=1e-12, atol=0)

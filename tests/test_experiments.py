@@ -36,7 +36,6 @@ from chiral_qfim.experiments import (
     SweepRow,
     SweepSpec,
     compare_analytic_numeric,
-    error_propagation_sensitivity,
     figure_presets,
     flags_by_reason,
     method_quantities,
@@ -57,7 +56,6 @@ from chiral_qfim.fock import (
     fock_product_state,
     hv_to_pm_amplitudes,
     hv_to_pm_state,
-    poisson_tail,
 )
 
 SP = InputStateKind.single_photon_h()
@@ -182,12 +180,6 @@ def _coherent_reference(kind, space, budget):
     return coherent_product_state(space, amp_p, amp_m, truncation_budget=budget)
 
 
-def _open_tail(kind, cutoff):
-    # without a budget an explicit cutoff keeps the larger of its own tail and the default
-    amps = hv_to_pm_amplitudes(kind.amp_h, kind.amp_v)
-    return max(1e-10, *(poisson_tail(abs(a) ** 2, cutoff) for a in amps))
-
-
 @pytest.mark.parametrize(
     "kind, cutoff, budget, reference",
     [
@@ -200,13 +192,9 @@ def _open_tail(kind, cutoff):
         (COH1, None, None, lambda: _coherent_reference(COH1, None, 1e-10)),
         (COH1, None, 1e-6, lambda: _coherent_reference(COH1, None, 1e-6)),
         (COH1, 30, 1e-6, lambda: _coherent_reference(COH1, FockSpace(30, 30), 1e-6)),
-        (COH1, 9, None, lambda: _coherent_reference(COH1, FockSpace(9, 9), _open_tail(COH1, 9))),
-        (
-            COH_HV,
-            12,
-            None,
-            lambda: _coherent_reference(COH_HV, FockSpace(12, 12), _open_tail(COH_HV, 12)),
-        ),
+        # without a budget an explicit cutoff must meet the default one
+        (COH1, 10, None, lambda: _coherent_reference(COH1, FockSpace(10, 10), 1e-10)),
+        (COH_HV, 12, None, lambda: _coherent_reference(COH_HV, FockSpace(12, 12), 1e-10)),
     ],
 )
 def test_prepare_input_state_equals_the_state_built_by_hand(kind, cutoff, budget, reference):
@@ -226,6 +214,9 @@ def test_prepare_input_state_refuses_a_budget_for_a_quantum_kind_and_a_short_cut
             prepare_input_state(kind, budget=1e-9)
     with pytest.raises(TruncationError, match="cutoff >= 16 required"):
         prepare_input_state(InputStateKind.coherent(2.0), 3, 1e-10)
+    # a cutoff is held to the default budget too: its own tail is not accepted
+    with pytest.raises(TruncationError, match="tail 1.710e-10 > budget 1.000e-10; cutoff >= 10"):
+        prepare_input_state(COH1, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +257,22 @@ def test_intensity_statistics_vacuum_input():
     assert stats == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def intensity_sensitivity(kind, params, target, state=None):
+    """δ``target`` from intensity measurement at one point, from the population
+    route; None where the signal does not move."""
+    state = prepare_input_state(kind) if state is None else state
+    columns = experiments._intensity_sensitivities(state, ParamGrid([params]))
+    sensitivity, _, usable = columns[target]
+    return float(sensitivity[0]) if usable[0] else None
+
+
 def test_error_propagation_reference_values():
-    coh = error_propagation_sensitivity(
-        COH1, ChiralParams.from_chiral(0.0, 0.5, 0.0, 0.0), "x_s"
-    )
+    coh = intensity_sensitivity(COH1, ChiralParams.from_chiral(0.0, 0.5, 0.0, 0.0), "x_s")
     assert coh == pytest.approx(0.707107, abs=1e-6)
-    sp = error_propagation_sensitivity(
-        SP, ChiralParams.from_chiral(0.1, 0.5, 0.0, 0.0), "x_d"
-    )
+    sp = intensity_sensitivity(SP, ChiralParams.from_chiral(0.1, 0.5, 0.0, 0.0), "x_d")
     assert sp == pytest.approx(0.7, abs=1e-8)
     # the exact cancellation leaves only sqrt(machine epsilon) noise
-    noon = error_propagation_sensitivity(
-        NOON, ChiralParams(alpha_plus=0.0, alpha_minus=0.0), "x_s"
-    )
+    noon = intensity_sensitivity(NOON, ChiralParams(alpha_plus=0.0, alpha_minus=0.0), "x_s")
     assert noon == pytest.approx(0.0, abs=1e-7)
 
 
@@ -309,7 +303,7 @@ def test_intensity_route_matches_closed_forms(x_d, x_s):
         cases.append((kind, None, closed, 1e-8))
     for kind, state, closed, rel in cases:
         for target in ("x_d", "x_s"):
-            value = error_propagation_sensitivity(kind, params, target, state)
+            value = intensity_sensitivity(kind, params, target, state)
             assert value == pytest.approx(closed.values[target], rel=rel, abs=0)
 
 
@@ -335,10 +329,17 @@ def test_intensity_statistics_equal_dense_population_moments(kind):
 
 
 def test_error_propagation_rejects_phase_targets():
-    with pytest.raises(DomainError, match="does not move"):
-        error_propagation_sensitivity(SP, ChiralParams.from_chiral(0.1, 0.5, 0.2, 0.0), "delta")
-    with pytest.raises(ValueError, match="target must be one of"):
-        error_propagation_sensitivity(SP, ChiralParams.from_chiral(0.1, 0.5, 0.2, 0.0), "theta")
+    # the phases move no population, so only x_d and x_s have a column
+    params = ChiralParams.from_chiral(0.1, 0.5, 0.2, 0.0)
+    columns = experiments._intensity_sensitivities(prepare_input_state(SP), ParamGrid([params]))
+    assert set(columns) == {"x_d", "x_s"}
+    # the vacuum's signal does not move: no sensitivity, NaN in the sweep column
+    vacuum = InputStateKind.coherent(0.0)
+    for target in ("x_d", "x_s"):
+        assert intensity_sensitivity(vacuum, params, target) is None
+    spec = spec_for(vacuum, methods=(INTENSITY_EXACT,))
+    row = run_sweep(spec)[0]
+    assert row.values == {f"{INTENSITY_EXACT}.delta_{t}": None for t in ("x_d", "x_s")}
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +806,7 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
     with pytest.raises((DomainError, ValueError, NumericError)) as numeric:
         compute_bounds(state, broken, experiments.default_param_labels(kind))
     with pytest.raises((DomainError, ValueError, NumericError)) as intensity:
-        error_propagation_sensitivity(kind, broken, "x_d", state)
+        experiments._intensity_sensitivities(state, ParamGrid([broken]))
     failed = tuple(f for f in rows[2].status if ":failed:" in f)
     assert failed == (
         f"{QFIM_NUMERIC}:failed:{numeric.value}",
