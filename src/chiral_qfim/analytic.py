@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import CHIRAL_NAMES, ChiralParams, DomainError, ParamGrid
-from .estimation import SldMatrix, channel_derivatives
 from .fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
@@ -256,58 +255,39 @@ def coherent_intensity_sensitivities(params: ChiralParams, n0: float) -> Sensiti
 
 def coherent_slds(
     params: ChiralParams, n0: float, space: FockSpace, truncation_budget: float = 1e-10
-) -> list:
-    """Matrix realizations of the four coherent-state SLDs on ``space``.
+) -> dict:
+    """Matrix realizations of the four coherent-state SLDs on ``space``, as
+    ``{label: L}`` over ``CHIRAL_NAMES``.
 
     L_d and L_s are number-operator combinations; L_Δ and L_Σ are
     commutator realizations −i[G, ρ_out] with G = n₊ − n₋ and n₊ + n₋
     (the output stays pure, so the pure-state identity L = 2 ∂ρ applies).
-    Each matrix carries its defining-equation residual, evaluated against
-    the exact channel derivatives, and agrees with the numerical solver on
-    all support-coupled pairs.
+    ρ_out is in closed form too: the truncated damped coherent product with
+    amplitudes √η± a± e^{−iφ±}, where a± carry N₀ H-polarized.  The input
+    |a₊, a₋⟩ must keep each mode's tail within ``truncation_budget`` on
+    ``space``.  The SLD of the transmitted-fraction difference η₊ − η₋ is
+    the negative of L_d.
     """
     _require_photons(n0)
     amp_p, amp_m = hv_to_pm_amplitudes(math.sqrt(n0), 0.0)
-    state = coherent_product_state(space, amp_p, amp_m, truncation_budget=truncation_budget)
-    output, records = channel_derivatives(state, params, CHIRAL_NAMES)
+    # built for its refusal of a tail above the budget
+    coherent_product_state(space, amp_p, amp_m, truncation_budget=truncation_budget)
+    rho = coherent_product_state(
+        space,
+        math.sqrt(params.eta_plus) * amp_p * cmath.exp(-1j * params.phi_plus),
+        math.sqrt(params.eta_minus) * amp_m * cmath.exp(-1j * params.phi_minus),
+        truncation_budget=truncation_budget,
+    ).rho
     ops = mode_operators(space)
-    eye = np.eye(space.dim)
     eta_p, eta_m = params.eta_plus, params.eta_minus
-
-    l_d = ops.n_minus / eta_m - ops.n_plus / eta_p
-    l_s = -ops.n_plus / eta_p - ops.n_minus / eta_m + n0 * eye
-    rho = output.rho
-    g_delta = (ops.n_plus - ops.n_minus).astype(np.complex128)
-    g_sigma = (ops.n_plus + ops.n_minus).astype(np.complex128)
-    l_delta = -1j * (g_delta @ rho - rho @ g_delta)
-    l_sigma = -1j * (g_sigma @ rho - rho @ g_sigma)
-
-    derivs = {d.param: d.drho for d in records}
-    support_rank = int(np.sum(np.linalg.eigvalsh(rho) > 1e-10))
-    notes = {
-        "x_d": "the transmitted-fraction orientation is the negative of this operator",
-        "x_s": "",
-        "delta": "commutator prefactor fixed by the defining equation",
-        "sigma": "commutator prefactor fixed by the defining equation",
+    g_delta = ops.n_plus - ops.n_minus
+    g_sigma = ops.n_plus + ops.n_minus
+    return {
+        "x_d": ops.n_minus / eta_m - ops.n_plus / eta_p,
+        "x_s": -ops.n_plus / eta_p - ops.n_minus / eta_m + n0 * np.eye(space.dim),
+        "delta": -1j * (g_delta @ rho - rho @ g_delta),
+        "sigma": -1j * (g_sigma @ rho - rho @ g_sigma),
     }
-    slds = []
-    for param, l_mat in (
-        ("x_d", l_d.astype(np.complex128)),
-        ("x_s", l_s.astype(np.complex128)),
-        ("delta", l_delta),
-        ("sigma", l_sigma),
-    ):
-        resid = derivs[param] - 0.5 * (l_mat @ rho + rho @ l_mat)
-        slds.append(
-            SldMatrix(
-                param=param,
-                L=l_mat,
-                support_rank=support_rank,
-                residual=float(np.max(np.abs(resid))),
-                meta={"realization": "closed_form", "note": notes[param]},
-            )
-        )
-    return slds
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +375,7 @@ def single_photon_catalog(params: ChiralParams) -> SinglePhotonCatalog:
     l_s = np.diag([-1.0 / eta_p, -1.0 / eta_m, 1.0 / x_s]).astype(np.complex128)
     z = -2j * math.sqrt(d) * cmath.exp(-1j * delta) / (eta_p + eta_m)
     l_delta = np.zeros((3, 3), dtype=np.complex128)
-    l_delta[0, 1] = z
-    l_delta[1, 0] = z.conjugate()
+    l_delta[0, 1], l_delta[1, 0] = z, z.conjugate()
     slds = {"x_d": l_d, "x_s": l_s, "delta": l_delta}
 
     f_dd = (1.0 - x_s) / d
@@ -430,14 +409,9 @@ def _noon_rho_support(params: ChiralParams) -> np.ndarray:
     eta_p, eta_m = params.eta_plus, params.eta_minus
     a_p, a_m = params.alpha_plus, params.alpha_minus
     cross = -0.5 * eta_p * eta_m * cmath.exp(-2j * params.delta)
-    rho = np.zeros((5, 5), dtype=np.complex128)
-    rho[0, 0] = 0.5 * eta_p**2
-    rho[1, 1] = 0.5 * eta_m**2
-    rho[0, 1] = cross
-    rho[1, 0] = cross.conjugate()
-    rho[2, 2] = a_p * eta_p
-    rho[3, 3] = a_m * eta_m
-    rho[4, 4] = 0.5 * (a_p**2 + a_m**2)
+    pops = [0.5 * eta_p**2, 0.5 * eta_m**2, a_p * eta_p, a_m * eta_m, 0.5 * (a_p**2 + a_m**2)]
+    rho = np.diag(pops).astype(np.complex128)
+    rho[0, 1], rho[1, 0] = cross, cross.conjugate()
     return rho
 
 
@@ -475,7 +449,7 @@ def noon_grid(grid: ParamGrid) -> tuple:
     at α₊ = α₋ = 0.  Where 2/D is not finite (D = 0, or D so small that
     the absorptions underflow, as at α± = 1e-300), the bounds take their
     limit 0, no covariance is given, and ``limit`` is set, as it is where
-    an α is 0.
+    an α is 0 or so small that the catalog's 1/(α±η±) overflows.
     """
     a_p, a_m = grid.alpha_plus, grid.alpha_minus
     eta_p, eta_m = grid.eta_plus, grid.eta_minus
@@ -511,7 +485,7 @@ def noon_grid(grid: ParamGrid) -> tuple:
             " containing 1/alpha diverge, and no finite QFIM or SLD realization"
             " exists; the bounds are the limits of the closed form",
         ),
-        limit=(a_p == 0.0) | (a_m == 0.0) | ~given,
+        limit=~(np.isfinite(1.0 / (a_p * eta_p)) & np.isfinite(1.0 / (a_m * eta_m)) & given),
     )
     return bounds, intensity._replace(errors=bounds.errors)
 
@@ -520,9 +494,9 @@ def noon_catalog(params: ChiralParams) -> NoonCatalog:
     """Closed-form state, SLDs, QFIM, and bounds for the |1_H,1_V⟩ input.
 
     The bounds are those of ``noon_grid``.  The QFIM and SLDs hold 1/α and
-    1/(X_s² + X_d²), so where an α is 0, or where the absorptions underflow
-    and ``noon_grid`` takes the limit, they are None and the bounds, limits
-    there, carry a note.
+    1/(X_s² + X_d²), so where an α is 0 or 1/α overflows, or where the
+    absorptions underflow and ``noon_grid`` takes the limit, they are None
+    and the bounds, limits there, carry a note.
     """
     bounds, intensity = (g.report() for g in noon_grid(ParamGrid([params])))
     rho_support = _noon_rho_support(params)
@@ -548,8 +522,7 @@ def noon_catalog(params: ChiralParams) -> NoonCatalog:
     l_s = np.diag([-2.0 / eta_p, -2.0 / eta_m, u_p, u_m, 2.0 * x_s / s]).astype(np.complex128)
     z = 4j * eta_p * eta_m * cmath.exp(-2j * delta) / (eta_p**2 + eta_m**2)
     l_delta = np.zeros((5, 5), dtype=np.complex128)
-    l_delta[0, 1] = z
-    l_delta[1, 0] = z.conjugate()
+    l_delta[0, 1], l_delta[1, 0] = z, z.conjugate()
     slds = {"x_d": l_d, "x_s": l_s, "delta": l_delta}
     return NoonCatalog(rho_support, slds, qfim, bounds, intensity)
 

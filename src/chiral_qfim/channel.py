@@ -12,10 +12,15 @@ package works in three equivalent coordinate systems:
     master equation, with propagation time normalized to t = 1.
 
 Two independent evolution engines are provided and must agree: an exact
-Kraus map (per-mode phase rotation composed with binomial photon loss)
+Kraus map (per-mode binomial photon loss composed with phase rotation)
 and a fixed-step RK4 integration of the Lindblad generator.  The Kraus
 engine is the oracle for everything downstream; the RK4 engine exists
 to check it.
+
+Loss and phase commute, and the phase stage is a unitary diagonal in the
+number basis, so it leaves every QFIM unchanged: the loss engine takes the
+absorptions only, and ``phase_stage`` follows it where an output is
+returned at a phase (``apply_channel_kraus``, ``channel_derivatives``).
 """
 
 from __future__ import annotations
@@ -43,10 +48,21 @@ class DomainError(ValueError):
     """Channel parameters outside the physical domain."""
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+def _domain_message(name: str, value: float) -> str | None:
+    """Why coordinate ``name`` cannot take ``value``, or None: every
+    coordinate is finite, and an absorption lies in [0, 1)."""
     if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+        return f"{name} must be finite, got {value!r}"
+    if name.startswith("alpha") and not 0.0 <= value < 1.0:
+        return f"{name} must lie in [0, 1), got {value!r}"
+    return None
+
+
+def _checked_coordinate(name: str, value: float) -> float:
+    value = float(value)
+    message = _domain_message(name, value)
+    if message is not None:
+        raise DomainError(message)
     return value
 
 
@@ -60,13 +76,8 @@ class ChiralParams:
     phi_minus: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha_plus", "alpha_minus"):
-            a = _require_finite(name, getattr(self, name))
-            if not (0.0 <= a < 1.0):
-                raise DomainError(f"{name} must lie in [0, 1), got {a!r}")
-            object.__setattr__(self, name, a)
-        for name in ("phi_plus", "phi_minus"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        for name in ALPHA_PHI_NAMES:
+            object.__setattr__(self, name, _checked_coordinate(name, getattr(self, name)))
 
     @property
     def eta_plus(self) -> float:
@@ -149,16 +160,15 @@ class ParamGrid:
     def from_chiral(cls, x_d, x_s, delta, sigma) -> tuple:
         """The grid of the points ``ChiralParams.from_chiral`` accepts, and
         per point None or the message it raises there: checked elementwise,
-        with a ChiralParams built only at a rejected point, for its message."""
+        with the message formed, as ChiralParams forms it, only at a
+        rejected point."""
         coords = np.broadcast_arrays(x_s + x_d, x_s - x_d, (sigma + delta) / 2, (sigma - delta) / 2)
         coords = np.array(coords, dtype=float)
         ok = np.isfinite(coords).all(axis=0) & ((coords[:2] >= 0) & (coords[:2] < 1)).all(axis=0)
         errors = [None] * ok.size
         for b in np.flatnonzero(~ok).tolist():
-            try:
-                ChiralParams(*coords[:, b].tolist())
-            except DomainError as exc:
-                errors[b] = str(exc)
+            messages = map(_domain_message, ALPHA_PHI_NAMES, coords[:, b].tolist())
+            errors[b] = next(filter(None, messages))
         grid = cls(())
         grid.alpha_plus, grid.alpha_minus, grid.phi_plus, grid.phi_minus = coords[:, ok]
         return grid, errors
@@ -176,7 +186,7 @@ class RatePicture:
 
     def __post_init__(self):
         for name in ("gamma_plus", "gamma_minus", "theta_plus", "theta_minus", "t"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+            object.__setattr__(self, name, _checked_coordinate(name, getattr(self, name)))
         if self.t <= 0:
             raise DomainError(f"propagation time must be positive, got {self.t!r}")
         if self.gamma_plus < 0 or self.gamma_minus < 0:
@@ -191,25 +201,14 @@ class RatePicture:
         )
 
 
-def _rotated_input(state: TwoModeState, grid: ParamGrid) -> np.ndarray:
-    """Phase-stage outputs at each point of ``grid``, stacked as
-    ρ[b, ket+, ket−, bra+, bra−].
-
-    ρ → ρ ∘ (u u†) with u[k] = e^{−i(φ₊ n₊ + φ₋ n₋)}.  Where no point has a
-    phase, the input itself is the one entry of the stack, shared by every
-    point, and dropped to real storage when exactly real: loss weights are
-    real, so the whole damping stage then runs in real arithmetic (about
-    twice as fast).
-    """
-    space, rho = state.space, state.rho
-    if grid.phi_plus.any() or grid.phi_minus.any():
-        n_plus, n_minus = space.number_grids()
-        u = np.exp(-1j * (grid.phi_plus[:, None] * n_plus + grid.phi_minus[:, None] * n_minus))
-        rho = rho * (u[:, :, None] * u.conj()[:, None, :])
-    elif not rho.imag.any():
-        rho = rho.real
-    dp, dm = space.cutoff_plus + 1, space.cutoff_minus + 1
-    return rho.reshape(-1, dp, dm, dp, dm)
+def phase_stage(rho: np.ndarray, space: FockSpace, params: ChiralParams) -> np.ndarray:
+    """The channel's phase stage ρ ∘ (u u†), u[k] = e^{−i(φ₊n₊ + φ₋n₋)} at
+    the phases of ``params``, on a matrix of ``space`` or a stack of them:
+    outputs, or their α-derivatives, since the stage is linear in ρ and does
+    not depend on α."""
+    n_plus, n_minus = space.number_grids()
+    u = np.exp(-1j * (params.phi_plus * n_plus + params.phi_minus * n_minus))
+    return rho * (u[:, None] * u.conj())
 
 
 @functools.lru_cache(maxsize=64)
@@ -292,19 +291,13 @@ def _damp_mode(rho: np.ndarray, tables: tuple, axes: tuple, derivative: bool = T
 
 
 def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeState:
-    """Exact channel action: phase rotation then binomial photon loss.
+    """Exact channel action: binomial photon loss, then the phase stage.
 
     The two stages commute, and the loss map is exactly trace preserving
     on any truncation containing the input support.
     """
-    space = state.space
-    rho = _rotated_input(state, ParamGrid([params]))
-    for cutoff, alpha, axes in (
-        (space.cutoff_plus, params.alpha_plus, (1, 3)),
-        (space.cutoff_minus, params.alpha_minus, (2, 4)),
-    ):
-        rho = _damp_mode(rho, _loss_tables(cutoff, [alpha]), axes, derivative=False)
-    return state.with_rho(rho.reshape(space.dim, space.dim))
+    output = grid_output_and_alpha_derivatives(state, [params.alpha_plus], [params.alpha_minus])[0]
+    return state.with_rho(phase_stage(output[0], state.space, params))
 
 
 def mode_output_and_alpha_derivative(rho: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -325,23 +318,29 @@ def mode_output_and_alpha_derivative(rho: np.ndarray, alpha) -> tuple[np.ndarray
     return out.reshape(*alpha.shape, d, d), d_out.reshape(*alpha.shape, d, d)
 
 
-def grid_output_and_alpha_derivatives(state: TwoModeState, grid: ParamGrid) -> tuple:
-    """Channel outputs and their exact ∂/∂α₊, ∂/∂α₋ at each point of ``grid``.
+def grid_output_and_alpha_derivatives(state: TwoModeState, alpha_plus, alpha_minus) -> tuple:
+    """Loss outputs and their exact ∂/∂α₊, ∂/∂α₋ at each pair of absorptions.
 
-    Each result is a (len(grid), dim, dim) stack, from one table pass per
-    mode.  The mode-plus loss stage and its ∂/∂α₊ are formed once; the
-    mode-minus loss maps the stage to the output and ∂/∂α₋, and its ∂/∂α₊
-    to the output's.  The outputs are unchecked, and the derivatives are
+    ``alpha_plus`` and ``alpha_minus`` are (B,) arrays; each result is a
+    (B, dim, dim) stack at zero phase, from one table pass per mode.  The
+    mode-plus loss stage and its ∂/∂α₊ are formed once; the mode-minus
+    loss maps the stage to the output and ∂/∂α₋, and its ∂/∂α₊ to the
+    output's.  The outputs are unchecked, and the derivatives are
     traceless Hermitian matrices, not states.
     """
-    space = state.space
-    rho = _rotated_input(state, grid)
-    tables_plus = _loss_tables(space.cutoff_plus, grid.alpha_plus)
-    tables_minus = _loss_tables(space.cutoff_minus, grid.alpha_minus)
-    stage, d_stage = _damp_mode(rho, tables_plus, (1, 3))
+    space, rho = state.space, state.rho
+    # one input that every point shares, in real storage when exactly real:
+    # loss weights are real, so the whole damping stage then runs in real
+    # arithmetic (about twice as fast)
+    if not rho.imag.any():
+        rho = rho.real
+    dp, dm = space.cutoff_plus + 1, space.cutoff_minus + 1
+    tables_plus = _loss_tables(space.cutoff_plus, alpha_plus)
+    tables_minus = _loss_tables(space.cutoff_minus, alpha_minus)
+    stage, d_stage = _damp_mode(rho.reshape(1, dp, dm, dp, dm), tables_plus, (1, 3))
     output, d_minus = _damp_mode(stage, tables_minus, (2, 4))
     d_plus = _damp_mode(d_stage, tables_minus, (2, 4), derivative=False)
-    shape = (len(grid), space.dim, space.dim)
+    shape = (-1, space.dim, space.dim)
     return output.reshape(shape), d_plus.reshape(shape), d_minus.reshape(shape)
 
 

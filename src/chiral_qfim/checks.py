@@ -139,14 +139,15 @@ def damped_coherent_mode():
 def coherent_sld_closed_form() -> CheckResult:
     """Numeric SLD of the damped coherent mode against its closed form.
 
-    SLDs are only determined where an eigenvalue pair of rho is nonzero;
-    entries coupling two kernel directions are gauge and stay unchecked.
+    SLDs are only determined on the support pairs, cut at the threshold that
+    ``solve_sld`` reports; entries coupling two kernel directions are gauge
+    and stay unchecked.
     """
     output, eta_derivative, expected = damped_coherent_mode()
     sld = solve_sld(output, eta_derivative)
     dec = hermitian_eigen(output.rho)
     lam, v = dec.eigenvalues, dec.eigenvectors
-    keep = np.add.outer(lam, lam) > 1e-10 * float(lam[-1])
+    keep = np.add.outer(lam, lam) > sld.meta["support_threshold"]
     diff = v.conj().T @ (sld.L - expected) @ v
     residual = _max_abs(np.where(keep, diff, 0.0))
     return CheckResult(
@@ -190,8 +191,7 @@ def absorption_phase_commutator() -> CheckResult:
     catalog cheap.
     """
     space = FockSpace(6, 6)
-    slds = coherent_slds(REFERENCE_POINT, 1.0, space, truncation_budget=1e-5)
-    l_d = next(s.L for s in slds if s.param == "x_d")
+    l_d = coherent_slds(REFERENCE_POINT, 1.0, space, truncation_budget=1e-5)["x_d"]
     ops = mode_operators(space)
     residual = _max_abs(commutator(l_d, ops.n_plus - ops.n_minus))
     return CheckResult(

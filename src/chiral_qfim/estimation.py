@@ -8,7 +8,9 @@ support pairs of the eigenbasis of ρ, and bounds follow from its
 pseudo-inverse.  This module is the route that the closed-form catalog is
 checked against, so it must stay independent of that catalog.
 ``solve_sld`` solves one symmetric logarithmic derivative explicitly, for
-the checks that compare it with a closed form.
+the checks that compare it with a closed form.  Both the QFIM and the SLD
+keep the pairs that ``_support_threshold`` defines, the one support cut;
+``solve_sld`` reports the threshold it applied.
 
 ``compute_bounds_grid`` is the one route, over a grid of points, with
 stacked results; ``compute_bounds`` is its grid of one, as a QfimResult.
@@ -16,7 +18,10 @@ Product inputs (states carrying per-mode ``factors``) are solved as one
 single-mode problem over a stack of both modes; any other input block by
 block, over a stack of the output blocks that the input's nonzero pattern
 fixes (``channel.output_blocks``), with the blocks' QFIMs summed.  Both
-solve at zero phase, which leaves the QFIM unchanged.
+solve at zero phase, from the phase-free loss engine: the phase stage
+e^{−i(φ₊n₊ + φ₋n₋)} is a unitary that commutes with n₊ and n₋, so it
+leaves the QFIM unchanged.  Only ``channel_derivatives``, which returns an
+output at its phase, applies ``channel.phase_stage``.
 
 Parameter labels are either the native channel coordinates
 ("alpha_plus", "alpha_minus", "phi_plus", "phi_minus") or the chiral
@@ -26,7 +31,6 @@ natively and the chiral labels formed as constant linear combinations.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 
@@ -41,6 +45,7 @@ from .channel import (
     mode_output_and_alpha_derivative,
     output_blocks,
     phase_derivative,
+    phase_stage,
 )
 from .fock import TwoModeState, require_trace_window
 from .linalg import as_complex_matrix, hermitian_eigen, hermiticity_defect, require_hermitian
@@ -182,39 +187,54 @@ def channel_derivatives(
 ) -> tuple[TwoModeState, list[ParamDerivative]]:
     """Channel output together with ∂ρ for each requested parameter.
 
-    The output is checked once: finite, Hermitian and in the trace window.
-    Both α-derivatives come from one loss table pass per mode, the
-    φ-derivatives from the checked output, and each label's matrix is their
-    constant combination.
+    The loss output and both α-derivatives come from one loss table pass
+    per mode, and the phase stage then acts on all three.  The output is
+    checked once: finite, Hermitian and in the trace window.  The
+    φ-derivatives come from the checked output, and each label's matrix is
+    their constant combination.
     """
     labels = tuple(param_labels)
     pullback = _native_pullback(labels)
-    output, d_plus, d_minus = grid_output_and_alpha_derivatives(input_state, ParamGrid([params]))
-    output = require_hermitian(output[0])
+    space = input_state.space
+    loss = grid_output_and_alpha_derivatives(input_state, [params.alpha_plus], [params.alpha_minus])
+    output, d_plus, d_minus = phase_stage(np.concatenate(loss), space, params)
+    output = require_hermitian(output)
     require_trace_window(np.trace(output), input_state.trace_deficit_budget)
-    phases = [phase_derivative(output, n) for n in input_state.space.number_grids()]
-    native = [d_plus[0], d_minus[0], *phases]
+    phases = [phase_derivative(output, n) for n in space.number_grids()]
+    native = [d_plus, d_minus, *phases]
     mats = [sum(w * d for w, d in zip(pullback[:, j], native) if w) for j in range(len(labels))]
     return input_state.with_rho(output), [
         ParamDerivative(param=p, drho=m) for p, m in zip(labels, mats)
     ]
 
 
+def _support_threshold(lam: np.ndarray, allow_empty: bool = False) -> np.ndarray:
+    """The support cut of ascending spectra ``lam`` (..., d): a pair (j, k)
+    of a spectrum lies on the support when λ_j + λ_k exceeds the returned
+    SUPPORT_RCOND·λ_max, shaped (..., 1); the other pairs belong to the
+    kernel.  A spectrum whose λ_max ≤ 0 raises, or with ``allow_empty`` (a
+    block that the channel leaves empty) keeps no pair: its threshold is ∞.
+    """
+    threshold = SUPPORT_RCOND * lam[..., -1:]
+    empty = threshold <= 0.0
+    if empty.any():
+        if not allow_empty:
+            raise NumericError("density matrix has no positive eigenvalue")
+        threshold[empty] = np.inf
+    return threshold
+
+
 def solve_sld(rho_state: TwoModeState, drho: ParamDerivative) -> SldMatrix:
     """Solve ∂ρ = ½(Lρ + ρL) spectrally on the support of ρ.
 
-    In the eigenbasis of ρ, L_jk = 2 ∂ρ_jk/(λ_j + λ_k); pairs with
-    λ_j + λ_k ≤ 1e-10·λ_max belong to the kernel and are zeroed (their
-    count and dropped weight go into metadata).  The residual reported is
+    In the eigenbasis of ρ, L_jk = 2 ∂ρ_jk/(λ_j + λ_k) on the pairs that
+    ``_support_threshold`` keeps; the kernel pairs are zeroed (their count
+    and dropped weight go into metadata).  The residual reported is
     ‖∂ρ − ½(Lρ + ρL)‖_max projected onto the kept pairs.
     """
     dec = hermitian_eigen(rho_state.rho)
-    lam = dec.eigenvalues
-    v = dec.eigenvectors
-    lam_max = float(lam[-1])
-    if lam_max <= 0.0:
-        raise NumericError("density matrix has no positive eigenvalue")
-    threshold = SUPPORT_RCOND * lam_max
+    lam, v = dec.eigenvalues, dec.eigenvectors
+    threshold = float(_support_threshold(lam)[0])
     pair_sums = np.add.outer(lam, lam)
     keep = pair_sums > threshold
     dtilde = v.conj().T @ drho.drho @ v
@@ -289,18 +309,13 @@ def _eigenbasis_qfim(
     ``rho`` stacks ``modes`` blocks of B exactly Hermitian matrices (one per
     mode of a product input, or per block of one output) and ``mats`` one
     such stack of ∂ρ matrices per parameter, and gives each matrix's QFIM.
-    Each is cut at its own scale: the support rule keeps pairs with
-    λ_j + λ_k > 1e-10·λ_max, as ``solve_sld`` does.  A matrix whose
-    λ_max ≤ 0 raises, or with ``allow_empty`` (a block that the channel
-    leaves empty there) gives 0.  With a ``pullback`` B, the QFIM is that of
-    the labels ∂ρ̃_y = Σ_x B[x, y] ∂ρ̃_x, combined after the rotation.
+    Each is cut at its own scale, by ``_support_threshold`` as in
+    ``solve_sld``; with ``allow_empty``, a matrix with no support gives 0.
+    With a ``pullback`` B, the QFIM is that of the labels
+    ∂ρ̃_y = Σ_x B[x, y] ∂ρ̃_x, combined after the rotation.
     """
     lam, v = np.linalg.eigh(rho.real if not rho.imag.any() else rho)
-    threshold = SUPPORT_RCOND * lam[:, -1:]
-    if (threshold <= 0.0).any():
-        if not allow_empty:
-            raise NumericError("density matrix has no positive eigenvalue")
-        threshold[threshold <= 0.0] = np.inf
+    threshold = _support_threshold(lam, allow_empty)
     # Every kept pair (λ_j + λ_k > threshold) has an index with λ > threshold/2,
     # among the last s of the ascending λ, so rotating ∂ρ onto those rows alone
     # is exact; each (other, last-s) pair adds what its mirror does, by
@@ -362,18 +377,17 @@ def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray
     derivatives are gathered into one zero-padded (K·B, s, s) stack, each
     cut at its own λ_max; a block that the channel leaves empty at a point
     gives 0 there.  A fully coherent input is one block, the whole output.
-    Every point is solved at φ± = 0: the phase stage is the unitary
-    e^{−i(φ₊n₊ + φ₋n₋)}, which commutes with n₊ and n₋ and so leaves the
-    QFIM unchanged, and a real input then keeps real outputs.  The output
-    stack is checked once, finite, Hermitian and in the trace window.
+    Every point is solved at φ± = 0, where a real input keeps real
+    outputs.  The output stack is checked once, finite, Hermitian and in
+    the trace window.
     """
     blocks, dim = output_blocks(input_state), input_state.space.dim
     size = max(map(len, blocks))
     # each block's levels, padded with an extra level that holds zeros
     levels = np.array([block + (dim,) * (size - len(block)) for block in blocks])[:, None]
-    at_zero = copy.copy(grid)
-    at_zero.phi_plus = at_zero.phi_minus = np.zeros(len(grid))
-    output, d_plus, d_minus = grid_output_and_alpha_derivatives(input_state, at_zero)
+    output, d_plus, d_minus = grid_output_and_alpha_derivatives(
+        input_state, grid.alpha_plus, grid.alpha_minus
+    )
     output = require_hermitian(output)
     require_trace_window(np.trace(output, axis1=1, axis2=2), input_state.trace_deficit_budget)
     padded = np.zeros((3, len(grid), dim + 1, dim + 1), output.dtype)
@@ -397,14 +411,12 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     gives the product output ρ₊' ⊗ ρ₋'.  Its native QFIM splits into an
     (α₊, φ₊) block, solved on ρ₊' alone and scaled by tr ρ₋', and the
     mirror (α₋, φ₋) block; the cross blocks are tr ∂ρ₊' · tr ∂ρ₋' = 0.
-    Each block is solved at φ = 0: the phase stage is the unitary e^{−iφn},
-    which commutes with n and so leaves the mode's (α, φ) block unchanged.
-    The modes form one (2B, d, d) stack at their common cutoff, the smaller
-    padded with zero levels, which loss keeps empty.  The output stack is
-    checked once, finite and Hermitian, and the product of the modes'
-    output traces must lie in the window.  The requested labels follow
-    through the constant native-to-label pullback, the same combinations
-    ``channel_derivatives`` forms.
+    Each block is solved at φ = 0.  The modes form one (2B, d, d) stack at
+    their common cutoff, the smaller padded with zero levels, which loss
+    keeps empty.  The output stack is checked once, finite and Hermitian,
+    and the product of the modes' output traces must lie in the window.
+    The requested labels follow through the constant native-to-label
+    pullback, the same combinations ``channel_derivatives`` forms.
     """
     d = max(len(factor) for factor in input_state.factors)
     stack = np.zeros((2, d, d), dtype=complex)

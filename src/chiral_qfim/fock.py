@@ -231,21 +231,23 @@ def _checked(matrix, dim: int) -> np.ndarray:
 
 
 def poisson_tail(mean: float, cutoff: int) -> float:
-    """P(N > cutoff) for N ~ Poisson(mean), summed directly for accuracy."""
+    """P(N > cutoff) for N ~ Poisson(mean), summed directly for accuracy.
+
+    Each term is formed in log space, so a bright mean whose first terms
+    underflow keeps its tail; the sum runs past the mean, to the first term
+    below 1e-18 of it.
+    """
     if mean < 0:
         raise ValueError(f"mean must be nonnegative, got {mean}")
-    if mean == 0.0:
-        return 0.0
-    # log of p_{cutoff+1}, then accumulate the tail term by term
-    k = cutoff + 1
-    log_term = -mean + k * math.log(mean) - math.lgamma(k + 1)
-    term = math.exp(log_term)
-    total = 0.0
-    while term > total * 1e-18 + 1e-320:
+    if not 0.0 < mean < math.inf:
+        return 0.0  # no photons, or a non-finite mean that the state's checks reject
+    log_mean, total, k = math.log(mean), 0.0, cutoff + 1
+    while True:
+        term = math.exp(-mean + k * log_mean - math.lgamma(k + 1))
         total += term
+        if k > mean and term <= total * 1e-18:
+            return total
         k += 1
-        term *= mean / k
-    return total
 
 
 def min_cutoff_for_tail(mean: float, budget: float) -> int:
@@ -300,9 +302,21 @@ def default_coherent_space(
 
 
 def _coherent_factor(amp: complex, cutoff: int) -> np.ndarray:
+    """|amp⟩⟨amp| on levels 0..cutoff, unnormalized: v_n = e^{−|amp|²/2} amp^n/√n!.
+
+    The recurrence v_n = v_{n−1}·amp/√n starts at the first level whose
+    magnitude, formed in log space, exceeds e^{−690}: a bright amplitude,
+    whose e^{−|amp|²/2} underflows, keeps its weight, and the levels below
+    stay 0.  The start's phase is left out, a global phase of v.
+    """
     vec = np.zeros(cutoff + 1, dtype=np.complex128)
-    vec[0] = math.exp(-0.5 * abs(amp) ** 2)
-    for n in range(1, cutoff + 1):
+    mean, start = abs(amp) ** 2, 0
+    log_mag = -0.5 * mean
+    while log_mag < -690.0 and start < cutoff:
+        start += 1
+        log_mag = -0.5 * mean + start * math.log(abs(amp)) - 0.5 * math.lgamma(start + 1)
+    vec[start] = math.exp(log_mag)
+    for n in range(start + 1, cutoff + 1):
         vec[n] = vec[n - 1] * amp / math.sqrt(n)
     return np.outer(vec, vec.conj())
 

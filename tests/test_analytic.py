@@ -38,6 +38,7 @@ from chiral_qfim.fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
     FockSpace,
+    TruncationError,
     TwoModeState,
     coherent_product_state,
     default_coherent_space,
@@ -206,24 +207,27 @@ def test_coherent_slds_match_numerical_solver():
     # amplitude, so the residual check needs a couple of rows of headroom
     space = FockSpace(14, 14)
     catalog = coherent_slds(params, n0, space, truncation_budget=1e-13)
-    assert [s.param for s in catalog] == ["x_d", "x_s", "delta", "sigma"]
+    assert list(catalog) == ["x_d", "x_s", "delta", "sigma"]
 
     amp_p, amp_m = hv_to_pm_amplitudes(0.8, 0.0)
     state = coherent_product_state(space, amp_p, amp_m, truncation_budget=1e-13)
     output, derivs = channel_derivatives(state, params, ("x_d", "x_s", "delta", "sigma"))
     rho = output.rho
-    for entry, drho in zip(catalog, derivs):
-        assert entry.residual < 1e-9
-        assert abs(np.trace(rho @ entry.L)) < 1e-9
+    for (label, l_mat), drho in zip(catalog.items(), derivs):
+        assert drho.param == label
+        # the closed-form SLD solves the defining equation for the numeric ∂ρ
+        residual = drho.drho - 0.5 * (l_mat @ rho + rho @ l_mat)
+        assert np.max(np.abs(residual)) < 1e-9
+        assert abs(np.trace(rho @ l_mat)) < 1e-9
         solver = solve_sld(output, drho)
-        assert support_coupled_difference(rho, entry.L, solver.L) < 1e-7
+        assert support_coupled_difference(rho, l_mat, solver.L) < 1e-7
 
 
 def test_coherent_slds_equal_absorption_form():
     alpha, n0 = 0.25, 2.0
     params = ChiralParams(alpha_plus=alpha, alpha_minus=alpha)
     space = FockSpace(12, 12)
-    catalog = {s.param: s.L for s in coherent_slds(params, n0, space)}
+    catalog = coherent_slds(params, n0, space)
     ops = mode_operators(space)
     expected = -(ops.n_plus + ops.n_minus) / (1.0 - alpha) + n0 * np.eye(space.dim)
     np.testing.assert_allclose(catalog["x_s"], expected, atol=1e-12)
@@ -232,6 +236,12 @@ def test_coherent_slds_equal_absorption_form():
 def test_coherent_slds_rejects_nonpositive_photon_number():
     with pytest.raises(DomainError, match="must be positive"):
         coherent_slds(PARAMS_REF, 0.0, FockSpace(4, 4))
+
+
+def test_coherent_slds_refuse_an_input_tail_above_the_budget():
+    # the damped output's tail fits the budget; the input's does not
+    with pytest.raises(TruncationError, match="cutoff >= 10 required"):
+        coherent_slds(ChiralParams(0.9, 0.9), 1.0, FockSpace(6, 6), truncation_budget=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -721,3 +731,15 @@ def test_noon_catalog_takes_the_limit_where_the_absorptions_underflow(alphas):
     assert catalog.bounds.value("x_d") == 0.0 and catalog.bounds.value("x_s") == 0.0
     assert catalog.bounds.value("delta") == pytest.approx(0.5, rel=1e-12)
     assert any("underflows" in note for note in catalog.bounds.notes)
+
+
+def test_noon_catalog_takes_the_limit_where_one_inverse_absorption_overflows():
+    # α₊ = 5e-324 keeps D finite, but the catalog's 1/(α₊η₊) overflows
+    params = ChiralParams(5e-324, 0.3)
+    bounds, _ = noon_grid(ParamGrid([params]))
+    assert bounds.limit.tolist() == [True]
+    catalog = noon_catalog(params)
+    assert catalog.slds is None and catalog.qfim is None
+    assert catalog.bounds == bounds.report(0)
+    assert catalog.bounds.notes
+    assert catalog.bounds.value("x_d") == catalog.bounds.value("x_s") == 0.229128784747792

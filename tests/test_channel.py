@@ -68,6 +68,21 @@ def test_from_chiral_round_trip():
         assert getattr(again, name) == pytest.approx(getattr(p, name), abs=1e-15)
 
 
+@pytest.mark.parametrize("coordinate", range(4))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1, 1.0])
+def test_param_grid_messages_match_chiral_params(coordinate, value):
+    coords = [0.05, 0.3, 0.4, 0.2]
+    coords[coordinate] = value
+    try:
+        ChiralParams.from_chiral(*coords)
+        expected = None
+    except DomainError as exc:
+        expected = str(exc)
+    grid, errors = ParamGrid.from_chiral(*(np.array([c]) for c in coords))
+    assert errors == [expected]
+    assert len(grid) == (expected is None)
+
+
 def test_rate_picture_round_trip():
     for t in (1.0, 0.5, 3.0):
         p = ChiralParams(0.6, 0.25, 1.3, -0.4)
@@ -300,7 +315,7 @@ def _refuse_dense_propagation(monkeypatch):
     for module in (channel, estimation, experiments):
         if hasattr(module, "apply_channel_kraus"):
             monkeypatch.setattr(module, "apply_channel_kraus", refuse)
-    monkeypatch.setattr(channel, "_rotated_input", refuse)
+    monkeypatch.setattr(channel, "grid_output_and_alpha_derivatives", refuse)
 
 
 def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
@@ -415,10 +430,9 @@ def test_dense_route_makes_no_cutoff_fold_copy():
     space = FockSpace(24, 24)
     product = coherent_product_state(space, 1.5, 0.8 + 0.3j, truncation_budget=1e-6)
     state = TwoModeState(space, product.rho, trace_deficit_budget=product.trace_deficit_budget)
-    params = ChiralParams(0.3, 0.4, 0.2, 0.5)
     tracemalloc.start()
     try:
-        grid_output_and_alpha_derivatives(state, ParamGrid([params]))
+        grid_output_and_alpha_derivatives(state, [0.3], [0.4])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -519,7 +533,6 @@ def test_phi_derivative_matches_finite_difference(mode):
 
 @pytest.mark.parametrize("alpha_plus", [0.0, 0.35])
 def test_single_mode_kernel_factors_the_two_mode_engine(alpha_plus):
-    # at zero phase; phased agreement is assert_routes_agree's, at PARAMS_REF
     params = ChiralParams(alpha_plus, 0.45)
     for state in (
         coherent_product_state(default_coherent_space(0.8, 0.5j)[0], 0.8, 0.5j),
@@ -528,8 +541,9 @@ def test_single_mode_kernel_factors_the_two_mode_engine(alpha_plus):
         rho_plus, rho_minus = state.factors
         out_plus, d_plus = mode_output_and_alpha_derivative(rho_plus, params.alpha_plus)
         out_minus, d_minus = mode_output_and_alpha_derivative(rho_minus, params.alpha_minus)
-        grid = ParamGrid([params])
-        joint, exact_plus, exact_minus = grid_output_and_alpha_derivatives(state, grid)
+        joint, exact_plus, exact_minus = grid_output_and_alpha_derivatives(
+            state, [params.alpha_plus], [params.alpha_minus]
+        )
         assert np.max(np.abs(np.kron(out_plus, out_minus) - joint[0])) <= 1e-15
         assert np.max(np.abs(np.kron(d_plus, out_minus) - exact_plus[0])) <= 1e-14
         assert np.max(np.abs(np.kron(out_plus, d_minus) - exact_minus[0])) <= 1e-14
@@ -671,13 +685,13 @@ def test_output_blocks_hold_every_output_of_the_grid():
         hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(2, 1)),
         sparse_mixture(rng, FockSpace(3, 2), 3),
     ]
-    alphas = (0.0, 1e-300, 0.3, 1 - 1e-6)
-    points = [ChiralParams(a, b, 0.3, -0.2) for a in alphas for b in alphas]
+    alphas = np.array((0.0, 1e-300, 0.3, 1 - 1e-6))
+    alpha_plus, alpha_minus = np.repeat(alphas, 4), np.tile(alphas, 4)
     for state in states:
         blocks = channel.output_blocks(state)
         inside = np.zeros((state.space.dim, state.space.dim), dtype=bool)
         for block in blocks:
             inside[np.ix_(block, block)] = True
-        output, d_plus, d_minus = grid_output_and_alpha_derivatives(state, ParamGrid(points))
+        output, d_plus, d_minus = grid_output_and_alpha_derivatives(state, alpha_plus, alpha_minus)
         for stack in (output, d_plus, d_minus):
             assert not stack[:, ~inside].any()

@@ -177,6 +177,15 @@ def test_bounds_explicit_cutoff_is_held_to_the_default_budget(capsys, cutoff, ta
         assert json.loads(out)["bounds"]["x_d"] == pytest.approx(closed["x_d"], rel=rel)
 
 
+def test_bounds_bright_coherent_below_its_cutoff_names_the_cutoff(capsys):
+    # the Poisson tail of mean 800 at cutoff 10 is 1, not an underflowed 0
+    argv = ("bounds", "--state", "coherent", "--n0", "1600", "--cutoff", "10")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "keeps Poisson tail 1.000e+00 > budget 1.000e-10; cutoff >= 986 required" in err
+
+
 @pytest.mark.parametrize("state, cutoff", [("single-photon", 3), ("noon", 4), ("fock-pair", 2)])
 def test_bounds_cutoff_enlarges_a_quantum_state_without_moving_its_bounds(capsys, state, cutoff):
     point = ("bounds", "--state", state, "--xd", "0.05", "--xs", "0.3", "--delta", "0.4", "--json")

@@ -170,6 +170,25 @@ def test_poisson_tail_matches_complement():
     assert poisson_tail(0.0, 0) == 0.0
 
 
+def test_poisson_tail_of_a_bright_mean_below_its_cutoff():
+    # the first tail term, p_11 at mean 800, underflows; the tail is all of the mass
+    assert poisson_tail(800.0, 10) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(TruncationError, match="cutoff >= 534 required"):
+        coherent_product_state(FockSpace(10, 10), 20.0, 20.0j)
+
+
+def test_bright_coherent_factor_keeps_its_weight():
+    # e^{-|amp|^2/2} underflows at |amp|^2 = 1600, yet the state is whole
+    budget = 1e-10
+    cutoff = min_cutoff_for_tail(1600.0, budget)
+    state = coherent_product_state(FockSpace(cutoff, 0), 40.0j, 0.0, truncation_budget=budget)
+    assert 1.0 - budget <= state.trace() <= 1.0
+    factor, n = state.factors[0], np.arange(cutoff + 1)
+    assert np.diag(factor).real @ n == pytest.approx(1600.0, rel=1e-9)
+    # adjacent levels keep the amplitude's phase: v_{n+1}/v_n = amp/sqrt(n+1)
+    assert factor[1601, 1600] / factor[1600, 1600] == pytest.approx(40.0j / math.sqrt(1601))
+
+
 def test_min_cutoff_for_tail_is_tight():
     mean, budget = 1.0, 1e-10
     c = min_cutoff_for_tail(mean, budget)

@@ -109,3 +109,27 @@ def test_every_import_is_read():
         for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert stale == []
+
+
+def _package_imports(tree: ast.Module) -> set:
+    """The package modules a module imports from, relatively or by name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("chiral_qfim").lstrip(".")
+            if node.level or module != node.module:
+                found.update([module.split(".")[0]] if module else [a.name for a in node.names])
+    return found
+
+
+def test_the_two_routes_import_only_their_own_layers():
+    """The closed forms and the numeric pipeline check each other, so
+    neither imports the other, nor the layers built on both."""
+    package = pathlib.Path(chiral_qfim.__file__).parent
+    forbidden = {
+        "analytic": {"estimation", "experiments", "checks", "cli"},
+        "estimation": {"analytic", "experiments", "checks", "cli"},
+    }
+    for module, banned in forbidden.items():
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        assert _package_imports(tree) & banned == set(), module
