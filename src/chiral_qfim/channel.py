@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import FockSpace, TwoModeState
-from .linalg import hermiticity_defect
+from .linalg import hermiticity_defect, real_if_exact
 
 COORDS_ALPHA_PHI = "alpha_phi"
 COORDS_CHIRAL = "chiral"
@@ -211,20 +212,51 @@ def phase_stage(rho: np.ndarray, space: FockSpace, params: ChiralParams) -> np.n
     return rho * (u[:, None] * u.conj())
 
 
+def _largest_table_cutoff() -> int:
+    """The largest cutoff whose loss binomials all fit in a float64.
+
+    The largest of them, C(cutoff, ⌊cutoff/2⌋) < 2^cutoff, grows with the
+    cutoff and fits while the cutoff is at most float64's largest binary
+    exponent, so the search steps up from there to the first that overflows.
+    """
+    cutoff = sys.float_info.max_exp
+    while True:
+        try:
+            float(math.comb(cutoff + 1, (cutoff + 1) // 2))
+        except OverflowError:
+            return cutoff
+        cutoff += 1
+
+
+MAX_LOSS_CUTOFF = _largest_table_cutoff()
+
+
+def require_loss_cutoff(cutoff: int) -> None:
+    """Refuse, before any table is built, a cutoff past ``MAX_LOSS_CUTOFF``."""
+    if cutoff > MAX_LOSS_CUTOFF:
+        raise OverflowError(
+            f"cutoff {cutoff} exceeds {MAX_LOSS_CUTOFF}, the largest whose loss"
+            " binomials fit in a float64"
+        )
+
+
 @functools.lru_cache(maxsize=64)
 def _root_binomials(cutoff: int) -> tuple:
-    """α-independent, read-only (cutoff+1)² tables, cached per cutoff.
+    """α-independent, read-only tables, cached per cutoff.
 
     ``root[k, m] = √C(m+k, k)`` for m+k ≤ cutoff and 0 beyond, where the
     k-photon-loss Kraus operator has no entry; each binomial is exact
-    before its one rounding, so it holds past int64 (cutoff ≥ 67).
-    ``rows``, ``cols`` index the upper triangle T[m, m+k].
+    before its one rounding, so it holds past int64 (cutoff ≥ 67), up to
+    ``MAX_LOSS_CUTOFF``.  ``rows``, ``cols`` index the upper triangle
+    T[m, m+k].  ``k`` = 0..cutoff, ``half_k`` = k/2 and ``k_minus_one`` =
+    max(k − 1, 0) are the exponents of the loss tables.
     """
+    require_loss_cutoff(cutoff)
     m = np.arange(cutoff + 1)
     root = np.sqrt(
         [[float(math.comb(i + k, k)) if i + k <= cutoff else 0.0 for i in m] for k in m]
     )
-    tables = (root, *np.triu_indices(cutoff + 1))
+    tables = (root, *np.triu_indices(cutoff + 1), m, m / 2, np.maximum(m - 1, 0))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -245,10 +277,10 @@ def _loss_tables(cutoff: int, alpha) -> tuple:
     """
     alpha = np.asarray(alpha, dtype=float)
     eta = 1.0 - alpha[..., None]
-    k = np.arange(cutoff + 1)
-    g = _root_binomials(cutoff)[0] * eta[..., None, :] ** (k / 2)
+    root, _, _, k, half_k, k_minus_one = _root_binomials(cutoff)
+    g = root * eta[..., None, :] ** half_k
     c = alpha[..., None, None] ** k[:, None]
-    dc = k[:, None] * alpha[..., None, None] ** np.maximum(k - 1, 0)[:, None]
+    dc = k[:, None] * alpha[..., None, None] ** k_minus_one[:, None]
     return c * g, dc * g, g, k / (2.0 * eta)
 
 
@@ -308,8 +340,7 @@ def mode_output_and_alpha_derivative(rho: np.ndarray, alpha) -> tuple[np.ndarray
     value or an array whose shape leads both results, its first axis over
     a stack's matrices.  Storage stays real when ``rho`` is.
     """
-    if not rho.imag.any():
-        rho = rho.real
+    rho = real_if_exact(rho)
     alpha = np.asarray(alpha, dtype=float)
     d = rho.shape[-1]
     rho = rho.reshape(-1, 1, d, d)
@@ -328,12 +359,11 @@ def grid_output_and_alpha_derivatives(state: TwoModeState, alpha_plus, alpha_min
     output's.  The outputs are unchecked, and the derivatives are
     traceless Hermitian matrices, not states.
     """
-    space, rho = state.space, state.rho
+    space = state.space
     # one input that every point shares, in real storage when exactly real:
     # loss weights are real, so the whole damping stage then runs in real
     # arithmetic (about twice as fast)
-    if not rho.imag.any():
-        rho = rho.real
+    rho = real_if_exact(state.rho)
     dp, dm = space.cutoff_plus + 1, space.cutoff_minus + 1
     tables_plus = _loss_tables(space.cutoff_plus, alpha_plus)
     tables_minus = _loss_tables(space.cutoff_minus, alpha_minus)
@@ -353,7 +383,7 @@ def mode_population_transfer(cutoff: int, alpha) -> tuple[np.ndarray, np.ndarray
     array of ``alpha`` values leads both results with its shape.
     """
     weighted, d_weighted, g, h = _loss_tables(cutoff, alpha)
-    _, rows, cols = _root_binomials(cutoff)
+    _, rows, cols = _root_binomials(cutoff)[:3]
     k = cols - rows
     transfer = np.zeros((*g.shape[:-2], cutoff + 1, cutoff + 1))
     d_transfer = np.zeros_like(transfer)

@@ -21,7 +21,17 @@ fixes (``channel.output_blocks``), with the blocks' QFIMs summed.  Both
 solve at zero phase, from the phase-free loss engine: the phase stage
 e^{−i(φ₊n₊ + φ₋n₋)} is a unitary that commutes with n₊ and n₋, so it
 leaves the QFIM unchanged.  Only ``channel_derivatives``, which returns an
-output at its phase, applies ``channel.phase_stage``.
+output at its phase, applies ``channel.phase_stage``.  One eigensolve of
+the stacked [F; D F D] both checks each QFIM PSD, on F's own scale, and
+inverts it (``_inverted``, which ``invert_and_bound`` shares).
+
+What depends only on the state, the labels or the cutoff is built once and
+kept read-only: per state, a product's padded mode stack
+(``TwoModeState.mode_stack``); per label tuple, the native-to-label
+pullback (``_native_pullback``) and per (labels, coupling code) pair the
+parameter groups (``_coupled_groups``); per cutoff, the loss binomials and
+their exponent arrays (``channel._root_binomials``).  Results are never
+cached: each call solves its own points.
 
 Parameter labels are either the native channel coordinates
 ("alpha_plus", "alpha_minus", "phi_plus", "phi_minus") or the chiral
@@ -31,6 +41,7 @@ natively and the chiral labels formed as constant linear combinations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -48,7 +59,14 @@ from .channel import (
     phase_stage,
 )
 from .fock import TwoModeState, require_trace_window
-from .linalg import as_complex_matrix, hermitian_eigen, hermiticity_defect, require_hermitian
+from .linalg import (
+    adjoint,
+    as_complex_matrix,
+    hermitian_eigen,
+    hermiticity_defect,
+    real_if_exact,
+    require_hermitian,
+)
 
 SUPPORT_RCOND = 1e-10
 SLD_RESIDUAL_TOL = 1e-8
@@ -271,34 +289,28 @@ def _detect_blocks(params: tuple, f: np.ndarray) -> list:
 
     i and j are coupled when |F_ij| or |F_ji| > RCOND·sqrt(F_ii F_jj), a
     unit-free test made as one stacked comparison.  Each point's coupling
-    pattern is coded as one integer, and each distinct code (a sweep has
-    few) is resolved into groups once.
+    pattern is coded as one integer, and each distinct (labels, code) pair
+    is resolved into groups once per process.
     """
     n = len(params)
     root = np.sqrt(np.maximum(np.diagonal(f, axis1=1, axis2=2), 0.0))
     adj = np.abs(f) > RCOND * root[:, :, None] * root[:, None, :]
     codes = (adj.reshape(len(f), n * n) @ _BITS[: n * n]).tolist()
-    groups = {}
-    for code in set(codes):
-        group = list(range(n))
-        for i, j in itertools.combinations(range(n), 2):
-            if (code >> (i * n + j) | code >> (j * n + i)) & 1 and group[i] != group[j]:
-                group = [group[i] if g == group[j] else g for g in group]
-        groups[code] = tuple(
-            tuple(p for p, g in zip(params, group) if g == label) for label in dict.fromkeys(group)
-        )
+    groups = {code: _coupled_groups(params, code) for code in set(codes)}
     return [groups[code] for code in codes]
 
 
-def _checked_qfim(f: np.ndarray) -> np.ndarray:
-    """The real symmetric part of the (B, n, n) stack ``f``, checked PSD at each point."""
-    f = np.real((f + np.swapaxes(f, 1, 2)) / 2.0)
-    scale = np.maximum(1.0, np.abs(f).max(axis=(1, 2)))
-    w_min = np.linalg.eigvalsh(f)[:, 0]
-    negative = w_min < -QFIM_PSD_TOL * scale
-    if negative.any():
-        raise NumericError(f"QFIM has negative eigenvalue {w_min[np.argmax(negative)]:.3e}")
-    return f
+@functools.lru_cache(maxsize=256)
+def _coupled_groups(params: tuple, code: int) -> tuple:
+    """The groups of ``params`` that the coupling code of ``_detect_blocks`` joins."""
+    n = len(params)
+    group = list(range(n))
+    for i, j in itertools.combinations(range(n), 2):
+        if (code >> (i * n + j) | code >> (j * n + i)) & 1 and group[i] != group[j]:
+            group = [group[i] if g == group[j] else g for g in group]
+    return tuple(
+        tuple(p for p, g in zip(params, group) if g == label) for label in dict.fromkeys(group)
+    )
 
 
 def _eigenbasis_qfim(
@@ -314,7 +326,7 @@ def _eigenbasis_qfim(
     With a ``pullback`` B, the QFIM is that of the labels
     ∂ρ̃_y = Σ_x B[x, y] ∂ρ̃_x, combined after the rotation.
     """
-    lam, v = np.linalg.eigh(rho.real if not rho.imag.any() else rho)
+    lam, v = np.linalg.eigh(real_if_exact(rho))
     threshold = _support_threshold(lam, allow_empty)
     # Every kept pair (λ_j + λ_k > threshold) has an index with λ > threshold/2,
     # among the last s of the ascending λ, so rotating ∂ρ onto those rows alone
@@ -340,20 +352,20 @@ def _rotated_qfim(lam, v, threshold, mats, s: int, pullback) -> np.ndarray:
     keep = pair_sums > threshold[:, :, None]
     weight = np.where(keep, 2.0 / np.where(keep, pair_sums, 1.0), 0.0)
     weight[:, :, : lam.shape[1] - s] *= 2.0
-    real_basis = not np.iscomplexobj(v)
-    v_s = np.swapaxes(v[:, :, -s:], 1, 2).conj()
-    rows = np.stack(
-        [v_s @ (m.real if real_basis and not m.imag.any() else m) @ v for m in mats], axis=1
-    )
+    real_basis = v.dtype.kind != "c"
+    v_s = adjoint(v[:, :, -s:])
+    rows = np.stack([v_s @ (real_if_exact(m) if real_basis else m) @ v for m in mats], axis=1)
     if pullback is not None:
         rows = np.einsum("xy,bxjk->byjk", pullback, rows)
     rows = rows.reshape(*rows.shape[:2], -1)
     weighted = weight.reshape(len(weight), 1, -1) * rows
-    return (weighted @ np.swapaxes(rows, 1, 2).conj()).real
+    return (weighted @ adjoint(rows)).real
 
 
+@functools.lru_cache(maxsize=64)
 def _native_pullback(param_labels: tuple) -> np.ndarray:
-    """B with ∂ρ/∂label_j = Σ_i B[i, j] ∂ρ/∂native_i, rows in ALPHA_PHI_NAMES order."""
+    """B with ∂ρ/∂label_j = Σ_i B[i, j] ∂ρ/∂native_i, rows in ALPHA_PHI_NAMES
+    order; read-only, and cached per label tuple."""
     b = np.zeros((len(ALPHA_PHI_NAMES), len(param_labels)))
     for j, p in enumerate(param_labels):
         if p in ALPHA_PHI_NAMES:
@@ -365,6 +377,7 @@ def _native_pullback(param_labels: tuple) -> np.ndarray:
             raise ValueError(
                 f"unknown parameter {p!r}; expected one of {ALL_PARAM_NAMES}"
             )
+    b.flags.writeable = False
     return b
 
 
@@ -412,16 +425,15 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     (α₊, φ₊) block, solved on ρ₊' alone and scaled by tr ρ₋', and the
     mirror (α₋, φ₋) block; the cross blocks are tr ∂ρ₊' · tr ∂ρ₋' = 0.
     Each block is solved at φ = 0.  The modes form one (2B, d, d) stack at
-    their common cutoff, the smaller padded with zero levels, which loss
-    keeps empty.  The output stack is checked once, finite and Hermitian,
-    and the product of the modes' output traces must lie in the window.
+    their common cutoff, from the state's ``mode_stack``, where the smaller
+    is padded with zero levels, which loss keeps empty.  The output stack
+    is checked once, finite and Hermitian, and the product of the modes'
+    output traces must lie in the window.
     The requested labels follow through the constant native-to-label
     pullback, the same combinations ``channel_derivatives`` forms.
     """
-    d = max(len(factor) for factor in input_state.factors)
-    stack = np.zeros((2, d, d), dtype=complex)
-    for padded, factor in zip(stack, input_state.factors):
-        padded[: len(factor), : len(factor)] = factor
+    stack = input_state.mode_stack
+    d = stack.shape[-1]
     output, d_alpha = mode_output_and_alpha_derivative(stack, [grid.alpha_plus, grid.alpha_minus])
     output, d_alpha = output.reshape(-1, d, d), d_alpha.reshape(-1, d, d)
     # ∂ρ/∂φ of the unsymmetrized output: an unpadded mode then gets the
@@ -440,13 +452,23 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
 
 
 def _inverted(params: tuple, f: np.ndarray, blocks: list, meta: dict) -> GridBounds:
-    """The checked (B, n, n) QFIM stack ``f`` inverted at each point, as
-    ``invert_and_bound`` describes, in one stacked pass."""
+    """The symmetric (B, n, n) QFIM stack ``f`` checked PSD and inverted at
+    each point, as ``invert_and_bound`` describes, in one stacked pass.
+
+    One eigensolve of the (2B, n, n) stack [F; D F D] serves both: F's own
+    spectrum is the PSD check, on F's own scale, and D F D's the inversion.
+    """
     diag = np.diagonal(f, axis1=1, axis2=2)
     positive = diag > 0.0
     d = np.where(positive, np.where(positive, diag, 1.0) ** -0.5, 0.0)
     scale = d[:, :, None] * d[:, None, :]
-    w, v = np.linalg.eigh(f * scale)
+    w, v = np.linalg.eigh(np.concatenate((f, f * scale)))
+    w_min, w, v = w[: len(f), 0], w[len(f) :], v[len(f) :]
+    # the tolerance is at least QFIM_PSD_TOL, so max|F| is read only past it
+    if (w_min < -QFIM_PSD_TOL).any():
+        negative = w_min < -QFIM_PSD_TOL * np.maximum(1.0, np.abs(f).max(axis=(1, 2)))
+        if negative.any():
+            raise NumericError(f"QFIM has negative eigenvalue {w_min[np.argmax(negative)]:.3e}")
     w_max = w[:, -1]
     kept = w > RCOND * w_max[:, None]
     inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
@@ -467,6 +489,8 @@ def invert_and_bound(qfim: QfimResult) -> QfimResult:
     like the bounds it does not depend on the parameters' units; then
     F⁻¹ = D C⁺ D.  Bounds are δX_j = sqrt((F⁻¹)_jj); parameters
     overlapping the kernel of C are flagged unidentifiable, without bound.
+    F must be PSD: an eigenvalue below −QFIM_PSD_TOL·max(1, max|F|) raises
+    NumericError, read from the same eigensolve as the inversion.
     """
     return _inverted(qfim.params, qfim.F[None], [qfim.blocks], qfim.meta)[0]
 
@@ -494,7 +518,7 @@ def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels
         f, route = _product_qfim(input_state, grid, pullback), "per_mode"
     else:
         f, route = _block_qfim(input_state, grid, pullback), "eigenbasis"
-    f = _checked_qfim(f)
+    f = (f + np.swapaxes(f, 1, 2)) / 2.0  # exactly symmetric
     meta = {"route": route, "state_label": input_state.label}
     return _inverted(labels, f, _detect_blocks(labels, f), meta)
 

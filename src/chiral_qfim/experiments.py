@@ -44,6 +44,7 @@ from .channel import (
     DomainError,
     ParamGrid,
     mode_population_transfer,
+    require_loss_cutoff,
 )
 from .estimation import NumericError, compute_bounds_grid
 from .fock import (
@@ -242,7 +243,8 @@ def prepare_input_state(
     both modes, and take no ``budget``.  Coherent inputs get the smallest
     space whose per-mode Poisson tail meets ``budget`` (default
     ``TRUNCATION_BUDGET_DEFAULT``), or ``cutoff`` in both modes, which must
-    meet the same budget.
+    meet the same budget; a coherent cutoff past ``MAX_LOSS_CUTOFF`` is
+    refused before the state is built.
     """
     if kind.kind != COHERENT:
         if budget is not None:
@@ -259,6 +261,8 @@ def prepare_input_state(
         space, tail = default_coherent_space(amp_p, amp_m, budget=tail)
     else:
         space = FockSpace(cutoff, cutoff)
+    # refused before the factors, (cutoff + 1)² each, are formed
+    require_loss_cutoff(max(space.cutoff_plus, space.cutoff_minus))
     return coherent_product_state(space, amp_p, amp_m, truncation_budget=tail)
 
 

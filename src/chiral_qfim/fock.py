@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import require_hermitian
+from .linalg import real_if_exact, require_hermitian
 
 TRUNCATION_BUDGET_DEFAULT = 1e-10
 PSD_TOL = 1e-10
@@ -58,7 +58,9 @@ def require_trace_window(tr, budget: float) -> None:
     """
     tr = np.asarray(tr)
     lo = 1.0 - budget - 1e-12
-    bad = (np.abs(tr.imag) > 1e-12) | ~((lo <= tr.real) & (tr.real <= 1.0 + 1e-12))
+    bad = ~((lo <= tr.real) & (tr.real <= 1.0 + 1e-12))
+    if tr.dtype.kind == "c":
+        bad |= np.abs(tr.imag) > 1e-12
     if not bad.any():
         return
     tr = tr.flat[np.argmax(bad)]
@@ -149,11 +151,13 @@ class TwoModeState:
     A state holds its density matrix ``rho`` or, for a product ρ₊ ⊗ ρ₋,
     only its single-mode ``factors`` (ρ₊, ρ₋); only the product
     constructors of this module pass them.  Reading ``rho`` on a product
-    forms ρ₊ ⊗ ρ₋ once, for the dense route.  ``trace_deficit_budget``
-    bounds how far below 1 the trace may sit due to truncation.  Shape,
-    finiteness and Hermiticity of ρ or of each factor, and the trace
-    window, are checked at construction; positivity only by
-    ``validate_psd``, since the constructors here build PSD ψψ† matrices.
+    forms ρ₊ ⊗ ρ₋ once, for the dense route, and reading ``mode_stack``
+    forms the factors' padded stack once, for the per-mode route.
+    ``trace_deficit_budget`` bounds how far below 1 the trace may sit due
+    to truncation.  Shape, finiteness and Hermiticity of ρ or of each
+    factor, and the trace window, are checked at construction; positivity
+    only by ``validate_psd``, since the constructors here build PSD ψψ†
+    matrices.
     """
 
     space: FockSpace
@@ -195,6 +199,19 @@ class TwoModeState:
         """ρ₊ ⊗ ρ₋ of a product state, formed on first read."""
         return np.kron(*self.factors)
 
+    @functools.cached_property
+    def mode_stack(self) -> np.ndarray:
+        """A product's factors as one read-only (2, d, d) stack at their
+        common size d, the smaller padded with zero levels; real when both
+        factors are exactly real."""
+        factors = [real_if_exact(factor) for factor in self.factors]
+        d = max(len(factor) for factor in factors)
+        stack = np.zeros((2, d, d), dtype=np.result_type(*factors))
+        for padded, factor in zip(stack, factors):
+            padded[: len(factor), : len(factor)] = factor
+        stack.flags.writeable = False
+        return stack
+
     def _complex_trace(self) -> complex:
         if self.factors is None:
             return np.trace(self.rho)
@@ -230,45 +247,61 @@ def _checked(matrix, dim: int) -> np.ndarray:
     return require_hermitian(matrix, tol=1e-12)
 
 
-def poisson_tail(mean: float, cutoff: int) -> float:
-    """P(N > cutoff) for N ~ Poisson(mean), summed directly for accuracy.
-
-    Each term is formed in log space, so a bright mean whose first terms
-    underflow keeps its tail; the sum runs past the mean, to the first term
-    below 1e-18 of it.
+def _tail_sum(mean: float, cutoff: int, terms: dict) -> float:
+    """P(N > cutoff) for N ~ Poisson(0 < mean < ∞): the terms from k =
+    cutoff + 1 on, added in increasing k, through the first past the mean
+    below 1e-18 of the sum.  Each term P(N = k) is formed in log space, so a
+    bright mean whose first terms underflow keeps its tail, and is kept in
+    ``terms`` for the next sum over the same mean.
     """
-    if mean < 0:
-        raise ValueError(f"mean must be nonnegative, got {mean}")
-    if not 0.0 < mean < math.inf:
-        return 0.0  # no photons, or a non-finite mean that the state's checks reject
     log_mean, total, k = math.log(mean), 0.0, cutoff + 1
     while True:
-        term = math.exp(-mean + k * log_mean - math.lgamma(k + 1))
+        term = terms.get(k)
+        if term is None:
+            term = terms[k] = math.exp(-mean + k * log_mean - math.lgamma(k + 1))
         total += term
         if k > mean and term <= total * 1e-18:
             return total
         k += 1
 
 
-def min_cutoff_for_tail(mean: float, budget: float) -> int:
-    """Smallest cutoff whose ``poisson_tail`` is within ``budget``, in one pass.
+def poisson_tail(mean: float, cutoff: int) -> float:
+    """P(N > cutoff) for N ~ Poisson(mean), summed directly for accuracy."""
+    if mean < 0:
+        raise ValueError(f"mean must be nonnegative, got {mean}")
+    if not 0.0 < mean < math.inf:
+        return 0.0  # no photons, or a non-finite mean that the state's checks reject
+    return _tail_sum(mean, cutoff, {})
 
-    The Poisson terms are formed once, up to the first past the mean below
-    budget·1e-18; each tail is a suffix sum of them, never 1 − head.
+
+def min_cutoff_for_tail(mean: float, budget: float) -> int:
+    """Smallest cutoff c whose ``poisson_tail`` is within ``budget``.
+
+    The search compares the very sums ``poisson_tail`` forms, over one set
+    of terms: steps up from the mean, then bisection, keep P(N > lo) >
+    budget >= P(N > hi) until hi = lo + 1, so the cutoff returned has
+    poisson_tail(c) <= budget < poisson_tail(c − 1).
     """
     if mean < 0:
         raise ValueError(f"mean must be nonnegative, got {mean}")
     if mean == 0.0:
         return 0
-    log_mean, terms = math.log(mean), []
-    while len(terms) <= mean or terms[-1] > budget * 1e-18:
-        k = len(terms)
-        if k > 10_001:
+    if not mean < math.inf:
+        raise TruncationError(f"no practical cutoff reaches tail budget {budget}")
+    terms = {}
+    # P(N > lo) > budget, with P(N > -1) = 1, and P(N > hi) <= budget once found
+    lo, hi, step = -1, int(mean), 1 + int(math.sqrt(mean))
+    while _tail_sum(mean, hi, terms) > budget:
+        if hi > 10_000:
             raise TruncationError(f"no practical cutoff reaches tail budget {budget}")
-        terms.append(math.exp(-mean + k * log_mean - math.lgamma(k + 1)))
-    # tails[c] = P(N > c), the sum of terms c+1 onward
-    tails = np.cumsum(terms[:0:-1])[::-1]
-    return int(np.argmax(tails <= budget))
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _tail_sum(mean, mid, terms) > budget:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def hv_to_pm_amplitudes(amp_h: complex, amp_v: complex) -> tuple[complex, complex]:

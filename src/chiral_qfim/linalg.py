@@ -76,9 +76,21 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
+def real_if_exact(a: np.ndarray) -> np.ndarray:
+    """``a`` in real storage when its imaginary part is exactly zero; a real
+    array is returned as it is, with no pass over its entries."""
+    return a.real if a.dtype.kind == "c" and not a.imag.any() else a
+
+
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """A† over the last two axes, as a view when ``a`` is real."""
+    a_t = np.swapaxes(a, -1, -2)
+    return a_t.conj() if a.dtype.kind == "c" else a_t
+
+
 def hermiticity_defect(a: np.ndarray):
     """max |A - A†| over the last two axes: a float for one matrix, an array for a stack."""
-    defect = np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), axis=(-2, -1))
+    defect = np.max(np.abs(a - adjoint(a)), axis=(-2, -1))
     return float(defect) if defect.ndim == 0 else defect
 
 
@@ -87,17 +99,19 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
 
     ``a`` is one matrix or a stack of them along leading axes; each must be
     finite and Hermitian within ``tol * max(1, max|A|)`` of its own entries,
-    and the first that is not raises.  Real input stays real.
+    and the first that is not raises.  Real input stays real.  Finiteness
+    is read from max|A|, which is NaN or ∞ exactly when an entry is.
     """
     a = np.asarray(a)
     if a.dtype != np.float64:
-        a = a.astype(np.complex128)
+        a = a.astype(np.complex128, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise DimensionMismatchError(f"expected a square matrix, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains NaN or Inf entries")
     scale = np.max(np.abs(a), axis=(-2, -1))
-    defect = np.asarray(hermiticity_defect(a))
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    a_h = adjoint(a)
+    defect = np.max(np.abs(a - a_h), axis=(-2, -1))
     bad = defect > tol * np.maximum(1.0, scale)
     if bad.any():
         first = np.unravel_index(np.argmax(bad), bad.shape)
@@ -105,7 +119,7 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
             f"matrix is not Hermitian: max|A - A†| = {defect[first]:.3e}"
             f" exceeds {tol:.1e} * max(1, {scale[first]:.3e})"
         )
-    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+    return 0.5 * (a + a_h)
 
 
 @dataclass(frozen=True)
@@ -145,7 +159,7 @@ def hermitian_eigen(a, backend: str = "lapack") -> EigenDecomposition:
     if backend == "lapack":
         # a real symmetric matrix solves ~4x faster and yields real
         # eigenvectors, which downstream products inherit
-        w, v = np.linalg.eigh(h.real if not h.imag.any() else h)
+        w, v = np.linalg.eigh(real_if_exact(h))
     elif backend == "jacobi":
         w, v = _jacobi_eigh(h)
     else:

@@ -426,6 +426,27 @@ def test_loss_weight_cache_holds_only_small_tables():
     assert sum(table.nbytes for table in cached) < 1_000_000
 
 
+def test_loss_tables_refuse_a_cutoff_past_float64_before_building(monkeypatch):
+    # the largest binomial of a cutoff's tables is C(cutoff, cutoff // 2)
+    limit = channel.MAX_LOSS_CUTOFF
+    assert math.isfinite(float(math.comb(limit, limit // 2)))
+    with pytest.raises(OverflowError):
+        float(math.comb(limit + 1, (limit + 1) // 2))
+    assert limit == 1029  # IEEE double
+    combs, comb = [], math.comb
+    monkeypatch.setattr(math, "comb", lambda *args: combs.append(args) or comb(*args))
+    with pytest.raises(OverflowError, match=f"cutoff {limit + 1} exceeds {limit}"):
+        channel._loss_tables(limit + 1, 0.3)
+    assert combs == []
+    monkeypatch.undo()
+    # below the limit each entry is still √C(m+k, k), rounded once
+    root, rows, cols, k, half_k, k_minus_one = channel._root_binomials(80)
+    exact = [[math.comb(i + j, j) if i + j <= 80 else 0 for i in range(81)] for j in range(81)]
+    assert np.array_equal(root, np.sqrt(np.array(exact, dtype=float)))
+    assert np.array_equal(k, np.arange(81)) and np.array_equal(half_k, np.arange(81) / 2)
+    assert np.array_equal(k_minus_one, np.maximum(np.arange(81) - 1, 0))
+
+
 def test_dense_route_makes_no_cutoff_fold_copy():
     space = FockSpace(24, 24)
     product = coherent_product_state(space, 1.5, 0.8 + 0.3j, truncation_budget=1e-6)

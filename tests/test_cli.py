@@ -6,9 +6,9 @@ import math
 
 import pytest
 
-from chiral_qfim import checks
+from chiral_qfim import checks, experiments
 from chiral_qfim.analytic import coherent_bounds
-from chiral_qfim.channel import ChiralParams
+from chiral_qfim.channel import MAX_LOSS_CUTOFF, ChiralParams
 from chiral_qfim.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -184,6 +184,18 @@ def test_bounds_bright_coherent_below_its_cutoff_names_the_cutoff(capsys):
     assert code == EXIT_INVALID
     assert out == ""
     assert "keeps Poisson tail 1.000e+00 > budget 1.000e-10; cutoff >= 986 required" in err
+
+
+def test_bounds_refuses_a_cutoff_past_the_loss_tables_at_once(capsys, monkeypatch):
+    # n0 = 3000 needs cutoff 1753 per mode, past the largest whose loss
+    # binomials fit in a float64: refused before the state is built
+    built = []
+    monkeypatch.setattr(experiments, "coherent_product_state", lambda *args, **kw: built.append(1))
+    argv = ("bounds", "--state", "coherent", "--n0", "3000", "--json")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_NUMERIC
+    assert out == "" and built == []
+    assert f"cutoff 1753 exceeds {MAX_LOSS_CUTOFF}, the largest" in err
 
 
 @pytest.mark.parametrize("state, cutoff", [("single-photon", 3), ("noon", 4), ("fock-pair", 2)])

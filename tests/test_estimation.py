@@ -347,6 +347,20 @@ def test_covariance_of_a_fully_singular_result_is_none():
 NOON_LABELS = ("x_d", "x_s", "delta")
 
 
+def test_invert_and_bound_refuses_a_qfim_that_is_not_psd():
+    labels = ("x_d", "x_s")
+    with pytest.raises(NumericError, match="QFIM has negative eigenvalue -1.000e-03"):
+        invert_and_bound(QfimResult(params=labels, F=np.diag([1.0, -1e-3]), blocks=()))
+    # the tolerance is QFIM_PSD_TOL·max(1, max|F|), on F's own scale: a
+    # diagonal entry of F that is no more negative than that is kept, and
+    # leaves its parameter unidentifiable
+    scale = 1e6
+    kept = -0.5 * estimation.QFIM_PSD_TOL * scale
+    result = invert_and_bound(QfimResult(params=labels, F=np.diag([scale, kept]), blocks=()))
+    assert result.identifiable == {"x_d": True, "x_s": False}
+    assert result.bound("x_d") == pytest.approx(1e-3, rel=1e-15)
+
+
 def noon_delta_closed_form(params: ChiralParams) -> float:
     eta_p, eta_m = params.eta_plus, params.eta_minus
     return math.sqrt((eta_p**2 + eta_m**2) / (8.0 * eta_p**2 * eta_m**2))
@@ -551,7 +565,7 @@ def coherent_pm(amp_plus: complex, amp_minus: complex):
 
 
 def per_mode_kernel_qfim(state, points, labels):
-    """The labels' checked QFIM stack from one kernel pass and one unpadded
+    """The labels' symmetric QFIM stack from one kernel pass and one unpadded
     eigensolve per mode, with ∂ρ/∂φ formed as a matrix from the kernel's
     output before its Hermitian part is taken."""
     blocks, traces = [], []
@@ -566,7 +580,8 @@ def per_mode_kernel_qfim(state, points, labels):
     native[:, 0::2, 0::2] = blocks[0] * traces[1]
     native[:, 1::2, 1::2] = blocks[1] * traces[0]
     pullback = estimation._native_pullback(labels)
-    return estimation._checked_qfim(pullback.T @ native @ pullback)
+    f = pullback.T @ native @ pullback
+    return (f + np.swapaxes(f, 1, 2)) / 2.0
 
 
 STACK_POINTS = [PARAMS_REF, ChiralParams(0.0, 0.35, 0.2, -0.4), ChiralParams(0.6, 0.1)]
@@ -621,26 +636,83 @@ def test_stacked_route_is_bit_identical_to_per_mode_kernel_on_equal_cutoffs(n0):
         assert result.bounds == reference.bounds
 
 
+def _record_eigensolves(monkeypatch) -> list:
+    """(name, shape) of each ``np.linalg.eigh`` and ``eigvalsh`` call."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
 def test_a_product_grid_takes_one_table_pass_and_one_mode_eigensolve(monkeypatch):
     state = coherent_pm(1.5, 0.3)
     assert state.space == FockSpace(17, 6)
-    passes, shapes = [], []
-    tables, eigh = channel._loss_tables, np.linalg.eigh
+    passes = []
+    tables = channel._loss_tables
 
     def counting_tables(cutoff, alpha):
         passes.append((cutoff, np.shape(alpha)))
         return tables(cutoff, alpha)
 
-    def recording_eigh(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
     monkeypatch.setattr(channel, "_loss_tables", counting_tables)
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    calls = _record_eigensolves(monkeypatch)
     compute_bounds_grid(state, ParamGrid(STACK_POINTS), CHIRAL_NAMES)
-    # both modes at the common cutoff 17, then the equilibrated QFIMs
-    assert passes == [(17, (2, len(STACK_POINTS)))]
-    assert shapes == [(2 * len(STACK_POINTS), 18, 18), (len(STACK_POINTS), 4, 4)]
+    # both modes at the common cutoff 17, then each QFIM with its
+    # equilibrated form, for the PSD check and the inversion at once
+    b = len(STACK_POINTS)
+    assert passes == [(17, (2, b))]
+    assert calls == [("eigh", (2 * b, 18, 18)), ("eigh", (2 * b, 4, 4))]
+
+
+def test_one_point_makes_two_eigensolves_and_rebuilds_no_invariant(monkeypatch):
+    state = coherent_pm(*hv_to_pm_amplitudes(2.0, 0.0))
+    caches = (estimation._native_pullback, estimation._coupled_groups, channel._root_binomials)
+    stacks, solve = [], estimation.mode_output_and_alpha_derivative
+
+    def recording_solve(rho, alpha):
+        stacks.append(rho)
+        return solve(rho, alpha)
+
+    monkeypatch.setattr(estimation, "mode_output_and_alpha_derivative", recording_solve)
+    calls = _record_eigensolves(monkeypatch)
+    first = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
+    # the mode stack, then the QFIM with its equilibrated form: no eigvalsh
+    assert [name for name, _ in calls] == ["eigh", "eigh"]
+    misses = [cache.cache_info().misses for cache in caches]
+    second = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
+    # the pullback, the block grouping and the loss tables come from their
+    # caches, and the mode stack is the one the first call formed
+    assert [cache.cache_info().misses for cache in caches] == misses
+    assert stacks[1] is stacks[0] is state.mode_stack
+    assert not state.mode_stack.flags.writeable and state.mode_stack.dtype == np.float64
+    assert not estimation._native_pullback(CHIRAL_NAMES).flags.writeable
+    assert np.array_equal(second.F_inverse, first.F_inverse) and second.bounds == first.bounds
+
+
+CHECK_1_POINTS = [
+    ChiralParams.from_chiral(float(x_d), float(x_s), 0.0, 0.0)
+    for x_s in np.linspace(0.05, 0.9, 10)
+    for x_d in np.linspace(0.0, min(0.2 * (1.0 - x_s), x_s), 10)
+]
+
+
+@pytest.mark.parametrize("n0", [1.0, 4.0, 9.0])
+def test_a_one_point_call_is_bit_identical_to_its_grid_row(n0):
+    # acceptance check 1's grid: the grid of one is the grid route, row for row
+    state = coherent_pm(*hv_to_pm_amplitudes(math.sqrt(n0), 0.0))
+    grid = compute_bounds_grid(state, ParamGrid(CHECK_1_POINTS), CHIRAL_NAMES)
+    for b, point in enumerate(CHECK_1_POINTS):
+        one, row = compute_bounds(state, point, CHIRAL_NAMES), grid[b]
+        assert np.array_equal(one.F, grid.F[b])
+        assert np.array_equal(one.F_inverse, grid.F_inverse[b])
+        assert one.bounds == row.bounds and one.covariances == row.covariances
+        assert one.identifiable == row.identifiable and one.blocks == row.blocks
 
 
 def _record_derivative_wrappers(monkeypatch):

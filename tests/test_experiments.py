@@ -17,7 +17,7 @@ from chiral_qfim.analytic import (
     noon_intensity_sensitivities,
     single_photon_catalog,
 )
-from chiral_qfim import channel, experiments
+from chiral_qfim import channel, estimation, experiments
 from chiral_qfim.channel import (
     CHIRAL_NAMES,
     COORDS_ALPHA_PHI,
@@ -822,6 +822,32 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
             continue
         # every other point's cells keep their bits through the bisection
         assert row == ref
+
+
+@pytest.mark.parametrize("kind", [NOON, COH1], ids=["dense", "per_mode"])
+def test_a_qfim_that_is_not_psd_flags_only_its_own_row(monkeypatch, kind):
+    spec = spec_for(kind, start=0.2, stop=0.6, points=5, fixed={"x_d": 0.03})
+    spec = replace(spec, methods=(QFIM_NUMERIC, QFIM_ANALYTIC))
+    clean = run_sweep(spec)
+    broken = point_at(spec, 2)
+    name = "_product_qfim" if kind == COH1 else "_block_qfim"
+    route = getattr(estimation, name)
+
+    def negated_at_one_point(state, grid, pullback):
+        f = route(state, grid, pullback)
+        f[grid.alpha_plus == broken.alpha_plus] *= -1.0
+        return f
+
+    monkeypatch.setattr(estimation, name, negated_at_one_point)
+    with pytest.raises(NumericError, match="QFIM has negative eigenvalue") as refused:
+        compute_bounds(prepare_input_state(kind), broken, experiments.default_param_labels(kind))
+    rows = run_sweep(spec)
+    failed = tuple(f for f in rows[2].status if ":failed:" in f)
+    assert failed == (f"{QFIM_NUMERIC}:failed:{refused.value}",)
+    for i, (row, ref) in enumerate(zip(rows, clean, strict=True)):
+        if i != 2:
+            # every other point's cells keep their bits through the bisection
+            assert row == ref
 
 
 def test_a_failing_point_costs_few_grid_calls(monkeypatch):

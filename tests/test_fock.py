@@ -202,6 +202,31 @@ def test_min_cutoff_for_tail_is_tight():
             assert c == 0 or poisson_tail(mean, c - 1) > budget
 
 
+def test_min_cutoff_for_tail_agrees_with_poisson_tail_at_ulp_budgets():
+    # budgets at a tail value and one ulp either side of it, where two
+    # summation orders used to disagree: the cutoff returned must be the
+    # one the tail itself accepts, and the state builder must take it
+    rng = np.random.default_rng(2026)
+    for amp in 10.0 ** rng.uniform(-1.5, 1.25, 150):
+        mean = abs(amp) ** 2  # as the state builder forms it
+        for c in rng.integers(0, int(mean + 8.0 * math.sqrt(mean)) + 10, 4).tolist():
+            tail = poisson_tail(mean, c)
+            for budget in (tail, math.nextafter(tail, 0.0), math.nextafter(tail, 1.0)):
+                if budget <= 0.0:
+                    continue
+                k = min_cutoff_for_tail(mean, budget)
+                assert poisson_tail(mean, k) <= budget
+                assert k == 0 or budget < poisson_tail(mean, k - 1)
+        coherent_product_state(FockSpace(k, 0), amp, 0.0, truncation_budget=budget)
+
+
+def test_coherent_cutoffs_of_the_presets_and_check_1_are_pinned():
+    # (n0 -> cutoff per mode) of H-polarized probes at the default budget
+    for n0, cutoff in ((1.0, 10), (2.0, 12), (4.0, 16), (9.0, 24), (60.0, 71)):
+        space, _ = default_coherent_space(*hv_to_pm_amplitudes(math.sqrt(n0), 0.0))
+        assert (space.cutoff_plus, space.cutoff_minus) == (cutoff, cutoff)
+
+
 def test_coherent_truncation_error_reports_required_cutoff():
     space = FockSpace(2, 2)
     with pytest.raises(TruncationError) as err:
