@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +150,10 @@ class ParamGrid:
         return len(self.alpha_plus)
 
     def __getitem__(self, index) -> "ParamGrid":
-        """The points at ``index``, a slice or a mask, as a grid."""
+        """The points at ``index``, a slice or a mask, as a grid; an int
+        gives the one-point grid at that index."""
+        if isinstance(index, (int, np.integer)):
+            index = [index]
         part = ParamGrid(())
         coords = (coord[index] for coord in self.values(COORDS_ALPHA_PHI))
         part.alpha_plus, part.alpha_minus, part.phi_plus, part.phi_minus = coords
@@ -212,23 +214,9 @@ def phase_stage(rho: np.ndarray, space: FockSpace, params: ChiralParams) -> np.n
     return rho * (u[:, None] * u.conj())
 
 
-def _largest_table_cutoff() -> int:
-    """The largest cutoff whose loss binomials all fit in a float64.
-
-    The largest of them, C(cutoff, ⌊cutoff/2⌋) < 2^cutoff, grows with the
-    cutoff and fits while the cutoff is at most float64's largest binary
-    exponent, so the search steps up from there to the first that overflows.
-    """
-    cutoff = sys.float_info.max_exp
-    while True:
-        try:
-            float(math.comb(cutoff + 1, (cutoff + 1) // 2))
-        except OverflowError:
-            return cutoff
-        cutoff += 1
-
-
-MAX_LOSS_CUTOFF = _largest_table_cutoff()
+# The largest cutoff whose loss binomials all fit in a float64: the largest
+# of them, C(cutoff, ⌊cutoff/2⌋), overflows first at cutoff 1030.
+MAX_LOSS_CUTOFF = 1029
 
 
 def require_loss_cutoff(cutoff: int) -> None:

@@ -15,9 +15,13 @@ keep the pairs that ``_support_threshold`` defines, the one support cut;
 ``compute_bounds_grid`` is the one route, over a grid of points, with
 stacked results; ``compute_bounds`` is its grid of one, as a QfimResult.
 Product inputs (states carrying per-mode ``factors``) are solved as one
-single-mode problem over a stack of both modes; any other input block by
-block, over a stack of the output blocks that the input's nonzero pattern
-fixes (``channel.output_blocks``), with the blocks' QFIMs summed.  Both
+stack of their distinct single-mode problems, one per (mode input,
+absorption): both modes of an H-polarized coherent probe or of the photon
+pair read one input, so a common absorption, an absorption that recurs
+across points, or a phase sweep is solved once and gathered back to each
+point.  Any other input is solved block by block, over a stack of the
+output blocks that the input's nonzero pattern fixes
+(``channel.output_blocks``), with the blocks' QFIMs summed.  Both
 solve at zero phase, from the phase-free loss engine: the phase stage
 e^{−i(φ₊n₊ + φ₋n₋)} is a unitary that commutes with n₊ and n₋, so it
 leaves the QFIM unchanged.  Only ``channel_derivatives``, which returns an
@@ -26,8 +30,8 @@ the stacked [F; D F D] both checks each QFIM PSD, on F's own scale, and
 inverts it (``_inverted``, which ``invert_and_bound`` shares).
 
 What depends only on the state, the labels or the cutoff is built once and
-kept read-only: per state, a product's padded mode stack
-(``TwoModeState.mode_stack``); per label tuple, the native-to-label
+kept read-only: per state, a product's distinct padded mode inputs
+(``TwoModeState.mode_inputs``); per label tuple, the native-to-label
 pullback (``_native_pullback``) and per (labels, coupling code) pair the
 parameter groups (``_coupled_groups``); per cutoff, the loss binomials and
 their exponent arrays (``channel._root_binomials``).  Results are never
@@ -319,8 +323,9 @@ def _eigenbasis_qfim(
     """F[b, x, y] = Σ_{kept (j,k)} 2 Re[∂ρ̃_x(j,k) · conj(∂ρ̃_y(j,k))]/(λ_j+λ_k).
 
     ``rho`` stacks ``modes`` blocks of B exactly Hermitian matrices (one per
-    mode of a product input, or per block of one output) and ``mats`` one
-    such stack of ∂ρ matrices per parameter, and gives each matrix's QFIM.
+    block of one output, or one in all for a product's single-mode
+    problems) and ``mats`` one such stack of ∂ρ matrices per parameter,
+    and gives each matrix's QFIM.
     Each is cut at its own scale, by ``_support_threshold`` as in
     ``solve_sld``; with ``allow_empty``, a matrix with no support gives 0.
     With a ``pullback`` B, the QFIM is that of the labels
@@ -417,32 +422,66 @@ def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray
     return f.reshape(len(blocks), len(grid), *f.shape[1:]).sum(axis=0)
 
 
+def _distinct_problems(inputs: np.ndarray, alphas: np.ndarray) -> tuple:
+    """Loss outputs and their ∂/∂α for each distinct (input, absorption)
+    pair, from one row of ``alphas`` per input, N problems in all; with the
+    flat index of each entry of ``alphas`` among them."""
+    problems, at, solved = [], [], 0
+    for row in alphas.tolist():
+        # the row's distinct absorptions, numbered on from the rows before
+        index = {a: solved + i for i, a in enumerate(dict.fromkeys(row))}
+        problems.append(list(index))
+        at += map(index.get, row)
+        solved += len(index)
+    sizes = list(map(len, problems))
+    if min(sizes) == max(sizes):  # each input shared over its absorptions
+        return (*mode_output_and_alpha_derivative(inputs, problems), at)
+    # one absorption per stack entry
+    owners = inputs[np.repeat(np.arange(len(inputs)), sizes)]
+    return (*mode_output_and_alpha_derivative(owners, sum(problems, [])), at)
+
+
 def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> np.ndarray:
-    """The labels' QFIM at each grid point of a product input, both modes in one pass.
+    """The labels' QFIM at each grid point of a product input, from one
+    stack of its distinct single-mode problems.
 
     The channel acts on each mode separately, so a product input ρ₊ ⊗ ρ₋
     gives the product output ρ₊' ⊗ ρ₋'.  Its native QFIM splits into an
     (α₊, φ₊) block, solved on ρ₊' alone and scaled by tr ρ₋', and the
     mirror (α₋, φ₋) block; the cross blocks are tr ∂ρ₊' · tr ∂ρ₋' = 0.
-    Each block is solved at φ = 0.  The modes form one (2B, d, d) stack at
-    their common cutoff, from the state's ``mode_stack``, where the smaller
-    is padded with zero levels, which loss keeps empty.  The output stack
-    is checked once, finite and Hermitian, and the product of the modes'
-    output traces must lie in the window.
+    Each block is solved at φ = 0, so it depends only on the mode's input
+    and absorption: a single-mode problem.  The state's ``mode_inputs``
+    holds each distinct input once, padded to the common cutoff with zero
+    levels, which loss keeps empty; the absorptions of the modes that read
+    an input are pooled and each distinct one is solved once, then every
+    point gathers its two modes' blocks and output traces.  Only repeated
+    absorptions cost a gather: both modes of one input at a common
+    absorption, an α₊ equal to another point's α₋, or a phase sweep.  The
+    output stack is checked once, finite and Hermitian, and each point's
+    product of output traces must lie in the window.
     The requested labels follow through the constant native-to-label
     pullback, the same combinations ``channel_derivatives`` forms.
     """
-    stack = input_state.mode_stack
-    d = stack.shape[-1]
-    output, d_alpha = mode_output_and_alpha_derivative(stack, [grid.alpha_plus, grid.alpha_minus])
+    inputs = input_state.mode_inputs.stack
+    d = inputs.shape[-1]
+    # one row of absorptions per input: the modes read inputs (0, 0) or
+    # (0, 1), so the rows pool the modes that share an input, + first
+    alphas = np.concatenate((grid.alpha_plus, grid.alpha_minus)).reshape(len(inputs), -1)
+    if any(len(set(row)) < len(row) for row in alphas.tolist()):
+        output, d_alpha, at = _distinct_problems(inputs, alphas)
+    else:
+        (output, d_alpha), at = mode_output_and_alpha_derivative(inputs, alphas), None
     output, d_alpha = output.reshape(-1, d, d), d_alpha.reshape(-1, d, d)
     # ∂ρ/∂φ of the unsymmetrized output: an unpadded mode then gets the
     # same bits as when it is solved alone
     d_phi = phase_derivative(output, np.arange(d))
     output = require_hermitian(output)
-    f = _eigenbasis_qfim(output, [d_alpha, d_phi], modes=2)
-    f_plus, f_minus = f.reshape(2, -1, 2, 2)
-    tr_plus, tr_minus = np.trace(output, axis1=1, axis2=2).reshape(2, -1)
+    f = _eigenbasis_qfim(output, [d_alpha, d_phi])
+    tr = np.trace(output, axis1=1, axis2=2)
+    if at is not None:
+        f, tr = f[at], tr[at]
+    f_plus, f_minus = f.reshape(2, len(grid), 2, 2)
+    tr_plus, tr_minus = tr.reshape(2, len(grid))
     require_trace_window(tr_plus * tr_minus, input_state.trace_deficit_budget)
     # ALPHA_PHI_NAMES interleaves the modes: (α₊, α₋, φ₊, φ₋)
     native = np.zeros((len(grid), len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
@@ -502,8 +541,9 @@ def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels
     One pass serves every point: each layer, from the loss tables through
     the eigensolves, the QFIM's PSD check and the inversion, carries a
     leading grid axis of len(params).  A product input (one carrying
-    ``factors``) is solved as one stack of its two modes, any other as one
-    stack of its output blocks, each cut at its own scale; both at φ± = 0,
+    ``factors``) is solved as one stack of its distinct single-mode
+    problems, any other as one stack of its output blocks, each cut at its
+    own scale; both at φ± = 0,
     so the bounds at any phases equal those at zero phase.  Every check
     applies at each point, and the first point that fails one raises, with
     the message ``compute_bounds`` gives there.

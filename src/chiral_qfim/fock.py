@@ -106,6 +106,14 @@ class FockSpace:
         return n_plus, n_minus
 
 
+class ModeInputs(NamedTuple):
+    """A product state's distinct padded mode inputs, (K, d, d), and the
+    index of the input that each mode, + then −, reads."""
+
+    stack: np.ndarray
+    reads: tuple
+
+
 class ModeOperators(NamedTuple):
     a_plus: np.ndarray
     a_plus_dag: np.ndarray
@@ -151,8 +159,11 @@ class TwoModeState:
     A state holds its density matrix ``rho`` or, for a product ρ₊ ⊗ ρ₋,
     only its single-mode ``factors`` (ρ₊, ρ₋); only the product
     constructors of this module pass them.  Reading ``rho`` on a product
-    forms ρ₊ ⊗ ρ₋ once, for the dense route, and reading ``mode_stack``
-    forms the factors' padded stack once, for the per-mode route.
+    forms ρ₊ ⊗ ρ₋ once, for the dense route.  Reading ``mode_inputs``
+    compares the factors once, for the per-mode route: it keeps each
+    distinct padded factor once and records which one each mode reads, so
+    equal factors (an H-polarized coherent probe, the photon pair) are one
+    input.
     ``trace_deficit_budget`` bounds how far below 1 the trace may sit due
     to truncation.  Shape, finiteness and Hermiticity of ρ or of each
     factor, and the trace window, are checked at construction; positivity
@@ -200,17 +211,22 @@ class TwoModeState:
         return np.kron(*self.factors)
 
     @functools.cached_property
-    def mode_stack(self) -> np.ndarray:
-        """A product's factors as one read-only (2, d, d) stack at their
-        common size d, the smaller padded with zero levels; real when both
-        factors are exactly real."""
+    def mode_inputs(self) -> ModeInputs:
+        """A product's distinct single-mode inputs, formed and compared once.
+
+        The factors are padded with zero levels to their common size d and
+        stacked once each, as one read-only (K, d, d) stack, real when both
+        are exactly real; a factor equal to the first, as in an H-polarized
+        coherent probe or the photon pair, is not stacked again (K = 1)."""
         factors = [real_if_exact(factor) for factor in self.factors]
         d = max(len(factor) for factor in factors)
         stack = np.zeros((2, d, d), dtype=np.result_type(*factors))
         for padded, factor in zip(stack, factors):
             padded[: len(factor), : len(factor)] = factor
+        reads = (0, 0) if np.array_equal(stack[0], stack[1]) else (0, 1)
+        stack = stack[: max(reads) + 1].copy()
         stack.flags.writeable = False
-        return stack
+        return ModeInputs(stack, reads)
 
     def _complex_trace(self) -> complex:
         if self.factors is None:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -81,6 +82,21 @@ def test_param_grid_messages_match_chiral_params(coordinate, value):
     grid, errors = ParamGrid.from_chiral(*(np.array([c]) for c in coords))
     assert errors == [expected]
     assert len(grid) == (expected is None)
+
+
+def test_param_grid_int_index_gives_the_one_point_grid():
+    points = [ChiralParams(0.1, 0.2, 0.3, 0.4), ChiralParams(0.5, 0.6, -0.7), ChiralParams(0, 0.9)]
+    grid = ParamGrid(points)
+    for index, point in ((0, points[0]), (2, points[2]), (-1, points[2]), (np.int64(1), points[1])):
+        one = grid[index]
+        assert len(one) == 1
+        for got, expected in zip(one.values("alpha_phi"), point.values("alpha_phi")):
+            assert got.tolist() == [expected]
+    with pytest.raises(IndexError):
+        grid[3]
+    # slices and masks keep their points
+    assert grid[1:].alpha_plus.tolist() == [0.5, 0.0]
+    assert grid[np.array([True, False, True])].phi_plus.tolist() == [0.3, 0.0]
 
 
 def test_rate_picture_round_trip():
@@ -426,13 +442,25 @@ def test_loss_weight_cache_holds_only_small_tables():
     assert sum(table.nbytes for table in cached) < 1_000_000
 
 
-def test_loss_tables_refuse_a_cutoff_past_float64_before_building(monkeypatch):
-    # the largest binomial of a cutoff's tables is C(cutoff, cutoff // 2)
-    limit = channel.MAX_LOSS_CUTOFF
-    assert math.isfinite(float(math.comb(limit, limit // 2)))
+def test_max_loss_cutoff_is_the_largest_whose_binomials_fit_a_float64():
+    # the largest binomial of a cutoff's tables, C(cutoff, cutoff // 2) <
+    # 2^cutoff, fits while the cutoff is at most float64's largest binary
+    # exponent, so the search steps up from there to the first that overflows
+    cutoff = sys.float_info.max_exp
+    while True:
+        try:
+            float(math.comb(cutoff + 1, (cutoff + 1) // 2))
+        except OverflowError:
+            break
+        cutoff += 1
+    assert cutoff == channel.MAX_LOSS_CUTOFF == 1029
+    assert math.isfinite(float(math.comb(1029, 514)))
     with pytest.raises(OverflowError):
-        float(math.comb(limit + 1, (limit + 1) // 2))
-    assert limit == 1029  # IEEE double
+        float(math.comb(1030, 515))
+
+
+def test_loss_tables_refuse_a_cutoff_past_float64_before_building(monkeypatch):
+    limit = channel.MAX_LOSS_CUTOFF
     combs, comb = [], math.comb
     monkeypatch.setattr(math, "comb", lambda *args: combs.append(args) or comb(*args))
     with pytest.raises(OverflowError, match=f"cutoff {limit + 1} exceeds {limit}"):

@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from chiral_qfim.analytic import noon_grid, single_photon_grid
+from chiral_qfim.analytic import (
+    InputStateKind,
+    default_param_labels,
+    noon_grid,
+    single_photon_grid,
+)
 from chiral_qfim.channel import (
     ALPHA_PHI_NAMES,
     CHIRAL_NAMES,
@@ -16,7 +21,7 @@ from chiral_qfim.channel import (
     mode_output_and_alpha_derivative,
     phase_derivative,
 )
-from chiral_qfim import channel, estimation
+from chiral_qfim import channel, estimation, experiments
 from chiral_qfim.estimation import (
     NumericError,
     ParamDerivative,
@@ -663,11 +668,13 @@ def test_a_product_grid_takes_one_table_pass_and_one_mode_eigensolve(monkeypatch
     monkeypatch.setattr(channel, "_loss_tables", counting_tables)
     calls = _record_eigensolves(monkeypatch)
     compute_bounds_grid(state, ParamGrid(STACK_POINTS), CHIRAL_NAMES)
-    # both modes at the common cutoff 17, then each QFIM with its
-    # equilibrated form, for the PSD check and the inversion at once
+    # the modes' six absorptions hold five distinct problems (α₊ = 0.6
+    # twice), one absorption per stack entry at the common cutoff 17; then
+    # each QFIM with its equilibrated form, for the PSD check and the
+    # inversion at once
     b = len(STACK_POINTS)
-    assert passes == [(17, (2, b))]
-    assert calls == [("eigh", (2 * b, 18, 18)), ("eigh", (2 * b, 4, 4))]
+    assert passes == [(17, (5, 1))]
+    assert calls == [("eigh", (5, 18, 18)), ("eigh", (2 * b, 4, 4))]
 
 
 def test_one_point_makes_two_eigensolves_and_rebuilds_no_invariant(monkeypatch):
@@ -687,10 +694,13 @@ def test_one_point_makes_two_eigensolves_and_rebuilds_no_invariant(monkeypatch):
     misses = [cache.cache_info().misses for cache in caches]
     second = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
     # the pullback, the block grouping and the loss tables come from their
-    # caches, and the mode stack is the one the first call formed
+    # caches, and the engine reads the distinct-input stack the first call
+    # formed: both modes of an H-polarized probe read its one input
     assert [cache.cache_info().misses for cache in caches] == misses
-    assert stacks[1] is stacks[0] is state.mode_stack
-    assert not state.mode_stack.flags.writeable and state.mode_stack.dtype == np.float64
+    inputs = state.mode_inputs
+    assert stacks[1] is stacks[0] is inputs.stack and inputs.reads == (0, 0)
+    assert len(inputs.stack) == 1
+    assert not inputs.stack.flags.writeable and inputs.stack.dtype == np.float64
     assert not estimation._native_pullback(CHIRAL_NAMES).flags.writeable
     assert np.array_equal(second.F_inverse, first.F_inverse) and second.bounds == first.bounds
 
@@ -702,10 +712,31 @@ CHECK_1_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("n0", [1.0, 4.0, 9.0])
-def test_a_one_point_call_is_bit_identical_to_its_grid_row(n0):
-    # acceptance check 1's grid: the grid of one is the grid route, row for row
-    state = coherent_pm(*hv_to_pm_amplitudes(math.sqrt(n0), 0.0))
+def h_coherent(n0: float):
+    return coherent_pm(*hv_to_pm_amplitudes(math.sqrt(n0), 0.0))
+
+
+def elliptical_coherent(v: complex):
+    """An H/V coherent probe with V amplitude v times its H amplitude √2."""
+    return coherent_pm(*hv_to_pm_amplitudes(math.sqrt(2.0), v * math.sqrt(2.0)))
+
+
+def photon_pair():
+    return fock_product_state(FockSpace(1, 1), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "make_state",
+    [
+        *(pytest.param(lambda n0=n0: h_coherent(n0), id=str(n0)) for n0 in (1.0, 4.0, 9.0)),
+        pytest.param(photon_pair, id="photon-pair"),
+        pytest.param(lambda: elliptical_coherent(0.5j), id="elliptical"),
+    ],
+)
+def test_a_one_point_call_is_bit_identical_to_its_grid_row(make_state):
+    # acceptance check 1's grid: the grid of one is the grid route, row for
+    # row, though the grid solves each distinct mode problem once
+    state = make_state()
     grid = compute_bounds_grid(state, ParamGrid(CHECK_1_POINTS), CHIRAL_NAMES)
     for b, point in enumerate(CHECK_1_POINTS):
         one, row = compute_bounds(state, point, CHIRAL_NAMES), grid[b]
@@ -713,6 +744,78 @@ def test_a_one_point_call_is_bit_identical_to_its_grid_row(n0):
         assert np.array_equal(one.F_inverse, grid.F_inverse[b])
         assert one.bounds == row.bounds and one.covariances == row.covariances
         assert one.identifiable == row.identifiable and one.blocks == row.blocks
+
+
+def _record_solves(monkeypatch) -> list:
+    """The number of single-mode problems in each call of the loss engine."""
+    solves, solve = [], estimation.mode_output_and_alpha_derivative
+
+    def recording_solve(rho, alpha):
+        output, d_alpha = solve(rho, alpha)
+        solves.append(math.prod(output.shape[:-2]))
+        return output, d_alpha
+
+    monkeypatch.setattr(estimation, "mode_output_and_alpha_derivative", recording_solve)
+    return solves
+
+
+@pytest.mark.parametrize(
+    "panel, label, problems, points",
+    [("fig4", "coherent_n2", 91, 91), ("fig2a", "coherent_xd0.005", 116, 95)],
+)
+def test_a_figure_member_solves_each_distinct_mode_problem_once(
+    monkeypatch, panel, label, problems, points
+):
+    # both modes of the H-polarized probe read one input: fig4's common
+    # absorption makes one problem of each point's two, and along fig2a's
+    # rows α₊ of one row is α₋ of another, to the bit
+    spec = dict(experiments.figure_presets()[panel])[label]
+    solves = _record_solves(monkeypatch)
+    calls = _record_eigensolves(monkeypatch)
+    experiments.run_sweep(spec)
+    d = len(experiments.prepare_input_state(spec.input_state).mode_inputs.stack[0])
+    assert solves == [problems]
+    assert calls == [("eigh", (problems, d, d)), ("eigh", (2 * points, 4, 4))]
+
+
+@pytest.mark.parametrize("vary", ["delta", "sigma"])
+def test_a_product_phase_sweep_solves_at_most_two_problems(monkeypatch, vary):
+    kind = InputStateKind.coherent(math.sqrt(2.0))
+    spec = experiments.SweepSpec(kind, vary, 0.0, 3.0, 20, fixed={"x_d": 0.05, "x_s": 0.3})
+    solves = _record_solves(monkeypatch)
+    table = experiments.run_sweep(spec)
+    assert sum(solves) <= 2 and len(table.status) == 20
+    monkeypatch.undo()
+    state, labels = experiments.prepare_input_state(kind), default_param_labels(kind)
+    grid, _ = spec.param_grid()
+    for b in range(len(grid)):
+        point = ChiralParams(*(coord.item() for coord in grid[b].values("alpha_phi")))
+        one, row = compute_bounds(state, point, labels), table[b]
+        for p in labels:
+            assert row.values[f"qfim_numeric.delta_{p}"] == one.bounds[p]
+        assert row.values["qfim_numeric.cov_x_d_x_s"] == one.covariance("x_d", "x_s")
+
+
+@pytest.mark.parametrize(
+    "make_state, reads",
+    [
+        (lambda: h_coherent(2.0), (0, 0)),
+        (photon_pair, (0, 0)),
+        (lambda: elliptical_coherent(0.5j), (0, 1)),
+        (lambda: elliptical_coherent(1j), (0, 1)),
+    ],
+    ids=["h", "photon-pair", "elliptical", "circular"],
+)
+def test_each_mode_reads_its_own_input_unless_the_factors_are_equal(monkeypatch, make_state, reads):
+    state = make_state()
+    inputs = state.mode_inputs
+    assert inputs.reads == reads and len(inputs.stack) == max(reads) + 1
+    solves = _record_solves(monkeypatch)
+    # a common absorption is one problem only where both modes read one input
+    compute_bounds(state, ChiralParams(0.3, 0.3), CHIRAL_NAMES)
+    swapped = ParamGrid([ChiralParams(0.3, 0.2), ChiralParams(0.2, 0.3)])
+    compute_bounds_grid(state, swapped, CHIRAL_NAMES)
+    assert solves == [len(inputs.stack), 2 * len(inputs.stack)]
 
 
 def _record_derivative_wrappers(monkeypatch):
