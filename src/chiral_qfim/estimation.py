@@ -422,12 +422,12 @@ def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray
     return f.reshape(len(blocks), len(grid), *f.shape[1:]).sum(axis=0)
 
 
-def _distinct_problems(inputs: np.ndarray, alphas: np.ndarray) -> tuple:
+def _distinct_problems(inputs: np.ndarray, rows: list) -> tuple:
     """Loss outputs and their ∂/∂α for each distinct (input, absorption)
-    pair, from one row of ``alphas`` per input, N problems in all; with the
-    flat index of each entry of ``alphas`` among them."""
+    pair, from one list of absorptions per input, N problems in all; with
+    the flat index of each entry of ``rows`` among them."""
     problems, at, solved = [], [], 0
-    for row in alphas.tolist():
+    for row in rows:
         # the row's distinct absorptions, numbered on from the rows before
         index = {a: solved + i for i, a in enumerate(dict.fromkeys(row))}
         problems.append(list(index))
@@ -454,32 +454,30 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     holds each distinct input once, padded to the common cutoff with zero
     levels, which loss keeps empty; the absorptions of the modes that read
     an input are pooled and each distinct one is solved once, then every
-    point gathers its two modes' blocks and output traces.  Only repeated
-    absorptions cost a gather: both modes of one input at a common
-    absorption, an α₊ equal to another point's α₋, or a phase sweep.  The
-    output stack is checked once, finite and Hermitian, and each point's
-    product of output traces must lie in the window.
+    point gathers its two modes' blocks and output traces.  Repeated
+    absorptions collapse: both modes of one input at a common absorption,
+    an α₊ equal to another point's α₋, or a phase sweep.  Each problem is
+    cut at its own support count, so its bits do not depend on the other
+    mode of its point.  The output stack is checked once, finite and
+    Hermitian, and each point's product of output traces must lie in the
+    window.
     The requested labels follow through the constant native-to-label
     pullback, the same combinations ``channel_derivatives`` forms.
     """
-    inputs = input_state.mode_inputs.stack
+    inputs, reads = input_state.mode_inputs
     d = inputs.shape[-1]
-    # one row of absorptions per input: the modes read inputs (0, 0) or
-    # (0, 1), so the rows pool the modes that share an input, + first
-    alphas = np.concatenate((grid.alpha_plus, grid.alpha_minus)).reshape(len(inputs), -1)
-    if any(len(set(row)) < len(row) for row in alphas.tolist()):
-        output, d_alpha, at = _distinct_problems(inputs, alphas)
-    else:
-        (output, d_alpha), at = mode_output_and_alpha_derivative(inputs, alphas), None
+    # one row of absorptions per input, pooled over the modes that read it
+    rows = [[] for _ in inputs]
+    for k, alphas in zip(reads, (grid.alpha_plus, grid.alpha_minus)):
+        rows[k] += alphas.tolist()
+    output, d_alpha, at = _distinct_problems(inputs, rows)
     output, d_alpha = output.reshape(-1, d, d), d_alpha.reshape(-1, d, d)
     # ∂ρ/∂φ of the unsymmetrized output: an unpadded mode then gets the
     # same bits as when it is solved alone
     d_phi = phase_derivative(output, np.arange(d))
     output = require_hermitian(output)
     f = _eigenbasis_qfim(output, [d_alpha, d_phi])
-    tr = np.trace(output, axis1=1, axis2=2)
-    if at is not None:
-        f, tr = f[at], tr[at]
+    f, tr = f[at], np.trace(output, axis1=1, axis2=2)[at]
     f_plus, f_minus = f.reshape(2, len(grid), 2, 2)
     tr_plus, tr_minus = tr.reshape(2, len(grid))
     require_trace_window(tr_plus * tr_minus, input_state.trace_deficit_budget)

@@ -731,11 +731,14 @@ def photon_pair():
         *(pytest.param(lambda n0=n0: h_coherent(n0), id=str(n0)) for n0 in (1.0, 4.0, 9.0)),
         pytest.param(photon_pair, id="photon-pair"),
         pytest.param(lambda: elliptical_coherent(0.5j), id="elliptical"),
+        pytest.param(lambda: fock_product_state(FockSpace(3, 1), 3, 1), id="unequal-ranks"),
     ],
 )
 def test_a_one_point_call_is_bit_identical_to_its_grid_row(make_state):
     # acceptance check 1's grid: the grid of one is the grid route, row for
-    # row, though the grid solves each distinct mode problem once
+    # row, though the grid solves each distinct mode problem once; with
+    # unequal Fock factors the modes' outputs have ranks 4 and 2, and each
+    # problem is cut at its own support count, in the grid as alone
     state = make_state()
     grid = compute_bounds_grid(state, ParamGrid(CHECK_1_POINTS), CHIRAL_NAMES)
     for b, point in enumerate(CHECK_1_POINTS):
