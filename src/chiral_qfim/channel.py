@@ -25,13 +25,12 @@ returned at a phase (``apply_channel_kraus``, ``channel_derivatives``).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, TwoModeState
+from .fock import FockSpace, TwoModeState, _root_binomials, mode_factor_tables
 from .linalg import hermiticity_defect, real_if_exact
 
 COORDS_ALPHA_PHI = "alpha_phi"
@@ -214,42 +213,6 @@ def phase_stage(rho: np.ndarray, space: FockSpace, params: ChiralParams) -> np.n
     return rho * (u[:, None] * u.conj())
 
 
-# The largest cutoff whose loss binomials all fit in a float64: the largest
-# of them, C(cutoff, ⌊cutoff/2⌋), overflows first at cutoff 1030.
-MAX_LOSS_CUTOFF = 1029
-
-
-def require_loss_cutoff(cutoff: int) -> None:
-    """Refuse, before any table is built, a cutoff past ``MAX_LOSS_CUTOFF``."""
-    if cutoff > MAX_LOSS_CUTOFF:
-        raise OverflowError(
-            f"cutoff {cutoff} exceeds {MAX_LOSS_CUTOFF}, the largest whose loss"
-            " binomials fit in a float64"
-        )
-
-
-@functools.lru_cache(maxsize=64)
-def _root_binomials(cutoff: int) -> tuple:
-    """α-independent, read-only tables, cached per cutoff.
-
-    ``root[k, m] = √C(m+k, k)`` for m+k ≤ cutoff and 0 beyond, where the
-    k-photon-loss Kraus operator has no entry; each binomial is exact
-    before its one rounding, so it holds past int64 (cutoff ≥ 67), up to
-    ``MAX_LOSS_CUTOFF``.  ``rows``, ``cols`` index the upper triangle
-    T[m, m+k].  ``k`` = 0..cutoff, ``half_k`` = k/2 and ``k_minus_one`` =
-    max(k − 1, 0) are the exponents of the loss tables.
-    """
-    require_loss_cutoff(cutoff)
-    m = np.arange(cutoff + 1)
-    root = np.sqrt(
-        [[float(math.comb(i + k, k)) if i + k <= cutoff else 0.0 for i in m] for k in m]
-    )
-    tables = (root, *np.triu_indices(cutoff + 1), m, m / 2, np.maximum(m - 1, 0))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 def _loss_tables(cutoff: int, alpha) -> tuple:
     """One mode's loss map and its ∂/∂α as (cutoff+1)² tables.
 
@@ -320,20 +283,66 @@ def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeSta
     return state.with_rho(phase_stage(output[0], state.space, params))
 
 
-def mode_output_and_alpha_derivative(rho: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """One mode's loss output and its exact ∂/∂α, from one table pass.
+def factored_output_and_alpha_derivative(tables, spectra, owners, alpha) -> tuple:
+    """One mode's loss outputs and their exact ∂/∂α for N problems, each an
+    input factor and an absorption, as two batched matrix products with no
+    d³ tensor.
 
-    ``rho`` is a single-mode density matrix on Fock levels 0..cutoff, or a
-    stack of them; the kernel is the two-mode engine's.  ``alpha`` is one
-    value or an array whose shape leads both results, its first axis over
-    a stack's matrices.  Storage stays real when ``rho`` is.
+    Loss has the Kraus form ρ → Σ_k K_k ρ K_k†, K_k = √(α^k) diag(g_k)
+    shift_k (Monras & Paris, PRL 98, 160401 (2007)), so an input
+    ρ = Σ_i s_i w_i w_i† gives, with D = diag(η^{m/2}) and h_m = m/(2η),
+
+        out = (D R) diag(s ⊗ c) (D R)†,
+        ∂out/∂α = (D R) diag(s ⊗ dc) (D R)† − out ⊙ (h_m + h_m′),
+
+    c_k = α^k and dc_k = k α^{k−1}, from the α-free ``tables``
+    R[m, (k, i)] = √C(m+k, k) w_i[m+k] (K, d, d·r) and signed ``spectra``
+    s (K, r) of ``fock.mode_factor_tables``.  Problem n reads input
+    ``owners[n]`` at absorption ``alpha[n]``; both results are (N, d, d).
+    D stays with R, so every term is bounded by a binomial weight and no
+    product overflows where η^m underflows.  Nothing divides by α, so
+    α = 0 is exact; the arithmetic is real when the tables are.
     """
-    rho = real_if_exact(rho)
+    alpha = np.asarray(alpha, dtype=float)[:, None]
+    eta = 1.0 - alpha
+    _, _, _, k, half_k, k_minus_one = _root_binomials(tables.shape[-2] - 1)
+    spectra = spectra[owners, None, :]
+
+    def columns(weights):
+        """diag(s ⊗ weights) as rows that scale the columns (k, i)."""
+        return (weights[:, :, None] * spectra).reshape(len(weights), 1, -1)
+
+    scaled = tables[owners]
+    scaled *= (eta**half_k)[:, :, None]
+    rows = scaled * columns(k * alpha**k_minus_one)
+    # (D R)† is read from D R's buffer, conjugated in place, and the rows of
+    # c reuse those of dc: two (N, d, d·r) arrays besides the results
+    scaled_h = np.swapaxes(np.conjugate(scaled, out=scaled), 1, 2)
+    d_out = rows @ scaled_h
+    rows = np.multiply(np.conjugate(scaled, out=rows), columns(alpha**k), out=rows)
+    out = rows @ scaled_h
+    del rows, scaled, scaled_h
+    h = half_k / eta
+    d_out -= out * (h[:, :, None] + h[:, None, :])
+    return out, d_out
+
+
+def mode_output_and_alpha_derivative(rho: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """One mode's loss output and its exact ∂/∂α.
+
+    ``rho`` is a single-mode Hermitian matrix on Fock levels 0..cutoff, or
+    a stack of them, each factored by ``fock.mode_factor_tables`` and
+    passed to ``factored_output_and_alpha_derivative``, the kernel of the
+    product route.  ``alpha`` is one value or an array whose shape leads
+    both results, its first axis over a stack's matrices.  Storage stays
+    real when ``rho`` is.
+    """
+    rho = np.asarray(rho)
     alpha = np.asarray(alpha, dtype=float)
     d = rho.shape[-1]
-    rho = rho.reshape(-1, 1, d, d)
-    tables = _loss_tables(d - 1, alpha.reshape(len(rho), -1))
-    out, d_out = _damp_mode(rho, tables, (2, 3))
+    tables, spectra = mode_factor_tables(rho.reshape(-1, d, d), d)
+    owners = np.repeat(np.arange(len(tables)), alpha.size // len(tables))
+    out, d_out = factored_output_and_alpha_derivative(tables, spectra, owners, alpha.reshape(-1))
     return out.reshape(*alpha.shape, d, d), d_out.reshape(*alpha.shape, d, d)
 
 
@@ -381,47 +390,6 @@ def mode_population_transfer(cutoff: int, alpha) -> tuple[np.ndarray, np.ndarray
         ..., rows
     ]
     return transfer, d_transfer
-
-
-def output_blocks(state: TwoModeState) -> tuple:
-    """The index blocks of every channel output of ``state``, read from the
-    input's nonzero pattern alone: tuples of levels, in order of their
-    lowest level.
-
-    The phase stage rescales each entry in place, and loss maps |a,b⟩⟨c,d|
-    to |a−k,b−l⟩⟨c−k,d−l|, so an output entry can be nonzero only where an
-    input entry reaches it: an OR over every (k, l) shift, formed per mode
-    as a suffix OR along the shared ket-bra diagonal, by doubling.  Two
-    levels share a block when a reachable entry couples them; a level that
-    no entry reaches is empty at every point and belongs to no block.  The
-    blocks follow from minimum-label propagation, each pass O(dim²).
-    """
-    space = state.space
-    dp, dm = space.cutoff_plus + 1, space.cutoff_minus + 1
-    reach = (state.rho != 0).reshape(dp, dm, dp, dm)
-    shift = 1
-    while shift < max(dp, dm):
-        if shift < dp:
-            reach[:-shift, :, :-shift] |= reach[shift:, :, shift:]
-        if shift < dm:
-            reach[:, :-shift, :, :-shift] |= reach[:, shift:, :, shift:]
-        shift *= 2
-    # a Hermitian input reaches a symmetric pattern; each level starts at
-    # its least neighbour (0 if unreached)
-    reach = reach.reshape(space.dim, space.dim)
-    label = reach.argmax(axis=1)
-    while True:
-        # the least label among a level and its neighbours, then that label's own
-        hooked = np.where(reach, label, label[:, None]).min(axis=1)
-        hooked = hooked[hooked]
-        if hooked.tolist() == label.tolist():
-            break
-        label = hooked
-    blocks = {}
-    for level, (root, reached) in enumerate(zip(label.tolist(), reach.any(axis=1).tolist())):
-        if reached:
-            blocks.setdefault(root, []).append(level)
-    return tuple(map(tuple, blocks.values()))
 
 
 def phase_derivative(rho: np.ndarray, n: np.ndarray) -> np.ndarray:

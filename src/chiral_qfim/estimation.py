@@ -19,10 +19,12 @@ stack of their distinct single-mode problems, one per (mode input,
 absorption): both modes of an H-polarized coherent probe or of the photon
 pair read one input, so a common absorption, an absorption that recurs
 across points, or a phase sweep is solved once and gathered back to each
-point.  Any other input is solved block by block, over a stack of the
-output blocks that the input's nonzero pattern fixes
-(``channel.output_blocks``), with the blocks' QFIMs summed.  Both
-solve at zero phase, from the phase-free loss engine: the phase stage
+point.  Their outputs come from one call of the factored loss kernel
+(``channel.factored_output_and_alpha_derivative``) on the loss tables of
+each input's factor.  Any other input is solved block by block, over a
+stack of the output blocks that the input's nonzero pattern fixes
+(``TwoModeState.output_blocks``), with the blocks' QFIMs summed, from the
+two-mode engine.  Both solve at zero phase: the phase stage
 e^{−i(φ₊n₊ + φ₋n₋)} is a unitary that commutes with n₊ and n₋, so it
 leaves the QFIM unchanged.  Only ``channel_derivatives``, which returns an
 output at its phase, applies ``channel.phase_stage``.  One eigensolve of
@@ -30,12 +32,15 @@ the stacked [F; D F D] both checks each QFIM PSD, on F's own scale, and
 inverts it (``_inverted``, which ``invert_and_bound`` shares).
 
 What depends only on the state, the labels or the cutoff is built once and
-kept read-only: per state, a product's distinct padded mode inputs
-(``TwoModeState.mode_inputs``); per label tuple, the native-to-label
-pullback (``_native_pullback``) and per (labels, coupling code) pair the
-parameter groups (``_coupled_groups``); per cutoff, the loss binomials and
-their exponent arrays (``channel._root_binomials``).  Results are never
-cached: each call solves its own points.
+kept read-only: per state, a product's distinct padded mode inputs with
+their loss tables, one ``eigh`` of each distinct factor
+(``TwoModeState.mode_inputs``), and a dense input's output blocks with
+their padded levels and numbers (``TwoModeState.output_blocks``), both
+formed on the first bound; per label tuple, the native-to-label pullback
+(``_native_pullback``) and per (labels, coupling code) pair the parameter
+groups (``_coupled_groups``); per cutoff, the loss binomials and their
+exponent arrays (``fock._root_binomials``).  Results are never cached:
+each call solves its own points.
 
 Parameter labels are either the native channel coordinates
 ("alpha_plus", "alpha_minus", "phi_plus", "phi_minus") or the chiral
@@ -56,13 +61,12 @@ from .channel import (
     CHIRAL_NAMES,
     ChiralParams,
     ParamGrid,
+    factored_output_and_alpha_derivative,
     grid_output_and_alpha_derivatives,
-    mode_output_and_alpha_derivative,
-    output_blocks,
     phase_derivative,
     phase_stage,
 )
-from .fock import TwoModeState, require_trace_window
+from .fock import ModeInputs, TwoModeState, require_trace_window
 from .linalg import (
     adjoint,
     as_complex_matrix,
@@ -399,10 +403,8 @@ def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray
     outputs.  The output stack is checked once, finite, Hermitian and in
     the trace window.
     """
-    blocks, dim = output_blocks(input_state), input_state.space.dim
-    size = max(map(len, blocks))
-    # each block's levels, padded with an extra level that holds zeros
-    levels = np.array([block + (dim,) * (size - len(block)) for block in blocks])[:, None]
+    blocks, levels, numbers = input_state.output_blocks
+    dim, size = input_state.space.dim, levels.shape[-1]
     output, d_plus, d_minus = grid_output_and_alpha_derivatives(
         input_state, grid.alpha_plus, grid.alpha_minus
     )
@@ -414,7 +416,6 @@ def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray
     points = np.arange(len(grid))[:, None, None]
     stack = padded[:, points, levels[..., None], levels[..., None, :]]
     # ∂/∂φ± of the checked outputs, from each gathered level's (n₊, n₋)
-    numbers = np.array(np.divmod(levels, input_state.space.cutoff_minus + 1))
     d_phi = phase_derivative(stack[0], numbers).reshape(2, -1, size, size)
     output, d_plus, d_minus = stack.reshape(3, -1, size, size)
     mats = [d_plus, d_minus, *d_phi]
@@ -422,23 +423,21 @@ def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray
     return f.reshape(len(blocks), len(grid), *f.shape[1:]).sum(axis=0)
 
 
-def _distinct_problems(inputs: np.ndarray, rows: list) -> tuple:
+def _distinct_problems(inputs: ModeInputs, rows: list) -> tuple:
     """Loss outputs and their ∂/∂α for each distinct (input, absorption)
-    pair, from one list of absorptions per input, N problems in all; with
-    the flat index of each entry of ``rows`` among them."""
-    problems, at, solved = [], [], 0
-    for row in rows:
+    pair, from one list of absorptions per input, N problems in all, in
+    one kernel call on the inputs' loss tables; with the index of each
+    entry of ``rows`` among them."""
+    problems, owners, at = [], [], []
+    for owner, row in enumerate(rows):
         # the row's distinct absorptions, numbered on from the rows before
-        index = {a: solved + i for i, a in enumerate(dict.fromkeys(row))}
-        problems.append(list(index))
+        index = {a: len(problems) + i for i, a in enumerate(dict.fromkeys(row))}
+        problems += index
+        owners += [owner] * len(index)
         at += map(index.get, row)
-        solved += len(index)
-    sizes = list(map(len, problems))
-    if min(sizes) == max(sizes):  # each input shared over its absorptions
-        return (*mode_output_and_alpha_derivative(inputs, problems), at)
-    # one absorption per stack entry
-    owners = inputs[np.repeat(np.arange(len(inputs)), sizes)]
-    return (*mode_output_and_alpha_derivative(owners, sum(problems, [])), at)
+    tables, spectra = inputs.tables, inputs.spectra
+    output, d_alpha = factored_output_and_alpha_derivative(tables, spectra, owners, problems)
+    return output, d_alpha, at
 
 
 def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> np.ndarray:
@@ -451,8 +450,9 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     mirror (α₋, φ₋) block; the cross blocks are tr ∂ρ₊' · tr ∂ρ₋' = 0.
     Each block is solved at φ = 0, so it depends only on the mode's input
     and absorption: a single-mode problem.  The state's ``mode_inputs``
-    holds each distinct input once, padded to the common cutoff with zero
-    levels, which loss keeps empty; the absorptions of the modes that read
+    holds each distinct input once, with its loss tables padded to the
+    common cutoff with zero levels, which loss keeps empty; the
+    absorptions of the modes that read
     an input are pooled and each distinct one is solved once, then every
     point gathers its two modes' blocks and output traces.  Repeated
     absorptions collapse: both modes of one input at a common absorption,
@@ -464,14 +464,13 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     The requested labels follow through the constant native-to-label
     pullback, the same combinations ``channel_derivatives`` forms.
     """
-    inputs, reads = input_state.mode_inputs
-    d = inputs.shape[-1]
+    inputs = input_state.mode_inputs
     # one row of absorptions per input, pooled over the modes that read it
-    rows = [[] for _ in inputs]
-    for k, alphas in zip(reads, (grid.alpha_plus, grid.alpha_minus)):
+    rows = [[] for _ in inputs.stack]
+    for k, alphas in zip(inputs.reads, (grid.alpha_plus, grid.alpha_minus)):
         rows[k] += alphas.tolist()
     output, d_alpha, at = _distinct_problems(inputs, rows)
-    output, d_alpha = output.reshape(-1, d, d), d_alpha.reshape(-1, d, d)
+    d = output.shape[-1]
     # ∂ρ/∂φ of the unsymmetrized output: an unpadded mode then gets the
     # same bits as when it is solved alone
     d_phi = phase_derivative(output, np.arange(d))

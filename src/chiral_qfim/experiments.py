@@ -44,7 +44,6 @@ from .channel import (
     DomainError,
     ParamGrid,
     mode_population_transfer,
-    require_loss_cutoff,
 )
 from .estimation import NumericError, compute_bounds_grid
 from .fock import (
@@ -58,6 +57,7 @@ from .fock import (
     fock_product_state,
     hv_to_pm_amplitudes,
     hv_to_pm_state,
+    require_loss_cutoff,
     require_trace_window,
 )
 

@@ -106,12 +106,94 @@ class FockSpace:
         return n_plus, n_minus
 
 
+# The largest cutoff whose loss binomials all fit in a float64: the largest
+# of them, C(cutoff, ⌊cutoff/2⌋), overflows first at cutoff 1030.
+MAX_LOSS_CUTOFF = 1029
+
+
+def require_loss_cutoff(cutoff: int) -> None:
+    """Refuse, before any table is built, a cutoff past ``MAX_LOSS_CUTOFF``."""
+    if cutoff > MAX_LOSS_CUTOFF:
+        raise OverflowError(
+            f"cutoff {cutoff} exceeds {MAX_LOSS_CUTOFF}, the largest whose loss"
+            " binomials fit in a float64"
+        )
+
+
+@functools.lru_cache(maxsize=64)
+def _root_binomials(cutoff: int) -> tuple:
+    """α-independent, read-only tables, cached per cutoff.
+
+    ``root[k, m] = √C(m+k, k)`` for m+k ≤ cutoff and 0 beyond, where the
+    k-photon-loss Kraus operator has no entry; each binomial is exact
+    before its one rounding, so it holds past int64 (cutoff ≥ 67), up to
+    ``MAX_LOSS_CUTOFF``.  ``rows``, ``cols`` index the upper triangle
+    T[m, m+k].  ``k`` = 0..cutoff, ``half_k`` = k/2 and ``k_minus_one`` =
+    max(k − 1, 0) are the exponents of the loss tables.
+    """
+    require_loss_cutoff(cutoff)
+    m = np.arange(cutoff + 1)
+    root = np.sqrt(
+        [[float(math.comb(i + k, k)) if i + k <= cutoff else 0.0 for i in m] for k in m]
+    )
+    tables = (root, *np.triu_indices(cutoff + 1), m, m / 2, np.maximum(m - 1, 0))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def mode_factor_tables(matrices, d: int) -> tuple:
+    """The α-free loss tables of single-mode Hermitian matrices of at most
+    d levels: R (N, d, d·r) and the signed spectra s (N, r).
+
+    Each matrix is factored by one ``eigh`` as ρ = Σ_i s_i w_i w_i†,
+    keeping the eigenpairs with |s_i| > n·ε·max|s| (n its levels, numpy's
+    ``matrix_rank`` tolerance) with their signs, so an indefinite or
+    negated matrix keeps its sign.  R[m, (k, i)] = √C(m+k, k) w_i[m+k],
+    zero where m+k passes the matrix's levels; the tables are zero-padded
+    to the common rank r, with s = 0 there.  Every input the builders of
+    this module make has rank 1.
+    """
+    pairs = []
+    for matrix in matrices:
+        s, w = np.linalg.eigh(real_if_exact(matrix))
+        keep = np.abs(s) > len(s) * np.finfo(float).eps * np.abs(s).max()
+        pairs.append((s[keep], w[:, keep]))
+    rank = max(len(s) for s, _ in pairs)
+    root = _root_binomials(d - 1)[0]
+    # shift[m, k] = m + k, read from each eigenvector padded to 2d levels
+    shift = np.add.outer(np.arange(d), np.arange(d))
+    tables = np.zeros((len(pairs), d, d, rank), np.result_type(*(w for _, w in pairs)))
+    spectra = np.zeros((len(pairs), rank))
+    for table, spectrum, (s, w) in zip(tables, spectra, pairs):
+        padded = np.zeros((2 * d, len(s)), w.dtype)
+        padded[: len(w)] = w
+        table[..., : len(s)] = root.T[..., None] * padded[shift]
+        spectrum[: len(s)] = s
+    return tables.reshape(len(pairs), d, d * rank), spectra
+
+
 class ModeInputs(NamedTuple):
-    """A product state's distinct padded mode inputs, (K, d, d), and the
-    index of the input that each mode, + then −, reads."""
+    """A product state's distinct padded mode inputs, (K, d, d), the index
+    of the input that each mode, + then −, reads, and each input's loss
+    ``tables`` (K, d, d·r) and signed ``spectra`` (K, r) from
+    ``mode_factor_tables``."""
 
     stack: np.ndarray
     reads: tuple
+    tables: np.ndarray
+    spectra: np.ndarray
+
+
+class OutputBlocks(NamedTuple):
+    """A dense state's output ``blocks`` (tuples of levels, from
+    ``_reachable_blocks``), each block's levels padded to the largest block's
+    size s with the level ``dim``, which holds zeros, as ``levels`` (K, 1,
+    s), and the (n₊, n₋) of each padded level, ``numbers`` (2, K, 1, s)."""
+
+    blocks: tuple
+    levels: np.ndarray
+    numbers: np.ndarray
 
 
 class ModeOperators(NamedTuple):
@@ -212,21 +294,42 @@ class TwoModeState:
 
     @functools.cached_property
     def mode_inputs(self) -> ModeInputs:
-        """A product's distinct single-mode inputs, formed and compared once.
+        """A product's distinct single-mode inputs, formed, compared and
+        factored once.
 
         The factors are padded with zero levels to their common size d and
-        stacked once each, as one read-only (K, d, d) stack, real when both
-        are exactly real; a factor equal to the first, as in an H-polarized
-        coherent probe or the photon pair, is not stacked again (K = 1)."""
+        stacked once each, as one (K, d, d) stack, real when both are
+        exactly real; a factor equal to the first, as in an H-polarized
+        coherent probe or the photon pair, is not stacked again (K = 1).
+        Each distinct factor, unpadded, gives its loss tables.  Every array
+        is read-only."""
         factors = [real_if_exact(factor) for factor in self.factors]
         d = max(len(factor) for factor in factors)
         stack = np.zeros((2, d, d), dtype=np.result_type(*factors))
         for padded, factor in zip(stack, factors):
             padded[: len(factor), : len(factor)] = factor
         reads = (0, 0) if np.array_equal(stack[0], stack[1]) else (0, 1)
-        stack = stack[: max(reads) + 1].copy()
-        stack.flags.writeable = False
-        return ModeInputs(stack, reads)
+        inputs = ModeInputs(
+            stack[: max(reads) + 1].copy(),
+            reads,
+            *mode_factor_tables(factors[: max(reads) + 1], d),
+        )
+        for array in (inputs.stack, inputs.tables, inputs.spectra):
+            array.flags.writeable = False
+        return inputs
+
+    @functools.cached_property
+    def output_blocks(self) -> OutputBlocks:
+        """The index blocks of every channel output of this state, read from
+        the input's nonzero pattern alone (``_reachable_blocks``), with their
+        padded levels and numbers, formed once; the arrays are read-only."""
+        blocks, dim = _reachable_blocks(self), self.space.dim
+        size = max(map(len, blocks))
+        levels = np.array([block + (dim,) * (size - len(block)) for block in blocks])[:, None]
+        numbers = np.array(np.divmod(levels, self.space.cutoff_minus + 1))
+        for array in (levels, numbers):
+            array.flags.writeable = False
+        return OutputBlocks(blocks, levels, numbers)
 
     def _complex_trace(self) -> complex:
         if self.factors is None:
@@ -261,6 +364,47 @@ def _checked(matrix, dim: int) -> np.ndarray:
     if matrix.shape != (dim, dim):
         raise StateValidationError(f"matrix shape {matrix.shape} does not match dim {dim}")
     return require_hermitian(matrix, tol=1e-12)
+
+
+def _reachable_blocks(state: TwoModeState) -> tuple:
+    """The index blocks of every channel output of ``state``, read from the
+    input's nonzero pattern alone: tuples of levels, in order of their
+    lowest level.
+
+    The phase stage rescales each entry in place, and loss maps |a,b⟩⟨c,d|
+    to |a−k,b−l⟩⟨c−k,d−l|, so an output entry can be nonzero only where an
+    input entry reaches it: an OR over every (k, l) shift, formed per mode
+    as a suffix OR along the shared ket-bra diagonal, by doubling.  Two
+    levels share a block when a reachable entry couples them; a level that
+    no entry reaches is empty at every point and belongs to no block.  The
+    blocks follow from minimum-label propagation, each pass O(dim²).
+    """
+    space = state.space
+    dp, dm = space.cutoff_plus + 1, space.cutoff_minus + 1
+    reach = (state.rho != 0).reshape(dp, dm, dp, dm)
+    shift = 1
+    while shift < max(dp, dm):
+        if shift < dp:
+            reach[:-shift, :, :-shift] |= reach[shift:, :, shift:]
+        if shift < dm:
+            reach[:, :-shift, :, :-shift] |= reach[:, shift:, :, shift:]
+        shift *= 2
+    # a Hermitian input reaches a symmetric pattern; each level starts at
+    # its least neighbour (0 if unreached)
+    reach = reach.reshape(space.dim, space.dim)
+    label = reach.argmax(axis=1)
+    while True:
+        # the least label among a level and its neighbours, then that label's own
+        hooked = np.where(reach, label, label[:, None]).min(axis=1)
+        hooked = hooked[hooked]
+        if hooked.tolist() == label.tolist():
+            break
+        label = hooked
+    blocks = {}
+    for level, (root, reached) in enumerate(zip(label.tolist(), reach.any(axis=1).tolist())):
+        if reached:
+            blocks.setdefault(root, []).append(level)
+    return tuple(map(tuple, blocks.values()))
 
 
 def _tail_sum(mean: float, cutoff: int, terms: dict) -> float:
@@ -338,16 +482,18 @@ def default_coherent_space(
 
     Returns the space together with the per-mode budget it meets: ``budget``
     itself, or the larger tail left where a ``cap`` on the cutoff binds.
+    Modes of equal mean photon number share one cutoff search.
     """
-    cutoffs = []
+    means = (abs(amp_plus) ** 2, abs(amp_minus) ** 2)
+    cutoffs = {}
     effective = budget
-    for amp in (amp_plus, amp_minus):
-        c = min_cutoff_for_tail(abs(amp) ** 2, budget)
+    for mean in dict.fromkeys(means):  # an H-polarized probe's modes share one search
+        c = min_cutoff_for_tail(mean, budget)
         if cap is not None and c > cap:
             c = cap
-            effective = max(effective, poisson_tail(abs(amp) ** 2, c))
-        cutoffs.append(c)
-    return FockSpace(cutoff_plus=cutoffs[0], cutoff_minus=cutoffs[1]), effective
+            effective = max(effective, poisson_tail(mean, c))
+        cutoffs[mean] = c
+    return FockSpace(cutoff_plus=cutoffs[means[0]], cutoff_minus=cutoffs[means[1]]), effective
 
 
 def _coherent_factor(amp: complex, cutoff: int) -> np.ndarray:
@@ -380,26 +526,28 @@ def coherent_product_state(
 
     The Poisson tail mass beyond each cutoff must not exceed
     ``truncation_budget``; the trace deficit is then at most twice that.
+    Modes of equal mean and cutoff share one tail check, and modes of equal
+    amplitude and cutoff (an H-polarized probe) one factor.
     """
-    for amp, cutoff, name in (
-        (amp_plus, space.cutoff_plus, "plus"),
-        (amp_minus, space.cutoff_minus, "minus"),
-    ):
-        tail = poisson_tail(abs(amp) ** 2, cutoff)
+    modes = {"plus": (amp_plus, space.cutoff_plus), "minus": (amp_minus, space.cutoff_minus)}
+    # the first mode of each distinct (mean, cutoff), so a refusal names plus first
+    checks = {}
+    for name, (amp, cutoff) in modes.items():
+        checks.setdefault((abs(amp) ** 2, cutoff), name)
+    for (mean, cutoff), name in checks.items():
+        tail = poisson_tail(mean, cutoff)
         if tail > truncation_budget:
-            needed = min_cutoff_for_tail(abs(amp) ** 2, truncation_budget)
+            needed = min_cutoff_for_tail(mean, truncation_budget)
             raise TruncationError(
                 f"mode {name} cutoff {cutoff} keeps Poisson tail {tail:.3e}"
                 f" > budget {truncation_budget:.3e}; cutoff >= {needed} required"
             )
+    factors = {mode: _coherent_factor(*mode) for mode in dict.fromkeys(modes.values())}
     return TwoModeState(
         space,
         label=f"coherent(amp+={amp_plus!r}, amp-={amp_minus!r})",
         trace_deficit_budget=2.0 * truncation_budget,
-        factors=(
-            _coherent_factor(amp_plus, space.cutoff_plus),
-            _coherent_factor(amp_minus, space.cutoff_minus),
-        ),
+        factors=tuple(factors[mode] for mode in modes.values()),
     )
 
 

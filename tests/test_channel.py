@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chiral_qfim import channel, estimation, experiments
+from chiral_qfim import channel, estimation, experiments, fock
 from chiral_qfim.analytic import InputStateKind
 from chiral_qfim.channel import (
     CHIRAL_NAMES,
@@ -28,6 +28,7 @@ from chiral_qfim.fock import (
     coherent_product_state,
     default_coherent_space,
     fock_product_state,
+    hv_to_pm_amplitudes,
     hv_to_pm_state,
     mode_operators,
 )
@@ -312,15 +313,21 @@ def test_alpha_derivative_at_zero_loss():
 
 
 def _count_weight_passes(monkeypatch):
-    """Record the cutoff of every loss-table pass, dense or population."""
+    """Record the cutoff of every loss-table pass, dense or population, and
+    of every call of the product route's factored kernel."""
     cutoffs = []
-    tables = channel._loss_tables
+    tables, kernel = channel._loss_tables, estimation.factored_output_and_alpha_derivative
 
     def counting(cutoff, alpha):
         cutoffs.append(cutoff)
         return tables(cutoff, alpha)
 
+    def counting_kernel(factor_tables, spectra, owners, alpha):
+        cutoffs.append(factor_tables.shape[-2] - 1)
+        return kernel(factor_tables, spectra, owners, alpha)
+
     monkeypatch.setattr(channel, "_loss_tables", counting)
+    monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", counting_kernel)
     return cutoffs
 
 
@@ -453,14 +460,14 @@ def test_max_loss_cutoff_is_the_largest_whose_binomials_fit_a_float64():
         except OverflowError:
             break
         cutoff += 1
-    assert cutoff == channel.MAX_LOSS_CUTOFF == 1029
+    assert cutoff == fock.MAX_LOSS_CUTOFF == 1029
     assert math.isfinite(float(math.comb(1029, 514)))
     with pytest.raises(OverflowError):
         float(math.comb(1030, 515))
 
 
 def test_loss_tables_refuse_a_cutoff_past_float64_before_building(monkeypatch):
-    limit = channel.MAX_LOSS_CUTOFF
+    limit = fock.MAX_LOSS_CUTOFF
     combs, comb = [], math.comb
     monkeypatch.setattr(math, "comb", lambda *args: combs.append(args) or comb(*args))
     with pytest.raises(OverflowError, match=f"cutoff {limit + 1} exceeds {limit}"):
@@ -598,6 +605,86 @@ def test_single_mode_kernel_factors_the_two_mode_engine(alpha_plus):
         assert np.max(np.abs(np.kron(out_plus, d_minus) - exact_minus[0])) <= 1e-14
 
 
+def _probe(amp_h, amp_v):
+    amp_plus, amp_minus = hv_to_pm_amplitudes(amp_h, amp_v)
+    space, budget = default_coherent_space(amp_plus, amp_minus)
+    return coherent_product_state(space, amp_plus, amp_minus, truncation_budget=budget)
+
+
+def _random_factor(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _indefinite_factor(rng, d):
+    """A Hermitian unit-trace factor with negative eigenvalues."""
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (a + a.conj().T) / 2
+    h += (1.0 - np.trace(h).real) / d * np.eye(d)
+    assert np.linalg.eigvalsh(h)[0] < 0 < np.linalg.eigvalsh(h)[-1]
+    return h
+
+
+def _kernel_inputs():
+    rng = np.random.default_rng(11)
+    mixed = TwoModeState(
+        FockSpace(5, 4), factors=(_random_factor(rng, 6), _indefinite_factor(rng, 5))
+    )
+    return {
+        "coherent-h": _probe(math.sqrt(2.0), 0.0),
+        "elliptical": _probe(math.sqrt(2.0), 0.5j * math.sqrt(2.0)),
+        "circular": _probe(math.sqrt(2.0), 1j * math.sqrt(2.0)),
+        "fock-2-1": fock_product_state(FockSpace(2, 3), 2, 1),
+        "mixed-indefinite": mixed,
+    }
+
+
+KERNEL_EDGE_ALPHAS = (0.0, 1e-300, 1e-13, 0.35, 0.999, 1 - 1e-6)
+
+
+@pytest.mark.parametrize("name", list(_kernel_inputs()))
+def test_factored_kernel_matches_the_two_mode_engine_on_every_input_kind(name):
+    # the product route's kernel, on each mode's factor, against the
+    # two-mode engine's strided contraction of the Kronecker product
+    state = _kernel_inputs()[name]
+    rho_plus, rho_minus = state.factors
+    alphas = np.array(KERNEL_EDGE_ALPHAS)
+    out_plus, d_plus = mode_output_and_alpha_derivative(rho_plus, alphas)
+    out_minus, d_minus = mode_output_and_alpha_derivative(rho_minus, alphas[::-1])
+    joint, exact_plus, exact_minus = grid_output_and_alpha_derivatives(
+        state, alphas, alphas[::-1]
+    )
+    # on the scale of each matrix, since at 1 − 1e-6 h_m = m/(2η) takes
+    # ∂/∂α to entries near 1e3.  Factoring costs the output a few ulps: the
+    # eigh reconstruction W S W† of the indefinite factor alone is 1.1e-15
+    # from it, where the engine reads the input's own entries
+    for b in range(len(alphas)):
+        for factored, exact, tol in (
+            (np.kron(out_plus[b], out_minus[b]), joint[b], 2e-15),
+            (np.kron(d_plus[b], out_minus[b]), exact_plus[b], 1e-14),
+            (np.kron(out_plus[b], d_minus[b]), exact_minus[b], 1e-14),
+        ):
+            scale = max(1.0, np.max(np.abs(exact)))
+            assert np.max(np.abs(factored - exact)) <= tol * scale
+
+
+@pytest.mark.parametrize("amp", [7.0, 3.5 + 3.5j], ids=["real", "complex"])
+def test_a_stacked_kernel_call_holds_no_cube(amp):
+    # 16 absorptions at cutoff 100: one (cutoff+1)^3 cube per absorption
+    # would be 8 MB each in real storage.  The kernel holds a fixed count of
+    # (16, 101, 101) arrays besides its two results, 4 MB per 8 bytes of entry
+    factor = coherent_product_state(FockSpace(0, 100), 0.0, amp).factors[1]
+    tracemalloc.start()
+    try:
+        out, d_out = mode_output_and_alpha_derivative(factor, np.linspace(0.0, 0.9, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == d_out.shape == (16, 101, 101)
+    assert peak < out.nbytes + d_out.nbytes + 4e6 * out.itemsize / 8
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.35, 0.999])
 def test_population_transfer_is_the_diagonal_of_the_loss_map(alpha):
     pops = np.random.default_rng(5).random(6)
@@ -693,10 +780,10 @@ def test_output_blocks_of_the_quantum_inputs():
     noon = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
     # |0,0⟩, |0,1⟩, the (|0,2⟩, |2,0⟩) coherence, |1,0⟩; the levels (1,1),
     # (1,2), (2,1), (2,2) are never populated
-    assert channel.output_blocks(noon) == ((0,), (1,), (2, 6), (3,))
+    assert noon.output_blocks.blocks == ((0,), (1,), (2, 6), (3,))
     single = hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1))
-    assert channel.output_blocks(single) == ((0,), (1, 2))
-    assert channel.output_blocks(hv_to_pm_state(NOON_HV, FockSpace(4, 3))) == (
+    assert single.output_blocks.blocks == ((0,), (1, 2))
+    assert hv_to_pm_state(NOON_HV, FockSpace(4, 3)).output_blocks.blocks == (
         (0,), (1,), (2, 8), (4,),
     )
 
@@ -704,11 +791,11 @@ def test_output_blocks_of_the_quantum_inputs():
 def test_a_dense_coherent_input_is_one_block():
     product = coherent_product_state(FockSpace(6, 4), 1.1, 0.6 - 0.5j, truncation_budget=1e-2)
     state = TwoModeState(product.space, product.rho, trace_deficit_budget=4e-2)
-    assert channel.output_blocks(state) == (tuple(range(state.space.dim)),)
+    assert state.output_blocks.blocks == (tuple(range(state.space.dim)),)
     # an empty mode leaves its excited levels out of every output
     vacuum_minus = coherent_product_state(FockSpace(6, 4), 1.1, 0.0, truncation_budget=1e-2)
     state = TwoModeState(vacuum_minus.space, vacuum_minus.rho, trace_deficit_budget=2e-2)
-    assert channel.output_blocks(state) == (tuple(range(0, state.space.dim, 5)),)
+    assert state.output_blocks.blocks == (tuple(range(0, state.space.dim, 5)),)
 
 
 @pytest.mark.parametrize("cutoffs", [(1, 1), (2, 3), (3, 2), (4, 4), (6, 1)])
@@ -717,14 +804,14 @@ def test_output_blocks_equal_the_walked_reachable_pattern(cutoffs):
     space = FockSpace(*cutoffs)
     for terms in (1, 2, 3, 5, 8) * 4:
         state = sparse_mixture(rng, space, terms)
-        assert channel.output_blocks(state) == walked_output_blocks(state)
+        assert state.output_blocks.blocks == walked_output_blocks(state)
         # a Hermitian input need not hold the populations of the levels it couples
         upper = np.triu(state.rho * rng.integers(0, 2, state.rho.shape), 1)
         rho = upper + upper.conj().T
         rho[0, 0] = 1.0
         hermitian = TwoModeState(space, rho, label="hermitian")
-        assert channel.output_blocks(hermitian) == walked_output_blocks(hermitian)
-    assert channel.output_blocks(random_density(rng, space)) == (tuple(range(space.dim)),)
+        assert hermitian.output_blocks.blocks == walked_output_blocks(hermitian)
+    assert random_density(rng, space).output_blocks.blocks == (tuple(range(space.dim)),)
 
 
 def test_output_blocks_hold_every_output_of_the_grid():
@@ -737,7 +824,7 @@ def test_output_blocks_hold_every_output_of_the_grid():
     alphas = np.array((0.0, 1e-300, 0.3, 1 - 1e-6))
     alpha_plus, alpha_minus = np.repeat(alphas, 4), np.tile(alphas, 4)
     for state in states:
-        blocks = channel.output_blocks(state)
+        blocks = state.output_blocks.blocks
         inside = np.zeros((state.space.dim, state.space.dim), dtype=bool)
         for block in blocks:
             inside[np.ix_(block, block)] = True

@@ -8,7 +8,7 @@ import pytest
 
 from chiral_qfim import checks, experiments
 from chiral_qfim.analytic import coherent_bounds
-from chiral_qfim.channel import MAX_LOSS_CUTOFF, ChiralParams
+from chiral_qfim.channel import ChiralParams
 from chiral_qfim.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -17,6 +17,7 @@ from chiral_qfim.cli import (
     EXIT_SELFTEST,
     main,
 )
+from chiral_qfim.fock import MAX_LOSS_CUTOFF
 
 
 def run_cli(capsys, *argv):

@@ -21,7 +21,7 @@ from chiral_qfim.channel import (
     mode_output_and_alpha_derivative,
     phase_derivative,
 )
-from chiral_qfim import channel, estimation, experiments
+from chiral_qfim import channel, estimation, experiments, fock
 from chiral_qfim.estimation import (
     NumericError,
     ParamDerivative,
@@ -658,51 +658,79 @@ def _record_eigensolves(monkeypatch) -> list:
 def test_a_product_grid_takes_one_table_pass_and_one_mode_eigensolve(monkeypatch):
     state = coherent_pm(1.5, 0.3)
     assert state.space == FockSpace(17, 6)
-    passes = []
-    tables = channel._loss_tables
-
-    def counting_tables(cutoff, alpha):
-        passes.append((cutoff, np.shape(alpha)))
-        return tables(cutoff, alpha)
-
-    monkeypatch.setattr(channel, "_loss_tables", counting_tables)
     calls = _record_eigensolves(monkeypatch)
+    # the state factors each distinct input once, unpadded, on first read
+    inputs = state.mode_inputs
+    assert calls == [("eigh", (18, 18)), ("eigh", (7, 7))]
+    calls.clear()
+    passes, kernel = [], estimation.factored_output_and_alpha_derivative
+
+    def counting_kernel(tables, spectra, owners, alpha):
+        passes.append((tables.shape[-2] - 1, np.shape(alpha)))
+        return kernel(tables, spectra, owners, alpha)
+
+    monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", counting_kernel)
     compute_bounds_grid(state, ParamGrid(STACK_POINTS), CHIRAL_NAMES)
     # the modes' six absorptions hold five distinct problems (α₊ = 0.6
     # twice), one absorption per stack entry at the common cutoff 17; then
     # each QFIM with its equilibrated form, for the PSD check and the
     # inversion at once
     b = len(STACK_POINTS)
-    assert passes == [(17, (5, 1))]
+    assert passes == [(17, (5,))]
     assert calls == [("eigh", (5, 18, 18)), ("eigh", (2 * b, 4, 4))]
+    assert state.mode_inputs is inputs
 
 
 def test_one_point_makes_two_eigensolves_and_rebuilds_no_invariant(monkeypatch):
     state = coherent_pm(*hv_to_pm_amplitudes(2.0, 0.0))
     caches = (estimation._native_pullback, estimation._coupled_groups, channel._root_binomials)
-    stacks, solve = [], estimation.mode_output_and_alpha_derivative
+    inputs = state.mode_inputs  # the state's factors, formed once
+    read, kernel = [], estimation.factored_output_and_alpha_derivative
 
-    def recording_solve(rho, alpha):
-        stacks.append(rho)
-        return solve(rho, alpha)
+    def recording_kernel(tables, spectra, owners, alpha):
+        read.append(tables)
+        return kernel(tables, spectra, owners, alpha)
 
-    monkeypatch.setattr(estimation, "mode_output_and_alpha_derivative", recording_solve)
+    monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", recording_kernel)
     calls = _record_eigensolves(monkeypatch)
     first = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
     # the mode stack, then the QFIM with its equilibrated form: no eigvalsh
     assert [name for name, _ in calls] == ["eigh", "eigh"]
     misses = [cache.cache_info().misses for cache in caches]
     second = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
-    # the pullback, the block grouping and the loss tables come from their
-    # caches, and the engine reads the distinct-input stack the first call
-    # formed: both modes of an H-polarized probe read its one input
+    # the pullback, the block grouping and the loss binomials come from
+    # their caches, and the kernel reads the loss tables the state formed:
+    # both modes of an H-polarized probe read its one input
+    assert [name for name, _ in calls] == ["eigh"] * 4
     assert [cache.cache_info().misses for cache in caches] == misses
-    inputs = state.mode_inputs
-    assert stacks[1] is stacks[0] is inputs.stack and inputs.reads == (0, 0)
-    assert len(inputs.stack) == 1
-    assert not inputs.stack.flags.writeable and inputs.stack.dtype == np.float64
+    assert state.mode_inputs is inputs
+    assert read[1] is read[0] is inputs.tables and inputs.reads == (0, 0)
+    assert len(inputs.stack) == len(inputs.tables) == len(inputs.spectra) == 1
+    for array in (inputs.stack, inputs.tables, inputs.spectra):
+        assert not array.flags.writeable and array.dtype == np.float64
     assert not estimation._native_pullback(CHIRAL_NAMES).flags.writeable
     assert np.array_equal(second.F_inverse, first.F_inverse) and second.bounds == first.bounds
+
+
+def test_a_dense_state_keeps_its_output_blocks(monkeypatch):
+    # the blocks, their padded levels and their numbers depend only on the
+    # state: a second call reads what the first formed
+    state = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
+    scans, scan = [], fock._reachable_blocks
+
+    def counting(scanned):
+        scans.append(scanned)
+        return scan(scanned)
+
+    monkeypatch.setattr(fock, "_reachable_blocks", counting)
+    first = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
+    blocks = state.output_blocks
+    second = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
+    assert scans == [state] and state.output_blocks is blocks
+    assert blocks.blocks == ((0,), (1,), (2, 6), (3,))
+    assert blocks.levels.shape == (4, 1, 2) and blocks.numbers.shape == (2, 4, 1, 2)
+    assert not blocks.levels.flags.writeable and not blocks.numbers.flags.writeable
+    assert np.array_equal(second.F, first.F) and second.bounds == first.bounds
 
 
 CHECK_1_POINTS = [
@@ -750,15 +778,15 @@ def test_a_one_point_call_is_bit_identical_to_its_grid_row(make_state):
 
 
 def _record_solves(monkeypatch) -> list:
-    """The number of single-mode problems in each call of the loss engine."""
-    solves, solve = [], estimation.mode_output_and_alpha_derivative
+    """The number of single-mode problems in each call of the loss kernel."""
+    solves, kernel = [], estimation.factored_output_and_alpha_derivative
 
-    def recording_solve(rho, alpha):
-        output, d_alpha = solve(rho, alpha)
+    def recording_kernel(tables, spectra, owners, alpha):
+        output, d_alpha = kernel(tables, spectra, owners, alpha)
         solves.append(math.prod(output.shape[:-2]))
         return output, d_alpha
 
-    monkeypatch.setattr(estimation, "mode_output_and_alpha_derivative", recording_solve)
+    monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", recording_kernel)
     return solves
 
 
@@ -773,12 +801,14 @@ def test_a_figure_member_solves_each_distinct_mode_problem_once(
     # absorption makes one problem of each point's two, and along fig2a's
     # rows α₊ of one row is α₋ of another, to the bit
     spec = dict(experiments.figure_presets()[panel])[label]
+    d = len(experiments.prepare_input_state(spec.input_state).mode_inputs.stack[0])
     solves = _record_solves(monkeypatch)
     calls = _record_eigensolves(monkeypatch)
     experiments.run_sweep(spec)
-    d = len(experiments.prepare_input_state(spec.input_state).mode_inputs.stack[0])
     assert solves == [problems]
-    assert calls == [("eigh", (problems, d, d)), ("eigh", (2 * points, 4, 4))]
+    # the prepared state's one input is factored once, on the first bound
+    factor = ("eigh", (d, d))
+    assert calls == [factor, ("eigh", (problems, d, d)), ("eigh", (2 * points, 4, 4))]
 
 
 @pytest.mark.parametrize("vary", ["delta", "sigma"])

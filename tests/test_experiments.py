@@ -792,7 +792,7 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
     spec = replace(spec, methods=(QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT))
     clean = run_sweep(spec)
     broken = point_at(spec, 2)
-    tables = channel._loss_tables
+    tables, kernel = channel._loss_tables, estimation.factored_output_and_alpha_derivative
 
     def failing_at_one_point(cutoff, alpha):
         out = tables(cutoff, alpha)
@@ -800,7 +800,17 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
             table[np.asarray(alpha) == broken.alpha_plus] = fill
         return out
 
+    def failing_kernel_at_one_point(factor_tables, spectra, owners, alpha):
+        # the product route's kernel reads no loss table: fill its results
+        out = kernel(factor_tables, spectra, owners, alpha)
+        for result in out:
+            result[np.asarray(alpha) == broken.alpha_plus] = fill
+        return out
+
     monkeypatch.setattr(channel, "_loss_tables", failing_at_one_point)
+    monkeypatch.setattr(
+        estimation, "factored_output_and_alpha_derivative", failing_kernel_at_one_point
+    )
     rows = run_sweep(spec)
     state = prepare_input_state(kind)
     with pytest.raises((DomainError, ValueError, NumericError)) as numeric:

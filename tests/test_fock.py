@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chiral_qfim import fock
 from chiral_qfim.fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
@@ -16,6 +17,7 @@ from chiral_qfim.fock import (
     hv_to_pm_amplitudes,
     hv_to_pm_state,
     min_cutoff_for_tail,
+    mode_factor_tables,
     mode_operators,
     poisson_tail,
 )
@@ -244,6 +246,95 @@ def test_default_coherent_space_cap_relaxes_budget():
     space2, eff2 = default_coherent_space(2.0, 0.0, budget=1e-10, cap=None)
     assert eff2 == 1e-10
     assert poisson_tail(4.0, space2.cutoff_plus) <= 1e-10
+
+
+def _count_calls(monkeypatch, *names) -> dict:
+    """The arguments of each call of the named ``fock`` functions."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(fock, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name].append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(fock, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("amp_v", [0.0, 0.5, 0.5j], ids=["h", "elliptical-equal", "elliptical"])
+def test_coherent_preparation_solves_each_distinct_mode_once(monkeypatch, amp_v):
+    amp_plus, amp_minus = hv_to_pm_amplitudes(2.0, amp_v)
+    distinct_means = len({abs(amp_plus) ** 2, abs(amp_minus) ** 2})
+    reference_space, reference_budget = default_coherent_space(amp_plus, amp_minus)
+    # each mode's factor built on its own, as two separate solves would
+    cutoffs = (reference_space.cutoff_plus, reference_space.cutoff_minus)
+    reference = TwoModeState(
+        reference_space,
+        factors=[fock._coherent_factor(*mode) for mode in zip((amp_plus, amp_minus), cutoffs)],
+        trace_deficit_budget=2.0 * reference_budget,
+    ).factors
+    calls = _count_calls(monkeypatch, "min_cutoff_for_tail", "poisson_tail", "_coherent_factor")
+    space, budget = default_coherent_space(amp_plus, amp_minus)
+    assert (space, budget) == (reference_space, reference_budget)
+    assert len(calls["min_cutoff_for_tail"]) == distinct_means
+    state = coherent_product_state(space, amp_plus, amp_minus, truncation_budget=budget)
+    # an H-polarized probe (equal amplitudes) checks one tail and builds one
+    # factor; equal means alone share the tail check
+    assert len(calls["poisson_tail"]) == distinct_means
+    assert len(calls["_coherent_factor"]) == len({amp_plus, amp_minus})
+    for factor, expected in zip(state.factors, reference, strict=True):
+        assert factor.tobytes() == expected.tobytes()
+
+
+def test_a_coherent_refusal_names_mode_plus_first():
+    for amp_minus in (1.5, 1.5j, 3.0):
+        with pytest.raises(TruncationError, match="^mode plus cutoff 2 "):
+            coherent_product_state(FockSpace(2, 2), 1.5, amp_minus)
+    with pytest.raises(TruncationError, match="^mode minus cutoff 2 "):
+        coherent_product_state(FockSpace(20, 2), 1.5, 1.5)
+
+
+def _builder_made_states():
+    for n0 in (0.5, 1.0, 4.0, 9.0, 64.0):
+        for amp_v in (0.0, 0.5j, 1j, 0.3 - 0.2j):
+            amp_plus, amp_minus = hv_to_pm_amplitudes(math.sqrt(n0), amp_v * math.sqrt(n0))
+            space, budget = default_coherent_space(amp_plus, amp_minus)
+            yield coherent_product_state(space, amp_plus, amp_minus, truncation_budget=budget)
+    space = FockSpace(3, 2)
+    for n_plus in range(4):
+        for n_minus in range(3):
+            yield fock_product_state(space, n_plus, n_minus)
+
+
+def test_every_builder_made_factor_has_rank_one():
+    for state in _builder_made_states():
+        inputs = state.mode_inputs
+        d = inputs.stack.shape[-1]
+        assert inputs.tables.shape == (len(inputs.stack), d, d)
+        assert inputs.spectra.shape == (len(inputs.stack), 1) and (inputs.spectra > 0).all()
+        # the k = 0 column is the factor's eigenvector: s w w† is the input
+        w = inputs.tables[:, :, :1]
+        rebuilt = inputs.spectra[:, None, :] * w @ np.swapaxes(w, 1, 2).conj()
+        assert np.max(np.abs(rebuilt - inputs.stack)) <= 1e-15 * state.space.dim
+
+
+def test_factor_tables_keep_rank_and_sign():
+    pops = np.random.default_rng(5).random(6)
+    tables, spectra = mode_factor_tables([np.diag(pops), -np.diag(pops[:4])], 8)
+    # a mixed input keeps every eigenpair, padded to 8 levels; the negated one
+    # keeps its signs, padded with zero weights to the common rank
+    assert tables.shape == (2, 8, 8 * 6) and spectra.shape == (2, 6)
+    assert np.array_equal(np.sort(spectra[0]), np.sort(pops))
+    assert np.array_equal(np.sort(spectra[1][:4]), np.sort(-pops[:4]))
+    assert not spectra[1][4:].any() and not tables[1][:, 6 * 4 :].any()
+    # R[m, (k, i)] = sqrt(C(m+k, k)) w_i[m+k]
+    root = fock._root_binomials(7)[0]
+    w = tables[0].reshape(8, 8, 6)[:, 0]
+    for k in range(8):
+        shifted = np.zeros_like(w)
+        shifted[: 8 - k] = w[k:]
+        np.testing.assert_array_equal(tables[0].reshape(8, 8, 6)[:, k], root[k][:, None] * shifted)
 
 
 def test_product_state_holds_only_its_factors():
