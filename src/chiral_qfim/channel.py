@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, TwoModeState, _root_binomials, mode_factor_tables
+from .fock import FockSpace, TwoModeState, _root_binomials, mode_factor_tables, phase_generator
 from .linalg import hermiticity_defect, real_if_exact
 
 COORDS_ALPHA_PHI = "alpha_phi"
@@ -306,6 +306,7 @@ def factored_output_and_alpha_derivative(tables, spectra, owners, alpha) -> tupl
     alpha = np.asarray(alpha, dtype=float)[:, None]
     eta = 1.0 - alpha
     _, _, _, k, half_k, k_minus_one = _root_binomials(tables.shape[-2] - 1)
+    owners = np.asarray(owners)
     spectra = spectra[owners, None, :]
 
     def columns(weights):
@@ -315,13 +316,15 @@ def factored_output_and_alpha_derivative(tables, spectra, owners, alpha) -> tupl
     scaled = tables[owners]
     scaled *= (eta**half_k)[:, :, None]
     rows = scaled * columns(k * alpha**k_minus_one)
-    # (D R)† is read from D R's buffer, conjugated in place, and the rows of
-    # c reuse those of dc: two (N, d, d·r) arrays besides the results
-    scaled_h = np.swapaxes(np.conjugate(scaled, out=scaled), 1, 2)
+    # (D R)† is read from D R's buffer, conjugated in place when complex, and
+    # the rows of c reuse those of dc: two (N, d, d·r) arrays besides the results
+    real = scaled.dtype.kind != "c"
+    scaled_h = (scaled if real else np.conjugate(scaled, out=scaled)).swapaxes(1, 2)
     d_out = rows @ scaled_h
-    rows = np.multiply(np.conjugate(scaled, out=rows), columns(alpha**k), out=rows)
+    unconjugated = scaled if real else np.conjugate(scaled, out=rows)
+    rows = np.multiply(unconjugated, columns(alpha**k), out=rows)
     out = rows @ scaled_h
-    del rows, scaled, scaled_h
+    del rows, scaled, scaled_h, unconjugated
     h = half_k / eta
     d_out -= out * (h[:, :, None] + h[:, None, :])
     return out, d_out
@@ -394,8 +397,9 @@ def mode_population_transfer(cutoff: int, alpha) -> tuple[np.ndarray, np.ndarray
 
 def phase_derivative(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Exact ∂ρ/∂φ = −i[diag(n), ρ] elementwise, for ρ or a stack of them;
-    a stack of ``n`` vectors broadcasts against the matrices' leading axes."""
-    return -1j * (n[..., :, None] - n[..., None, :]) * rho
+    a stack of ``n`` vectors broadcasts against the matrices' leading axes.
+    The bound routes multiply by their state's stored ``phase_generator``."""
+    return phase_generator(n) * rho
 
 
 def _rk4_rhs_builder(space: FockSpace, rates: RatePicture):

@@ -33,14 +33,15 @@ inverts it (``_inverted``, which ``invert_and_bound`` shares).
 
 What depends only on the state, the labels or the cutoff is built once and
 kept read-only: per state, a product's distinct padded mode inputs with
-their loss tables, one ``eigh`` of each distinct factor
-(``TwoModeState.mode_inputs``), and a dense input's output blocks with
-their padded levels and numbers (``TwoModeState.output_blocks``), both
+their loss tables, one ``eigh`` of each distinct factor, and the phase
+generator −i(n_j − n_k) of their levels (``TwoModeState.mode_inputs``),
+and a dense input's output blocks with their padded levels and the phase
+generators of n₊ and n₋ on them (``TwoModeState.output_blocks``), both
 formed on the first bound; per label tuple, the native-to-label pullback
 (``_native_pullback``) and per (labels, coupling code) pair the parameter
 groups (``_coupled_groups``); per cutoff, the loss binomials and their
 exponent arrays (``fock._root_binomials``).  Results are never cached:
-each call solves its own points.
+each call solves its own points, one grid or one point alike.
 
 Parameter labels are either the native channel coordinates
 ("alpha_plus", "alpha_minus", "phi_plus", "phi_minus") or the chiral
@@ -170,7 +171,8 @@ class QfimResult:
 class GridBounds:
     """Inverted QFIMs along a grid axis: F and F⁻¹ (B, n, n), bounds (B, n),
     defined where ``identifiable``, each point's coupled groups, and where
-    F vanishes.  ``grid_bounds[b]`` is point b as one ``QfimResult``."""
+    F vanishes.  ``grid_bounds[b]`` is point b as one ``QfimResult``, for an
+    int b; slice the arrays themselves for a part of the grid."""
 
     params: tuple
     F: np.ndarray
@@ -185,6 +187,8 @@ class GridBounds:
         return len(self.F)
 
     def __getitem__(self, b: int) -> QfimResult:
+        if not isinstance(b, (int, np.integer)):
+            raise TypeError(f"GridBounds indices must be integers, not {type(b).__name__}")
         ok, bound = self.identifiable[b].tolist(), self.bounds[b].tolist()
         inv = self.F_inverse[b].tolist()
         lost = bool(self.fully_singular[b])
@@ -243,7 +247,7 @@ def _support_threshold(lam: np.ndarray, allow_empty: bool = False) -> np.ndarray
     """
     threshold = SUPPORT_RCOND * lam[..., -1:]
     empty = threshold <= 0.0
-    if empty.any():
+    if np.count_nonzero(empty):
         if not allow_empty:
             raise NumericError("density matrix has no positive eigenvalue")
         threshold[empty] = np.inf
@@ -301,7 +305,7 @@ def _detect_blocks(params: tuple, f: np.ndarray) -> list:
     is resolved into groups once per process.
     """
     n = len(params)
-    root = np.sqrt(np.maximum(np.diagonal(f, axis1=1, axis2=2), 0.0))
+    root = np.sqrt(np.maximum(f.diagonal(0, 1, 2), 0.0))
     adj = np.abs(f) > RCOND * root[:, :, None] * root[:, None, :]
     codes = (adj.reshape(len(f), n * n) @ _BITS[: n * n]).tolist()
     groups = {code: _coupled_groups(params, code) for code in set(codes)}
@@ -343,7 +347,10 @@ def _eigenbasis_qfim(
     # hermiticity, so the mirrors double the weight of the other columns.  A
     # point's matrices share its largest s, and the points of each s are solved
     # apart: no point's sums, nor its bits, depend on the rest of the stack.
-    s = (lam > 0.5 * threshold).sum(axis=1).reshape(modes, -1).max(axis=0).tolist()
+    s = (lam > 0.5 * threshold).sum(axis=1)
+    if modes > 1:
+        s = s.reshape(modes, -1).max(axis=0)
+    s = s.tolist()
     if min(s) == max(s):
         return _rotated_qfim(lam, v, threshold, mats, s[0], pullback)
     s_all = np.array(s * modes)
@@ -359,11 +366,12 @@ def _rotated_qfim(lam, v, threshold, mats, s: int, pullback) -> np.ndarray:
     """``_eigenbasis_qfim`` where every kept pair has an index among the last s."""
     pair_sums = lam[:, -s:, None] + lam[:, None, :]
     keep = pair_sums > threshold[:, :, None]
-    weight = np.where(keep, 2.0 / np.where(keep, pair_sums, 1.0), 0.0)
+    weight = np.divide(2.0, pair_sums, out=np.zeros(pair_sums.shape), where=keep)
     weight[:, :, : lam.shape[1] - s] *= 2.0
     real_basis = v.dtype.kind != "c"
     v_s = adjoint(v[:, :, -s:])
-    rows = np.stack([v_s @ (real_if_exact(m) if real_basis else m) @ v for m in mats], axis=1)
+    rows = [v_s @ (real_if_exact(m) if real_basis else m) @ v for m in mats]
+    rows = np.concatenate([row[:, None] for row in rows], axis=1)
     if pullback is not None:
         rows = np.einsum("xy,bxjk->byjk", pullback, rows)
     rows = rows.reshape(*rows.shape[:2], -1)
@@ -403,7 +411,7 @@ def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray
     outputs.  The output stack is checked once, finite, Hermitian and in
     the trace window.
     """
-    blocks, levels, numbers = input_state.output_blocks
+    blocks, levels, phase_generators = input_state.output_blocks
     dim, size = input_state.space.dim, levels.shape[-1]
     output, d_plus, d_minus = grid_output_and_alpha_derivatives(
         input_state, grid.alpha_plus, grid.alpha_minus
@@ -416,7 +424,7 @@ def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray
     points = np.arange(len(grid))[:, None, None]
     stack = padded[:, points, levels[..., None], levels[..., None, :]]
     # ∂/∂φ± of the checked outputs, from each gathered level's (n₊, n₋)
-    d_phi = phase_derivative(stack[0], numbers).reshape(2, -1, size, size)
+    d_phi = (phase_generators * stack[0]).reshape(2, -1, size, size)
     output, d_plus, d_minus = stack.reshape(3, -1, size, size)
     mats = [d_plus, d_minus, *d_phi]
     f = _eigenbasis_qfim(output, mats, pullback, len(blocks), allow_empty=True)
@@ -437,7 +445,7 @@ def _distinct_problems(inputs: ModeInputs, rows: list) -> tuple:
         at += map(index.get, row)
     tables, spectra = inputs.tables, inputs.spectra
     output, d_alpha = factored_output_and_alpha_derivative(tables, spectra, owners, problems)
-    return output, d_alpha, at
+    return output, d_alpha, np.array(at)
 
 
 def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> np.ndarray:
@@ -470,13 +478,12 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     for k, alphas in zip(inputs.reads, (grid.alpha_plus, grid.alpha_minus)):
         rows[k] += alphas.tolist()
     output, d_alpha, at = _distinct_problems(inputs, rows)
-    d = output.shape[-1]
     # ∂ρ/∂φ of the unsymmetrized output: an unpadded mode then gets the
     # same bits as when it is solved alone
-    d_phi = phase_derivative(output, np.arange(d))
+    d_phi = inputs.phase_generator * output
     output = require_hermitian(output)
     f = _eigenbasis_qfim(output, [d_alpha, d_phi])
-    f, tr = f[at], np.trace(output, axis1=1, axis2=2)[at]
+    f, tr = f[at], output.trace(0, 1, 2)[at]
     f_plus, f_minus = f.reshape(2, len(grid), 2, 2)
     tr_plus, tr_minus = tr.reshape(2, len(grid))
     require_trace_window(tr_plus * tr_minus, input_state.trace_deficit_budget)
@@ -494,25 +501,24 @@ def _inverted(params: tuple, f: np.ndarray, blocks: list, meta: dict) -> GridBou
     One eigensolve of the (2B, n, n) stack [F; D F D] serves both: F's own
     spectrum is the PSD check, on F's own scale, and D F D's the inversion.
     """
-    diag = np.diagonal(f, axis1=1, axis2=2)
-    positive = diag > 0.0
-    d = np.where(positive, np.where(positive, diag, 1.0) ** -0.5, 0.0)
+    diag = f.diagonal(0, 1, 2)
+    d = np.power(diag, -0.5, out=np.zeros(diag.shape), where=diag > 0.0)
     scale = d[:, :, None] * d[:, None, :]
     w, v = np.linalg.eigh(np.concatenate((f, f * scale)))
     w_min, w, v = w[: len(f), 0], w[len(f) :], v[len(f) :]
     # the tolerance is at least QFIM_PSD_TOL, so max|F| is read only past it
-    if (w_min < -QFIM_PSD_TOL).any():
+    if np.count_nonzero(w_min < -QFIM_PSD_TOL):
         negative = w_min < -QFIM_PSD_TOL * np.maximum(1.0, np.abs(f).max(axis=(1, 2)))
         if negative.any():
             raise NumericError(f"QFIM has negative eigenvalue {w_min[np.argmax(negative)]:.3e}")
     w_max = w[:, -1]
     kept = w > RCOND * w_max[:, None]
-    inv_w = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
-    f_inv = ((v * inv_w[:, None, :]) @ np.swapaxes(v, 1, 2)) * scale
-    f_inv = (f_inv + np.swapaxes(f_inv, 1, 2)) / 2.0
+    inv_w = np.divide(1.0, w, out=np.zeros(w.shape), where=kept)
+    f_inv = ((v * inv_w[:, None, :]) @ v.swapaxes(1, 2)) * scale
+    f_inv = (f_inv + f_inv.swapaxes(1, 2)) / 2.0
     kernel = np.where(kept[:, None, :], 0.0, np.abs(v)).max(axis=2)
     identifiable = kernel <= KERNEL_COMPONENT_TOL
-    bounds = np.sqrt(np.maximum(np.diagonal(f_inv, axis1=1, axis2=2), 0.0))
+    bounds = np.sqrt(np.maximum(f_inv.diagonal(0, 1, 2), 0.0))
     # a point whose F vanishes is fully singular: nothing identifiable, F⁻¹ = 0
     return GridBounds(params, f, f_inv, bounds, identifiable, blocks, w_max <= 0.0, meta)
 
@@ -546,6 +552,8 @@ def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels
     the message ``compute_bounds`` gives there.
     """
     labels = tuple(param_labels)
+    if not labels:
+        raise ValueError("no parameter labels given")
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate parameter labels in {labels}")
     pullback = _native_pullback(labels)
@@ -555,7 +563,7 @@ def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels
         f, route = _product_qfim(input_state, grid, pullback), "per_mode"
     else:
         f, route = _block_qfim(input_state, grid, pullback), "eigenbasis"
-    f = (f + np.swapaxes(f, 1, 2)) / 2.0  # exactly symmetric
+    f = (f + f.swapaxes(1, 2)) / 2.0  # exactly symmetric
     meta = {"route": route, "state_label": input_state.label}
     return _inverted(labels, f, _detect_blocks(labels, f), meta)
 

@@ -61,7 +61,7 @@ def require_trace_window(tr, budget: float) -> None:
     bad = ~((lo <= tr.real) & (tr.real <= 1.0 + 1e-12))
     if tr.dtype.kind == "c":
         bad |= np.abs(tr.imag) > 1e-12
-    if not bad.any():
+    if not np.count_nonzero(bad):
         return
     tr = tr.flat[np.argmax(bad)]
     if abs(tr.imag) > 1e-12:
@@ -173,27 +173,35 @@ def mode_factor_tables(matrices, d: int) -> tuple:
     return tables.reshape(len(pairs), d, d * rank), spectra
 
 
+def phase_generator(n: np.ndarray) -> np.ndarray:
+    """G[j, k] = −i(n_j − n_k), so that ∂ρ/∂φ = −i[diag(n), ρ] = G ⊙ ρ; a
+    stack of ``n`` vectors gives a stack of generators."""
+    return -1j * (n[..., :, None] - n[..., None, :])
+
+
 class ModeInputs(NamedTuple):
     """A product state's distinct padded mode inputs, (K, d, d), the index
-    of the input that each mode, + then −, reads, and each input's loss
+    of the input that each mode, + then −, reads, each input's loss
     ``tables`` (K, d, d·r) and signed ``spectra`` (K, r) from
-    ``mode_factor_tables``."""
+    ``mode_factor_tables``, and the phase generator of d levels (d, d)."""
 
     stack: np.ndarray
     reads: tuple
     tables: np.ndarray
     spectra: np.ndarray
+    phase_generator: np.ndarray
 
 
 class OutputBlocks(NamedTuple):
     """A dense state's output ``blocks`` (tuples of levels, from
     ``_reachable_blocks``), each block's levels padded to the largest block's
     size s with the level ``dim``, which holds zeros, as ``levels`` (K, 1,
-    s), and the (n₊, n₋) of each padded level, ``numbers`` (2, K, 1, s)."""
+    s), and the phase generators of n₊ and of n₋ on each block's padded
+    levels, ``phase_generators`` (2, K, 1, s, s)."""
 
     blocks: tuple
     levels: np.ndarray
-    numbers: np.ndarray
+    phase_generators: np.ndarray
 
 
 class ModeOperators(NamedTuple):
@@ -301,8 +309,8 @@ class TwoModeState:
         stacked once each, as one (K, d, d) stack, real when both are
         exactly real; a factor equal to the first, as in an H-polarized
         coherent probe or the photon pair, is not stacked again (K = 1).
-        Each distinct factor, unpadded, gives its loss tables.  Every array
-        is read-only."""
+        Each distinct factor, unpadded, gives its loss tables.  Every array,
+        the phase generator of d levels included, is read-only."""
         factors = [real_if_exact(factor) for factor in self.factors]
         d = max(len(factor) for factor in factors)
         stack = np.zeros((2, d, d), dtype=np.result_type(*factors))
@@ -313,8 +321,9 @@ class TwoModeState:
             stack[: max(reads) + 1].copy(),
             reads,
             *mode_factor_tables(factors[: max(reads) + 1], d),
+            phase_generator(np.arange(d)),
         )
-        for array in (inputs.stack, inputs.tables, inputs.spectra):
+        for array in (inputs.stack, inputs.tables, inputs.spectra, inputs.phase_generator):
             array.flags.writeable = False
         return inputs
 
@@ -322,14 +331,16 @@ class TwoModeState:
     def output_blocks(self) -> OutputBlocks:
         """The index blocks of every channel output of this state, read from
         the input's nonzero pattern alone (``_reachable_blocks``), with their
-        padded levels and numbers, formed once; the arrays are read-only."""
+        padded levels and phase generators, formed once; the arrays are
+        read-only."""
         blocks, dim = _reachable_blocks(self), self.space.dim
         size = max(map(len, blocks))
         levels = np.array([block + (dim,) * (size - len(block)) for block in blocks])[:, None]
         numbers = np.array(np.divmod(levels, self.space.cutoff_minus + 1))
-        for array in (levels, numbers):
+        output_blocks = OutputBlocks(blocks, levels, phase_generator(numbers))
+        for array in output_blocks[1:]:
             array.flags.writeable = False
-        return OutputBlocks(blocks, levels, numbers)
+        return output_blocks
 
     def _complex_trace(self) -> complex:
         if self.factors is None:

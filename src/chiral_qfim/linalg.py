@@ -1,13 +1,17 @@
-"""Dense complex-matrix kernel.
+"""Dense matrix kernel.
 
 Validation, Hermiticity checks, commutators, and a Hermitian
 eigendecomposition for the operator sizes this package works with (a few
 hundred rows at most).
-Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
-scalars are Python/NumPy complex numbers.  Finiteness (no NaN/Inf) and
+Matrices are plain ``numpy.ndarray`` objects, ``float64`` where exactly
+real and ``complex128`` otherwise: ``require_hermitian``, ``real_if_exact``
+and ``hermitian_eigen`` keep real input real, since a real symmetric matrix
+solves faster and keeps the products after it real, and only
+``as_complex_matrix`` coerces to ``complex128``.  Scalars are Python/NumPy
+numbers.  Finiteness (no NaN/Inf) and
 Hermiticity are checked where a matrix crosses a public entry point; the
 Hermiticity checks reduce over the last two axes, so they also check a
-stack of matrices at once, and keep real input real.  The eigensolvers'
+stack of matrices at once.  The eigensolvers'
 residuals are checked by the test suite, not on every call.
 
 Two eigensolver backends are provided:
@@ -79,12 +83,12 @@ def commutator(a, b) -> np.ndarray:
 def real_if_exact(a: np.ndarray) -> np.ndarray:
     """``a`` in real storage when its imaginary part is exactly zero; a real
     array is returned as it is, with no pass over its entries."""
-    return a.real if a.dtype.kind == "c" and not a.imag.any() else a
+    return a.real if a.dtype.kind == "c" and not np.count_nonzero(a.imag) else a
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
     """A† over the last two axes, as a view when ``a`` is real."""
-    a_t = np.swapaxes(a, -1, -2)
+    a_t = a.swapaxes(-1, -2)
     return a_t.conj() if a.dtype.kind == "c" else a_t
 
 
@@ -98,23 +102,28 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Validate and return the exactly Hermitian part (A + A†)/2.
 
     ``a`` is one matrix or a stack of them along leading axes; each must be
-    finite and Hermitian within ``tol * max(1, max|A|)`` of its own entries,
-    and the first that is not raises.  Real input stays real.  Finiteness
-    is read from max|A|, which is NaN or ∞ exactly when an entry is.
+    finite and Hermitian within ``tol * max(1, max|A|)`` of its own entries.
+    A NaN or ∞ anywhere in the stack raises first, then the first matrix
+    that is not Hermitian.  Real input stays real.  Finiteness is read from
+    max|A|, which is NaN or ∞ exactly when an entry is, and only once the
+    stack has failed the check.
     """
     a = np.asarray(a)
     if a.dtype != np.float64:
         a = a.astype(np.complex128, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise DimensionMismatchError(f"expected a square matrix, got {a.shape}")
-    scale = np.max(np.abs(a), axis=(-2, -1))
-    if not np.isfinite(scale).all():
-        raise ValueError("matrix contains NaN or Inf entries")
     a_h = adjoint(a)
-    defect = np.max(np.abs(a - a_h), axis=(-2, -1))
-    bad = defect > tol * np.maximum(1.0, scale)
-    if bad.any():
-        first = np.unravel_index(np.argmax(bad), bad.shape)
+    scale = np.abs(a).max(axis=(-2, -1))
+    defect = np.abs(a - a_h).max(axis=(-2, -1))
+    # scale < ∞ fails exactly where an entry is NaN or ∞, a lone off-diagonal
+    # ∞ included, which passes the defect test (∞ ≤ tol·∞); the two failures
+    # are told apart only once the stack has failed
+    ok = (defect <= tol * np.maximum(1.0, scale)) & (scale < np.inf)
+    if np.count_nonzero(ok) < ok.size:
+        if not np.isfinite(scale).all():
+            raise ValueError("matrix contains NaN or Inf entries")
+        first = np.unravel_index(np.argmin(ok), ok.shape)
         raise NonHermitianError(
             f"matrix is not Hermitian: max|A - A†| = {defect[first]:.3e}"
             f" exceeds {tol:.1e} * max(1, {scale[first]:.3e})"

@@ -273,6 +273,33 @@ def test_qfim_rejects_duplicate_labels():
         compute_bounds(state, PARAMS_REF, ("x_d", "x_d"))
 
 
+@pytest.mark.parametrize(
+    "state",
+    [hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1)), fock_product_state(FockSpace(1, 1), 1, 1)],
+    ids=["dense", "product"],
+)
+def test_qfim_rejects_an_empty_label_tuple(state):
+    # refused at the boundary, on an empty grid too, before any solve
+    for grid in (ParamGrid([PARAMS_REF]), ParamGrid(())):
+        with pytest.raises(ValueError, match="no parameter labels"):
+            compute_bounds_grid(state, grid, ())
+    with pytest.raises(ValueError, match="no parameter labels"):
+        compute_bounds(state, PARAMS_REF, [])
+
+
+def test_grid_bounds_take_an_int_index_and_refuse_any_other():
+    state = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
+    points = [ChiralParams(0.1, 0.2), ChiralParams(0.3, 0.2, 0.4), ChiralParams(0.5, 0.1)]
+    grid = compute_bounds_grid(state, ParamGrid(points), QUANTUM_LABELS)
+    for b in (1, np.int64(1), np.intp(-2)):
+        assert grid[b].bounds == compute_bounds(state, points[1], QUANTUM_LABELS).bounds
+    for index in (slice(0, 1), slice(0, 3), np.array([True, False, True]), [0], 1.0, None):
+        with pytest.raises(TypeError, match=f"not {type(index).__name__}$"):
+            grid[index]
+    with pytest.raises(IndexError):
+        grid[3]
+
+
 def test_qfim_positive_semidefinite_on_grid():
     state = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
     for x_s in (0.1, 0.4, 0.8):
@@ -712,9 +739,44 @@ def test_one_point_makes_two_eigensolves_and_rebuilds_no_invariant(monkeypatch):
     assert np.array_equal(second.F_inverse, first.F_inverse) and second.bounds == first.bounds
 
 
+def test_the_phase_generators_are_formed_once_per_state(monkeypatch):
+    # -i(n_j - n_k) depends only on the state's levels: each route reads the
+    # read-only generator its state formed, and a second call rebuilds none
+    product = coherent_pm(*hv_to_pm_amplitudes(2.0, 0.0))
+    noon = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
+    built, generator = [], fock.phase_generator
+
+    def counting(n):
+        built.append(np.shape(n))
+        return generator(n)
+
+    monkeypatch.setattr(fock, "phase_generator", counting)
+    calls = _record_eigensolves(monkeypatch)
+    cases = (
+        (product, CHIRAL_NAMES, lambda: product.mode_inputs.phase_generator),
+        (noon, QUANTUM_LABELS, lambda: noon.output_blocks.phase_generators),
+    )
+    for state, labels, read in cases:
+        first = compute_bounds(state, PARAMS_REF, labels)
+        formed = read()
+        calls.clear()
+        second = compute_bounds(state, PARAMS_REF, labels)
+        # the output stack, then the QFIM with its equilibrated form
+        assert [name for name, _ in calls] == ["eigh", "eigh"]
+        assert read() is formed
+        assert not formed.flags.writeable and formed.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            formed[..., 0, 1] = 1.0
+        assert np.array_equal(second.F_inverse, first.F_inverse) and second.bounds == first.bounds
+    d = product.mode_inputs.stack.shape[-1]
+    assert built == [(d,), (2, 4, 1, 2)]
+    n = np.arange(d)
+    assert np.array_equal(product.mode_inputs.phase_generator, -1j * (n[:, None] - n[None, :]))
+
+
 def test_a_dense_state_keeps_its_output_blocks(monkeypatch):
-    # the blocks, their padded levels and their numbers depend only on the
-    # state: a second call reads what the first formed
+    # the blocks, their padded levels and their phase generators depend only
+    # on the state: a second call reads what the first formed
     state = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
     scans, scan = [], fock._reachable_blocks
 
@@ -728,8 +790,8 @@ def test_a_dense_state_keeps_its_output_blocks(monkeypatch):
     second = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
     assert scans == [state] and state.output_blocks is blocks
     assert blocks.blocks == ((0,), (1,), (2, 6), (3,))
-    assert blocks.levels.shape == (4, 1, 2) and blocks.numbers.shape == (2, 4, 1, 2)
-    assert not blocks.levels.flags.writeable and not blocks.numbers.flags.writeable
+    assert blocks.levels.shape == (4, 1, 2) and blocks.phase_generators.shape == (2, 4, 1, 2, 2)
+    assert not blocks.levels.flags.writeable and not blocks.phase_generators.flags.writeable
     assert np.array_equal(second.F, first.F) and second.bounds == first.bounds
 
 

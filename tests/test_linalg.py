@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,29 @@ def test_hermitian_checks_reduce_over_the_last_two_axes():
     skewed[2, 0, 1] = np.nan
     with pytest.raises(ValueError, match="NaN or Inf"):
         require_hermitian(skewed)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["+inf", "-inf"])
+def test_require_hermitian_rejects_a_lone_off_diagonal_inf(value, dtype):
+    # inf <= tol * inf holds, so the defect test alone would let it through
+    a = np.eye(3, dtype=dtype)
+    a[0, 2] = value
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        require_hermitian(a)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        require_hermitian(np.stack([np.eye(3, dtype=dtype), a]))
+
+
+def test_require_hermitian_reports_nonfinite_before_a_hermiticity_defect():
+    # finiteness is checked over the whole stack first: a NaN in a later
+    # matrix is reported, not the defect of an earlier one
+    stack = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+    stack[0, 0, 1] = 1.0
+    stack[1, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN or Inf") as raised:
+        require_hermitian(stack)
+    assert not isinstance(raised.value, NonHermitianError)
+    stack[1, 1, 1] = 1.0
+    with pytest.raises(NonHermitianError, match=re.escape("max|A - A†| = 1.000e+00")):
+        require_hermitian(stack)
