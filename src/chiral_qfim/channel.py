@@ -15,7 +15,9 @@ Two independent evolution engines are provided and must agree: an exact
 Kraus map (per-mode binomial photon loss composed with phase rotation)
 and a fixed-step RK4 integration of the Lindblad generator.  The Kraus
 engine is the oracle for everything downstream; the RK4 engine exists
-to check it.
+to check it.  Loss has one kernel, ``factored_output_and_alpha_derivative``:
+a product input's factors call it one mode at a time, any other input on
+the two-mode table of its matrix.
 
 Loss and phase commute, and the phase stage is a unitary diagonal in the
 number basis, so it leaves every QFIM unchanged: the loss engine takes the
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace, TwoModeState, _root_binomials, mode_factor_tables, phase_generator
-from .linalg import hermiticity_defect, real_if_exact
+from .linalg import hermiticity_defect
 
 COORDS_ALPHA_PHI = "alpha_phi"
 COORDS_CHIRAL = "chiral"
@@ -213,66 +215,6 @@ def phase_stage(rho: np.ndarray, space: FockSpace, params: ChiralParams) -> np.n
     return rho * (u[:, None] * u.conj())
 
 
-def _loss_tables(cutoff: int, alpha) -> tuple:
-    """One mode's loss map and its ∂/∂α as (cutoff+1)² tables.
-
-    The k-photon-loss Kraus operator maps ρ[m+k, m'+k] into (m, m') with
-    weight W[k, m, m'] = c_k g[k, m] g[k, m'], where
-
-        g[k, m] = √C(m+k, k) · η^{m/2},   c_k = α^k,   η = 1 − α,
-
-    and ∂W/∂α = dc_k g[k, m] g[k, m'] − W (m+m')/(2η), dc_k = k α^{k−1}.
-    Returns (c·g, dc·g, g, h) with h[m] = m/(2η).  ``alpha`` is one value
-    or an array of them, whose shape then leads every table.  Nothing
-    divides by α, so α = 0 is exact: c = (1, 0, ..) and dc = (0, 1, 0, ..).
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    eta = 1.0 - alpha[..., None]
-    root, _, _, k, half_k, k_minus_one = _root_binomials(cutoff)
-    g = root * eta[..., None, :] ** half_k
-    c = alpha[..., None, None] ** k[:, None]
-    dc = k[:, None] * alpha[..., None, None] ** k_minus_one[:, None]
-    return c * g, dc * g, g, k / (2.0 * eta)
-
-
-def _damp_mode(rho: np.ndarray, tables: tuple, axes: tuple, derivative: bool = True):
-    """Apply one mode's loss tables to the (ket, bra) ``axes`` of ``rho``.
-
-    out[b, .., m, .., m', ..] = Σ_k W[b, k, m, m'] ρ[b, .., m+k, .., m'+k, ..]
-    with W = (c·g)_k ⊗ g_k at each grid point b, and with ``derivative``
-    also ∂out/∂α.  The tables' leading axes are the grid's; ``rho`` leads
-    with as many, each of the grid's length or of one entry that every
-    point along it shares.  The shifted input is a strided view of a flat
-    buffer holding each of ρ's matrices followed by as many zeros (with a
-    zero stride along a shared axis), so the contraction over k reads ρ in
-    place.  A shift past the last level reads on into the next row or the
-    zero tail, where its weight g[k, m] (m+k > cutoff) is exactly zero.
-    """
-    weighted, d_weighted, g, h = tables
-    lead, d = weighted.ndim - 2, rho.shape[axes[0]]
-    size = math.prod(rho.shape[lead:])
-    flat = np.zeros((*rho.shape[:lead], 2 * size), dtype=rho.dtype)
-    window = flat[..., :size].reshape(rho.shape)
-    window[...] = rho
-    strides = [stride if n > 1 else 0 for stride, n in zip(window.strides, rho.shape[:lead])]
-    strides += [window.strides[axes[0]] + window.strides[axes[1]], *window.strides[lead:]]
-    # shifted[b, k, .., m, .., m', ..] = window[b, .., m+k, .., m'+k, ..]
-    shape = (*weighted.shape[:lead], d, *rho.shape[lead:])
-    shifted = np.ndarray(shape, rho.dtype, flat, 0, strides)
-    index = "pqrs"[: rho.ndim - lead]
-    ket, bra = index[axes[0] - lead], index[axes[1] - lead]
-    spec = f"...k{ket},...k{bra},...k{index}->...{index}"
-    out = np.einsum(spec, weighted, g, shifted)
-    if not derivative:
-        return out
-    h_ket = [*h.shape[:-1]] + [1] * (rho.ndim - lead)
-    h_bra = list(h_ket)
-    h_ket[axes[0]] = h_bra[axes[1]] = d
-    d_out = np.einsum(spec, d_weighted, g, shifted)
-    d_out -= out * (h.reshape(h_ket) + h.reshape(h_bra))
-    return out, d_out
-
-
 def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeState:
     """Exact channel action: binomial photon loss, then the phase stage.
 
@@ -284,50 +226,68 @@ def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeSta
 
 
 def factored_output_and_alpha_derivative(tables, spectra, owners, alpha) -> tuple:
-    """One mode's loss outputs and their exact ∂/∂α for N problems, each an
-    input factor and an absorption, as two batched matrix products with no
-    d³ tensor.
+    """Loss outputs and their exact ∂/∂α per mode for N problems, each an
+    input factor and one absorption per mode of its table, as batched
+    matrix products with no d³ tensor: the one loss kernel.
 
     Loss has the Kraus form ρ → Σ_k K_k ρ K_k†, K_k = √(α^k) diag(g_k)
-    shift_k (Monras & Paris, PRL 98, 160401 (2007)), so an input
-    ρ = Σ_i s_i w_i w_i† gives, with D = diag(η^{m/2}) and h_m = m/(2η),
+    shift_k on each mode (Monras & Paris, PRL 98, 160401 (2007)), so an
+    input ρ = Σ_i s_i w_i w_i† gives, with D = diag(Π_j η_j^{m_j/2}) and
+    h_j = m_j/(2η_j) on the levels m = (m_1, ..),
 
-        out = (D R) diag(s ⊗ c) (D R)†,
-        ∂out/∂α = (D R) diag(s ⊗ dc) (D R)† − out ⊙ (h_m + h_m′),
+        out = (D R) diag(s ⊗ c_1 ⊗ ..) (D R)†,
+        ∂out/∂α_j = (D R) diag(s ⊗ .. ⊗ dc_j ⊗ ..) (D R)† − out ⊙ (h_j + h_j′),
 
-    c_k = α^k and dc_k = k α^{k−1}, from the α-free ``tables``
-    R[m, (k, i)] = √C(m+k, k) w_i[m+k] (K, d, d·r) and signed ``spectra``
-    s (K, r) of ``fock.mode_factor_tables``.  Problem n reads input
-    ``owners[n]`` at absorption ``alpha[n]``; both results are (N, d, d).
-    D stays with R, so every term is bounded by a binomial weight and no
-    product overflows where η^m underflows.  Nothing divides by α, so
-    α = 0 is exact; the arithmetic is real when the tables are.
+    c_k = α^k and dc_k = k α^{k−1} per mode, from the α-free ``tables``
+    R[m, (k, i)] = Π_j √C(m_j+k_j, k_j) w_i[m+k] (K, *levels, dim·r) and
+    signed ``spectra`` s (K, r): one mode's from ``fock.mode_factor_tables``,
+    two modes' from ``TwoModeState.kraus_tables``.  A table holds dim ×
+    dim·r entries: cheap at rank 1, dim³·r for a large input of rank r.
+    Problem n reads input ``owners[n]`` at the absorptions ``alpha[n]``;
+    the results, the outputs then each ∂/∂α_j, are (N, dim, dim).  D stays
+    with R, so no product overflows where η^m underflows.  Nothing divides
+    by α, so α = 0 is exact; the arithmetic is real when the tables are.
     """
-    alpha = np.asarray(alpha, dtype=float)[:, None]
+    levels = tables.shape[1:-1]
+    n, modes = len(owners), len(levels)
+    alpha = np.asarray(alpha, dtype=float).reshape(n, modes)
     eta = 1.0 - alpha
-    _, _, _, k, half_k, k_minus_one = _root_binomials(tables.shape[-2] - 1)
     owners = np.asarray(owners)
-    spectra = spectra[owners, None, :]
-
-    def columns(weights):
-        """diag(s ⊗ weights) as rows that scale the columns (k, i)."""
-        return (weights[:, :, None] * spectra).reshape(len(weights), 1, -1)
-
     scaled = tables[owners]
-    scaled *= (eta**half_k)[:, :, None]
-    rows = scaled * columns(k * alpha**k_minus_one)
+    # per mode j: c and dc along its levels' axis, h_j, and D's factor η_j^{m_j/2}
+    c, dc, h = [], [], []
+    for j, d in enumerate(levels):
+        _, _, _, k, half_k, k_minus_one = _root_binomials(d - 1)
+        axes = (n,) + (1,) * j + (d,) + (1,) * (modes - j)
+        a, e = alpha[:, j, None], eta[:, j, None]
+        c.append((a**k).reshape(axes))
+        dc.append((k * a**k_minus_one).reshape(axes))
+        h.append(half_k / e)
+        scaled *= (e**half_k).reshape(axes)
+    spectra = spectra[owners].reshape((n,) + (1,) * modes + (-1,))
+    scaled = scaled.reshape(n, math.prod(levels), -1)
     # (D R)† is read from D R's buffer, conjugated in place when complex, and
-    # the rows of c reuse those of dc: two (N, d, d·r) arrays besides the results
+    # every product's rows are formed in one buffer: two (N, dim, dim·r)
+    # arrays besides the results
     real = scaled.dtype.kind != "c"
     scaled_h = (scaled if real else np.conjugate(scaled, out=scaled)).swapaxes(1, 2)
-    d_out = rows @ scaled_h
-    unconjugated = scaled if real else np.conjugate(scaled, out=rows)
-    rows = np.multiply(unconjugated, columns(alpha**k), out=rows)
-    out = rows @ scaled_h
+    results, rows = [], None
+    for j in range(-1, modes):  # the output, then each mode's ∂/∂α
+        # diag(s ⊗ weights) as a row that scales the columns (k, i)
+        columns = spectra
+        for i in range(modes):
+            columns = columns * (dc[i] if i == j else c[i])
+        unconjugated = scaled if real else np.conjugate(scaled, out=rows)
+        rows = np.multiply(unconjugated, columns.reshape(n, 1, -1), out=rows)
+        results.append(rows @ scaled_h)
     del rows, scaled, scaled_h, unconjugated
-    h = half_k / eta
-    d_out -= out * (h[:, :, None] + h[:, None, :])
-    return out, d_out
+    out = results[0].reshape((n,) + levels + levels)
+    for j, (d_out, h_j) in enumerate(zip(results[1:], h)):
+        # h_j on mode j's ket levels plus on its bra levels
+        ket = h_j.reshape((n,) + (1,) * j + h_j.shape[1:] + (1,) * (2 * modes - 1 - j))
+        bra = h_j.reshape((n,) + (1,) * (modes + j) + h_j.shape[1:] + (1,) * (modes - 1 - j))
+        d_out -= (out * (ket + bra)).reshape(d_out.shape)
+    return tuple(results)
 
 
 def mode_output_and_alpha_derivative(rho: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -353,45 +313,35 @@ def grid_output_and_alpha_derivatives(state: TwoModeState, alpha_plus, alpha_min
     """Loss outputs and their exact ∂/∂α₊, ∂/∂α₋ at each pair of absorptions.
 
     ``alpha_plus`` and ``alpha_minus`` are (B,) arrays; each result is a
-    (B, dim, dim) stack at zero phase, from one table pass per mode.  The
-    mode-plus loss stage and its ∂/∂α₊ are formed once; the mode-minus
-    loss maps the stage to the output and ∂/∂α₋, and its ∂/∂α₊ to the
-    output's.  The outputs are unchecked, and the derivatives are
-    traceless Hermitian matrices, not states.
+    (B, dim, dim) stack at zero phase, from one call of the loss kernel on
+    the state's ``kraus_tables``, real when the input is exactly real.  The
+    outputs are unchecked, and the derivatives are traceless Hermitian
+    matrices, not states.
     """
-    space = state.space
-    # one input that every point shares, in real storage when exactly real:
-    # loss weights are real, so the whole damping stage then runs in real
-    # arithmetic (about twice as fast)
-    rho = real_if_exact(state.rho)
-    dp, dm = space.cutoff_plus + 1, space.cutoff_minus + 1
-    tables_plus = _loss_tables(space.cutoff_plus, alpha_plus)
-    tables_minus = _loss_tables(space.cutoff_minus, alpha_minus)
-    stage, d_stage = _damp_mode(rho.reshape(1, dp, dm, dp, dm), tables_plus, (1, 3))
-    output, d_minus = _damp_mode(stage, tables_minus, (2, 4))
-    d_plus = _damp_mode(d_stage, tables_minus, (2, 4), derivative=False)
-    shape = (-1, space.dim, space.dim)
-    return output.reshape(shape), d_plus.reshape(shape), d_minus.reshape(shape)
+    tables, spectra = state.kraus_tables
+    alpha = np.column_stack((alpha_plus, alpha_minus))
+    return factored_output_and_alpha_derivative(tables, spectra, [0] * len(alpha), alpha)
 
 
 def mode_population_transfer(cutoff: int, alpha) -> tuple[np.ndarray, np.ndarray]:
     """One mode's photon-number transfer matrix T and its exact ∂T/∂α.
 
     Loss maps populations to populations: p_out[m] = Σ_k T[m, m+k] p[m+k]
-    with T[m, m+k] = W[k, m, m] = (c·g)[k, m] g[k, m], the diagonal of the
-    loss map, so the intensity moments never need the coherences.  An
-    array of ``alpha`` values leads both results with its shape.
+    with T[m, m+k] = C(m+k, k) η^m α^k = α^k g², g = √C(m+k, k) η^{m/2}
+    from ``fock._root_binomials``, the diagonal of the loss map, so the
+    intensity moments never need the coherences; ∂T/∂α = k α^{k−1} g² −
+    T m/η.  An array of ``alpha`` values leads both results with its shape.
     """
-    weighted, d_weighted, g, h = _loss_tables(cutoff, alpha)
-    _, rows, cols = _root_binomials(cutoff)[:3]
-    k = cols - rows
-    transfer = np.zeros((*g.shape[:-2], cutoff + 1, cutoff + 1))
+    root, rows, cols, k, half_k, k_minus_one = _root_binomials(cutoff)
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    eta = 1.0 - alpha
+    lost = cols - rows
+    g = root[lost, rows] * eta ** half_k[rows]
+    transfer = np.zeros((*alpha.shape[:-1], cutoff + 1, cutoff + 1))
     d_transfer = np.zeros_like(transfer)
-    g = g[..., k, rows]
-    transfer[..., rows, cols] = weighted[..., k, rows] * g
-    d_transfer[..., rows, cols] = d_weighted[..., k, rows] * g - transfer[..., rows, cols] * 2 * h[
-        ..., rows
-    ]
+    kept, h = alpha**lost * g * g, k[rows] / (2.0 * eta)
+    transfer[..., rows, cols] = kept
+    d_transfer[..., rows, cols] = k[lost] * alpha ** k_minus_one[lost] * g * g - kept * 2 * h
     return transfer, d_transfer
 
 

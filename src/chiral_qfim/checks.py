@@ -312,10 +312,12 @@ def fringe_period_doubling(samples: int = 33) -> CheckResult:
 def channel_routes_agreement(states=None) -> CheckResult:
     """Kraus map against the RK4-integrated rate equation at ROUTES_POINT.
 
-    ``states`` defaults to the noon input.
+    ``states`` defaults to the noon and single-photon inputs, the probes
+    whose loss takes the dense route.
     """
     if states is None:
-        states = (prepare_input_state(InputStateKind.noon_hv()),)
+        kinds = (InputStateKind.noon_hv(), InputStateKind.single_photon_h())
+        states = [prepare_input_state(kind) for kind in kinds]
     residual = 0.0
     for state in states:
         kraus = apply_channel_kraus(state, ROUTES_POINT)
@@ -326,7 +328,7 @@ def channel_routes_agreement(states=None) -> CheckResult:
         residual=residual,
         tolerance=ROUTES_TOL,
         passed=residual <= ROUTES_TOL,
-        note="Kraus map vs RK4-integrated rate equation on the noon input",
+        note="Kraus map vs RK4-integrated rate equation on the noon and single-photon inputs",
     )
 
 
@@ -334,7 +336,8 @@ def channel_semigroup_composition(states=None, steps=SEMIGROUP_STEPS) -> CheckRe
     """Two damping steps equal one step with the composed parameters.
 
     ``steps`` is the (first, second) parameter pair; ``states`` defaults
-    to the noon input.
+    to the noon and single-photon inputs, the probes whose loss takes the
+    dense route.
     """
     first, second = steps
     total = ChiralParams(
@@ -344,7 +347,8 @@ def channel_semigroup_composition(states=None, steps=SEMIGROUP_STEPS) -> CheckRe
         phi_minus=first.phi_minus + second.phi_minus,
     )
     if states is None:
-        states = (prepare_input_state(InputStateKind.noon_hv()),)
+        kinds = (InputStateKind.noon_hv(), InputStateKind.single_photon_h())
+        states = [prepare_input_state(kind) for kind in kinds]
     residual = 0.0
     for state in states:
         stepped = apply_channel_kraus(apply_channel_kraus(state, first), second)
@@ -355,7 +359,7 @@ def channel_semigroup_composition(states=None, steps=SEMIGROUP_STEPS) -> CheckRe
         residual=residual,
         tolerance=SEMIGROUP_TOL,
         passed=residual <= SEMIGROUP_TOL,
-        note="two damping steps equal one with the composed parameters",
+        note="two damping steps equal one with the composed parameters, noon and single photon",
     )
 
 

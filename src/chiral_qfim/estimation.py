@@ -19,12 +19,13 @@ stack of their distinct single-mode problems, one per (mode input,
 absorption): both modes of an H-polarized coherent probe or of the photon
 pair read one input, so a common absorption, an absorption that recurs
 across points, or a phase sweep is solved once and gathered back to each
-point.  Their outputs come from one call of the factored loss kernel
-(``channel.factored_output_and_alpha_derivative``) on the loss tables of
-each input's factor.  Any other input is solved block by block, over a
-stack of the output blocks that the input's nonzero pattern fixes
-(``TwoModeState.output_blocks``), with the blocks' QFIMs summed, from the
-two-mode engine.  Both solve at zero phase: the phase stage
+point.  Any other input is solved block by block, over a stack of the
+output blocks that the input's nonzero pattern fixes
+(``TwoModeState.output_blocks``), with the blocks' QFIMs summed.  Both
+take their outputs from one call of the loss kernel
+(``channel.factored_output_and_alpha_derivative``), on the single-mode
+tables of a product's factors or the two-mode table of any other input.
+Both solve at zero phase: the phase stage
 e^{−i(φ₊n₊ + φ₋n₋)} is a unitary that commutes with n₊ and n₋, so it
 leaves the QFIM unchanged.  Only ``channel_derivatives``, which returns an
 output at its phase, applies ``channel.phase_stage``.  One eigensolve of
@@ -36,7 +37,8 @@ kept read-only: per state, a product's distinct padded mode inputs with
 their loss tables, one ``eigh`` of each distinct factor, and the phase
 generator −i(n_j − n_k) of their levels (``TwoModeState.mode_inputs``),
 and a dense input's output blocks with their padded levels and the phase
-generators of n₊ and n₋ on them (``TwoModeState.output_blocks``), both
+generators of n₊ and n₋ on them (``TwoModeState.output_blocks``) and its
+loss tables, one ``eigh`` per input block (``TwoModeState.kraus_tables``), all
 formed on the first bound; per label tuple, the native-to-label pullback
 (``_native_pullback``) and per (labels, coupling code) pair the parameter
 groups (``_coupled_groups``); per cutoff, the loss binomials and their
@@ -217,8 +219,9 @@ def channel_derivatives(
 ) -> tuple[TwoModeState, list[ParamDerivative]]:
     """Channel output together with ∂ρ for each requested parameter.
 
-    The loss output and both α-derivatives come from one loss table pass
-    per mode, and the phase stage then acts on all three.  The output is
+    The loss output and both α-derivatives come from one call of the loss
+    kernel on the state's ``kraus_tables``, and the phase stage then acts
+    on all three.  The output is
     checked once: finite, Hermitian and in the trace window.  The
     φ-derivatives come from the checked output, and each label's matrix is
     their constant combination.

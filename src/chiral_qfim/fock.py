@@ -142,33 +142,52 @@ def _root_binomials(cutoff: int) -> tuple:
     return tables
 
 
+def _eigenpairs(matrix) -> tuple:
+    """ρ = Σ_i s_i w_i w_i† of a Hermitian matrix by one ``eigh``, keeping
+    the eigenpairs with |s_i| > n·ε·max|s| (n its levels, numpy's
+    ``matrix_rank`` tolerance) with their signs, so an indefinite or negated
+    matrix keeps its sign; a zero matrix keeps none."""
+    s, w = np.linalg.eigh(real_if_exact(matrix))
+    keep = np.abs(s) > len(s) * np.finfo(float).eps * np.abs(s).max()
+    return s[keep], w[:, keep]
+
+
+def _kraus_table(vectors: np.ndarray, levels: tuple) -> np.ndarray:
+    """R[m, k, i] = Π_j √C(m_j+k_j, k_j) w_i[m+k] (*levels, *levels, r) of
+    the columns w_i of ``vectors`` (dim, r), on the flat levels of modes of
+    ``levels`` levels each; zero where m+k passes them."""
+    modes, rank = len(levels), vectors.shape[-1]
+    padded = np.zeros((*(2 * d for d in levels), rank), vectors.dtype)
+    padded[tuple(map(slice, levels))] = vectors.reshape(*levels, rank)
+    # shifted[m, k, i] = padded[m + k, i]: each mode's stride steps both m and k
+    strides = padded.strides[:-1] * 2 + padded.strides[-1:]
+    shifted = np.ndarray((*levels, *levels, rank), padded.dtype, padded, 0, strides)
+    weight = 1.0
+    for j, d in enumerate(levels):
+        axes = [1] * (2 * modes)
+        axes[j] = axes[modes + j] = d
+        weight = weight * _root_binomials(d - 1)[0].T.reshape(axes)
+    return weight[..., None] * shifted
+
+
 def mode_factor_tables(matrices, d: int) -> tuple:
     """The α-free loss tables of single-mode Hermitian matrices of at most
     d levels: R (N, d, d·r) and the signed spectra s (N, r).
 
-    Each matrix is factored by one ``eigh`` as ρ = Σ_i s_i w_i w_i†,
-    keeping the eigenpairs with |s_i| > n·ε·max|s| (n its levels, numpy's
-    ``matrix_rank`` tolerance) with their signs, so an indefinite or
-    negated matrix keeps its sign.  R[m, (k, i)] = √C(m+k, k) w_i[m+k],
-    zero where m+k passes the matrix's levels; the tables are zero-padded
-    to the common rank r, with s = 0 there.  Every input the builders of
-    this module make has rank 1.
+    Each matrix is factored by ``_eigenpairs`` as ρ = Σ_i s_i w_i w_i†,
+    and R[m, (k, i)] = √C(m+k, k) w_i[m+k] (``_kraus_table``), zero where
+    m+k passes the matrix's levels; the tables are zero-padded to the common
+    rank r, with s = 0 there.  Every input the builders of this module make
+    has rank 1.
     """
-    pairs = []
-    for matrix in matrices:
-        s, w = np.linalg.eigh(real_if_exact(matrix))
-        keep = np.abs(s) > len(s) * np.finfo(float).eps * np.abs(s).max()
-        pairs.append((s[keep], w[:, keep]))
+    pairs = [_eigenpairs(matrix) for matrix in matrices]
     rank = max(len(s) for s, _ in pairs)
-    root = _root_binomials(d - 1)[0]
-    # shift[m, k] = m + k, read from each eigenvector padded to 2d levels
-    shift = np.add.outer(np.arange(d), np.arange(d))
     tables = np.zeros((len(pairs), d, d, rank), np.result_type(*(w for _, w in pairs)))
     spectra = np.zeros((len(pairs), rank))
     for table, spectrum, (s, w) in zip(tables, spectra, pairs):
-        padded = np.zeros((2 * d, len(s)), w.dtype)
+        padded = np.zeros((d, len(s)), w.dtype)
         padded[: len(w)] = w
-        table[..., : len(s)] = root.T[..., None] * padded[shift]
+        table[..., : len(s)] = _kraus_table(padded, (d,))
         spectrum[: len(s)] = s
     return tables.reshape(len(pairs), d, d * rank), spectra
 
@@ -341,6 +360,28 @@ class TwoModeState:
         for array in output_blocks[1:]:
             array.flags.writeable = False
         return output_blocks
+
+    @functools.cached_property
+    def kraus_tables(self) -> tuple:
+        """The loss tables of ``rho`` for ``channel.factored_output_and_alpha_derivative``,
+        formed once: R (1, d₊, d₋, dim·r), R[(m₊, m₋), (k, l, i)] =
+        √C(m₊+k, k) √C(m₋+l, l) w_i[m₊+k, m₋+l] (``_kraus_table``), and the
+        signed spectra (1, r).  The input is its own α = 0 output, so it is
+        block diagonal in its ``output_blocks``: each block it holds is
+        factored apart by ``_eigenpairs``, and no eigenproblem is larger than
+        a block.  Both arrays are read-only, real when ``rho`` is exactly real."""
+        rho, basis = real_if_exact(self.rho), np.eye(self.space.dim)
+        # a block that only loss fills holds no eigenpair of the input
+        held = set(np.flatnonzero(rho.any(axis=1)).tolist())
+        blocks = [block for block in self.output_blocks.blocks if not held.isdisjoint(block)]
+        pairs = [_eigenpairs(rho[np.ix_(block, block)]) for block in blocks]
+        spectra = np.concatenate([s for s, _ in pairs])[None]
+        vectors = np.hstack([basis[:, block] @ w for block, (_, w) in zip(blocks, pairs)])
+        levels = (self.space.cutoff_plus + 1, self.space.cutoff_minus + 1)
+        tables = _kraus_table(vectors, levels).reshape(1, *levels, -1)
+        for array in (tables, spectra):
+            array.flags.writeable = False
+        return tables, spectra
 
     def _complex_trace(self) -> complex:
         if self.factors is None:

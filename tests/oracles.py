@@ -9,8 +9,13 @@ independent way:
   F_ij = ½ tr[ρ(L_iL_j + L_jL_i)], against the eigenbasis and per-mode
   routes of ``compute_bounds``;
 * ``noon_output_analytic``: the closed-form channel output of the NOON
-  input, against the Kraus engine.
+  input, against the Kraus engine;
+* ``kraus_loss``: the loss output and its exact α-derivatives by a loop
+  over the Kraus operators, each reading the input's own entries through a
+  slice, against the factored loss kernel.
 """
+
+import math
 
 import numpy as np
 
@@ -97,3 +102,43 @@ def noon_output_analytic(params: ChiralParams, space) -> np.ndarray:
     rho[k20, k02] = -0.5 * hp * hm * np.exp(-2j * params.delta)
     rho[k02, k20] = np.conj(rho[k20, k02])
     return rho
+
+
+def _loss_weights(cutoff: int, k: int, alpha: float) -> tuple:
+    """One mode's k-photon weights α^k √(C(m+k, k) C(m'+k, k)) η^((m+m')/2)
+    on the levels m, m' ≤ cutoff − k, and their exact α-derivative, each
+    entry from ``math.comb``."""
+    size, eta = cutoff + 1 - k, 1.0 - alpha
+    weights, derivatives = np.zeros((size, size)), np.zeros((size, size))
+    d_alpha_k = k * alpha ** (k - 1) if k else 0.0  # with 0^0 = 1
+    for m in range(size):
+        for mp in range(size):
+            binom = math.sqrt(math.comb(m + k, k) * math.comb(mp + k, k))
+            half = (m + mp) / 2.0
+            d_eta = -half * eta ** (half - 1.0) if half else 0.0
+            weights[m, mp] = binom * alpha**k * eta**half
+            derivatives[m, mp] = binom * (d_alpha_k * eta**half + alpha**k * d_eta)
+    return weights, derivatives
+
+
+def kraus_loss(rho: np.ndarray, space, alpha_plus: float, alpha_minus: float) -> tuple:
+    """Binomial loss of a two-mode matrix ``rho`` and its exact ∂/∂α₊,
+    ∂/∂α₋, one (k, l) Kraus pair at a time: the input entries
+    ρ[(m₊+k, m₋+l), (m₊'+k, m₋'+l)], read as a slice, weighted per mode."""
+    dp, dm = space.cutoff_plus + 1, space.cutoff_minus + 1
+    rho = np.asarray(rho).reshape(dp, dm, dp, dm)
+    out, d_plus, d_minus = (np.zeros(rho.shape, complex) for _ in range(3))
+    minus = [_loss_weights(dm - 1, l, alpha_minus) for l in range(dm)]
+    for k in range(dp):
+        w_plus, dw_plus = _loss_weights(dp - 1, k, alpha_plus)
+        for l, (w_minus, dw_minus) in enumerate(minus):
+            shifted = rho[k:, l:, k:, l:]
+            for target, a, b in (
+                (out, w_plus, w_minus),
+                (d_plus, dw_plus, w_minus),
+                (d_minus, w_plus, dw_minus),
+            ):
+                target[: dp - k, : dm - l, : dp - k, : dm - l] += (
+                    a[:, None, :, None] * b[None, :, None, :] * shifted
+                )
+    return tuple(m.reshape(space.dim, space.dim) for m in (out, d_plus, d_minus))

@@ -32,7 +32,8 @@ from chiral_qfim.fock import (
     hv_to_pm_state,
     mode_operators,
 )
-from oracles import finite_difference, noon_output_analytic
+from chiral_qfim.linalg import real_if_exact
+from oracles import finite_difference, kraus_loss, noon_output_analytic
 
 
 def random_density(rng, space):
@@ -313,21 +314,24 @@ def test_alpha_derivative_at_zero_loss():
 
 
 def _count_weight_passes(monkeypatch):
-    """Record the cutoff of every loss-table pass, dense or population, and
-    of every call of the product route's factored kernel."""
+    """Record every call of the loss kernel, dense or per mode, as the
+    tuple of its table's cutoffs, one per mode, and every population
+    transfer build as its cutoff."""
     cutoffs = []
-    tables, kernel = channel._loss_tables, estimation.factored_output_and_alpha_derivative
-
-    def counting(cutoff, alpha):
-        cutoffs.append(cutoff)
-        return tables(cutoff, alpha)
+    kernel = channel.factored_output_and_alpha_derivative
+    transfer = experiments.mode_population_transfer
 
     def counting_kernel(factor_tables, spectra, owners, alpha):
-        cutoffs.append(factor_tables.shape[-2] - 1)
+        cutoffs.append(tuple(d - 1 for d in factor_tables.shape[1:-1]))
         return kernel(factor_tables, spectra, owners, alpha)
 
-    monkeypatch.setattr(channel, "_loss_tables", counting)
-    monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", counting_kernel)
+    def counting_transfer(cutoff, alpha):
+        cutoffs.append(cutoff)
+        return transfer(cutoff, alpha)
+
+    for module in (channel, estimation):
+        monkeypatch.setattr(module, "factored_output_and_alpha_derivative", counting_kernel)
+    monkeypatch.setattr(experiments, "mode_population_transfer", counting_transfer)
     return cutoffs
 
 
@@ -343,11 +347,12 @@ def _refuse_dense_propagation(monkeypatch):
 
 def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
     cutoffs = _count_weight_passes(monkeypatch)
-    # unequal cutoffs tell the two modes' passes apart
+    # unequal cutoffs tell the two modes' passes apart: one kernel call on
+    # the dense table of both modes, then one transfer build per mode
     state = hv_to_pm_state(NOON_HV, FockSpace(2, 3))
     params = ChiralParams(0.3, 0.45, 0.6, -0.3)
     channel_derivatives(state, params, CHIRAL_NAMES)
-    assert cutoffs == [2, 3]
+    assert cutoffs == [(2, 3)]
 
     _refuse_dense_propagation(monkeypatch)
     cutoffs.clear()
@@ -378,7 +383,7 @@ def test_sweep_takes_one_stacked_numeric_pass_and_one_intensity_pass_per_mode(mo
         cutoffs.clear()
         experiments.run_sweep(spec)
         assert cutoffs == [
-            max(space.cutoff_plus, space.cutoff_minus),
+            (max(space.cutoff_plus, space.cutoff_minus),),
             space.cutoff_plus,
             space.cutoff_minus,
         ]
@@ -425,15 +430,16 @@ def _loss_weights_by_comb(cutoff, alpha):
 @pytest.mark.parametrize("cutoff", [0, 1, 12, 70, 100])
 @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.35, 0.999])
 def test_loss_weights_match_binomial_formula(cutoff, alpha):
-    # W = (c.g)_k (x) g_k and dW = (dc.g)_k (x) g_k - W (m+m')/(2 eta), as the kernel forms them
-    weighted, d_weighted, g, h = channel._loss_tables(cutoff, alpha)
-    weights = weighted[:, :, None] * g[:, None, :]
-    derivatives = d_weighted[:, :, None] * g[:, None, :] - weights * (h[:, None] + h[None, :])
-    ref_w, ref_d = _loss_weights_by_comb(cutoff, alpha)
-    # relative to the largest entry, so underflowed tails do not matter
-    assert np.max(np.abs(weights - ref_w)) <= 1e-14 * np.max(np.abs(ref_w))
-    assert np.max(np.abs(derivatives - ref_d)) <= 1e-14 * np.max(np.abs(ref_d))
+    # the population transfer T[m, m+k] is the diagonal W_k[m, m] of the loss map
     transfer, d_transfer = mode_population_transfer(cutoff, alpha)
+    ref_w, ref_d = _loss_weights_by_comb(cutoff, alpha)
+    rows, cols = np.triu_indices(cutoff + 1)
+    expected, d_expected = np.zeros_like(transfer), np.zeros_like(d_transfer)
+    expected[rows, cols] = ref_w[cols - rows, rows, rows]
+    d_expected[rows, cols] = ref_d[cols - rows, rows, rows]
+    # relative to the largest entry, so underflowed tails do not matter
+    assert np.max(np.abs(transfer - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert np.max(np.abs(d_transfer - d_expected)) <= 1e-14 * np.max(np.abs(d_expected))
     np.testing.assert_allclose(transfer.sum(axis=0), 1.0, rtol=0, atol=1e-13)
     np.testing.assert_allclose(d_transfer.sum(axis=0), 0.0, rtol=0, atol=1e-13)
 
@@ -441,7 +447,7 @@ def test_loss_weights_match_binomial_formula(cutoff, alpha):
 def test_loss_weight_cache_holds_only_small_tables():
     channel._root_binomials.cache_clear()
     for cutoff, alpha in ((100, 0.3), (12, 0.3), (12, 0.7)):
-        tables = channel._loss_tables(cutoff, alpha)
+        tables = mode_population_transfer(cutoff, alpha)
         assert all(table.size <= (cutoff + 1) ** 2 for table in tables)
     # one entry per cutoff, whatever the alpha
     assert channel._root_binomials.cache_info().currsize == 2
@@ -471,11 +477,11 @@ def test_loss_tables_refuse_a_cutoff_past_float64_before_building(monkeypatch):
     combs, comb = [], math.comb
     monkeypatch.setattr(math, "comb", lambda *args: combs.append(args) or comb(*args))
     with pytest.raises(OverflowError, match=f"cutoff {limit + 1} exceeds {limit}"):
-        channel._loss_tables(limit + 1, 0.3)
+        mode_population_transfer(limit + 1, 0.3)
     assert combs == []
     monkeypatch.undo()
     # below the limit each entry is still √C(m+k, k), rounded once
-    root, rows, cols, k, half_k, k_minus_one = channel._root_binomials(80)
+    root, rows, cols, k, half_k, k_minus_one = fock._root_binomials(80)
     exact = [[math.comb(i + j, j) if i + j <= 80 else 0 for i in range(81)] for j in range(81)]
     assert np.array_equal(root, np.sqrt(np.array(exact, dtype=float)))
     assert np.array_equal(k, np.arange(81)) and np.array_equal(half_k, np.arange(81) / 2)
@@ -494,73 +500,6 @@ def test_dense_route_makes_no_cutoff_fold_copy():
         tracemalloc.stop()
     # a gathered copy of the 4-index tensor alone would be 25 copies of rho
     assert peak < 16 * state.rho.nbytes
-
-
-def damp_by_padding(rho, tables, axes):
-    """``channel._damp_mode`` with each shift read from an np.pad zero-padded
-    copy, (2d-1)^2 entries per matrix, instead of the flat zero-tailed buffer."""
-    weighted, d_weighted, g, h = tables
-    lead, d = weighted.ndim - 2, rho.shape[axes[0]]
-    rho = np.broadcast_to(rho, (*weighted.shape[:lead], *rho.shape[lead:]))
-    padded = np.pad(rho, [(0, d - 1) if axis in axes else (0, 0) for axis in range(rho.ndim)])
-    s = padded.strides
-    shifted = np.lib.stride_tricks.as_strided(
-        padded,
-        (*rho.shape[:lead], d, *rho.shape[lead:]),
-        (*s[:lead], s[axes[0]] + s[axes[1]], *s[lead:]),
-    )
-    index = "pqrs"[: rho.ndim - lead]
-    ket, bra = index[axes[0] - lead], index[axes[1] - lead]
-    spec = f"...k{ket},...k{bra},...k{index}->...{index}"
-    out = np.einsum(spec, weighted, g, shifted)
-    h_ket = [*h.shape[:-1]] + [1] * (rho.ndim - lead)
-    h_bra = list(h_ket)
-    h_ket[axes[0]] = h_bra[axes[1]] = d
-    d_out = np.einsum(spec, d_weighted, g, shifted)
-    d_out -= out * (h.reshape(h_ket) + h.reshape(h_bra))
-    return out, d_out
-
-
-KERNEL_ALPHAS = (0.0, 0.35, 1 - 1e-9)
-
-
-@pytest.mark.parametrize("cutoff", [0, 1, 12, 100])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_flat_buffer_read_equals_zero_padded_read_on_single_mode_stacks(cutoff, dtype):
-    rng = np.random.default_rng(cutoff)
-    d = cutoff + 1
-    stack = rng.standard_normal((2, 1, d, d)).astype(dtype)
-    if dtype is complex:
-        stack += 1j * rng.standard_normal(stack.shape)
-    stack += np.swapaxes(stack, -1, -2).conj()
-    # two matrices each shared by every alpha along the second grid axis, one
-    # matrix shared by every alpha, and one matrix per alpha
-    for rho, alphas in (
-        (stack, [KERNEL_ALPHAS, KERNEL_ALPHAS[::-1]]),
-        (stack[:1], [KERNEL_ALPHAS]),
-        (stack.reshape(1, 2, d, d), [KERNEL_ALPHAS[:2]]),
-    ):
-        tables = channel._loss_tables(cutoff, np.array(alphas))
-        for flat, padded in zip(
-            channel._damp_mode(rho, tables, (2, 3)), damp_by_padding(rho, tables, (2, 3))
-        ):
-            np.testing.assert_array_equal(flat, padded)
-
-
-@pytest.mark.parametrize("cutoffs", [(0, 1), (1, 0), (1, 12), (12, 1), (12, 12)])
-def test_flat_buffer_read_equals_zero_padded_read_on_the_dense_tensor(cutoffs):
-    space = FockSpace(*cutoffs)
-    dp, dm = cutoffs[0] + 1, cutoffs[1] + 1
-    rng = np.random.default_rng(sum(cutoffs))
-    shared = random_density(rng, space).rho
-    per_point = np.stack([random_density(rng, space).rho.real for _ in KERNEL_ALPHAS])
-    for rho in (shared.reshape(1, dp, dm, dp, dm), per_point.reshape(-1, dp, dm, dp, dm)):
-        for cutoff, axes in ((cutoffs[0], (1, 3)), (cutoffs[1], (2, 4))):
-            tables = channel._loss_tables(cutoff, np.array(KERNEL_ALPHAS))
-            for flat, padded in zip(
-                channel._damp_mode(rho, tables, axes), damp_by_padding(rho, tables, axes)
-            ):
-                np.testing.assert_array_equal(flat, padded)
 
 
 def test_single_mode_kernel_holds_no_cube():
@@ -645,25 +584,23 @@ KERNEL_EDGE_ALPHAS = (0.0, 1e-300, 1e-13, 0.35, 0.999, 1 - 1e-6)
 
 @pytest.mark.parametrize("name", list(_kernel_inputs()))
 def test_factored_kernel_matches_the_two_mode_engine_on_every_input_kind(name):
-    # the product route's kernel, on each mode's factor, against the
-    # two-mode engine's strided contraction of the Kronecker product
+    # the product route's kernel, on each mode's factor, against the Kraus
+    # loop over the Kronecker product
     state = _kernel_inputs()[name]
     rho_plus, rho_minus = state.factors
     alphas = np.array(KERNEL_EDGE_ALPHAS)
     out_plus, d_plus = mode_output_and_alpha_derivative(rho_plus, alphas)
     out_minus, d_minus = mode_output_and_alpha_derivative(rho_minus, alphas[::-1])
-    joint, exact_plus, exact_minus = grid_output_and_alpha_derivatives(
-        state, alphas, alphas[::-1]
-    )
     # on the scale of each matrix, since at 1 − 1e-6 h_m = m/(2η) takes
     # ∂/∂α to entries near 1e3.  Factoring costs the output a few ulps: the
     # eigh reconstruction W S W† of the indefinite factor alone is 1.1e-15
-    # from it, where the engine reads the input's own entries
-    for b in range(len(alphas)):
+    # from it, where the loop reads the input's own entries
+    for b, point in enumerate(zip(alphas, alphas[::-1])):
+        joint, exact_plus, exact_minus = kraus_loss(state.rho, state.space, *point)
         for factored, exact, tol in (
-            (np.kron(out_plus[b], out_minus[b]), joint[b], 2e-15),
-            (np.kron(d_plus[b], out_minus[b]), exact_plus[b], 1e-14),
-            (np.kron(out_plus[b], d_minus[b]), exact_minus[b], 1e-14),
+            (np.kron(out_plus[b], out_minus[b]), joint, 2e-15),
+            (np.kron(d_plus[b], out_minus[b]), exact_plus, 1e-14),
+            (np.kron(out_plus[b], d_minus[b]), exact_minus, 1e-14),
         ):
             scale = max(1.0, np.max(np.abs(exact)))
             assert np.max(np.abs(factored - exact)) <= tol * scale
@@ -692,19 +629,6 @@ def test_population_transfer_is_the_diagonal_of_the_loss_map(alpha):
     transfer, d_transfer = mode_population_transfer(5, alpha)
     np.testing.assert_allclose(transfer @ pops, np.diag(out), rtol=0, atol=1e-14)
     np.testing.assert_allclose(d_transfer @ pops, np.diag(d_out), rtol=0, atol=1e-14)
-    # bit-identical to the kernel's table products on the diagonal m = m':
-    # T[m, m+k] = (c.g)[k, m] g[k, m], minus T (h[m] + h[m]) in the derivative
-    for cutoff in (0, 1, 2, 12, 24, 70, 100):
-        weighted, d_weighted, g, h = channel._loss_tables(cutoff, alpha)
-        rows, cols = np.triu_indices(cutoff + 1)
-        transfer, d_transfer = mode_population_transfer(cutoff, alpha)
-        expected = np.zeros_like(transfer)
-        expected[rows, cols] = (weighted * g)[cols - rows, rows]
-        np.testing.assert_array_equal(transfer, expected)
-        expected[rows, cols] = (d_weighted * g)[cols - rows, rows] - expected[rows, cols] * (
-            h[rows] + h[rows]
-        )
-        np.testing.assert_array_equal(d_transfer, expected)
 
 
 def test_loss_weights_past_int64_binomials():
@@ -831,3 +755,64 @@ def test_output_blocks_hold_every_output_of_the_grid():
         output, d_plus, d_minus = grid_output_and_alpha_derivatives(state, alpha_plus, alpha_minus)
         for stack in (output, d_plus, d_minus):
             assert not stack[:, ~inside].any()
+
+
+def _dense_inputs():
+    rng = np.random.default_rng(7)
+    return {
+        "noon-2-2": hv_to_pm_state(NOON_HV, FockSpace(2, 2)),
+        "noon-4-3": hv_to_pm_state(NOON_HV, FockSpace(4, 3)),
+        "single-photon-1-1": hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1)),
+        "single-photon-2-1": hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(2, 1)),
+        "sparse-mixture": sparse_mixture(rng, FockSpace(3, 2), 3),
+        "full-rank": random_density(rng, FockSpace(3, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_dense_inputs()))
+def test_dense_route_matches_the_kraus_loop(name):
+    # the kernel on the state's table of both modes, over the edge grid of
+    # absorption pairs, against the Kraus loop on the input's own entries
+    state = _dense_inputs()[name]
+    alphas = np.array(KERNEL_EDGE_ALPHAS)
+    alpha_plus, alpha_minus = np.repeat(alphas, len(alphas)), np.tile(alphas, len(alphas))
+    results = grid_output_and_alpha_derivatives(state, alpha_plus, alpha_minus)
+    # the rank-1 probes stay within an ulp or two; a mixed input's eigh
+    # reconstruction costs its output a few ulps, as in the product route
+    mixed = name in ("sparse-mixture", "full-rank")
+    tols = (2e-15, 1e-14, 1e-14) if mixed else (1e-15,) * 3
+    for b, point in enumerate(zip(alpha_plus, alpha_minus)):
+        references = kraus_loss(state.rho, state.space, *point)
+        for result, reference, tol in zip(results, references, tols):
+            scale = max(1.0, np.max(np.abs(reference)))
+            assert np.max(np.abs(result[b] - reference)) <= tol * scale
+
+
+@pytest.mark.parametrize("name", list(_dense_inputs()))
+def test_a_dense_state_factors_its_input_once_block_by_block(name):
+    state = _dense_inputs()[name]
+    tables, spectra = state.kraus_tables
+    assert state.kraus_tables[0] is tables and state.kraus_tables[1] is spectra
+    assert not tables.flags.writeable and not spectra.flags.writeable
+    assert tables.dtype == real_if_exact(state.rho).dtype
+    dp, dm, dim = state.space.cutoff_plus + 1, state.space.cutoff_minus + 1, state.space.dim
+    rank = spectra.shape[-1]
+    assert tables.shape == (1, dp, dm, dim * rank)
+    # the (k, l) = (0, 0) columns are the eigenvectors, each on one block's levels
+    w = tables.reshape(dim, dim, rank)[:, 0]
+    rebuilt = (spectra[0] * w) @ w.conj().T
+    assert np.max(np.abs(rebuilt - state.rho)) <= 1e-15 * dim
+    blocks = [set(block) for block in state.output_blocks.blocks]
+    for vector in w.T:
+        assert any(set(np.flatnonzero(vector).tolist()) <= block for block in blocks)
+
+
+@pytest.mark.parametrize("alpha_plus", KERNEL_EDGE_ALPHAS)
+def test_the_kraus_loop_gives_the_noon_closed_form(alpha_plus):
+    # the reference loop itself, against the closed-form NOON output
+    space = FockSpace(2, 3)
+    state = hv_to_pm_state(NOON_HV, space)
+    for alpha_minus in KERNEL_EDGE_ALPHAS:
+        output = kraus_loss(state.rho, space, alpha_plus, alpha_minus)[0]
+        closed = noon_output_analytic(ChiralParams(alpha_plus, alpha_minus), space)
+        assert np.max(np.abs(output - closed)) <= 1e-15

@@ -586,8 +586,13 @@ def test_per_mode_route_diagonalizes_single_modes_only(monkeypatch):
     compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
     assert dims and max(dims) <= cutoff + 1
     dims.clear()
-    compute_bounds(without_factors(state), PARAMS_REF, CHIRAL_NAMES)
-    # the two-mode output, then the equilibrated QFIM
+    dense = without_factors(state)
+    compute_bounds(dense, PARAMS_REF, CHIRAL_NAMES)
+    # the input's one block, factored once for the state's loss tables, then
+    # the two-mode output and the equilibrated QFIM
+    assert dims == [state.space.dim, state.space.dim, len(CHIRAL_NAMES)]
+    dims.clear()
+    compute_bounds(dense, PARAMS_REF, CHIRAL_NAMES)
     assert dims == [state.space.dim, len(CHIRAL_NAMES)]
 
 
@@ -1024,6 +1029,7 @@ QUANTUM_STATES = {
 @pytest.mark.parametrize("name", QUANTUM_STATES)
 def test_block_route_solves_no_eigenproblem_larger_than_its_blocks(monkeypatch, name):
     state, _ = QUANTUM_STATES[name]
+    state = state.with_rho(state.rho)  # fresh: it factors its input on first use
     dims = []
     original = np.linalg.eigh
 
@@ -1034,9 +1040,15 @@ def test_block_route_solves_no_eigenproblem_larger_than_its_blocks(monkeypatch, 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     grid = ParamGrid([PARAMS_REF, ChiralParams(0.2, 0.6)])
     result = compute_bounds_grid(state, grid, QUANTUM_LABELS)
-    # the 2 x 2 block stack, then the equilibrated QFIMs
-    assert dims == [(2, 2), (3, 3)]
+    # each block that holds input entries, once, for the state's loss
+    # tables, then the 2 x 2 block stack and the equilibrated QFIMs
+    held = [b for b in state.output_blocks.blocks if state.rho[np.ix_(b, b)].any()]
+    assert dims == [(len(block), len(block)) for block in held] + [(2, 2), (3, 3)]
     assert result[0].meta["route"] == "eigenbasis"
+    dims.clear()
+    compute_bounds_grid(state, grid, QUANTUM_LABELS)
+    # a second call reads the tables the state formed
+    assert dims == [(2, 2), (3, 3)]
 
 
 @pytest.mark.parametrize("name", QUANTUM_STATES)

@@ -792,25 +792,29 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
     spec = replace(spec, methods=(QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT))
     clean = run_sweep(spec)
     broken = point_at(spec, 2)
-    tables, kernel = channel._loss_tables, estimation.factored_output_and_alpha_derivative
+    kernel = channel.factored_output_and_alpha_derivative
+    transfer = experiments.mode_population_transfer
 
-    def failing_at_one_point(cutoff, alpha):
-        out = tables(cutoff, alpha)
+    def failing_kernel_at_one_point(factor_tables, spectra, owners, alpha):
+        # the one loss kernel, dense or per mode: fill the results of every
+        # problem that reads the broken absorption
+        out = kernel(factor_tables, spectra, owners, alpha)
+        broken_rows = (np.reshape(alpha, (len(owners), -1)) == broken.alpha_plus).any(axis=1)
+        for result in out:
+            result[broken_rows] = fill
+        return out
+
+    def failing_transfer_at_one_point(cutoff, alpha):
+        out = transfer(cutoff, alpha)
         for table in out:
             table[np.asarray(alpha) == broken.alpha_plus] = fill
         return out
 
-    def failing_kernel_at_one_point(factor_tables, spectra, owners, alpha):
-        # the product route's kernel reads no loss table: fill its results
-        out = kernel(factor_tables, spectra, owners, alpha)
-        for result in out:
-            result[np.asarray(alpha) == broken.alpha_plus] = fill
-        return out
-
-    monkeypatch.setattr(channel, "_loss_tables", failing_at_one_point)
-    monkeypatch.setattr(
-        estimation, "factored_output_and_alpha_derivative", failing_kernel_at_one_point
-    )
+    for module in (channel, estimation):
+        monkeypatch.setattr(
+            module, "factored_output_and_alpha_derivative", failing_kernel_at_one_point
+        )
+    monkeypatch.setattr(experiments, "mode_population_transfer", failing_transfer_at_one_point)
     rows = run_sweep(spec)
     state = prepare_input_state(kind)
     with pytest.raises((DomainError, ValueError, NumericError)) as numeric:
