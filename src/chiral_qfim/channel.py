@@ -41,7 +41,7 @@ COORDS_CHIRAL = "chiral"
 ALPHA_PHI_NAMES = ("alpha_plus", "alpha_minus", "phi_plus", "phi_minus")
 CHIRAL_NAMES = ("x_d", "x_s", "delta", "sigma")
 
-RK4_DEFAULT_STEPS = 400
+RK4_DEFAULT_STEPS = 100
 RK4_GLOBAL_ERROR_TOL = 1e-8
 
 

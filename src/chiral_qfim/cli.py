@@ -374,7 +374,6 @@ def _matrix_lines(title: str, labels, matrix) -> list:
 
 
 def _bounds_payload(args, params, labels, result) -> dict:
-    inverse = result.F_inverse
     return {
         "state": args.state,
         "parameters": {
@@ -383,12 +382,10 @@ def _bounds_payload(args, params, labels, result) -> dict:
         },
         "labels": list(labels),
         "qfim": [[float(v) for v in row] for row in result.F],
-        "qfim_inverse": None
-        if inverse is None
-        else [[float(v) for v in row] for row in inverse],
-        "bounds": {label: result.bounds.get(label) for label in labels},
-        "covariances": {f"{a},{b}": v for (a, b), v in (result.covariances or {}).items()},
-        "identifiable": dict(result.identifiable or {}),
+        "qfim_inverse": [[float(v) for v in row] for row in result.F_inverse],
+        "bounds": dict(result.bounds),
+        "covariances": {f"{a},{b}": v for (a, b), v in result.covariances.items()},
+        "identifiable": dict(result.identifiable),
         "blocks": [list(block) for block in result.blocks],
         "fully_singular": bool(result.meta.get("fully_singular", False)),
     }
@@ -411,13 +408,10 @@ def _bounds_text(payload: dict) -> str:
         + " ".join("[" + ", ".join(block) + "]" for block in payload["blocks"])
     )
     lines.extend(_matrix_lines("QFIM", labels, payload["qfim"]))
-    if payload["qfim_inverse"] is None:
-        lines.append("inverse         none (QFIM singular on every parameter)")
-    else:
-        lines.extend(_matrix_lines("inverse", labels, payload["qfim_inverse"]))
+    lines.extend(_matrix_lines("inverse", labels, payload["qfim_inverse"]))
     lines.append("bounds (single-probe standard deviation)")
     for label in labels:
-        flag = "" if payload["identifiable"].get(label, False) else "  [unidentifiable]"
+        flag = "" if payload["identifiable"][label] else "  [unidentifiable]"
         lines.append(f"  {label:>14} {_fmt(payload['bounds'][label]):>14}{flag}")
     if payload["covariances"]:
         lines.append("covariances")

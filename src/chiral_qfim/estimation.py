@@ -40,8 +40,7 @@ and a dense input's output blocks with their padded levels and the phase
 generators of n₊ and n₋ on them (``TwoModeState.output_blocks``) and its
 loss tables, one ``eigh`` per input block (``TwoModeState.kraus_tables``), all
 formed on the first bound; per label tuple, the native-to-label pullback
-(``_native_pullback``) and per (labels, coupling code) pair the parameter
-groups (``_coupled_groups``); per cutoff, the loss binomials and their
+(``_native_pullback``); per cutoff, the loss binomials and their
 exponent arrays (``fock._root_binomials``).  Results are never cached:
 each call solves its own points, one grid or one point alike.
 
@@ -84,8 +83,6 @@ SLD_RESIDUAL_TOL = 1e-8
 QFIM_PSD_TOL = 1e-9
 RCOND = 1e-10
 KERNEL_COMPONENT_TOL = 1e-6
-# bit k of a QFIM's coupling code is entry k of its flattened n x n pattern (n ≤ 8)
-_BITS = 1 << np.arange(64, dtype=np.uint64)
 
 ALL_PARAM_NAMES = ALPHA_PHI_NAMES + CHIRAL_NAMES
 
@@ -137,30 +134,39 @@ class SldMatrix:
 
 @dataclass(frozen=True)
 class QfimResult:
-    """QFIM over an ordered parameter set, with bounds once inverted.
-
-    ``bounds``/``covariances``/``identifiable`` are filled by
-    ``invert_and_bound``.
-    """
+    """One point of a ``GridBounds``: the QFIM F over an ordered parameter
+    set, its inverse, and by label the bounds, None where unidentifiable,
+    and which parameters F identifies; the covariances and parameter groups
+    are read from F⁻¹ and F."""
 
     params: tuple
     F: np.ndarray
-    blocks: tuple
-    F_inverse: np.ndarray | None = None
-    bounds: dict | None = None
-    covariances: dict | None = None
-    identifiable: dict | None = None
+    F_inverse: np.ndarray
+    bounds: dict
+    identifiable: dict
     meta: dict = field(default_factory=dict)
 
+    @functools.cached_property
+    def covariances(self) -> dict:
+        """(F⁻¹)_ij for each pair of labels i < j, None where either is
+        unidentifiable; empty where F vanishes."""
+        if self.meta.get("fully_singular"):
+            return {}
+        p, inv = self.params, self.F_inverse.tolist()
+        ok = [self.identifiable[q] for q in p]
+        pairs = itertools.combinations(range(len(p)), 2)
+        return {(p[i], p[j]): inv[i][j] if ok[i] and ok[j] else None for i, j in pairs}
+
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        """The parameter groups that F couples (``_coupled_groups``)."""
+        return _coupled_groups(self.params, self.F)
+
     def bound(self, param: str) -> float | None:
-        if self.bounds is None:
-            raise ValueError("bounds not computed; call invert_and_bound first")
         return self.bounds[param]
 
     def covariance(self, p1: str, p2: str) -> float | None:
         """cov(p1, p2); None where either is unidentifiable, as when F = 0."""
-        if self.covariances is None:
-            raise ValueError("covariances not computed; call invert_and_bound first")
         if p1 not in self.params or p2 not in self.params:
             raise KeyError((p1, p2))
         return self.covariances.get((p1, p2), self.covariances.get((p2, p1)))
@@ -172,16 +178,15 @@ class QfimResult:
 @dataclass
 class GridBounds:
     """Inverted QFIMs along a grid axis: F and F⁻¹ (B, n, n), bounds (B, n),
-    defined where ``identifiable``, each point's coupled groups, and where
-    F vanishes.  ``grid_bounds[b]`` is point b as one ``QfimResult``, for an
-    int b; slice the arrays themselves for a part of the grid."""
+    defined where ``identifiable``, and where F vanishes.
+    ``grid_bounds[b]`` is point b as one ``QfimResult``, for an int b;
+    slice the arrays themselves for a part of the grid."""
 
     params: tuple
     F: np.ndarray
     F_inverse: np.ndarray
     bounds: np.ndarray
     identifiable: np.ndarray
-    blocks: list
     fully_singular: np.ndarray
     meta: dict
 
@@ -191,18 +196,12 @@ class GridBounds:
     def __getitem__(self, b: int) -> QfimResult:
         if not isinstance(b, (int, np.integer)):
             raise TypeError(f"GridBounds indices must be integers, not {type(b).__name__}")
-        ok, bound = self.identifiable[b].tolist(), self.bounds[b].tolist()
-        inv = self.F_inverse[b].tolist()
-        lost = bool(self.fully_singular[b])
-        p, pairs = self.params, itertools.combinations(range(len(self.params)), 2)
-        covariances = {(p[i], p[j]): inv[i][j] if ok[i] and ok[j] else None for i, j in pairs}
+        p, ok, lost = self.params, self.identifiable[b].tolist(), bool(self.fully_singular[b])
         return QfimResult(
             params=p,
             F=self.F[b],
-            blocks=self.blocks[b],
             F_inverse=self.F_inverse[b],
-            bounds={name: v if k else None for name, v, k in zip(p, bound, ok)},
-            covariances={} if lost else covariances,
+            bounds={name: v if k else None for name, v, k in zip(p, self.bounds[b].tolist(), ok)},
             identifiable=dict(zip(p, ok)),
             meta={**self.meta, "fully_singular": True} if lost else dict(self.meta),
         )
@@ -299,29 +298,17 @@ def solve_sld(rho_state: TwoModeState, drho: ParamDerivative) -> SldMatrix:
     )
 
 
-def _detect_blocks(params: tuple, f: np.ndarray) -> list:
-    """The parameter groups of each QFIM of the (B, n, n) stack ``f``.
-
-    i and j are coupled when |F_ij| or |F_ji| > RCOND·sqrt(F_ii F_jj), a
-    unit-free test made as one stacked comparison.  Each point's coupling
-    pattern is coded as one integer, and each distinct (labels, code) pair
-    is resolved into groups once per process.
-    """
-    n = len(params)
-    root = np.sqrt(np.maximum(f.diagonal(0, 1, 2), 0.0))
-    adj = np.abs(f) > RCOND * root[:, :, None] * root[:, None, :]
-    codes = (adj.reshape(len(f), n * n) @ _BITS[: n * n]).tolist()
-    groups = {code: _coupled_groups(params, code) for code in set(codes)}
-    return [groups[code] for code in codes]
-
-
-@functools.lru_cache(maxsize=256)
-def _coupled_groups(params: tuple, code: int) -> tuple:
-    """The groups of ``params`` that the coupling code of ``_detect_blocks`` joins."""
-    n = len(params)
-    group = list(range(n))
-    for i, j in itertools.combinations(range(n), 2):
-        if (code >> (i * n + j) | code >> (j * n + i)) & 1 and group[i] != group[j]:
+def _coupled_groups(params: tuple, f: np.ndarray) -> tuple:
+    """The groups of ``params`` that the (n, n) QFIM ``f`` joins: i and j
+    are coupled when |F_ij| or |F_ji| > RCOND·sqrt(F_ii F_jj), a unit-free
+    test, and a group is a connected set of coupled parameters, in the
+    order of its first member."""
+    root = np.sqrt(np.maximum(f.diagonal(), 0.0))
+    adj = np.abs(f) > RCOND * root[:, None] * root[None, :]
+    adj = (adj | adj.T).tolist()
+    group = list(range(len(params)))
+    for i, j in itertools.combinations(range(len(params)), 2):
+        if adj[i][j] and group[i] != group[j]:
             group = [group[i] if g == group[j] else g for g in group]
     return tuple(
         tuple(p for p, g in zip(params, group) if g == label) for label in dict.fromkeys(group)
@@ -477,7 +464,7 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     """
     inputs = input_state.mode_inputs
     # one row of absorptions per input, pooled over the modes that read it
-    rows = [[] for _ in inputs.stack]
+    rows = [[] for _ in inputs.tables]
     for k, alphas in zip(inputs.reads, (grid.alpha_plus, grid.alpha_minus)):
         rows[k] += alphas.tolist()
     output, d_alpha, at = _distinct_problems(inputs, rows)
@@ -497,7 +484,7 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     return pullback.T @ native @ pullback
 
 
-def _inverted(params: tuple, f: np.ndarray, blocks: list, meta: dict) -> GridBounds:
+def _inverted(params: tuple, f: np.ndarray, meta: dict) -> GridBounds:
     """The symmetric (B, n, n) QFIM stack ``f`` checked PSD and inverted at
     each point, as ``invert_and_bound`` describes, in one stacked pass.
 
@@ -523,11 +510,12 @@ def _inverted(params: tuple, f: np.ndarray, blocks: list, meta: dict) -> GridBou
     identifiable = kernel <= KERNEL_COMPONENT_TOL
     bounds = np.sqrt(np.maximum(f_inv.diagonal(0, 1, 2), 0.0))
     # a point whose F vanishes is fully singular: nothing identifiable, F⁻¹ = 0
-    return GridBounds(params, f, f_inv, bounds, identifiable, blocks, w_max <= 0.0, meta)
+    return GridBounds(params, f, f_inv, bounds, identifiable, w_max <= 0.0, meta)
 
 
-def invert_and_bound(qfim: QfimResult) -> QfimResult:
-    """Pseudo-invert F on its identifiable subspace and extract bounds.
+def invert_and_bound(params, F) -> QfimResult:
+    """The QFIM ``F`` over the labels ``params``, pseudo-inverted on its
+    identifiable subspace, as a QfimResult.
 
     The cut is made on the unit-diagonal C = D F D, D = diag(F)^(-1/2)
     (0 where F_jj = 0), at RCOND of its largest eigenvalue (in [1, n]), so
@@ -537,7 +525,7 @@ def invert_and_bound(qfim: QfimResult) -> QfimResult:
     F must be PSD: an eigenvalue below −QFIM_PSD_TOL·max(1, max|F|) raises
     NumericError, read from the same eigensolve as the inversion.
     """
-    return _inverted(qfim.params, qfim.F[None], [qfim.blocks], qfim.meta)[0]
+    return _inverted(tuple(params), np.asarray(F, dtype=float)[None], {})[0]
 
 
 def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels) -> GridBounds:
@@ -561,14 +549,14 @@ def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels
         raise ValueError(f"duplicate parameter labels in {labels}")
     pullback = _native_pullback(labels)
     if not len(grid):
-        return _inverted(labels, np.zeros((0, len(labels), len(labels))), [], {})
+        return _inverted(labels, np.zeros((0, len(labels), len(labels))), {})
     if input_state.factors is not None:
         f, route = _product_qfim(input_state, grid, pullback), "per_mode"
     else:
         f, route = _block_qfim(input_state, grid, pullback), "eigenbasis"
     f = (f + f.swapaxes(1, 2)) / 2.0  # exactly symmetric
     meta = {"route": route, "state_label": input_state.label}
-    return _inverted(labels, f, _detect_blocks(labels, f), meta)
+    return _inverted(labels, f, meta)
 
 
 def compute_bounds(input_state: TwoModeState, params: ChiralParams, param_labels) -> QfimResult:

@@ -117,7 +117,6 @@ class SweepSpec:
     points: int
     fixed: dict = field(default_factory=dict)
     methods: tuple = (QFIM_NUMERIC,)
-    output_path: str | None = None
     note: str = ""
 
     def __post_init__(self):
@@ -176,8 +175,6 @@ class SweepSpec:
             "fixed": {k: float(v) for k, v in sorted(self.fixed.items())},
             "methods": list(self.methods),
         }
-        if self.output_path:
-            payload["output"] = self.output_path
         if self.note:
             payload["note"] = self.note
         return json.dumps(payload, sort_keys=True)
@@ -193,7 +190,6 @@ class SweepSpec:
             points=int(payload["points"]),
             fixed={k: float(v) for k, v in payload.get("fixed", {}).items()},
             methods=tuple(payload.get("methods", (QFIM_NUMERIC,))),
-            output_path=payload.get("output"),
             note=payload.get("note", ""),
         )
 

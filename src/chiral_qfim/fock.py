@@ -199,12 +199,11 @@ def phase_generator(n: np.ndarray) -> np.ndarray:
 
 
 class ModeInputs(NamedTuple):
-    """A product state's distinct padded mode inputs, (K, d, d), the index
-    of the input that each mode, + then −, reads, each input's loss
+    """A product state's K distinct mode inputs at their common size d: the
+    index of the input that each mode, + then −, reads, each input's loss
     ``tables`` (K, d, d·r) and signed ``spectra`` (K, r) from
     ``mode_factor_tables``, and the phase generator of d levels (d, d)."""
 
-    stack: np.ndarray
     reads: tuple
     tables: np.ndarray
     spectra: np.ndarray
@@ -324,25 +323,22 @@ class TwoModeState:
         """A product's distinct single-mode inputs, formed, compared and
         factored once.
 
-        The factors are padded with zero levels to their common size d and
-        stacked once each, as one (K, d, d) stack, real when both are
-        exactly real; a factor equal to the first, as in an H-polarized
-        coherent probe or the photon pair, is not stacked again (K = 1).
-        Each distinct factor, unpadded, gives its loss tables.  Every array,
-        the phase generator of d levels included, is read-only."""
+        The factors are compared padded with zero levels to their common
+        size d; a factor equal to the first, as in an H-polarized coherent
+        probe or the photon pair, is not an input again (K = 1).  Each
+        distinct factor, unpadded, gives its loss tables, real when the
+        distinct factors are exactly real.  Every array, the phase generator
+        of d levels included, is read-only."""
         factors = [real_if_exact(factor) for factor in self.factors]
         d = max(len(factor) for factor in factors)
-        stack = np.zeros((2, d, d), dtype=np.result_type(*factors))
-        for padded, factor in zip(stack, factors):
-            padded[: len(factor), : len(factor)] = factor
-        reads = (0, 0) if np.array_equal(stack[0], stack[1]) else (0, 1)
+        padded = np.zeros((2, d, d), dtype=np.result_type(*factors))
+        for pad, factor in zip(padded, factors):
+            pad[: len(factor), : len(factor)] = factor
+        reads = (0, 0) if np.array_equal(*padded) else (0, 1)
         inputs = ModeInputs(
-            stack[: max(reads) + 1].copy(),
-            reads,
-            *mode_factor_tables(factors[: max(reads) + 1], d),
-            phase_generator(np.arange(d)),
+            reads, *mode_factor_tables(factors[: max(reads) + 1], d), phase_generator(np.arange(d))
         )
-        for array in (inputs.stack, inputs.tables, inputs.spectra, inputs.phase_generator):
+        for array in inputs[1:]:
             array.flags.writeable = False
         return inputs
 
@@ -415,7 +411,7 @@ def _checked(matrix, dim: int) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (dim, dim):
         raise StateValidationError(f"matrix shape {matrix.shape} does not match dim {dim}")
-    return require_hermitian(matrix, tol=1e-12)
+    return require_hermitian(matrix)
 
 
 def _reachable_blocks(state: TwoModeState) -> tuple:

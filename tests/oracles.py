@@ -15,6 +15,7 @@ independent way:
   slice, against the factored loss kernel.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -80,7 +81,7 @@ def sld_route_bounds(state, params: ChiralParams, labels) -> QfimResult:
     """Bounds through explicit SLDs on the two-mode output, one per label."""
     output, derivs = channel_derivatives(state, params, labels)
     f = assemble_qfim(output.rho, [solve_sld(output, d) for d in derivs])
-    return invert_and_bound(QfimResult(tuple(labels), f, blocks=(), meta={"route": "sld"}))
+    return dataclasses.replace(invert_and_bound(labels, f), meta={"route": "sld"})
 
 
 def noon_output_analytic(params: ChiralParams, space) -> np.ndarray:

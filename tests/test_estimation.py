@@ -25,7 +25,6 @@ from chiral_qfim import channel, estimation, experiments, fock
 from chiral_qfim.estimation import (
     NumericError,
     ParamDerivative,
-    QfimResult,
     channel_derivatives,
     compute_bounds,
     compute_bounds_grid,
@@ -382,13 +381,13 @@ NOON_LABELS = ("x_d", "x_s", "delta")
 def test_invert_and_bound_refuses_a_qfim_that_is_not_psd():
     labels = ("x_d", "x_s")
     with pytest.raises(NumericError, match="QFIM has negative eigenvalue -1.000e-03"):
-        invert_and_bound(QfimResult(params=labels, F=np.diag([1.0, -1e-3]), blocks=()))
+        invert_and_bound(labels, np.diag([1.0, -1e-3]))
     # the tolerance is QFIM_PSD_TOL·max(1, max|F|), on F's own scale: a
     # diagonal entry of F that is no more negative than that is kept, and
     # leaves its parameter unidentifiable
     scale = 1e6
     kept = -0.5 * estimation.QFIM_PSD_TOL * scale
-    result = invert_and_bound(QfimResult(params=labels, F=np.diag([scale, kept]), blocks=()))
+    result = invert_and_bound(labels, np.diag([scale, kept]))
     assert result.identifiable == {"x_d": True, "x_s": False}
     assert result.bound("x_d") == pytest.approx(1e-3, rel=1e-15)
 
@@ -404,14 +403,31 @@ def test_bounds_do_not_depend_on_parameter_units(alphas):
     result = compute_bounds(state, ChiralParams(*alphas, 0.2, 0.0), NOON_LABELS)
     # F' = B F B is the QFIM of theta_i / b_i, whose bounds are bound_i / b_i
     b = np.array([1e-4, 1.0, 1e4])
-    scaled = invert_and_bound(
-        QfimResult(params=NOON_LABELS, F=result.F * np.outer(b, b), blocks=())
-    )
+    scaled = invert_and_bound(NOON_LABELS, result.F * np.outer(b, b))
     assert result.identifiable == {p: True for p in NOON_LABELS}
     assert scaled.identifiable == result.identifiable
     for i, p in enumerate(NOON_LABELS):
         assert scaled.bound(p) == pytest.approx(result.bound(p) / b[i], rel=1e-12)
-    assert estimation._detect_blocks(NOON_LABELS, scaled.F[None]) == [result.blocks]
+    assert scaled.blocks == result.blocks
+
+
+def test_invert_and_bound_reports_the_groups_of_the_qfim_it_inverts():
+    # the groups are read from F, so a coupled QFIM inverted alone, or on
+    # the SLD route, is grouped as compute_bounds groups it at its point
+    params = ChiralParams.from_chiral(x_d=0.1, x_s=0.5, delta=0.7, sigma=0.3)
+    coherent = coherent_state_n0(1.0, FockSpace(12, 12), budget=1e-10)
+    noon = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
+    for state, groups in (
+        (coherent, (("x_d", "x_s"), ("delta", "sigma"))),
+        (noon, (("x_d", "x_s"), ("delta",), ("sigma",))),
+    ):
+        result = compute_bounds(state, params, CHIRAL_NAMES)
+        assert result.blocks == groups
+        inverted = invert_and_bound(CHIRAL_NAMES, result.F)
+        assert inverted.blocks == groups
+        assert np.array_equal(inverted.F_inverse, result.F_inverse)
+        assert inverted.bounds == result.bounds
+        assert sld_route_bounds(state, params, CHIRAL_NAMES).blocks == groups
 
 
 def test_noon_delta_bound_next_to_full_absorption_on_both_routes():
@@ -462,9 +478,7 @@ def test_native_qfim_equals_reparameterized_chiral():
     chiral = compute_bounds(state, params, ("x_d", "x_s"))
     # J[a, i] = ∂(x_d, x_s)_a/∂(alpha_plus, alpha_minus)_i, and F_native = Jᵀ F_chiral J
     jacobian = np.array([[0.5, -0.5], [0.5, 0.5]])
-    pushed = invert_and_bound(
-        QfimResult(params=native.params, F=jacobian.T @ chiral.F @ jacobian, blocks=())
-    )
+    pushed = invert_and_bound(native.params, jacobian.T @ chiral.F @ jacobian)
     assert np.max(np.abs(pushed.F - native.F)) < 1e-8
     assert pushed.bounds["alpha_plus"] == pytest.approx(native.bounds["alpha_plus"], abs=1e-8)
 
@@ -644,7 +658,7 @@ def test_stacked_route_matches_per_mode_kernel_and_dense_route(make_state):
     for labels in (CHIRAL_NAMES, ALPHA_PHI_NAMES):
         stacked = compute_bounds_grid(state, ParamGrid(STACK_POINTS), labels)
         f = per_mode_kernel_qfim(state, STACK_POINTS, labels)
-        kernel = estimation._inverted(labels, f, estimation._detect_blocks(labels, f), {})
+        kernel = estimation._inverted(labels, f, {})
         dense = [compute_bounds(without_factors(state), p, labels) for p in STACK_POINTS]
         for result, *references in zip(stacked, kernel, dense, strict=True):
             assert result.meta["route"] == "per_mode"
@@ -666,9 +680,7 @@ def test_stacked_route_is_bit_identical_to_per_mode_kernel_on_equal_cutoffs(n0):
     for point in STACK_POINTS:
         result = compute_bounds(state, point, CHIRAL_NAMES)
         f = per_mode_kernel_qfim(state, [point], CHIRAL_NAMES)
-        (reference,) = estimation._inverted(
-            CHIRAL_NAMES, f, estimation._detect_blocks(CHIRAL_NAMES, f), {}
-        )
+        (reference,) = estimation._inverted(CHIRAL_NAMES, f, {})
         assert np.array_equal(result.F, f[0])
         assert result.bounds == reference.bounds
 
@@ -715,7 +727,7 @@ def test_a_product_grid_takes_one_table_pass_and_one_mode_eigensolve(monkeypatch
 
 def test_one_point_makes_two_eigensolves_and_rebuilds_no_invariant(monkeypatch):
     state = coherent_pm(*hv_to_pm_amplitudes(2.0, 0.0))
-    caches = (estimation._native_pullback, estimation._coupled_groups, channel._root_binomials)
+    caches = (estimation._native_pullback, channel._root_binomials)
     inputs = state.mode_inputs  # the state's factors, formed once
     read, kernel = [], estimation.factored_output_and_alpha_derivative
 
@@ -730,15 +742,15 @@ def test_one_point_makes_two_eigensolves_and_rebuilds_no_invariant(monkeypatch):
     assert [name for name, _ in calls] == ["eigh", "eigh"]
     misses = [cache.cache_info().misses for cache in caches]
     second = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
-    # the pullback, the block grouping and the loss binomials come from
+    # the pullback and the loss binomials come from
     # their caches, and the kernel reads the loss tables the state formed:
     # both modes of an H-polarized probe read its one input
     assert [name for name, _ in calls] == ["eigh"] * 4
     assert [cache.cache_info().misses for cache in caches] == misses
     assert state.mode_inputs is inputs
     assert read[1] is read[0] is inputs.tables and inputs.reads == (0, 0)
-    assert len(inputs.stack) == len(inputs.tables) == len(inputs.spectra) == 1
-    for array in (inputs.stack, inputs.tables, inputs.spectra):
+    assert len(inputs.tables) == len(inputs.spectra) == 1
+    for array in (inputs.tables, inputs.spectra):
         assert not array.flags.writeable and array.dtype == np.float64
     assert not estimation._native_pullback(CHIRAL_NAMES).flags.writeable
     assert np.array_equal(second.F_inverse, first.F_inverse) and second.bounds == first.bounds
@@ -773,7 +785,7 @@ def test_the_phase_generators_are_formed_once_per_state(monkeypatch):
         with pytest.raises(ValueError, match="read-only"):
             formed[..., 0, 1] = 1.0
         assert np.array_equal(second.F_inverse, first.F_inverse) and second.bounds == first.bounds
-    d = product.mode_inputs.stack.shape[-1]
+    d = product.mode_inputs.phase_generator.shape[-1]
     assert built == [(d,), (2, 4, 1, 2)]
     n = np.arange(d)
     assert np.array_equal(product.mode_inputs.phase_generator, -1j * (n[:, None] - n[None, :]))
@@ -868,7 +880,7 @@ def test_a_figure_member_solves_each_distinct_mode_problem_once(
     # absorption makes one problem of each point's two, and along fig2a's
     # rows α₊ of one row is α₋ of another, to the bit
     spec = dict(experiments.figure_presets()[panel])[label]
-    d = len(experiments.prepare_input_state(spec.input_state).mode_inputs.stack[0])
+    d = experiments.prepare_input_state(spec.input_state).mode_inputs.tables.shape[1]
     solves = _record_solves(monkeypatch)
     calls = _record_eigensolves(monkeypatch)
     experiments.run_sweep(spec)
@@ -909,13 +921,13 @@ def test_a_product_phase_sweep_solves_at_most_two_problems(monkeypatch, vary):
 def test_each_mode_reads_its_own_input_unless_the_factors_are_equal(monkeypatch, make_state, reads):
     state = make_state()
     inputs = state.mode_inputs
-    assert inputs.reads == reads and len(inputs.stack) == max(reads) + 1
+    assert inputs.reads == reads and len(inputs.tables) == max(reads) + 1
     solves = _record_solves(monkeypatch)
     # a common absorption is one problem only where both modes read one input
     compute_bounds(state, ChiralParams(0.3, 0.3), CHIRAL_NAMES)
     swapped = ParamGrid([ChiralParams(0.3, 0.2), ChiralParams(0.2, 0.3)])
     compute_bounds_grid(state, swapped, CHIRAL_NAMES)
-    assert solves == [len(inputs.stack), 2 * len(inputs.stack)]
+    assert solves == [len(inputs.tables), 2 * len(inputs.tables)]
 
 
 def _record_derivative_wrappers(monkeypatch):
@@ -1009,11 +1021,11 @@ def test_stacked_block_detection_equals_the_graph_walk(n):
                 if not coupled and root[i] * root[j] == 0.0:
                     f[i, j] = f[j, i] = 0.0
             stack.append(f)
-    stack = np.array(stack)
     assert len(stack) == 2 ** len(pairs) * len(diagonals)
-    assert estimation._detect_blocks(params, stack) == [graph_walk_blocks(params, f) for f in stack]
+    groups = [estimation._coupled_groups(params, f) for f in stack]
+    assert groups == [graph_walk_blocks(params, f) for f in stack]
     # the patterns are all distinct, so every grouping of n parameters shows up
-    assert len(set(estimation._detect_blocks(params, stack))) == {3: 5, 4: 15}[n]
+    assert len(set(groups)) == {3: 5, 4: 15}[n]
 
 
 # ---------------------------------------------------------------------------

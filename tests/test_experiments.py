@@ -116,7 +116,6 @@ def test_sweep_spec_json_round_trip():
         points=7,
         fixed={"x_s": 0.3, "x_d": 0.05},
         methods=(QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT),
-        output_path="out.csv",
         note="caption check",
     )
     assert SweepSpec.from_json(spec.to_json()) == spec

@@ -310,13 +310,17 @@ def _builder_made_states():
 def test_every_builder_made_factor_has_rank_one():
     for state in _builder_made_states():
         inputs = state.mode_inputs
-        d = inputs.stack.shape[-1]
-        assert inputs.tables.shape == (len(inputs.stack), d, d)
-        assert inputs.spectra.shape == (len(inputs.stack), 1) and (inputs.spectra > 0).all()
-        # the k = 0 column is the factor's eigenvector: s w w† is the input
+        k, d = len(inputs.tables), inputs.phase_generator.shape[-1]
+        assert inputs.tables.shape == (k, d, d)
+        assert inputs.spectra.shape == (k, 1) and (inputs.spectra > 0).all()
+        # the k = 0 column is the factor's eigenvector: s w w† is the input,
+        # padded with zero levels to the common size d
         w = inputs.tables[:, :, :1]
         rebuilt = inputs.spectra[:, None, :] * w @ np.swapaxes(w, 1, 2).conj()
-        assert np.max(np.abs(rebuilt - inputs.stack)) <= 1e-15 * state.space.dim
+        padded = np.zeros((k, d, d), complex)
+        for pad, factor in zip(padded, state.factors):
+            pad[: len(factor), : len(factor)] = factor
+        assert np.max(np.abs(rebuilt - padded)) <= 1e-15 * state.space.dim
 
 
 def test_factor_tables_keep_rank_and_sign():
