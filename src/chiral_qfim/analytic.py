@@ -141,21 +141,19 @@ class SensitivityGrid(NamedTuple):
     """One method's closed-form sensitivities at each point of a grid.
 
     ``values`` and ``covariances`` hold (B,) arrays, a covariance NaN where
-    none is given; ``notes`` apply where ``limit`` is set.  ``errors[b]``
-    is the exception the scalar call raises at point b, or None.
+    none is given; ``notes`` apply where ``limit`` is set.  A grid is only
+    built when every point passes the checks of its scalar call, which
+    otherwise raises, so each point reads as that call returns it.
     """
 
     method: str
     values: dict
     covariances: dict
-    errors: list
     notes: tuple = ()
     limit: np.ndarray | None = None
 
     def report(self, b: int = 0) -> SensitivityReport:
-        """Point b as the scalar call returns it; raises that point's error."""
-        if self.errors[b] is not None:
-            raise type(self.errors[b])(*self.errors[b].args)
+        """Point b as the scalar call returns it."""
         covariances = {pair: float(c[b]) for pair, c in self.covariances.items()}
         return SensitivityReport(
             method=self.method,
@@ -165,22 +163,25 @@ class SensitivityGrid(NamedTuple):
         )
 
 
-def _checked_grid(method, values, covariances=None, d=None, errors=None, **notes):
-    """A SensitivityGrid failing each point as its scalar call does, at the
-    first of: (1-X_s)^2 - X_d^2 = ``d`` not positive, an error already in
-    ``errors``, a value not finite and nonnegative (SensitivityReport's
-    check)."""
+def _require_domain(d: np.ndarray) -> None:
+    """Raise what the scalar calls raise at the first point where
+    (1-X_s)^2 - X_d^2 = ``d`` is not positive."""
+    outside = np.flatnonzero(d <= 0.0)
+    if outside.size:
+        raise DomainError(f"(1-X_s)^2 - X_d^2 = {float(d[outside[0]])!r} must be positive")
+
+
+def _checked_grid(method, values, covariances=None, **notes):
+    """A SensitivityGrid of ``values``, checked as ``SensitivityReport``
+    checks each point: at the first point holding a value that is not
+    finite and nonnegative, the first such value's error is raised."""
     stacked = np.array(list(values.values()))
     bad = ~(np.isfinite(stacked) & (stacked >= 0.0))
-    domain = np.zeros(stacked.shape[1], dtype=bool) if d is None else d <= 0.0
-    found = list(errors) if errors else [None] * stacked.shape[1]
-    for b in np.flatnonzero(domain | bad.any(axis=0)).tolist():
-        if domain[b]:
-            found[b] = DomainError(f"(1-X_s)^2 - X_d^2 = {float(d[b])!r} must be positive")
-        elif found[b] is None:
-            k = int(bad[:, b].argmax())
-            found[b] = _value_error(list(values)[k], float(stacked[k, b]))
-    return SensitivityGrid(method, values, covariances or {}, found, **notes)
+    if bad.any():
+        b = int(bad.any(axis=0).argmax())
+        k = int(bad[:, b].argmax())
+        raise _value_error(list(values)[k], float(stacked[k, b]))
+    return SensitivityGrid(method, values, covariances or {}, **notes)
 
 
 def _require_photons(n0: float) -> None:
@@ -216,6 +217,7 @@ def coherent_bounds_grid(grid: ParamGrid, n0: float) -> SensitivityGrid:
     """``coherent_bounds`` at each point of ``grid``."""
     _require_photons(n0)
     d = grid.eta_plus * grid.eta_minus
+    _require_domain(d)
     absorb = np.sqrt((1.0 - grid.x_s) / n0)
     phase = np.sqrt((1.0 - grid.x_s) / (n0 * d))
     return _checked_grid(
@@ -226,7 +228,6 @@ def coherent_bounds_grid(grid: ParamGrid, n0: float) -> SensitivityGrid:
             ("x_d", "x_s"): 0.0 - grid.x_d / n0,
             ("delta", "sigma"): grid.x_d / (n0 * d),
         },
-        d=d,
     )
 
 
@@ -319,11 +320,11 @@ class SinglePhotonCatalog(_Catalog):
 
 @np.errstate(divide="ignore", invalid="ignore")
 def single_photon_grid(grid: ParamGrid) -> tuple:
-    """``single_photon_catalog``'s (bounds, intensity) at each point of ``grid``.
-
-    Both fail at a point where the catalog call raises there.
+    """``single_photon_catalog``'s (bounds, intensity) at each point of ``grid``;
+    raises what the catalog call raises at a point that fails.
     """
     eta_p, eta_m, x_d, x_s = grid.eta_plus, grid.eta_minus, grid.x_d, grid.x_s
+    _require_domain(eta_p * eta_m)
     values = {
         "x_d": np.sqrt(1.0 - x_s - x_d**2),
         "x_s": np.sqrt(x_s * (1.0 - x_s)),
@@ -334,7 +335,6 @@ def single_photon_grid(grid: ParamGrid) -> tuple:
         QFIM_BOUND,
         values,
         {("x_d", "x_s"): np.where(lossless, 0.0, -x_s * x_d)},
-        d=eta_p * eta_m,
         notes=(
             "lossless point: the vacuum weight vanishes, the entries"
             " containing 1/X_s diverge, and no finite QFIM or L_s"
@@ -342,8 +342,9 @@ def single_photon_grid(grid: ParamGrid) -> tuple:
         ),
         limit=lossless,
     )
+    # checked with the bounds
     intensity = {"x_d": values["x_d"], "x_s": values["x_s"]}
-    return bounds, SensitivityGrid(INTENSITY_MEASUREMENT, intensity, {}, bounds.errors)
+    return bounds, SensitivityGrid(INTENSITY_MEASUREMENT, intensity, {})
 
 
 def single_photon_catalog(params: ChiralParams) -> SinglePhotonCatalog:
@@ -439,8 +440,9 @@ def noon_intensity_sensitivities(params: ChiralParams) -> SensitivityReport:
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def noon_grid(grid: ParamGrid) -> tuple:
-    """``noon_catalog``'s (bounds, intensity) at each point of ``grid``; both
-    fail at a point where the catalog call raises there.
+    """``noon_catalog``'s (bounds, intensity) at each point of ``grid``;
+    raises what the catalog call raises at a point that fails, checking the
+    domain, then the intensity values, then the bound values.
 
     The absorption bounds come from the (X_d, X_s) QFIM block multiplied
     through by p·s, p = α₊η₊α₋η₋ and s = X_s² + X_d², whose entries g are
@@ -454,6 +456,7 @@ def noon_grid(grid: ParamGrid) -> tuple:
     a_p, a_m = grid.alpha_plus, grid.alpha_minus
     eta_p, eta_m = grid.eta_plus, grid.eta_minus
     x_d, x_s = grid.x_d, grid.x_s
+    _require_domain(eta_p * eta_m)
     intensity = noon_intensity_grid(grid)
     f_delta = 8.0 * eta_p**2 * eta_m**2 / (eta_p**2 + eta_m**2)
 
@@ -478,8 +481,6 @@ def noon_grid(grid: ParamGrid) -> tuple:
         },
         # 0.0 − x keeps a vanishing covariance at +0.0
         {("x_d", "x_s"): np.where(given, 0.0 - scale * g_ds, np.nan)},
-        d=eta_p * eta_m,
-        errors=intensity.errors,
         notes=(
             "lossless mode: an absorption vanishes (or underflows), the entries"
             " containing 1/alpha diverge, and no finite QFIM or SLD realization"
@@ -487,7 +488,7 @@ def noon_grid(grid: ParamGrid) -> tuple:
         ),
         limit=~(np.isfinite(1.0 / (a_p * eta_p)) & np.isfinite(1.0 / (a_m * eta_m)) & given),
     )
-    return bounds, intensity._replace(errors=bounds.errors)
+    return bounds, intensity
 
 
 def noon_catalog(params: ChiralParams) -> NoonCatalog:

@@ -104,15 +104,6 @@ def _max_abs(matrix) -> float:
     return float(np.abs(matrix).max(initial=0.0))
 
 
-def _closed_values(sensitivities) -> dict:
-    """The value arrays of a closed-form ``SensitivityGrid``; a point whose
-    scalar call fails raises that error, through ``report``."""
-    for b, error in enumerate(sensitivities.errors):
-        if error is not None:
-            sensitivities.report(b)
-    return sensitivities.values
-
-
 def _bound_gap(results, closed: dict) -> float:
     """Largest gap between the pipeline's absorption bounds and ``closed``."""
     return max(_max_abs([r.bound(name) for r in results] - closed[name]) for name in ABSORPTION)
@@ -217,8 +208,8 @@ def coherent_saturation(points=(REFERENCE_POINT,), probes=None) -> CheckResult:
     exact_gap = 0.0
     numeric_gap = 0.0
     for n0, state in probes:
-        closed = _closed_values(coherent_bounds_grid(grid, n0))
-        meter = _closed_values(coherent_intensity_grid(grid, n0))
+        closed = coherent_bounds_grid(grid, n0).values
+        meter = coherent_intensity_grid(grid, n0).values
         results = compute_bounds_grid(state, grid, CHIRAL_NAMES)
         for name in ABSORPTION:
             exact_gap = max(exact_gap, _max_abs(closed[name] - meter[name]))
@@ -240,7 +231,7 @@ def single_photon_saturation(points=(REFERENCE_POINT,)) -> CheckResult:
     """
     kind = InputStateKind.single_photon_h()
     grid = ParamGrid(points)
-    closed, meter = map(_closed_values, single_photon_grid(grid))
+    closed, meter = (form.values for form in single_photon_grid(grid))
     results = compute_bounds_grid(prepare_input_state(kind), grid, default_param_labels(kind))
     exact_gap = max(_max_abs(closed[name] - meter[name]) for name in ABSORPTION)
     numeric_gap = _bound_gap(results, closed)
@@ -367,7 +358,7 @@ def benchmark_bound_match(points=(BENCHMARK_POINT,)) -> CheckResult:
     """Photon-pair pipeline bounds against the benchmark formula, x_d and x_s."""
     kind = InputStateKind.fock_one_plus_one_minus()
     grid = ParamGrid(points)
-    closed = _closed_values(fock_benchmark_grid(grid))
+    closed = fock_benchmark_grid(grid).values
     results = compute_bounds_grid(prepare_input_state(kind), grid, default_param_labels(kind))
     residual = _bound_gap(results, closed)
     return CheckResult(

@@ -3,8 +3,8 @@
 The sweep engine evaluates quantum and classical sensitivity methods over
 one-dimensional parameter grids and writes the results as CSV, one row per
 grid point with one column per (method, quantity) pair.  A sweep stays on
-its validated ``ParamGrid``, through one grid pass per numeric method and
-array formulas for the closed forms, to its CSV columns.  Per-point
+its validated ``ParamGrid``, through one grid pass per method (array
+formulas for the closed forms), to its CSV columns.  Per-point
 failures (invalid parameter combinations, unidentifiable parameters,
 vanishing derivatives, closed-form domain limits, failed numeric checks)
 never abort a sweep; they are recorded in the row's status column and the
@@ -17,6 +17,7 @@ and the phase sensitivity against a common absorption α.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -316,13 +317,12 @@ def _moments(pops: np.ndarray) -> IntensityStatistics:
     return IntensityStatistics(mean_p, mean_m, var_p, var_m, cov)
 
 
-def _intensity_sensitivities(state: TwoModeState, grid: ParamGrid) -> dict:
+def _intensity_columns(state: TwoModeState, grid: ParamGrid) -> dict:
     """δx_d and δx_s from intensity measurement at each point of ``grid``,
-    from one population pass.
+    by sweep quantity, from one population pass.
 
-    Maps each target to its (sensitivity, derivative, usable) columns: the
-    signal's noise over its exact slope, that slope, and where the slope
-    reaches the floor; elsewhere the sensitivity is undefined.
+    Each is the signal's noise over its exact slope, NaN where the slope is
+    below ``DERIVATIVE_FLOOR`` and the signal does not move.
     """
     pops, d_plus, d_minus = _output_populations(state, grid)
     stats = _moments(pops)
@@ -334,14 +334,9 @@ def _intensity_sensitivities(state: TwoModeState, grid: ParamGrid) -> dict:
         variance = stats.var_plus + stats.var_minus + 2.0 * sign * stats.covariance
         usable = np.abs(derivative) >= DERIVATIVE_FLOOR
         slope = np.where(usable, np.abs(derivative), 1.0)
-        columns[target] = (np.sqrt(np.maximum(variance, 0.0)) / slope, derivative, usable)
+        noise = np.sqrt(np.maximum(variance, 0.0))
+        columns[f"delta_{target}"] = np.where(usable, noise / slope, np.nan)
     return columns
-
-
-def _intensity_columns(state: TwoModeState, grid: ParamGrid) -> dict:
-    """δx_d and δx_s by sweep quantity, NaN where the signal does not move."""
-    columns = _intensity_sensitivities(state, grid)
-    return {f"delta_{t}": np.where(usable, s, np.nan) for t, (s, _, usable) in columns.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -383,47 +378,44 @@ def _bound_columns(state: TwoModeState, grid: ParamGrid, labels: tuple) -> dict:
     return {**columns, "cov_x_d_x_s": result.covariance("x_d", "x_s")}
 
 
-def _closed_form_grid(kind: InputStateKind, method: str, grid: ParamGrid):
-    """The closed form behind a sweep method, at every point of ``grid``."""
+def _closed_form_columns(kind: InputStateKind, method: str, grid: ParamGrid) -> dict:
+    """The closed form behind a sweep method at every point of ``grid``, as
+    columns by quantity plus, for a form that takes limits, a ``limit``
+    column; raises what the scalar call raises at a point that fails."""
     bound = method == QFIM_ANALYTIC
     if method == FIDELITY_FRINGE:
-        return fidelity_fringe_grid(kind, grid)
-    if kind.kind == COHERENT:
+        result = fidelity_fringe_grid(kind, grid)
+    elif kind.kind == COHERENT:
         closed_form = coherent_bounds_grid if bound else coherent_intensity_grid
-        return closed_form(grid, equal_split_photons(kind))
-    if kind.kind == FOCK_ONE_PLUS_ONE_MINUS:
-        if bound:
-            return fock_benchmark_grid(grid)
-        raise DomainError("no closed-form intensity sensitivities for this input")
-    if kind.kind == NOON_HV and not bound:
-        return noon_intensity_grid(grid)
-    bounds, intensity = (single_photon_grid if kind.kind == SINGLE_PHOTON_H else noon_grid)(grid)
-    return bounds if bound else intensity
-
-
-def _closed_form_columns(kind: InputStateKind, method: str, grid: ParamGrid) -> tuple:
-    """The closed form behind a sweep method as columns by quantity, each
-    point's error message (None where it holds) and where it took a limit."""
-    try:
-        result = _closed_form_grid(kind, method, grid)
-    except POINT_ERRORS as exc:
-        return {}, [str(exc)] * len(grid), None
+        result = closed_form(grid, equal_split_photons(kind))
+    elif kind.kind == FOCK_ONE_PLUS_ONE_MINUS:
+        if not bound:
+            raise DomainError("no closed-form intensity sensitivities for this input")
+        result = fock_benchmark_grid(grid)
+    elif kind.kind == NOON_HV and not bound:
+        result = noon_intensity_grid(grid)
+    else:
+        catalog = single_photon_grid if kind.kind == SINGLE_PHOTON_H else noon_grid
+        result = catalog(grid)[0 if bound else 1]
     quantities = method_quantities(kind, method)
-    values = {q: result.values.get(q.removeprefix("delta_")) for q in quantities}
-    if "cov_x_d_x_s" in values:
-        values["cov_x_d_x_s"] = result.covariances[("x_d", "x_s")]
-    return values, [None if e is None else str(e) for e in result.errors], result.limit
+    columns = {q: result.values.get(q.removeprefix("delta_")) for q in quantities}
+    if "cov_x_d_x_s" in columns:
+        columns["cov_x_d_x_s"] = result.covariances[("x_d", "x_s")]
+    if result.limit is not None:
+        columns["limit"] = result.limit
+    return columns
 
 
 # what fails at one point flags that point's row, never the sweep
-POINT_ERRORS = (DomainError, ValueError, NumericError)
+POINT_ERRORS = (ValueError, NumericError)
 
 
 def _each_point(batch, grid: ParamGrid) -> tuple:
     """``batch(grid)``'s columns and per point an error message or None; when
     it raises, each half again, so that a failing point gets NaN cells and
     its own message, from a call on it alone, and every other point its own
-    cells.  One failing point among B costs at most 1 + 2·⌈log₂ B⌉ calls."""
+    cells.  One failing point among B costs at most 1 + 2·⌈log₂ B⌉ calls,
+    and a ``batch`` that fails at every point 2B − 1."""
     try:
         return batch(grid), [None] * len(grid)
     except POINT_ERRORS as exc:
@@ -441,11 +433,11 @@ def _each_point(batch, grid: ParamGrid) -> tuple:
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every requested method at every grid point, in grid order.
 
-    Each method runs once over the grid of valid points and fills its
-    columns whole; only flagged rows' flags are touched.  Failures are kept
-    as their messages: a stored exception would hold this frame through its
-    traceback, a cycle that keeps every result alive until the garbage
-    collector runs.
+    Each method runs once over the grid of valid points, through
+    ``_each_point``, and fills its columns whole; only flagged rows' flags
+    are touched.  Failures are kept as their messages: a stored exception
+    would hold this frame through its traceback, a cycle that keeps every
+    result alive until the garbage collector runs.
     """
     state = prepare_input_state(spec.input_state)
     kind = spec.input_state
@@ -455,23 +447,20 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     flags = [[] if message is None else [f"invalid-point:{message}"] for message in invalid]
     columns = {column: np.full(len(invalid), np.nan) for column in sweep_columns(spec)}
     # method -> (grid pass to columns by quantity, what an empty cell means)
-    grid_methods = {
+    numeric = {
         QFIM_NUMERIC: (lambda part: _bound_columns(state, part, labels), "unidentifiable"),
         INTENSITY_EXACT: (lambda part: _intensity_columns(state, part), "vanishing-derivative"),
     }
     for method in spec.methods if len(grid) else ():
-        if method in grid_methods:
-            batch, reason = grid_methods[method]
-            (values, errors), limit = _each_point(batch, grid), None
-        else:
-            values, errors, limit = _closed_form_columns(kind, method, grid)
-            reason = "unavailable"
+        closed_form = functools.partial(_closed_form_columns, kind, method)
+        batch, reason = numeric.get(method, (closed_form, "unavailable"))
+        values, errors = _each_point(batch, grid)
         computed = np.array([error is None for error in errors])
         for b in np.flatnonzero(~computed).tolist():
             flags[at[b]].append(f"{method}:failed:{errors[b]}")
-        if limit is not None:
-            for row in at[computed & limit].tolist():
-                flags[row].append(f"{method}:limit-evaluated")
+        # a closed form's limit column reads 1.0, not True, once joined to a failed part
+        for row in at[computed & (values.get("limit", 0.0) == 1.0)].tolist():
+            flags[row].append(f"{method}:limit-evaluated")
         for quantity in method_quantities(kind, method):
             column = f"{method}.{quantity}"
             columns[column][at] = cells = np.where(computed, values.get(quantity, np.nan), np.nan)

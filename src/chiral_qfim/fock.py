@@ -482,6 +482,12 @@ def poisson_tail(mean: float, cutoff: int) -> float:
     return _tail_sum(mean, cutoff, {})
 
 
+def require_tail_budget(budget: float) -> None:
+    """A truncation budget is a Poisson tail probability, in [0, 1)."""
+    if not 0.0 <= budget < 1.0:
+        raise ValueError(f"truncation budget must lie in [0, 1), got {budget!r}")
+
+
 def min_cutoff_for_tail(mean: float, budget: float) -> int:
     """Smallest cutoff c whose ``poisson_tail`` is within ``budget``.
 
@@ -490,6 +496,7 @@ def min_cutoff_for_tail(mean: float, budget: float) -> int:
     budget >= P(N > hi) until hi = lo + 1, so the cutoff returned has
     poisson_tail(c) <= budget < poisson_tail(c − 1).
     """
+    require_tail_budget(budget)
     if mean < 0:
         raise ValueError(f"mean must be nonnegative, got {mean}")
     if mean == 0.0:
@@ -577,6 +584,7 @@ def coherent_product_state(
     Modes of equal mean and cutoff share one tail check, and modes of equal
     amplitude and cutoff (an H-polarized probe) one factor.
     """
+    require_tail_budget(truncation_budget)
     modes = {"plus": (amp_plus, space.cutoff_plus), "minus": (amp_minus, space.cutoff_minus)}
     # the first mode of each distinct (mean, cutoff), so a refusal names plus first
     checks = {}

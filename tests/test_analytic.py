@@ -662,47 +662,58 @@ def _outcome(call):
 def test_grid_closed_forms_equal_the_scalar_forms_bit_for_bit(name):
     grid_form, scalar_form = CLOSED_FORMS[name]
     points = _wedge_and_edges()
-    grid = grid_form(ParamGrid(points))
-    failures = 0
-    for b, params in enumerate(points):
+    scalar = [_outcome(lambda: scalar_form(params)) for params in points]
+    failing = [b for b, got in enumerate(scalar) if got.startswith(("DomainError", "ValueError"))]
+    # only the three points outside the domain fail, and not in every form
+    assert set(failing) <= set(range(len(points) - 3, len(points)))
+    inside = [params for b, params in enumerate(points) if b not in failing]
+    grid = grid_form(ParamGrid(inside))
+    for b, params in enumerate(inside):
         if name.startswith("fringe"):
             got = _outcome(lambda: grid.report(b).value("value"))
         else:
             got = _outcome(lambda: grid.report(b))
         assert got == _outcome(lambda: scalar_form(params)), (name, params)
-        failures += got.startswith(("DomainError", "ValueError"))
-    # only the three points outside the domain fail, and not in every form
-    assert failures <= 3
+    # a grid holding one failing point raises that point's scalar error
+    for b in failing:
+        holding = ParamGrid([*inside[:7], points[b], *inside[7:]])
+        assert _outcome(lambda: grid_form(holding)) == scalar[b], (name, points[b])
 
 
 @pytest.mark.parametrize("catalog", [single_photon_grid, noon_grid])
 def test_grid_closed_forms_keep_the_domain_check_at_each_point(catalog):
-    points = [PARAMS_REF, _out_of_domain(1.0), PARAMS_REF, _out_of_domain(1.5)]
-    grid = ParamGrid(points)
-    for form in (coherent_bounds_grid(grid, 1.0), *catalog(grid)):
-        assert [error is None for error in form.errors] == [True, False, True, False]
-        assert all(type(form.errors[b]) is DomainError for b in (1, 3))
-        assert str(form.errors[1]) == "(1-X_s)^2 - X_d^2 = 0.0 must be positive"
-        with pytest.raises(DomainError, match=r"= -0\.35 must be positive"):
-            form.report(3)
-        assert form.report(0) == form.report(2)
+    for form in (lambda grid: [coherent_bounds_grid(grid, 1.0)], catalog):
+        # the first failing point's error, whatever follows it
+        with pytest.raises(DomainError) as first:
+            form(ParamGrid([PARAMS_REF, _out_of_domain(1.0), PARAMS_REF, _out_of_domain(1.5)]))
+        assert str(first.value) == "(1-X_s)^2 - X_d^2 = 0.0 must be positive"
+        # alpha+ = 1.5 fails the domain check before any value is checked
+        with pytest.raises(DomainError) as past:
+            form(ParamGrid([PARAMS_REF, _out_of_domain(1.5)]))
+        assert type(past.value) is DomainError
+        assert str(past.value) == "(1-X_s)^2 - X_d^2 = -0.35 must be positive"
+        for grid in form(ParamGrid([PARAMS_REF, PARAMS_REF])):
+            assert grid.report(0) == grid.report(1)
 
 
 def test_grid_sensitivity_check_names_the_first_bad_value():
-    # alpha+ = 1.5: eta+ = -0.5 makes both noon intensity radicands negative
-    grid = noon_intensity_grid(ParamGrid([PARAMS_REF, _out_of_domain(1.5)]))
-    assert grid.errors[0] is None
-    assert type(grid.errors[1]) is ValueError
-    assert str(grid.errors[1]) == "sensitivity for 'x_d' must be finite and nonnegative, got nan"
+    # alpha+ = 1.5: eta+ = -0.5 makes both noon intensity radicands negative;
+    # gain on both modes keeps d = 2.25 > 0, yet the x_s radicand is negative
+    past, gain = _out_of_domain(1.5), _out_of_domain(-0.5, -0.5)
+    for points, name in (([PARAMS_REF, past, gain], "x_d"), ([PARAMS_REF, gain, past], "x_s")):
+        with pytest.raises(ValueError) as grid:
+            noon_intensity_grid(ParamGrid(points))
+        assert type(grid.value) is ValueError
+        assert str(grid.value) == f"sensitivity for {name!r} must be finite and nonnegative, got nan"
     with pytest.raises(ValueError, match="'x_d' must be finite and nonnegative, got nan"):
-        noon_intensity_sensitivities(_out_of_domain(1.5))
-    # gain on both modes keeps d = 2.25 > 0, yet the intensity's x_s radicand
-    # is negative: the catalog fails there as its intensity does, before its bounds
-    gain = _out_of_domain(-0.5, -0.5)
-    with pytest.raises(ValueError, match="'x_s' must be finite and nonnegative, got nan"):
+        noon_intensity_sensitivities(past)
+    # the catalog fails at the gain point as its intensity does, before its
+    # bounds, and so does its grid
+    with pytest.raises(ValueError, match="'x_s' must be finite and nonnegative, got nan") as scalar:
         noon_catalog(gain)
-    bounds, intensity = noon_grid(ParamGrid([PARAMS_REF, gain]))
-    assert bounds.errors[0] is None and str(bounds.errors[1]) == str(intensity.errors[1])
+    with pytest.raises(ValueError) as grid:
+        noon_grid(ParamGrid([PARAMS_REF, gain]))
+    assert str(grid.value) == str(scalar.value)
 
 
 def test_noon_grid_gives_no_covariance_where_both_modes_are_lossless():

@@ -356,7 +356,7 @@ def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
 
     _refuse_dense_propagation(monkeypatch)
     cutoffs.clear()
-    experiments._intensity_sensitivities(state, ParamGrid([params]))
+    experiments._intensity_columns(state, ParamGrid([params]))
     assert cutoffs == [2, 3]
     experiments._output_populations(state, ParamGrid([params]))
     assert cutoffs == [2, 3, 2, 3]

@@ -178,6 +178,19 @@ def test_bounds_explicit_cutoff_is_held_to_the_default_budget(capsys, cutoff, ta
         assert json.loads(out)["bounds"]["x_d"] == pytest.approx(closed["x_d"], rel=rel)
 
 
+@pytest.mark.parametrize("budget", ["1", "inf", "nan", "-1"])
+@pytest.mark.parametrize("cutoff", [(), ("--cutoff", "20")], ids=["searched", "given"])
+def test_bounds_refuses_a_budget_that_is_not_a_tail_probability(capsys, budget, cutoff):
+    # a budget of 1 or more once built a cutoff-0 vacuum, printed all four
+    # parameters unidentifiable and exited 0
+    argv = ("bounds", "--state", "coherent", "--n0", "4", "--xd", "0.05", "--xs", "0.3")
+    code, out, err = run_cli(capsys, *argv, *cutoff, "--budget", budget)
+    assert code == EXIT_INVALID
+    assert out == ""
+    value = float(budget)
+    assert err == f"chiral-qfim: invalid input: truncation budget must lie in [0, 1), got {value!r}\n"
+
+
 def test_bounds_bright_coherent_below_its_cutoff_names_the_cutoff(capsys):
     # the Poisson tail of mean 800 at cutoff 10 is 1, not an underflowed 0
     argv = ("bounds", "--state", "coherent", "--n0", "1600", "--cutoff", "10")

@@ -260,9 +260,8 @@ def intensity_sensitivity(kind, params, target, state=None):
     """δ``target`` from intensity measurement at one point, from the population
     route; None where the signal does not move."""
     state = prepare_input_state(kind) if state is None else state
-    columns = experiments._intensity_sensitivities(state, ParamGrid([params]))
-    sensitivity, _, usable = columns[target]
-    return float(sensitivity[0]) if usable[0] else None
+    value = experiments._intensity_columns(state, ParamGrid([params]))[f"delta_{target}"][0]
+    return None if math.isnan(value) else float(value)
 
 
 def test_error_propagation_reference_values():
@@ -330,8 +329,8 @@ def test_intensity_statistics_equal_dense_population_moments(kind):
 def test_error_propagation_rejects_phase_targets():
     # the phases move no population, so only x_d and x_s have a column
     params = ChiralParams.from_chiral(0.1, 0.5, 0.2, 0.0)
-    columns = experiments._intensity_sensitivities(prepare_input_state(SP), ParamGrid([params]))
-    assert set(columns) == {"x_d", "x_s"}
+    columns = experiments._intensity_columns(prepare_input_state(SP), ParamGrid([params]))
+    assert set(columns) == {"delta_x_d", "delta_x_s"}
     # the vacuum's signal does not move: no sensitivity, NaN in the sweep column
     vacuum = InputStateKind.coherent(0.0)
     for target in ("x_d", "x_s"):
@@ -740,7 +739,7 @@ def test_product_input_never_forms_the_two_mode_matrix():
     state = built[0]
     assert _peak_bytes(lambda: compute_bounds(state, params, CHIRAL_NAMES)) < 2e6
     grid = ParamGrid([params])
-    assert _peak_bytes(lambda: experiments._intensity_sensitivities(state, grid)) < 2e6
+    assert _peak_bytes(lambda: experiments._intensity_columns(state, grid)) < 2e6
     assert "rho" not in vars(state)
 
 
@@ -819,7 +818,7 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
     with pytest.raises((DomainError, ValueError, NumericError)) as numeric:
         compute_bounds(state, broken, experiments.default_param_labels(kind))
     with pytest.raises((DomainError, ValueError, NumericError)) as intensity:
-        experiments._intensity_sensitivities(state, ParamGrid([broken]))
+        experiments._intensity_columns(state, ParamGrid([broken]))
     failed = tuple(f for f in rows[2].status if ":failed:" in f)
     assert failed == (
         f"{QFIM_NUMERIC}:failed:{numeric.value}",
@@ -863,25 +862,29 @@ def test_a_qfim_that_is_not_psd_flags_only_its_own_row(monkeypatch, kind):
             assert row == ref
 
 
-def test_a_failing_point_costs_few_grid_calls(monkeypatch):
-    spec = spec_for(NOON, start=0.1, stop=0.6, points=95, fixed={"x_d": 0.03})
+@pytest.mark.parametrize(
+    "method, route", [(QFIM_NUMERIC, "compute_bounds_grid"), (QFIM_ANALYTIC, "noon_grid")]
+)
+def test_a_failing_point_costs_few_grid_calls(monkeypatch, method, route):
+    spec = spec_for(NOON, start=0.1, stop=0.6, points=95, fixed={"x_d": 0.03}, methods=(method,))
     clean = run_sweep(spec)
     broken = point_at(spec, 47).alpha_plus
-    grid_route = experiments.compute_bounds_grid
+    grid_route = getattr(experiments, route)
     calls = []
 
-    def failing_at_one_point(state, points, labels):
+    def failing_at_one_point(*args):
+        points = next(arg for arg in args if isinstance(arg, ParamGrid))
         calls.append(len(points))
         if broken in points.alpha_plus:
             raise NumericError(f"a grid of {len(points)} points fails")
-        return grid_route(state, points, labels)
+        return grid_route(*args)
 
-    monkeypatch.setattr(experiments, "compute_bounds_grid", failing_at_one_point)
+    monkeypatch.setattr(experiments, route, failing_at_one_point)
     rows = run_sweep(spec)
     # bisection: the whole grid, then two halves per level down to the point
     assert calls[0] == 95
     assert len(calls) <= 1 + 2 * math.ceil(math.log2(95)) == 15
-    assert rows[47].status == (f"{QFIM_NUMERIC}:failed:a grid of 1 points fails",)
+    assert rows[47].status == (f"{method}:failed:a grid of 1 points fails",)
     for i, (row, ref) in enumerate(zip(rows, clean, strict=True)):
         if i != 47:
             # the bisection's smaller grids give every other point the same bits
@@ -889,18 +892,22 @@ def test_a_failing_point_costs_few_grid_calls(monkeypatch):
 
 
 def test_a_closed_form_failing_at_one_point_flags_only_its_own_row(monkeypatch):
-    spec = spec_for(NOON, start=0.2, stop=0.6, points=5, fixed={"x_d": 0.03})
+    # the grid starts at x_s = x_d, where the minus mode is lossless: the
+    # closed form's limit there must survive the bisection
+    spec = spec_for(NOON, start=0.03, stop=0.63, points=5, fixed={"x_d": 0.03})
     clean = run_sweep(spec)
-    closed_form_grid = experiments._closed_form_grid
+    assert clean[0].status[0] == f"{QFIM_ANALYTIC}:limit-evaluated"
+    broken = point_at(spec, 2)
+    closed_form_columns = experiments._closed_form_columns
 
     def past_the_domain_at_one_point(kind, method, grid):
-        broken = grid[:]
-        broken.alpha_plus = np.where(np.arange(len(grid)) == 2, 1.0, grid.alpha_plus)
-        return closed_form_grid(kind, method, broken)
+        at_broken = grid.alpha_plus == broken.alpha_plus
+        moved = grid[:]
+        moved.alpha_plus = np.where(at_broken, 1.0, grid.alpha_plus)
+        return closed_form_columns(kind, method, moved)
 
-    monkeypatch.setattr(experiments, "_closed_form_grid", past_the_domain_at_one_point)
+    monkeypatch.setattr(experiments, "_closed_form_columns", past_the_domain_at_one_point)
     rows = run_sweep(spec)
-    broken = point_at(spec, 2)
     object.__setattr__(broken, "alpha_plus", 1.0)
     with pytest.raises(DomainError) as scalar:
         noon_catalog(broken)

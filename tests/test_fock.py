@@ -198,7 +198,7 @@ def test_min_cutoff_for_tail_is_tight():
     # the smallest cutoff within budget, as a cutoff-by-cutoff search finds it
     means = [0.0, 1e-6, 0.01, 0.5, 2.0, 4.5, 8.0, 32.0, 333.3, *range(50, 1001, 50)]
     for mean in means:
-        for budget in (10.0**-e for e in range(2, 17)):
+        for budget in (0.0, *(10.0**-e for e in range(2, 17))):
             c = min_cutoff_for_tail(mean, budget)
             assert poisson_tail(mean, c) <= budget
             assert c == 0 or poisson_tail(mean, c - 1) > budget
@@ -216,10 +216,29 @@ def test_min_cutoff_for_tail_agrees_with_poisson_tail_at_ulp_budgets():
             for budget in (tail, math.nextafter(tail, 0.0), math.nextafter(tail, 1.0)):
                 if budget <= 0.0:
                     continue
+                if budget >= 1.0:
+                    # a tail summed to 1 + a few ulps is no tail probability
+                    with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+                        min_cutoff_for_tail(mean, budget)
+                    continue
                 k = min_cutoff_for_tail(mean, budget)
                 assert poisson_tail(mean, k) <= budget
                 assert k == 0 or budget < poisson_tail(mean, k - 1)
-        coherent_product_state(FockSpace(k, 0), amp, 0.0, truncation_budget=budget)
+                taken = k, budget
+        coherent_product_state(FockSpace(taken[0], 0), amp, 0.0, truncation_budget=taken[1])
+
+
+@pytest.mark.parametrize("budget", [1.0, 1.5, math.inf, math.nan, -1e-300])
+def test_a_budget_outside_the_tail_probabilities_is_refused_where_it_enters(budget):
+    message = rf"truncation budget must lie in \[0, 1\), got {budget!r}"
+    with pytest.raises(ValueError, match=message):
+        min_cutoff_for_tail(4.0, budget)
+    with pytest.raises(ValueError, match=message):
+        min_cutoff_for_tail(0.0, budget)
+    with pytest.raises(ValueError, match=message):
+        coherent_product_state(FockSpace(20, 20), 1.0, 1.0, truncation_budget=budget)
+    with pytest.raises(ValueError, match=message):
+        default_coherent_space(1.0, 1.0, budget=budget)
 
 
 def test_coherent_cutoffs_of_the_presets_and_check_1_are_pinned():
