@@ -17,7 +17,11 @@ and a fixed-step RK4 integration of the Lindblad generator.  The Kraus
 engine is the oracle for everything downstream; the RK4 engine exists
 to check it.  Loss has one kernel, ``factored_output_and_alpha_derivative``:
 a product input's factors call it one mode at a time, any other input on
-the two-mode table of its matrix.
+the two-mode table of its matrix.  Photon statistics read only the
+populations, which loss maps among themselves one mode at a time:
+``mode_population_pass`` gives a mode's output marginal, its ∂/∂α and its
+conditional output means from the upper triangle of the binomial transfer
+matrix, with no (B, d, d) stack.
 
 Loss and phase commute, and the phase stage is a unitary diagonal in the
 number basis, so it leaves every QFIM unchanged: the loss engine takes the
@@ -32,7 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, TwoModeState, _root_binomials, mode_factor_tables, phase_generator
+from .fock import (
+    FockSpace,
+    TwoModeState,
+    _root_binomials,
+    _transfer_segments,
+    mode_factor_tables,
+    phase_generator,
+)
 from .linalg import hermiticity_defect
 
 COORDS_ALPHA_PHI = "alpha_phi"
@@ -221,8 +232,8 @@ def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeSta
     The two stages commute, and the loss map is exactly trace preserving
     on any truncation containing the input support.
     """
-    output = grid_output_and_alpha_derivatives(state, [params.alpha_plus], [params.alpha_minus])[0]
-    return state.with_rho(phase_stage(output[0], state.space, params))
+    output = point_output_and_alpha_derivatives(state, params)[0]
+    return state.with_rho(phase_stage(output, state.space, params))
 
 
 def factored_output_and_alpha_derivative(tables, spectra, owners, alpha) -> tuple:
@@ -257,7 +268,7 @@ def factored_output_and_alpha_derivative(tables, spectra, owners, alpha) -> tupl
     # per mode j: c and dc along its levels' axis, h_j, and D's factor η_j^{m_j/2}
     c, dc, h = [], [], []
     for j, d in enumerate(levels):
-        _, _, _, k, half_k, k_minus_one = _root_binomials(d - 1)
+        _, k, half_k, k_minus_one = _root_binomials(d - 1)
         axes = (n,) + (1,) * j + (d,) + (1,) * (modes - j)
         a, e = alpha[:, j, None], eta[:, j, None]
         c.append((a**k).reshape(axes))
@@ -323,26 +334,58 @@ def grid_output_and_alpha_derivatives(state: TwoModeState, alpha_plus, alpha_min
     return factored_output_and_alpha_derivative(tables, spectra, [0] * len(alpha), alpha)
 
 
-def mode_population_transfer(cutoff: int, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """One mode's photon-number transfer matrix T and its exact ∂T/∂α.
+def point_output_and_alpha_derivatives(state: TwoModeState, params: ChiralParams) -> np.ndarray:
+    """The loss output and its exact ∂/∂α₊, ∂/∂α₋ at one point, (3, dim,
+    dim) at zero phase, exactly zero outside the state's ``output_blocks``.
 
-    Loss maps populations to populations: p_out[m] = Σ_k T[m, m+k] p[m+k]
-    with T[m, m+k] = C(m+k, k) η^m α^k = α^k g², g = √C(m+k, k) η^{m/2}
-    from ``fock._root_binomials``, the diagonal of the loss map, so the
-    intensity moments never need the coherences; ∂T/∂α = k α^{k−1} g² −
-    T m/η.  An array of ``alpha`` values leads both results with its shape.
+    On a mixed input with structural zeros the kernel's eigenvectors leave
+    rounding on entries that no input entry reaches, which a second channel
+    step would read as part of its input's nonzero pattern.
     """
-    root, rows, cols, k, half_k, k_minus_one = _root_binomials(cutoff)
-    alpha = np.asarray(alpha, dtype=float)[..., None]
+    loss = np.concatenate(
+        grid_output_and_alpha_derivatives(state, [params.alpha_plus], [params.alpha_minus])
+    )
+    outside = np.ones(loss.shape[1:], dtype=bool)
+    for block in state.output_blocks.blocks:
+        outside[np.ix_(block, block)] = False
+    loss[:, outside] = 0.0
+    return loss
+
+
+def mode_population_pass(populations, alpha) -> tuple:
+    """One mode's loss output populations p, their exact ∂p/∂α and the
+    conditional output means u, one row per absorption.
+
+    Loss maps a mode's populations among themselves, p[m] = Σ_k T[m, m+k]
+    q[m+k] from the input populations q, with T[m, m+k] = C(m+k, k) η^m α^k
+    = α^k g², g = √C(m+k, k) η^{m/2}: the diagonal of the loss map, so the
+    photon statistics never need the coherences.  ∂T/∂α = k α^{k−1} g² −
+    T m/η gives ∂p/∂α, and u[n] = Σ_m m T[m, n] is the mean count that input
+    level n leaves.  T is held as its upper-triangle values per absorption,
+    with α^k, k α^{k−1} and η^{m/2} gathered from tables of cutoff + 1
+    powers and the triangle and its segments from ``fock._transfer_segments``; no
+    (B, d, d) stack is formed.  Each sum runs along one absorption's row
+    (``np.add.reduceat``), so a point's bits do not depend on the points
+    beside it.  ``populations`` has cutoff + 1 levels and ``alpha`` is a
+    (B,) array: three (B, cutoff + 1) results.
+    """
+    populations = np.asarray(populations, dtype=float)
+    cutoff = len(populations) - 1
+    _, k, half_k, k_minus_one = _root_binomials(cutoff)
+    rows, cols, root, lost, row_starts, by_column, column_starts = _transfer_segments(cutoff)
+    alpha = np.asarray(alpha, dtype=float)[:, None]
     eta = 1.0 - alpha
-    lost = cols - rows
-    g = root[lost, rows] * eta ** half_k[rows]
-    transfer = np.zeros((*alpha.shape[:-1], cutoff + 1, cutoff + 1))
-    d_transfer = np.zeros_like(transfer)
-    kept, h = alpha**lost * g * g, k[rows] / (2.0 * eta)
-    transfer[..., rows, cols] = kept
-    d_transfer[..., rows, cols] = k[lost] * alpha ** k_minus_one[lost] * g * g - kept * 2 * h
-    return transfer, d_transfer
+    g = root * (eta**half_k)[:, rows]
+    # T and the α^k part of ∂T/∂α, side by side so that one pass sums both
+    terms = np.empty((2, *g.shape))
+    for powers, out in ((alpha**k, terms[0]), (k * alpha**k_minus_one, terms[1])):
+        np.multiply(powers[:, lost], g, out=out)
+        out *= g
+    u = np.add.reduceat((terms[0] * rows)[:, by_column], column_starts, axis=1)
+    terms *= populations[cols]
+    p, d_p = np.add.reduceat(terms, row_starts, axis=2)
+    d_p -= k / eta * p
+    return p, d_p, u
 
 
 def phase_derivative(rho: np.ndarray, n: np.ndarray) -> np.ndarray:

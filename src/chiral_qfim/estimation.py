@@ -67,6 +67,7 @@ from .channel import (
     grid_output_and_alpha_derivatives,
     phase_derivative,
     phase_stage,
+    point_output_and_alpha_derivatives,
 )
 from .fock import ModeInputs, TwoModeState, require_trace_window
 from .linalg import (
@@ -219,8 +220,9 @@ def channel_derivatives(
     """Channel output together with ∂ρ for each requested parameter.
 
     The loss output and both α-derivatives come from one call of the loss
-    kernel on the state's ``kraus_tables``, and the phase stage then acts
-    on all three.  The output is
+    kernel on the state's ``kraus_tables``, zero outside its
+    ``output_blocks`` (``channel.point_output_and_alpha_derivatives``), and
+    the phase stage then acts on all three.  The output is
     checked once: finite, Hermitian and in the trace window.  The
     φ-derivatives come from the checked output, and each label's matrix is
     their constant combination.
@@ -228,8 +230,8 @@ def channel_derivatives(
     labels = tuple(param_labels)
     pullback = _native_pullback(labels)
     space = input_state.space
-    loss = grid_output_and_alpha_derivatives(input_state, [params.alpha_plus], [params.alpha_minus])
-    output, d_plus, d_minus = phase_stage(np.concatenate(loss), space, params)
+    loss = point_output_and_alpha_derivatives(input_state, params)
+    output, d_plus, d_minus = phase_stage(loss, space, params)
     output = require_hermitian(output)
     require_trace_window(np.trace(output), input_state.trace_deficit_budget)
     phases = [phase_derivative(output, n) for n in space.number_grids()]

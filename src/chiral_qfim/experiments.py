@@ -10,6 +10,12 @@ vanishing derivatives, closed-form domain limits, failed numeric checks)
 never abort a sweep; they are recorded in the row's status column and the
 affected cells stay empty.
 
+The ``intensity_exact`` columns take one population pass per mode
+(``channel.mode_population_pass``): each mode's mean and slope come from
+its own output marginal, and each signal's variance, by the law of total
+variance, from the modes' binomial thinning and their conditional output
+means on the input populations, as sums of non-negative terms.
+
 ``figure_presets`` returns the grids behind the three reference figure
 families: absorption sensitivities against X_s at four chirality offsets,
 and the phase sensitivity against a common absorption α.
@@ -44,7 +50,7 @@ from .channel import (
     CHIRAL_NAMES,
     DomainError,
     ParamGrid,
-    mode_population_transfer,
+    mode_population_pass,
 )
 from .estimation import NumericError, compute_bounds_grid
 from .fock import (
@@ -263,6 +269,10 @@ def prepare_input_state(
     return coherent_product_state(space, amp_p, amp_m, truncation_budget=tail)
 
 
+# the signs s of the signals n₊ + s n₋ of x_d and x_s
+_SIGNS = np.array([-1.0, 1.0])
+
+
 class IntensityStatistics(NamedTuple):
     """Exact first and second moments of the two output mode intensities,
     one entry per grid point."""
@@ -274,69 +284,78 @@ class IntensityStatistics(NamedTuple):
     covariance: np.ndarray
 
 
-def _output_populations(state: TwoModeState, grid: ParamGrid) -> tuple:
-    """Output populations P[b, n₊, n₋] at each point b of ``grid``,
-    with their exact ∂/∂α₊ and ∂/∂α₋.
+def _expected(marginal: np.ndarray) -> np.ndarray:
+    """Σ_n n p[b, n] at each point b, summed point by point: a matrix
+    product's sum order, and so a point's bits, would depend on B."""
+    return (marginal * np.arange(marginal.shape[1])).sum(axis=1)
 
-    The phase stage leaves populations alone and loss maps them among
-    themselves, so only the input diagonal goes through each mode's stack
-    of transfer matrices; a product input gives it as
-    outer(diag ρ₊, diag ρ₋).  Each output trace must stay in the state's
-    window.
+
+def _intensity_moments(state: TwoModeState, grid: ParamGrid) -> tuple:
+    """The intensity moments at each point of ``grid``, the variances of the
+    signals n₊ − n₋ and n₊ + n₋ as a (2, B) array, and the signals' shared
+    exact slope ∂⟨n₊⟩/∂α₊ + ∂⟨n₋⟩/∂α₋, from one population pass per mode.
+
+    The phase stage leaves populations alone and loss acts on each mode
+    alone, so ``mode_population_pass`` on each mode's input marginal gives
+    that mode's output marginal, with its mean and slope, and its
+    conditional means u.  Loss thins each input level binomially, so given
+    the input levels a mode's count has mean u[n] = nη and variance α u[n];
+    by the law of total variance Var(n₊ + s n₋) = α₊⟨n₊⟩ + α₋⟨n₋⟩ +
+    Σ P (w₊ + s w₋)² with w = u − ⟨n⟩, on the input populations P[n₊, n₋]:
+    ``diag rho``, or outer(diag ρ₊, diag ρ₋) from the factors of a product
+    input.  The trace 1 − Σ P that a truncated input leaves out counts as
+    vacuum, at w = −⟨n⟩, so each moment equals E[n²] − E[n]² on the
+    populations as they are.  Every variance is then a sum of non-negative
+    terms and keeps its relative precision where the counts are nearly
+    certain or the signal nearly noiseless; the covariance is the quarter
+    of their difference, exact on the scale of the variances.  Each mode's
+    output trace must stay in the state's window.
     """
     space = state.space
     if state.factors is None:
         pops = np.diag(state.rho).real.reshape(space.cutoff_plus + 1, space.cutoff_minus + 1)
     else:
         pops = np.outer(*(np.diag(factor).real for factor in state.factors))
-    t_plus, dt_plus = mode_population_transfer(space.cutoff_plus, grid.alpha_plus)
-    t_minus, dt_minus = mode_population_transfer(space.cutoff_minus, grid.alpha_minus)
-    t_minus, dt_minus = np.swapaxes(t_minus, 1, 2), np.swapaxes(dt_minus, 1, 2)
-    out = t_plus @ pops @ t_minus
-    require_trace_window(out.sum(axis=(1, 2)), state.trace_deficit_budget)
-    return out, dt_plus @ pops @ t_minus, t_plus @ pops @ dt_minus
-
-
-def _expected(marginal: np.ndarray, power: int = 1) -> np.ndarray:
-    """Σ_n n^power P[b, n] at each point b, summed point by point: a matrix
-    product's sum order, and so a point's bits, would depend on B."""
-    return (marginal * np.arange(marginal.shape[1]) ** power).sum(axis=1)
-
-
-def _mean_counts(pops: np.ndarray) -> tuple:
-    """⟨n₊⟩ and ⟨n₋⟩ over each P[b, n₊, n₋] of a stack; linear in P."""
-    return _expected(pops.sum(axis=2)), _expected(pops.sum(axis=1))
-
-
-def _moments(pops: np.ndarray) -> IntensityStatistics:
-    """The moments at each point of a population stack, as arrays."""
-    mean_p, mean_m = _mean_counts(pops)
-    var_p = _expected(pops.sum(axis=2), 2) - mean_p**2
-    var_m = _expected(pops.sum(axis=1), 2) - mean_m**2
-    cov = _expected((pops * np.arange(pops.shape[2])).sum(axis=2)) - mean_p * mean_m
-    return IntensityStatistics(mean_p, mean_m, var_p, var_m, cov)
+    q_plus, q_minus = pops.sum(axis=1), pops.sum(axis=0)
+    p_plus, slope_plus, u_plus = mode_population_pass(q_plus, grid.alpha_plus)
+    p_minus, slope_minus, u_minus = mode_population_pass(q_minus, grid.alpha_minus)
+    traces = np.concatenate([p_plus.sum(axis=1), p_minus.sum(axis=1)])
+    require_trace_window(traces, state.trace_deficit_budget)
+    mean_p, mean_m = _expected(p_plus), _expected(p_minus)
+    w_plus, w_minus = u_plus - mean_p[:, None], u_minus - mean_m[:, None]
+    thinning_p, thinning_m = grid.alpha_plus * mean_p, grid.alpha_minus * mean_m
+    missing = 1.0 - pops.sum()
+    # Σ P (w₊ + s w₋)² at each point for s = −1, +1, summed point by point
+    spread = w_plus[:, :, None] + _SIGNS[:, None, None, None] * w_minus[:, None, :]
+    spread *= spread
+    spread *= pops
+    between = spread.reshape(2, len(grid), -1).sum(axis=2)
+    signals = mean_p + _SIGNS[:, None] * mean_m
+    variances = thinning_p + thinning_m + between + missing * signals**2
+    stats = IntensityStatistics(
+        mean_p,
+        mean_m,
+        thinning_p + (w_plus**2 * q_plus).sum(axis=1) + missing * mean_p**2,
+        thinning_m + (w_minus**2 * q_minus).sum(axis=1) + missing * mean_m**2,
+        (between[1] - between[0]) / 4.0 + missing * mean_p * mean_m,
+    )
+    return stats, variances, _expected(slope_plus) + _expected(slope_minus)
 
 
 def _intensity_columns(state: TwoModeState, grid: ParamGrid) -> dict:
     """δx_d and δx_s from intensity measurement at each point of ``grid``,
-    by sweep quantity, from one population pass.
+    by sweep quantity, from one population pass per mode.
 
     Each is the signal's noise over its exact slope, NaN where the slope is
-    below ``DERIVATIVE_FLOOR`` and the signal does not move.
+    below ``DERIVATIVE_FLOOR`` and the signal does not move.  The signal is
+    ⟨n₊⟩ + s⟨n₋⟩ and ∂/∂x = ∂/∂α₊ + s ∂/∂α₋, so both targets' signals have
+    the slope ∂⟨n₊⟩/∂α₊ + ∂⟨n₋⟩/∂α₋.
     """
-    pops, d_plus, d_minus = _output_populations(state, grid)
-    stats = _moments(pops)
-    columns = {}
-    for target, sign in (("x_d", -1.0), ("x_s", 1.0)):
-        # the signal is ⟨n₊⟩ + sign·⟨n₋⟩, and ∂/∂x = ∂/∂α₊ + sign·∂/∂α₋
-        d_mean_p, d_mean_m = _mean_counts(d_plus + sign * d_minus)
-        derivative = d_mean_p + sign * d_mean_m
-        variance = stats.var_plus + stats.var_minus + 2.0 * sign * stats.covariance
-        usable = np.abs(derivative) >= DERIVATIVE_FLOOR
-        slope = np.where(usable, np.abs(derivative), 1.0)
-        noise = np.sqrt(np.maximum(variance, 0.0))
-        columns[f"delta_{target}"] = np.where(usable, noise / slope, np.nan)
-    return columns
+    _, variances, derivative = _intensity_moments(state, grid)
+    usable = np.abs(derivative) >= DERIVATIVE_FLOOR
+    slope = np.where(usable, np.abs(derivative), 1.0)
+    delta = np.where(usable, np.sqrt(np.maximum(variances, 0.0)) / slope, np.nan)
+    return {"delta_x_d": delta[0], "delta_x_s": delta[1]}
 
 
 # ---------------------------------------------------------------------------

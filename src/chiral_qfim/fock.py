@@ -127,16 +127,44 @@ def _root_binomials(cutoff: int) -> tuple:
     ``root[k, m] = √C(m+k, k)`` for m+k ≤ cutoff and 0 beyond, where the
     k-photon-loss Kraus operator has no entry; each binomial is exact
     before its one rounding, so it holds past int64 (cutoff ≥ 67), up to
-    ``MAX_LOSS_CUTOFF``.  ``rows``, ``cols`` index the upper triangle
-    T[m, m+k].  ``k`` = 0..cutoff, ``half_k`` = k/2 and ``k_minus_one`` =
-    max(k − 1, 0) are the exponents of the loss tables.
+    ``MAX_LOSS_CUTOFF``.  ``k`` = 0..cutoff, ``half_k`` = k/2 and
+    ``k_minus_one`` = max(k − 1, 0) are the exponents of the loss tables.
     """
     require_loss_cutoff(cutoff)
     m = np.arange(cutoff + 1)
     root = np.sqrt(
         [[float(math.comb(i + k, k)) if i + k <= cutoff else 0.0 for i in m] for k in m]
     )
-    tables = (root, *np.triu_indices(cutoff + 1), m, m / 2, np.maximum(m - 1, 0))
+    tables = (root, m, m / 2, np.maximum(m - 1, 0))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=64)
+def _transfer_segments(cutoff: int) -> tuple:
+    """α-independent, read-only tables of the upper triangle T[m, m+k] of
+    one mode's population transfer, held row by row, cached per cutoff.
+
+    ``rows``, ``cols`` index the triangle in that order (``np.triu_indices``),
+    ``root`` = √C(m+k, k) and ``lost`` = k on it, ``row_starts`` where each
+    row m begins, ``by_column`` the order that lists the triangle column by
+    column (m ascending in each), and ``column_starts`` where each column
+    begins in that order.
+    """
+    root = _root_binomials(cutoff)[0]
+    rows, cols = np.triu_indices(cutoff + 1)
+    m = np.arange(cutoff + 1)
+    lost = cols - rows
+    tables = (
+        rows,
+        cols,
+        root[lost, rows],
+        lost,
+        m * (cutoff + 1) - m * (m - 1) // 2,
+        np.lexsort((rows, cols)),
+        m * (m + 1) // 2,
+    )
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -460,7 +488,9 @@ def _tail_sum(mean: float, cutoff: int, terms: dict) -> float:
     cutoff + 1 on, added in increasing k, through the first past the mean
     below 1e-18 of the sum.  Each term P(N = k) is formed in log space, so a
     bright mean whose first terms underflow keeps its tail, and is kept in
-    ``terms`` for the next sum over the same mean.
+    ``terms`` for the next sum over the same mean.  The sum is capped at 1:
+    the terms' log-space rounding can carry a bright mean's sum from a small
+    cutoff a few ulps past it.
     """
     log_mean, total, k = math.log(mean), 0.0, cutoff + 1
     while True:
@@ -469,7 +499,7 @@ def _tail_sum(mean: float, cutoff: int, terms: dict) -> float:
             term = terms[k] = math.exp(-mean + k * log_mean - math.lgamma(k + 1))
         total += term
         if k > mean and term <= total * 1e-18:
-            return total
+            return min(total, 1.0)
         k += 1
 
 

@@ -12,7 +12,10 @@ independent way:
   input, against the Kraus engine;
 * ``kraus_loss``: the loss output and its exact α-derivatives by a loop
   over the Kraus operators, each reading the input's own entries through a
-  slice, against the factored loss kernel.
+  slice, against the factored loss kernel;
+* ``population_moments``: the intensity moments and sensitivities from the
+  joint output populations T₊ P T₋ᵀ and their α-derivatives, against the
+  per-mode population pass.
 """
 
 import dataclasses
@@ -35,6 +38,8 @@ from chiral_qfim.estimation import (
     invert_and_bound,
     solve_sld,
 )
+from chiral_qfim.experiments import DERIVATIVE_FLOOR, IntensityStatistics
+from chiral_qfim.fock import _root_binomials, require_trace_window
 
 FD_STEP_SCALE = 1e-5
 
@@ -143,3 +148,67 @@ def kraus_loss(rho: np.ndarray, space, alpha_plus: float, alpha_minus: float) ->
                     a[:, None, :, None] * b[None, :, None, :] * shifted
                 )
     return tuple(m.reshape(space.dim, space.dim) for m in (out, d_plus, d_minus))
+
+
+def _population_transfer(cutoff: int, alpha) -> tuple:
+    """One mode's dense transfer matrices T[m, m+k] = C(m+k, k) η^m α^k and
+    ∂T/∂α = k α^{k−1} C(m+k, k) η^m − T m/η, one (cutoff+1)² pair per
+    absorption of the (B,) array ``alpha``."""
+    root, k, half_k, k_minus_one = _root_binomials(cutoff)
+    rows, cols = np.triu_indices(cutoff + 1)
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    eta = 1.0 - alpha
+    lost = cols - rows
+    g = root[lost, rows] * eta ** half_k[rows]
+    transfer = np.zeros((*alpha.shape[:-1], cutoff + 1, cutoff + 1))
+    d_transfer = np.zeros_like(transfer)
+    kept, h = alpha**lost * g * g, k[rows] / (2.0 * eta)
+    transfer[..., rows, cols] = kept
+    d_transfer[..., rows, cols] = k[lost] * alpha ** k_minus_one[lost] * g * g - kept * 2 * h
+    return transfer, d_transfer
+
+
+def population_moments(state, grid) -> tuple:
+    """The intensity moments (``IntensityStatistics``) and the δx_d, δx_s
+    columns at each point of ``grid`` from the joint output populations
+    P_out = T₊ P T₋ᵀ and their ∂/∂α₊, ∂/∂α₋, formed as (B, d₊, d₋) stacks
+    from each mode's dense transfer matrices.  Each second moment is a
+    centred sum over P_out, with the trace 1 − Σ P that a truncated input
+    leaves out at the vacuum, as E[n²] − E[n]² on the populations reads it."""
+    space = state.space
+    if state.factors is None:
+        pops = np.diag(state.rho).real.reshape(space.cutoff_plus + 1, space.cutoff_minus + 1)
+    else:
+        pops = np.outer(*(np.diag(factor).real for factor in state.factors))
+    t_plus, dt_plus = _population_transfer(space.cutoff_plus, grid.alpha_plus)
+    t_minus, dt_minus = _population_transfer(space.cutoff_minus, grid.alpha_minus)
+    t_minus, dt_minus = np.swapaxes(t_minus, 1, 2), np.swapaxes(dt_minus, 1, 2)
+    out = t_plus @ pops @ t_minus
+    require_trace_window(out.sum(axis=(1, 2)), state.trace_deficit_budget)
+    d_plus, d_minus = dt_plus @ pops @ t_minus, t_plus @ pops @ dt_minus
+    missing = 1.0 - pops.sum()
+    n_plus = np.arange(space.cutoff_plus + 1)[None, :, None]
+    n_minus = np.arange(space.cutoff_minus + 1)[None, None, :]
+
+    def total(joint, values):
+        return (joint * values).sum(axis=(1, 2))
+
+    mean_p, mean_m = total(out, n_plus), total(out, n_minus)
+    # each count about its mean, (B, d₊, 1) and (B, 1, d₋)
+    a, b = n_plus - mean_p[:, None, None], n_minus - mean_m[:, None, None]
+    stats = IntensityStatistics(
+        mean_p,
+        mean_m,
+        total(out, a * a) + missing * mean_p**2,
+        total(out, b * b) + missing * mean_m**2,
+        total(out, a * b) + missing * mean_p * mean_m,
+    )
+    columns = {}
+    for target, sign in (("x_d", -1.0), ("x_s", 1.0)):
+        derivative = total(d_plus + sign * d_minus, n_plus + sign * n_minus)
+        variance = total(out, (a + sign * b) ** 2) + missing * (mean_p + sign * mean_m) ** 2
+        usable = np.abs(derivative) >= DERIVATIVE_FLOOR
+        slope = np.where(usable, np.abs(derivative), 1.0)
+        noise = np.sqrt(np.maximum(variance, 0.0))
+        columns[f"delta_{target}"] = np.where(usable, noise / slope, np.nan)
+    return stats, columns

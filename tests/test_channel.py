@@ -8,6 +8,7 @@ import pytest
 from chiral_qfim import channel, estimation, experiments, fock
 from chiral_qfim.analytic import InputStateKind
 from chiral_qfim.channel import (
+    ALPHA_PHI_NAMES,
     CHIRAL_NAMES,
     ChiralParams,
     DomainError,
@@ -17,7 +18,7 @@ from chiral_qfim.channel import (
     apply_channel_rk4,
     grid_output_and_alpha_derivatives,
     mode_output_and_alpha_derivative,
-    mode_population_transfer,
+    mode_population_pass,
 )
 from chiral_qfim.estimation import channel_derivatives, compute_bounds
 from chiral_qfim.fock import (
@@ -315,23 +316,23 @@ def test_alpha_derivative_at_zero_loss():
 
 def _count_weight_passes(monkeypatch):
     """Record every call of the loss kernel, dense or per mode, as the
-    tuple of its table's cutoffs, one per mode, and every population
-    transfer build as its cutoff."""
+    tuple of its table's cutoffs, one per mode, and every population pass
+    as its mode's cutoff."""
     cutoffs = []
     kernel = channel.factored_output_and_alpha_derivative
-    transfer = experiments.mode_population_transfer
+    population_pass = experiments.mode_population_pass
 
     def counting_kernel(factor_tables, spectra, owners, alpha):
         cutoffs.append(tuple(d - 1 for d in factor_tables.shape[1:-1]))
         return kernel(factor_tables, spectra, owners, alpha)
 
-    def counting_transfer(cutoff, alpha):
-        cutoffs.append(cutoff)
-        return transfer(cutoff, alpha)
+    def counting_pass(populations, alpha):
+        cutoffs.append(len(populations) - 1)
+        return population_pass(populations, alpha)
 
     for module in (channel, estimation):
         monkeypatch.setattr(module, "factored_output_and_alpha_derivative", counting_kernel)
-    monkeypatch.setattr(experiments, "mode_population_transfer", counting_transfer)
+    monkeypatch.setattr(experiments, "mode_population_pass", counting_pass)
     return cutoffs
 
 
@@ -348,7 +349,7 @@ def _refuse_dense_propagation(monkeypatch):
 def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
     cutoffs = _count_weight_passes(monkeypatch)
     # unequal cutoffs tell the two modes' passes apart: one kernel call on
-    # the dense table of both modes, then one transfer build per mode
+    # the dense table of both modes, then one population pass per mode
     state = hv_to_pm_state(NOON_HV, FockSpace(2, 3))
     params = ChiralParams(0.3, 0.45, 0.6, -0.3)
     channel_derivatives(state, params, CHIRAL_NAMES)
@@ -358,7 +359,7 @@ def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
     cutoffs.clear()
     experiments._intensity_columns(state, ParamGrid([params]))
     assert cutoffs == [2, 3]
-    experiments._output_populations(state, ParamGrid([params]))
+    experiments._intensity_moments(state, ParamGrid([params]))
     assert cutoffs == [2, 3, 2, 3]
 
 
@@ -427,11 +428,21 @@ def _loss_weights_by_comb(cutoff, alpha):
     return weights, derivatives
 
 
+def transfer_by_columns(cutoff, alpha):
+    """One mode's transfer matrix T, ∂T/∂α and conditional means u at one
+    absorption, column j of T and ∂T/∂α the population pass's output for
+    the basis population e_j: exact, since every other term of each sum
+    is 0."""
+    passes = [mode_population_pass(level, [alpha]) for level in np.eye(cutoff + 1)]
+    transfer, d_transfer = (np.array([part[i][0] for part in passes]).T for i in range(2))
+    return transfer, d_transfer, passes[0][2][0]
+
+
 @pytest.mark.parametrize("cutoff", [0, 1, 12, 70, 100])
 @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.35, 0.999])
 def test_loss_weights_match_binomial_formula(cutoff, alpha):
     # the population transfer T[m, m+k] is the diagonal W_k[m, m] of the loss map
-    transfer, d_transfer = mode_population_transfer(cutoff, alpha)
+    transfer, d_transfer, u = transfer_by_columns(cutoff, alpha)
     ref_w, ref_d = _loss_weights_by_comb(cutoff, alpha)
     rows, cols = np.triu_indices(cutoff + 1)
     expected, d_expected = np.zeros_like(transfer), np.zeros_like(d_transfer)
@@ -442,17 +453,24 @@ def test_loss_weights_match_binomial_formula(cutoff, alpha):
     assert np.max(np.abs(d_transfer - d_expected)) <= 1e-14 * np.max(np.abs(d_expected))
     np.testing.assert_allclose(transfer.sum(axis=0), 1.0, rtol=0, atol=1e-13)
     np.testing.assert_allclose(d_transfer.sum(axis=0), 0.0, rtol=0, atol=1e-13)
+    # u[n] = Σ_m m T[m, n], the binomial mean n η
+    levels = np.arange(cutoff + 1)
+    assert np.max(np.abs(u - levels @ transfer)) <= 1e-14 * max(1.0, np.max(u))
+    np.testing.assert_allclose(u, levels * (1.0 - alpha), rtol=1e-13, atol=0)
 
 
 def test_loss_weight_cache_holds_only_small_tables():
-    channel._root_binomials.cache_clear()
+    caches = (channel._root_binomials, channel._transfer_segments)
+    for cache in caches:
+        cache.cache_clear()
     for cutoff, alpha in ((100, 0.3), (12, 0.3), (12, 0.7)):
-        tables = mode_population_transfer(cutoff, alpha)
-        assert all(table.size <= (cutoff + 1) ** 2 for table in tables)
+        results = mode_population_pass(np.full(cutoff + 1, 1.0 / (cutoff + 1)), [alpha])
+        assert all(result.shape == (1, cutoff + 1) for result in results)
     # one entry per cutoff, whatever the alpha
-    assert channel._root_binomials.cache_info().currsize == 2
-    cached = channel._root_binomials(100) + channel._root_binomials(12)
-    assert sum(table.nbytes for table in cached) < 1_000_000
+    for cache in caches:
+        assert cache.cache_info().currsize == 2
+        cached = cache(100) + cache(12)
+        assert sum(table.nbytes for table in cached) < 1_000_000
 
 
 def test_max_loss_cutoff_is_the_largest_whose_binomials_fit_a_float64():
@@ -477,11 +495,11 @@ def test_loss_tables_refuse_a_cutoff_past_float64_before_building(monkeypatch):
     combs, comb = [], math.comb
     monkeypatch.setattr(math, "comb", lambda *args: combs.append(args) or comb(*args))
     with pytest.raises(OverflowError, match=f"cutoff {limit + 1} exceeds {limit}"):
-        mode_population_transfer(limit + 1, 0.3)
+        mode_population_pass(np.zeros(limit + 2), [0.3])
     assert combs == []
     monkeypatch.undo()
     # below the limit each entry is still √C(m+k, k), rounded once
-    root, rows, cols, k, half_k, k_minus_one = fock._root_binomials(80)
+    root, k, half_k, k_minus_one = fock._root_binomials(80)
     exact = [[math.comb(i + j, j) if i + j <= 80 else 0 for i in range(81)] for j in range(81)]
     assert np.array_equal(root, np.sqrt(np.array(exact, dtype=float)))
     assert np.array_equal(k, np.arange(81)) and np.array_equal(half_k, np.arange(81) / 2)
@@ -626,9 +644,12 @@ def test_a_stacked_kernel_call_holds_no_cube(amp):
 def test_population_transfer_is_the_diagonal_of_the_loss_map(alpha):
     pops = np.random.default_rng(5).random(6)
     out, d_out = mode_output_and_alpha_derivative(np.diag(pops), alpha)
-    transfer, d_transfer = mode_population_transfer(5, alpha)
+    transfer, d_transfer, _ = transfer_by_columns(5, alpha)
     np.testing.assert_allclose(transfer @ pops, np.diag(out), rtol=0, atol=1e-14)
     np.testing.assert_allclose(d_transfer @ pops, np.diag(d_out), rtol=0, atol=1e-14)
+    p, d_p, _ = mode_population_pass(pops, [alpha])
+    np.testing.assert_allclose(p[0], np.diag(out), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(d_p[0], np.diag(d_out), rtol=0, atol=1e-14)
 
 
 def test_loss_weights_past_int64_binomials():
@@ -739,11 +760,13 @@ def test_output_blocks_equal_the_walked_reachable_pattern(cutoffs):
 
 
 def test_output_blocks_hold_every_output_of_the_grid():
-    rng = np.random.default_rng(5)
+    # this mixture's eigenvectors leave the kernel up to 9e-14 of rounding
+    # outside its output blocks, which the one-point outputs must not keep
+    mixture = sparse_mixture(np.random.default_rng(2), FockSpace(3, 2), 3)
     states = [
         hv_to_pm_state(NOON_HV, FockSpace(2, 2)),
         hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(2, 1)),
-        sparse_mixture(rng, FockSpace(3, 2), 3),
+        mixture,
     ]
     alphas = np.array((0.0, 1e-300, 0.3, 1 - 1e-6))
     alpha_plus, alpha_minus = np.repeat(alphas, 4), np.tile(alphas, 4)
@@ -752,9 +775,21 @@ def test_output_blocks_hold_every_output_of_the_grid():
         inside = np.zeros((state.space.dim, state.space.dim), dtype=bool)
         for block in blocks:
             inside[np.ix_(block, block)] = True
-        output, d_plus, d_minus = grid_output_and_alpha_derivatives(state, alpha_plus, alpha_minus)
-        for stack in (output, d_plus, d_minus):
-            assert not stack[:, ~inside].any()
+        assert not inside.all()
+        raw = grid_output_and_alpha_derivatives(state, alpha_plus, alpha_minus)
+        if state is mixture:
+            assert max(np.max(np.abs(stack[:, ~inside])) for stack in raw) > 1e-14
+        else:
+            # a rank-1 input's block factors exactly: the grid route itself
+            # writes nothing outside its blocks
+            for stack in raw:
+                assert not stack[:, ~inside].any()
+        for a, b in zip(alpha_plus.tolist(), alpha_minus.tolist()):
+            params = ChiralParams(a, b, 0.4, -0.7)
+            output, derivs = channel_derivatives(state, params, ALPHA_PHI_NAMES)
+            kraus = apply_channel_kraus(state, params).rho
+            for matrix in (kraus, output.rho, *(d.drho for d in derivs)):
+                assert not matrix[~inside].any()
 
 
 def _dense_inputs():

@@ -57,6 +57,7 @@ from chiral_qfim.fock import (
     hv_to_pm_amplitudes,
     hv_to_pm_state,
 )
+from oracles import population_moments
 
 SP = InputStateKind.single_photon_h()
 NOON = InputStateKind.noon_hv()
@@ -225,8 +226,8 @@ def test_prepare_input_state_refuses_a_budget_for_a_quantum_kind_and_a_short_cut
 
 def intensity_statistics(kind, params):
     """Moments of n₊ and n₋ on the output at one point, from the population route."""
-    pops = experiments._output_populations(prepare_input_state(kind), ParamGrid([params]))[0]
-    return experiments.IntensityStatistics(*(float(v[0]) for v in experiments._moments(pops)))
+    stats = experiments._intensity_moments(prepare_input_state(kind), ParamGrid([params]))[0]
+    return experiments.IntensityStatistics(*(float(v[0]) for v in stats))
 
 
 def test_intensity_statistics_single_photon():
@@ -324,6 +325,73 @@ def test_intensity_statistics_equal_dense_population_moments(kind):
             pops @ (n_plus * n_minus) - mean_p * mean_m,
         )
         np.testing.assert_allclose(intensity_statistics(kind, params), dense, rtol=0, atol=1e-12)
+
+
+# the probes of the population pass: three dense-free quantum inputs, and
+# coherent H, elliptical and circular probes, the last two at unequal cutoffs
+POPULATION_PROBES = {
+    "single-photon": SP,
+    "noon": NOON,
+    "photon-pair": FOCK,
+    "coherent-h": COH1,
+    "elliptical": InputStateKind.coherent(1.0, 0.5j),
+    "circular": InputStateKind.coherent(1.0, 1.0j),
+}
+EDGE_ABSORPTIONS = (0.0, 1e-300, 1e-13, 0.3, 1 - 1e-6)
+
+
+@pytest.mark.parametrize("kind", list(POPULATION_PROBES.values()), ids=list(POPULATION_PROBES))
+def test_population_pass_matches_the_joint_population_route(kind):
+    state = prepare_input_state(kind)
+    pairs = [(a, b) for a in EDGE_ABSORPTIONS for b in EDGE_ABSORPTIONS]
+    grid = ParamGrid([ChiralParams(a, b, 0.3, 0.1) for a, b in pairs])
+    ref, ref_columns = population_moments(state, grid)
+    stats = experiments._intensity_moments(state, grid)[0]
+    # every moment but the covariance is a sum of non-negative terms in both
+    # routes, and the covariance is read on the scale of the variances; a
+    # count centred on a mean that is exact to its last bit, ε⟨n⟩, keeps
+    # (ε⟨n⟩)² where its variance is 0
+    for mean in ("mean_plus", "mean_minus"):
+        np.testing.assert_allclose(getattr(stats, mean), getattr(ref, mean), rtol=1e-14, atol=0)
+    floor = 1e-30 * (ref.mean_plus**2 + ref.mean_minus**2)
+    for var in ("var_plus", "var_minus"):
+        gap = np.abs(getattr(stats, var) - getattr(ref, var))
+        assert np.all(gap <= 1e-14 * getattr(ref, var) + floor), var
+    gap = np.abs(stats.covariance - ref.covariance)
+    assert np.all(gap <= 1e-14 * (ref.var_plus + ref.var_minus) + floor)
+    columns = experiments._intensity_columns(state, grid)
+    for quantity, expected in ref_columns.items():
+        value = columns[quantity]
+        assert np.array_equal(np.isnan(value), np.isnan(expected))
+        np.testing.assert_allclose(value, expected, rtol=1e-14, atol=0, err_msg=quantity)
+
+
+@pytest.mark.parametrize("kind", list(POPULATION_PROBES.values()), ids=list(POPULATION_PROBES))
+def test_intensity_cells_of_a_point_do_not_depend_on_its_grid(kind):
+    state = prepare_input_state(kind)
+    rng = np.random.default_rng(37)
+    alphas = rng.uniform(0.0, 0.99, (2, 37))
+    alphas[:, :5] = EDGE_ABSORPTIONS, EDGE_ABSORPTIONS[::-1]
+    grid = ParamGrid([ChiralParams(a, b) for a, b in alphas.T.tolist()])
+    columns = experiments._intensity_columns(state, grid)
+    halves = [experiments._intensity_columns(state, part) for part in (grid[:18], grid[18:])]
+    alone = [experiments._intensity_columns(state, grid[b]) for b in range(len(grid))]
+    for quantity, cells in columns.items():
+        joined = np.concatenate([half[quantity] for half in halves])
+        assert np.array_equal(cells, joined, equal_nan=True)
+        one_point = np.concatenate([point[quantity] for point in alone])
+        assert np.array_equal(cells, one_point, equal_nan=True)
+
+
+def test_population_pass_holds_no_dense_transfer_stack():
+    # 200 points of an n0 = 60 probe (cutoff 71): a (B, d, d) float64 stack
+    # is 8.3 MB, and the joint-population route held eight of them
+    state = prepare_input_state(InputStateKind.coherent(math.sqrt(60.0)))
+    d = state.space.cutoff_plus + 1
+    assert d == state.space.cutoff_minus + 1 == 72
+    grid, _ = ParamGrid.from_chiral(0.05, np.linspace(0.06, 0.9, 200), 0.0, 0.0)
+    assert len(grid) == 200
+    assert _peak_bytes(lambda: experiments._intensity_columns(state, grid)) < 4 * 200 * d * d * 8
 
 
 def test_error_propagation_rejects_phase_targets():
@@ -791,7 +859,7 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
     clean = run_sweep(spec)
     broken = point_at(spec, 2)
     kernel = channel.factored_output_and_alpha_derivative
-    transfer = experiments.mode_population_transfer
+    population_pass = experiments.mode_population_pass
 
     def failing_kernel_at_one_point(factor_tables, spectra, owners, alpha):
         # the one loss kernel, dense or per mode: fill the results of every
@@ -802,17 +870,17 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
             result[broken_rows] = fill
         return out
 
-    def failing_transfer_at_one_point(cutoff, alpha):
-        out = transfer(cutoff, alpha)
-        for table in out:
-            table[np.asarray(alpha) == broken.alpha_plus] = fill
+    def failing_pass_at_one_point(populations, alpha):
+        out = population_pass(populations, alpha)
+        for result in out:
+            result[np.asarray(alpha) == broken.alpha_plus] = fill
         return out
 
     for module in (channel, estimation):
         monkeypatch.setattr(
             module, "factored_output_and_alpha_derivative", failing_kernel_at_one_point
         )
-    monkeypatch.setattr(experiments, "mode_population_transfer", failing_transfer_at_one_point)
+    monkeypatch.setattr(experiments, "mode_population_pass", failing_pass_at_one_point)
     rows = run_sweep(spec)
     state = prepare_input_state(kind)
     with pytest.raises((DomainError, ValueError, NumericError)) as numeric:

@@ -179,6 +179,24 @@ def test_poisson_tail_of_a_bright_mean_below_its_cutoff():
         coherent_product_state(FockSpace(10, 10), 20.0, 20.0j)
 
 
+def test_poisson_tail_of_a_bright_mean_stays_a_probability():
+    # each term's log-space rounding carried these sums a few ulps past 1
+    for cutoff in range(6):
+        assert 1.0 - 1e-11 < poisson_tail(40.0, cutoff) <= 1.0
+    # the mean and cutoffs of the ulp-budget test whose tails summed to
+    # 1.0000000000000342: the tails read 1, and the six budgets of that test
+    # at those tails, 1 + a few ulps, stay refused
+    mean = 208.10959349020408
+    for cutoff in (58, 69):
+        tail = poisson_tail(mean, cutoff)
+        assert tail == 1.0
+        for budget in (1.0000000000000342, 1.000000000000034, 1.000000000000034):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+                min_cutoff_for_tail(mean, budget)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+            min_cutoff_for_tail(mean, tail)
+
+
 def test_bright_coherent_factor_keeps_its_weight():
     # e^{-|amp|^2/2} underflows at |amp|^2 = 1600, yet the state is whole
     budget = 1e-10
@@ -217,7 +235,7 @@ def test_min_cutoff_for_tail_agrees_with_poisson_tail_at_ulp_budgets():
                 if budget <= 0.0:
                     continue
                 if budget >= 1.0:
-                    # a tail summed to 1 + a few ulps is no tail probability
+                    # a tail of 1 is no budget: a budget lies in [0, 1)
                     with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
                         min_cutoff_for_tail(mean, budget)
                     continue
