@@ -31,6 +31,10 @@ from .analytic import (
 from .channel import CHIRAL_NAMES, ChiralParams, ParamGrid, apply_channel_kraus, apply_channel_rk4
 from .estimation import (
     ParamDerivative,
+    _distinct_problems,
+    _eigenbasis_qfim,
+    _rank_one_qfim,
+    _top_eigenpairs,
     channel_derivatives,
     compute_bounds,
     compute_bounds_grid,
@@ -38,7 +42,7 @@ from .estimation import (
 )
 from .experiments import prepare_input_state
 from .fock import NOON_HV, SINGLE_PHOTON_H, FockSpace, coherent_product_state, mode_operators
-from .linalg import commutator, hermitian_eigen
+from .linalg import commutator, hermitian_eigen, require_hermitian
 
 # numeric SLD against its closed form, on support-coupled pairs
 SLD_TOL = 1e-8
@@ -60,6 +64,8 @@ FRINGE_MOVEMENT_MIN = 0.1
 ROUTES_TOL = 1e-8
 # two damping steps against one with the composed parameters
 SEMIGROUP_TOL = 1e-10
+# rank-one single-mode QFIMs against the full eigensolve, relative
+RANK_ONE_TOL = 1e-12
 
 ABSORPTION = ("x_d", "x_s")
 
@@ -71,6 +77,7 @@ SEMIGROUP_STEPS = (
     ChiralParams(alpha_plus=0.25, alpha_minus=0.15, phi_plus=0.2, phi_minus=0.4),
 )
 BENCHMARK_POINT = ChiralParams(alpha_plus=0.5, alpha_minus=0.5, phi_plus=0.0, phi_minus=0.0)
+RANK_ONE_ALPHAS = (0.0, 0.3, 1.0 - 1e-6)
 
 
 @dataclass(frozen=True)
@@ -370,6 +377,48 @@ def benchmark_bound_match(points=(BENCHMARK_POINT,)) -> CheckResult:
     )
 
 
+def mode_problems(kind: InputStateKind, alphas) -> tuple:
+    """The single-mode problems of the probe ``kind`` at ``alphas``, every
+    distinct mode input at each: the loss outputs, their d/dalpha and the
+    phase generator of their levels."""
+    inputs = prepare_input_state(kind).mode_inputs
+    rows = [list(alphas)] * len(inputs.tables)
+    output, d_alpha, _ = _distinct_problems(inputs, rows)
+    return output, d_alpha, inputs.phase_generator
+
+
+def rank_one_route(problems=None) -> CheckResult:
+    """The product route's rank-one QFIMs against the full eigensolve.
+
+    ``problems`` holds (outputs, d/dalpha, phase generator) stacks, by
+    default the coherent n0 = 4 probe's at RANK_ONE_ALPHAS
+    (``mode_problems``).  Every problem must take the rank-one route, and
+    its (alpha, phi) QFIM must match the eigenbasis QFIM of the same output;
+    the residual is the largest gap relative to its problem's largest
+    entry.  ``measured`` counts the problems and those solved as rank one.
+    """
+    if problems is None:
+        problems = [mode_problems(InputStateKind.coherent(2.0), RANK_ONE_ALPHAS)]
+    residual, counts = 0.0, {"problems": 0, "rank_one": 0}
+    for output, d_alpha, generator in problems:
+        hermitian = require_hermitian(output)
+        lam, t, rank_one = _top_eigenpairs(hermitian)
+        fast = _rank_one_qfim(hermitian, d_alpha, lam, t)
+        full = _eigenbasis_qfim(hermitian, [d_alpha, generator * output])
+        scale = np.maximum(np.abs(full).max(axis=(1, 2)), np.finfo(float).tiny)
+        residual = max(residual, float((np.abs(fast - full).max(axis=(1, 2)) / scale).max()))
+        counts["problems"] += len(output)
+        counts["rank_one"] += int(rank_one.sum())
+    return CheckResult(
+        name="rank-one-route",
+        residual=residual,
+        tolerance=RANK_ONE_TOL,
+        passed=counts["rank_one"] == counts["problems"] and residual <= RANK_ONE_TOL,
+        note=f"coherent n0=4, {counts['rank_one']} of {counts['problems']} problems rank one",
+        measured=counts,
+    )
+
+
 CHECKS = (
     coherent_sld_closed_form,
     absorption_phase_zero_block,
@@ -381,4 +430,5 @@ CHECKS = (
     channel_routes_agreement,
     channel_semigroup_composition,
     benchmark_bound_match,
+    rank_one_route,
 )

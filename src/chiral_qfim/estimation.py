@@ -19,10 +19,15 @@ stack of their distinct single-mode problems, one per (mode input,
 absorption): both modes of an H-polarized coherent probe or of the photon
 pair read one input, so a common absorption, an absorption that recurs
 across points, or a phase sweep is solved once and gathered back to each
-point.  Any other input is solved block by block, over a stack of the
-output blocks that the input's nonzero pattern fixes
-(``TwoModeState.output_blocks``), with the blocks' QFIMs summed.  Both
-take their outputs from one call of the loss kernel
+point.  Loss maps a coherent state to a coherent state, so a coherent
+mode's output support is one vector: such a problem is solved from its
+top eigenpair, found by power steps, and one linear solve
+(``_rank_one_qfim``), any other (the photon pair's interior) by an
+eigensolve; ``_mode_qfims`` applies the rule, and ``GridBounds.meta``
+counts the problems each route solved.  Any other input is solved block
+by block, over a stack of the output blocks that the input's nonzero
+pattern fixes (``TwoModeState.output_blocks``), with the blocks' QFIMs
+summed.  Both take their outputs from one call of the loss kernel
 (``channel.factored_output_and_alpha_derivative``), on the single-mode
 tables of a product's factors or the two-mode table of any other input.
 Both solve at zero phase: the phase stage
@@ -34,14 +39,16 @@ inverts it (``_inverted``, which ``invert_and_bound`` shares).
 
 What depends only on the state, the labels or the cutoff is built once and
 kept read-only: per state, a product's distinct padded mode inputs with
-their loss tables, one ``eigh`` of each distinct factor, and the phase
+their loss tables, each distinct factor factored once, and the phase
 generator −i(n_j − n_k) of their levels (``TwoModeState.mode_inputs``),
 and a dense input's output blocks with their padded levels and the phase
 generators of n₊ and n₋ on them (``TwoModeState.output_blocks``) and its
-loss tables, one ``eigh`` per input block (``TwoModeState.kraus_tables``), all
-formed on the first bound; per label tuple, the native-to-label pullback
-(``_native_pullback``); per cutoff, the loss binomials and their
-exponent arrays (``fock._root_binomials``).  Results are never cached:
+loss tables, each input block factored once (``TwoModeState.kraus_tables``),
+all formed on the first bound, with no eigensolve for a rank-one factor
+or block, which is every one the builders make (``fock._eigenpairs``);
+per label tuple, the native-to-label pullback (``_native_pullback``); per
+cutoff, the loss binomials and their exponent arrays
+(``fock._root_binomials``).  Results are never cached:
 each call solves its own points, one grid or one point alike.
 
 Parameter labels are either the native channel coordinates
@@ -84,6 +91,8 @@ SLD_RESIDUAL_TOL = 1e-8
 QFIM_PSD_TOL = 1e-9
 RCOND = 1e-10
 KERNEL_COMPONENT_TOL = 1e-6
+# power steps that find a single-mode output's top eigenpair
+POWER_STEPS = 3
 
 ALL_PARAM_NAMES = ALPHA_PHI_NAMES + CHIRAL_NAMES
 
@@ -179,7 +188,10 @@ class QfimResult:
 @dataclass
 class GridBounds:
     """Inverted QFIMs along a grid axis: F and F⁻¹ (B, n, n), bounds (B, n),
-    defined where ``identifiable``, and where F vanishes.
+    defined where ``identifiable``, and where F vanishes.  ``meta`` names
+    the route and the state, and for a product input how many distinct
+    single-mode problems each route solved (``rank_one_problems``,
+    ``eigensolved_problems``).
     ``grid_bounds[b]`` is point b as one ``QfimResult``, for an int b;
     slice the arrays themselves for a part of the grid."""
 
@@ -390,8 +402,9 @@ def _native_pullback(param_labels: tuple) -> np.ndarray:
     return b
 
 
-def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> np.ndarray:
-    """The labels' QFIM at each grid point of a dense input, block by block.
+def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> tuple:
+    """The labels' QFIM at each grid point of a dense input, block by block,
+    with no count of single-mode problems: an empty dict.
 
     Loss keeps each mode's coherence order, so every output is block
     diagonal in the ``output_blocks`` of the input, and its QFIM is the sum
@@ -420,7 +433,7 @@ def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray
     output, d_plus, d_minus = stack.reshape(3, -1, size, size)
     mats = [d_plus, d_minus, *d_phi]
     f = _eigenbasis_qfim(output, mats, pullback, len(blocks), allow_empty=True)
-    return f.reshape(len(blocks), len(grid), *f.shape[1:]).sum(axis=0)
+    return f.reshape(len(blocks), len(grid), *f.shape[1:]).sum(axis=0), {}
 
 
 def _distinct_problems(inputs: ModeInputs, rows: list) -> tuple:
@@ -440,9 +453,81 @@ def _distinct_problems(inputs: ModeInputs, rows: list) -> tuple:
     return output, d_alpha, np.array(at)
 
 
-def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> np.ndarray:
+def _top_eigenpairs(rho: np.ndarray) -> tuple:
+    """The top eigenpair (λ, t) of each exactly Hermitian matrix of ``rho``
+    (N, d, d), λ (N, 1, 1) and unit t (N, d, 1), by ``POWER_STEPS`` power
+    steps from its largest-diagonal column, and whether t alone is its
+    support.
+
+    It is when λ > 0 and ‖ρ − λtt†‖_F ≤ θ/2 less a rounding margin,
+    θ = SUPPORT_RCOND·λ: every other eigenvalue of ρ then lies within θ/2
+    of 0 (Weyl), so the support cut of ``_eigenbasis_qfim`` keeps exactly
+    the pairs of t with each eigenvector.  A zero column gives t = 0 and
+    λ = 0, which is refused.
+    """
+    start = rho.diagonal(0, 1, 2).real.argmax(axis=1)
+    rt = rho[np.arange(len(rho)), :, start][..., None]
+    for _ in range(POWER_STEPS):
+        t = rt / np.maximum(np.sqrt((adjoint(rt) @ rt).real), np.finfo(float).tiny)
+        rt = rho @ t
+    lam = (adjoint(t) @ rt).real
+    defect = np.linalg.norm(rho - lam * (t @ adjoint(t)), axis=(1, 2))
+    # eigh's spectrum and the defect itself are exact to a few d·ε·λ
+    cut = (0.5 * SUPPORT_RCOND - 16 * rho.shape[-1] * np.finfo(float).eps) * lam[:, 0, 0]
+    return lam, t, (lam[:, 0, 0] > 0.0) & (defect <= cut)
+
+
+def _rank_one_qfim(rho, d_alpha, lam, t) -> np.ndarray:
+    """The (α, φ) QFIMs (N, 2, 2) of single-mode problems whose support is
+    the top eigenvector t of ρ, with eigenvalue λ (``_top_eigenpairs``).
+
+    The support pairs are (t, k) for every eigenvector k of ρ, so
+    ``_eigenbasis_qfim``'s sum is F_xy = 4 Re u_x†(ρ + λ)⁻¹u_y − a_x a_y/λ,
+    u_x = (∂ρ/∂x)t and a_x = t†u_x: one solve per problem, of a matrix with
+    condition number at most 2.  u_φ = −i[n, ρ]t = −i(λ n∘t − ρ(n∘t)) is
+    carried without its −i, which turns the cross entry into Im; in real
+    arithmetic it is exactly 0.
+    """
+    nt = np.arange(rho.shape[-1])[:, None] * t
+    u = np.concatenate((d_alpha @ t, lam * nt - rho @ nt), axis=2)
+    x = np.linalg.solve(rho + lam * np.eye(rho.shape[-1]), u)
+    a = adjoint(u) @ t
+    h = 4.0 * (adjoint(u) @ x) - (a @ adjoint(a)) / lam
+    f = np.ascontiguousarray(h.real)
+    f[:, 0, 1] = f[:, 1, 0] = h[:, 0, 1].imag
+    return f
+
+
+def _mode_qfims(output, hermitian, d_alpha, generator) -> tuple:
+    """The (α, φ) QFIMs (N, 2, 2) of single-mode problems, from their loss
+    outputs as the kernel gives them and as ``require_hermitian`` returns
+    them, their ∂/∂α and the phase generator of their levels; with the
+    number of problems solved as rank one and by eigensolve.
+
+    A problem whose output support is one vector (``_top_eigenpairs``), as
+    loss makes of every coherent input, takes ``_rank_one_qfim``; any
+    other takes ``_eigenbasis_qfim``, with its ∂ρ/∂φ formed for it alone,
+    where the support cut refuses an output with no positive eigenvalue.
+    Both solve each problem on its own, so its bits do not depend on the
+    rest of the stack.
+    """
+    lam, t, rank_one = _top_eigenpairs(hermitian)
+    f = np.empty((len(output), 2, 2))
+    one, rest = np.flatnonzero(rank_one), np.flatnonzero(~rank_one)
+    if len(one):
+        f[one] = _rank_one_qfim(hermitian[one], d_alpha[one], lam[one], t[one])
+    if len(rest):
+        # ∂ρ/∂φ of the unsymmetrized output: an unpadded mode then gets the
+        # same bits as when it is solved alone
+        d_phi = generator * output[rest]
+        f[rest] = _eigenbasis_qfim(hermitian[rest], [d_alpha[rest], d_phi])
+    return f, {"rank_one_problems": len(one), "eigensolved_problems": len(rest)}
+
+
+def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> tuple:
     """The labels' QFIM at each grid point of a product input, from one
-    stack of its distinct single-mode problems.
+    stack of its distinct single-mode problems, with how many problems
+    each route solved (``_mode_qfims``).
 
     The channel acts on each mode separately, so a product input ρ₊ ⊗ ρ₋
     gives the product output ρ₊' ⊗ ρ₋'.  Its native QFIM splits into an
@@ -457,10 +542,9 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     point gathers its two modes' blocks and output traces.  Repeated
     absorptions collapse: both modes of one input at a common absorption,
     an α₊ equal to another point's α₋, or a phase sweep.  Each problem is
-    cut at its own support count, so its bits do not depend on the other
-    mode of its point.  The output stack is checked once, finite and
-    Hermitian, and each point's product of output traces must lie in the
-    window.
+    solved on its own, so its bits do not depend on the other mode of its
+    point.  The output stack is checked once, finite and Hermitian, and
+    each point's product of output traces must lie in the window.
     The requested labels follow through the constant native-to-label
     pullback, the same combinations ``channel_derivatives`` forms.
     """
@@ -470,12 +554,9 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     for k, alphas in zip(inputs.reads, (grid.alpha_plus, grid.alpha_minus)):
         rows[k] += alphas.tolist()
     output, d_alpha, at = _distinct_problems(inputs, rows)
-    # ∂ρ/∂φ of the unsymmetrized output: an unpadded mode then gets the
-    # same bits as when it is solved alone
-    d_phi = inputs.phase_generator * output
-    output = require_hermitian(output)
-    f = _eigenbasis_qfim(output, [d_alpha, d_phi])
-    f, tr = f[at], output.trace(0, 1, 2)[at]
+    hermitian = require_hermitian(output)
+    f, solved = _mode_qfims(output, hermitian, d_alpha, inputs.phase_generator)
+    f, tr = f[at], hermitian.trace(0, 1, 2)[at]
     f_plus, f_minus = f.reshape(2, len(grid), 2, 2)
     tr_plus, tr_minus = tr.reshape(2, len(grid))
     require_trace_window(tr_plus * tr_minus, input_state.trace_deficit_budget)
@@ -483,7 +564,7 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     native = np.zeros((len(grid), len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
     native[:, 0::2, 0::2] = f_plus * tr_minus.real[:, None, None]
     native[:, 1::2, 1::2] = f_minus * tr_plus.real[:, None, None]
-    return pullback.T @ native @ pullback
+    return pullback.T @ native @ pullback, solved
 
 
 def _inverted(params: tuple, f: np.ndarray, meta: dict) -> GridBounds:
@@ -553,12 +634,12 @@ def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels
     if not len(grid):
         return _inverted(labels, np.zeros((0, len(labels), len(labels))), {})
     if input_state.factors is not None:
-        f, route = _product_qfim(input_state, grid, pullback), "per_mode"
+        route, qfim = "per_mode", _product_qfim
     else:
-        f, route = _block_qfim(input_state, grid, pullback), "eigenbasis"
+        route, qfim = "eigenbasis", _block_qfim
+    f, solved = qfim(input_state, grid, pullback)
     f = (f + f.swapaxes(1, 2)) / 2.0  # exactly symmetric
-    meta = {"route": route, "state_label": input_state.label}
-    return _inverted(labels, f, meta)
+    return _inverted(labels, f, {"route": route, "state_label": input_state.label, **solved})
 
 
 def compute_bounds(input_state: TwoModeState, params: ChiralParams, param_labels) -> QfimResult:

@@ -171,12 +171,28 @@ def _transfer_segments(cutoff: int) -> tuple:
 
 
 def _eigenpairs(matrix) -> tuple:
-    """ρ = Σ_i s_i w_i w_i† of a Hermitian matrix by one ``eigh``, keeping
-    the eigenpairs with |s_i| > n·ε·max|s| (n its levels, numpy's
-    ``matrix_rank`` tolerance) with their signs, so an indefinite or negated
-    matrix keeps its sign; a zero matrix keeps none."""
-    s, w = np.linalg.eigh(real_if_exact(matrix))
-    keep = np.abs(s) > len(s) * np.finfo(float).eps * np.abs(s).max()
+    """ρ = Σ_i s_i w_i w_i† of a Hermitian matrix, keeping the eigenpairs
+    with |s_i| > n·ε·max|s| (n its levels, numpy's ``matrix_rank``
+    tolerance) with their signs, so an indefinite or negated matrix keeps
+    its sign; a zero matrix keeps none.
+
+    A rank-one matrix, as every input and input block the builders make
+    is, is factored from its largest-diagonal column j with no eigensolve:
+    x = A[:, j]/√|A_jj|, s = sign(A_jj)‖x‖² and w = x/‖x‖, taken when
+    max|A − s ww†| ≤ n·ε·|s|, what the rule drops.  Any other matrix takes
+    one ``eigh``."""
+    a = real_if_exact(matrix)
+    tol = len(a) * np.finfo(float).eps
+    pivot = a.diagonal().real
+    j = int(np.abs(pivot).argmax())
+    if pivot[j]:
+        x = a[:, j] / math.sqrt(abs(pivot[j]))
+        norm = math.sqrt(np.vdot(x, x).real)
+        s, w = math.copysign(norm * norm, pivot[j]), x[:, None] / norm
+        if np.abs(a - s * (w @ w.conj().T)).max() <= tol * abs(s):
+            return np.array([s]), w
+    s, w = np.linalg.eigh(a)
+    keep = np.abs(s) > tol * np.abs(s).max()
     return s[keep], w[:, keep]
 
 

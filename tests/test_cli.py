@@ -630,10 +630,11 @@ def test_selftest_passes_and_names_every_check(capsys):
         "channel-routes-agreement",
         "channel-semigroup-composition",
         "benchmark-bound-match",
+        "rank-one-route",
     ):
         assert name in out
     assert "residual" in out
-    assert "10 checks passed" in out
+    assert "11 checks passed" in out
     assert "FAIL" not in out
 
 
@@ -642,7 +643,7 @@ def test_selftest_json_residuals_within_tolerance(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["passed"] is True
-    assert len(payload["checks"]) == 10
+    assert len(payload["checks"]) == 11
     for check in payload["checks"]:
         assert check["passed"] is True
         assert check["residual"] <= check["tolerance"]

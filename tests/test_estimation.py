@@ -19,9 +19,8 @@ from chiral_qfim.channel import (
     ParamGrid,
     apply_channel_kraus,
     mode_output_and_alpha_derivative,
-    phase_derivative,
 )
-from chiral_qfim import channel, estimation, experiments, fock
+from chiral_qfim import channel, checks, estimation, experiments, fock
 from chiral_qfim.estimation import (
     NumericError,
     ParamDerivative,
@@ -586,28 +585,20 @@ def test_mode_factors_come_only_from_product_constructors():
     assert np.array_equal(np.kron(*fock.factors), fock.rho)
 
 
-def test_per_mode_route_diagonalizes_single_modes_only(monkeypatch):
+def test_per_mode_route_solves_single_modes_only(monkeypatch):
     state = uncapped_coherent(2.0, 0.0)
-    cutoff = max(state.space.cutoff_plus, state.space.cutoff_minus)
-    dims = []
-    original = np.linalg.eigh
-
-    def recording(a, *args, **kwargs):
-        dims.append(np.shape(a)[-1])
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    d = max(state.space.cutoff_plus, state.space.cutoff_minus) + 1
+    n = len(CHIRAL_NAMES)
+    calls = _record_linalg(monkeypatch)
     compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
-    assert dims and max(dims) <= cutoff + 1
-    dims.clear()
+    # the rank-one input is factored with no eigensolve; each mode's output
+    # is solved as rank one, then the QFIM with its equilibrated form
+    assert calls == [("solve", (2, d, d)), ("eigh", (2, n, n))]
+    calls.clear()
     dense = without_factors(state)
     compute_bounds(dense, PARAMS_REF, CHIRAL_NAMES)
-    # the input's one block, factored once for the state's loss tables, then
-    # the two-mode output and the equilibrated QFIM
-    assert dims == [state.space.dim, state.space.dim, len(CHIRAL_NAMES)]
-    dims.clear()
-    compute_bounds(dense, PARAMS_REF, CHIRAL_NAMES)
-    assert dims == [state.space.dim, len(CHIRAL_NAMES)]
+    # the two-mode output, one block, then the equilibrated QFIM
+    assert calls == [("eigh", (1, state.space.dim, state.space.dim)), ("eigh", (2, n, n))]
 
 
 def coherent_pm(amp_plus: complex, amp_minus: complex):
@@ -617,16 +608,17 @@ def coherent_pm(amp_plus: complex, amp_minus: complex):
 
 def per_mode_kernel_qfim(state, points, labels):
     """The labels' symmetric QFIM stack from one kernel pass and one unpadded
-    eigensolve per mode, with ∂ρ/∂φ formed as a matrix from the kernel's
-    output before its Hermitian part is taken."""
+    stack of problems per mode, each solved by the per-problem rule of
+    ``estimation._mode_qfims``, with ∂ρ/∂φ formed from the kernel's output
+    before its Hermitian part is taken."""
     blocks, traces = [], []
     for mode, factor in zip(("plus", "minus"), state.factors):
         alphas = [getattr(p, f"alpha_{mode}") for p in points]
         output, d_alpha = mode_output_and_alpha_derivative(factor, alphas)
-        d_phi = phase_derivative(output, np.arange(len(factor)))
-        output = require_hermitian(output)
-        blocks.append(estimation._eigenbasis_qfim(output, [d_alpha, d_phi]))
-        traces.append(np.trace(output, axis1=1, axis2=2).real[:, None, None])
+        hermitian = require_hermitian(output)
+        generator = fock.phase_generator(np.arange(len(factor)))
+        blocks.append(estimation._mode_qfims(output, hermitian, d_alpha, generator)[0])
+        traces.append(np.trace(hermitian, axis1=1, axis2=2).real[:, None, None])
     native = np.zeros((len(points), len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
     native[:, 0::2, 0::2] = blocks[0] * traces[1]
     native[:, 1::2, 1::2] = blocks[1] * traces[0]
@@ -685,10 +677,11 @@ def test_stacked_route_is_bit_identical_to_per_mode_kernel_on_equal_cutoffs(n0):
         assert result.bounds == reference.bounds
 
 
-def _record_eigensolves(monkeypatch) -> list:
-    """(name, shape) of each ``np.linalg.eigh`` and ``eigvalsh`` call."""
+def _record_linalg(monkeypatch) -> list:
+    """(name, shape of the matrix stack) of each ``np.linalg.eigh``,
+    ``eigvalsh`` and ``solve`` call."""
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "solve"):
         original = getattr(np.linalg, name)
 
         def recording(a, *args, _name=name, _original=original, **kwargs):
@@ -699,14 +692,14 @@ def _record_eigensolves(monkeypatch) -> list:
     return calls
 
 
-def test_a_product_grid_takes_one_table_pass_and_one_mode_eigensolve(monkeypatch):
+def test_a_product_grid_takes_one_table_pass_and_one_mode_solve(monkeypatch):
     state = coherent_pm(1.5, 0.3)
     assert state.space == FockSpace(17, 6)
-    calls = _record_eigensolves(monkeypatch)
-    # the state factors each distinct input once, unpadded, on first read
+    calls = _record_linalg(monkeypatch)
+    # the state factors each distinct input once, unpadded, on first read:
+    # both are rank one, so neither needs an eigensolve
     inputs = state.mode_inputs
-    assert calls == [("eigh", (18, 18)), ("eigh", (7, 7))]
-    calls.clear()
+    assert calls == [] and inputs.spectra.shape == (2, 1)
     passes, kernel = [], estimation.factored_output_and_alpha_derivative
 
     def counting_kernel(tables, spectra, owners, alpha):
@@ -716,16 +709,16 @@ def test_a_product_grid_takes_one_table_pass_and_one_mode_eigensolve(monkeypatch
     monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", counting_kernel)
     compute_bounds_grid(state, ParamGrid(STACK_POINTS), CHIRAL_NAMES)
     # the modes' six absorptions hold five distinct problems (α₊ = 0.6
-    # twice), one absorption per stack entry at the common cutoff 17; then
-    # each QFIM with its equilibrated form, for the PSD check and the
-    # inversion at once
+    # twice), one absorption per stack entry at the common cutoff 17, each
+    # output of rank one and solved once; then each QFIM with its
+    # equilibrated form, for the PSD check and the inversion at once
     b = len(STACK_POINTS)
     assert passes == [(17, (5,))]
-    assert calls == [("eigh", (5, 18, 18)), ("eigh", (2 * b, 4, 4))]
+    assert calls == [("solve", (5, 18, 18)), ("eigh", (2 * b, 4, 4))]
     assert state.mode_inputs is inputs
 
 
-def test_one_point_makes_two_eigensolves_and_rebuilds_no_invariant(monkeypatch):
+def test_one_point_makes_two_solves_and_rebuilds_no_invariant(monkeypatch):
     state = coherent_pm(*hv_to_pm_amplitudes(2.0, 0.0))
     caches = (estimation._native_pullback, channel._root_binomials)
     inputs = state.mode_inputs  # the state's factors, formed once
@@ -736,16 +729,17 @@ def test_one_point_makes_two_eigensolves_and_rebuilds_no_invariant(monkeypatch):
         return kernel(tables, spectra, owners, alpha)
 
     monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", recording_kernel)
-    calls = _record_eigensolves(monkeypatch)
+    calls = _record_linalg(monkeypatch)
     first = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
-    # the mode stack, then the QFIM with its equilibrated form: no eigvalsh
-    assert [name for name, _ in calls] == ["eigh", "eigh"]
+    # the rank-one mode stack, then the QFIM with its equilibrated form: no
+    # eigvalsh
+    assert [name for name, _ in calls] == ["solve", "eigh"]
     misses = [cache.cache_info().misses for cache in caches]
     second = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
     # the pullback and the loss binomials come from
     # their caches, and the kernel reads the loss tables the state formed:
     # both modes of an H-polarized probe read its one input
-    assert [name for name, _ in calls] == ["eigh"] * 4
+    assert [name for name, _ in calls] == ["solve", "eigh"] * 2
     assert [cache.cache_info().misses for cache in caches] == misses
     assert state.mode_inputs is inputs
     assert read[1] is read[0] is inputs.tables and inputs.reads == (0, 0)
@@ -768,18 +762,19 @@ def test_the_phase_generators_are_formed_once_per_state(monkeypatch):
         return generator(n)
 
     monkeypatch.setattr(fock, "phase_generator", counting)
-    calls = _record_eigensolves(monkeypatch)
+    calls = _record_linalg(monkeypatch)
     cases = (
-        (product, CHIRAL_NAMES, lambda: product.mode_inputs.phase_generator),
-        (noon, QUANTUM_LABELS, lambda: noon.output_blocks.phase_generators),
+        (product, CHIRAL_NAMES, lambda: product.mode_inputs.phase_generator, "solve"),
+        (noon, QUANTUM_LABELS, lambda: noon.output_blocks.phase_generators, "eigh"),
     )
-    for state, labels, read in cases:
+    for state, labels, read, output_solve in cases:
         first = compute_bounds(state, PARAMS_REF, labels)
         formed = read()
         calls.clear()
         second = compute_bounds(state, PARAMS_REF, labels)
-        # the output stack, then the QFIM with its equilibrated form
-        assert [name for name, _ in calls] == ["eigh", "eigh"]
+        # the output stack, rank one per mode for the product, then the QFIM
+        # with its equilibrated form
+        assert [name for name, _ in calls] == [output_solve, "eigh"]
         assert read() is formed
         assert not formed.flags.writeable and formed.dtype == np.complex128
         with pytest.raises(ValueError, match="read-only"):
@@ -882,12 +877,156 @@ def test_a_figure_member_solves_each_distinct_mode_problem_once(
     spec = dict(experiments.figure_presets()[panel])[label]
     d = experiments.prepare_input_state(spec.input_state).mode_inputs.tables.shape[1]
     solves = _record_solves(monkeypatch)
-    calls = _record_eigensolves(monkeypatch)
+    calls = _record_linalg(monkeypatch)
     experiments.run_sweep(spec)
     assert solves == [problems]
-    # the prepared state's one input is factored once, on the first bound
-    factor = ("eigh", (d, d))
-    assert calls == [factor, ("eigh", (problems, d, d)), ("eigh", (2 * points, 4, 4))]
+    # the prepared state's rank-one input is factored with no eigensolve;
+    # every problem's output is rank one, and each is solved once
+    assert calls == [("solve", (problems, d, d)), ("eigh", (2 * points, 4, 4))]
+
+
+# ---------------------------------------------------------------------------
+# single-mode problems: rank one without an eigensolve, any other by eigh
+# ---------------------------------------------------------------------------
+
+EDGE_ALPHAS = [0.0, 1e-300, 1e-13, 0.3, 0.999, 1.0 - 1e-6]
+
+
+def seeded_problems(rng, d: int, count: int, spectrum, kind: str):
+    """``count`` seeded Hermitian outputs with eigenvalues ``spectrum`` (of
+    length d, on random eigenvectors), each with a random Hermitian ∂/∂α."""
+
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if kind == "complex" else x
+
+    q, _ = np.linalg.qr(draw(count, d, d))
+    output = (q * np.asarray(spectrum)[None, None, :]) @ np.swapaxes(q, 1, 2).conj()
+    h = draw(count, d, d)
+    return require_hermitian(output), h + np.swapaxes(h, 1, 2).conj()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("d", [2, 3, 11, 25, 72])
+def test_rank_one_route_matches_the_eigensolve_on_seeded_rank_one_problems(d, kind):
+    # one eigenvalue 1, the rest at 1e-12 or below: inside the support cut
+    rng = np.random.default_rng(d)
+    spectrum = np.concatenate((1e-12 * rng.random(d - 1), [1.0]))
+    output, d_alpha = seeded_problems(rng, d, 6, spectrum, kind)
+    generator = fock.phase_generator(np.arange(d))
+    result = checks.rank_one_route([(output, d_alpha, generator)])
+    assert result.passed and result.residual <= 1e-13
+    f, _ = estimation._mode_qfims(output, output, d_alpha, generator)
+    if kind == "real":
+        assert not f[:, 0, 1].any() and not f[:, 1, 0].any()
+
+
+@pytest.mark.parametrize(
+    "kind, dtype",
+    [
+        *((InputStateKind.coherent(math.sqrt(n0)), np.float64) for n0 in (1.0, 4.0, 9.0, 60.0)),
+        (InputStateKind.coherent(1.0, 0.5j), np.float64),
+        (InputStateKind.coherent(1.0, 1j), np.float64),
+        (InputStateKind.coherent(1.0, 0.5), np.complex128),
+    ],
+    ids=["h-1", "h-4", "h-9", "h-60", "elliptical", "circular", "complex-factors"],
+)
+def test_rank_one_route_matches_the_eigensolve_on_builder_probes_at_the_edges(kind, dtype):
+    # each mode input at every absorption of the edge grid
+    problems = checks.mode_problems(kind, EDGE_ALPHAS)
+    assert problems[0].dtype == dtype
+    result = checks.rank_one_route([problems])
+    assert result.passed and result.residual <= 1e-13
+
+
+@pytest.mark.parametrize("ratio", [0.4e-10, 0.5e-10, 0.6e-10])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_mixtures_near_the_support_cut_take_the_eigensolve_and_keep_its_bits(ratio, kind):
+    # every other eigenvalue at ratio·λ₁: the remainder's norm passes θ/2
+    d = 11
+    spectrum = np.full(d, ratio)
+    spectrum[-1] = 1.0
+    output, d_alpha = seeded_problems(np.random.default_rng(3), d, 4, spectrum, kind)
+    generator = fock.phase_generator(np.arange(d))
+    f, solved = estimation._mode_qfims(output, output, d_alpha, generator)
+    assert solved == {"rank_one_problems": 0, "eigensolved_problems": 4}
+    expected = estimation._eigenbasis_qfim(output, [d_alpha, generator * output])
+    assert np.array_equal(f, expected)
+
+
+def test_a_stack_that_mixes_both_routes_gives_each_problem_its_bits_alone():
+    # the photon pair's mode is rank one only at the lossless edge and where
+    # the absorbed population is below the cut; seeded complex problems of
+    # both kinds interleave the routes in a complex stack
+    inputs = photon_pair().mode_inputs
+    pair = estimation._distinct_problems(inputs, [[0.0, 0.3, 1e-13, 0.6, 1.0 - 1e-6]])[:2]
+    rng = np.random.default_rng(11)
+    spectra = (np.concatenate((1e-13 * rng.random(4), [1.0])), np.linspace(0.1, 1.0, 5))
+    both = [seeded_problems(rng, 5, 3, spectrum, "complex") for spectrum in spectra]
+    order = [0, 3, 1, 4, 2, 5]  # the routes alternate
+    synthetic = [np.concatenate(arrays)[order] for arrays in zip(*both)]
+    for (output, d_alpha), routes in ((pair, (2, 3)), (synthetic, (3, 3))):
+        generator = fock.phase_generator(np.arange(output.shape[-1]))
+        hermitian = require_hermitian(output)
+        f, solved = estimation._mode_qfims(output, hermitian, d_alpha, generator)
+        assert (solved["rank_one_problems"], solved["eigensolved_problems"]) == routes
+        for b in range(len(output)):
+            alone = [a[b : b + 1] for a in (output, hermitian, d_alpha)]
+            assert np.array_equal(estimation._mode_qfims(*alone, generator)[0][0], f[b])
+    # and the whole product route, point by point against its grid row
+    points = [ChiralParams(0.0, 0.3), ChiralParams(0.3, 0.0), ChiralParams(0.0, 0.0), PARAMS_REF]
+    grid = compute_bounds_grid(photon_pair(), ParamGrid(points), CHIRAL_NAMES)
+    assert grid.meta["rank_one_problems"] == 1 and grid.meta["eigensolved_problems"] == 3
+    for b, point in enumerate(points):
+        assert np.array_equal(compute_bounds(photon_pair(), point, CHIRAL_NAMES).F, grid.F[b])
+
+
+def _problem_counts(state, points, labels=CHIRAL_NAMES):
+    meta = compute_bounds_grid(state, ParamGrid(points), labels).meta
+    return meta["rank_one_problems"], meta["eigensolved_problems"]
+
+
+@pytest.mark.parametrize("n0", [1.0, 4.0, 9.0])
+def test_check_1_grid_solves_every_mode_problem_as_rank_one(n0):
+    rank_one, eigensolved = _problem_counts(h_coherent(n0), CHECK_1_POINTS)
+    assert rank_one > 0 and eigensolved == 0
+
+
+def test_every_coherent_figure_member_solves_every_mode_problem_as_rank_one():
+    presets = experiments.figure_presets()
+    members = [
+        spec
+        for panel in ("fig2a", "fig4")
+        for label, spec in presets[panel]
+        if label.startswith("coherent")
+    ]
+    assert len(members) == 5
+    for spec in members:
+        state = experiments.prepare_input_state(spec.input_state)
+        grid, _ = spec.param_grid()
+        labels = default_param_labels(spec.input_state)
+        meta = compute_bounds_grid(state, grid, labels).meta
+        assert meta["rank_one_problems"] > 0 and meta["eigensolved_problems"] == 0
+
+
+def test_a_bright_coherent_probe_solves_its_mode_problems_as_rank_one():
+    # `bounds --state coherent --n0 60`: cutoff 71
+    state = experiments.prepare_input_state(InputStateKind.coherent(math.sqrt(60.0)))
+    point = ChiralParams.from_chiral(0.1, 0.3, 0.0, 0.0)
+    assert _problem_counts(state, [point]) == (2, 0)
+
+
+def test_the_photon_pair_interior_takes_the_eigensolve_and_dense_inputs_count_nothing():
+    # check 1's grid reaches α₋ = 0 on its edge x_d = x_s, where the mode is
+    # |1⟩⟨1|: one distinct absorption, solved as rank one
+    interior = [p for p in CHECK_1_POINTS if p.alpha_minus > 0.0]
+    assert len(interior) < len(CHECK_1_POINTS)
+    rank_one, eigensolved = _problem_counts(photon_pair(), interior)
+    assert rank_one == 0 and eigensolved > 0
+    assert _problem_counts(photon_pair(), CHECK_1_POINTS)[0] == 1
+    noon = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
+    meta = compute_bounds(noon, PARAMS_REF, QUANTUM_LABELS).meta
+    assert "rank_one_problems" not in meta and meta["route"] == "eigenbasis"
 
 
 @pytest.mark.parametrize("vary", ["delta", "sigma"])
@@ -1052,10 +1191,10 @@ def test_block_route_solves_no_eigenproblem_larger_than_its_blocks(monkeypatch, 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     grid = ParamGrid([PARAMS_REF, ChiralParams(0.2, 0.6)])
     result = compute_bounds_grid(state, grid, QUANTUM_LABELS)
-    # each block that holds input entries, once, for the state's loss
-    # tables, then the 2 x 2 block stack and the equilibrated QFIMs
-    held = [b for b in state.output_blocks.blocks if state.rho[np.ix_(b, b)].any()]
-    assert dims == [(len(block), len(block)) for block in held] + [(2, 2), (3, 3)]
+    # the input's blocks are rank one, so the state's loss tables take no
+    # eigensolve: the 2 x 2 block stack, then the equilibrated QFIMs
+    assert dims == [(2, 2), (3, 3)]
+    assert state.kraus_tables[1].shape == (1, 1)
     assert result[0].meta["route"] == "eigenbasis"
     dims.clear()
     compute_bounds_grid(state, grid, QUANTUM_LABELS)

@@ -914,9 +914,9 @@ def test_a_qfim_that_is_not_psd_flags_only_its_own_row(monkeypatch, kind):
     route = getattr(estimation, name)
 
     def negated_at_one_point(state, grid, pullback):
-        f = route(state, grid, pullback)
+        f, solved = route(state, grid, pullback)
         f[grid.alpha_plus == broken.alpha_plus] *= -1.0
-        return f
+        return f, solved
 
     monkeypatch.setattr(estimation, name, negated_at_one_point)
     with pytest.raises(NumericError, match="QFIM has negative eigenvalue") as refused:

@@ -437,3 +437,66 @@ def test_validate_psd_flags_negative_eigenvalue():
     state = TwoModeState(space=space, rho=rho)
     with pytest.raises(StateValidationError):
         state.validate_psd()
+
+
+def _record_eigh(monkeypatch) -> list:
+    shapes, original = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return shapes
+
+
+def _builder_blocks() -> list:
+    """Every input and input block the builders make: coherent factors (real
+    and complex, dim and bright), Fock projectors, and the NOON and
+    single-photon blocks that hold the input."""
+    factors = [fock._coherent_factor(amp, 40) for amp in (1.0, 2.0 - 0.7j, 0.3j)]
+    factors.append(fock._coherent_factor(6.0, 120))
+    factors += fock_product_state(FockSpace(3, 2), 3, 1).factors
+    for kind, space in ((NOON_HV, FockSpace(2, 2)), (SINGLE_PHOTON_H, FockSpace(1, 1))):
+        state = hv_to_pm_state(kind, space)
+        for block in state.output_blocks.blocks:
+            if state.rho[np.ix_(block, block)].any():
+                factors.append(state.rho[np.ix_(block, block)])
+    return factors
+
+
+def test_rank_one_inputs_factor_from_a_column_with_no_eigensolve(monkeypatch):
+    blocks = _builder_blocks()
+    blocks.append(-blocks[0])  # a negated input keeps its sign
+    eigh = np.linalg.eigh
+    shapes = _record_eigh(monkeypatch)
+    for block in blocks:
+        s, w = fock._eigenpairs(block)
+        assert shapes == [] and s.shape == (1,) and w.shape == (len(block), 1)
+        # the signed eigenvalue of largest magnitude, and s w w† is the matrix
+        lam = eigh(block)[0]
+        tol = len(block) * np.finfo(float).eps * abs(s[0])
+        assert abs(s[0] - lam[np.argmax(np.abs(lam))]) <= tol
+        assert np.abs(s[0] * (w @ w.conj().T) - block).max() <= tol
+
+
+def test_other_matrices_take_one_eigensolve_and_keep_its_pairs(monkeypatch):
+    noise = np.random.default_rng(2).normal(size=(11, 11))
+    cases = {
+        "mixture": (np.diag([0.7, 0.3, 0.0]), 2),
+        "rank one above the keep rule": (
+            fock._coherent_factor(1.0, 10).real + 1e-12 * (noise + noise.T),
+            11,
+        ),
+        "indefinite, zero diagonal": (np.array([[0.0, 1.0], [1.0, 0.0]]), 2),
+        "zero": (np.zeros((3, 3)), 0),
+    }
+    eigh = np.linalg.eigh
+    shapes = _record_eigh(monkeypatch)
+    for case, kept in cases.values():
+        s, w = fock._eigenpairs(case)
+        assert shapes == [case.shape] and len(s) == kept
+        shapes.clear()
+        lam, vectors = eigh(case)
+        keep = np.abs(lam) > len(case) * np.finfo(float).eps * np.abs(lam).max()
+        assert np.array_equal(s, lam[keep]) and np.array_equal(w, vectors[:, keep])
