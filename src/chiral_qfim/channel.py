@@ -21,7 +21,8 @@ the two-mode table of its matrix.  Photon statistics read only the
 populations, which loss maps among themselves one mode at a time:
 ``mode_population_pass`` gives a mode's output marginal, its ∂/∂α and its
 conditional output means from the upper triangle of the binomial transfer
-matrix, with no (B, d, d) stack.
+matrix, with no (B, d, d) stack; ``loss_population_slope`` gives ∂p/∂α
+of any output's populations from those populations alone.
 
 Loss and phase commute, and the phase stage is a unitary diagonal in the
 number basis, so it leaves every QFIM unchanged: the loss engine takes the
@@ -41,7 +42,6 @@ from .fock import (
     TwoModeState,
     _root_binomials,
     _transfer_segments,
-    mode_factor_tables,
     phase_generator,
 )
 from .linalg import hermiticity_defect
@@ -236,10 +236,13 @@ def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeSta
     return state.with_rho(phase_stage(output, state.space, params))
 
 
-def factored_output_and_alpha_derivative(tables, spectra, owners, alpha) -> tuple:
+def factored_output_and_alpha_derivative(
+    tables, spectra, owners, alpha, derivatives=True
+) -> tuple:
     """Loss outputs and their exact ∂/∂α per mode for N problems, each an
     input factor and one absorption per mode of its table, as batched
-    matrix products with no d³ tensor: the one loss kernel.
+    matrix products with no d³ tensor: the one loss kernel.  With
+    ``derivatives=False`` it forms the outputs alone, a 1-tuple.
 
     Loss has the Kraus form ρ → Σ_k K_k ρ K_k†, K_k = √(α^k) diag(g_k)
     shift_k on each mode (Monras & Paris, PRL 98, 160401 (2007)), so an
@@ -283,7 +286,7 @@ def factored_output_and_alpha_derivative(tables, spectra, owners, alpha) -> tupl
     real = scaled.dtype.kind != "c"
     scaled_h = (scaled if real else np.conjugate(scaled, out=scaled)).swapaxes(1, 2)
     results, rows = [], None
-    for j in range(-1, modes):  # the output, then each mode's ∂/∂α
+    for j in range(-1, modes if derivatives else 0):  # the output, then each mode's ∂/∂α
         # diag(s ⊗ weights) as a row that scales the columns (k, i)
         columns = spectra
         for i in range(modes):
@@ -301,27 +304,11 @@ def factored_output_and_alpha_derivative(tables, spectra, owners, alpha) -> tupl
     return tuple(results)
 
 
-def mode_output_and_alpha_derivative(rho: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """One mode's loss output and its exact ∂/∂α.
-
-    ``rho`` is a single-mode Hermitian matrix on Fock levels 0..cutoff, or
-    a stack of them, each factored by ``fock.mode_factor_tables`` and
-    passed to ``factored_output_and_alpha_derivative``, the kernel of the
-    product route.  ``alpha`` is one value or an array whose shape leads
-    both results, its first axis over a stack's matrices.  Storage stays
-    real when ``rho`` is.
-    """
-    rho = np.asarray(rho)
-    alpha = np.asarray(alpha, dtype=float)
-    d = rho.shape[-1]
-    tables, spectra = mode_factor_tables(rho.reshape(-1, d, d), d)
-    owners = np.repeat(np.arange(len(tables)), alpha.size // len(tables))
-    out, d_out = factored_output_and_alpha_derivative(tables, spectra, owners, alpha.reshape(-1))
-    return out.reshape(*alpha.shape, d, d), d_out.reshape(*alpha.shape, d, d)
-
-
-def grid_output_and_alpha_derivatives(state: TwoModeState, alpha_plus, alpha_minus) -> tuple:
-    """Loss outputs and their exact ∂/∂α₊, ∂/∂α₋ at each pair of absorptions.
+def grid_output_and_alpha_derivatives(
+    state: TwoModeState, alpha_plus, alpha_minus, derivatives=True
+) -> tuple:
+    """Loss outputs and their exact ∂/∂α₊, ∂/∂α₋ at each pair of absorptions,
+    or with ``derivatives=False`` the outputs alone, a 1-tuple.
 
     ``alpha_plus`` and ``alpha_minus`` are (B,) arrays; each result is a
     (B, dim, dim) stack at zero phase, from one call of the loss kernel on
@@ -331,7 +318,9 @@ def grid_output_and_alpha_derivatives(state: TwoModeState, alpha_plus, alpha_min
     """
     tables, spectra = state.kraus_tables
     alpha = np.column_stack((alpha_plus, alpha_minus))
-    return factored_output_and_alpha_derivative(tables, spectra, [0] * len(alpha), alpha)
+    return factored_output_and_alpha_derivative(
+        tables, spectra, [0] * len(alpha), alpha, derivatives
+    )
 
 
 def point_output_and_alpha_derivatives(state: TwoModeState, params: ChiralParams) -> np.ndarray:
@@ -386,6 +375,26 @@ def mode_population_pass(populations, alpha) -> tuple:
     p, d_p = np.add.reduceat(terms, row_starts, axis=2)
     d_p -= k / eta * p
     return p, d_p, u
+
+
+def loss_population_slope(p, alpha, axis: int = -1) -> np.ndarray:
+    """∂p/∂α of loss output populations p, from p alone, along the levels
+    of the mode on ``axis`` whose absorption is ``alpha`` (broadcast
+    against p).
+
+    Binomial loss has ∂T[m, n]/∂α = ((m + 1) T[m + 1, n] − m T[m, n])/η,
+    since (m + 1) C(n, m + 1) = (n − m) C(n, m), so ∂p_m/∂α = ((m + 1)
+    p_{m+1} − m p_m)/η on any input's populations, with p past the last
+    level 0: an output's populations give their own slope, with no second
+    pass over the transfer matrix.
+    """
+    axis %= p.ndim
+    weighted = np.arange(p.shape[axis]).reshape((-1,) + (1,) * (p.ndim - axis - 1)) * p
+    slope = -weighted
+    head = (slice(None),) * axis
+    slope[head + (slice(None, -1),)] += weighted[head + (slice(1, None),)]
+    slope /= 1.0 - alpha
+    return slope
 
 
 def phase_derivative(rho: np.ndarray, n: np.ndarray) -> np.ndarray:

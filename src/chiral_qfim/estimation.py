@@ -5,7 +5,7 @@ closed-form input: parameter derivatives of ρ come from exact
 differentiation of the Kraus weights, the QFIM is
 F_xy = Σ_(j,k) 2 Re[∂ρ̃_x(j,k) conj(∂ρ̃_y(j,k))]/(λ_j+λ_k) over the
 support pairs of the eigenbasis of ρ, and bounds follow from its
-pseudo-inverse.  This module is the route that the closed-form catalog is
+inverse.  This module is the route that the closed-form catalog is
 checked against, so it must stay independent of that catalog.
 ``solve_sld`` solves one symmetric logarithmic derivative explicitly, for
 the checks that compare it with a closed form.  Both the QFIM and the SLD
@@ -14,12 +14,35 @@ keep the pairs that ``_support_threshold`` defines, the one support cut;
 
 ``compute_bounds_grid`` is the one route, over a grid of points, with
 stacked results; ``compute_bounds`` is its grid of one, as a QfimResult.
-Product inputs (states carrying per-mode ``factors``) are solved as one
-stack of their distinct single-mode problems, one per (mode input,
-absorption): both modes of an H-polarized coherent probe or of the photon
-pair read one input, so a common absorption, an absorption that recurs
-across points, or a phase sweep is solved once and gathered back to each
-point.  Loss maps a coherent state to a coherent state, so a coherent
+It takes one of two inversions, which ``GridBounds.meta["inversion"]``
+names.
+
+The two-block inversion serves the inputs whose builder fixes the QFIM's
+structure (``TwoModeState.two_block``: coherent, Fock product, single
+photon and NOON): in native (α₊, α₋, φ₊, φ₋) it is two blocks with no α-φ
+cross block, and photon counting attains the absorption block (Monras &
+Paris, PRL 98, 160401 (2007); Adesso et al., PRA 79, 040305(R) (2009)).
+Both blocks come from one kernel call that forms the loss outputs alone,
+with no ∂ρ/∂α: the α block is counting's Σ (∂p)²/p on the outputs'
+populations, ∂p/∂α from p itself (``channel.loss_population_slope``), and
+the φ block the QFIM of ∂ρ/∂φ±.  Each block is inverted on its own, in
+native coordinates, with no eigensolve: a product's blocks are diagonal;
+a dense input's α block is inverted by the Cauchy–Binet form, as sums of
+non-negative terms in log space, each zero population a limit, and its φ
+block as a plain 2×2, checked PSD, whose smaller equilibrated eigenvalue
+is cut at RCOND.  A zero population with ∂p ≠ 0 then pins its direction
+exactly, and a block with one weak and one strong direction keeps both.
+Label sets with more than two labels in one block take the general
+inversion.
+
+The general inversion serves every other input: the labels' full QFIM is
+formed and pseudo-inverted (``_inverted``).  Product inputs (states
+carrying per-mode ``factors``) are solved as one stack of their distinct
+single-mode problems, one per (mode input, absorption): both modes of an
+H-polarized coherent probe or of the photon pair read one input, so a
+common absorption, an absorption that recurs across points, or a phase
+sweep is solved once and gathered back to each point; both inversions
+share this.  Loss maps a coherent state to a coherent state, so a coherent
 mode's output support is one vector: such a problem is solved from its
 top eigenpair, found by power steps, and one linear solve
 (``_rank_one_qfim``), any other (the photon pair's interior) by an
@@ -46,8 +69,9 @@ generators of n₊ and n₋ on them (``TwoModeState.output_blocks``) and its
 loss tables, each input block factored once (``TwoModeState.kraus_tables``),
 all formed on the first bound, with no eigensolve for a rank-one factor
 or block, which is every one the builders make (``fock._eigenpairs``);
-per label tuple, the native-to-label pullback (``_native_pullback``); per
-cutoff, the loss binomials and their exponent arrays
+per label tuple, the native-to-label pullback (``_native_pullback``) and
+the split over the native blocks (``_two_block_plan``); per cutoff, the
+loss binomials and their exponent arrays
 (``fock._root_binomials``).  Results are never cached:
 each call solves its own points, one grid or one point alike.
 
@@ -62,6 +86,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +97,7 @@ from .channel import (
     ParamGrid,
     factored_output_and_alpha_derivative,
     grid_output_and_alpha_derivatives,
+    loss_population_slope,
     phase_derivative,
     phase_stage,
     point_output_and_alpha_derivatives,
@@ -189,9 +215,9 @@ class QfimResult:
 class GridBounds:
     """Inverted QFIMs along a grid axis: F and F⁻¹ (B, n, n), bounds (B, n),
     defined where ``identifiable``, and where F vanishes.  ``meta`` names
-    the route and the state, and for a product input how many distinct
-    single-mode problems each route solved (``rank_one_problems``,
-    ``eigensolved_problems``).
+    the route, the inversion (``two_block`` or ``general``) and the state,
+    and for a product input how many distinct single-mode problems each
+    route solved (``rank_one_problems``, ``eigensolved_problems``).
     ``grid_bounds[b]`` is point b as one ``QfimResult``, for an int b;
     slice the arrays themselves for a part of the grid."""
 
@@ -402,55 +428,68 @@ def _native_pullback(param_labels: tuple) -> np.ndarray:
     return b
 
 
+def _block_stack(input_state: TwoModeState, grid: ParamGrid, derivatives: bool) -> tuple:
+    """A dense input's checked loss outputs (B, dim, dim) at each grid
+    point, their blocks, and with ``derivatives`` those of their ∂/∂α₊,
+    ∂/∂α₋, as a (1 or 3, K·B, s, s) stack, and ∂/∂φ₊, ∂/∂φ₋ of the output
+    blocks (2, K·B, s, s).
+
+    Loss keeps each mode's coherence order, so every output is block
+    diagonal in the ``output_blocks`` of the input.  The blocks of each
+    output are gathered into one zero-padded stack, at φ± = 0, where a real
+    input keeps real outputs.  The outputs are checked once, finite,
+    Hermitian and in the trace window, and the ∂/∂φ± come from the checked
+    blocks and each gathered level's (n₊, n₋).
+    """
+    blocks, levels, phase_generators = input_state.output_blocks
+    dim, size = input_state.space.dim, levels.shape[-1]
+    loss = grid_output_and_alpha_derivatives(
+        input_state, grid.alpha_plus, grid.alpha_minus, derivatives
+    )
+    output = require_hermitian(loss[0])
+    require_trace_window(np.trace(output, axis1=1, axis2=2), input_state.trace_deficit_budget)
+    padded = np.zeros((len(loss), len(grid), dim + 1, dim + 1), output.dtype)
+    padded[:, :, :dim, :dim] = output, *loss[1:]
+    # (·, K, B, s, s): block k of each point's output and α-derivatives
+    points = np.arange(len(grid))[:, None, None]
+    stack = padded[:, points, levels[..., None], levels[..., None, :]]
+    d_phi = (phase_generators * stack[0]).reshape(2, -1, size, size)
+    return output, stack.reshape(len(loss), -1, size, size), d_phi
+
+
 def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> tuple:
     """The labels' QFIM at each grid point of a dense input, block by block,
     with no count of single-mode problems: an empty dict.
 
-    Loss keeps each mode's coherence order, so every output is block
-    diagonal in the ``output_blocks`` of the input, and its QFIM is the sum
-    of its blocks' QFIMs.  The blocks of each output and of its native
-    derivatives are gathered into one zero-padded (K·B, s, s) stack, each
-    cut at its own λ_max; a block that the channel leaves empty at a point
-    gives 0 there.  A fully coherent input is one block, the whole output.
-    Every point is solved at φ± = 0, where a real input keeps real
-    outputs.  The output stack is checked once, finite, Hermitian and in
-    the trace window.
+    An output's QFIM is the sum of its blocks' QFIMs (``_block_stack``),
+    each cut at its own λ_max; a block that the channel leaves empty at a
+    point gives 0 there.  A fully coherent input is one block, the whole
+    output.
     """
-    blocks, levels, phase_generators = input_state.output_blocks
-    dim, size = input_state.space.dim, levels.shape[-1]
-    output, d_plus, d_minus = grid_output_and_alpha_derivatives(
-        input_state, grid.alpha_plus, grid.alpha_minus
-    )
-    output = require_hermitian(output)
-    require_trace_window(np.trace(output, axis1=1, axis2=2), input_state.trace_deficit_budget)
-    padded = np.zeros((3, len(grid), dim + 1, dim + 1), output.dtype)
-    padded[:, :, :dim, :dim] = output, d_plus, d_minus
-    # (3, K, B, s, s): block k of each point's output and α-derivatives
-    points = np.arange(len(grid))[:, None, None]
-    stack = padded[:, points, levels[..., None], levels[..., None, :]]
-    # ∂/∂φ± of the checked outputs, from each gathered level's (n₊, n₋)
-    d_phi = (phase_generators * stack[0]).reshape(2, -1, size, size)
-    output, d_plus, d_minus = stack.reshape(3, -1, size, size)
-    mats = [d_plus, d_minus, *d_phi]
-    f = _eigenbasis_qfim(output, mats, pullback, len(blocks), allow_empty=True)
-    return f.reshape(len(blocks), len(grid), *f.shape[1:]).sum(axis=0), {}
+    _, (output, d_plus, d_minus), d_phi = _block_stack(input_state, grid, derivatives=True)
+    modes = len(input_state.output_blocks.blocks)
+    f = _eigenbasis_qfim(output, [d_plus, d_minus, *d_phi], pullback, modes, allow_empty=True)
+    return f.reshape(modes, len(grid), *f.shape[1:]).sum(axis=0), {}
 
 
-def _distinct_problems(inputs: ModeInputs, rows: list) -> tuple:
-    """Loss outputs and their ∂/∂α for each distinct (input, absorption)
-    pair, from one list of absorptions per input, N problems in all, in
-    one kernel call on the inputs' loss tables; with the index of each
-    entry of ``rows`` among them."""
-    problems, owners, at = [], [], []
-    for owner, row in enumerate(rows):
+def _distinct_problems(inputs: ModeInputs, rows: list, derivatives: bool = True) -> tuple:
+    """Loss outputs, and with ``derivatives`` their ∂/∂α, for each distinct
+    (input, absorption) pair, from one list of absorptions per input, N
+    problems in all, in one kernel call on the inputs' loss tables; with
+    each input's distinct absorptions and the index of each entry of
+    ``rows`` among them."""
+    distinct, at = [], []
+    for row in rows:
         # the row's distinct absorptions, numbered on from the rows before
-        index = {a: len(problems) + i for i, a in enumerate(dict.fromkeys(row))}
-        problems += index
-        owners += [owner] * len(index)
+        start = sum(map(len, distinct))
+        index = {a: start + i for i, a in enumerate(dict.fromkeys(row))}
+        distinct.append(list(index))
         at += map(index.get, row)
+    owners = [owner for owner, row in enumerate(distinct) for _ in row]
+    problems = [a for row in distinct for a in row]
     tables, spectra = inputs.tables, inputs.spectra
-    output, d_alpha = factored_output_and_alpha_derivative(tables, spectra, owners, problems)
-    return output, d_alpha, np.array(at)
+    loss = factored_output_and_alpha_derivative(tables, spectra, owners, problems, derivatives)
+    return (*loss, distinct, np.array(at))
 
 
 def _top_eigenpairs(rho: np.ndarray) -> tuple:
@@ -477,9 +516,10 @@ def _top_eigenpairs(rho: np.ndarray) -> tuple:
     return lam, t, (lam[:, 0, 0] > 0.0) & (defect <= cut)
 
 
-def _rank_one_qfim(rho, d_alpha, lam, t) -> np.ndarray:
-    """The (α, φ) QFIMs (N, 2, 2) of single-mode problems whose support is
-    the top eigenvector t of ρ, with eigenvalue λ (``_top_eigenpairs``).
+def _rank_one_qfim(rho, lam, t, d_alpha=None) -> np.ndarray:
+    """The φ QFIMs (N, 1, 1), or with ``d_alpha`` the (α, φ) QFIMs (N, 2,
+    2), of single-mode problems whose support is the top eigenvector t of
+    ρ, with eigenvalue λ (``_top_eigenpairs``).
 
     The support pairs are (t, k) for every eigenvector k of ρ, so
     ``_eigenbasis_qfim``'s sum is F_xy = 4 Re u_x†(ρ + λ)⁻¹u_y − a_x a_y/λ,
@@ -489,20 +529,24 @@ def _rank_one_qfim(rho, d_alpha, lam, t) -> np.ndarray:
     arithmetic it is exactly 0.
     """
     nt = np.arange(rho.shape[-1])[:, None] * t
-    u = np.concatenate((d_alpha @ t, lam * nt - rho @ nt), axis=2)
+    u = lam * nt - rho @ nt
+    if d_alpha is not None:
+        u = np.concatenate((d_alpha @ t, u), axis=2)
     x = np.linalg.solve(rho + lam * np.eye(rho.shape[-1]), u)
     a = adjoint(u) @ t
     h = 4.0 * (adjoint(u) @ x) - (a @ adjoint(a)) / lam
     f = np.ascontiguousarray(h.real)
-    f[:, 0, 1] = f[:, 1, 0] = h[:, 0, 1].imag
+    if d_alpha is not None:
+        f[:, 0, 1] = f[:, 1, 0] = h[:, 0, 1].imag
     return f
 
 
 def _mode_qfims(output, hermitian, d_alpha, generator) -> tuple:
-    """The (α, φ) QFIMs (N, 2, 2) of single-mode problems, from their loss
-    outputs as the kernel gives them and as ``require_hermitian`` returns
-    them, their ∂/∂α and the phase generator of their levels; with the
-    number of problems solved as rank one and by eigensolve.
+    """The (α, φ) QFIMs (N, 2, 2) of single-mode problems, or with
+    ``d_alpha`` None their φ QFIMs (N, 1, 1), from their loss outputs as the
+    kernel gives them and as ``require_hermitian`` returns them, their ∂/∂α
+    and the phase generator of their levels; with the number of problems
+    solved as rank one and by eigensolve.
 
     A problem whose output support is one vector (``_top_eigenpairs``), as
     loss makes of every coherent input, takes ``_rank_one_qfim``; any
@@ -512,15 +556,19 @@ def _mode_qfims(output, hermitian, d_alpha, generator) -> tuple:
     rest of the stack.
     """
     lam, t, rank_one = _top_eigenpairs(hermitian)
-    f = np.empty((len(output), 2, 2))
+    size = 1 if d_alpha is None else 2
+    f = np.empty((len(output), size, size))
     one, rest = np.flatnonzero(rank_one), np.flatnonzero(~rank_one)
     if len(one):
-        f[one] = _rank_one_qfim(hermitian[one], d_alpha[one], lam[one], t[one])
+        d_one = None if d_alpha is None else d_alpha[one]
+        f[one] = _rank_one_qfim(hermitian[one], lam[one], t[one], d_one)
     if len(rest):
         # ∂ρ/∂φ of the unsymmetrized output: an unpadded mode then gets the
         # same bits as when it is solved alone
-        d_phi = generator * output[rest]
-        f[rest] = _eigenbasis_qfim(hermitian[rest], [d_alpha[rest], d_phi])
+        mats = [generator * output[rest]]
+        if d_alpha is not None:
+            mats.insert(0, d_alpha[rest])
+        f[rest] = _eigenbasis_qfim(hermitian[rest], mats)
     return f, {"rank_one_problems": len(one), "eigensolved_problems": len(rest)}
 
 
@@ -553,7 +601,7 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     rows = [[] for _ in inputs.tables]
     for k, alphas in zip(inputs.reads, (grid.alpha_plus, grid.alpha_minus)):
         rows[k] += alphas.tolist()
-    output, d_alpha, at = _distinct_problems(inputs, rows)
+    output, d_alpha, _, at = _distinct_problems(inputs, rows)
     hermitian = require_hermitian(output)
     f, solved = _mode_qfims(output, hermitian, d_alpha, inputs.phase_generator)
     f, tr = f[at], hermitian.trace(0, 1, 2)[at]
@@ -565,6 +613,357 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     native[:, 0::2, 0::2] = f_plus * tr_minus.real[:, None, None]
     native[:, 1::2, 1::2] = f_minus * tr_plus.real[:, None, None]
     return pullback.T @ native @ pullback, solved
+
+
+class _BlockPlan(NamedTuple):
+    """How a label tuple splits over the native blocks (α₊, α₋) and (φ₊,
+    φ₋) (``_two_block_plan``).  ``blocks``: per block holding a label, the
+    block's index, its labels' indices, their pullback columns b_j (2, L)
+    and the rows e_j (2, 2) with label_j = e_j·(the block's coordinates).
+    For a diagonal native F (4 entries F_k): ``pair_weights`` (4, n, n),
+    with F⁻¹ of the two-label blocks Σ_k pair_weights[k]/F_k, ``reads``
+    (4, n), whether a label of a two-label block reads coordinate k,
+    ``alone`` (n,), whether a label is alone in its block, and
+    ``lone_weights`` (4, L), b_k² of each such label."""
+
+    blocks: tuple
+    pair_weights: np.ndarray
+    reads: np.ndarray
+    alone: np.ndarray
+    lone_weights: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _two_block_plan(param_labels: tuple) -> _BlockPlan | None:
+    """The labels' ``_BlockPlan``, or None where a block holds more than
+    two labels; read-only, cached per label tuple.
+
+    Two labels of a block are its coordinates, e = B⁻¹ of their columns.
+    One label b alone is bounded with the block's other coordinate b⊥
+    known: its rows are those of the coordinates (b, b⊥), so e_0 = b/|b|²
+    and e_1 ∥ b⊥.
+    """
+    pullback, n, blocks = _native_pullback(param_labels), len(param_labels), []
+    pair_weights, lone_weights = np.zeros((4, n, n)), np.zeros((4, n))
+    for block in range(2):
+        columns = pullback[2 * block : 2 * block + 2]
+        members = np.flatnonzero(columns.any(axis=0))
+        if len(members) > 2:
+            return None
+        if not len(members):
+            continue
+        columns, at = columns[:, members], slice(2 * block, 2 * block + 2)
+        if len(members) == 1:
+            lone_weights[at, members[0]] = columns[:, 0] ** 2
+            rows = np.linalg.inv(np.column_stack((columns[:, 0], [-columns[1, 0], columns[0, 0]])))
+        else:
+            rows = np.linalg.inv(columns)
+            # e_jm e_km of each coordinate m, at (m, j, k)
+            pair_weights[at, members[:, None], members] = (rows[:, None, :] * rows[None]).T
+        blocks.append((block, members, columns, rows))
+    alone = lone_weights.any(axis=0)
+    reads = pair_weights.any(axis=2)
+    plan = _BlockPlan(tuple(blocks), pair_weights, reads, alone, lone_weights[:, alone])
+    for array in (*plan[1:], *(a for block in blocks for a in block[1:])):
+        array.flags.writeable = False
+    return plan
+
+
+def _diagonal_bounds(info, plan: _BlockPlan) -> tuple:
+    """F⁻¹ (B, n, n) and which labels are identified (B, n), from a
+    diagonal native F, ``info`` (B, 4), each entry in [0, ∞]: ∞ where a
+    zero population has ∂p ≠ 0, the limit.
+
+    A label of a two-label block: e_jᵀF⁻¹e_k = Σ_m e_jm e_km/F_m, a
+    coordinate with F_m = 0 adding nothing, and a label that reads it is
+    not identified.  A label b alone: 1/Σ_m b_m² F_m, 0 where an F_m it
+    reads is ∞, not identified where the sum is 0.  Each F_m, an eigenvalue
+    of F, must not fall below −QFIM_PSD_TOL·max(1, |F_m|), and is taken as
+    0 if it does not reach 0.  Every product is exact and every sum has at
+    most two nonzero terms, so a point's bits do not depend on its stack.
+    """
+    # the tolerance is at least QFIM_PSD_TOL, so |F| is read only past it
+    if info.min() < -QFIM_PSD_TOL:
+        negative = info < -QFIM_PSD_TOL * np.maximum(1.0, np.abs(info))
+        if negative.any():
+            raise NumericError(f"QFIM has negative eigenvalue {info[negative][0]:.3e}")
+    kernel = info <= 0.0
+    inverse = np.divide(1.0, info, out=np.zeros(info.shape), where=~kernel)
+    pair = plan.pair_weights
+    f_inv = (inverse @ pair.reshape(4, -1)).reshape(len(info), *pair.shape[1:])
+    identifiable = ~(kernel @ plan.reads)
+    alone = plan.alone
+    if alone.any():
+        weights, infinite = plan.lone_weights, np.isinf(info)
+        hit = infinite @ (weights > 0.0)
+        total = np.where(infinite | kernel, 0.0, info) @ weights
+        lone = np.divide(1.0, total, out=np.zeros(total.shape), where=total > 0.0)
+        lone[hit] = 0.0
+        identifiable[:, alone] = hit | (total > 0.0)
+        f_inv[:, alone, alone] = lone
+    return f_inv, identifiable
+
+
+@functools.lru_cache(maxsize=16)
+def _pairs(m: int) -> tuple:
+    """The index pairs i < j of m pieces, read-only, cached per m."""
+    pairs = np.triu_indices(m, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _log_sum_top(order, x) -> tuple:
+    """The top ``order`` among the terms of ``x`` (…, M) that are not −∞, −1
+    where none is, and log Σ exp(x) over the terms of that order, along
+    the last axis.  A term's order counts the zero populations it divides
+    by: a term of higher order is infinitely larger, so the terms below
+    the top order drop out of the limit."""
+    order = np.where(x > -np.inf, order, -1)
+    top = order.max(axis=-1)
+    x = np.where(order == top[..., None], x, -np.inf)
+    peak = x.max(axis=-1)
+    peak = np.where(peak > -np.inf, peak, 0.0)
+    # summed along contiguous rows, so a point's bits do not depend on its stack
+    terms = np.ascontiguousarray(np.exp(x - peak[..., None]))
+    return top, peak + np.log(terms.sum(axis=-1))
+
+
+def _level_pieces(p, g) -> tuple:
+    """The counting information of output levels with populations p (B, M)
+    and gradients g (B, M, 2), as rank-one pieces g gᵀ/p: each piece's
+    order, 1 where p = 0 and g ≠ 0 (an infinite piece, taken as the limit
+    p → 0), else 0; its log weight log(|g|²/p), or log |g|² at order 1, −∞
+    where g = 0; and the unit direction of g."""
+    norm = np.sqrt((g * g).sum(axis=-1))
+    zero = p == 0.0
+    log_weight = 2.0 * np.log(norm) - np.log(np.where(zero, 1.0, p))
+    direction = g / np.where(norm > 0.0, norm, 1.0)[..., None]
+    return (zero & (norm > 0.0)).astype(int), log_weight, direction
+
+
+_SIGNS = np.array([1.0, -1.0])
+_SIGNS.flags.writeable = False
+
+
+def _phase_pieces(f) -> tuple:
+    """The native phase QFIMs f (B, 2, 2), checked PSD, as two rank-one
+    pieces each, in ``_level_pieces``' form.
+
+    The smaller eigenvalue of each f must not fall below
+    −QFIM_PSD_TOL·max(1, max|f|).  On the unit-diagonal C = D f D, D =
+    diag(f)^(−1/2), with off-diagonal c, f = Σ± (1 ± c)/2 (a, ±b)(a, ±b)ᵀ,
+    a = √f₀₀ and b = √f₁₁, and the piece of eigenvalue 1 − |c| is cut where
+    1 − |c| ≤ RCOND·(1 + |c|), the rule ``_inverted`` applies to C.
+    """
+    f00, f11, f01 = f[:, 0, 0], f[:, 1, 1], f[:, 0, 1]
+    lam_min = 0.5 * (f00 + f11) - np.hypot(0.5 * (f00 - f11), f01)
+    if np.count_nonzero(lam_min < -QFIM_PSD_TOL):
+        negative = lam_min < -QFIM_PSD_TOL * np.maximum(1.0, np.abs(f).max(axis=(1, 2)))
+        if negative.any():
+            raise NumericError(f"QFIM has negative eigenvalue {lam_min[np.argmax(negative)]:.3e}")
+    a, b = np.sqrt(np.maximum(f00, 0.0)), np.sqrt(np.maximum(f11, 0.0))
+    root, total = a * b, a * a + b * b
+    c = np.clip(np.divide(f01, root, out=np.zeros_like(root), where=root > 0.0), -1.0, 1.0)
+    weight = (0.5 * total)[:, None] * (1.0 + _SIGNS * c[:, None])
+    cut = 1.0 - np.abs(c) <= RCOND * (1.0 + np.abs(c))
+    weight[cut, (c[cut] > 0.0).astype(int)] = 0.0  # the piece of eigenvalue 1 − |c|
+    direction = np.empty((len(f), 2, 2))
+    direction[:, :, 0], direction[:, :, 1] = a[:, None], b[:, None] * _SIGNS
+    direction /= np.sqrt(np.where(total > 0.0, total, 1.0))[:, None, None]
+    return np.zeros(weight.shape, int), np.log(weight), direction
+
+
+def _piece_sum(a, b) -> np.ndarray:
+    """Σ_i a_i b_iᵀ over the pieces i of (B, M, k) stacks, as products and
+    sums apart, not matmul, whose kernel may fuse them, so that mirror
+    terms no longer cancel to 0; each sum runs along one contiguous row,
+    so a point's bits do not depend on its stack."""
+    terms = a[:, :, :, None] * b[:, :, None, :]
+    return np.ascontiguousarray(terms.transpose(0, 2, 3, 1)).sum(axis=-1)
+
+
+def _block_covariance(pieces, columns, rows) -> tuple:
+    """The covariance (B, L, L) of a block's labels and which it identifies
+    (B, L), from the block's information as rank-one pieces
+    (``_level_pieces``: order, log weight w_i and unit direction u_i, each
+    (B, M)).  A label b alone in its block, with the other coordinate
+    known, has the variance 1/bᵀFb, bᵀFb = Σ_i e^{w_i} (u_i·b)² summed at its
+    top order, 0 where that is an infinite piece.
+
+    F⁻¹ = adj F/det F with adj F = Σ_i e^{w_i} h_i h_iᵀ, h_i = u_i turned by
+    90°, and det F = Σ_{i<j} e^{w_i+w_j} (u_i × u_j)² (Cauchy–Binet): both
+    are sums of non-negative terms, so nothing cancels, and each is summed
+    in log space at its top order (``_log_sum_top``), which takes each zero
+    population as a limit.  e_jᵀF⁻¹e_k = Σ_i X_ij X_ik with X_ij =
+    e^{(w_i − log det)/2} h_i·e_j.  Where det F vanishes, F is the heaviest
+    piece's direction g alone: e_j is identified where it lies along g, to
+    KERNEL_COMPONENT_TOL, and F⁺ = g gᵀ/Σ e^{w_i} at order 0, 0 at order 1
+    (an infinite piece); where F is 0 nothing is identified.  A label whose
+    variance is not finite is not identified, with 0 in its row.
+    """
+    order, log_weight, direction = pieces
+    if columns.shape[1] == 1:
+        # bᵀFb = Σ_i e^{w_i} (u_i·b)², at its top order
+        along = 2.0 * np.log(np.abs((direction * columns[:, 0]).sum(axis=-1)))
+        top, log_info = _log_sum_top(order, log_weight + along)
+        variance = np.where(top > 0, 0.0, np.exp(-log_info))
+        ok = np.isfinite(variance)
+        return np.where(ok, variance, 0.0)[:, None, None], ok[:, None]
+    turned = direction[..., ::-1] * np.array([-1.0, 1.0])
+    i, j = _pairs(direction.shape[1])
+    cross = (turned[:, i] * direction[:, j]).sum(axis=-1)
+    pair = log_weight[:, i] + log_weight[:, j] + 2.0 * np.log(np.abs(cross))
+    top, log_det = _log_sum_top(order[:, i] + order[:, j], pair)
+    full = log_det > -np.inf
+    # −∞ − −∞ is NaN where det F = 0, and that row is replaced below
+    log_c = np.where(order == top[:, None], log_weight - log_det[:, None], -np.inf)
+    vectors, ok = turned, np.ones((len(order), 2), bool)
+    if not full.all():
+        # det F = 0: the heaviest piece's direction g alone
+        top_one, log_sum = _log_sum_top(order, log_weight)
+        heavy = np.where(order == top_one[:, None], log_weight, -np.inf).argmax(axis=1)
+        points = np.arange(len(order))
+        alone = np.full(log_c.shape, -np.inf)
+        alone[points, heavy] = np.where(top_one == 0, -log_sum, -np.inf)
+        log_c = np.where(full[:, None], log_c, alone)
+        vectors = np.where(full[:, None, None], turned, direction)
+        kernel = np.abs((turned[points, heavy][:, None] * rows).sum(axis=-1))
+        along = kernel <= KERNEL_COMPONENT_TOL * np.hypot(rows[:, 0], rows[:, 1])
+        ok = full[:, None] | ((log_sum > -np.inf)[:, None] & along)
+    x = np.exp(0.5 * log_c)[..., None] * (vectors[:, :, None] * rows).sum(axis=-1)
+    cov = _piece_sum(x, x)
+    ok &= np.isfinite(cov.diagonal(0, 1, 2))
+    return np.where(np.isfinite(cov), cov, 0.0), ok
+
+
+def _product_blocks(input_state: TwoModeState, grid: ParamGrid) -> tuple:
+    """The diagonal native information of a product input at each grid
+    point, (B, 4) in ALPHA_PHI_NAMES order with ∞ where a zero population
+    has ∂p ≠ 0, its finite part (B, 4), and how many single-mode problems
+    each route solved.
+
+    One kernel call, with no derivatives, gives each distinct (input,
+    absorption) problem's loss output (``_distinct_problems``).  Every
+    entry is one mode's, scaled by the other mode's output trace.  The α
+    entries come from counting: Σ (∂p)²/p over p > 0, with p the output's
+    diagonal and ∂p/∂α from p (``channel.loss_population_slope``).  The φ
+    entries come from the outputs by ``_mode_qfims``.  The output stack is
+    checked once, finite and Hermitian, and each point's product of output
+    traces must lie in the window.
+    """
+    inputs = input_state.mode_inputs
+    rows = [[] for _ in inputs.tables]
+    for k, alphas in zip(inputs.reads, (grid.alpha_plus, grid.alpha_minus)):
+        rows[k] += alphas.tolist()
+    output, distinct, at = _distinct_problems(inputs, rows, derivatives=False)
+    hermitian = require_hermitian(output)
+    f_phi, solved = _mode_qfims(output, hermitian, None, inputs.phase_generator)
+    p = hermitian.diagonal(0, 1, 2).real
+    d_p = loss_population_slope(p, np.concatenate(distinct)[:, None])
+    regular = p > 0.0
+    f_alpha = (d_p * np.divide(d_p, p, out=np.zeros(p.shape), where=regular)).sum(axis=1)
+    # (2, B): the traces of each point's modes, + then −
+    at = at.reshape(2, len(grid))
+    tr = p.sum(axis=1)[at]
+    require_trace_window(tr[0] * tr[1], input_state.trace_deficit_budget)
+    # (B, 4) in native order, each mode's entries scaled by the other's trace
+    finite = (np.concatenate((f_alpha[at], f_phi[at, 0, 0])) * tr[[1, 0, 1, 0]]).T
+    info = finite.copy()
+    info[:, :2][(~regular & (d_p != 0.0)).any(axis=1)[at].T] = np.inf
+    return info, finite, solved
+
+
+@functools.lru_cache(maxsize=64)
+def _block_levels(blocks: tuple, minus_levels: int) -> tuple:
+    """The output blocks that hold a coherence, more than one level, which
+    alone add to the φ block, and the levels some block holds, no other
+    ever populated, each beside its mirror (n₋, n₊), so that at α₊ = α₋
+    their terms of a covariance cancel to 0 before the next is added;
+    cached per block layout."""
+    numbers = [divmod(level, minus_levels) for block in blocks for level in block]
+    numbers.sort(key=lambda n: (sum(n), max(n), n))
+    held = np.array([a * minus_levels + b for a, b in numbers])
+    coherent = np.array([k for k, block in enumerate(blocks) if len(block) > 1], int)
+    for array in (coherent, held):
+        array.flags.writeable = False
+    return coherent, held
+
+
+def _dense_blocks(input_state: TwoModeState, grid: ParamGrid) -> tuple:
+    """The native blocks of a dense input at each grid point: the α block
+    as rank-one pieces (``_level_pieces``) and its finite part (B, 2, 2),
+    and the φ block (B, 2, 2), from one kernel call with no derivatives
+    (``_block_stack``).
+
+    The α block comes from counting on the joint output populations, the
+    output's diagonal, with ∂p/∂α± from p along each mode's levels
+    (``channel.loss_population_slope``); each level is one piece.  The φ
+    block is ``_eigenbasis_qfim`` on ∂ρ/∂φ± of the output blocks, in native
+    φ, summed over the blocks.
+    """
+    output, (stack,), d_phi = _block_stack(input_state, grid, derivatives=False)
+    blocks, points = input_state.output_blocks.blocks, len(grid)
+    space, size = input_state.space, stack.shape[-1]
+    levels = (space.cutoff_plus + 1, space.cutoff_minus + 1)
+    coherent, held = _block_levels(blocks, levels[1])
+    f_phi = np.zeros((points, 2, 2))
+    if len(coherent):
+        stack = stack.reshape(len(blocks), points, size, size)[coherent].reshape(-1, size, size)
+        d_phi = d_phi.reshape(2, len(blocks), points, size, size)[:, coherent]
+        f = _eigenbasis_qfim(stack, list(d_phi.reshape(2, -1, size, size)), None, len(coherent))
+        f_phi = f.reshape(len(coherent), points, 2, 2).sum(axis=0)
+    p = output.diagonal(0, 1, 2).real.reshape(points, *levels)
+    g = np.empty((*p.shape, 2))
+    g[..., 0] = loss_population_slope(p, grid.alpha_plus[:, None, None], axis=1)
+    g[..., 1] = loss_population_slope(p, grid.alpha_minus[:, None, None], axis=2)
+    p, g = p.reshape(points, -1)[:, held], g.reshape(points, -1, 2)[:, held]
+    scaled = g * np.divide(1.0, p, out=np.zeros(p.shape), where=p > 0.0)[..., None]
+    return _level_pieces(p, g), _piece_sum(scaled, g), f_phi
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _two_block_bounds(
+    input_state: TwoModeState, grid: ParamGrid, labels: tuple, plan: _BlockPlan
+) -> GridBounds:
+    """Bounds at each grid point of a state whose builder fixes the two
+    native blocks (``TwoModeState.two_block``), block by block.
+
+    The α block is photon counting's, which attains the QFIM's for these
+    inputs, and the φ block the QFIM's from the outputs alone; the α-φ
+    cross block is 0.  Each block holding a label is inverted on its own,
+    in native coordinates, so a block with one weak and one strong
+    direction keeps both, and a zero population is a limit, not a cut: a
+    product's blocks are diagonal (``_product_blocks``,
+    ``_diagonal_bounds``), a dense input's are sums of rank-one pieces
+    (``_dense_blocks``, ``_phase_pieces``, ``_block_covariance``).  F and
+    F⁻¹ are reported in label coordinates, with 0 between the blocks; F's
+    α block is the finite part, the levels with p > 0.  The log of a zero
+    weight is −∞ by design, so the route runs with numpy's divide and
+    invalid warnings off; every input it reads is checked finite first.
+    """
+    n, points = len(labels), len(grid)
+    pullback = _native_pullback(labels)
+    if input_state.factors is not None:
+        route, (info, finite, solved) = "per_mode", _product_blocks(input_state, grid)
+        f = (pullback.T * finite[:, None, :]) @ pullback
+        f_inv, identifiable = _diagonal_bounds(info, plan)
+    else:
+        route, solved = "eigenbasis", {}
+        alpha, f_alpha, f_phi = _dense_blocks(input_state, grid)
+        pieces = (alpha, _phase_pieces(f_phi))
+        native = np.zeros((points, 4, 4))
+        native[:, :2, :2], native[:, 2:, 2:] = f_alpha, f_phi
+        f_inv, identifiable = np.zeros((points, n, n)), np.zeros((points, n), bool)
+        for block, members, columns, rows in plan.blocks:
+            cov, ok = _block_covariance(pieces[block], columns, rows)
+            f_inv[:, members[:, None], members], identifiable[:, members] = cov, ok
+        f = pullback.T @ native @ pullback
+    f = (f + f.swapaxes(1, 2)) / 2.0
+    bounds = np.sqrt(np.maximum(f_inv.diagonal(0, 1, 2), 0.0))
+    singular = ~f.any(axis=(1, 2)) & ~identifiable.any(axis=1)
+    meta = {"route": route, "inversion": "two_block", "state_label": input_state.label, **solved}
+    return GridBounds(labels, f, f_inv, bounds, identifiable, singular, meta)
 
 
 def _inverted(params: tuple, f: np.ndarray, meta: dict) -> GridBounds:
@@ -633,13 +1032,17 @@ def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels
     pullback = _native_pullback(labels)
     if not len(grid):
         return _inverted(labels, np.zeros((0, len(labels), len(labels))), {})
+    plan = _two_block_plan(labels) if input_state.two_block else None
+    if plan is not None:
+        return _two_block_bounds(input_state, grid, labels, plan)
     if input_state.factors is not None:
         route, qfim = "per_mode", _product_qfim
     else:
         route, qfim = "eigenbasis", _block_qfim
     f, solved = qfim(input_state, grid, pullback)
     f = (f + f.swapaxes(1, 2)) / 2.0  # exactly symmetric
-    return _inverted(labels, f, {"route": route, "state_label": input_state.label, **solved})
+    meta = {"route": route, "inversion": "general", "state_label": input_state.label}
+    return _inverted(labels, f, {**meta, **solved})
 
 
 def compute_bounds(input_state: TwoModeState, params: ChiralParams, param_labels) -> QfimResult:

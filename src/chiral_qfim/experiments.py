@@ -543,8 +543,17 @@ def sweep_to_csv_text(rows: SweepTable, spec: SweepSpec) -> str:
     Cells hold 12 significant digits; undefined cells are empty and
     explained in the status column.
     """
-    head = [f"# spec: {spec.to_json()}", ",".join([spec.vary, *sweep_columns(spec), "status"])]
-    return _csv_text(head, [_format_column(rows.coordinates), *_table_cells(rows, spec)])
+    columns = sweep_columns(spec)
+    head = [f"# spec: {spec.to_json()}", ",".join([spec.vary, *columns, "status"])]
+    numbers = np.column_stack([rows.coordinates, *(rows.columns[c] for c in columns)])
+    # "%.12g" writes what format(v, ".12g") writes, and "nan" for a NaN and
+    # in no other cell, so emptying "nan" leaves an undefined cell empty
+    template = ",".join(["%.12g"] * numbers.shape[1])
+    lines = [
+        f"{(template % tuple(values)).replace('nan', '')},{_csv_cell(';'.join(status))}\n"
+        for values, status in zip(numbers.tolist(), rows.status)
+    ]
+    return "".join([*(line + "\n" for line in head), *lines])
 
 
 def panel_to_csv_text(members) -> str:

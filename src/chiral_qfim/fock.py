@@ -321,6 +321,15 @@ class TwoModeState:
     factor, and the trace window, are checked at construction; positivity
     only by ``validate_psd``, since the constructors here build PSD ψψ†
     matrices.
+
+    ``two_block`` is set only by the builders of this module (coherent,
+    Fock product, single photon, NOON): for these inputs the QFIM in native
+    (α₊, α₋, φ₊, φ₋) is two blocks, with no α-φ cross block, and photon
+    counting attains its absorption block, since every output coherence
+    sector is rank one with phases that do not depend on α (Monras & Paris,
+    PRL 98, 160401 (2007)), a truncated coherent state's up to its tail.
+    ``with_rho`` and the direct constructor leave it unset, so any other
+    matrix takes the general route.
     """
 
     space: FockSpace
@@ -328,6 +337,7 @@ class TwoModeState:
     trace_deficit_budget: float
     meta: dict
     factors: tuple | None = field(repr=False)
+    two_block: bool = False
 
     def __init__(
         self,
@@ -338,12 +348,14 @@ class TwoModeState:
         meta: dict | None = None,
         *,
         factors: tuple | None = None,
+        two_block: bool = False,
     ):
         if (rho is None) == (factors is None):
             raise StateValidationError("a state takes either rho or factors")
         # frozen: fill the instance dict directly, then validate
         vars(self).update(space=space, label=label, meta={} if meta is None else meta)
         vars(self).update(trace_deficit_budget=trace_deficit_budget, factors=factors)
+        vars(self)["two_block"] = two_block
         if rho is not None:
             vars(self)["rho"] = rho
         self.__post_init__()
@@ -650,6 +662,7 @@ def coherent_product_state(
         label=f"coherent(amp+={amp_plus!r}, amp-={amp_minus!r})",
         trace_deficit_budget=2.0 * truncation_budget,
         factors=tuple(factors[mode] for mode in modes.values()),
+        two_block=True,
     )
 
 
@@ -673,7 +686,7 @@ def hv_to_pm_state(kind: str, space: FockSpace) -> TwoModeState:
     else:
         raise ValueError(f"unknown H/V state kind {kind!r}")
     rho = np.outer(psi, psi.conj())
-    return TwoModeState(space=space, rho=rho, label=kind)
+    return TwoModeState(space=space, rho=rho, label=kind, two_block=True)
 
 
 def fock_product_state(space: FockSpace, n_plus: int, n_minus: int) -> TwoModeState:
@@ -681,4 +694,4 @@ def fock_product_state(space: FockSpace, n_plus: int, n_minus: int) -> TwoModeSt
     space.index(n_plus, n_minus)  # raises TruncationError outside the cutoffs
     cutoffs = (space.cutoff_plus, space.cutoff_minus)
     factors = tuple(np.diag(np.eye(c + 1)[n]) for c, n in zip(cutoffs, (n_plus, n_minus)))
-    return TwoModeState(space, label=f"fock({n_plus},{n_minus})", factors=factors)
+    return TwoModeState(space, label=f"fock({n_plus},{n_minus})", factors=factors, two_block=True)

@@ -16,6 +16,9 @@ independent way:
 * ``population_moments``: the intensity moments and sensitivities from the
   joint output populations T₊ P T₋ᵀ and their α-derivatives, against the
   per-mode population pass.
+
+``mode_output_and_alpha_derivative`` runs the package's loss kernel on one
+mode's matrix, for the tests that solve a single mode alone.
 """
 
 import dataclasses
@@ -31,6 +34,7 @@ from chiral_qfim.channel import (
     ChiralParams,
     DomainError,
     apply_channel_kraus,
+    factored_output_and_alpha_derivative,
 )
 from chiral_qfim.estimation import (
     QfimResult,
@@ -39,7 +43,7 @@ from chiral_qfim.estimation import (
     solve_sld,
 )
 from chiral_qfim.experiments import DERIVATIVE_FLOOR, IntensityStatistics
-from chiral_qfim.fock import _root_binomials, require_trace_window
+from chiral_qfim.fock import _root_binomials, mode_factor_tables, require_trace_window
 
 FD_STEP_SCALE = 1e-5
 
@@ -87,6 +91,25 @@ def sld_route_bounds(state, params: ChiralParams, labels) -> QfimResult:
     output, derivs = channel_derivatives(state, params, labels)
     f = assemble_qfim(output.rho, [solve_sld(output, d) for d in derivs])
     return dataclasses.replace(invert_and_bound(labels, f), meta={"route": "sld"})
+
+
+def mode_output_and_alpha_derivative(rho: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """One mode's loss output and its exact ∂/∂α.
+
+    ``rho`` is a single-mode Hermitian matrix on Fock levels 0..cutoff, or
+    a stack of them, each factored by ``fock.mode_factor_tables`` and
+    passed to ``channel.factored_output_and_alpha_derivative``, the kernel
+    of the product route.  ``alpha`` is one value or an array whose shape
+    leads both results, its first axis over a stack's matrices.  Storage
+    stays real when ``rho`` is.
+    """
+    rho = np.asarray(rho)
+    alpha = np.asarray(alpha, dtype=float)
+    d = rho.shape[-1]
+    tables, spectra = mode_factor_tables(rho.reshape(-1, d, d), d)
+    owners = np.repeat(np.arange(len(tables)), alpha.size // len(tables))
+    out, d_out = factored_output_and_alpha_derivative(tables, spectra, owners, alpha.reshape(-1))
+    return out.reshape(*alpha.shape, d, d), d_out.reshape(*alpha.shape, d, d)
 
 
 def noon_output_analytic(params: ChiralParams, space) -> np.ndarray:

@@ -17,7 +17,7 @@ from chiral_qfim.channel import (
     apply_channel_kraus,
     apply_channel_rk4,
     grid_output_and_alpha_derivatives,
-    mode_output_and_alpha_derivative,
+    loss_population_slope,
     mode_population_pass,
 )
 from chiral_qfim.estimation import channel_derivatives, compute_bounds
@@ -34,7 +34,12 @@ from chiral_qfim.fock import (
     mode_operators,
 )
 from chiral_qfim.linalg import real_if_exact
-from oracles import finite_difference, kraus_loss, noon_output_analytic
+from oracles import (
+    finite_difference,
+    kraus_loss,
+    mode_output_and_alpha_derivative,
+    noon_output_analytic,
+)
 
 
 def random_density(rng, space):
@@ -322,9 +327,9 @@ def _count_weight_passes(monkeypatch):
     kernel = channel.factored_output_and_alpha_derivative
     population_pass = experiments.mode_population_pass
 
-    def counting_kernel(factor_tables, spectra, owners, alpha):
+    def counting_kernel(factor_tables, spectra, owners, alpha, derivatives=True):
         cutoffs.append(tuple(d - 1 for d in factor_tables.shape[1:-1]))
-        return kernel(factor_tables, spectra, owners, alpha)
+        return kernel(factor_tables, spectra, owners, alpha, derivatives)
 
     def counting_pass(populations, alpha):
         cutoffs.append(len(populations) - 1)
@@ -457,6 +462,25 @@ def test_loss_weights_match_binomial_formula(cutoff, alpha):
     levels = np.arange(cutoff + 1)
     assert np.max(np.abs(u - levels @ transfer)) <= 1e-14 * max(1.0, np.max(u))
     np.testing.assert_allclose(u, levels * (1.0 - alpha), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 12, 70])
+def test_the_loss_slope_of_the_output_populations_is_the_pass_slope(cutoff):
+    # dT[m, n]/dα = ((m + 1) T[m + 1, n] − m T[m, n])/η: the output
+    # populations give their own slope, on a mode or along either mode of a
+    # joint population array
+    rng = np.random.default_rng(cutoff)
+    inputs = [*np.eye(cutoff + 1)[[0, cutoff // 2, cutoff]], rng.random(cutoff + 1)]
+    alphas = np.array([0.0, 1e-300, 1e-13, 0.3, 0.999, 1.0 - 1e-6])
+    for q in inputs:
+        p, d_p, _ = mode_population_pass(q, alphas)
+        slope = loss_population_slope(p, alphas[:, None])
+        assert np.max(np.abs(slope - d_p)) <= 1e-14 * np.max(np.abs(d_p))
+        # both modes read q at the same absorption
+        joint = p[:, :, None] * p[:, None, :]
+        for axis, expected in ((1, d_p[:, :, None] * p[:, None]), (2, p[:, :, None] * d_p[:, None])):
+            along = loss_population_slope(joint, alphas[:, None, None], axis=axis)
+            assert np.max(np.abs(along - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_loss_weight_cache_holds_only_small_tables():

@@ -7,8 +7,14 @@ import math
 import pytest
 
 from chiral_qfim import checks, experiments
-from chiral_qfim.analytic import coherent_bounds
-from chiral_qfim.channel import ChiralParams
+from chiral_qfim.analytic import (
+    coherent_bounds,
+    coherent_bounds_grid,
+    fock_benchmark_grid,
+    noon_grid,
+    single_photon_grid,
+)
+from chiral_qfim.channel import ChiralParams, ParamGrid
 from chiral_qfim.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -57,6 +63,58 @@ def test_bounds_json_of_a_fully_singular_point_has_no_covariances(capsys):
     assert code == EXIT_OK
     assert payload["fully_singular"] is True
     assert payload["covariances"] == {}
+
+
+# the closed forms of each state's bounds at a grid
+CLOSED_FORMS = {
+    "noon": lambda grid: noon_grid(grid)[0],
+    "single-photon": lambda grid: single_photon_grid(grid)[0],
+    "fock-pair": fock_benchmark_grid,
+    "coherent": lambda grid: coherent_bounds_grid(grid, 4.0),
+}
+# the edge points at which the bounds were once wrong, or flagged, with exit 0:
+# (state, extra flags, alpha_plus, alpha_minus, labels checked)
+EDGE_ROWS = [
+    ("noon", (), 0.1, 1e-12, ("x_d", "x_s")),
+    ("noon", (), 1e-13, 0.3, ("x_d", "x_s")),
+    ("fock-pair", (), 1e-12, 0.2, ("x_d", "x_s")),
+    ("coherent", ("--n0", "4"), 0.3, 1.0 - 1e-12, ("x_d", "x_s", "delta", "sigma")),
+    ("fock-pair", (), 0.0, 0.2, ("x_d", "x_s")),
+    ("fock-pair", (), 0.0, 0.0, ("x_d", "x_s")),
+    ("noon", (), 0.0, 0.0, ("x_d", "x_s")),
+    ("single-photon", (), 0.0, 0.0, ("x_s",)),
+    ("noon", (), 0.1, 0.0, ("x_d", "x_s")),
+    ("noon", (), 0.4, 0.0, ("x_d", "x_s")),
+]
+
+
+@pytest.mark.parametrize(
+    "state, flags, alpha_plus, alpha_minus, labels",
+    EDGE_ROWS,
+    ids=[f"{row[0]}-{row[2]!r}-{row[3]!r}" for row in EDGE_ROWS],
+)
+def test_bounds_json_is_right_at_the_edge_rows(
+    capsys, state, flags, alpha_plus, alpha_minus, labels
+):
+    code, out, err = run_cli(
+        capsys,
+        "bounds",
+        "--state",
+        state,
+        *flags,
+        "--alpha-plus",
+        repr(alpha_plus),
+        "--alpha-minus",
+        repr(alpha_minus),
+        "--json",
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    closed = CLOSED_FORMS[state](ParamGrid([ChiralParams(alpha_plus, alpha_minus)])).values
+    for label in labels:
+        assert payload["identifiable"][label], label
+        expected = closed[label][0]
+        assert payload["bounds"][label] == pytest.approx(expected, rel=1e-6, abs=1e-12), label
 
 
 def test_bounds_coherent_phase_bound_json(capsys):
@@ -516,6 +574,15 @@ def test_compare_clean_grid_exits_zero(capsys):
         assert stats["worst_coordinate"] is not None
 
 
+def test_compare_noon_with_an_edge_point_exits_zero(capsys):
+    # the default x_s grid starts at x_s = x_d, where the minus mode is lossless
+    code, out, err = run_cli(capsys, "compare", "--state", "noon", "--fix", "x_d=0.05", "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["max_bound_deviation"] <= 1e-6
+    assert payload["flagged"] == []
+
+
 def test_compare_overtight_tolerance_exits_numeric(capsys):
     code, out, err = run_cli(
         capsys,
@@ -631,10 +698,11 @@ def test_selftest_passes_and_names_every_check(capsys):
         "channel-semigroup-composition",
         "benchmark-bound-match",
         "rank-one-route",
+        "counting-attains-absorption",
     ):
         assert name in out
     assert "residual" in out
-    assert "11 checks passed" in out
+    assert "12 checks passed" in out
     assert "FAIL" not in out
 
 
@@ -643,7 +711,7 @@ def test_selftest_json_residuals_within_tolerance(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["passed"] is True
-    assert len(payload["checks"]) == 11
+    assert len(payload["checks"]) == 12
     for check in payload["checks"]:
         assert check["passed"] is True
         assert check["residual"] <= check["tolerance"]

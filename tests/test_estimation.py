@@ -8,7 +8,9 @@ import pytest
 
 from chiral_qfim.analytic import (
     InputStateKind,
+    coherent_bounds_grid,
     default_param_labels,
+    fock_benchmark_grid,
     noon_grid,
     single_photon_grid,
 )
@@ -18,7 +20,6 @@ from chiral_qfim.channel import (
     ChiralParams,
     ParamGrid,
     apply_channel_kraus,
-    mode_output_and_alpha_derivative,
 )
 from chiral_qfim import channel, checks, estimation, experiments, fock
 from chiral_qfim.estimation import (
@@ -43,7 +44,7 @@ from chiral_qfim.fock import (
     mode_operators,
 )
 from chiral_qfim.linalg import require_hermitian
-from oracles import finite_difference, sld_route_bounds
+from oracles import finite_difference, mode_output_and_alpha_derivative, sld_route_bounds
 
 
 def coherent_state_n0(n0: float, space: FockSpace, budget: float = 1e-13):
@@ -420,12 +421,16 @@ def test_invert_and_bound_reports_the_groups_of_the_qfim_it_inverts():
         (coherent, (("x_d", "x_s"), ("delta", "sigma"))),
         (noon, (("x_d", "x_s"), ("delta",), ("sigma",))),
     ):
-        result = compute_bounds(state, params, CHIRAL_NAMES)
-        assert result.blocks == groups
+        # the general route inverts F as invert_and_bound does, to the bit;
+        # the two-block route inverts each native block on its own
+        two_block = compute_bounds(state, params, CHIRAL_NAMES)
+        result = compute_bounds(general(state), params, CHIRAL_NAMES)
+        assert result.blocks == two_block.blocks == groups
         inverted = invert_and_bound(CHIRAL_NAMES, result.F)
         assert inverted.blocks == groups
         assert np.array_equal(inverted.F_inverse, result.F_inverse)
         assert inverted.bounds == result.bounds
+        assert invert_and_bound(CHIRAL_NAMES, two_block.F).blocks == groups
         assert sld_route_bounds(state, params, CHIRAL_NAMES).blocks == groups
 
 
@@ -495,28 +500,60 @@ def uncapped_coherent(amp_h: complex, amp_v: complex):
     return coherent_product_state(space, amp_p, amp_m, truncation_budget=budget)
 
 
+# counting against the QFIM's absorption block of a coherent state cut at
+# the default 1e-10 tail: the truncation error of the bound
+COUNTING_TOL = 1e-8
+ABSORPTION = ("x_d", "x_s")
+
+
+# the same input without its builder flag: the general route
+general = checks._general
+
+
 def without_factors(state):
     return TwoModeState(
         state.space, state.rho, trace_deficit_budget=state.trace_deficit_budget
     )
 
 
-def assert_routes_agree(state, params, labels):
-    """Per-mode bounds match the dense eigenbasis and SLD routes."""
-    per_mode = compute_bounds(state, params, labels)
-    assert per_mode.meta["route"] == "per_mode"
+def dense_two_block(state):
+    """A builder's product input as its dense matrix, still flagged: the
+    two-block route on joint populations and output blocks."""
+    return TwoModeState(
+        state.space, state.rho, trace_deficit_budget=state.trace_deficit_budget, two_block=True
+    )
+
+
+def assert_same_bounds(result, other, tol):
+    assert result.params == other.params
+    assert result.identifiable == other.identifiable
+    assert np.max(np.abs(result.F - other.F)) <= tol * np.max(np.abs(other.F))
+    for p in result.params:
+        if other.identifiable[p]:
+            assert result.bound(p) == pytest.approx(other.bound(p), rel=tol, abs=0)
+
+
+def assert_routes_agree(state, params, labels, counting_tol=None):
+    """On the general route, per-mode bounds match the dense eigenbasis and
+    SLD routes; the two-block route matches its dense form, and, to
+    ``counting_tol`` where given, the general route: counting attains the
+    absorption block up to a coherent state's truncation."""
+    per_mode = compute_bounds(general(state), params, labels)
+    assert per_mode.meta["route"] == "per_mode" and per_mode.meta["inversion"] == "general"
     for other in (
         compute_bounds(without_factors(state), params, labels),
         sld_route_bounds(state, params, labels),
     ):
         assert other.meta["route"] != "per_mode"
-        assert per_mode.params == other.params
-        assert per_mode.identifiable == other.identifiable
-        assert np.max(np.abs(per_mode.F - other.F)) <= ROUTE_TOL * np.max(np.abs(other.F))
-        for p in labels:
-            if other.identifiable[p]:
-                assert per_mode.bound(p) == pytest.approx(other.bound(p), rel=ROUTE_TOL, abs=0)
-    return per_mode
+        assert_same_bounds(per_mode, other, ROUTE_TOL)
+    two_block = compute_bounds(state, params, labels)
+    dense = compute_bounds(dense_two_block(state), params, labels)
+    assert two_block.meta["route"] == "per_mode" and dense.meta["route"] == "eigenbasis"
+    assert two_block.meta["inversion"] == dense.meta["inversion"] == "two_block"
+    assert_same_bounds(two_block, dense, ROUTE_TOL)
+    if counting_tol is not None:
+        assert_same_bounds(two_block, per_mode, counting_tol)
+    return two_block
 
 
 @pytest.mark.parametrize("n0", [1.0, 4.0])
@@ -526,7 +563,7 @@ def test_per_mode_route_matches_dense_for_h_coherent_probes(n0):
         ChiralParams.from_chiral(x_d=0.05, x_s=0.3, delta=0.0, sigma=0.0),
         PARAMS_REF,
     ):
-        result = assert_routes_agree(state, params, CHIRAL_NAMES)
+        result = assert_routes_agree(state, params, CHIRAL_NAMES, COUNTING_TOL)
         assert all(result.identifiable.values())
 
 
@@ -535,15 +572,21 @@ def test_per_mode_route_matches_dense_for_elliptical_probe():
     state = uncapped_coherent(1.1, 0.6 - 0.5j)
     assert all(np.iscomplexobj(f) and f.imag.any() for f in state.factors)
     for labels in (CHIRAL_NAMES, ALPHA_PHI_NAMES):
-        assert_routes_agree(state, PARAMS_REF, labels)
+        assert_routes_agree(state, PARAMS_REF, labels, COUNTING_TOL)
 
 
 def test_per_mode_route_matches_dense_for_fock_pair_with_lossless_edges():
+    # on a lossless edge the general route's support cut drops the zero
+    # population and misses the closed form; the two-block route meets it
     state = fock_product_state(FockSpace(1, 1), 1, 1)
     for x_d, x_s in ((0.1, 0.4), (0.2, 0.2), (-0.2, 0.2)):
         params = ChiralParams.from_chiral(x_d=x_d, x_s=x_s, delta=0.7, sigma=0.3)
-        result = assert_routes_agree(state, params, CHIRAL_NAMES)
+        interior = params.alpha_plus > 0.0 and params.alpha_minus > 0.0
+        result = assert_routes_agree(state, params, CHIRAL_NAMES, 1e-12 if interior else None)
         assert result.identifiable == {"x_d": True, "x_s": True, "delta": False, "sigma": False}
+        closed = fock_benchmark_grid(ParamGrid([params])).values
+        for p in ABSORPTION:
+            assert result.bound(p) == pytest.approx(closed[p][0], rel=1e-12)
 
 
 def test_per_mode_route_scales_each_block_by_the_other_mode_trace():
@@ -565,8 +608,13 @@ def test_per_mode_route_forms_label_subsets_and_native_labels():
         ALPHA_PHI_NAMES,
         ("phi_minus", "alpha_plus"),
     ):
-        result = assert_routes_agree(state, PARAMS_REF, labels)
+        result = assert_routes_agree(state, PARAMS_REF, labels, COUNTING_TOL)
         assert result.params == labels
+    # three labels in one native block take the general route
+    labels = ("x_d", "x_s", "alpha_plus")
+    three = compute_bounds(state, PARAMS_REF, labels)
+    assert three.meta["inversion"] == "general"
+    assert three.identifiable == {p: False for p in labels}
     with pytest.raises(ValueError, match="duplicate"):
         compute_bounds(state, PARAMS_REF, ("x_d", "x_d"))
     with pytest.raises(ValueError, match="unknown parameter"):
@@ -592,7 +640,11 @@ def test_per_mode_route_solves_single_modes_only(monkeypatch):
     calls = _record_linalg(monkeypatch)
     compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
     # the rank-one input is factored with no eigensolve; each mode's output
-    # is solved as rank one, then the QFIM with its equilibrated form
+    # is solved as rank one, and the native blocks need no eigensolve
+    assert calls == [("solve", (2, d, d))]
+    calls.clear()
+    compute_bounds(general(state), PARAMS_REF, CHIRAL_NAMES)
+    # the general route: the QFIM with its equilibrated form
     assert calls == [("solve", (2, d, d)), ("eigh", (2, n, n))]
     calls.clear()
     dense = without_factors(state)
@@ -645,7 +697,7 @@ def test_stacked_route_matches_per_mode_kernel_and_dense_route(make_state):
     # dense route's support rule is relative to the joint largest eigenvalue,
     # which moves bounds by 2e-11 at this 1e-10 truncation, so it is held to
     # ROUTE_TOL and the per-mode kernel, whose rule is the stack's, to 1e-12
-    state = make_state()
+    state = general(make_state())
     assert state.space.cutoff_plus != state.space.cutoff_minus
     for labels in (CHIRAL_NAMES, ALPHA_PHI_NAMES):
         stacked = compute_bounds_grid(state, ParamGrid(STACK_POINTS), labels)
@@ -667,7 +719,7 @@ def test_stacked_route_matches_per_mode_kernel_and_dense_route(make_state):
 def test_stacked_route_is_bit_identical_to_per_mode_kernel_on_equal_cutoffs(n0):
     # an H-polarized coherent probe has equal mode cutoffs, so nothing is
     # padded and each mode's matrices are those the per-mode kernel solves
-    state = coherent_pm(*hv_to_pm_amplitudes(math.sqrt(n0), 0.0))
+    state = general(coherent_pm(*hv_to_pm_amplitudes(math.sqrt(n0), 0.0)))
     assert state.space.cutoff_plus == state.space.cutoff_minus
     for point in STACK_POINTS:
         result = compute_bounds(state, point, CHIRAL_NAMES)
@@ -702,44 +754,56 @@ def test_a_product_grid_takes_one_table_pass_and_one_mode_solve(monkeypatch):
     assert calls == [] and inputs.spectra.shape == (2, 1)
     passes, kernel = [], estimation.factored_output_and_alpha_derivative
 
-    def counting_kernel(tables, spectra, owners, alpha):
-        passes.append((tables.shape[-2] - 1, np.shape(alpha)))
-        return kernel(tables, spectra, owners, alpha)
+    def counting_kernel(tables, spectra, owners, alpha, derivatives=True):
+        passes.append((tables.shape[-2] - 1, np.shape(alpha), derivatives))
+        return kernel(tables, spectra, owners, alpha, derivatives)
 
     monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", counting_kernel)
     compute_bounds_grid(state, ParamGrid(STACK_POINTS), CHIRAL_NAMES)
     # the modes' six absorptions hold five distinct problems (α₊ = 0.6
     # twice), one absorption per stack entry at the common cutoff 17, each
-    # output of rank one and solved once; then each QFIM with its
+    # output of rank one and solved once, with no α-derivative: counting
+    # reads the outputs' populations, and the native blocks need no
+    # eigensolve
+    assert passes == [(17, (5,), False)]
+    assert calls == [("solve", (5, 18, 18))]
+    assert state.mode_inputs is inputs
+    calls.clear()
+    passes.clear()
+    compute_bounds_grid(general(state), ParamGrid(STACK_POINTS), CHIRAL_NAMES)
+    # the general route: the kernel's α-derivatives, then each QFIM with its
     # equilibrated form, for the PSD check and the inversion at once
     b = len(STACK_POINTS)
-    assert passes == [(17, (5,))]
+    assert passes == [(17, (5,), True)]
     assert calls == [("solve", (5, 18, 18)), ("eigh", (2 * b, 4, 4))]
-    assert state.mode_inputs is inputs
 
 
-def test_one_point_makes_two_solves_and_rebuilds_no_invariant(monkeypatch):
+def test_one_point_makes_one_solve_and_rebuilds_no_invariant(monkeypatch):
     state = coherent_pm(*hv_to_pm_amplitudes(2.0, 0.0))
-    caches = (estimation._native_pullback, channel._root_binomials)
+    caches = (
+        estimation._native_pullback,
+        estimation._two_block_plan,
+        channel._root_binomials,
+        channel._transfer_segments,
+    )
     inputs = state.mode_inputs  # the state's factors, formed once
     read, kernel = [], estimation.factored_output_and_alpha_derivative
 
-    def recording_kernel(tables, spectra, owners, alpha):
+    def recording_kernel(tables, spectra, owners, alpha, derivatives=True):
         read.append(tables)
-        return kernel(tables, spectra, owners, alpha)
+        return kernel(tables, spectra, owners, alpha, derivatives)
 
     monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", recording_kernel)
     calls = _record_linalg(monkeypatch)
     first = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
-    # the rank-one mode stack, then the QFIM with its equilibrated form: no
-    # eigvalsh
-    assert [name for name, _ in calls] == ["solve", "eigh"]
+    # the rank-one mode stack, and no eigensolve for the native blocks
+    assert [name for name, _ in calls] == ["solve"]
     misses = [cache.cache_info().misses for cache in caches]
     second = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
-    # the pullback and the loss binomials come from
-    # their caches, and the kernel reads the loss tables the state formed:
-    # both modes of an H-polarized probe read its one input
-    assert [name for name, _ in calls] == ["solve", "eigh"] * 2
+    # the pullback, the block plan, the loss binomials and the transfer
+    # segments come from their caches, and the kernel reads the loss tables
+    # the state formed: both modes of an H-polarized probe read its one input
+    assert [name for name, _ in calls] == ["solve"] * 2
     assert [cache.cache_info().misses for cache in caches] == misses
     assert state.mode_inputs is inputs
     assert read[1] is read[0] is inputs.tables and inputs.reads == (0, 0)
@@ -772,9 +836,9 @@ def test_the_phase_generators_are_formed_once_per_state(monkeypatch):
         formed = read()
         calls.clear()
         second = compute_bounds(state, PARAMS_REF, labels)
-        # the output stack, rank one per mode for the product, then the QFIM
-        # with its equilibrated form
-        assert [name for name, _ in calls] == [output_solve, "eigh"]
+        # the output stack, rank one per mode for the product, and no
+        # eigensolve for the native blocks
+        assert [name for name, _ in calls] == [output_solve]
         assert read() is formed
         assert not formed.flags.writeable and formed.dtype == np.complex128
         with pytest.raises(ValueError, match="read-only"):
@@ -855,10 +919,10 @@ def _record_solves(monkeypatch) -> list:
     """The number of single-mode problems in each call of the loss kernel."""
     solves, kernel = [], estimation.factored_output_and_alpha_derivative
 
-    def recording_kernel(tables, spectra, owners, alpha):
-        output, d_alpha = kernel(tables, spectra, owners, alpha)
-        solves.append(math.prod(output.shape[:-2]))
-        return output, d_alpha
+    def recording_kernel(tables, spectra, owners, alpha, derivatives=True):
+        results = kernel(tables, spectra, owners, alpha, derivatives)
+        solves.append(math.prod(results[0].shape[:-2]))
+        return results
 
     monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", recording_kernel)
     return solves
@@ -881,8 +945,9 @@ def test_a_figure_member_solves_each_distinct_mode_problem_once(
     experiments.run_sweep(spec)
     assert solves == [problems]
     # the prepared state's rank-one input is factored with no eigensolve;
-    # every problem's output is rank one, and each is solved once
-    assert calls == [("solve", (problems, d, d)), ("eigh", (2 * points, 4, 4))]
+    # every problem's output is rank one, and each is solved once; the
+    # native blocks need no eigensolve
+    assert calls == [("solve", (problems, d, d))]
 
 
 # ---------------------------------------------------------------------------
@@ -1230,32 +1295,95 @@ def test_an_empty_block_contributes_nothing_and_a_product_mode_still_raises():
 
 
 EDGE_ALPHAS = (0.0, 1e-300, 1e-13, 1e-9, 1e-6, 0.3, 0.999, 1 - 1e-6)
+# each builder probe with the closed forms of its bounds and its default
+# labels: the coherent forms bound all four jointly
+EDGE_PROBES = {
+    "noon": (QUANTUM_STATES["noon"][0], lambda grid: noon_grid(grid)[0], QUANTUM_LABELS),
+    "single_photon": (
+        QUANTUM_STATES["single_photon"][0],
+        lambda grid: single_photon_grid(grid)[0],
+        QUANTUM_LABELS,
+    ),
+    "photon_pair": (photon_pair(), fock_benchmark_grid, QUANTUM_LABELS),
+    "coherent_n0_4": (h_coherent(4.0), lambda grid: coherent_bounds_grid(grid, 4.0), CHIRAL_NAMES),
+}
 
 
 def _edge_cells():
-    for name, (state, closed) in QUANTUM_STATES.items():
+    for name in EDGE_PROBES:
         for alphas in itertools.product(EDGE_ALPHAS, repeat=2):
             params = ChiralParams(*alphas, 0.3, -0.2)
-            limit = closed(ParamGrid([params]))[0].limit[0]
-            marks = ()
-            if limit and 0.0 in alphas:
-                reason = "ROADMAP item 1 step 2: a divergence at an exact alpha = 0"
-                marks = pytest.mark.xfail(strict=True, reason=reason)
-            yield pytest.param(name, params, id=f"{name}-{alphas[0]:g}-{alphas[1]:g}", marks=marks)
+            yield pytest.param(name, params, id=f"{name}-{alphas[0]:g}-{alphas[1]:g}")
 
 
 @pytest.mark.parametrize("name, params", _edge_cells())
 def test_block_route_is_right_or_unidentifiable_on_the_edge_grid(name, params):
-    # where the closed form takes a limit, the bound must reach it; elsewhere
-    # it is right to 1e-6 or flagged unidentifiable
-    state, closed = QUANTUM_STATES[name]
-    reference = closed(ParamGrid([params]))[0]
-    result = compute_bounds(state, params, QUANTUM_LABELS)
-    for label in QUANTUM_LABELS:
-        value = result.bounds[label]
-        if value is None and not reference.limit[0]:
+    # every label that the closed form bounds is right, to 1e-6 or within
+    # 1e-12 of a limit 0, and never flagged; a label it gives no bound (the
+    # photon pair's delta) is flagged unidentifiable
+    state, closed, labels = EDGE_PROBES[name]
+    reference = closed(ParamGrid([params])).values
+    result = compute_bounds(state, params, labels)
+    assert result.meta["inversion"] == "two_block"
+    for label in labels:
+        if label not in reference:
+            assert result.bounds[label] is None, label
             continue
-        assert value == pytest.approx(reference.values[label][0], rel=1e-6, abs=1e-12), label
+        value = result.bounds[label]
+        assert value == pytest.approx(reference[label][0], rel=1e-6, abs=1e-12), label
+
+
+BUILDER_PROBES = {
+    "coherent_n0_1": lambda: h_coherent(1.0),
+    "coherent_n0_4": lambda: h_coherent(4.0),
+    "elliptical": lambda: elliptical_coherent(0.5j),
+    "photon_pair": photon_pair,
+    "fock_3_1": lambda: fock_product_state(FockSpace(3, 1), 3, 1),
+    "noon": lambda: hv_to_pm_state(NOON_HV, FockSpace(2, 2)),
+    "single_photon": lambda: hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", BUILDER_PROBES)
+def test_each_builder_flag_agrees_with_the_eigenbasis_qfim_at_phased_points(name):
+    # the native QFIM of the output at its phase, by the eigenbasis formula:
+    # no α-φ cross block, and a φ block of rank one along δ for the dense
+    # probes, whose photon number is fixed
+    state = BUILDER_PROBES[name]()
+    assert state.two_block and not state.with_rho(state.rho).two_block
+    rng = np.random.default_rng(7)
+    for alphas, phases in zip(rng.uniform(0.0, 0.95, (6, 2)), rng.uniform(-3.0, 3.0, (6, 2))):
+        params = ChiralParams(*alphas, *phases)
+        output, derivs = channel_derivatives(state, params, ALPHA_PHI_NAMES)
+        f = estimation._eigenbasis_qfim(output.rho[None], [d.drho[None] for d in derivs])[0]
+        scale = np.abs(f).max()
+        assert np.abs(f[:2, 2:]).max() <= 1e-12 * scale
+        if state.factors is None:
+            phase = f[2:, 2:]
+            assert phase[0, 0] > 0.0
+            assert abs(phase[0, 1] + phase[0, 0]) <= 1e-12 * phase[0, 0]
+            assert abs(phase[1, 1] - phase[0, 0]) <= 1e-12 * phase[0, 0]
+
+
+def test_a_random_complex_pure_state_takes_the_general_route_and_keeps_its_bits():
+    # no builder fixes its blocks: its cross block is not 0, so it is
+    # inverted whole, as _inverted inverts its block QFIM
+    space, rng = FockSpace(2, 2), np.random.default_rng(3)
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    state = TwoModeState(space, np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
+    assert not state.two_block
+    points = [PARAMS_REF, ChiralParams(0.6, 0.05, 1.0, -0.3), ChiralParams(1e-9, 0.999)]
+    grid = ParamGrid(points)
+    for labels in (CHIRAL_NAMES, ALPHA_PHI_NAMES, QUANTUM_LABELS):
+        result = compute_bounds_grid(state, grid, labels)
+        assert result.meta["inversion"] == "general" and result.meta["route"] == "eigenbasis"
+        f, _ = estimation._block_qfim(state, grid, estimation._native_pullback(labels))
+        reference = estimation._inverted(labels, (f + f.swapaxes(1, 2)) / 2.0, {})
+        assert np.array_equal(result.F, reference.F)
+        assert np.array_equal(result.F_inverse, reference.F_inverse)
+        assert np.array_equal(result.identifiable, reference.identifiable)
+    native = compute_bounds(state, points[0], ALPHA_PHI_NAMES).F
+    assert np.abs(native[:2, 2:]).max() > 1e-3 * np.abs(native).max()
 
 
 @pytest.mark.parametrize("name", QUANTUM_STATES)

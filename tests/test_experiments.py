@@ -485,6 +485,29 @@ def test_sweep_csv_empty_marker_for_undefined_cells():
     assert "unidentifiable" in first[-1]
 
 
+def test_sweep_csv_rows_match_the_cell_by_cell_formatter():
+    # one %-template per row of numbers gives what format(v, ".12g") gives
+    # each cell, and a NaN cell stays empty
+    spec = spec_for(SP, points=6, methods=(QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT))
+    columns = sweep_columns(spec)
+    special = [math.inf, -math.inf, -0.0, 5e-324, 1e-300, 1e16, 3.0, -2.0, 0.1 + 0.2, 1.0 / 3.0]
+    cells = np.resize(special, (6, len(columns) + 1))
+    cells[3, 2] = cells[4, 0] = cells[5, -1] = math.nan
+    table = experiments.SweepTable(
+        cells[:, 0],
+        {column: cells[:, k + 1] for k, column in enumerate(columns)},
+        [(), ("x:failed:a, b",), (), ("y",), (), ()],
+    )
+    head = [f"# spec: {spec.to_json()}", ",".join([spec.vary, *columns, "status"])]
+    coordinates = experiments._format_column(table.coordinates)
+    old = experiments._csv_text(head, [coordinates, *experiments._table_cells(table, spec)])
+    text = sweep_to_csv_text(table, spec)
+    assert text == old
+    lines = text.splitlines()
+    assert lines[2].startswith("inf,-inf,-0,4.94065645841e-324,1e-300,1e+16,3,-2,0.3,")
+    assert lines[6].startswith(",") and lines[7].endswith(",")
+
+
 def test_sweep_csv_quotes_status_messages_with_commas():
     # x_s below x_d makes alpha_minus negative; the refusal message quotes
     # the interval "[0, 1)", whose comma must not split the CSV row
@@ -861,10 +884,10 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
     kernel = channel.factored_output_and_alpha_derivative
     population_pass = experiments.mode_population_pass
 
-    def failing_kernel_at_one_point(factor_tables, spectra, owners, alpha):
+    def failing_kernel_at_one_point(factor_tables, spectra, owners, alpha, derivatives=True):
         # the one loss kernel, dense or per mode: fill the results of every
         # problem that reads the broken absorption
-        out = kernel(factor_tables, spectra, owners, alpha)
+        out = kernel(factor_tables, spectra, owners, alpha, derivatives)
         broken_rows = (np.reshape(alpha, (len(owners), -1)) == broken.alpha_plus).any(axis=1)
         for result in out:
             result[broken_rows] = fill
@@ -910,13 +933,19 @@ def test_a_qfim_that_is_not_psd_flags_only_its_own_row(monkeypatch, kind):
     spec = replace(spec, methods=(QFIM_NUMERIC, QFIM_ANALYTIC))
     clean = run_sweep(spec)
     broken = point_at(spec, 2)
-    name = "_product_qfim" if kind == COH1 else "_block_qfim"
+    # the builder probes' native blocks, whose phase block is checked PSD
+    name = "_product_blocks" if kind == COH1 else "_dense_blocks"
     route = getattr(estimation, name)
 
-    def negated_at_one_point(state, grid, pullback):
-        f, solved = route(state, grid, pullback)
-        f[grid.alpha_plus == broken.alpha_plus] *= -1.0
-        return f, solved
+    def negated_at_one_point(state, grid):
+        blocks = route(state, grid)
+        at = grid.alpha_plus == broken.alpha_plus
+        if kind == COH1:  # the diagonal information and its finite part
+            for info in blocks[:2]:
+                info[at, 2:] *= -1.0
+        else:  # the phase QFIM
+            blocks[2][at] *= -1.0
+        return blocks
 
     monkeypatch.setattr(estimation, name, negated_at_one_point)
     with pytest.raises(NumericError, match="QFIM has negative eigenvalue") as refused:
