@@ -32,8 +32,8 @@ non-negative terms in log space, each zero population a limit, and its φ
 block as a plain 2×2, checked PSD, whose smaller equilibrated eigenvalue
 is cut at RCOND.  A zero population with ∂p ≠ 0 then pins its direction
 exactly, and a block with one weak and one strong direction keeps both.
-Label sets with more than two labels in one block take the general
-inversion.
+More than two labels in one block are dependent, so they are reported
+unidentifiable, and the other block is bounded as usual.
 
 The general inversion serves every other input: the labels' full QFIM is
 formed and pseudo-inverted (``_inverted``).  Product inputs (states
@@ -572,61 +572,77 @@ def _mode_qfims(output, hermitian, d_alpha, generator) -> tuple:
     return f, {"rank_one_problems": len(one), "eigensolved_problems": len(rest)}
 
 
-def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> tuple:
-    """The labels' QFIM at each grid point of a product input, from one
-    stack of its distinct single-mode problems, with how many problems
-    each route solved (``_mode_qfims``).
+def _product_stack(input_state: TwoModeState, grid: ParamGrid, derivatives: bool) -> tuple:
+    """A product input's distinct single-mode problems at the grid's
+    points, solved by ``_mode_qfims``: their (α, φ) QFIMs (N, 2, 2) with
+    ``derivatives``, else their φ QFIMs (N, 1, 1), with how many problems
+    each route solved; their loss outputs as ``require_hermitian`` returns
+    them and their absorptions (N,); and for each point's modes, + then −,
+    the index of its problem and its output trace, (2, B) each.
 
     The channel acts on each mode separately, so a product input ρ₊ ⊗ ρ₋
-    gives the product output ρ₊' ⊗ ρ₋'.  Its native QFIM splits into an
-    (α₊, φ₊) block, solved on ρ₊' alone and scaled by tr ρ₋', and the
-    mirror (α₋, φ₋) block; the cross blocks are tr ∂ρ₊' · tr ∂ρ₋' = 0.
-    Each block is solved at φ = 0, so it depends only on the mode's input
-    and absorption: a single-mode problem.  The state's ``mode_inputs``
-    holds each distinct input once, with its loss tables padded to the
-    common cutoff with zero levels, which loss keeps empty; the
-    absorptions of the modes that read
-    an input are pooled and each distinct one is solved once, then every
-    point gathers its two modes' blocks and output traces.  Repeated
-    absorptions collapse: both modes of one input at a common absorption,
-    an α₊ equal to another point's α₋, or a phase sweep.  Each problem is
-    solved on its own, so its bits do not depend on the other mode of its
-    point.  The output stack is checked once, finite and Hermitian, and
-    each point's product of output traces must lie in the window.
-    The requested labels follow through the constant native-to-label
-    pullback, the same combinations ``channel_derivatives`` forms.
+    gives the product output ρ₊' ⊗ ρ₋', and each mode's part, at φ = 0,
+    depends only on the mode's input and absorption: a single-mode
+    problem.  The state's ``mode_inputs`` holds each distinct input once,
+    with its loss tables padded to the common cutoff with zero levels,
+    which loss keeps empty; the absorptions of the modes that read an
+    input are pooled and each distinct one is solved once, in one kernel
+    call (``_distinct_problems``).  Repeated absorptions collapse: both
+    modes of one input at a common absorption, an α₊ equal to another
+    point's α₋, or a phase sweep.  Each problem is solved on its own, so
+    its bits do not depend on the other mode of its point.  The output
+    stack is checked once, finite and Hermitian, and each point's product
+    of output traces must lie in the window.
     """
     inputs = input_state.mode_inputs
     # one row of absorptions per input, pooled over the modes that read it
     rows = [[] for _ in inputs.tables]
     for k, alphas in zip(inputs.reads, (grid.alpha_plus, grid.alpha_minus)):
         rows[k] += alphas.tolist()
-    output, d_alpha, _, at = _distinct_problems(inputs, rows)
+    output, *d_alpha, distinct, at = _distinct_problems(inputs, rows, derivatives)
     hermitian = require_hermitian(output)
+    d_alpha = d_alpha[0] if derivatives else None
     f, solved = _mode_qfims(output, hermitian, d_alpha, inputs.phase_generator)
-    f, tr = f[at], hermitian.trace(0, 1, 2)[at]
-    f_plus, f_minus = f.reshape(2, len(grid), 2, 2)
-    tr_plus, tr_minus = tr.reshape(2, len(grid))
-    require_trace_window(tr_plus * tr_minus, input_state.trace_deficit_budget)
+    at = at.reshape(2, len(grid))
+    tr = hermitian.diagonal(0, 1, 2).real.sum(axis=1)[at]
+    require_trace_window(tr[0] * tr[1], input_state.trace_deficit_budget)
+    return f, solved, hermitian, np.concatenate(distinct), at, tr
+
+
+def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> tuple:
+    """The labels' QFIM at each grid point of a product input, from one
+    stack of its distinct single-mode problems (``_product_stack``), with
+    how many problems each route solved.
+
+    Its native QFIM splits into an (α₊, φ₊) block, solved on ρ₊' alone and
+    scaled by tr ρ₋', and the mirror (α₋, φ₋) block; the cross blocks are
+    tr ∂ρ₊' · tr ∂ρ₋' = 0.  The requested labels follow through the
+    constant native-to-label pullback, the same combinations
+    ``channel_derivatives`` forms.
+    """
+    f, solved, _, _, at, tr = _product_stack(input_state, grid, derivatives=True)
+    f_plus, f_minus = f[at]
     # ALPHA_PHI_NAMES interleaves the modes: (α₊, α₋, φ₊, φ₋)
     native = np.zeros((len(grid), len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
-    native[:, 0::2, 0::2] = f_plus * tr_minus.real[:, None, None]
-    native[:, 1::2, 1::2] = f_minus * tr_plus.real[:, None, None]
+    native[:, 0::2, 0::2] = f_plus * tr[1][:, None, None]
+    native[:, 1::2, 1::2] = f_minus * tr[0][:, None, None]
     return pullback.T @ native @ pullback, solved
 
 
 class _BlockPlan(NamedTuple):
     """How a label tuple splits over the native blocks (α₊, α₋) and (φ₊,
-    φ₋) (``_two_block_plan``).  ``blocks``: per block holding a label, the
-    block's index, its labels' indices, their pullback columns b_j (2, L)
-    and the rows e_j (2, 2) with label_j = e_j·(the block's coordinates).
-    For a diagonal native F (4 entries F_k): ``pair_weights`` (4, n, n),
-    with F⁻¹ of the two-label blocks Σ_k pair_weights[k]/F_k, ``reads``
+    φ₋) (``_two_block_plan``).  ``blocks``: per block holding one or two
+    labels, the block's index, its labels' indices, their pullback columns
+    b_j (2, L) and the rows e_j (2, 2) with label_j = e_j·(the block's
+    coordinates).  ``lost`` (n,): the labels of a block holding more than
+    two.  For a diagonal native F (4 entries F_k): ``pair_weights`` (4, n,
+    n), with F⁻¹ of the two-label blocks Σ_k pair_weights[k]/F_k, ``reads``
     (4, n), whether a label of a two-label block reads coordinate k,
     ``alone`` (n,), whether a label is alone in its block, and
     ``lone_weights`` (4, L), b_k² of each such label."""
 
     blocks: tuple
+    lost: np.ndarray
     pair_weights: np.ndarray
     reads: np.ndarray
     alone: np.ndarray
@@ -634,22 +650,25 @@ class _BlockPlan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _two_block_plan(param_labels: tuple) -> _BlockPlan | None:
-    """The labels' ``_BlockPlan``, or None where a block holds more than
-    two labels; read-only, cached per label tuple.
+def _two_block_plan(param_labels: tuple) -> _BlockPlan:
+    """The labels' ``_BlockPlan``; read-only, cached per label tuple.
 
     Two labels of a block are its coordinates, e = B⁻¹ of their columns.
     One label b alone is bounded with the block's other coordinate b⊥
     known: its rows are those of the coordinates (b, b⊥), so e_0 = b/|b|²
-    and e_1 ∥ b⊥.
+    and e_1 ∥ b⊥.  More than two labels of a block are dependent, no two
+    of them parallel, so none is identifiable, whatever the block's F: they
+    are lost, with 0 in their rows of F⁻¹.
     """
     pullback, n, blocks = _native_pullback(param_labels), len(param_labels), []
     pair_weights, lone_weights = np.zeros((4, n, n)), np.zeros((4, n))
+    lost = np.zeros(n, bool)
     for block in range(2):
         columns = pullback[2 * block : 2 * block + 2]
         members = np.flatnonzero(columns.any(axis=0))
         if len(members) > 2:
-            return None
+            lost[members] = True
+            continue
         if not len(members):
             continue
         columns, at = columns[:, members], slice(2 * block, 2 * block + 2)
@@ -663,7 +682,7 @@ def _two_block_plan(param_labels: tuple) -> _BlockPlan | None:
         blocks.append((block, members, columns, rows))
     alone = lone_weights.any(axis=0)
     reads = pair_weights.any(axis=2)
-    plan = _BlockPlan(tuple(blocks), pair_weights, reads, alone, lone_weights[:, alone])
+    plan = _BlockPlan(tuple(blocks), lost, pair_weights, reads, alone, lone_weights[:, alone])
     for array in (*plan[1:], *(a for block in blocks for a in block[1:])):
         array.flags.writeable = False
     return plan
@@ -691,7 +710,7 @@ def _diagonal_bounds(info, plan: _BlockPlan) -> tuple:
     inverse = np.divide(1.0, info, out=np.zeros(info.shape), where=~kernel)
     pair = plan.pair_weights
     f_inv = (inverse @ pair.reshape(4, -1)).reshape(len(info), *pair.shape[1:])
-    identifiable = ~(kernel @ plan.reads)
+    identifiable = ~(kernel @ plan.reads) & ~plan.lost
     alone = plan.alone
     if alone.any():
         weights, infinite = plan.lone_weights, np.isinf(info)
@@ -843,30 +862,17 @@ def _product_blocks(input_state: TwoModeState, grid: ParamGrid) -> tuple:
     has ∂p ≠ 0, its finite part (B, 4), and how many single-mode problems
     each route solved.
 
-    One kernel call, with no derivatives, gives each distinct (input,
-    absorption) problem's loss output (``_distinct_problems``).  Every
-    entry is one mode's, scaled by the other mode's output trace.  The α
-    entries come from counting: Σ (∂p)²/p over p > 0, with p the output's
-    diagonal and ∂p/∂α from p (``channel.loss_population_slope``).  The φ
-    entries come from the outputs by ``_mode_qfims``.  The output stack is
-    checked once, finite and Hermitian, and each point's product of output
-    traces must lie in the window.
+    One kernel call, with no derivatives, gives each distinct problem's
+    loss output and φ QFIM (``_product_stack``).  Every entry is one mode's,
+    scaled by the other mode's output trace.  The α entries come from
+    counting: Σ (∂p)²/p over p > 0, with p the output's diagonal and ∂p/∂α
+    from p (``channel.loss_population_slope``).
     """
-    inputs = input_state.mode_inputs
-    rows = [[] for _ in inputs.tables]
-    for k, alphas in zip(inputs.reads, (grid.alpha_plus, grid.alpha_minus)):
-        rows[k] += alphas.tolist()
-    output, distinct, at = _distinct_problems(inputs, rows, derivatives=False)
-    hermitian = require_hermitian(output)
-    f_phi, solved = _mode_qfims(output, hermitian, None, inputs.phase_generator)
+    f_phi, solved, hermitian, distinct, at, tr = _product_stack(input_state, grid, False)
     p = hermitian.diagonal(0, 1, 2).real
-    d_p = loss_population_slope(p, np.concatenate(distinct)[:, None])
+    d_p = loss_population_slope(p, distinct[:, None])
     regular = p > 0.0
     f_alpha = (d_p * np.divide(d_p, p, out=np.zeros(p.shape), where=regular)).sum(axis=1)
-    # (2, B): the traces of each point's modes, + then −
-    at = at.reshape(2, len(grid))
-    tr = p.sum(axis=1)[at]
-    require_trace_window(tr[0] * tr[1], input_state.trace_deficit_budget)
     # (B, 4) in native order, each mode's entries scaled by the other's trace
     finite = (np.concatenate((f_alpha[at], f_phi[at, 0, 0])) * tr[[1, 0, 1, 0]]).T
     info = finite.copy()
@@ -1032,9 +1038,8 @@ def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels
     pullback = _native_pullback(labels)
     if not len(grid):
         return _inverted(labels, np.zeros((0, len(labels), len(labels))), {})
-    plan = _two_block_plan(labels) if input_state.two_block else None
-    if plan is not None:
-        return _two_block_bounds(input_state, grid, labels, plan)
+    if input_state.two_block:
+        return _two_block_bounds(input_state, grid, labels, _two_block_plan(labels))
     if input_state.factors is not None:
         route, qfim = "per_mode", _product_qfim
     else:

@@ -512,11 +512,6 @@ def flags_by_reason(statuses) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _format_column(values: np.ndarray) -> list:
-    """A numeric column's cells: 12 significant digits, empty where NaN."""
-    return ["" if v != v else format(v, ".12g") for v in values.tolist()]
-
-
 def _csv_cell(text: str) -> str:
     """Quote a text cell when it would otherwise break the row apart.
 
@@ -526,15 +521,19 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _table_cells(rows: SweepTable, spec: SweepSpec) -> list:
-    """A sweep's formatted columns, then its status column."""
-    cells = [_format_column(rows.columns[column]) for column in sweep_columns(spec)]
-    return cells + [[_csv_cell(";".join(status)) for status in rows.status]]
+def _row_cells(rows: SweepTable, spec: SweepSpec, lead: tuple = ()) -> list:
+    """Each row's cells, joined by commas: the ``lead`` columns and the
+    sweep's, 12 significant digits and empty where NaN, then its status.
 
-
-def _csv_text(head: list, cells: list) -> str:
-    """The ``head`` lines, then one line per row of the formatted columns."""
-    return "".join([*(line + "\n" for line in head), *(",".join(r) + "\n" for r in zip(*cells))])
+    One "%.12g" template per row writes what format(v, ".12g") writes each
+    cell, and "nan" for a NaN and in no other number, so emptying "nan"
+    before the status is added leaves an undefined cell empty."""
+    numbers = np.column_stack([*lead, *(rows.columns[c] for c in sweep_columns(spec))])
+    template = ",".join(["%.12g"] * numbers.shape[1])
+    return [
+        f"{(template % tuple(values)).replace('nan', '')},{_csv_cell(';'.join(status))}"
+        for values, status in zip(numbers.tolist(), rows.status)
+    ]
 
 
 def sweep_to_csv_text(rows: SweepTable, spec: SweepSpec) -> str:
@@ -543,17 +542,8 @@ def sweep_to_csv_text(rows: SweepTable, spec: SweepSpec) -> str:
     Cells hold 12 significant digits; undefined cells are empty and
     explained in the status column.
     """
-    columns = sweep_columns(spec)
-    head = [f"# spec: {spec.to_json()}", ",".join([spec.vary, *columns, "status"])]
-    numbers = np.column_stack([rows.coordinates, *(rows.columns[c] for c in columns)])
-    # "%.12g" writes what format(v, ".12g") writes, and "nan" for a NaN and
-    # in no other cell, so emptying "nan" leaves an undefined cell empty
-    template = ",".join(["%.12g"] * numbers.shape[1])
-    lines = [
-        f"{(template % tuple(values)).replace('nan', '')},{_csv_cell(';'.join(status))}\n"
-        for values, status in zip(numbers.tolist(), rows.status)
-    ]
-    return "".join([*(line + "\n" for line in head), *lines])
+    head = [f"# spec: {spec.to_json()}", ",".join([spec.vary, *sweep_columns(spec), "status"])]
+    return "\n".join([*head, *_row_cells(rows, spec, (rows.coordinates,))]) + "\n"
 
 
 def panel_to_csv_text(members) -> str:
@@ -562,20 +552,20 @@ def panel_to_csv_text(members) -> str:
     Each member's spec goes on its own ``# spec:`` line and its columns are
     prefixed with its label; the members must share one sweep grid.
     """
-    base = members[0][2]
-    for _, _, rows in members[1:]:
+    (_, first, base), *rest = members
+    for _, _, rows in rest:
         if len(rows) != len(base) or not (
             np.abs(rows.coordinates - base.coordinates) <= 1e-12
         ).all():
             raise ValueError("panel members disagree on the sweep grid")
     head = [f"# spec: {label}: {spec.to_json()}" for label, spec, _ in members]
-    header = [members[0][1].vary]
-    cells = [_format_column(base.coordinates)]
-    for label, spec, rows in members:
+    header = [first.vary]
+    for label, spec, _ in members:
         header.extend(f"{label}.{column}" for column in sweep_columns(spec))
         header.append(f"{label}.status")
-        cells.extend(_table_cells(rows, spec))
-    return _csv_text([*head, ",".join(header)], cells)
+    cells = [_row_cells(base, first, (base.coordinates,))]
+    cells += [_row_cells(rows, spec) for _, spec, rows in rest]
+    return "\n".join([*head, ",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 # ---------------------------------------------------------------------------

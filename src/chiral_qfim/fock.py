@@ -323,13 +323,15 @@ class TwoModeState:
     matrices.
 
     ``two_block`` is set only by the builders of this module (coherent,
-    Fock product, single photon, NOON): for these inputs the QFIM in native
-    (α₊, α₋, φ₊, φ₋) is two blocks, with no α-φ cross block, and photon
-    counting attains its absorption block, since every output coherence
-    sector is rank one with phases that do not depend on α (Monras & Paris,
-    PRL 98, 160401 (2007)), a truncated coherent state's up to its tail.
-    ``with_rho`` and the direct constructor leave it unset, so any other
-    matrix takes the general route.
+    Fock product, single photon, NOON), through ``_two_block``: for these
+    inputs the QFIM in native (α₊, α₋, φ₊, φ₋) is two blocks, with no α-φ
+    cross block, and photon counting attains its absorption block, since
+    every output coherence sector is rank one with phases that do not
+    depend on α (Monras & Paris, PRL 98, 160401 (2007)), a truncated
+    coherent state's up to its tail.  Nothing checks that structure on a
+    matrix, so the constructor takes no flag: ``with_rho`` and the
+    constructor leave it unset, and any other matrix takes the general
+    route.
     """
 
     space: FockSpace
@@ -348,14 +350,13 @@ class TwoModeState:
         meta: dict | None = None,
         *,
         factors: tuple | None = None,
-        two_block: bool = False,
     ):
         if (rho is None) == (factors is None):
             raise StateValidationError("a state takes either rho or factors")
         # frozen: fill the instance dict directly, then validate
         vars(self).update(space=space, label=label, meta={} if meta is None else meta)
         vars(self).update(trace_deficit_budget=trace_deficit_budget, factors=factors)
-        vars(self)["two_block"] = two_block
+        vars(self)["two_block"] = False
         if rho is not None:
             vars(self)["rho"] = rho
         self.__post_init__()
@@ -629,6 +630,14 @@ def _coherent_factor(amp: complex, cutoff: int) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
+def _two_block(state: TwoModeState) -> TwoModeState:
+    """``state``, flagged as an input whose QFIM is the two native blocks
+    (``TwoModeState.two_block``).  The flag is an unchecked claim about the
+    matrix, so only this module's builders set it."""
+    vars(state)["two_block"] = True
+    return state
+
+
 def coherent_product_state(
     space: FockSpace,
     amp_plus: complex,
@@ -657,13 +666,13 @@ def coherent_product_state(
                 f" > budget {truncation_budget:.3e}; cutoff >= {needed} required"
             )
     factors = {mode: _coherent_factor(*mode) for mode in dict.fromkeys(modes.values())}
-    return TwoModeState(
+    state = TwoModeState(
         space,
         label=f"coherent(amp+={amp_plus!r}, amp-={amp_minus!r})",
         trace_deficit_budget=2.0 * truncation_budget,
         factors=tuple(factors[mode] for mode in modes.values()),
-        two_block=True,
     )
+    return _two_block(state)
 
 
 def hv_to_pm_state(kind: str, space: FockSpace) -> TwoModeState:
@@ -686,7 +695,7 @@ def hv_to_pm_state(kind: str, space: FockSpace) -> TwoModeState:
     else:
         raise ValueError(f"unknown H/V state kind {kind!r}")
     rho = np.outer(psi, psi.conj())
-    return TwoModeState(space=space, rho=rho, label=kind, two_block=True)
+    return _two_block(TwoModeState(space=space, rho=rho, label=kind))
 
 
 def fock_product_state(space: FockSpace, n_plus: int, n_minus: int) -> TwoModeState:
@@ -694,4 +703,4 @@ def fock_product_state(space: FockSpace, n_plus: int, n_minus: int) -> TwoModeSt
     space.index(n_plus, n_minus)  # raises TruncationError outside the cutoffs
     cutoffs = (space.cutoff_plus, space.cutoff_minus)
     factors = tuple(np.diag(np.eye(c + 1)[n]) for c, n in zip(cutoffs, (n_plus, n_minus)))
-    return TwoModeState(space, label=f"fock({n_plus},{n_minus})", factors=factors, two_block=True)
+    return _two_block(TwoModeState(space, label=f"fock({n_plus},{n_minus})", factors=factors))

@@ -519,8 +519,8 @@ def without_factors(state):
 def dense_two_block(state):
     """A builder's product input as its dense matrix, still flagged: the
     two-block route on joint populations and output blocks."""
-    return TwoModeState(
-        state.space, state.rho, trace_deficit_budget=state.trace_deficit_budget, two_block=True
+    return fock._two_block(
+        TwoModeState(state.space, state.rho, trace_deficit_budget=state.trace_deficit_budget)
     )
 
 
@@ -610,11 +610,18 @@ def test_per_mode_route_forms_label_subsets_and_native_labels():
     ):
         result = assert_routes_agree(state, PARAMS_REF, labels, COUNTING_TOL)
         assert result.params == labels
-    # three labels in one native block take the general route
-    labels = ("x_d", "x_s", "alpha_plus")
-    three = compute_bounds(state, PARAMS_REF, labels)
-    assert three.meta["inversion"] == "general"
-    assert three.identifiable == {p: False for p in labels}
+    # three labels in one native block are dependent, so none is
+    # identifiable; the other block's label keeps its bound
+    labels = ("x_d", "x_s", "alpha_plus", "delta")
+    delta = compute_bounds(state, PARAMS_REF, ("delta",))
+    for flagged in (state, dense_two_block(state)):
+        three = compute_bounds(flagged, PARAMS_REF, labels)
+        assert three.meta["inversion"] == "two_block"
+        assert three.identifiable == dict(zip(labels, (False, False, False, True)))
+        assert three.bound("delta") == pytest.approx(delta.bound("delta"), rel=ROUTE_TOL, abs=0)
+        assert not three.F_inverse[:3].any() and not three.F_inverse[:, :3].any()
+    general_three = compute_bounds(general(state), PARAMS_REF, labels)
+    assert general_three.identifiable == three.identifiable
     with pytest.raises(ValueError, match="duplicate"):
         compute_bounds(state, PARAMS_REF, ("x_d", "x_d"))
     with pytest.raises(ValueError, match="unknown parameter"):

@@ -485,29 +485,6 @@ def test_sweep_csv_empty_marker_for_undefined_cells():
     assert "unidentifiable" in first[-1]
 
 
-def test_sweep_csv_rows_match_the_cell_by_cell_formatter():
-    # one %-template per row of numbers gives what format(v, ".12g") gives
-    # each cell, and a NaN cell stays empty
-    spec = spec_for(SP, points=6, methods=(QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT))
-    columns = sweep_columns(spec)
-    special = [math.inf, -math.inf, -0.0, 5e-324, 1e-300, 1e16, 3.0, -2.0, 0.1 + 0.2, 1.0 / 3.0]
-    cells = np.resize(special, (6, len(columns) + 1))
-    cells[3, 2] = cells[4, 0] = cells[5, -1] = math.nan
-    table = experiments.SweepTable(
-        cells[:, 0],
-        {column: cells[:, k + 1] for k, column in enumerate(columns)},
-        [(), ("x:failed:a, b",), (), ("y",), (), ()],
-    )
-    head = [f"# spec: {spec.to_json()}", ",".join([spec.vary, *columns, "status"])]
-    coordinates = experiments._format_column(table.coordinates)
-    old = experiments._csv_text(head, [coordinates, *experiments._table_cells(table, spec)])
-    text = sweep_to_csv_text(table, spec)
-    assert text == old
-    lines = text.splitlines()
-    assert lines[2].startswith("inf,-inf,-0,4.94065645841e-324,1e-300,1e+16,3,-2,0.3,")
-    assert lines[6].startswith(",") and lines[7].endswith(",")
-
-
 def test_sweep_csv_quotes_status_messages_with_commas():
     # x_s below x_d makes alpha_minus negative; the refusal message quotes
     # the interval "[0, 1)", whose comma must not split the CSV row
@@ -541,18 +518,36 @@ def reference_csv_text(rows, spec) -> str:
     return "\n".join(lines) + "\n"
 
 
+SPECIAL_VALUES = [-0.0, 5e-324, -1e-300, 1e-5, 1e16, 123456789012345.0, 3.0, 0.1 + 0.2, 1 / 3]
+
+
+def special_value_rows(spec, coordinates=None):
+    """Six rows of floating-point edge cases (−0, a subnormal, exponent
+    notation, digits past 12) with empty cells, and status messages to
+    quote; a row holds no ±inf (``SweepRow`` refuses one)."""
+    columns = sweep_columns(spec)
+    cells = np.resize(SPECIAL_VALUES, (6, len(columns) + 1))
+    cells[3, 2] = cells[4, 1] = cells[5, -1] = math.nan
+    return experiments.SweepTable(
+        cells[:, 0] if coordinates is None else coordinates,
+        {column: cells[:, k + 1] for k, column in enumerate(columns)},
+        [(), ("x:failed:a, b",), (), ('y "z"',), (), ()],
+    )
+
+
+SPECIAL_SPEC = spec_for(SP, points=6, methods=(QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT))
 FIGURE_MEMBERS = [*figure_presets()["fig2a"], *figure_presets()["fig4"]]
+CSV_MEMBERS = [*FIGURE_MEMBERS, ("special-values", SPECIAL_SPEC)]
 
 
-@pytest.mark.parametrize("label, spec", FIGURE_MEMBERS, ids=[m[0] for m in FIGURE_MEMBERS])
+@pytest.mark.parametrize("label, spec", CSV_MEMBERS, ids=[m[0] for m in CSV_MEMBERS])
 def test_figure_member_csv_equals_a_per_row_reference_writer(label, spec):
-    rows = run_sweep(spec)
+    rows = special_value_rows(spec) if label == "special-values" else run_sweep(spec)
     assert sweep_to_csv_text(rows, spec) == reference_csv_text(rows, spec)
 
 
-@pytest.mark.parametrize("panel", ["fig2e", "fig4"])
-def test_panel_csv_equals_a_per_row_reference_writer(panel):
-    members = [(label, spec, run_sweep(spec)) for label, spec in figure_presets()[panel]]
+def reference_panel_csv_text(members) -> str:
+    """A panel's CSV written a row at a time, one format(v, '.12g') per cell."""
     lines = [f"# spec: {label}: {spec.to_json()}" for label, spec, _ in members]
     header = [members[0][1].vary]
     for label, spec, _ in members:
@@ -565,7 +560,22 @@ def test_panel_csv_equals_a_per_row_reference_writer(panel):
             cells += [_reference_cell(row.values[column]) for column in sweep_columns(spec)]
             cells.append(_reference_status(row.status))
         lines.append(",".join(cells))
-    assert panel_to_csv_text(members) == "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def special_value_panel():
+    grid = np.array([0.1, -0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 1e16])
+    specs = [("a", SPECIAL_SPEC), ("b", spec_for(SP, points=6, methods=(INTENSITY_EXACT,)))]
+    return [(label, spec, special_value_rows(spec, grid)) for label, spec in specs]
+
+
+@pytest.mark.parametrize("panel", ["fig2e", "fig4", "special-values"])
+def test_panel_csv_equals_a_per_row_reference_writer(panel):
+    if panel == "special-values":
+        members = special_value_panel()
+    else:
+        members = [(label, spec, run_sweep(spec)) for label, spec in figure_presets()[panel]]
+    assert panel_to_csv_text(members) == reference_panel_csv_text(members)
 
 
 @pytest.mark.parametrize("label", ["coherent_xd0.2", "noon_xd0.2"])
