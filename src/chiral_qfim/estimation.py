@@ -71,9 +71,13 @@ all formed on the first bound, with no eigensolve for a rank-one factor
 or block, which is every one the builders make (``fock._eigenpairs``);
 per label tuple, the native-to-label pullback (``_native_pullback``) and
 the split over the native blocks (``_two_block_plan``); per cutoff, the
-loss binomials and their exponent arrays
-(``fock._root_binomials``).  Results are never cached:
-each call solves its own points, one grid or one point alike.
+loss binomials, exact running sums, and their exponent arrays
+(``fock._root_binomials``).  Per input kind (with its cutoff and budget),
+the prepared state itself is kept, read-only, in a bounded LRU of 8
+(``experiments.prepare_input_state``), so the sweeps of one input, and
+the members of a preset that share it, build, check and factor it once
+and form its per-state tables on its first bound.  Results are never
+cached: each call solves its own points, one grid or one point alike.
 
 Parameter labels are either the native channel coordinates
 ("alpha_plus", "alpha_minus", "phi_plus", "phi_minus") or the chiral

@@ -237,6 +237,7 @@ class SweepTable:
         return SweepRow(self.coordinates[i].item(), values, self.status[i])
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def prepare_input_state(
     kind: InputStateKind, cutoff: int | None = None, budget: float | None = None
 ) -> TwoModeState:
@@ -248,6 +249,24 @@ def prepare_input_state(
     ``TRUNCATION_BUDGET_DEFAULT``), or ``cutoff`` in both modes, which must
     meet the same budget; a coherent cutoff past ``MAX_LOSS_CUTOFF`` is
     refused before the state is built.
+
+    The last 8 distinct calls, keyed by their arguments as passed, keep
+    their state (an LRU; ``typed``, so a float cutoff is still refused
+    after the int one was built), so a sweep, or the members of a preset
+    that share an input, build, check and factor it once, and its
+    ``mode_inputs``, ``output_blocks`` and ``kraus_tables`` are formed on
+    its first bound only; the state is read-only, so callers share it
+    safely.  Refusals raise every time, and no result is cached.  The
+    memory held is at most 8 of the largest states kept.  At cutoff
+    ``MAX_LOSS_CUTOFF`` an H-polarized coherent input (every ``--n0``
+    probe) holds one 1030 × 1030 complex factor for both modes, about
+    17 MB, about 8.5 MB of real loss tables and, once bounded, about 17 MB
+    of phase generator: about 43 MB.  The largest, a probe with two
+    distinct complex mode factors, holds two factors, 34 MB of complex
+    tables and the generator: about 85 MB, so 680 MB for 8.  A quantum
+    input on an explicit ``cutoff`` c holds (c + 1)⁴ entries in its dense
+    ρ and as many in its loss table.  ``prepare_input_state.cache_clear()``
+    drops them all.
     """
     if kind.kind != COHERENT:
         if budget is not None:

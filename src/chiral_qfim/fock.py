@@ -28,8 +28,10 @@ States are stored in the ± basis only; H/V appears solely in constructors.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -125,17 +127,21 @@ def _root_binomials(cutoff: int) -> tuple:
     """α-independent, read-only tables, cached per cutoff.
 
     ``root[k, m] = √C(m+k, k)`` for m+k ≤ cutoff and 0 beyond, where the
-    k-photon-loss Kraus operator has no entry; each binomial is exact
-    before its one rounding, so it holds past int64 (cutoff ≥ 67), up to
-    ``MAX_LOSS_CUTOFF``.  ``k`` = 0..cutoff, ``half_k`` = k/2 and
-    ``k_minus_one`` = max(k − 1, 0) are the exponents of the loss tables.
+    k-photon-loss Kraus operator has no entry.  Row k of the binomials is
+    the running sum of row k − 1, C(m+k, k) = Σ_{j≤m} C(j+k−1, k−1), over
+    Python ints, so each is exact before its one rounding to float and
+    holds past int64 (cutoff ≥ 67), up to ``MAX_LOSS_CUTOFF``.  ``k`` =
+    0..cutoff, ``half_k`` = k/2 and ``k_minus_one`` = max(k − 1, 0) are the
+    exponents of the loss tables.
     """
     require_loss_cutoff(cutoff)
     m = np.arange(cutoff + 1)
-    root = np.sqrt(
-        [[float(math.comb(i + k, k)) if i + k <= cutoff else 0.0 for i in m] for k in m]
-    )
-    tables = (root, m, m / 2, np.maximum(m - 1, 0))
+    binomials = np.zeros((cutoff + 1, cutoff + 1))
+    row = [1] * (cutoff + 1)  # C(m, 0)
+    for k in m.tolist():
+        binomials[k, : len(row)] = list(map(float, row))
+        row = list(itertools.accumulate(row[:-1]))
+    tables = (np.sqrt(binomials), m, m / 2, np.maximum(m - 1, 0))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -320,7 +326,10 @@ class TwoModeState:
     to truncation.  Shape, finiteness and Hermiticity of ρ or of each
     factor, and the trace window, are checked at construction; positivity
     only by ``validate_psd``, since the constructors here build PSD ψψ†
-    matrices.
+    matrices.  The state owns read-only copies of ρ and of each factor (a
+    factor passed for both modes is held once) and a read-only ``meta``
+    mapping, so one state can serve many callers
+    (``experiments.prepare_input_state`` keeps the states it builds).
 
     ``two_block`` is set only by the builders of this module (coherent,
     Fock product, single photon, NOON), through ``_two_block``: for these
@@ -337,7 +346,7 @@ class TwoModeState:
     space: FockSpace
     label: str
     trace_deficit_budget: float
-    meta: dict
+    meta: MappingProxyType
     factors: tuple | None = field(repr=False)
     two_block: bool = False
 
@@ -354,7 +363,8 @@ class TwoModeState:
         if (rho is None) == (factors is None):
             raise StateValidationError("a state takes either rho or factors")
         # frozen: fill the instance dict directly, then validate
-        vars(self).update(space=space, label=label, meta={} if meta is None else meta)
+        meta = MappingProxyType({} if meta is None else dict(meta))
+        vars(self).update(space=space, label=label, meta=meta)
         vars(self).update(trace_deficit_budget=trace_deficit_budget, factors=factors)
         vars(self)["two_block"] = False
         if rho is not None:
@@ -366,14 +376,20 @@ class TwoModeState:
             vars(self)["rho"] = _checked(self.rho, self.space.dim)
         else:
             dims = (self.space.cutoff_plus + 1, self.space.cutoff_minus + 1)
-            factors = zip(self.factors, dims, strict=True)
-            vars(self)["factors"] = tuple(_checked(f, dim) for f, dim in factors)
+            modes = [((id(f), dim), f) for f, dim in zip(self.factors, dims, strict=True)]
+            checked = {}  # a factor passed for both modes is checked and held once
+            for key, factor in modes:
+                if key not in checked:
+                    checked[key] = _checked(factor, key[1])
+            vars(self)["factors"] = tuple(checked[key] for key, _ in modes)
         require_trace_window(self._complex_trace(), self.trace_deficit_budget)
 
     @functools.cached_property
     def rho(self) -> np.ndarray:
-        """ρ₊ ⊗ ρ₋ of a product state, formed on first read."""
-        return np.kron(*self.factors)
+        """ρ₊ ⊗ ρ₋ of a product state, formed on first read, read-only."""
+        rho = np.kron(*self.factors)
+        rho.flags.writeable = False
+        return rho
 
     @functools.cached_property
     def mode_inputs(self) -> ModeInputs:
@@ -464,11 +480,14 @@ class TwoModeState:
 
 
 def _checked(matrix, dim: int) -> np.ndarray:
-    """A finite Hermitian dim × dim complex matrix, returned exactly Hermitian."""
+    """A finite Hermitian dim × dim complex matrix, returned as a new,
+    exactly Hermitian, read-only array."""
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (dim, dim):
         raise StateValidationError(f"matrix shape {matrix.shape} does not match dim {dim}")
-    return require_hermitian(matrix)
+    checked = require_hermitian(matrix)
+    checked.flags.writeable = False
+    return checked
 
 
 def _reachable_blocks(state: TwoModeState) -> tuple:

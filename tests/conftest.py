@@ -1,6 +1,20 @@
-"""Shared pytest hooks for the test suite."""
+"""Shared pytest hooks and fixtures for the test suite."""
 
 import sys
+
+import pytest
+
+from chiral_qfim import experiments
+
+
+@pytest.fixture
+def fresh_input_states():
+    """Empty ``prepare_input_state``'s cache before and after the test, so a
+    test that counts or patches the state builders sees them run whatever
+    ran before it, and leaves no state they built behind."""
+    experiments.prepare_input_state.cache_clear()
+    yield
+    experiments.prepare_input_state.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -516,11 +517,15 @@ def test_max_loss_cutoff_is_the_largest_whose_binomials_fit_a_float64():
 
 def test_loss_tables_refuse_a_cutoff_past_float64_before_building(monkeypatch):
     limit = fock.MAX_LOSS_CUTOFF
-    combs, comb = [], math.comb
-    monkeypatch.setattr(math, "comb", lambda *args: combs.append(args) or comb(*args))
+    # the binomials are built as running sums: none is summed before the refusal
+    sums, accumulate = [], itertools.accumulate
+    monkeypatch.setattr(itertools, "accumulate", lambda row: sums.append(row) or accumulate(row))
     with pytest.raises(OverflowError, match=f"cutoff {limit + 1} exceeds {limit}"):
         mode_population_pass(np.zeros(limit + 2), [0.3])
-    assert combs == []
+    assert sums == []
+    fock._root_binomials.cache_clear()
+    fock._root_binomials(3)
+    assert len(sums) == 4  # the spy sees the rows of a table that is built
     monkeypatch.undo()
     # below the limit each entry is still √C(m+k, k), rounded once
     root, k, half_k, k_minus_one = fock._root_binomials(80)

@@ -258,7 +258,9 @@ def test_bounds_bright_coherent_below_its_cutoff_names_the_cutoff(capsys):
     assert "keeps Poisson tail 1.000e+00 > budget 1.000e-10; cutoff >= 986 required" in err
 
 
-def test_bounds_refuses_a_cutoff_past_the_loss_tables_at_once(capsys, monkeypatch):
+def test_bounds_refuses_a_cutoff_past_the_loss_tables_at_once(
+    capsys, monkeypatch, fresh_input_states
+):
     # n0 = 3000 needs cutoff 1753 per mode, past the largest whose loss
     # binomials fit in a float64: refused before the state is built
     built = []

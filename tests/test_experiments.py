@@ -161,7 +161,7 @@ def test_prepare_input_state_spaces():
     assert np.trace(coherent.rho).real == pytest.approx(1.0, abs=1e-9)
 
 
-def test_prepare_input_state_runs_no_eigensolve(monkeypatch):
+def test_prepare_input_state_runs_no_eigensolve(monkeypatch, fresh_input_states):
     # ρ = ψψ† is PSD by construction; only the TwoModeState checks run
     def refuse(*args, **kwargs):
         raise AssertionError("input preparation ran an eigensolve")
@@ -217,6 +217,61 @@ def test_prepare_input_state_refuses_a_budget_for_a_quantum_kind_and_a_short_cut
     # a cutoff is held to the default budget too: its own tail is not accepted
     with pytest.raises(TruncationError, match="tail 1.710e-10 > budget 1.000e-10; cutoff >= 10"):
         prepare_input_state(COH1, 9)
+
+
+def test_prepare_input_state_keeps_one_read_only_state_per_input(fresh_input_states):
+    state = prepare_input_state(NOON)
+    assert prepare_input_state(NOON) is state and prepare_input_state(NOON, 4) is not state
+    assert not state.rho.flags.writeable
+    # the key is typed: a float cutoff is refused however the int one was built
+    prepare_input_state(SP, 2)
+    with pytest.raises(ValueError, match="cutoff_plus must be a nonnegative integer"):
+        prepare_input_state(SP, 2.0)
+    # a refusal is not kept: it raises again
+    for _ in range(2):
+        with pytest.raises(TruncationError, match="cutoff >= 10"):
+            prepare_input_state(COH1, 9)
+    info = prepare_input_state.cache_info()
+    assert (info.hits, info.currsize, info.maxsize) == (1, 3, 8)
+
+
+def _count_builders(monkeypatch) -> Counter:
+    """Calls of each state builder that ``prepare_input_state`` reads."""
+    built = Counter()
+    for name in ("coherent_product_state", "hv_to_pm_state", "fock_product_state"):
+
+        def counting(*args, _name=name, _builder=getattr(experiments, name), **kwargs):
+            built[_name] += 1
+            return _builder(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counting)
+    return built
+
+
+def test_a_preset_builds_each_distinct_input_once(monkeypatch, fresh_input_states):
+    # fig2a's 16 members sweep four inputs, each at four chirality offsets
+    members = figure_presets()["fig2a"]
+    built = _count_builders(monkeypatch)
+    for _, spec in members:
+        run_sweep(spec)
+    assert len(members) == 16 and len({spec.input_state for _, spec in members}) == 4
+    assert sum(built.values()) == 4
+    assert built == {"coherent_product_state": 1, "hv_to_pm_state": 2, "fock_product_state": 1}
+
+
+def test_every_preset_member_csv_is_the_same_from_a_fresh_or_a_kept_state(fresh_input_states):
+    members = [member for panel in figure_presets().values() for member in panel]
+    fresh = []
+    for _, spec in members:
+        prepare_input_state.cache_clear()
+        fresh.append(sweep_to_csv_text(run_sweep(spec), spec))
+    prepare_input_state.cache_clear()
+    kept = [sweep_to_csv_text(run_sweep(spec), spec) for _, spec in members]
+    # 71 members over 5 inputs: every member after an input's first reads
+    # the state that first one built and bounded
+    assert prepare_input_state.cache_info().misses == 5
+    for (label, _), fresh_text, kept_text in zip(members, fresh, kept, strict=True):
+        assert kept_text.encode() == fresh_text.encode(), label
 
 
 # ---------------------------------------------------------------------------

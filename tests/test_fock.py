@@ -344,6 +344,23 @@ def _builder_made_states():
             yield fock_product_state(space, n_plus, n_minus)
 
 
+@pytest.mark.parametrize("cutoff", [0, 1, 67, 270, fock.MAX_LOSS_CUTOFF])
+def test_loss_binomials_are_math_comb_rounded_once(cutoff):
+    # each row of C(m+k, k) is the running sum of the row before, over exact
+    # ints; every entry must be math.comb's, rounded to float once, and its
+    # square root, with 0 past the cutoff.  At the largest cutoff, where all
+    # of math.comb takes seconds, every 32nd row and the anti-diagonal m + k
+    # = cutoff (the largest binomials, up to C(1029, 514) near float max)
+    root = fock._root_binomials(cutoff)[0]
+    assert root.shape == (cutoff + 1, cutoff + 1) and root.dtype == np.float64
+    rows = range(0, cutoff + 1, 1 if cutoff < 1000 else 32)
+    for k in rows:
+        exact = [math.comb(m + k, k) if m + k <= cutoff else 0 for m in range(cutoff + 1)]
+        assert np.array_equal(root[k], np.sqrt(np.array(exact, dtype=float))), k
+    top = [float(math.comb(cutoff, k)) for k in range(cutoff + 1)]
+    assert np.array_equal(root[np.arange(cutoff + 1), cutoff - np.arange(cutoff + 1)], np.sqrt(top))
+
+
 def test_every_builder_made_factor_has_rank_one():
     for state in _builder_made_states():
         inputs = state.mode_inputs
@@ -405,6 +422,35 @@ def test_product_factors_are_checked_like_rho():
         TwoModeState(space)
     with pytest.raises(StateValidationError, match="either"):
         TwoModeState(space, np.kron(vacuum, vacuum), factors=(vacuum, vacuum))
+
+
+def test_a_state_is_read_only_and_owns_its_arrays():
+    # one prepared state serves every caller that asks for its input, so
+    # nothing can write to it in place, nor through the arrays it was given
+    space = FockSpace(2, 2)
+    rho, meta = hv_to_pm_state(NOON_HV, space).rho.copy(), {"source": "noon"}
+    dense = TwoModeState(space, rho, meta=meta)
+    rho[0, 0], meta["step"] = 1.0, 0
+    assert dense.rho[0, 0] == 0.0 and dict(dense.meta) == {"source": "noon"}
+    product = coherent_product_state(FockSpace(4, 4), 0.3, 0.3, truncation_budget=1e-6)
+    pair = fock_product_state(FockSpace(1, 1), 1, 1)
+    # an H-polarized probe's one factor serves both modes and is held once
+    assert product.factors[0] is product.factors[1]
+    for array in (dense.rho, product.rho, pair.rho, *product.factors, *pair.factors):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+    for state in (dense, product, pair):
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            state.meta["source"] = "changed"
+    # with_rho merges meta into a new state and leaves this one as it was
+    moved = dense.with_rho(dense.rho, label="moved", step=1)
+    assert moved is not dense and moved.label == "moved" and dense.label == ""
+    assert dict(moved.meta) == {"source": "noon", "step": 1}
+    assert dict(dense.meta) == {"source": "noon"}
+    assert np.array_equal(moved.rho, dense.rho) and not moved.rho.flags.writeable
 
 
 def test_state_validation_rejects_bad_inputs():

@@ -133,3 +133,42 @@ def test_the_two_routes_import_only_their_own_layers():
     for module, banned in forbidden.items():
         tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
         assert _package_imports(tree) & banned == set(), module
+
+
+def _cache_decorators(tree: ast.Module) -> list:
+    """(function, maxsize node or None for ``functools.cache``) of each
+    ``functools.lru_cache`` or ``functools.cache`` decorator, bare or called."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name == "cache":
+                found.append((node.name, None))
+            elif name == "lru_cache":
+                args = {kw.arg: kw.value for kw in call.keywords} if call else {}
+                if call and call.args:
+                    args["maxsize"] = call.args[0]
+                found.append((node.name, args.get("maxsize", ast.Constant(128))))
+    return found
+
+
+def test_no_cache_is_unbounded():
+    """Every cache in the package has a literal int bound: ``functools.cache``
+    and ``lru_cache(maxsize=None)`` keep every key they ever see."""
+    package = pathlib.Path(chiral_qfim.__file__).parent
+    caches = {
+        f"{path.name}:{function}": maxsize
+        for path in sorted(package.glob("*.py"))
+        for function, maxsize in _cache_decorators(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert "experiments.py:prepare_input_state" in caches and len(caches) >= 7
+    unbounded = [
+        name
+        for name, maxsize in caches.items()
+        if not (isinstance(maxsize, ast.Constant) and isinstance(maxsize.value, int))
+    ]
+    assert unbounded == []
