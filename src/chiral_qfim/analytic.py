@@ -4,9 +4,10 @@ Every quantity the numerical pipeline produces has a closed-form
 counterpart here: SLDs, QFIM entries, Cramér–Rao bounds, covariances,
 intensity-measurement sensitivities, the |1₊,1₋⟩ benchmark bound, and the
 projective fidelity fringes.  The comparison harness in ``experiments``
-checks the two against each other.  A note on a report marks a limit: at
-a lossless point, where entries containing 1/α or 1/X_s diverge, the
-bounds are the finite limits of their closed forms.
+checks the two against each other.  ``PROBES`` holds each input kind's
+facts and forms, read wherever the kinds differ.  A note on a report
+marks a limit: at a lossless point, where entries containing 1/α or 1/X_s
+diverge, the bounds are the finite limits of their closed forms.
 
 Phase convention: output coherences carry e^{−iΔ} (one-photon) and
 e^{−2iΔ} (two-photon) factors, matching the channel module's
@@ -16,9 +17,10 @@ e^{−i(φ₊n₊+φ₋n₋)} rotation.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,14 +29,19 @@ from .fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
     FockSpace,
+    TwoModeState,
     coherent_product_state,
+    fock_product_state,
     hv_to_pm_amplitudes,
+    hv_to_pm_state,
     mode_operators,
 )
 
 COHERENT = "coherent"
 FOCK_ONE_PLUS_ONE_MINUS = "fock_one_plus_one_minus"
-_KINDS = (COHERENT, SINGLE_PHOTON_H, NOON_HV, FOCK_ONE_PLUS_ONE_MINUS)
+# Σ is no label of the quantum inputs, whose outputs carry no photon-number
+# coherence and hence no Σ dependence
+QUANTUM_LABELS = ("x_d", "x_s", "delta")
 
 QFIM_BOUND = "qfim_bound"
 INTENSITY_MEASUREMENT = "intensity_measurement"
@@ -43,7 +50,7 @@ _METHODS = (QFIM_BOUND, INTENSITY_MEASUREMENT, FIDELITY_FRINGE)
 
 @dataclass(frozen=True)
 class InputStateKind:
-    """One of the four supported input states, with its mean photon number.
+    """One of the input states in ``PROBES``, with its mean photon number.
 
     Coherent inputs carry their H/V amplitudes; the quantum inputs are
     parameter-free.  Use the classmethod constructors.
@@ -54,9 +61,10 @@ class InputStateKind:
     amp_v: complex = 0j
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown input state kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == COHERENT:
+        expected = tuple(PROBES)
+        if self.kind not in expected:
+            raise ValueError(f"unknown input state kind {self.kind!r}; expected one of {expected}")
+        if self.probe.photons is None:
             for amp in (self.amp_h, self.amp_v):
                 if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                     raise ValueError("coherent amplitudes must be finite")
@@ -80,12 +88,13 @@ class InputStateKind:
         return cls(kind=FOCK_ONE_PLUS_ONE_MINUS)
 
     @property
+    def probe(self) -> "Probe":
+        return PROBES[self.kind]
+
+    @property
     def mean_photons(self) -> float:
-        if self.kind == COHERENT:
-            return abs(self.amp_h) ** 2 + abs(self.amp_v) ** 2
-        if self.kind == SINGLE_PHOTON_H:
-            return 1.0
-        return 2.0
+        photons = self.probe.photons
+        return abs(self.amp_h) ** 2 + abs(self.amp_v) ** 2 if photons is None else photons
 
     @property
     def zero_relative_phase(self) -> bool:
@@ -94,23 +103,45 @@ class InputStateKind:
         |amp±|² = (N ∓ 2 Im(amp_h* amp_v))/2, so the circular modes share
         the photons equally exactly when Im(amp_h* amp_v) = 0.
         """
-        if self.kind != COHERENT:
-            return True
         return (self.amp_h.conjugate() * self.amp_v).imag == 0.0
 
 
-def default_param_labels(kind: InputStateKind | str) -> tuple:
-    """Parameters estimated by default for each input state.
+@dataclass(frozen=True)
+class Probe:
+    """One input kind's facts, its record in ``PROBES``: every site where
+    the kinds differ reads them here.
 
-    Σ is excluded for the quantum inputs, whose outputs carry no
-    photon-number coherence and hence no Σ dependence.
+    The closed forms ``bound``, ``intensity`` and ``fringe`` map (kind,
+    grid) to a ``SensitivityGrid``, and are None where the kind has none.
+    The coherent kind has no ``photons`` (its amplitudes set them), no
+    ``cutoff`` and no ``builder``: its tail budget sizes its space.
     """
-    name = kind.kind if isinstance(kind, InputStateKind) else kind
-    if name not in _KINDS:
-        raise ValueError(f"unknown input state kind {name!r}; expected one of {_KINDS}")
-    if name == COHERENT:
-        return CHIRAL_NAMES
-    return ("x_d", "x_s", "delta")
+
+    state: str  # the --state name
+    labels: tuple  # estimated by default
+    bound: Callable
+    bound_columns: tuple  # the sweep quantities ``bound`` gives
+    intensity: Callable | None = None
+    fringe: Callable | None = None
+    photons: float | None = None
+    cutoff: int | None = None  # the least per-mode cutoff of ``builder``'s state
+    builder: Callable[[FockSpace], TwoModeState] | None = None
+    benchmark_note: bool = False  # compare notes its gap to the photon-pair benchmark
+
+
+def probe_of(kind: InputStateKind | str) -> Probe:
+    """The record of ``kind``, an ``InputStateKind`` or its name."""
+    return (kind if isinstance(kind, InputStateKind) else InputStateKind(kind)).probe
+
+
+def default_param_labels(kind: InputStateKind | str) -> tuple:
+    """Parameters estimated by default for each input state."""
+    return probe_of(kind).labels
+
+
+def delta_columns(labels: tuple) -> tuple:
+    """The sweep quantities of a bound on ``labels``: δ of each, then the x_d–x_s covariance."""
+    return tuple(f"delta_{p}" for p in labels) + ("cov_x_d_x_s",)
 
 
 @dataclass(frozen=True)
@@ -202,7 +233,7 @@ def equal_split_photons(kind: InputStateKind) -> float:
     are in phase or anti-phase; a kind with any other relative phase is
     rejected.
     """
-    if kind.kind != COHERENT:
+    if kind.probe.photons is not None:
         raise ValueError(f"expected a coherent input kind, got {kind.kind!r}")
     if not kind.zero_relative_phase:
         raise DomainError(
@@ -546,29 +577,76 @@ def fock_benchmark_bound(params: ChiralParams) -> SensitivityReport:
 
 
 @np.errstate(invalid="ignore")
-def fidelity_fringe_grid(kind: InputStateKind | str, grid: ParamGrid) -> SensitivityGrid:
-    """``fidelity_fringe`` at each point of ``grid``, as the grid's ``value``."""
-    name = kind.kind if isinstance(kind, InputStateKind) else kind
-    x_d, x_s, delta = grid.x_d, grid.x_s, grid.delta
-    if name == SINGLE_PHOTON_H:
-        root = np.sqrt((1.0 - x_s) ** 2 - x_d**2)
-        value = 0.5 * (1.0 - x_s + root * np.cos(delta))
-    elif name == NOON_HV:
-        a = (1.0 - x_s) ** 2 + x_d**2
-        b = (1.0 - x_s) ** 2 - x_d**2
-        value = 0.5 * (a + b * np.cos(2.0 * delta))
-    else:
-        raise ValueError(
-            f"fidelity fringes are defined for {SINGLE_PHOTON_H!r} and {NOON_HV!r},"
-            f" not {name!r}"
-        )
+def _single_photon_fringe(kind: InputStateKind, grid: ParamGrid) -> SensitivityGrid:
+    root = np.sqrt((1.0 - grid.x_s) ** 2 - grid.x_d**2)
+    value = 0.5 * (1.0 - grid.x_s + root * np.cos(grid.delta))
     return _checked_grid(FIDELITY_FRINGE, {"value": value})
 
 
+@np.errstate(invalid="ignore")
+def _noon_fringe(kind: InputStateKind, grid: ParamGrid) -> SensitivityGrid:
+    a = (1.0 - grid.x_s) ** 2 + grid.x_d**2
+    b = (1.0 - grid.x_s) ** 2 - grid.x_d**2
+    return _checked_grid(FIDELITY_FRINGE, {"value": 0.5 * (a + b * np.cos(2.0 * grid.delta))})
+
+
 def fidelity_fringe(kind: InputStateKind | str, params: ChiralParams) -> float:
-    """Projective fidelity ⟨ψ_in|ρ_out|ψ_in⟩ for the quantum inputs.
+    """Projective fidelity ⟨ψ_in|ρ_out|ψ_in⟩ for the inputs with a ``fringe``.
 
     The single-photon fringe oscillates with period 2π in Δ; the NOON
     fringe with period π (doubled frequency).
     """
-    return fidelity_fringe_grid(kind, ParamGrid([params])).report().value("value")
+    probe = probe_of(kind)
+    if probe.fringe is None:
+        names = ", ".join(other.state for other in PROBES.values() if other.fringe)
+        raise ValueError(f"fidelity fringes are defined for the {names} inputs, not {probe.state}")
+    return probe.fringe(kind, ParamGrid([params])).report().value("value")
+
+
+# ---------------------------------------------------------------------------
+# the probe table
+# ---------------------------------------------------------------------------
+
+
+PROBES = {
+    COHERENT: Probe(
+        "coherent",
+        CHIRAL_NAMES,
+        bound=lambda kind, grid: coherent_bounds_grid(grid, equal_split_photons(kind)),
+        bound_columns=delta_columns(CHIRAL_NAMES),
+        intensity=lambda kind, grid: coherent_intensity_grid(grid, equal_split_photons(kind)),
+    ),
+    SINGLE_PHOTON_H: Probe(
+        "single-photon",
+        QUANTUM_LABELS,
+        bound=lambda kind, grid: single_photon_grid(grid)[0],
+        bound_columns=delta_columns(QUANTUM_LABELS),
+        intensity=lambda kind, grid: single_photon_grid(grid)[1],
+        fringe=_single_photon_fringe,
+        photons=1.0,
+        cutoff=1,
+        builder=functools.partial(hv_to_pm_state, SINGLE_PHOTON_H),
+    ),
+    NOON_HV: Probe(
+        "noon",
+        QUANTUM_LABELS,
+        bound=lambda kind, grid: noon_grid(grid)[0],
+        bound_columns=delta_columns(QUANTUM_LABELS),
+        intensity=lambda kind, grid: noon_intensity_grid(grid),
+        fringe=_noon_fringe,
+        photons=2.0,
+        cutoff=2,
+        builder=functools.partial(hv_to_pm_state, NOON_HV),
+        benchmark_note=True,
+    ),
+    FOCK_ONE_PLUS_ONE_MINUS: Probe(
+        "fock-pair",
+        QUANTUM_LABELS,
+        # the benchmark bounds the absorptions alone, with no covariance
+        bound=lambda kind, grid: fock_benchmark_grid(grid),
+        bound_columns=("delta_x_d", "delta_x_s"),
+        photons=2.0,
+        cutoff=1,
+        builder=lambda space: fock_product_state(space, 1, 1),
+    ),
+}

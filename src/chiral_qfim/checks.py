@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import (
+    PROBES,
     InputStateKind,
     coherent_bounds_grid,
     coherent_intensity_grid,
@@ -458,7 +459,7 @@ def counting_attains_absorption(points=None, probes=None) -> CheckResult:
     probes.
 
     For each state of ``probes`` (by default coherent n0 = 4, cut at a
-    1e-12 Poisson tail, the photon pair, NOON and the single photon) the
+    1e-12 Poisson tail, and each quantum probe of ``PROBES``) the
     two-block route's native (α₊, α₋) block, counting's on the output
     populations, is compared at ``points`` (by default ``check_1_points()``)
     with the eigenbasis block of the same outputs on the general route (the
@@ -471,12 +472,8 @@ def counting_attains_absorption(points=None, probes=None) -> CheckResult:
     the tighter tail here.
     """
     if probes is None:
-        kinds = (
-            InputStateKind.fock_one_plus_one_minus(),
-            InputStateKind.noon_hv(),
-            InputStateKind.single_photon_h(),
-        )
         coherent = prepare_input_state(InputStateKind.coherent(2.0), budget=1e-12)
+        kinds = [InputStateKind(kind) for kind, probe in PROBES.items() if probe.builder]
         probes = (coherent, *(prepare_input_state(kind) for kind in kinds))
     grid = ParamGrid(check_1_points() if points is None else points)
     labels = ("alpha_plus", "alpha_minus")

@@ -26,15 +26,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import checks
-from .analytic import (
-    COHERENT,
-    FOCK_ONE_PLUS_ONE_MINUS,
-    NOON_HV,
-    SINGLE_PHOTON_H,
-    InputStateKind,
-    default_param_labels,
-    fidelity_fringe,
-)
+from .analytic import PROBES, InputStateKind, default_param_labels, fidelity_fringe
 from .channel import ALPHA_PHI_NAMES, CHIRAL_NAMES, ChiralParams, DomainError
 from .estimation import compute_bounds
 from .experiments import (
@@ -62,12 +54,8 @@ EXIT_IO = 4
 
 CONFIG_SCHEMA = 1
 
-STATE_CHOICES = {
-    "coherent": COHERENT,
-    "single-photon": SINGLE_PHOTON_H,
-    "noon": NOON_HV,
-    "fock-pair": FOCK_ONE_PLUS_ONE_MINUS,
-}
+# --state name -> input kind
+STATE_CHOICES = {probe.state: kind for kind, probe in PROBES.items()}
 
 _CHIRAL_BY_FLAG = {"xd": "x_d", "xs": "x_s", "delta": "delta", "sigma": "sigma"}
 
@@ -314,7 +302,7 @@ def _input_kind(args) -> InputStateKind:
             + "/".join(sorted(STATE_CHOICES))
         )
     kind_name = STATE_CHOICES[args.state]
-    if kind_name != COHERENT:
+    if PROBES[kind_name].photons is not None:
         if args.n0 is not None or args.amp_h is not None or args.amp_v is not None:
             raise DomainError(
                 f"--n0/--amp-h/--amp-v apply to --state coherent, not {args.state!r}"

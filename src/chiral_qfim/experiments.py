@@ -28,23 +28,16 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import (
-    COHERENT,
-    FOCK_ONE_PLUS_ONE_MINUS,
+    PROBES,
     InputStateKind,
-    coherent_bounds_grid,
-    coherent_intensity_grid,
     default_param_labels,
+    delta_columns,
     equal_split_photons,
-    fidelity_fringe_grid,
     fock_benchmark_grid,
-    noon_grid,
-    noon_intensity_grid,
-    single_photon_grid,
 )
 from .channel import (
     CHIRAL_NAMES,
@@ -54,16 +47,12 @@ from .channel import (
 )
 from .estimation import NumericError, compute_bounds_grid
 from .fock import (
-    NOON_HV,
-    SINGLE_PHOTON_H,
     TRUNCATION_BUDGET_DEFAULT,
     FockSpace,
     TwoModeState,
     coherent_product_state,
     default_coherent_space,
-    fock_product_state,
     hv_to_pm_amplitudes,
-    hv_to_pm_state,
     require_loss_cutoff,
     require_trace_window,
 )
@@ -80,6 +69,8 @@ SWEEP_METHODS = (
     INTENSITY_ANALYTIC,
     FIDELITY_FRINGE,
 )
+# the sweep methods that read a closed form, by its field of the input's ``Probe``
+CLOSED_FORMS = {QFIM_ANALYTIC: "bound", INTENSITY_ANALYTIC: "intensity", FIDELITY_FRINGE: "fringe"}
 
 # grid labels: any single chiral coordinate, or a common absorption applied
 # to both modes (alpha_plus = alpha_minus = value, phases fixed)
@@ -98,19 +89,16 @@ FIG2_CAPTION_NOTE = (
 
 def _kind_to_dict(kind: InputStateKind) -> dict:
     payload = {"kind": kind.kind}
-    if kind.kind == COHERENT:
+    if kind.probe.photons is None:
         payload["amp_h"] = [kind.amp_h.real, kind.amp_h.imag]
         payload["amp_v"] = [kind.amp_v.real, kind.amp_v.imag]
     return payload
 
 
 def _kind_from_dict(payload: dict) -> InputStateKind:
-    kind = payload["kind"]
-    if kind == COHERENT:
-        amp_h = complex(*payload.get("amp_h", (0.0, 0.0)))
-        amp_v = complex(*payload.get("amp_v", (0.0, 0.0)))
-        return InputStateKind.coherent(amp_h, amp_v)
-    return InputStateKind(kind=kind)
+    kind = InputStateKind(kind=payload["kind"])
+    amps = (complex(*payload.get(amp, (0.0, 0.0))) for amp in ("amp_h", "amp_v"))
+    return kind if kind.probe.photons is not None else InputStateKind.coherent(*amps)
 
 
 @dataclass(frozen=True)
@@ -154,13 +142,11 @@ class SweepSpec:
         bad = set(self.methods) - set(SWEEP_METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}; expected {SWEEP_METHODS}")
-        if FIDELITY_FRINGE in self.methods and self.input_state.kind not in (
-            SINGLE_PHOTON_H,
-            NOON_HV,
-        ):
-            raise ValueError(
-                f"{FIDELITY_FRINGE!r} applies to single-photon and NOON inputs only"
-            )
+        # a closed form the input lacks is refused here, not flagged at each point
+        for method in (m for m in self.methods if m in CLOSED_FORMS):
+            having = [p.state for p in PROBES.values() if getattr(p, CLOSED_FORMS[method])]
+            if self.input_state.probe.state not in having:
+                raise ValueError(f"{method!r} applies to {', '.join(having)} inputs only")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -268,15 +254,12 @@ def prepare_input_state(
     ρ and as many in its loss table.  ``prepare_input_state.cache_clear()``
     drops them all.
     """
-    if kind.kind != COHERENT:
+    probe = kind.probe
+    if probe.builder is not None:
         if budget is not None:
             raise DomainError("--budget applies only to coherent inputs")
-        if cutoff is None:
-            cutoff = 2 if kind.kind == NOON_HV else 1
-        space = FockSpace(cutoff, cutoff)
-        if kind.kind == FOCK_ONE_PLUS_ONE_MINUS:
-            return fock_product_state(space, 1, 1)
-        return hv_to_pm_state(kind.kind, space)
+        cutoff = probe.cutoff if cutoff is None else cutoff
+        return probe.builder(FockSpace(cutoff, cutoff))
     amp_p, amp_m = hv_to_pm_amplitudes(kind.amp_h, kind.amp_v)
     tail = TRUNCATION_BUDGET_DEFAULT if budget is None else budget
     if cutoff is None:
@@ -292,17 +275,6 @@ def prepare_input_state(
 _SIGNS = np.array([-1.0, 1.0])
 
 
-class IntensityStatistics(NamedTuple):
-    """Exact first and second moments of the two output mode intensities,
-    one entry per grid point."""
-
-    mean_plus: np.ndarray
-    mean_minus: np.ndarray
-    var_plus: np.ndarray
-    var_minus: np.ndarray
-    covariance: np.ndarray
-
-
 def _expected(marginal: np.ndarray) -> np.ndarray:
     """Σ_n n p[b, n] at each point b, summed point by point: a matrix
     product's sum order, and so a point's bits, would depend on B."""
@@ -310,9 +282,9 @@ def _expected(marginal: np.ndarray) -> np.ndarray:
 
 
 def _intensity_moments(state: TwoModeState, grid: ParamGrid) -> tuple:
-    """The intensity moments at each point of ``grid``, the variances of the
-    signals n₊ − n₋ and n₊ + n₋ as a (2, B) array, and the signals' shared
-    exact slope ∂⟨n₊⟩/∂α₊ + ∂⟨n₋⟩/∂α₋, from one population pass per mode.
+    """The variances of the signals n₊ − n₋ and n₊ + n₋ at each point of
+    ``grid``, as a (2, B) array, and the signals' shared exact slope
+    ∂⟨n₊⟩/∂α₊ + ∂⟨n₋⟩/∂α₋, from one population pass per mode.
 
     The phase stage leaves populations alone and loss acts on each mode
     alone, so ``mode_population_pass`` on each mode's input marginal gives
@@ -323,12 +295,11 @@ def _intensity_moments(state: TwoModeState, grid: ParamGrid) -> tuple:
     Σ P (w₊ + s w₋)² with w = u − ⟨n⟩, on the input populations P[n₊, n₋]:
     ``diag rho``, or outer(diag ρ₊, diag ρ₋) from the factors of a product
     input.  The trace 1 − Σ P that a truncated input leaves out counts as
-    vacuum, at w = −⟨n⟩, so each moment equals E[n²] − E[n]² on the
+    vacuum, at w = −⟨n⟩, so each variance equals E[n²] − E[n]² on the
     populations as they are.  Every variance is then a sum of non-negative
     terms and keeps its relative precision where the counts are nearly
-    certain or the signal nearly noiseless; the covariance is the quarter
-    of their difference, exact on the scale of the variances.  Each mode's
-    output trace must stay in the state's window.
+    certain or the signal nearly noiseless.  Each mode's output trace must
+    stay in the state's window.
     """
     space = state.space
     if state.factors is None:
@@ -351,14 +322,7 @@ def _intensity_moments(state: TwoModeState, grid: ParamGrid) -> tuple:
     between = spread.reshape(2, len(grid), -1).sum(axis=2)
     signals = mean_p + _SIGNS[:, None] * mean_m
     variances = thinning_p + thinning_m + between + missing * signals**2
-    stats = IntensityStatistics(
-        mean_p,
-        mean_m,
-        thinning_p + (w_plus**2 * q_plus).sum(axis=1) + missing * mean_p**2,
-        thinning_m + (w_minus**2 * q_minus).sum(axis=1) + missing * mean_m**2,
-        (between[1] - between[0]) / 4.0 + missing * mean_p * mean_m,
-    )
-    return stats, variances, _expected(slope_plus) + _expected(slope_minus)
+    return variances, _expected(slope_plus) + _expected(slope_minus)
 
 
 def _intensity_columns(state: TwoModeState, grid: ParamGrid) -> dict:
@@ -370,7 +334,7 @@ def _intensity_columns(state: TwoModeState, grid: ParamGrid) -> dict:
     ⟨n₊⟩ + s⟨n₋⟩ and ∂/∂x = ∂/∂α₊ + s ∂/∂α₋, so both targets' signals have
     the slope ∂⟨n₊⟩/∂α₊ + ∂⟨n₋⟩/∂α₋.
     """
-    _, variances, derivative = _intensity_moments(state, grid)
+    variances, derivative = _intensity_moments(state, grid)
     usable = np.abs(derivative) >= DERIVATIVE_FLOOR
     slope = np.where(usable, np.abs(derivative), 1.0)
     delta = np.where(usable, np.sqrt(np.maximum(variances, 0.0)) / slope, np.nan)
@@ -382,19 +346,12 @@ def _intensity_columns(state: TwoModeState, grid: ParamGrid) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _bound_quantities(kind: InputStateKind) -> tuple:
-    labels = default_param_labels(kind)
-    return tuple(f"delta_{p}" for p in labels) + ("cov_x_d_x_s",)
-
-
 def method_quantities(kind: InputStateKind, method: str) -> tuple:
     """Column quantities a method contributes for an input kind."""
     if method == QFIM_NUMERIC:
-        return _bound_quantities(kind)
+        return delta_columns(kind.probe.labels)
     if method == QFIM_ANALYTIC:
-        if kind.kind == FOCK_ONE_PLUS_ONE_MINUS:
-            return ("delta_x_d", "delta_x_s")
-        return _bound_quantities(kind)
+        return kind.probe.bound_columns
     if method in (INTENSITY_EXACT, INTENSITY_ANALYTIC):
         return ("delta_x_d", "delta_x_s")
     return ("value",)
@@ -420,21 +377,7 @@ def _closed_form_columns(kind: InputStateKind, method: str, grid: ParamGrid) -> 
     """The closed form behind a sweep method at every point of ``grid``, as
     columns by quantity plus, for a form that takes limits, a ``limit``
     column; raises what the scalar call raises at a point that fails."""
-    bound = method == QFIM_ANALYTIC
-    if method == FIDELITY_FRINGE:
-        result = fidelity_fringe_grid(kind, grid)
-    elif kind.kind == COHERENT:
-        closed_form = coherent_bounds_grid if bound else coherent_intensity_grid
-        result = closed_form(grid, equal_split_photons(kind))
-    elif kind.kind == FOCK_ONE_PLUS_ONE_MINUS:
-        if not bound:
-            raise DomainError("no closed-form intensity sensitivities for this input")
-        result = fock_benchmark_grid(grid)
-    elif kind.kind == NOON_HV and not bound:
-        result = noon_intensity_grid(grid)
-    else:
-        catalog = single_photon_grid if kind.kind == SINGLE_PHOTON_H else noon_grid
-        result = catalog(grid)[0 if bound else 1]
+    result = getattr(kind.probe, CLOSED_FORMS[method])(kind, grid)
     quantities = method_quantities(kind, method)
     columns = {q: result.values.get(q.removeprefix("delta_")) for q in quantities}
     if "cov_x_d_x_s" in columns:
@@ -629,19 +572,15 @@ def compare_analytic_numeric(
     """
     if kind != grid.input_state:
         raise ValueError("the input kind and the sweep spec's input must match")
-    if kind.kind == COHERENT:
-        equal_split_photons(kind)  # else no grid point has a closed form
+    if kind.probe.photons is None:
+        equal_split_photons(kind)  # else no coherent grid point has a closed form
     missing = {QFIM_NUMERIC, QFIM_ANALYTIC} - set(grid.methods)
     if missing:
         raise ValueError(
             f"comparison needs methods {sorted(missing)} in the sweep's method list"
         )
     rows = run_sweep(grid)
-    quantities = [
-        q
-        for q in method_quantities(kind, QFIM_ANALYTIC)
-        if q in method_quantities(kind, QFIM_NUMERIC)
-    ]
+    quantities = [q for q in kind.probe.bound_columns if q in method_quantities(kind, QFIM_NUMERIC)]
     stats = {}
     flagged = []
     notes = []
@@ -658,7 +597,7 @@ def compare_analytic_numeric(
                 points=len(devs),
                 worst_coordinate=float(coords[devs.argmax()]),
             )
-    if kind.kind == NOON_HV:
+    if kind.probe.benchmark_note:
         points, invalid = grid.param_grid()
         bound = rows.columns[f"{QFIM_ANALYTIC}.delta_x_d"][[m is None for m in invalid]]
         bounded = (bound != 0.0) & ~np.isnan(bound)
@@ -684,21 +623,17 @@ FIG_XS_RANGE = (0.01, 0.95, 95)
 FIG4_ALPHA_RANGE = (0.0, 0.9, 91)
 
 
-def _absorption_inputs(n0_amp: float) -> tuple:
-    return (
-        ("coherent", InputStateKind.coherent(n0_amp)),
-        ("single_photon", InputStateKind.single_photon_h()),
-        ("noon", InputStateKind.noon_hv()),
-        ("fock_pair", InputStateKind.fock_one_plus_one_minus()),
-    )
-
-
 def _absorption_panel(x_d: float, note: str = "") -> tuple:
     start, stop, points = FIG_XS_RANGE
     specs = []
-    for label, kind in _absorption_inputs(1.0):
+    for label, kind in (
+        ("coherent", InputStateKind.coherent(1.0)),
+        ("single_photon", InputStateKind.single_photon_h()),
+        ("noon", InputStateKind.noon_hv()),
+        ("fock_pair", InputStateKind.fock_one_plus_one_minus()),
+    ):
         methods = [QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT]
-        if kind.kind != FOCK_ONE_PLUS_ONE_MINUS:
+        if kind.probe.intensity is not None:
             methods.append(INTENSITY_ANALYTIC)
         specs.append(
             (

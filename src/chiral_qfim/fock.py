@@ -694,25 +694,24 @@ def coherent_product_state(
     return _two_block(state)
 
 
+# the ± amplitudes of the H/V-defined quantum inputs, by level (n₊, n₋)
+_HV_AMPLITUDES = {
+    SINGLE_PHOTON_H: {(1, 0): 1.0 / math.sqrt(2), (0, 1): 1.0 / math.sqrt(2)},
+    NOON_HV: {(2, 0): 1.0 / math.sqrt(2), (0, 2): -1.0 / math.sqrt(2)},
+}
+
+
 def hv_to_pm_state(kind: str, space: FockSpace) -> TwoModeState:
     """The H/V-defined quantum inputs, expressed in the ± basis.
 
     ``single_photon_h``: |1_H,0_V⟩ → (|1₊,0₋⟩+|0₊,1₋⟩)/√2 projector.
     ``noon_hv``:        |1_H,1_V⟩ → (|2₊,0₋⟩−|0₊,2₋⟩)/√2 projector.
     """
-    psi = np.zeros(space.dim, dtype=np.complex128)
-    if kind == SINGLE_PHOTON_H:
-        if space.cutoff_plus < 1 or space.cutoff_minus < 1:
-            raise TruncationError("single_photon_h needs cutoffs >= 1 in both modes")
-        psi[space.index(1, 0)] = 1.0 / math.sqrt(2)
-        psi[space.index(0, 1)] = 1.0 / math.sqrt(2)
-    elif kind == NOON_HV:
-        if space.cutoff_plus < 2 or space.cutoff_minus < 2:
-            raise TruncationError("noon_hv needs cutoffs >= 2 in both modes")
-        psi[space.index(2, 0)] = 1.0 / math.sqrt(2)
-        psi[space.index(0, 2)] = -1.0 / math.sqrt(2)
-    else:
+    if kind not in _HV_AMPLITUDES:
         raise ValueError(f"unknown H/V state kind {kind!r}")
+    psi = np.zeros(space.dim, dtype=np.complex128)
+    for levels, amplitude in _HV_AMPLITUDES[kind].items():
+        psi[space.index(*levels)] = amplitude  # raises TruncationError outside the cutoffs
     rho = np.outer(psi, psi.conj())
     return _two_block(TwoModeState(space=space, rho=rho, label=kind))
 

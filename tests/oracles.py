@@ -13,9 +13,9 @@ independent way:
 * ``kraus_loss``: the loss output and its exact α-derivatives by a loop
   over the Kraus operators, each reading the input's own entries through a
   slice, against the factored loss kernel;
-* ``population_moments``: the intensity moments and sensitivities from the
-  joint output populations T₊ P T₋ᵀ and their α-derivatives, against the
-  per-mode population pass.
+* ``population_moments``: the intensity signals' variances and slopes, and
+  the sensitivities, from the joint output populations T₊ P T₋ᵀ and their
+  α-derivatives, against the per-mode population pass.
 
 ``mode_output_and_alpha_derivative`` runs the package's loss kernel on one
 mode's matrix, for the tests that solve a single mode alone.
@@ -42,7 +42,7 @@ from chiral_qfim.estimation import (
     invert_and_bound,
     solve_sld,
 )
-from chiral_qfim.experiments import DERIVATIVE_FLOOR, IntensityStatistics
+from chiral_qfim.experiments import DERIVATIVE_FLOOR
 from chiral_qfim.fock import _root_binomials, mode_factor_tables, require_trace_window
 
 FD_STEP_SCALE = 1e-5
@@ -192,12 +192,14 @@ def _population_transfer(cutoff: int, alpha) -> tuple:
 
 
 def population_moments(state, grid) -> tuple:
-    """The intensity moments (``IntensityStatistics``) and the δx_d, δx_s
-    columns at each point of ``grid`` from the joint output populations
-    P_out = T₊ P T₋ᵀ and their ∂/∂α₊, ∂/∂α₋, formed as (B, d₊, d₋) stacks
-    from each mode's dense transfer matrices.  Each second moment is a
-    centred sum over P_out, with the trace 1 − Σ P that a truncated input
-    leaves out at the vacuum, as E[n²] − E[n]² on the populations reads it."""
+    """The variances and the slopes of the signals n₊ − n₋ and n₊ + n₋, each
+    a (2, B) array, and the δx_d, δx_s columns at each point of ``grid``,
+    from the joint output populations P_out = T₊ P T₋ᵀ and their ∂/∂α₊,
+    ∂/∂α₋, formed as (B, d₊, d₋) stacks from each mode's dense transfer
+    matrices.  The slope of n₊ + s n₋ is its derivative along its target,
+    ∂/∂α₊ + s ∂/∂α₋.  Each variance is a centred sum over P_out, with the
+    trace 1 − Σ P that a truncated input leaves out at the vacuum, as
+    E[n²] − E[n]² on the populations reads it."""
     space = state.space
     if state.factors is None:
         pops = np.diag(state.rho).real.reshape(space.cutoff_plus + 1, space.cutoff_minus + 1)
@@ -219,14 +221,7 @@ def population_moments(state, grid) -> tuple:
     mean_p, mean_m = total(out, n_plus), total(out, n_minus)
     # each count about its mean, (B, d₊, 1) and (B, 1, d₋)
     a, b = n_plus - mean_p[:, None, None], n_minus - mean_m[:, None, None]
-    stats = IntensityStatistics(
-        mean_p,
-        mean_m,
-        total(out, a * a) + missing * mean_p**2,
-        total(out, b * b) + missing * mean_m**2,
-        total(out, a * b) + missing * mean_p * mean_m,
-    )
-    columns = {}
+    variances, slopes, columns = [], [], {}
     for target, sign in (("x_d", -1.0), ("x_s", 1.0)):
         derivative = total(d_plus + sign * d_minus, n_plus + sign * n_minus)
         variance = total(out, (a + sign * b) ** 2) + missing * (mean_p + sign * mean_m) ** 2
@@ -234,4 +229,6 @@ def population_moments(state, grid) -> tuple:
         slope = np.where(usable, np.abs(derivative), 1.0)
         noise = np.sqrt(np.maximum(variance, 0.0))
         columns[f"delta_{target}"] = np.where(usable, noise / slope, np.nan)
-    return stats, columns
+        variances.append(variance)
+        slopes.append(derivative)
+    return np.array(variances), np.array(slopes), columns

@@ -7,6 +7,7 @@ import pytest
 
 from chiral_qfim.analytic import (
     INTENSITY_MEASUREMENT,
+    PROBES,
     QFIM_BOUND,
     InputStateKind,
     SensitivityReport,
@@ -18,7 +19,6 @@ from chiral_qfim.analytic import (
     default_param_labels,
     equal_split_photons,
     fidelity_fringe,
-    fidelity_fringe_grid,
     fock_benchmark_bound,
     fock_benchmark_grid,
     noon_catalog,
@@ -639,11 +639,11 @@ CLOSED_FORMS = {
     "noon_intensity": (noon_intensity_grid, noon_intensity_sensitivities),
     "fock_benchmark": (fock_benchmark_grid, fock_benchmark_bound),
     "fringe.single_photon": (
-        lambda g: fidelity_fringe_grid(SINGLE_PHOTON_H, g),
+        lambda g: PROBES[SINGLE_PHOTON_H].fringe(SINGLE_PHOTON_H, g),
         lambda p: fidelity_fringe(SINGLE_PHOTON_H, p),
     ),
     "fringe.noon": (
-        lambda g: fidelity_fringe_grid(NOON_HV, g),
+        lambda g: PROBES[NOON_HV].fringe(NOON_HV, g),
         lambda p: fidelity_fringe(NOON_HV, p),
     ),
 }

@@ -3,16 +3,16 @@
 import csv
 import json
 import math
+from functools import partial
 
 import pytest
 
 from chiral_qfim import checks, experiments
 from chiral_qfim.analytic import (
+    PROBES,
+    InputStateKind,
     coherent_bounds,
-    coherent_bounds_grid,
-    fock_benchmark_grid,
-    noon_grid,
-    single_photon_grid,
+    default_param_labels,
 )
 from chiral_qfim.channel import ChiralParams, ParamGrid
 from chiral_qfim.cli import (
@@ -21,9 +21,13 @@ from chiral_qfim.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_SELFTEST,
+    _input_kind,
+    build_parser,
     main,
+    merge_config,
 )
-from chiral_qfim.fock import MAX_LOSS_CUTOFF
+from chiral_qfim.experiments import CLOSED_FORMS, SweepSpec, prepare_input_state
+from chiral_qfim.fock import MAX_LOSS_CUTOFF, FockSpace, TruncationError
 
 
 def run_cli(capsys, *argv):
@@ -65,13 +69,13 @@ def test_bounds_json_of_a_fully_singular_point_has_no_covariances(capsys):
     assert payload["covariances"] == {}
 
 
-# the closed forms of each state's bounds at a grid
-CLOSED_FORMS = {
-    "noon": lambda grid: noon_grid(grid)[0],
-    "single-photon": lambda grid: single_photon_grid(grid)[0],
-    "fock-pair": fock_benchmark_grid,
-    "coherent": lambda grid: coherent_bounds_grid(grid, 4.0),
-}
+# the closed form of each state's bounds at a grid, from the probe table: the
+# coherent one at n0 = 4
+BOUND_KINDS = [
+    InputStateKind.coherent(2.0),
+    *(InputStateKind(name) for name, probe in PROBES.items() if probe.builder),
+]
+BOUND_FORMS = {kind.probe.state: partial(kind.probe.bound, kind) for kind in BOUND_KINDS}
 # the edge points at which the bounds were once wrong, or flagged, with exit 0:
 # (state, extra flags, alpha_plus, alpha_minus, labels checked)
 EDGE_ROWS = [
@@ -110,7 +114,7 @@ def test_bounds_json_is_right_at_the_edge_rows(
     )
     assert code == EXIT_OK
     payload = json.loads(out)
-    closed = CLOSED_FORMS[state](ParamGrid([ChiralParams(alpha_plus, alpha_minus)])).values
+    closed = BOUND_FORMS[state](ParamGrid([ChiralParams(alpha_plus, alpha_minus)])).values
     for label in labels:
         assert payload["identifiable"][label], label
         expected = closed[label][0]
@@ -505,6 +509,56 @@ def test_sweep_summary_groups_flags_by_reason(capsys):
         "flagged_points": 3,
         "flags_by_reason": {"qfim_numeric.delta_delta:unidentifiable": 2, "invalid-point": 1},
     }
+
+
+def _state_flags(probe) -> tuple:
+    """``--state`` for a probe of the probe table, with ``--n0`` for the coherent one."""
+    return ("--state", probe.state, *(("--n0", "1") if probe.photons is None else ()))
+
+
+@pytest.mark.parametrize("name", list(PROBES))
+def test_each_probe_record_agrees_with_its_name_labels_and_builder(name, fresh_input_states):
+    probe = PROBES[name]
+    parser = build_parser()
+    kind = _input_kind(merge_config(parser, parser.parse_args(["bounds", *_state_flags(probe)])))
+    assert kind.kind == name and kind.probe is probe
+    assert probe.labels == default_param_labels(kind) == default_param_labels(name)
+    # the state its builder, or the coherent product, gives carries the flag
+    assert prepare_input_state(kind).two_block
+    if probe.builder:
+        assert kind.mean_photons == probe.photons
+        with pytest.raises(TruncationError):  # its cutoff is the least
+            probe.builder(FockSpace(probe.cutoff - 1, probe.cutoff - 1))
+
+
+# each (input kind, closed-form sweep method) pair whose form the probe table marks absent
+ABSENT_FORMS = [
+    (name, method)
+    for name, probe in PROBES.items()
+    for method, form in CLOSED_FORMS.items()
+    if getattr(probe, form) is None
+]
+
+
+def test_the_probe_table_marks_three_closed_forms_absent():
+    assert sorted((PROBES[name].state, method) for name, method in ABSENT_FORMS) == [
+        ("coherent", "fidelity_fringe"),
+        ("fock-pair", "fidelity_fringe"),
+        ("fock-pair", "intensity_analytic"),
+    ]
+
+
+@pytest.mark.parametrize("name, method", ABSENT_FORMS)
+def test_a_closed_form_the_probe_lacks_is_refused_by_the_spec(capsys, name, method):
+    # one rule for every absent form: the spec refuses it, so no point is flagged
+    refusal = f"'{method}' applies to .* inputs only"
+    with pytest.raises(ValueError, match=refusal):
+        SweepSpec(InputStateKind(name), "x_s", 0.05, 0.9, 7, methods=(method,))
+    grid = ("--vary", "x_s", "--start", "0.05", "--stop", "0.9", "--points", "7")
+    flags = (*_state_flags(PROBES[name]), *grid, "--methods", method)
+    code, out, err = run_cli(capsys, "sweep", *flags)
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("chiral-qfim: invalid input: ") and "inputs only" in err
 
 
 def test_sweep_custom_grid_requires_range_flags(capsys):

@@ -2,13 +2,14 @@
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from chiral_qfim.analytic import (
+    PROBES,
     InputStateKind,
-    coherent_bounds_grid,
     default_param_labels,
     fock_benchmark_grid,
     noon_grid,
@@ -1302,17 +1303,28 @@ def test_an_empty_block_contributes_nothing_and_a_product_mode_still_raises():
 
 
 EDGE_ALPHAS = (0.0, 1e-300, 1e-13, 1e-9, 1e-6, 0.3, 0.999, 1 - 1e-6)
-# each builder probe with the closed forms of its bounds and its default
-# labels: the coherent forms bound all four jointly
+COHERENT_N0_4 = InputStateKind.coherent(2.0)
+
+
+def table_state(probe):
+    """A quantum probe's state by its builder in the probe table, on its least cutoff."""
+    return probe.builder(FockSpace(probe.cutoff, probe.cutoff))
+
+
+# each builder probe of the probe table, the coherent one at n0 = 4, with the
+# closed form of its bounds and its default labels: the coherent forms bound
+# all four jointly
 EDGE_PROBES = {
-    "noon": (QUANTUM_STATES["noon"][0], lambda grid: noon_grid(grid)[0], QUANTUM_LABELS),
-    "single_photon": (
-        QUANTUM_STATES["single_photon"][0],
-        lambda grid: single_photon_grid(grid)[0],
-        QUANTUM_LABELS,
+    **{
+        probe.state: (table_state(probe), partial(probe.bound, InputStateKind(kind)), probe.labels)
+        for kind, probe in PROBES.items()
+        if probe.builder
+    },
+    "coherent_n0_4": (
+        h_coherent(4.0),
+        partial(COHERENT_N0_4.probe.bound, COHERENT_N0_4),
+        COHERENT_N0_4.probe.labels,
     ),
-    "photon_pair": (photon_pair(), fock_benchmark_grid, QUANTUM_LABELS),
-    "coherent_n0_4": (h_coherent(4.0), lambda grid: coherent_bounds_grid(grid, 4.0), CHIRAL_NAMES),
 }
 
 
@@ -1344,10 +1356,8 @@ BUILDER_PROBES = {
     "coherent_n0_1": lambda: h_coherent(1.0),
     "coherent_n0_4": lambda: h_coherent(4.0),
     "elliptical": lambda: elliptical_coherent(0.5j),
-    "photon_pair": photon_pair,
     "fock_3_1": lambda: fock_product_state(FockSpace(3, 1), 3, 1),
-    "noon": lambda: hv_to_pm_state(NOON_HV, FockSpace(2, 2)),
-    "single_photon": lambda: hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1)),
+    **{probe.state: partial(table_state, probe) for probe in PROBES.values() if probe.builder},
 }
 
 

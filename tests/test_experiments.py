@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from chiral_qfim.analytic import (
+    FOCK_ONE_PLUS_ONE_MINUS,
+    PROBES,
     InputStateKind,
     coherent_bounds,
     coherent_intensity_sensitivities,
@@ -24,7 +26,6 @@ from chiral_qfim.channel import (
     ChiralParams,
     DomainError,
     ParamGrid,
-    apply_channel_kraus,
 )
 from chiral_qfim.estimation import NumericError, QfimResult, compute_bounds
 from chiral_qfim.experiments import (
@@ -57,7 +58,7 @@ from chiral_qfim.fock import (
     hv_to_pm_amplitudes,
     hv_to_pm_state,
 )
-from oracles import population_moments
+from oracles import kraus_loss, population_moments
 
 SP = InputStateKind.single_photon_h()
 NOON = InputStateKind.noon_hv()
@@ -104,7 +105,7 @@ def test_sweep_spec_validation():
         spec_for(SP, methods=())
     with pytest.raises(ValueError, match="unknown methods"):
         spec_for(SP, methods=("qfim",))
-    with pytest.raises(ValueError, match="single-photon and NOON"):
+    with pytest.raises(ValueError, match="applies to single-photon, noon inputs only"):
         spec_for(COH1, methods=(FIDELITY_FRINGE,))
 
 
@@ -236,15 +237,22 @@ def test_prepare_input_state_keeps_one_read_only_state_per_input(fresh_input_sta
 
 
 def _count_builders(monkeypatch) -> Counter:
-    """Calls of each state builder that ``prepare_input_state`` reads."""
+    """Calls of each state builder that ``prepare_input_state`` reads: the
+    coherent product's, and each quantum probe's in the probe table."""
     built = Counter()
-    for name in ("coherent_product_state", "hv_to_pm_state", "fock_product_state"):
 
-        def counting(*args, _name=name, _builder=getattr(experiments, name), **kwargs):
-            built[_name] += 1
-            return _builder(*args, **kwargs)
+    def counting(name, builder):
+        def count(*args, **kwargs):
+            built[name] += 1
+            return builder(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, name, counting)
+        return count
+
+    product = counting("coherent_product_state", experiments.coherent_product_state)
+    monkeypatch.setattr(experiments, "coherent_product_state", product)
+    for kind, probe in PROBES.items():
+        if probe.builder:
+            monkeypatch.setitem(PROBES, kind, replace(probe, builder=counting(kind, probe.builder)))
     return built
 
 
@@ -256,7 +264,12 @@ def test_a_preset_builds_each_distinct_input_once(monkeypatch, fresh_input_state
         run_sweep(spec)
     assert len(members) == 16 and len({spec.input_state for _, spec in members}) == 4
     assert sum(built.values()) == 4
-    assert built == {"coherent_product_state": 1, "hv_to_pm_state": 2, "fock_product_state": 1}
+    assert built == {
+        "coherent_product_state": 1,
+        SINGLE_PHOTON_H: 1,
+        NOON_HV: 1,
+        FOCK_ONE_PLUS_ONE_MINUS: 1,
+    }
 
 
 def test_every_preset_member_csv_is_the_same_from_a_fresh_or_a_kept_state(fresh_input_states):
@@ -279,37 +292,36 @@ def test_every_preset_member_csv_is_the_same_from_a_fresh_or_a_kept_state(fresh_
 # ---------------------------------------------------------------------------
 
 
-def intensity_statistics(kind, params):
-    """Moments of n₊ and n₋ on the output at one point, from the population route."""
-    stats = experiments._intensity_moments(prepare_input_state(kind), ParamGrid([params]))[0]
-    return experiments.IntensityStatistics(*(float(v[0]) for v in stats))
+def intensity_signals(kind, params):
+    """The variances of the signals n₊ − n₋ and n₊ + n₋ at one point, and
+    their shared slope, from the population route."""
+    state = prepare_input_state(kind)
+    variances, slope = experiments._intensity_moments(state, ParamGrid([params]))
+    return variances[:, 0].tolist(), float(slope[0])
 
 
-def test_intensity_statistics_single_photon():
-    params = ChiralParams(alpha_plus=0.6, alpha_minus=0.4)
-    stats = intensity_statistics(SP, params)
-    assert stats.mean_plus == pytest.approx(0.2, abs=1e-12)
-    assert stats.mean_minus == pytest.approx(0.3, abs=1e-12)
-    assert stats.var_plus == pytest.approx(0.2 * 0.8, abs=1e-12)
-    assert stats.var_minus == pytest.approx(0.3 * 0.7, abs=1e-12)
-    assert stats.covariance == pytest.approx(-0.06, abs=1e-12)
+def test_intensity_signals_single_photon():
+    # ⟨n₊⟩ = 0.2 and ⟨n₋⟩ = 0.3 with one photon at most: Var n₊ = 0.16,
+    # Var n₋ = 0.21 and Cov = −0.06, so Var(n₊ ∓ n₋) = 0.37 ± 0.12
+    variances, slope = intensity_signals(SP, ChiralParams(alpha_plus=0.6, alpha_minus=0.4))
+    assert variances == pytest.approx([0.49, 0.25], abs=1e-12)
+    # ⟨n±⟩ = η±/2
+    assert slope == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_intensity_statistics_coherent_modes_uncorrelated():
-    params = ChiralParams.from_chiral(0.1, 0.4, 0.3, 0.0)
-    stats = intensity_statistics(COH1, params)
-    assert stats.covariance == pytest.approx(0.0, abs=1e-10)
-    assert stats.var_plus == pytest.approx(stats.mean_plus, abs=1e-9)
-    assert stats.var_minus == pytest.approx(stats.mean_minus, abs=1e-9)
+def test_intensity_signals_coherent_modes_uncorrelated():
+    # uncorrelated Poisson modes: Var(n₊ ∓ n₋) = ⟨n₊⟩ + ⟨n₋⟩ = 1 − x_s, the
+    # two variances 4|Cov| apart
+    variances, slope = intensity_signals(COH1, ChiralParams.from_chiral(0.1, 0.4, 0.3, 0.0))
+    assert abs(variances[0] - variances[1]) <= 4e-10
     # the default truncation budget leaves a ~1e-10 tail in the moments
-    assert stats.mean_plus + stats.mean_minus == pytest.approx(0.6, abs=1e-8)
+    assert variances == pytest.approx([0.6, 0.6], abs=1e-8)
+    assert slope == pytest.approx(-1.0, abs=1e-8)
 
 
-def test_intensity_statistics_vacuum_input():
-    stats = intensity_statistics(
-        InputStateKind.coherent(0.0), ChiralParams(alpha_plus=0.3, alpha_minus=0.2)
-    )
-    assert stats == (0.0, 0.0, 0.0, 0.0, 0.0)
+def test_intensity_signals_vacuum_input():
+    params = ChiralParams(alpha_plus=0.3, alpha_minus=0.2)
+    assert intensity_signals(InputStateKind.coherent(0.0), params) == ([0.0, 0.0], 0.0)
 
 
 def intensity_sensitivity(kind, params, target, state=None):
@@ -362,24 +374,24 @@ def test_intensity_route_matches_closed_forms(x_d, x_s):
 
 
 @pytest.mark.parametrize("kind", [SP, NOON, COH1, FOCK])
-def test_intensity_statistics_equal_dense_population_moments(kind):
+def test_intensity_signals_equal_dense_population_moments(kind):
+    # the output populations and their α-derivatives by the Kraus loop on ρ
     state = prepare_input_state(kind)
+    n_plus, n_minus = state.space.number_grids()
+    signals = np.array([n_plus - n_minus, n_plus + n_minus])
     for params in (
         ChiralParams(0.6, 0.4, 0.3, -0.2),
         ChiralParams(0.0, 0.35, 0.1, 0.0),
         ChiralParams(0.2, 0.0, 0.0, 0.4),
     ):
-        pops = np.diag(apply_channel_kraus(state, params).rho).real
-        n_plus, n_minus = state.space.number_grids()
-        mean_p, mean_m = pops @ n_plus, pops @ n_minus
-        dense = (
-            mean_p,
-            mean_m,
-            pops @ n_plus**2 - mean_p**2,
-            pops @ n_minus**2 - mean_m**2,
-            pops @ (n_plus * n_minus) - mean_p * mean_m,
-        )
-        np.testing.assert_allclose(intensity_statistics(kind, params), dense, rtol=0, atol=1e-12)
+        alphas = (params.alpha_plus, params.alpha_minus)
+        out, d_plus, d_minus = kraus_loss(state.rho, state.space, *alphas)
+        pops = np.diag(out).real
+        dense = pops @ (signals**2).T - (pops @ signals.T) ** 2
+        slope = np.diag(d_plus).real @ n_plus + np.diag(d_minus).real @ n_minus
+        variances, value = intensity_signals(kind, params)
+        np.testing.assert_allclose(variances, dense, rtol=0, atol=1e-12)
+        assert value == pytest.approx(slope, abs=1e-12)
 
 
 # the probes of the population pass: three dense-free quantum inputs, and
@@ -400,20 +412,16 @@ def test_population_pass_matches_the_joint_population_route(kind):
     state = prepare_input_state(kind)
     pairs = [(a, b) for a in EDGE_ABSORPTIONS for b in EDGE_ABSORPTIONS]
     grid = ParamGrid([ChiralParams(a, b, 0.3, 0.1) for a, b in pairs])
-    ref, ref_columns = population_moments(state, grid)
-    stats = experiments._intensity_moments(state, grid)[0]
-    # every moment but the covariance is a sum of non-negative terms in both
-    # routes, and the covariance is read on the scale of the variances; a
-    # count centred on a mean that is exact to its last bit, ε⟨n⟩, keeps
-    # (ε⟨n⟩)² where its variance is 0
-    for mean in ("mean_plus", "mean_minus"):
-        np.testing.assert_allclose(getattr(stats, mean), getattr(ref, mean), rtol=1e-14, atol=0)
-    floor = 1e-30 * (ref.mean_plus**2 + ref.mean_minus**2)
-    for var in ("var_plus", "var_minus"):
-        gap = np.abs(getattr(stats, var) - getattr(ref, var))
-        assert np.all(gap <= 1e-14 * getattr(ref, var) + floor), var
-    gap = np.abs(stats.covariance - ref.covariance)
-    assert np.all(gap <= 1e-14 * (ref.var_plus + ref.var_minus) + floor)
+    ref_variances, ref_slopes, ref_columns = population_moments(state, grid)
+    variances, slope = experiments._intensity_moments(state, grid)
+    # both signals' slope is −(⟨n₊⟩ + ⟨n₋⟩) of the input
+    for ref_slope in ref_slopes:
+        np.testing.assert_allclose(slope, ref_slope, rtol=1e-14, atol=0)
+    # every variance is a sum of non-negative terms in both routes; a count
+    # centred on a mean that is exact to its last bit, ε⟨n⟩, keeps (ε⟨n⟩)²
+    # where its variance is 0, and no output mean exceeds |slope|
+    gap = np.abs(variances - ref_variances)
+    assert np.all(gap <= 1e-14 * ref_variances + 1e-30 * slope**2)
     columns = experiments._intensity_columns(state, grid)
     for quantity, expected in ref_columns.items():
         value = columns[quantity]
@@ -1024,14 +1032,14 @@ def test_a_qfim_that_is_not_psd_flags_only_its_own_row(monkeypatch, kind):
             assert row == ref
 
 
-@pytest.mark.parametrize(
-    "method, route", [(QFIM_NUMERIC, "compute_bounds_grid"), (QFIM_ANALYTIC, "noon_grid")]
-)
-def test_a_failing_point_costs_few_grid_calls(monkeypatch, method, route):
+@pytest.mark.parametrize("method", [QFIM_NUMERIC, QFIM_ANALYTIC])
+def test_a_failing_point_costs_few_grid_calls(monkeypatch, method):
     spec = spec_for(NOON, start=0.1, stop=0.6, points=95, fixed={"x_d": 0.03}, methods=(method,))
     clean = run_sweep(spec)
     broken = point_at(spec, 47).alpha_plus
-    grid_route = getattr(experiments, route)
+    # the numeric grid pass, or the NOON bound form of the probe table
+    probe = PROBES[NOON_HV]
+    grid_route = experiments.compute_bounds_grid if method == QFIM_NUMERIC else probe.bound
     calls = []
 
     def failing_at_one_point(*args):
@@ -1041,7 +1049,10 @@ def test_a_failing_point_costs_few_grid_calls(monkeypatch, method, route):
             raise NumericError(f"a grid of {len(points)} points fails")
         return grid_route(*args)
 
-    monkeypatch.setattr(experiments, route, failing_at_one_point)
+    if method == QFIM_NUMERIC:
+        monkeypatch.setattr(experiments, "compute_bounds_grid", failing_at_one_point)
+    else:
+        monkeypatch.setitem(PROBES, NOON_HV, replace(probe, bound=failing_at_one_point))
     rows = run_sweep(spec)
     # bisection: the whole grid, then two halves per level down to the point
     assert calls[0] == 95

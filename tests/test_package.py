@@ -172,3 +172,51 @@ def test_no_cache_is_unbounded():
         if not (isinstance(maxsize, ast.Constant) and isinstance(maxsize.value, int))
     ]
     assert unbounded == []
+
+
+# the input-kind names, whose comparison is a dispatch on the probe
+KIND_NAMES = ("COHERENT", "SINGLE_PHOTON_H", "NOON_HV", "FOCK_ONE_PLUS_ONE_MINUS")
+
+
+def _kind_comparisons(tree: ast.Module) -> list:
+    """Line of each ``==``, ``!=``, ``in`` or ``not in`` with an operand that
+    holds an input-kind name or its string value, outside ``InputStateKind``
+    and the probe table (``Probe`` and ``PROBES``)."""
+    values = {getattr(chiral_qfim, name) for name in KIND_NAMES}
+    kept = []
+
+    def visit(node):
+        if isinstance(node, ast.ClassDef) and node.name in ("InputStateKind", "Probe"):
+            return
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "PROBES" for t in node.targets
+        ):
+            return
+        if isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops
+        ):
+            for operand in (node.left, *node.comparators):
+                for leaf in ast.walk(operand):
+                    if (
+                        isinstance(leaf, ast.Name) and leaf.id in KIND_NAMES
+                        or isinstance(leaf, ast.Attribute) and leaf.attr in KIND_NAMES
+                        or isinstance(leaf, ast.Constant) and leaf.value in values
+                    ):
+                        kept.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return sorted(set(kept))
+
+
+def test_no_input_kind_is_compared_outside_the_probe_table():
+    """What each input kind is and has lives in one record of ``PROBES``:
+    code that compares a kind against one of the names reads the record."""
+    package = pathlib.Path(chiral_qfim.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := _kind_comparisons(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
