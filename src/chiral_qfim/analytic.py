@@ -469,11 +469,20 @@ def noon_intensity_sensitivities(params: ChiralParams) -> SensitivityReport:
     return noon_intensity_grid(ParamGrid([params])).report()
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def noon_grid(grid: ParamGrid) -> tuple:
     """``noon_catalog``'s (bounds, intensity) at each point of ``grid``;
     raises what the catalog call raises at a point that fails, checking the
-    domain, then the intensity values, then the bound values.
+    domain, then the intensity values, then the bound values."""
+    _require_domain(grid.eta_plus * grid.eta_minus)
+    intensity = noon_intensity_grid(grid)
+    return noon_bounds_grid(grid), intensity
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def noon_bounds_grid(grid: ParamGrid) -> SensitivityGrid:
+    """``noon_catalog``'s bounds at each point of ``grid``, with no
+    intensity values; raises at a point that fails, checking the domain,
+    then the bound values.
 
     The absorption bounds come from the (X_d, X_s) QFIM block multiplied
     through by p·s, p = α₊η₊α₋η₋ and s = X_s² + X_d², whose entries g are
@@ -488,7 +497,6 @@ def noon_grid(grid: ParamGrid) -> tuple:
     eta_p, eta_m = grid.eta_plus, grid.eta_minus
     x_d, x_s = grid.x_d, grid.x_s
     _require_domain(eta_p * eta_m)
-    intensity = noon_intensity_grid(grid)
     f_delta = 8.0 * eta_p**2 * eta_m**2 / (eta_p**2 + eta_m**2)
 
     s = x_s**2 + x_d**2
@@ -503,7 +511,7 @@ def noon_grid(grid: ParamGrid) -> tuple:
     scale = 2.0 / d
     given = np.isfinite(scale)
     scale = np.where(given, scale, 0.0)
-    bounds = _checked_grid(
+    return _checked_grid(
         QFIM_BOUND,
         {
             "x_d": np.sqrt(scale * g_ss),
@@ -519,7 +527,6 @@ def noon_grid(grid: ParamGrid) -> tuple:
         ),
         limit=~(np.isfinite(1.0 / (a_p * eta_p)) & np.isfinite(1.0 / (a_m * eta_m)) & given),
     )
-    return bounds, intensity
 
 
 def noon_catalog(params: ChiralParams) -> NoonCatalog:
@@ -630,7 +637,7 @@ PROBES = {
     NOON_HV: Probe(
         "noon",
         QUANTUM_LABELS,
-        bound=lambda kind, grid: noon_grid(grid)[0],
+        bound=lambda kind, grid: noon_bounds_grid(grid),
         bound_columns=delta_columns(QUANTUM_LABELS),
         intensity=lambda kind, grid: noon_intensity_grid(grid),
         fringe=_noon_fringe,

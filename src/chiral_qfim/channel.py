@@ -19,7 +19,7 @@ to check it.  Loss has one kernel, ``factored_output_and_alpha_derivative``:
 a product input's factors call it one mode at a time, any other input on
 the two-mode table of its matrix.  Photon statistics read only the
 populations, which loss maps among themselves one mode at a time:
-``mode_population_pass`` gives a mode's output marginal, its ∂/∂α and its
+``mode_population_pass`` gives a mode's output marginal and its
 conditional output means from the upper triangle of the binomial transfer
 matrix, with no (B, d, d) stack; ``loss_population_slope`` gives ∂p/∂α
 of any output's populations from those populations alone.
@@ -242,7 +242,8 @@ def factored_output_and_alpha_derivative(
     """Loss outputs and their exact ∂/∂α per mode for N problems, each an
     input factor and one absorption per mode of its table, as batched
     matrix products with no d³ tensor: the one loss kernel.  With
-    ``derivatives=False`` it forms the outputs alone, a 1-tuple.
+    ``derivatives=False`` it forms the outputs alone, a 1-tuple, and no
+    dc or h table.
 
     Loss has the Kraus form ρ → Σ_k K_k ρ K_k†, K_k = √(α^k) diag(g_k)
     shift_k on each mode (Monras & Paris, PRL 98, 160401 (2007)), so an
@@ -268,15 +269,17 @@ def factored_output_and_alpha_derivative(
     eta = 1.0 - alpha
     owners = np.asarray(owners)
     scaled = tables[owners]
-    # per mode j: c and dc along its levels' axis, h_j, and D's factor η_j^{m_j/2}
+    # per mode j: c along its levels' axis and D's factor η_j^{m_j/2}, and
+    # with the derivatives dc and h_j
     c, dc, h = [], [], []
     for j, d in enumerate(levels):
         _, k, half_k, k_minus_one = _root_binomials(d - 1)
         axes = (n,) + (1,) * j + (d,) + (1,) * (modes - j)
         a, e = alpha[:, j, None], eta[:, j, None]
         c.append((a**k).reshape(axes))
-        dc.append((k * a**k_minus_one).reshape(axes))
-        h.append(half_k / e)
+        if derivatives:
+            dc.append((k * a**k_minus_one).reshape(axes))
+            h.append(half_k / e)
         scaled *= (e**half_k).reshape(axes)
     spectra = spectra[owners].reshape((n,) + (1,) * modes + (-1,))
     scaled = scaled.reshape(n, math.prod(levels), -1)
@@ -342,39 +345,37 @@ def point_output_and_alpha_derivatives(state: TwoModeState, params: ChiralParams
 
 
 def mode_population_pass(populations, alpha) -> tuple:
-    """One mode's loss output populations p, their exact ∂p/∂α and the
-    conditional output means u, one row per absorption.
+    """One mode's loss output populations p and conditional output means
+    u, one row per absorption.
 
     Loss maps a mode's populations among themselves, p[m] = Σ_k T[m, m+k]
     q[m+k] from the input populations q, with T[m, m+k] = C(m+k, k) η^m α^k
     = α^k g², g = √C(m+k, k) η^{m/2}: the diagonal of the loss map, so the
-    photon statistics never need the coherences.  ∂T/∂α = k α^{k−1} g² −
-    T m/η gives ∂p/∂α, and u[n] = Σ_m m T[m, n] is the mean count that input
-    level n leaves.  T is held as its upper-triangle values per absorption,
-    with α^k, k α^{k−1} and η^{m/2} gathered from tables of cutoff + 1
-    powers and the triangle and its segments from ``fock._transfer_segments``; no
-    (B, d, d) stack is formed.  Each sum runs along one absorption's row
-    (``np.add.reduceat``), so a point's bits do not depend on the points
-    beside it.  ``populations`` has cutoff + 1 levels and ``alpha`` is a
-    (B,) array: three (B, cutoff + 1) results.
+    photon statistics never need the coherences.  u[n] = Σ_m m T[m, n] is
+    the mean count that input level n leaves.  T is held as its
+    upper-triangle values per absorption, with α^k and η^{m/2} gathered
+    from tables of cutoff + 1 powers and the triangle and its segments from
+    ``fock._transfer_segments``; no (B, d, d) stack is formed.  Each sum
+    runs along one absorption's row (``np.add.reduceat``), so a point's
+    bits do not depend on the points beside it.  ∂p/∂α needs no pass of
+    its own: ``loss_population_slope`` reads it from p.  ``populations``
+    has cutoff + 1 levels and ``alpha`` is a (B,) array: two (B, cutoff +
+    1) results.
     """
     populations = np.asarray(populations, dtype=float)
     cutoff = len(populations) - 1
-    _, k, half_k, k_minus_one = _root_binomials(cutoff)
+    _, k, half_k, _ = _root_binomials(cutoff)
     rows, cols, root, lost, row_starts, by_column, column_starts = _transfer_segments(cutoff)
     alpha = np.asarray(alpha, dtype=float)[:, None]
-    eta = 1.0 - alpha
-    g = root * (eta**half_k)[:, rows]
-    # T and the α^k part of ∂T/∂α, side by side so that one pass sums both
-    terms = np.empty((2, *g.shape))
-    for powers, out in ((alpha**k, terms[0]), (k * alpha**k_minus_one, terms[1])):
-        np.multiply(powers[:, lost], g, out=out)
-        out *= g
-    u = np.add.reduceat((terms[0] * rows)[:, by_column], column_starts, axis=1)
-    terms *= populations[cols]
-    p, d_p = np.add.reduceat(terms, row_starts, axis=2)
-    d_p -= k / eta * p
-    return p, d_p, u
+    # g and T = α^k g² in two (B, M) buffers, the first reused for m T
+    g = ((1.0 - alpha) ** half_k)[:, rows]
+    g *= root
+    transfer = (alpha**k)[:, lost]
+    transfer *= g
+    transfer *= g
+    u = np.add.reduceat(np.multiply(transfer, rows, out=g)[:, by_column], column_starts, axis=1)
+    transfer *= populations[cols]
+    return np.add.reduceat(transfer, row_starts, axis=1), u
 
 
 def loss_population_slope(p, alpha, axis: int = -1) -> np.ndarray:

@@ -44,10 +44,12 @@ common absorption, an absorption that recurs across points, or a phase
 sweep is solved once and gathered back to each point; both inversions
 share this.  Loss maps a coherent state to a coherent state, so a coherent
 mode's output support is one vector: such a problem is solved from its
-top eigenpair, found by power steps, and one linear solve
-(``_rank_one_qfim``), any other (the photon pair's interior) by an
-eigensolve; ``_mode_qfims`` applies the rule, and ``GridBounds.meta``
-counts the problems each route solved.  Any other input is solved block
+top eigenpair, found by power steps, with no linear solve, the inverse of
+ρ + λ expanded about λtt† (``_rank_one_qfim``), and any other by an
+eigensolve.  For φ alone, which is all the two-block inversion asks of a
+mode, an output with no coherence (every output of a Fock product) has φ
+information 0 and takes neither.  ``_mode_qfims`` applies the rule, and
+``GridBounds.meta`` counts the problems each route solved.  Any other input is solved block
 by block, over a stack of the output blocks that the input's nonzero
 pattern fixes (``TwoModeState.output_blocks``), with the blocks' QFIMs
 summed.  Both take their outputs from one call of the loss kernel
@@ -221,7 +223,9 @@ class GridBounds:
     defined where ``identifiable``, and where F vanishes.  ``meta`` names
     the route, the inversion (``two_block`` or ``general``) and the state,
     and for a product input how many distinct single-mode problems each
-    route solved (``rank_one_problems``, ``eigensolved_problems``).
+    route solved (``rank_one_problems``, ``eigensolved_problems``, and on
+    the two-block inversion ``diagonal_problems``, outputs with no
+    coherence).
     ``grid_bounds[b]`` is point b as one ``QfimResult``, for an int b;
     slice the arrays themselves for a part of the grid."""
 
@@ -432,11 +436,12 @@ def _native_pullback(param_labels: tuple) -> np.ndarray:
     return b
 
 
-def _block_stack(input_state: TwoModeState, grid: ParamGrid, derivatives: bool) -> tuple:
+def _block_stack(input_state: TwoModeState, grid: ParamGrid, derivatives: bool, which) -> tuple:
     """A dense input's checked loss outputs (B, dim, dim) at each grid
-    point, their blocks, and with ``derivatives`` those of their ∂/∂α₊,
-    ∂/∂α₋, as a (1 or 3, K·B, s, s) stack, and ∂/∂φ₊, ∂/∂φ₋ of the output
-    blocks (2, K·B, s, s).
+    point, the blocks ``which`` (an index into ``output_blocks``) of each,
+    and with ``derivatives`` those of their ∂/∂α₊, ∂/∂α₋, as a (1 or 3,
+    K·B, s, s) stack, and ∂/∂φ₊, ∂/∂φ₋ of those output blocks (2, K·B, s,
+    s).
 
     Loss keeps each mode's coherence order, so every output is block
     diagonal in the ``output_blocks`` of the input.  The blocks of each
@@ -445,7 +450,8 @@ def _block_stack(input_state: TwoModeState, grid: ParamGrid, derivatives: bool) 
     Hermitian and in the trace window, and the ∂/∂φ± come from the checked
     blocks and each gathered level's (n₊, n₋).
     """
-    blocks, levels, phase_generators = input_state.output_blocks
+    _, levels, phase_generators = input_state.output_blocks
+    levels, phase_generators = levels[which], phase_generators[:, which]
     dim, size = input_state.space.dim, levels.shape[-1]
     loss = grid_output_and_alpha_derivatives(
         input_state, grid.alpha_plus, grid.alpha_minus, derivatives
@@ -470,7 +476,7 @@ def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray
     point gives 0 there.  A fully coherent input is one block, the whole
     output.
     """
-    _, (output, d_plus, d_minus), d_phi = _block_stack(input_state, grid, derivatives=True)
+    _, (output, d_plus, d_minus), d_phi = _block_stack(input_state, grid, True, slice(None))
     modes = len(input_state.output_blocks.blocks)
     f = _eigenbasis_qfim(output, [d_plus, d_minus, *d_phi], pullback, modes, allow_empty=True)
     return f.reshape(modes, len(grid), *f.shape[1:]).sum(axis=0), {}
@@ -527,17 +533,22 @@ def _rank_one_qfim(rho, lam, t, d_alpha=None) -> np.ndarray:
 
     The support pairs are (t, k) for every eigenvector k of ρ, so
     ``_eigenbasis_qfim``'s sum is F_xy = 4 Re u_x†(ρ + λ)⁻¹u_y − a_x a_y/λ,
-    u_x = (∂ρ/∂x)t and a_x = t†u_x: one solve per problem, of a matrix with
-    condition number at most 2.  u_φ = −i[n, ρ]t = −i(λ n∘t − ρ(n∘t)) is
-    carried without its −i, which turns the cross entry into Im; in real
-    arithmetic it is exactly 0.
+    u_x = (∂ρ/∂x)t and a_x = t†u_x.  ρ = λtt† + E with ‖E‖_F ≤ θ/2 =
+    5e-11·λ, and (λ(1 + tt†))⁻¹ = P/λ, P = 1 − ½tt†, so with no solve
+    (ρ + λ)⁻¹u = Pu/λ − P E Pu/λ², E Pu = ρPu − ½λ t a, short of a term of
+    order (5e-11)²·|u|/λ, below rounding.  u_φ = −i[n, ρ]t = −i(λ n∘t −
+    ρ(n∘t)) is carried without its −i, which turns the cross entry into Im;
+    in real arithmetic it is exactly 0.
     """
     nt = np.arange(rho.shape[-1])[:, None] * t
     u = lam * nt - rho @ nt
     if d_alpha is not None:
         u = np.concatenate((d_alpha @ t, u), axis=2)
-    x = np.linalg.solve(rho + lam * np.eye(rho.shape[-1]), u)
     a = adjoint(u) @ t
+    half_ta = 0.5 * (t @ adjoint(a))  # ½ t t†u
+    pu = u - half_ta
+    e_pu = rho @ pu - lam * half_ta
+    x = pu / lam - (e_pu - t @ (0.5 * (adjoint(t) @ e_pu))) / lam**2
     h = 4.0 * (adjoint(u) @ x) - (a @ adjoint(a)) / lam
     f = np.ascontiguousarray(h.real)
     if d_alpha is not None:
@@ -550,30 +561,46 @@ def _mode_qfims(output, hermitian, d_alpha, generator) -> tuple:
     ``d_alpha`` None their φ QFIMs (N, 1, 1), from their loss outputs as the
     kernel gives them and as ``require_hermitian`` returns them, their ∂/∂α
     and the phase generator of their levels; with the number of problems
-    solved as rank one and by eigensolve.
+    solved as rank one, by eigensolve and, for φ alone, as diagonal.
 
-    A problem whose output support is one vector (``_top_eigenpairs``), as
-    loss makes of every coherent input, takes ``_rank_one_qfim``; any
-    other takes ``_eigenbasis_qfim``, with its ∂ρ/∂φ formed for it alone,
-    where the support cut refuses an output with no positive eigenvalue.
-    Both solve each problem on its own, so its bits do not depend on the
-    rest of the stack.
+    For φ alone, an output with no nonzero coherence, as loss makes of
+    every Fock-product input, has ∂ρ/∂φ = G∘ρ = 0 and so information 0
+    exactly, with no eigenpair formed; the support cut still refuses it
+    with no positive population.  A problem whose output support is one
+    vector (``_top_eigenpairs``), as loss makes of every coherent input,
+    takes ``_rank_one_qfim``; any other takes ``_eigenbasis_qfim``, with its
+    ∂ρ/∂φ formed for it alone, where the support cut refuses an output with
+    no positive eigenvalue.  Each problem is solved on its own, so its bits
+    do not depend on the rest of the stack.
     """
-    lam, t, rank_one = _top_eigenpairs(hermitian)
     size = 1 if d_alpha is None else 2
-    f = np.empty((len(output), size, size))
+    f = np.zeros((len(output), size, size))
+    todo, counts = np.arange(len(output)), {}
+    if d_alpha is None:
+        coherence = np.count_nonzero(output, axis=(1, 2)) > np.count_nonzero(
+            output.diagonal(0, 1, 2), axis=1
+        )
+        counts["diagonal_problems"] = len(output) - int(np.count_nonzero(coherence))
+        if counts["diagonal_problems"]:
+            # a diagonal output's eigenvalues are its populations
+            _support_threshold(hermitian[~coherence].diagonal(0, 1, 2).real.max(1, keepdims=True))
+            if not coherence.any():
+                return f, {"rank_one_problems": 0, "eigensolved_problems": 0, **counts}
+            todo = np.flatnonzero(coherence)
+            output, hermitian = output[todo], hermitian[todo]
+    lam, t, rank_one = _top_eigenpairs(hermitian)
     one, rest = np.flatnonzero(rank_one), np.flatnonzero(~rank_one)
     if len(one):
         d_one = None if d_alpha is None else d_alpha[one]
-        f[one] = _rank_one_qfim(hermitian[one], lam[one], t[one], d_one)
+        f[todo[one]] = _rank_one_qfim(hermitian[one], lam[one], t[one], d_one)
     if len(rest):
         # ∂ρ/∂φ of the unsymmetrized output: an unpadded mode then gets the
         # same bits as when it is solved alone
         mats = [generator * output[rest]]
         if d_alpha is not None:
             mats.insert(0, d_alpha[rest])
-        f[rest] = _eigenbasis_qfim(hermitian[rest], mats)
-    return f, {"rank_one_problems": len(one), "eigensolved_problems": len(rest)}
+        f[todo[rest]] = _eigenbasis_qfim(hermitian[rest], mats)
+    return f, {"rank_one_problems": len(one), "eigensolved_problems": len(rest), **counts}
 
 
 def _product_stack(input_state: TwoModeState, grid: ParamGrid, derivatives: bool) -> tuple:
@@ -910,18 +937,16 @@ def _dense_blocks(input_state: TwoModeState, grid: ParamGrid) -> tuple:
     output's diagonal, with ∂p/∂α± from p along each mode's levels
     (``channel.loss_population_slope``); each level is one piece.  The φ
     block is ``_eigenbasis_qfim`` on ∂ρ/∂φ± of the output blocks, in native
-    φ, summed over the blocks.
+    φ, summed over the blocks; only the blocks that hold a coherence are
+    gathered, since ∂ρ/∂φ± vanishes on the others.
     """
-    output, (stack,), d_phi = _block_stack(input_state, grid, derivatives=False)
-    blocks, points = input_state.output_blocks.blocks, len(grid)
-    space, size = input_state.space, stack.shape[-1]
+    blocks, space, points = input_state.output_blocks.blocks, input_state.space, len(grid)
     levels = (space.cutoff_plus + 1, space.cutoff_minus + 1)
     coherent, held = _block_levels(blocks, levels[1])
+    output, (stack,), d_phi = _block_stack(input_state, grid, False, coherent)
     f_phi = np.zeros((points, 2, 2))
     if len(coherent):
-        stack = stack.reshape(len(blocks), points, size, size)[coherent].reshape(-1, size, size)
-        d_phi = d_phi.reshape(2, len(blocks), points, size, size)[:, coherent]
-        f = _eigenbasis_qfim(stack, list(d_phi.reshape(2, -1, size, size)), None, len(coherent))
+        f = _eigenbasis_qfim(stack, list(d_phi), None, len(coherent))
         f_phi = f.reshape(len(coherent), points, 2, 2).sum(axis=0)
     p = output.diagonal(0, 1, 2).real.reshape(points, *levels)
     g = np.empty((*p.shape, 2))

@@ -10,9 +10,10 @@ vanishing derivatives, closed-form domain limits, failed numeric checks)
 never abort a sweep; they are recorded in the row's status column and the
 affected cells stay empty.
 
-The ``intensity_exact`` columns take one population pass per mode
-(``channel.mode_population_pass``): each mode's mean and slope come from
-its own output marginal, and each signal's variance, by the law of total
+The ``intensity_exact`` columns take one population pass
+(``channel.mode_population_pass``), or one per mode where the input
+populations are not symmetric: each mode's mean comes from its own output marginal, its
+slope from the mean, and each signal's variance, by the law of total
 variance, from the modes' binomial thinning and their conditional output
 means on the input populations, as sums of non-negative terms.
 
@@ -96,9 +97,10 @@ def _kind_to_dict(kind: InputStateKind) -> dict:
 
 
 def _kind_from_dict(payload: dict) -> InputStateKind:
-    kind = InputStateKind(kind=payload["kind"])
-    amps = (complex(*payload.get(amp, (0.0, 0.0))) for amp in ("amp_h", "amp_v"))
-    return kind if kind.probe.photons is not None else InputStateKind.coherent(*amps)
+    """The kind ``_kind_to_dict`` wrote; ``InputStateKind`` refuses an
+    amplitude given to a quantum kind."""
+    amps = {amp: complex(*payload[amp]) for amp in ("amp_h", "amp_v") if amp in payload}
+    return InputStateKind(kind=payload["kind"], **amps)
 
 
 @dataclass(frozen=True)
@@ -284,22 +286,26 @@ def _expected(marginal: np.ndarray) -> np.ndarray:
 def _intensity_moments(state: TwoModeState, grid: ParamGrid) -> tuple:
     """The variances of the signals n₊ − n₋ and n₊ + n₋ at each point of
     ``grid``, as a (2, B) array, and the signals' shared exact slope
-    ∂⟨n₊⟩/∂α₊ + ∂⟨n₋⟩/∂α₋, from one population pass per mode.
+    ∂⟨n₊⟩/∂α₊ + ∂⟨n₋⟩/∂α₋, from one population pass, or one per mode
+    where the input populations P are not symmetric.
 
     The phase stage leaves populations alone and loss acts on each mode
     alone, so ``mode_population_pass`` on each mode's input marginal gives
-    that mode's output marginal, with its mean and slope, and its
-    conditional means u.  Loss thins each input level binomially, so given
-    the input levels a mode's count has mean u[n] = nη and variance α u[n];
-    by the law of total variance Var(n₊ + s n₋) = α₊⟨n₊⟩ + α₋⟨n₋⟩ +
-    Σ P (w₊ + s w₋)² with w = u − ⟨n⟩, on the input populations P[n₊, n₋]:
-    ``diag rho``, or outer(diag ρ₊, diag ρ₋) from the factors of a product
-    input.  The trace 1 − Σ P that a truncated input leaves out counts as
-    vacuum, at w = −⟨n⟩, so each variance equals E[n²] − E[n]² on the
-    populations as they are.  Every variance is then a sum of non-negative
-    terms and keeps its relative precision where the counts are nearly
-    certain or the signal nearly noiseless.  Each mode's output trace must
-    stay in the state's window.
+    that mode's output marginal, with its mean, and its conditional means
+    u.  Where P is symmetric, as in every H-polarized probe, both modes
+    read one marginal, and one pass serves both modes' absorptions.  Loss
+    thins each input level binomially, so ⟨n⟩ = η Σ n q over the input
+    marginal q and its slope is −⟨n⟩/η; given the input levels a mode's
+    count has mean u[n] = nη and variance α u[n].  By the law of total
+    variance Var(n₊ + s n₋) = α₊⟨n₊⟩ + α₋⟨n₋⟩ + Σ P (w₊ + s w₋)² with w =
+    u − ⟨n⟩, on the input populations P[n₊, n₋]: ``diag rho``, or
+    outer(diag ρ₊, diag ρ₋) from the factors of a product input.  The trace
+    1 − Σ P that a truncated input leaves out counts as vacuum, at w =
+    −⟨n⟩, so each variance equals E[n²] − E[n]² on the populations as they
+    are.  Every variance is then a sum of non-negative terms and keeps its
+    relative precision where the counts are nearly certain or the signal
+    nearly noiseless.  Each mode's output trace must stay in the state's
+    window.
     """
     space = state.space
     if state.factors is None:
@@ -307,8 +313,13 @@ def _intensity_moments(state: TwoModeState, grid: ParamGrid) -> tuple:
     else:
         pops = np.outer(*(np.diag(factor).real for factor in state.factors))
     q_plus, q_minus = pops.sum(axis=1), pops.sum(axis=0)
-    p_plus, slope_plus, u_plus = mode_population_pass(q_plus, grid.alpha_plus)
-    p_minus, slope_minus, u_minus = mode_population_pass(q_minus, grid.alpha_minus)
+    if np.array_equal(pops, pops.T):
+        # both modes read q₊: one pass over both modes' absorptions
+        p, u = mode_population_pass(q_plus, np.concatenate((grid.alpha_plus, grid.alpha_minus)))
+        (p_plus, p_minus), (u_plus, u_minus) = np.split(p, 2), np.split(u, 2)
+    else:
+        p_plus, u_plus = mode_population_pass(q_plus, grid.alpha_plus)
+        p_minus, u_minus = mode_population_pass(q_minus, grid.alpha_minus)
     traces = np.concatenate([p_plus.sum(axis=1), p_minus.sum(axis=1)])
     require_trace_window(traces, state.trace_deficit_budget)
     mean_p, mean_m = _expected(p_plus), _expected(p_minus)
@@ -322,12 +333,12 @@ def _intensity_moments(state: TwoModeState, grid: ParamGrid) -> tuple:
     between = spread.reshape(2, len(grid), -1).sum(axis=2)
     signals = mean_p + _SIGNS[:, None] * mean_m
     variances = thinning_p + thinning_m + between + missing * signals**2
-    return variances, _expected(slope_plus) + _expected(slope_minus)
+    return variances, -(mean_p / grid.eta_plus + mean_m / grid.eta_minus)
 
 
 def _intensity_columns(state: TwoModeState, grid: ParamGrid) -> dict:
     """δx_d and δx_s from intensity measurement at each point of ``grid``,
-    by sweep quantity, from one population pass per mode.
+    by sweep quantity, from ``_intensity_moments``.
 
     Each is the signal's noise over its exact slope, NaN where the slope is
     below ``DERIVATIVE_FLOOR`` and the signal does not move.  The signal is

@@ -15,7 +15,10 @@ independent way:
   slice, against the factored loss kernel;
 * ``population_moments``: the intensity signals' variances and slopes, and
   the sensitivities, from the joint output populations T₊ P T₋ᵀ and their
-  α-derivatives, against the per-mode population pass.
+  α-derivatives, against the per-mode population pass;
+* ``rank_one_qfim_by_solve``: the QFIMs of rank-one single-mode problems by
+  one linear solve of (ρ + λ)x = u each, against the package's expansion of
+  that inverse about λtt†.
 
 ``mode_output_and_alpha_derivative`` runs the package's loss kernel on one
 mode's matrix, for the tests that solve a single mode alone.
@@ -44,6 +47,7 @@ from chiral_qfim.estimation import (
 )
 from chiral_qfim.experiments import DERIVATIVE_FLOOR
 from chiral_qfim.fock import _root_binomials, mode_factor_tables, require_trace_window
+from chiral_qfim.linalg import adjoint
 
 FD_STEP_SCALE = 1e-5
 
@@ -232,3 +236,20 @@ def population_moments(state, grid) -> tuple:
         variances.append(variance)
         slopes.append(derivative)
     return np.array(variances), np.array(slopes), columns
+
+
+def rank_one_qfim_by_solve(rho, lam, t, d_alpha=None) -> np.ndarray:
+    """``estimation._rank_one_qfim`` by one solve per problem: F_xy = 4 Re
+    u_x†(ρ + λ)⁻¹u_y − a_x a_y/λ, u_x = (∂ρ/∂x)t, a_x = t†u_x, with u_φ
+    carried without its −i, so that the (α, φ) entry is Im."""
+    nt = np.arange(rho.shape[-1])[:, None] * t
+    u = lam * nt - rho @ nt
+    if d_alpha is not None:
+        u = np.concatenate((d_alpha @ t, u), axis=2)
+    x = np.linalg.solve(rho + lam * np.eye(rho.shape[-1]), u)
+    a = adjoint(u) @ t
+    h = 4.0 * (adjoint(u) @ x) - (a @ adjoint(a)) / lam
+    f = np.ascontiguousarray(h.real)
+    if d_alpha is not None:
+        f[:, 0, 1] = f[:, 1, 0] = h[:, 0, 1].imag
+    return f

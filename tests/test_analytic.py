@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chiral_qfim import analytic
 from chiral_qfim.analytic import (
     INTENSITY_MEASUREMENT,
     PROBES,
@@ -714,6 +715,24 @@ def test_grid_sensitivity_check_names_the_first_bad_value():
     with pytest.raises(ValueError) as grid:
         noon_grid(ParamGrid([PARAMS_REF, gain]))
     assert str(grid.value) == str(scalar.value)
+
+
+def test_the_noon_bound_form_forms_no_intensity(monkeypatch):
+    # the probe's bound form, which qfim_analytic reads, gives noon_grid's
+    # bounds without forming the intensity values that noon_grid checks first
+    points = [PARAMS_REF, ChiralParams(0.0, 0.2), ChiralParams(0.1, 0.35, 0.4, 0.0)]
+    bounds, _ = noon_grid(ParamGrid(points))
+
+    def refuse(grid):
+        raise AssertionError("the bound form formed the intensity values")
+
+    monkeypatch.setattr(analytic, "noon_intensity_grid", refuse)
+    kind = InputStateKind(kind=NOON_HV)
+    alone = PROBES[NOON_HV].bound(kind, ParamGrid(points))
+    for b in range(len(points)):
+        assert alone.report(b) == bounds.report(b)
+    with pytest.raises(DomainError, match="must be positive"):
+        PROBES[NOON_HV].bound(kind, ParamGrid([PARAMS_REF, _out_of_domain(1.5)]))
 
 
 def test_noon_grid_gives_no_covariance_where_both_modes_are_lossless():

@@ -36,6 +36,7 @@ from chiral_qfim.fock import (
 )
 from chiral_qfim.linalg import real_if_exact
 from oracles import (
+    _population_transfer,
     finite_difference,
     kraus_loss,
     mode_output_and_alpha_derivative,
@@ -395,7 +396,9 @@ def test_sweep_takes_one_stacked_numeric_pass_and_one_intensity_pass_per_mode(mo
             space.cutoff_minus,
         ]
 
-    # the intensity route propagates populations only, and one pass serves both targets
+    # the intensity route propagates populations only, and one pass serves
+    # both modes of the H-polarized probe, which read one marginal, and both
+    # targets
     _refuse_dense_propagation(monkeypatch)
     spec = experiments.SweepSpec(
         input_state=InputStateKind.noon_hv(),
@@ -408,7 +411,7 @@ def test_sweep_takes_one_stacked_numeric_pass_and_one_intensity_pass_per_mode(mo
     )
     cutoffs.clear()
     rows = experiments.run_sweep(spec)
-    assert cutoffs == [2, 2]
+    assert cutoffs == [2]
     for row in rows:
         assert row.status == ()
         for target in ("x_d", "x_s"):
@@ -436,12 +439,12 @@ def _loss_weights_by_comb(cutoff, alpha):
 
 def transfer_by_columns(cutoff, alpha):
     """One mode's transfer matrix T, ∂T/∂α and conditional means u at one
-    absorption, column j of T and ∂T/∂α the population pass's output for
-    the basis population e_j: exact, since every other term of each sum
-    is 0."""
+    absorption: column j of T the population pass's output for the basis
+    population e_j, exact, since every other term of each sum is 0, and
+    column j of ∂T/∂α its ``loss_population_slope``."""
     passes = [mode_population_pass(level, [alpha]) for level in np.eye(cutoff + 1)]
-    transfer, d_transfer = (np.array([part[i][0] for part in passes]).T for i in range(2))
-    return transfer, d_transfer, passes[0][2][0]
+    transfer = np.array([p[0] for p, _ in passes]).T
+    return transfer, loss_population_slope(transfer, alpha, axis=0), passes[0][1][0]
 
 
 @pytest.mark.parametrize("cutoff", [0, 1, 12, 70, 100])
@@ -466,15 +469,17 @@ def test_loss_weights_match_binomial_formula(cutoff, alpha):
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 12, 70])
-def test_the_loss_slope_of_the_output_populations_is_the_pass_slope(cutoff):
+def test_the_loss_slope_of_the_output_populations_is_the_transfer_slope(cutoff):
     # dT[m, n]/dα = ((m + 1) T[m + 1, n] − m T[m, n])/η: the output
     # populations give their own slope, on a mode or along either mode of a
-    # joint population array
+    # joint population array, against ∂T/∂α formed as a dense matrix
     rng = np.random.default_rng(cutoff)
     inputs = [*np.eye(cutoff + 1)[[0, cutoff // 2, cutoff]], rng.random(cutoff + 1)]
     alphas = np.array([0.0, 1e-300, 1e-13, 0.3, 0.999, 1.0 - 1e-6])
+    _, d_transfer = _population_transfer(cutoff, alphas)
     for q in inputs:
-        p, d_p, _ = mode_population_pass(q, alphas)
+        p, _ = mode_population_pass(q, alphas)
+        d_p = d_transfer @ q
         slope = loss_population_slope(p, alphas[:, None])
         assert np.max(np.abs(slope - d_p)) <= 1e-14 * np.max(np.abs(d_p))
         # both modes read q at the same absorption
@@ -676,9 +681,10 @@ def test_population_transfer_is_the_diagonal_of_the_loss_map(alpha):
     transfer, d_transfer, _ = transfer_by_columns(5, alpha)
     np.testing.assert_allclose(transfer @ pops, np.diag(out), rtol=0, atol=1e-14)
     np.testing.assert_allclose(d_transfer @ pops, np.diag(d_out), rtol=0, atol=1e-14)
-    p, d_p, _ = mode_population_pass(pops, [alpha])
+    p, _ = mode_population_pass(pops, [alpha])
     np.testing.assert_allclose(p[0], np.diag(out), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(d_p[0], np.diag(d_out), rtol=0, atol=1e-14)
+    d_p = loss_population_slope(p[0], alpha)
+    np.testing.assert_allclose(d_p, np.diag(d_out), rtol=0, atol=1e-14)
 
 
 def test_loss_weights_past_int64_binomials():

@@ -413,6 +413,14 @@ def test_config_file_checks_each_value(capsys, tmp_path, payload, message):
     assert err.startswith(f"chiral-qfim: invalid input: {message}")
 
 
+@pytest.mark.parametrize("amp", ["amp_h", "amp_v"])
+def test_sweep_config_refuses_amplitudes_on_a_quantum_state(capsys, tmp_path, amp):
+    payload = {"state": "noon", amp: "1.0", "points": 3}
+    code, out, err = run_with_config(capsys, tmp_path, payload, "sweep")
+    assert code == EXIT_INVALID and out == ""
+    assert "--n0/--amp-h/--amp-v apply to --state coherent, not 'noon'" in err
+
+
 @pytest.mark.parametrize("key", ["config", "subcommand"])
 def test_config_file_refuses_the_config_and_subcommand_keys(capsys, tmp_path, key):
     code, out, err = run_with_config(capsys, tmp_path, {"state": "noon", key: "x"}, "bounds")

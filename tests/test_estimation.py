@@ -45,7 +45,12 @@ from chiral_qfim.fock import (
     mode_operators,
 )
 from chiral_qfim.linalg import require_hermitian
-from oracles import finite_difference, mode_output_and_alpha_derivative, sld_route_bounds
+from oracles import (
+    finite_difference,
+    mode_output_and_alpha_derivative,
+    rank_one_qfim_by_solve,
+    sld_route_bounds,
+)
 
 
 def coherent_state_n0(n0: float, space: FockSpace, budget: float = 1e-13):
@@ -643,17 +648,17 @@ def test_mode_factors_come_only_from_product_constructors():
 
 def test_per_mode_route_solves_single_modes_only(monkeypatch):
     state = uncapped_coherent(2.0, 0.0)
-    d = max(state.space.cutoff_plus, state.space.cutoff_minus) + 1
     n = len(CHIRAL_NAMES)
     calls = _record_linalg(monkeypatch)
     compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
     # the rank-one input is factored with no eigensolve; each mode's output
-    # is solved as rank one, and the native blocks need no eigensolve
-    assert calls == [("solve", (2, d, d))]
+    # is solved as rank one, with no linear solve, and the native blocks
+    # need no eigensolve
+    assert calls == []
     calls.clear()
     compute_bounds(general(state), PARAMS_REF, CHIRAL_NAMES)
     # the general route: the QFIM with its equilibrated form
-    assert calls == [("solve", (2, d, d)), ("eigh", (2, n, n))]
+    assert calls == [("eigh", (2, n, n))]
     calls.clear()
     dense = without_factors(state)
     compute_bounds(dense, PARAMS_REF, CHIRAL_NAMES)
@@ -770,11 +775,11 @@ def test_a_product_grid_takes_one_table_pass_and_one_mode_solve(monkeypatch):
     compute_bounds_grid(state, ParamGrid(STACK_POINTS), CHIRAL_NAMES)
     # the modes' six absorptions hold five distinct problems (α₊ = 0.6
     # twice), one absorption per stack entry at the common cutoff 17, each
-    # output of rank one and solved once, with no α-derivative: counting
-    # reads the outputs' populations, and the native blocks need no
-    # eigensolve
+    # output of rank one and solved once, with no linear solve and no
+    # α-derivative: counting reads the outputs' populations, and the native
+    # blocks need no eigensolve
     assert passes == [(17, (5,), False)]
-    assert calls == [("solve", (5, 18, 18))]
+    assert calls == []
     assert state.mode_inputs is inputs
     calls.clear()
     passes.clear()
@@ -783,10 +788,10 @@ def test_a_product_grid_takes_one_table_pass_and_one_mode_solve(monkeypatch):
     # equilibrated form, for the PSD check and the inversion at once
     b = len(STACK_POINTS)
     assert passes == [(17, (5,), True)]
-    assert calls == [("solve", (5, 18, 18)), ("eigh", (2 * b, 4, 4))]
+    assert calls == [("eigh", (2 * b, 4, 4))]
 
 
-def test_one_point_makes_one_solve_and_rebuilds_no_invariant(monkeypatch):
+def test_one_point_makes_no_linalg_call_and_rebuilds_no_invariant(monkeypatch):
     state = coherent_pm(*hv_to_pm_amplitudes(2.0, 0.0))
     caches = (
         estimation._native_pullback,
@@ -804,14 +809,15 @@ def test_one_point_makes_one_solve_and_rebuilds_no_invariant(monkeypatch):
     monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", recording_kernel)
     calls = _record_linalg(monkeypatch)
     first = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
-    # the rank-one mode stack, and no eigensolve for the native blocks
-    assert [name for name, _ in calls] == ["solve"]
+    # the rank-one mode stack with no linear solve, and no eigensolve for
+    # the native blocks
+    assert calls == []
     misses = [cache.cache_info().misses for cache in caches]
     second = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
     # the pullback, the block plan, the loss binomials and the transfer
     # segments come from their caches, and the kernel reads the loss tables
     # the state formed: both modes of an H-polarized probe read its one input
-    assert [name for name, _ in calls] == ["solve"] * 2
+    assert calls == []
     assert [cache.cache_info().misses for cache in caches] == misses
     assert state.mode_inputs is inputs
     assert read[1] is read[0] is inputs.tables and inputs.reads == (0, 0)
@@ -836,17 +842,17 @@ def test_the_phase_generators_are_formed_once_per_state(monkeypatch):
     monkeypatch.setattr(fock, "phase_generator", counting)
     calls = _record_linalg(monkeypatch)
     cases = (
-        (product, CHIRAL_NAMES, lambda: product.mode_inputs.phase_generator, "solve"),
-        (noon, QUANTUM_LABELS, lambda: noon.output_blocks.phase_generators, "eigh"),
+        (product, CHIRAL_NAMES, lambda: product.mode_inputs.phase_generator, []),
+        (noon, QUANTUM_LABELS, lambda: noon.output_blocks.phase_generators, ["eigh"]),
     )
-    for state, labels, read, output_solve in cases:
+    for state, labels, read, output_solves in cases:
         first = compute_bounds(state, PARAMS_REF, labels)
         formed = read()
         calls.clear()
         second = compute_bounds(state, PARAMS_REF, labels)
-        # the output stack, rank one per mode for the product, and no
-        # eigensolve for the native blocks
-        assert [name for name, _ in calls] == [output_solve]
+        # the output stack, rank one per mode with no linear solve for the
+        # product, and no eigensolve for the native blocks
+        assert [name for name, _ in calls] == output_solves
         assert read() is formed
         assert not formed.flags.writeable and formed.dtype == np.complex128
         with pytest.raises(ValueError, match="read-only"):
@@ -947,15 +953,15 @@ def test_a_figure_member_solves_each_distinct_mode_problem_once(
     # absorption makes one problem of each point's two, and along fig2a's
     # rows α₊ of one row is α₋ of another, to the bit
     spec = dict(experiments.figure_presets()[panel])[label]
-    d = experiments.prepare_input_state(spec.input_state).mode_inputs.tables.shape[1]
+    experiments.prepare_input_state(spec.input_state)
     solves = _record_solves(monkeypatch)
     calls = _record_linalg(monkeypatch)
     experiments.run_sweep(spec)
     assert solves == [problems]
     # the prepared state's rank-one input is factored with no eigensolve;
-    # every problem's output is rank one, and each is solved once; the
-    # native blocks need no eigensolve
-    assert calls == [("solve", (problems, d, d))]
+    # every problem's output is rank one, and each is solved once, with no
+    # linear solve; the native blocks need no eigensolve
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -1012,6 +1018,42 @@ def test_rank_one_route_matches_the_eigensolve_on_builder_probes_at_the_edges(ki
     assert result.passed and result.residual <= 1e-13
 
 
+def _assert_rank_one_matches_the_solve(output, d_alpha):
+    # with ∂ρ/∂α as the general route solves, and φ alone as the two-block
+    # route does: within 1e-14 of each problem's largest entry
+    hermitian = require_hermitian(output)
+    lam, t, rank_one = estimation._top_eigenpairs(hermitian)
+    assert rank_one.all()
+    for d in (d_alpha, None):
+        fast = estimation._rank_one_qfim(hermitian, lam, t, d)
+        solved = rank_one_qfim_by_solve(hermitian, lam, t, d)
+        scale = np.abs(solved).max(axis=(1, 2), keepdims=True)
+        assert (np.abs(fast - solved) <= 1e-14 * scale).all()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("d", [2, 3, 11, 25, 72])
+def test_rank_one_route_matches_the_linear_solve_on_seeded_rank_one_problems(d, kind):
+    rng = np.random.default_rng(d)
+    spectrum = np.concatenate((1e-12 * rng.random(d - 1), [1.0]))
+    _assert_rank_one_matches_the_solve(*seeded_problems(rng, d, 6, spectrum, kind))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        *(InputStateKind.coherent(math.sqrt(n0)) for n0 in (1.0, 4.0, 9.0, 60.0)),
+        InputStateKind.coherent(1.0, 0.5j),
+        InputStateKind.coherent(1.0, 1j),
+        InputStateKind.coherent(1.0, 0.5),
+    ],
+    ids=["h-1", "h-4", "h-9", "h-60", "elliptical", "circular", "complex-factors"],
+)
+def test_rank_one_route_matches_the_linear_solve_on_builder_probes_at_the_edges(kind):
+    output, d_alpha, _ = checks.mode_problems(kind, EDGE_ALPHAS)
+    _assert_rank_one_matches_the_solve(output, d_alpha)
+
+
 @pytest.mark.parametrize("ratio", [0.4e-10, 0.5e-10, 0.6e-10])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_mixtures_near_the_support_cut_take_the_eigensolve_and_keep_its_bits(ratio, kind):
@@ -1046,23 +1088,35 @@ def test_a_stack_that_mixes_both_routes_gives_each_problem_its_bits_alone():
         for b in range(len(output)):
             alone = [a[b : b + 1] for a in (output, hermitian, d_alpha)]
             assert np.array_equal(estimation._mode_qfims(*alone, generator)[0][0], f[b])
-    # and the whole product route, point by point against its grid row
+    # and the whole product route, point by point against its grid row: the
+    # general route solves (α, φ) on both routes, the two-block route φ
+    # alone, where every output of the pair is diagonal
     points = [ChiralParams(0.0, 0.3), ChiralParams(0.3, 0.0), ChiralParams(0.0, 0.0), PARAMS_REF]
-    grid = compute_bounds_grid(photon_pair(), ParamGrid(points), CHIRAL_NAMES)
-    assert grid.meta["rank_one_problems"] == 1 and grid.meta["eigensolved_problems"] == 3
-    for b, point in enumerate(points):
-        assert np.array_equal(compute_bounds(photon_pair(), point, CHIRAL_NAMES).F, grid.F[b])
+    for make_state, routes in ((lambda: general(photon_pair()), (1, 3, None)), (photon_pair, (0, 0, 4))):
+        grid = compute_bounds_grid(make_state(), ParamGrid(points), CHIRAL_NAMES)
+        assert _problem_counts_of(grid.meta) == routes
+        for b, point in enumerate(points):
+            assert np.array_equal(compute_bounds(make_state(), point, CHIRAL_NAMES).F, grid.F[b])
+
+
+def _problem_counts_of(meta) -> tuple:
+    """Problems solved as rank one, by eigensolve and as diagonal (None
+    where the route solves (α, φ), which a diagonal output does not skip)."""
+    return (
+        meta["rank_one_problems"],
+        meta["eigensolved_problems"],
+        meta.get("diagonal_problems"),
+    )
 
 
 def _problem_counts(state, points, labels=CHIRAL_NAMES):
-    meta = compute_bounds_grid(state, ParamGrid(points), labels).meta
-    return meta["rank_one_problems"], meta["eigensolved_problems"]
+    return _problem_counts_of(compute_bounds_grid(state, ParamGrid(points), labels).meta)
 
 
 @pytest.mark.parametrize("n0", [1.0, 4.0, 9.0])
 def test_check_1_grid_solves_every_mode_problem_as_rank_one(n0):
-    rank_one, eigensolved = _problem_counts(h_coherent(n0), CHECK_1_POINTS)
-    assert rank_one > 0 and eigensolved == 0
+    rank_one, eigensolved, diagonal = _problem_counts(h_coherent(n0), CHECK_1_POINTS)
+    assert rank_one > 0 and eigensolved == 0 and diagonal == 0
 
 
 def test_every_coherent_figure_member_solves_every_mode_problem_as_rank_one():
@@ -1079,27 +1133,48 @@ def test_every_coherent_figure_member_solves_every_mode_problem_as_rank_one():
         grid, _ = spec.param_grid()
         labels = default_param_labels(spec.input_state)
         meta = compute_bounds_grid(state, grid, labels).meta
-        assert meta["rank_one_problems"] > 0 and meta["eigensolved_problems"] == 0
+        rank_one, eigensolved, diagonal = _problem_counts_of(meta)
+        assert rank_one > 0 and eigensolved == 0 and diagonal == 0
 
 
 def test_a_bright_coherent_probe_solves_its_mode_problems_as_rank_one():
     # `bounds --state coherent --n0 60`: cutoff 71
     state = experiments.prepare_input_state(InputStateKind.coherent(math.sqrt(60.0)))
     point = ChiralParams.from_chiral(0.1, 0.3, 0.0, 0.0)
-    assert _problem_counts(state, [point]) == (2, 0)
+    assert _problem_counts(state, [point]) == (2, 0, 0)
 
 
 def test_the_photon_pair_interior_takes_the_eigensolve_and_dense_inputs_count_nothing():
     # check 1's grid reaches α₋ = 0 on its edge x_d = x_s, where the mode is
-    # |1⟩⟨1|: one distinct absorption, solved as rank one
+    # |1⟩⟨1|: one distinct absorption, solved as rank one on the general
+    # route; the two-block route solves φ alone, and every output of the
+    # pair is diagonal, with φ information 0 and no eigenpair
     interior = [p for p in CHECK_1_POINTS if p.alpha_minus > 0.0]
     assert len(interior) < len(CHECK_1_POINTS)
-    rank_one, eigensolved = _problem_counts(photon_pair(), interior)
-    assert rank_one == 0 and eigensolved > 0
-    assert _problem_counts(photon_pair(), CHECK_1_POINTS)[0] == 1
+    rank_one, eigensolved, diagonal = _problem_counts(general(photon_pair()), interior)
+    assert rank_one == 0 and eigensolved > 0 and diagonal is None
+    assert _problem_counts(general(photon_pair()), CHECK_1_POINTS)[0] == 1
+    rank_one, eigensolved, diagonal = _problem_counts(photon_pair(), CHECK_1_POINTS)
+    assert rank_one == eigensolved == 0 and diagonal > 0
     noon = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
     meta = compute_bounds(noon, PARAMS_REF, QUANTUM_LABELS).meta
     assert "rank_one_problems" not in meta and meta["route"] == "eigenbasis"
+
+
+@pytest.mark.parametrize("label", ["fock_pair_xd0.005", "fock_pair_xd0.2"])
+def test_a_photon_pair_figure_member_makes_no_eigensolve(monkeypatch, label):
+    # each mode's output is diagonal: its φ information is 0 with no
+    # eigenpair, and counting reads the α block from its populations
+    spec = dict(experiments.figure_presets()["fig2a"])[label]
+    state = experiments.prepare_input_state(spec.input_state)
+    calls = _record_linalg(monkeypatch)
+    experiments.run_sweep(spec)
+    assert calls == []
+    grid, _ = spec.param_grid()
+    labels = default_param_labels(spec.input_state)
+    meta = compute_bounds_grid(state, grid, labels).meta
+    rank_one, eigensolved, diagonal = _problem_counts_of(meta)
+    assert rank_one == eigensolved == 0 and diagonal > 0
 
 
 @pytest.mark.parametrize("vary", ["delta", "sigma"])

@@ -1,6 +1,7 @@
 """Sweep engine: grids, moments, error propagation, CSV, comparisons."""
 
 import csv
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -58,7 +59,7 @@ from chiral_qfim.fock import (
     hv_to_pm_amplitudes,
     hv_to_pm_state,
 )
-from oracles import kraus_loss, population_moments
+from oracles import _population_transfer, kraus_loss, population_moments
 
 SP = InputStateKind.single_photon_h()
 NOON = InputStateKind.noon_hv()
@@ -122,6 +123,17 @@ def test_sweep_spec_json_round_trip():
     )
     assert SweepSpec.from_json(spec.to_json()) == spec
     assert SweepSpec.from_json(spec_for(NOON).to_json()) == spec_for(NOON)
+
+
+@pytest.mark.parametrize("amp", ["amp_h", "amp_v"])
+def test_sweep_spec_json_refuses_amplitudes_on_a_quantum_input(amp):
+    # as InputStateKind(kind="noon_hv", amp_h=1.0) refuses them, never dropped
+    payload = json.loads(spec_for(NOON).to_json())
+    payload["input"][amp] = [1.0, 0.0]
+    with pytest.raises(ValueError, match="amplitudes only apply to the coherent kind"):
+        SweepSpec.from_json(json.dumps(payload))
+    with pytest.raises(ValueError, match="amplitudes only apply to the coherent kind"):
+        InputStateKind(kind=NOON.kind, **{amp: 1.0})
 
 
 def test_param_grid_common_alpha():
@@ -922,6 +934,37 @@ def _coarse_members():
         yield label, replace(spec, points=7)
     for label, spec in presets["fig2a"]:
         yield f"{label}@alpha_minus=0", replace(spec, start=spec.fixed["x_d"], points=7)
+
+
+@pytest.mark.parametrize("name", list(POPULATION_PROBES))
+def test_an_h_probe_takes_one_population_pass_and_an_elliptical_one_two(monkeypatch, name):
+    # both modes of an H-polarized probe read one marginal: one pass over
+    # both modes' absorptions; the slope comes from the means, −⟨n⟩/η, and
+    # matches Σ m ∂p/∂α with ∂p from the dense ∂T/∂α to 1e-15
+    state = prepare_input_state(POPULATION_PROBES[name])
+    widths = 2 if name in ("elliptical", "circular") else 1
+    grid = ParamGrid(
+        [ChiralParams(a, b, 0.3, 0.1) for a in EDGE_ABSORPTIONS for b in (*EDGE_ABSORPTIONS, 0.6)]
+    )
+    calls, population_pass = [], experiments.mode_population_pass
+
+    def counting(populations, alpha):
+        calls.append(len(alpha))
+        return population_pass(populations, alpha)
+
+    monkeypatch.setattr(experiments, "mode_population_pass", counting)
+    _, slope = experiments._intensity_moments(state, grid)
+    assert calls == [2 * len(grid) // widths] * widths
+    space = state.space
+    if state.factors is None:
+        pops = np.diag(state.rho).real.reshape(space.cutoff_plus + 1, space.cutoff_minus + 1)
+    else:
+        pops = np.outer(*(np.diag(factor).real for factor in state.factors))
+    expected = 0.0
+    for q, alpha in ((pops.sum(axis=1), grid.alpha_plus), (pops.sum(axis=0), grid.alpha_minus)):
+        _, d_transfer = _population_transfer(len(q) - 1, alpha)
+        expected = expected + ((d_transfer @ q) * np.arange(len(q))).sum(axis=1)
+    assert np.all(np.abs(slope - expected) <= 1e-15 * np.abs(expected))
 
 
 @pytest.mark.parametrize("label, spec", list(_coarse_members()), ids=lambda v: str(v)[:40])

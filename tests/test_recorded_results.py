@@ -1,4 +1,4 @@
-"""One-point results recorded from an earlier build, as ``float.hex``.
+"""One-point and sweep results recorded from an earlier build, as ``float.hex``.
 
 A change that only reorganizes the numeric pipeline must not move its
 numbers.  ``one_point_results.json`` holds F, F⁻¹, the bounds, the
@@ -6,16 +6,21 @@ identifiable flags and the parameter groups of ``compute_bounds`` at a few
 points of each probe the package builds, with default and native labels.
 F, F⁻¹ and the bounds are compared at 1e-13 relative, entry (i, j) on the
 scale sqrt(|X_ii X_jj|) of its matrix, so another BLAS build still passes;
-the flags and groups must match exactly.
+the flags and groups must match exactly.  ``sweep_results.json`` holds
+every tenth row of each member sweep of the ``fig2a`` and ``fig4``
+presets (``run_sweep``): each numeric cell, compared at 1e-13 relative,
+empty cells empty, and the row's status, which must match exactly.
 
-To record the file again, from the build whose numbers are the reference:
+To record a file again, from the build whose numbers are the reference:
 
-    PYTHONPATH=src python tests/test_recorded_results.py
+    PYTHONPATH=src python tests/test_recorded_results.py one-point
+    PYTHONPATH=src python tests/test_recorded_results.py sweeps
 """
 
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ import pytest
 from chiral_qfim.analytic import COHERENT, FOCK_ONE_PLUS_ONE_MINUS, default_param_labels
 from chiral_qfim.channel import ALPHA_PHI_NAMES, ChiralParams
 from chiral_qfim.estimation import compute_bounds
+from chiral_qfim.experiments import figure_presets, run_sweep
 from chiral_qfim.fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
@@ -35,6 +41,7 @@ from chiral_qfim.fock import (
 )
 
 RECORD = pathlib.Path(__file__).with_name("one_point_results.json")
+SWEEP_RECORD = pathlib.Path(__file__).with_name("sweep_results.json")
 RTOL = 1e-13
 
 
@@ -129,6 +136,64 @@ def test_one_point_results_match_the_record(key, make_state, labels, point):
     assert [list(group) for group in result.blocks] == entry["blocks"]
 
 
-if __name__ == "__main__":
+SWEEP_PANELS = ("fig2a", "fig4")
+SWEEP_STRIDE = 10
+
+
+def _sweep_members():
+    """(key, spec) for every member sweep of the recorded panels."""
+    presets = figure_presets()
+    for panel in SWEEP_PANELS:
+        for label, spec in presets[panel]:
+            yield f"{panel}/{label}", spec
+
+
+def _sweep_entry(spec) -> dict:
+    """Every SWEEP_STRIDE-th row of the sweep: its cells as ``float.hex``,
+    None where empty, and its status flags joined by ";"."""
+    table = run_sweep(spec)
+    rows = range(0, len(table), SWEEP_STRIDE)
+    cells = {
+        column: [None if math.isnan(v) else float(v).hex() for v in values[::SWEEP_STRIDE].tolist()]
+        for column, values in table.columns.items()
+    }
+    return {"rows": list(rows), "columns": cells, "status": [";".join(table.status[i]) for i in rows]}
+
+
+SWEEP_RECORDED = json.loads(SWEEP_RECORD.read_text()) if SWEEP_RECORD.exists() else {}
+
+
+@pytest.mark.parametrize(
+    "key, spec", [pytest.param(*member, id=member[0]) for member in _sweep_members()]
+)
+def test_sweep_results_match_the_record(key, spec):
+    entry, recorded = _sweep_entry(spec), SWEEP_RECORDED[key]
+    assert entry["rows"] == recorded["rows"]
+    assert entry["status"] == recorded["status"]
+    assert list(entry["columns"]) == list(recorded["columns"])
+    for column, cells in recorded["columns"].items():
+        for row, value, cell in zip(recorded["rows"], entry["columns"][column], cells):
+            where = f"{key} {column} row {row}"
+            if cell is None:
+                assert value is None, where
+            else:
+                cell = float.fromhex(cell)
+                assert value is not None, where
+                assert abs(float.fromhex(value) - cell) <= RTOL * abs(cell), where
+
+
+def _record_one_point():
     lines = (f"{json.dumps(key)}: {json.dumps(_entry(_result(*case)))}" for key, *case in _cases())
     RECORD.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def _record_sweeps():
+    lines = (f"{json.dumps(key)}: {json.dumps(_sweep_entry(spec))}" for key, spec in _sweep_members())
+    SWEEP_RECORD.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+if __name__ == "__main__":
+    recorders = {"one-point": _record_one_point, "sweeps": _record_sweeps}
+    if len(sys.argv) != 2 or sys.argv[1] not in recorders:
+        sys.exit(f"usage: {sys.argv[0]} {{{','.join(recorders)}}}")
+    recorders[sys.argv[1]]()
