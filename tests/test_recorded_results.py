@@ -7,9 +7,9 @@ points of each probe the package builds, with default and native labels.
 F, F⁻¹ and the bounds are compared at 1e-13 relative, entry (i, j) on the
 scale sqrt(|X_ii X_jj|) of its matrix, so another BLAS build still passes;
 the flags and groups must match exactly.  ``sweep_results.json`` holds
-every tenth row of each member sweep of the ``fig2a`` and ``fig4``
-presets (``run_sweep``): each numeric cell, compared at 1e-13 relative,
-empty cells empty, and the row's status, which must match exactly.
+every tenth row of each member sweep of every figure preset
+(``run_sweep``): each numeric cell, compared at 1e-13 relative, empty
+cells empty, and the row's status, which must match exactly.
 
 To record a file again, from the build whose numbers are the reference:
 
@@ -136,15 +136,13 @@ def test_one_point_results_match_the_record(key, make_state, labels, point):
     assert [list(group) for group in result.blocks] == entry["blocks"]
 
 
-SWEEP_PANELS = ("fig2a", "fig4")
 SWEEP_STRIDE = 10
 
 
 def _sweep_members():
-    """(key, spec) for every member sweep of the recorded panels."""
-    presets = figure_presets()
-    for panel in SWEEP_PANELS:
-        for label, spec in presets[panel]:
+    """(key, spec) for every member sweep of every figure preset."""
+    for panel, members in figure_presets().items():
+        for label, spec in members:
             yield f"{panel}/{label}", spec
 
 
