@@ -17,12 +17,12 @@ and a fixed-step RK4 integration of the Lindblad generator.  The Kraus
 engine is the oracle for everything downstream; the RK4 engine exists
 to check it.  Loss has one kernel, ``factored_output_and_alpha_derivative``:
 a product input's factors call it one mode at a time, any other input on
-the two-mode table of its matrix.  Photon statistics read only the
-populations, which loss maps among themselves one mode at a time:
-``mode_population_pass`` gives a mode's output marginal and its
-conditional output means from the upper triangle of the binomial transfer
-matrix, with no (B, d, d) stack; ``loss_population_slope`` gives ∂p/∂α
-of any output's populations from those populations alone.
+the two-mode table of its matrix.  Loss maps populations among
+themselves one mode at a time, by binomial thinning, so photon
+statistics follow from the input populations with no pass over the
+transfer matrix (``experiments._intensity_moments``), and
+``loss_population_slope`` gives ∂p/∂α of any output's populations from
+those populations alone.
 
 Loss and phase commute, and the phase stage is a unitary diagonal in the
 number basis, so it leaves every QFIM unchanged: the loss engine takes the
@@ -37,13 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    FockSpace,
-    TwoModeState,
-    _root_binomials,
-    _transfer_segments,
-    phase_generator,
-)
+from .fock import FockSpace, TwoModeState, _root_binomials, phase_generator
 from .linalg import hermiticity_defect
 
 COORDS_ALPHA_PHI = "alpha_phi"
@@ -176,16 +170,24 @@ class ParamGrid:
         """The grid of the points ``ChiralParams.from_chiral`` accepts, and
         per point None or the message it raises there: checked elementwise,
         with the message formed, as ChiralParams forms it, only at a
-        rejected point."""
-        coords = np.broadcast_arrays(x_s + x_d, x_s - x_d, (sigma + delta) / 2, (sigma - delta) / 2)
-        coords = np.array(coords, dtype=float)
-        ok = np.isfinite(coords).all(axis=0) & ((coords[:2] >= 0) & (coords[:2] < 1)).all(axis=0)
+        rejected point, from its first coordinate that fails."""
+        coords = np.empty((4, np.broadcast(x_d, x_s, delta, sigma).size))
+        coords[0], coords[1] = x_s + x_d, x_s - x_d
+        coords[2], coords[3] = (sigma + delta) / 2, (sigma - delta) / 2
+        # an absorption outside [0, 1), NaN included, or a phase not finite
+        bad = np.concatenate((~((coords[:2] >= 0) & (coords[:2] < 1)), ~np.isfinite(coords[2:])))
+        ok = ~bad.any(axis=0)
         errors = [None] * ok.size
-        for b in np.flatnonzero(~ok).tolist():
-            messages = map(_domain_message, ALPHA_PHI_NAMES, coords[:, b].tolist())
-            errors[b] = next(filter(None, messages))
-        grid = cls(())
-        grid.alpha_plus, grid.alpha_minus, grid.phi_plus, grid.phi_minus = coords[:, ok]
+        kept = coords
+        if not ok.all():
+            rejected = np.flatnonzero(~ok)
+            first = bad[:, rejected].argmax(axis=0)
+            found = coords[first, rejected].tolist()
+            for b, name, value in zip(rejected.tolist(), first.tolist(), found):
+                errors[b] = _domain_message(ALPHA_PHI_NAMES[name], value)
+            kept = coords[:, ok]
+        grid = cls.__new__(cls)  # filled here, with no sequence of points to convert
+        grid.alpha_plus, grid.alpha_minus, grid.phi_plus, grid.phi_minus = kept
         return grid, errors
 
 
@@ -342,40 +344,6 @@ def point_output_and_alpha_derivatives(state: TwoModeState, params: ChiralParams
         outside[np.ix_(block, block)] = False
     loss[:, outside] = 0.0
     return loss
-
-
-def mode_population_pass(populations, alpha) -> tuple:
-    """One mode's loss output populations p and conditional output means
-    u, one row per absorption.
-
-    Loss maps a mode's populations among themselves, p[m] = Σ_k T[m, m+k]
-    q[m+k] from the input populations q, with T[m, m+k] = C(m+k, k) η^m α^k
-    = α^k g², g = √C(m+k, k) η^{m/2}: the diagonal of the loss map, so the
-    photon statistics never need the coherences.  u[n] = Σ_m m T[m, n] is
-    the mean count that input level n leaves.  T is held as its
-    upper-triangle values per absorption, with α^k and η^{m/2} gathered
-    from tables of cutoff + 1 powers and the triangle and its segments from
-    ``fock._transfer_segments``; no (B, d, d) stack is formed.  Each sum
-    runs along one absorption's row (``np.add.reduceat``), so a point's
-    bits do not depend on the points beside it.  ∂p/∂α needs no pass of
-    its own: ``loss_population_slope`` reads it from p.  ``populations``
-    has cutoff + 1 levels and ``alpha`` is a (B,) array: two (B, cutoff +
-    1) results.
-    """
-    populations = np.asarray(populations, dtype=float)
-    cutoff = len(populations) - 1
-    _, k, half_k, _ = _root_binomials(cutoff)
-    rows, cols, root, lost, row_starts, by_column, column_starts = _transfer_segments(cutoff)
-    alpha = np.asarray(alpha, dtype=float)[:, None]
-    # g and T = α^k g² in two (B, M) buffers, the first reused for m T
-    g = ((1.0 - alpha) ** half_k)[:, rows]
-    g *= root
-    transfer = (alpha**k)[:, lost]
-    transfer *= g
-    transfer *= g
-    u = np.add.reduceat(np.multiply(transfer, rows, out=g)[:, by_column], column_starts, axis=1)
-    transfer *= populations[cols]
-    return np.add.reduceat(transfer, row_starts, axis=1), u
 
 
 def loss_population_slope(p, alpha, axis: int = -1) -> np.ndarray:

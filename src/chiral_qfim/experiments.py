@@ -10,12 +10,13 @@ vanishing derivatives, closed-form domain limits, failed numeric checks)
 never abort a sweep; they are recorded in the row's status column and the
 affected cells stay empty.
 
-The ``intensity_exact`` columns take one population pass
-(``channel.mode_population_pass``), or one per mode where the input
-populations are not symmetric: each mode's mean comes from its own output marginal, its
-slope from the mean, and each signal's variance, by the law of total
-variance, from the modes' binomial thinning and their conditional output
-means on the input populations, as sums of non-negative terms.
+The ``intensity_exact`` columns read the input populations alone: loss
+thins each mode binomially, so each mode's output mean is η times its
+input mean, its slope is minus the input mean, and each signal's
+variance follows, by the law of total variance, from the thinning and
+the conditional output means on the input populations, as sums of
+non-negative terms; no loss kernel is called and no output population is
+formed.
 
 ``figure_presets`` returns the grids behind the three reference figure
 families: absorption sensitivities against X_s at four chirality offsets,
@@ -40,12 +41,7 @@ from .analytic import (
     equal_split_photons,
     fock_benchmark_grid,
 )
-from .channel import (
-    CHIRAL_NAMES,
-    DomainError,
-    ParamGrid,
-    mode_population_pass,
-)
+from .channel import CHIRAL_NAMES, DomainError, ParamGrid
 from .estimation import NumericError, compute_bounds_grid
 from .fock import (
     TRUNCATION_BUDGET_DEFAULT,
@@ -55,7 +51,6 @@ from .fock import (
     default_coherent_space,
     hv_to_pm_amplitudes,
     require_loss_cutoff,
-    require_trace_window,
 )
 
 QFIM_NUMERIC = "qfim_numeric"
@@ -156,8 +151,11 @@ class SweepSpec:
     def param_grid(self) -> tuple:
         """``ParamGrid.from_chiral`` on the sweep's grid values; a common
         absorption is x_s at x_d = 0, which an alpha sweep cannot fix."""
+        return self._param_grid_at(self.grid())
+
+    def _param_grid_at(self, values: np.ndarray) -> tuple:
         coords = {name: self.fixed.get(name, 0.0) for name in CHIRAL_NAMES}
-        coords["x_s" if self.vary == COMMON_ALPHA else self.vary] = self.grid()
+        coords["x_s" if self.vary == COMMON_ALPHA else self.vary] = values
         return ParamGrid.from_chiral(**coords)
 
     def to_json(self) -> str:
@@ -277,63 +275,48 @@ def prepare_input_state(
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def _expected(marginal: np.ndarray) -> np.ndarray:
-    """Σ_n n p[b, n] at each point b, summed point by point: a matrix
-    product's sum order, and so a point's bits, would depend on B."""
-    return (marginal * np.arange(marginal.shape[1])).sum(axis=1)
-
-
 def _intensity_moments(state: TwoModeState, grid: ParamGrid) -> tuple:
     """The variances of the signals n₊ − n₋ and n₊ + n₋ at each point of
     ``grid``, as a (2, B) array, and the signals' shared exact slope
-    ∂⟨n₊⟩/∂α₊ + ∂⟨n₋⟩/∂α₋, from one population pass, or one per mode
-    where the input populations P are not symmetric.
+    ∂⟨n₊⟩/∂α₊ + ∂⟨n₋⟩/∂α₋, (B,), from the input populations alone.
 
-    The phase stage leaves populations alone and loss acts on each mode
-    alone, so ``mode_population_pass`` on each mode's input marginal gives
-    that mode's output marginal, with its mean, and its conditional means
-    u.  Where P is symmetric, as in every H-polarized probe, both modes
-    read one marginal, and one pass serves both modes' absorptions.  Loss
-    thins each input level binomially, so ⟨n⟩ = η Σ n q over the input
-    marginal q and its slope is −⟨n⟩/η; given the input levels a mode's
-    count has mean u[n] = nη and variance α u[n].  By the law of total
-    variance Var(n₊ + s n₋) = α₊⟨n₊⟩ + α₋⟨n₋⟩ + Σ P (w₊ + s w₋)² with w =
-    u − ⟨n⟩, on the input populations P[n₊, n₋]: ``diag rho``, or
-    outer(diag ρ₊, diag ρ₋) from the factors of a product input.  The trace
-    1 − Σ P that a truncated input leaves out counts as vacuum, at w =
-    −⟨n⟩, so each variance equals E[n²] − E[n]² on the populations as they
-    are.  Every variance is then a sum of non-negative terms and keeps its
+    The phase stage leaves populations alone, and loss thins each mode's
+    input level n binomially: the count it leaves has mean nη and variance
+    α nη (Monras & Paris, PRL 98, 160401 (2007)).  So over the input
+    populations P[n₊, n₋] (``diag rho``, or outer(diag ρ₊, diag ρ₋) from
+    the factors of a product input), whose marginals q± have means μ± =
+    Σ n q±, each mode's output mean is ⟨n±⟩ = η±μ±, with slope −μ±, and no
+    output population is formed.  By the law of total variance
+    Var(n₊ + s n₋) = α₊⟨n₊⟩ + α₋⟨n₋⟩ + Σ P (w₊ + s w₋)², with w± =
+    η±(n − μ±) the conditional output mean less ⟨n±⟩.  The trace 1 − Σ P
+    that a truncated input leaves out counts as vacuum, at w = −⟨n⟩, so
+    each variance equals E[n²] − E[n]² on the populations as they are.
+    Every variance is then a sum of non-negative terms and keeps its
     relative precision where the counts are nearly certain or the signal
-    nearly noiseless.  Each mode's output trace must stay in the state's
-    window.
+    nearly noiseless.  Loss preserves the trace, so the output's is the
+    input's, which ``TwoModeState`` checks when it is built.
     """
     space = state.space
     if state.factors is None:
         pops = np.diag(state.rho).real.reshape(space.cutoff_plus + 1, space.cutoff_minus + 1)
     else:
         pops = np.outer(*(np.diag(factor).real for factor in state.factors))
-    q_plus, q_minus = pops.sum(axis=1), pops.sum(axis=0)
-    if np.array_equal(pops, pops.T):
-        # both modes read q₊: one pass over both modes' absorptions
-        p, u = mode_population_pass(q_plus, np.concatenate((grid.alpha_plus, grid.alpha_minus)))
-        (p_plus, p_minus), (u_plus, u_minus) = np.split(p, 2), np.split(u, 2)
-    else:
-        p_plus, u_plus = mode_population_pass(q_plus, grid.alpha_plus)
-        p_minus, u_minus = mode_population_pass(q_minus, grid.alpha_minus)
-    traces = np.concatenate([p_plus.sum(axis=1), p_minus.sum(axis=1)])
-    require_trace_window(traces, state.trace_deficit_budget)
-    mean_p, mean_m = _expected(p_plus), _expected(p_minus)
-    w_plus, w_minus = u_plus - mean_p[:, None], u_minus - mean_m[:, None]
+    n_plus, n_minus = np.arange(space.cutoff_plus + 1), np.arange(space.cutoff_minus + 1)
+    mu_plus, mu_minus = pops.sum(axis=1) @ n_plus, pops.sum(axis=0) @ n_minus
+    eta_plus, eta_minus = grid.eta_plus, grid.eta_minus
+    mean_p, mean_m = eta_plus * mu_plus, eta_minus * mu_minus
+    w_plus = eta_plus[:, None] * (n_plus - mu_plus)
+    w_minus = eta_minus[:, None] * (n_minus - mu_minus)
     thinning_p, thinning_m = grid.alpha_plus * mean_p, grid.alpha_minus * mean_m
     missing = 1.0 - pops.sum()
     # Σ P (w₊ + s w₋)² at each point for s = −1, +1, summed point by point
     spread = w_plus[:, :, None] + _SIGNS[:, None, None, None] * w_minus[:, None, :]
     spread *= spread
     spread *= pops
-    between = spread.reshape(2, len(grid), -1).sum(axis=2)
+    between = spread.reshape(2, len(grid), pops.size).sum(axis=2)
     signals = mean_p + _SIGNS[:, None] * mean_m
     variances = thinning_p + thinning_m + between + missing * signals**2
-    return variances, -(mean_p / grid.eta_plus + mean_m / grid.eta_minus)
+    return variances, np.full(len(grid), -(mu_plus + mu_minus))
 
 
 def _intensity_columns(state: TwoModeState, grid: ParamGrid) -> dict:
@@ -403,41 +386,53 @@ POINT_ERRORS = (ValueError, NumericError)
 
 
 def _each_point(batch, grid: ParamGrid) -> tuple:
-    """``batch(grid)``'s columns and per point an error message or None; when
-    it raises, each half again, so that a failing point gets NaN cells and
-    its own message, from a call on it alone, and every other point its own
-    cells.  One failing point among B costs at most 1 + 2·⌈log₂ B⌉ calls,
-    and a ``batch`` that fails at every point 2B − 1."""
+    """``batch(grid)``'s columns and the error message of each point that
+    failed, by its index; when it raises, each half again, so that a failing
+    point gets NaN cells and its own message, from a call on it alone, and
+    every other point its own cells.  One failing point among B costs at
+    most 1 + 2·⌈log₂ B⌉ calls, and a ``batch`` that fails at every point
+    2B − 1."""
     try:
-        return batch(grid), [None] * len(grid)
+        return batch(grid), {}
     except POINT_ERRORS as exc:
         if len(grid) == 1:
-            return {}, [str(exc)]
+            return {}, {0: str(exc)}
     half = len(grid) // 2
-    parts = [_each_point(batch, grid[:half]), _each_point(batch, grid[half:])]
+    (head, head_failed), (tail, tail_failed) = (
+        _each_point(batch, grid[:half]),
+        _each_point(batch, grid[half:]),
+    )
+    parts = ((head, half), (tail, len(grid) - half))
     columns = {
-        key: np.concatenate([part.get(key, np.full(len(errs), np.nan)) for part, errs in parts])
-        for key in {**parts[0][0], **parts[1][0]}
+        key: np.concatenate([part.get(key, np.full(size, np.nan)) for part, size in parts])
+        for key in {**head, **tail}
     }
-    return columns, parts[0][1] + parts[1][1]
+    return columns, {**head_failed, **{half + b: message for b, message in tail_failed.items()}}
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every requested method at every grid point, in grid order.
 
     Each method runs once over the grid of valid points, through
-    ``_each_point``, and fills its columns whole; only flagged rows' flags
-    are touched.  Failures are kept as their messages: a stored exception
-    would hold this frame through its traceback, a cycle that keeps every
-    result alive until the garbage collector runs.
+    ``_each_point``, and fills its columns whole; flags are kept for the
+    flagged rows only.  A failed point's cells are NaN from ``_each_point``
+    already, so each column takes the grid's cells unmasked, at the grid
+    points' rows: one slice when every point is valid.  Failures are kept
+    as their messages: a stored exception would hold this frame through its
+    traceback, a cycle that keeps every result alive until the garbage
+    collector runs.
     """
     state = prepare_input_state(spec.input_state)
     kind = spec.input_state
     labels = default_param_labels(kind)
-    grid, invalid = spec.param_grid()
-    at = np.flatnonzero([message is None for message in invalid])  # the rows of the grid
-    flags = [[] if message is None else [f"invalid-point:{message}"] for message in invalid]
-    columns = {column: np.full(len(invalid), np.nan) for column in sweep_columns(spec)}
+    coordinates = spec.grid()
+    grid, invalid = spec._param_grid_at(coordinates)
+    flags = {row: [f"invalid-point:{m}"] for row, m in enumerate(invalid) if m is not None}
+    # the row of each grid point, and the rows of all of them as one index
+    at = [row for row, m in enumerate(invalid) if m is None] if flags else range(len(grid))
+    rows = at if flags else slice(None)
+    names = sweep_columns(spec)
+    columns = dict(zip(names, np.full((len(names), len(invalid)), np.nan)))
     # method -> (grid pass to columns by quantity, what an empty cell means)
     numeric = {
         QFIM_NUMERIC: (lambda part: _bound_columns(state, part, labels), "unidentifiable"),
@@ -446,20 +441,24 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     for method in spec.methods if len(grid) else ():
         closed_form = functools.partial(_closed_form_columns, kind, method)
         batch, reason = numeric.get(method, (closed_form, "unavailable"))
-        values, errors = _each_point(batch, grid)
-        computed = np.array([error is None for error in errors])
-        for b in np.flatnonzero(~computed).tolist():
-            flags[at[b]].append(f"{method}:failed:{errors[b]}")
+        values, failed = _each_point(batch, grid)
+        for b, message in failed.items():
+            flags.setdefault(at[b], []).append(f"{method}:failed:{message}")
         # a closed form's limit column reads 1.0, not True, once joined to a failed part
-        for row in at[computed & (values.get("limit", 0.0) == 1.0)].tolist():
-            flags[row].append(f"{method}:limit-evaluated")
+        if "limit" in values:
+            for b in np.flatnonzero(values["limit"] == 1.0).tolist():
+                flags.setdefault(at[b], []).append(f"{method}:limit-evaluated")
         for quantity in method_quantities(kind, method):
             column = f"{method}.{quantity}"
-            columns[column][at] = cells = np.where(computed, values.get(quantity, np.nan), np.nan)
+            columns[column][rows] = values.get(quantity, np.nan)  # a failed point's is NaN
             empty = "unavailable" if quantity == "cov_x_d_x_s" else reason
-            for row in at[computed & np.isnan(cells)].tolist():
-                flags[row].append(f"{column}:{empty}")
-    return SweepTable(spec.grid(), columns, [tuple(row_flags) for row_flags in flags])
+            for b in np.flatnonzero(np.isnan(columns[column][rows])).tolist():
+                if b not in failed:
+                    flags.setdefault(at[b], []).append(f"{column}:{empty}")
+    status = [()] * len(invalid)
+    for row, row_flags in flags.items():
+        status[row] = tuple(row_flags)
+    return SweepTable(coordinates, columns, status)
 
 
 def flags_by_reason(statuses) -> dict:

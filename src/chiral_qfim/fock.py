@@ -147,35 +147,6 @@ def _root_binomials(cutoff: int) -> tuple:
     return tables
 
 
-@functools.lru_cache(maxsize=64)
-def _transfer_segments(cutoff: int) -> tuple:
-    """α-independent, read-only tables of the upper triangle T[m, m+k] of
-    one mode's population transfer, held row by row, cached per cutoff.
-
-    ``rows``, ``cols`` index the triangle in that order (``np.triu_indices``),
-    ``root`` = √C(m+k, k) and ``lost`` = k on it, ``row_starts`` where each
-    row m begins, ``by_column`` the order that lists the triangle column by
-    column (m ascending in each), and ``column_starts`` where each column
-    begins in that order.
-    """
-    root = _root_binomials(cutoff)[0]
-    rows, cols = np.triu_indices(cutoff + 1)
-    m = np.arange(cutoff + 1)
-    lost = cols - rows
-    tables = (
-        rows,
-        cols,
-        root[lost, rows],
-        lost,
-        m * (cutoff + 1) - m * (m - 1) // 2,
-        np.lexsort((rows, cols)),
-        m * (m + 1) // 2,
-    )
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 def _eigenpairs(matrix) -> tuple:
     """ρ = Σ_i s_i w_i w_i† of a Hermitian matrix, keeping the eigenpairs
     with |s_i| > n·ε·max|s| (n its levels, numpy's ``matrix_rank``

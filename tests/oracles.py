@@ -15,7 +15,8 @@ independent way:
   slice, against the factored loss kernel;
 * ``population_moments``: the intensity signals' variances and slopes, and
   the sensitivities, from the joint output populations T₊ P T₋ᵀ and their
-  α-derivatives, against the per-mode population pass;
+  α-derivatives, against the intensity moments, which read the input
+  populations alone;
 * ``rank_one_qfim_by_solve``: the QFIMs of rank-one single-mode problems by
   one linear solve of (ρ + λ)x = u each, against the package's expansion of
   that inverse about λtt†.

@@ -19,7 +19,6 @@ from chiral_qfim.channel import (
     apply_channel_rk4,
     grid_output_and_alpha_derivatives,
     loss_population_slope,
-    mode_population_pass,
 )
 from chiral_qfim.estimation import channel_derivatives, compute_bounds
 from chiral_qfim.fock import (
@@ -321,25 +320,18 @@ def test_alpha_derivative_at_zero_loss():
     np.testing.assert_array_equal(output.rho, apply_channel_kraus(state, params).rho)
 
 
-def _count_weight_passes(monkeypatch):
+def _count_kernel_calls(monkeypatch):
     """Record every call of the loss kernel, dense or per mode, as the
-    tuple of its table's cutoffs, one per mode, and every population pass
-    as its mode's cutoff."""
+    tuple of its table's cutoffs, one per mode."""
     cutoffs = []
     kernel = channel.factored_output_and_alpha_derivative
-    population_pass = experiments.mode_population_pass
 
     def counting_kernel(factor_tables, spectra, owners, alpha, derivatives=True):
         cutoffs.append(tuple(d - 1 for d in factor_tables.shape[1:-1]))
         return kernel(factor_tables, spectra, owners, alpha, derivatives)
 
-    def counting_pass(populations, alpha):
-        cutoffs.append(len(populations) - 1)
-        return population_pass(populations, alpha)
-
     for module in (channel, estimation):
         monkeypatch.setattr(module, "factored_output_and_alpha_derivative", counting_kernel)
-    monkeypatch.setattr(experiments, "mode_population_pass", counting_pass)
     return cutoffs
 
 
@@ -353,31 +345,29 @@ def _refuse_dense_propagation(monkeypatch):
     monkeypatch.setattr(channel, "grid_output_and_alpha_derivatives", refuse)
 
 
-def test_channel_consumers_take_one_weight_pass_per_mode(monkeypatch):
-    cutoffs = _count_weight_passes(monkeypatch)
-    # unequal cutoffs tell the two modes' passes apart: one kernel call on
-    # the dense table of both modes, then one population pass per mode
+def test_channel_derivatives_take_one_kernel_call_and_intensity_none(monkeypatch):
+    cutoffs = _count_kernel_calls(monkeypatch)
+    # one kernel call on the dense table of both modes, at their unequal cutoffs
     state = hv_to_pm_state(NOON_HV, FockSpace(2, 3))
     params = ChiralParams(0.3, 0.45, 0.6, -0.3)
     channel_derivatives(state, params, CHIRAL_NAMES)
     assert cutoffs == [(2, 3)]
 
+    # the intensity moments follow from the input populations alone
     _refuse_dense_propagation(monkeypatch)
     cutoffs.clear()
     experiments._intensity_columns(state, ParamGrid([params]))
-    assert cutoffs == [2, 3]
     experiments._intensity_moments(state, ParamGrid([params]))
-    assert cutoffs == [2, 3, 2, 3]
+    assert cutoffs == []
 
 
-def test_sweep_takes_one_stacked_numeric_pass_and_one_intensity_pass_per_mode(monkeypatch):
-    # unequal amplitudes give unequal cutoffs, which tell the passes apart: the
-    # numeric route stacks both modes at their common cutoff, the intensity
-    # route propagates each mode's populations at its own
+def test_sweep_takes_one_stacked_numeric_pass_and_no_intensity_kernel_call(monkeypatch):
+    # unequal amplitudes give unequal cutoffs: the numeric route stacks both
+    # modes at their common cutoff, and the intensity route calls no kernel
     kind = InputStateKind.coherent(1.0, 0.5j)
     space = experiments.prepare_input_state(kind).space
     assert space.cutoff_plus != space.cutoff_minus
-    cutoffs = _count_weight_passes(monkeypatch)
+    cutoffs = _count_kernel_calls(monkeypatch)
     for points in (2, 7, 95):
         spec = experiments.SweepSpec(
             input_state=kind,
@@ -390,15 +380,9 @@ def test_sweep_takes_one_stacked_numeric_pass_and_one_intensity_pass_per_mode(mo
         )
         cutoffs.clear()
         experiments.run_sweep(spec)
-        assert cutoffs == [
-            (max(space.cutoff_plus, space.cutoff_minus),),
-            space.cutoff_plus,
-            space.cutoff_minus,
-        ]
+        assert cutoffs == [(max(space.cutoff_plus, space.cutoff_minus),)]
 
-    # the intensity route propagates populations only, and one pass serves
-    # both modes of the H-polarized probe, which read one marginal, and both
-    # targets
+    # the intensity route propagates nothing, and serves both targets
     _refuse_dense_propagation(monkeypatch)
     spec = experiments.SweepSpec(
         input_state=InputStateKind.noon_hv(),
@@ -411,7 +395,7 @@ def test_sweep_takes_one_stacked_numeric_pass_and_one_intensity_pass_per_mode(mo
     )
     cutoffs.clear()
     rows = experiments.run_sweep(spec)
-    assert cutoffs == [2]
+    assert cutoffs == []
     for row in rows:
         assert row.status == ()
         for target in ("x_d", "x_s"):
@@ -438,13 +422,13 @@ def _loss_weights_by_comb(cutoff, alpha):
 
 
 def transfer_by_columns(cutoff, alpha):
-    """One mode's transfer matrix T, ∂T/∂α and conditional means u at one
-    absorption: column j of T the population pass's output for the basis
-    population e_j, exact, since every other term of each sum is 0, and
-    column j of ∂T/∂α its ``loss_population_slope``."""
-    passes = [mode_population_pass(level, [alpha]) for level in np.eye(cutoff + 1)]
-    transfer = np.array([p[0] for p, _ in passes]).T
-    return transfer, loss_population_slope(transfer, alpha, axis=0), passes[0][1][0]
+    """One mode's dense transfer matrix T (``oracles._population_transfer``),
+    its ∂T/∂α by ``loss_population_slope`` column by column, each column
+    being the output populations of a basis input, and the conditional
+    means u[n] = Σ_m m T[m, n] at one absorption."""
+    transfer = _population_transfer(cutoff, [alpha])[0][0]
+    d_transfer = loss_population_slope(transfer, alpha, axis=0)
+    return transfer, d_transfer, np.arange(cutoff + 1) @ transfer
 
 
 @pytest.mark.parametrize("cutoff", [0, 1, 12, 70, 100])
@@ -462,10 +446,9 @@ def test_loss_weights_match_binomial_formula(cutoff, alpha):
     assert np.max(np.abs(d_transfer - d_expected)) <= 1e-14 * np.max(np.abs(d_expected))
     np.testing.assert_allclose(transfer.sum(axis=0), 1.0, rtol=0, atol=1e-13)
     np.testing.assert_allclose(d_transfer.sum(axis=0), 0.0, rtol=0, atol=1e-13)
-    # u[n] = Σ_m m T[m, n], the binomial mean n η
-    levels = np.arange(cutoff + 1)
-    assert np.max(np.abs(u - levels @ transfer)) <= 1e-14 * max(1.0, np.max(u))
-    np.testing.assert_allclose(u, levels * (1.0 - alpha), rtol=1e-13, atol=0)
+    # u[n] = Σ_m m T[m, n] is the binomial mean n η that the intensity
+    # moments take for each level's conditional mean
+    np.testing.assert_allclose(u, np.arange(cutoff + 1) * (1.0 - alpha), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 12, 70])
@@ -476,10 +459,9 @@ def test_the_loss_slope_of_the_output_populations_is_the_transfer_slope(cutoff):
     rng = np.random.default_rng(cutoff)
     inputs = [*np.eye(cutoff + 1)[[0, cutoff // 2, cutoff]], rng.random(cutoff + 1)]
     alphas = np.array([0.0, 1e-300, 1e-13, 0.3, 0.999, 1.0 - 1e-6])
-    _, d_transfer = _population_transfer(cutoff, alphas)
+    transfer, d_transfer = _population_transfer(cutoff, alphas)
     for q in inputs:
-        p, _ = mode_population_pass(q, alphas)
-        d_p = d_transfer @ q
+        p, d_p = transfer @ q, d_transfer @ q
         slope = loss_population_slope(p, alphas[:, None])
         assert np.max(np.abs(slope - d_p)) <= 1e-14 * np.max(np.abs(d_p))
         # both modes read q at the same absorption
@@ -490,17 +472,15 @@ def test_the_loss_slope_of_the_output_populations_is_the_transfer_slope(cutoff):
 
 
 def test_loss_weight_cache_holds_only_small_tables():
-    caches = (channel._root_binomials, channel._transfer_segments)
-    for cache in caches:
-        cache.cache_clear()
+    cache = channel._root_binomials
+    cache.cache_clear()
     for cutoff, alpha in ((100, 0.3), (12, 0.3), (12, 0.7)):
-        results = mode_population_pass(np.full(cutoff + 1, 1.0 / (cutoff + 1)), [alpha])
-        assert all(result.shape == (1, cutoff + 1) for result in results)
+        results = mode_output_and_alpha_derivative(np.eye(cutoff + 1) / (cutoff + 1), alpha)
+        assert all(result.shape == (cutoff + 1, cutoff + 1) for result in results)
     # one entry per cutoff, whatever the alpha
-    for cache in caches:
-        assert cache.cache_info().currsize == 2
-        cached = cache(100) + cache(12)
-        assert sum(table.nbytes for table in cached) < 1_000_000
+    assert cache.cache_info().currsize == 2
+    cached = cache(100) + cache(12)
+    assert sum(table.nbytes for table in cached) < 1_000_000
 
 
 def test_max_loss_cutoff_is_the_largest_whose_binomials_fit_a_float64():
@@ -526,7 +506,7 @@ def test_loss_tables_refuse_a_cutoff_past_float64_before_building(monkeypatch):
     sums, accumulate = [], itertools.accumulate
     monkeypatch.setattr(itertools, "accumulate", lambda row: sums.append(row) or accumulate(row))
     with pytest.raises(OverflowError, match=f"cutoff {limit + 1} exceeds {limit}"):
-        mode_population_pass(np.zeros(limit + 2), [0.3])
+        fock._root_binomials(limit + 1)
     assert sums == []
     fock._root_binomials.cache_clear()
     fock._root_binomials(3)
@@ -681,9 +661,7 @@ def test_population_transfer_is_the_diagonal_of_the_loss_map(alpha):
     transfer, d_transfer, _ = transfer_by_columns(5, alpha)
     np.testing.assert_allclose(transfer @ pops, np.diag(out), rtol=0, atol=1e-14)
     np.testing.assert_allclose(d_transfer @ pops, np.diag(d_out), rtol=0, atol=1e-14)
-    p, _ = mode_population_pass(pops, [alpha])
-    np.testing.assert_allclose(p[0], np.diag(out), rtol=0, atol=1e-14)
-    d_p = loss_population_slope(p[0], alpha)
+    d_p = loss_population_slope(np.diag(out), alpha)
     np.testing.assert_allclose(d_p, np.diag(d_out), rtol=0, atol=1e-14)
 
 

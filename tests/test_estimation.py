@@ -797,7 +797,6 @@ def test_one_point_makes_no_linalg_call_and_rebuilds_no_invariant(monkeypatch):
         estimation._native_pullback,
         estimation._two_block_plan,
         channel._root_binomials,
-        channel._transfer_segments,
     )
     inputs = state.mode_inputs  # the state's factors, formed once
     read, kernel = [], estimation.factored_output_and_alpha_derivative
@@ -814,8 +813,8 @@ def test_one_point_makes_no_linalg_call_and_rebuilds_no_invariant(monkeypatch):
     assert calls == []
     misses = [cache.cache_info().misses for cache in caches]
     second = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
-    # the pullback, the block plan, the loss binomials and the transfer
-    # segments come from their caches, and the kernel reads the loss tables
+    # the pullback, the block plan and the loss binomials come from their
+    # caches, and the kernel reads the loss tables
     # the state formed: both modes of an H-polarized probe read its one input
     assert calls == []
     assert [cache.cache_info().misses for cache in caches] == misses

@@ -406,7 +406,7 @@ def test_intensity_signals_equal_dense_population_moments(kind):
         assert value == pytest.approx(slope, abs=1e-12)
 
 
-# the probes of the population pass: three dense-free quantum inputs, and
+# the probes of the intensity moments: three dense-free quantum inputs, and
 # coherent H, elliptical and circular probes, the last two at unequal cutoffs
 POPULATION_PROBES = {
     "single-photon": SP,
@@ -420,7 +420,7 @@ EDGE_ABSORPTIONS = (0.0, 1e-300, 1e-13, 0.3, 1 - 1e-6)
 
 
 @pytest.mark.parametrize("kind", list(POPULATION_PROBES.values()), ids=list(POPULATION_PROBES))
-def test_population_pass_matches_the_joint_population_route(kind):
+def test_intensity_moments_match_the_joint_population_route(kind):
     state = prepare_input_state(kind)
     pairs = [(a, b) for a in EDGE_ABSORPTIONS for b in EDGE_ABSORPTIONS]
     grid = ParamGrid([ChiralParams(a, b, 0.3, 0.1) for a, b in pairs])
@@ -458,7 +458,18 @@ def test_intensity_cells_of_a_point_do_not_depend_on_its_grid(kind):
         assert np.array_equal(cells, one_point, equal_nan=True)
 
 
-def test_population_pass_holds_no_dense_transfer_stack():
+@pytest.mark.parametrize("kind", [NOON, COH1], ids=["dense", "per_mode"])
+def test_intensity_columns_of_an_empty_grid_are_empty(kind):
+    # as the bound pass and every closed form give them: (0,) columns
+    state, empty = prepare_input_state(kind), ParamGrid(())
+    columns = experiments._intensity_columns(state, empty)
+    assert set(columns) == {"delta_x_d", "delta_x_s"}
+    bounds = experiments._bound_columns(state, empty, experiments.default_param_labels(kind))
+    for cells in (*columns.values(), *bounds.values()):
+        assert cells.shape == (0,)
+
+
+def test_intensity_moments_hold_no_dense_transfer_stack():
     # 200 points of an n0 = 60 probe (cutoff 71): a (B, d, d) float64 stack
     # is 8.3 MB, and the joint-population route held eight of them
     state = prepare_input_state(InputStateKind.coherent(math.sqrt(60.0)))
@@ -937,24 +948,20 @@ def _coarse_members():
 
 
 @pytest.mark.parametrize("name", list(POPULATION_PROBES))
-def test_an_h_probe_takes_one_population_pass_and_an_elliptical_one_two(monkeypatch, name):
-    # both modes of an H-polarized probe read one marginal: one pass over
-    # both modes' absorptions; the slope comes from the means, −⟨n⟩/η, and
+def test_the_intensity_slope_is_the_dense_transfer_slope_with_no_kernel_call(monkeypatch, name):
+    # the slope is the input's −(μ₊ + μ₋), with no loss kernel call, and
     # matches Σ m ∂p/∂α with ∂p from the dense ∂T/∂α to 1e-15
     state = prepare_input_state(POPULATION_PROBES[name])
-    widths = 2 if name in ("elliptical", "circular") else 1
     grid = ParamGrid(
         [ChiralParams(a, b, 0.3, 0.1) for a in EDGE_ABSORPTIONS for b in (*EDGE_ABSORPTIONS, 0.6)]
     )
-    calls, population_pass = [], experiments.mode_population_pass
 
-    def counting(populations, alpha):
-        calls.append(len(alpha))
-        return population_pass(populations, alpha)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the intensity moments called the loss kernel")
 
-    monkeypatch.setattr(experiments, "mode_population_pass", counting)
+    for module in (channel, estimation):
+        monkeypatch.setattr(module, "factored_output_and_alpha_derivative", refuse)
     _, slope = experiments._intensity_moments(state, grid)
-    assert calls == [2 * len(grid) // widths] * widths
     space = state.space
     if state.factors is None:
         pops = np.diag(state.rho).real.reshape(space.cutoff_plus + 1, space.cutoff_minus + 1)
@@ -990,6 +997,36 @@ def test_grid_sweep_equals_the_batch_of_one(monkeypatch, label, spec):
 
 
 @pytest.mark.parametrize("kind", [NOON, COH1], ids=["dense", "per_mode"])
+def test_a_sweep_across_both_domain_edges_puts_each_point_in_its_own_row(kind):
+    # x_d from −0.5 to 0.5 at x_s = 0.4 leaves an absorption negative at
+    # both ends: the valid points are the rows between, each with its own cells
+    methods = (QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT)
+    spec = spec_for(kind, vary="x_d", start=-0.5, stop=0.5, points=21, fixed={"x_s": 0.4})
+    table = run_sweep(replace(spec, methods=methods))
+    state, labels = prepare_input_state(kind), experiments.default_param_labels(kind)
+    valid = []
+    for row, x_d in zip(table, spec.grid().tolist(), strict=True):
+        try:
+            point = ParamGrid([ChiralParams.from_chiral(x_d, 0.4, 0.0, 0.0)])
+        except DomainError as exc:
+            assert row.status == (f"invalid-point:{exc}",)
+            assert set(row.values.values()) == {None}
+            continue
+        valid.append(x_d)
+        cells = {
+            QFIM_NUMERIC: experiments._bound_columns(state, point, labels),
+            QFIM_ANALYTIC: experiments._closed_form_columns(kind, QFIM_ANALYTIC, point),
+            INTENSITY_EXACT: experiments._intensity_columns(state, point),
+        }
+        for column, value in row.values.items():
+            method, quantity = column.split(".")
+            expected = cells[method][quantity][0].item()
+            assert value == (None if math.isnan(expected) else expected), column
+    assert valid == [x for x in spec.grid().tolist() if abs(x) <= 0.4]
+    assert 0 < len(valid) < len(table)
+
+
+@pytest.mark.parametrize("kind", [NOON, COH1], ids=["dense", "per_mode"])
 @pytest.mark.parametrize("fill", [math.nan, 0.0], ids=["nan", "zero"])
 def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
     # x_d = 0.03 keeps every point's alpha_plus apart from every alpha_minus
@@ -998,7 +1035,7 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
     clean = run_sweep(spec)
     broken = point_at(spec, 2)
     kernel = channel.factored_output_and_alpha_derivative
-    population_pass = experiments.mode_population_pass
+    moments = experiments._intensity_moments
 
     def failing_kernel_at_one_point(factor_tables, spectra, owners, alpha, derivatives=True):
         # the one loss kernel, dense or per mode: fill the results of every
@@ -1009,17 +1046,18 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
             result[broken_rows] = fill
         return out
 
-    def failing_pass_at_one_point(populations, alpha):
-        out = population_pass(populations, alpha)
-        for result in out:
-            result[np.asarray(alpha) == broken.alpha_plus] = fill
-        return out
+    def failing_moments_at_one_point(state, grid):
+        # the intensity moments read no kernel output: they raise where the
+        # grid holds the broken point
+        if (grid.alpha_plus == broken.alpha_plus).any():
+            raise NumericError(f"intensity moments refused at alpha_plus={broken.alpha_plus}")
+        return moments(state, grid)
 
     for module in (channel, estimation):
         monkeypatch.setattr(
             module, "factored_output_and_alpha_derivative", failing_kernel_at_one_point
         )
-    monkeypatch.setattr(experiments, "mode_population_pass", failing_pass_at_one_point)
+    monkeypatch.setattr(experiments, "_intensity_moments", failing_moments_at_one_point)
     rows = run_sweep(spec)
     state = prepare_input_state(kind)
     with pytest.raises((DomainError, ValueError, NumericError)) as numeric:

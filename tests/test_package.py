@@ -165,7 +165,7 @@ def test_no_cache_is_unbounded():
         for path in sorted(package.glob("*.py"))
         for function, maxsize in _cache_decorators(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert "experiments.py:prepare_input_state" in caches and len(caches) >= 7
+    assert "experiments.py:prepare_input_state" in caches and len(caches) >= 6
     unbounded = [
         name
         for name, maxsize in caches.items()
