@@ -15,14 +15,16 @@ Two independent evolution engines are provided and must agree: an exact
 Kraus map (per-mode binomial photon loss composed with phase rotation)
 and a fixed-step RK4 integration of the Lindblad generator.  The Kraus
 engine is the oracle for everything downstream; the RK4 engine exists
-to check it.  Loss has one kernel, ``factored_output_and_alpha_derivative``:
-a product input's factors call it one mode at a time, any other input on
-the two-mode table of its matrix.  Loss maps populations among
-themselves one mode at a time, by binomial thinning, so photon
-statistics follow from the input populations with no pass over the
-transfer matrix (``experiments._intensity_moments``), and
-``loss_population_slope`` gives ∂p/∂α of any output's populations from
-those populations alone.
+to check it.  Loss has one kernel, ``factored_loss_output``, which forms
+outputs only: a product input's factors call it one mode at a time, any
+other input on the two-mode table of its matrix.  Loss is the semigroup
+e^{tL}, t = −ln(1 − α), so every output gives its own derivative,
+∂ρ/∂α = L(ρ)/(1 − α), which ``loss_population_slope`` forms along one
+mode's levels of output matrices or of their populations, and
+``loss_output_slopes`` for each mode of a stack of outputs.  Loss maps
+populations among themselves one mode at a time, by binomial thinning, so
+photon statistics follow from the input populations with no pass over the
+transfer matrix (``experiments._intensity_moments``).
 
 Loss and phase commute, and the phase stage is a unitary diagonal in the
 number basis, so it leaves every QFIM unchanged: the loss engine takes the
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, TwoModeState, _root_binomials, phase_generator
+from .fock import FockSpace, TwoModeState, _root_binomials
 from .linalg import hermiticity_defect
 
 COORDS_ALPHA_PHI = "alpha_phi"
@@ -220,9 +222,9 @@ class RatePicture:
 
 def phase_stage(rho: np.ndarray, space: FockSpace, params: ChiralParams) -> np.ndarray:
     """The channel's phase stage ρ ∘ (u u†), u[k] = e^{−i(φ₊n₊ + φ₋n₋)} at
-    the phases of ``params``, on a matrix of ``space`` or a stack of them:
-    outputs, or their α-derivatives, since the stage is linear in ρ and does
-    not depend on α."""
+    the phases of ``params``, on a matrix of ``space`` or a stack of them.
+    It commutes with loss and with its generator L, so an output's
+    α-derivatives may be formed before or after it."""
     n_plus, n_minus = space.number_grids()
     u = np.exp(-1j * (params.phi_plus * n_plus + params.phi_minus * n_minus))
     return rho * (u[:, None] * u.conj())
@@ -234,143 +236,123 @@ def apply_channel_kraus(state: TwoModeState, params: ChiralParams) -> TwoModeSta
     The two stages commute, and the loss map is exactly trace preserving
     on any truncation containing the input support.
     """
-    output = point_output_and_alpha_derivatives(state, params)[0]
+    output = point_loss_output(state, params)
     return state.with_rho(phase_stage(output, state.space, params))
 
 
-def factored_output_and_alpha_derivative(
-    tables, spectra, owners, alpha, derivatives=True
-) -> tuple:
-    """Loss outputs and their exact ∂/∂α per mode for N problems, each an
-    input factor and one absorption per mode of its table, as batched
-    matrix products with no d³ tensor: the one loss kernel.  With
-    ``derivatives=False`` it forms the outputs alone, a 1-tuple, and no
-    dc or h table.
-
-    Loss has the Kraus form ρ → Σ_k K_k ρ K_k†, K_k = √(α^k) diag(g_k)
-    shift_k on each mode (Monras & Paris, PRL 98, 160401 (2007)), so an
-    input ρ = Σ_i s_i w_i w_i† gives, with D = diag(Π_j η_j^{m_j/2}) and
-    h_j = m_j/(2η_j) on the levels m = (m_1, ..),
+def factored_loss_output(tables, spectra, owners, alpha) -> np.ndarray:
+    """Loss outputs for N problems, each an input factor and one absorption
+    per mode of its table, as batched matrix products with no d³ tensor: the
+    one loss kernel, which forms outputs only (``loss_population_slope``
+    gives their ∂/∂α).  Loss has the Kraus form ρ → Σ_k K_k ρ K_k†, K_k =
+    √(α^k) diag(g_k) shift_k on each mode (Monras & Paris, PRL 98, 160401
+    (2007)), so an input ρ = Σ_i s_i w_i w_i† gives, with D = diag(Π_j
+    η_j^{m_j/2}) on the levels m = (m_1, ..),
 
         out = (D R) diag(s ⊗ c_1 ⊗ ..) (D R)†,
-        ∂out/∂α_j = (D R) diag(s ⊗ .. ⊗ dc_j ⊗ ..) (D R)† − out ⊙ (h_j + h_j′),
 
-    c_k = α^k and dc_k = k α^{k−1} per mode, from the α-free ``tables``
-    R[m, (k, i)] = Π_j √C(m_j+k_j, k_j) w_i[m+k] (K, *levels, dim·r) and
-    signed ``spectra`` s (K, r): one mode's from ``fock.mode_factor_tables``,
-    two modes' from ``TwoModeState.kraus_tables``.  A table holds dim ×
-    dim·r entries: cheap at rank 1, dim³·r for a large input of rank r.
-    Problem n reads input ``owners[n]`` at the absorptions ``alpha[n]``;
-    the results, the outputs then each ∂/∂α_j, are (N, dim, dim).  D stays
-    with R, so no product overflows where η^m underflows.  Nothing divides
-    by α, so α = 0 is exact; the arithmetic is real when the tables are.
+    c_k = α^k per mode, from the α-free ``tables`` R[m, (k, i)] = Π_j
+    √C(m_j+k_j, k_j) w_i[m+k] (K, *levels, dim·r) and signed ``spectra`` s
+    (K, r): one mode's from ``fock.mode_factor_tables``, two modes' from
+    ``TwoModeState.kraus_tables``.  A table holds dim × dim·r entries: cheap
+    at rank 1, dim³·r for a large input of rank r.  Problem n reads input
+    ``owners[n]`` at the absorptions ``alpha[n]``; the outputs are (N, dim,
+    dim).  D stays with R, so no product overflows where η^m underflows.
+    Nothing divides by α, so α = 0 is exact; the arithmetic is real when
+    the tables are.
     """
     levels = tables.shape[1:-1]
     n, modes = len(owners), len(levels)
     alpha = np.asarray(alpha, dtype=float).reshape(n, modes)
-    eta = 1.0 - alpha
     owners = np.asarray(owners)
     scaled = tables[owners]
-    # per mode j: c along its levels' axis and D's factor η_j^{m_j/2}, and
-    # with the derivatives dc and h_j
-    c, dc, h = [], [], []
+    # diag(s ⊗ c_1 ⊗ ..) as a row that scales the columns (k, i), and per mode
+    # j D's factor η_j^{m_j/2} along its levels' axis
+    columns = spectra[owners].reshape((n,) + (1,) * modes + (-1,))
     for j, d in enumerate(levels):
-        _, k, half_k, k_minus_one = _root_binomials(d - 1)
+        _, k, half_k = _root_binomials(d - 1)
         axes = (n,) + (1,) * j + (d,) + (1,) * (modes - j)
-        a, e = alpha[:, j, None], eta[:, j, None]
-        c.append((a**k).reshape(axes))
-        if derivatives:
-            dc.append((k * a**k_minus_one).reshape(axes))
-            h.append(half_k / e)
-        scaled *= (e**half_k).reshape(axes)
-    spectra = spectra[owners].reshape((n,) + (1,) * modes + (-1,))
+        columns = columns * (alpha[:, j, None] ** k).reshape(axes)
+        scaled *= ((1.0 - alpha[:, j, None]) ** half_k).reshape(axes)
     scaled = scaled.reshape(n, math.prod(levels), -1)
-    # (D R)† is read from D R's buffer, conjugated in place when complex, and
-    # every product's rows are formed in one buffer: two (N, dim, dim·r)
-    # arrays besides the results
-    real = scaled.dtype.kind != "c"
-    scaled_h = (scaled if real else np.conjugate(scaled, out=scaled)).swapaxes(1, 2)
-    results, rows = [], None
-    for j in range(-1, modes if derivatives else 0):  # the output, then each mode's ∂/∂α
-        # diag(s ⊗ weights) as a row that scales the columns (k, i)
-        columns = spectra
-        for i in range(modes):
-            columns = columns * (dc[i] if i == j else c[i])
-        unconjugated = scaled if real else np.conjugate(scaled, out=rows)
-        rows = np.multiply(unconjugated, columns.reshape(n, 1, -1), out=rows)
-        results.append(rows @ scaled_h)
-    del rows, scaled, scaled_h, unconjugated
-    out = results[0].reshape((n,) + levels + levels)
-    for j, (d_out, h_j) in enumerate(zip(results[1:], h)):
-        # h_j on mode j's ket levels plus on its bra levels
-        ket = h_j.reshape((n,) + (1,) * j + h_j.shape[1:] + (1,) * (2 * modes - 1 - j))
-        bra = h_j.reshape((n,) + (1,) * (modes + j) + h_j.shape[1:] + (1,) * (modes - 1 - j))
-        d_out -= (out * (ket + bra)).reshape(d_out.shape)
-    return tuple(results)
+    rows = scaled * columns.reshape(n, 1, -1)
+    # (D R)† is read from D R's own buffer, conjugated in place when complex
+    if scaled.dtype.kind == "c":
+        np.conjugate(scaled, out=scaled)
+    return rows @ scaled.swapaxes(1, 2)
 
 
-def grid_output_and_alpha_derivatives(
-    state: TwoModeState, alpha_plus, alpha_minus, derivatives=True
-) -> tuple:
-    """Loss outputs and their exact ∂/∂α₊, ∂/∂α₋ at each pair of absorptions,
-    or with ``derivatives=False`` the outputs alone, a 1-tuple.
-
-    ``alpha_plus`` and ``alpha_minus`` are (B,) arrays; each result is a
-    (B, dim, dim) stack at zero phase, from one call of the loss kernel on
-    the state's ``kraus_tables``, real when the input is exactly real.  The
-    outputs are unchecked, and the derivatives are traceless Hermitian
-    matrices, not states.
+def grid_loss_outputs(state: TwoModeState, alpha_plus, alpha_minus) -> np.ndarray:
+    """Loss outputs at each pair of absorptions, (B, dim, dim) at zero
+    phase for the (B,) arrays ``alpha_plus`` and ``alpha_minus``, from one
+    call of the loss kernel on the state's ``kraus_tables``, real when the
+    input is exactly real.  The outputs are unchecked.
     """
     tables, spectra = state.kraus_tables
     alpha = np.column_stack((alpha_plus, alpha_minus))
-    return factored_output_and_alpha_derivative(
-        tables, spectra, [0] * len(alpha), alpha, derivatives
-    )
+    return factored_loss_output(tables, spectra, [0] * len(alpha), alpha)
 
 
-def point_output_and_alpha_derivatives(state: TwoModeState, params: ChiralParams) -> np.ndarray:
-    """The loss output and its exact ∂/∂α₊, ∂/∂α₋ at one point, (3, dim,
-    dim) at zero phase, exactly zero outside the state's ``output_blocks``.
-
-    On a mixed input with structural zeros the kernel's eigenvectors leave
-    rounding on entries that no input entry reaches, which a second channel
-    step would read as part of its input's nonzero pattern.
+def point_loss_output(state: TwoModeState, params: ChiralParams) -> np.ndarray:
+    """The loss output at one point, (dim, dim) at zero phase, exactly zero
+    outside the state's ``output_blocks``: on a mixed input with structural
+    zeros the kernel's eigenvectors leave rounding on entries that no input
+    entry reaches, which a second channel step would read as nonzero.
     """
-    loss = np.concatenate(
-        grid_output_and_alpha_derivatives(state, [params.alpha_plus], [params.alpha_minus])
-    )
-    outside = np.ones(loss.shape[1:], dtype=bool)
+    output = grid_loss_outputs(state, [params.alpha_plus], [params.alpha_minus])[0]
+    output[outside_blocks(state)] = 0.0
+    return output
+
+
+def outside_blocks(state: TwoModeState) -> np.ndarray:
+    """The (dim, dim) mask of the entries that no block of the state's
+    ``output_blocks`` holds: every channel output, and each of its
+    α-derivatives, is 0 there in exact arithmetic."""
+    outside = np.ones((state.space.dim, state.space.dim), dtype=bool)
     for block in state.output_blocks.blocks:
         outside[np.ix_(block, block)] = False
-    loss[:, outside] = 0.0
-    return loss
+    return outside
 
 
-def loss_population_slope(p, alpha, axis: int = -1) -> np.ndarray:
-    """∂p/∂α of loss output populations p, from p alone, along the levels
-    of the mode on ``axis`` whose absorption is ``alpha`` (broadcast
-    against p).
+def loss_population_slope(rho, alpha, axis: int = -1, bra_axis: int | None = None) -> np.ndarray:
+    """∂/∂α of loss outputs ``rho`` from the outputs alone, for the mode of
+    absorption ``alpha`` (broadcast against ``rho``): of populations along
+    its levels on ``axis``, or, with a ``bra_axis``, of matrices along its
+    ket levels on ``axis`` and its bra levels on ``bra_axis``.
 
-    Binomial loss has ∂T[m, n]/∂α = ((m + 1) T[m + 1, n] − m T[m, n])/η,
-    since (m + 1) C(n, m + 1) = (n − m) C(n, m), so ∂p_m/∂α = ((m + 1)
-    p_{m+1} − m p_m)/η on any input's populations, with p past the last
-    level 0: an output's populations give their own slope, with no second
-    pass over the transfer matrix.
+    Loss at transmission η = 1 − α is the semigroup e^{tL}, t = −ln η, with
+    L(ρ) = aρa† − ½{n, ρ} on the mode (Monras & Paris), so ∂ρ/∂α = L(ρ)/η,
+    ∂ρ[m, m′]/∂α = (√((m+1)(m′+1)) ρ[m+1, m′+1] − ½(m + m′) ρ[m, m′])/η
+    with ρ past the last level 0, exact on a truncated space, since loss
+    never raises the photon number.  Its diagonal, ((m + 1) p_{m+1} −
+    m p_m)/η, is the populations' slope to the bit: both weights are exact.
     """
-    axis %= p.ndim
-    weighted = np.arange(p.shape[axis]).reshape((-1,) + (1,) * (p.ndim - axis - 1)) * p
-    slope = -weighted
-    head = (slice(None),) * axis
-    slope[head + (slice(None, -1),)] += weighted[head + (slice(1, None),)]
+    ket = axis % rho.ndim
+    bra = ket if bra_axis is None else bra_axis % rho.ndim
+
+    def levels(at, start=0):
+        return np.arange(start, rho.shape[at]).reshape((-1,) + (1,) * (rho.ndim - at - 1))
+
+    lower = tuple(slice(None, -1) if i in (ket, bra) else slice(None) for i in range(rho.ndim))
+    upper = tuple(slice(1, None) if i in (ket, bra) else slice(None) for i in range(rho.ndim))
+    slope = -0.5 * (levels(ket) + levels(bra)) * rho
+    slope[lower] += np.sqrt(levels(ket, 1) * levels(bra, 1)) * rho[upper]
     slope /= 1.0 - alpha
     return slope
 
 
-def phase_derivative(rho: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Exact ∂ρ/∂φ = −i[diag(n), ρ] elementwise, for ρ or a stack of them;
-    a stack of ``n`` vectors broadcasts against the matrices' leading axes.
-    The bound routes multiply by their state's stored ``phase_generator``."""
-    return phase_generator(n) * rho
+def loss_output_slopes(outputs, alphas, space: FockSpace | None = None) -> list:
+    """∂/∂α of loss outputs (..., dim, dim) for each mode, at its absorptions
+    ``alphas[j]`` (...): ``loss_population_slope`` along the mode's ket and
+    bra levels.  The outputs are on ``space``'s two modes (α₊, α₋), or
+    without one on the dim levels of one mode (α)."""
+    levels = (space.cutoff_plus + 1, space.cutoff_minus + 1) if space else outputs.shape[-1:]
+    joint, at = outputs.reshape(outputs.shape[:-2] + levels * 2), (1,) * 2 * len(levels)
+    return [
+        loss_population_slope(joint, np.reshape(a, np.shape(a) + at), j - len(at), j - len(levels))
+        .reshape(outputs.shape)
+        for j, a in enumerate(alphas)
+    ]
 
 
 def _rk4_rhs_builder(space: FockSpace, rates: RatePicture):

@@ -29,7 +29,14 @@ from .analytic import (
     fock_benchmark_grid,
     single_photon_grid,
 )
-from .channel import CHIRAL_NAMES, ChiralParams, ParamGrid, apply_channel_kraus, apply_channel_rk4
+from .channel import (
+    CHIRAL_NAMES,
+    ChiralParams,
+    ParamGrid,
+    apply_channel_kraus,
+    apply_channel_rk4,
+    loss_output_slopes,
+)
 from .estimation import (
     ParamDerivative,
     _distinct_problems,
@@ -391,11 +398,12 @@ def benchmark_bound_match(points=(BENCHMARK_POINT,)) -> CheckResult:
 
 def mode_problems(kind: InputStateKind, alphas) -> tuple:
     """The single-mode problems of the probe ``kind`` at ``alphas``, every
-    distinct mode input at each: the loss outputs, their d/dalpha and the
-    phase generator of their levels."""
+    distinct mode input at each: the loss outputs, their d/dalpha by the
+    loss generator and the phase generator of their levels."""
     inputs = prepare_input_state(kind).mode_inputs
     rows = [list(alphas)] * len(inputs.tables)
-    output, d_alpha, _, _ = _distinct_problems(inputs, rows)
+    output, alpha, _ = _distinct_problems(inputs, rows)
+    (d_alpha,) = loss_output_slopes(output, [alpha])
     return output, d_alpha, inputs.phase_generator
 
 

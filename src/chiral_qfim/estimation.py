@@ -1,8 +1,9 @@
 """Numerical quantum Cramér–Rao pipeline.
 
 Everything here is obtained by linear algebra on channel outputs, with no
-closed-form input: parameter derivatives of ρ come from exact
-differentiation of the Kraus weights, the QFIM is
+closed-form input: parameter derivatives of ρ come from each output itself,
+∂ρ/∂α = L(ρ)/(1 − α) with the loss generator L on the mode
+(``channel.loss_output_slopes``) and ∂ρ/∂φ = −i[n, ρ], the QFIM is
 F_xy = Σ_(j,k) 2 Re[∂ρ̃_x(j,k) conj(∂ρ̃_y(j,k))]/(λ_j+λ_k) over the
 support pairs of the eigenbasis of ρ, and bounds follow from its
 inverse.  This module is the route that the closed-form catalog is
@@ -22,10 +23,10 @@ structure (``TwoModeState.two_block``: coherent, Fock product, single
 photon and NOON): in native (α₊, α₋, φ₊, φ₋) it is two blocks with no α-φ
 cross block, and photon counting attains the absorption block (Monras &
 Paris, PRL 98, 160401 (2007); Adesso et al., PRA 79, 040305(R) (2009)).
-Both blocks come from one kernel call that forms the loss outputs alone,
-with no ∂ρ/∂α: the α block is counting's Σ (∂p)²/p on the outputs'
-populations, ∂p/∂α from p itself (``channel.loss_population_slope``), and
-the φ block the QFIM of ∂ρ/∂φ±.  Each block is inverted on its own, in
+Both blocks come from one call of the loss kernel, with no ∂ρ/∂α formed:
+the α block is counting's Σ (∂p)²/p on the outputs' populations, ∂p/∂α
+from p itself (``channel.loss_population_slope``), and the φ block the
+QFIM of ∂ρ/∂φ±.  Each block is inverted on its own, in
 native coordinates, with no eigensolve: a product's blocks are diagonal;
 a dense input's α block is inverted by the Cauchy–Binet form, as sums of
 non-negative terms in log space, each zero population a limit, and its φ
@@ -53,9 +54,9 @@ information 0 and takes neither.  ``_mode_qfims`` applies the rule, and
 by block, over a stack of the output blocks that the input's nonzero
 pattern fixes (``TwoModeState.output_blocks``), with the blocks' QFIMs
 summed.  Both take their outputs from one call of the loss kernel
-(``channel.factored_output_and_alpha_derivative``), on the single-mode
-tables of a product's factors or the two-mode table of any other input.
-Both solve at zero phase: the phase stage
+(``channel.factored_loss_output``), on the single-mode tables of a
+product's factors or the two-mode table of any other input, and ∂ρ/∂α
+from those outputs.  Both solve at zero phase: the phase stage
 e^{−i(φ₊n₊ + φ₋n₋)} is a unitary that commutes with n₊ and n₋, so it
 leaves the QFIM unchanged.  Only ``channel_derivatives``, which returns an
 output at its phase, applies ``channel.phase_stage``.  One eigensolve of
@@ -101,14 +102,15 @@ from .channel import (
     CHIRAL_NAMES,
     ChiralParams,
     ParamGrid,
-    factored_output_and_alpha_derivative,
-    grid_output_and_alpha_derivatives,
+    factored_loss_output,
+    grid_loss_outputs,
+    loss_output_slopes,
     loss_population_slope,
-    phase_derivative,
+    outside_blocks,
     phase_stage,
-    point_output_and_alpha_derivatives,
+    point_loss_output,
 )
-from .fock import ModeInputs, TwoModeState, require_trace_window
+from .fock import ModeInputs, TwoModeState, phase_generator, require_trace_window
 from .linalg import (
     adjoint,
     as_complex_matrix,
@@ -265,27 +267,37 @@ def channel_derivatives(
 ) -> tuple[TwoModeState, list[ParamDerivative]]:
     """Channel output together with ∂ρ for each requested parameter.
 
-    The loss output and both α-derivatives come from one call of the loss
-    kernel on the state's ``kraus_tables``, zero outside its
-    ``output_blocks`` (``channel.point_output_and_alpha_derivatives``), and
-    the phase stage then acts on all three.  The output is
-    checked once: finite, Hermitian and in the trace window.  The
-    φ-derivatives come from the checked output, and each label's matrix is
-    their constant combination.
+    The loss output, zero outside the state's ``output_blocks``
+    (``channel.point_loss_output``), takes the phase stage and is checked
+    once: finite, Hermitian and in the trace window.  Every native
+    derivative comes from the checked output, the α ones by the loss
+    generator, which commutes with the phase stage, and is zeroed outside
+    the blocks like the output, where the generator would move the kernel's
+    rounding.  Each label's matrix is their constant combination.
     """
-    labels = tuple(param_labels)
+    labels = _checked_labels(param_labels)
     pullback = _native_pullback(labels)
     space = input_state.space
-    loss = point_output_and_alpha_derivatives(input_state, params)
-    output, d_plus, d_minus = phase_stage(loss, space, params)
-    output = require_hermitian(output)
+    output = require_hermitian(phase_stage(point_loss_output(input_state, params), space, params))
     require_trace_window(np.trace(output), input_state.trace_deficit_budget)
-    phases = [phase_derivative(output, n) for n in space.number_grids()]
-    native = [d_plus, d_minus, *phases]
+    outside = outside_blocks(input_state)
+    d_alpha = loss_output_slopes(output, (params.alpha_plus, params.alpha_minus), space)
+    native = [np.where(outside, 0.0, d) for d in d_alpha]
+    native += [phase_generator(n) * output for n in space.number_grids()]  # −i[n, ρ]
     mats = [sum(w * d for w, d in zip(pullback[:, j], native) if w) for j in range(len(labels))]
     return input_state.with_rho(output), [
         ParamDerivative(param=p, drho=m) for p, m in zip(labels, mats)
     ]
+
+
+def _checked_labels(param_labels) -> tuple:
+    """The labels as a tuple, refused when empty or when one repeats."""
+    labels = tuple(param_labels)
+    if not labels:
+        raise ValueError("no parameter labels given")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate parameter labels in {labels}")
+    return labels
 
 
 def _support_threshold(lam: np.ndarray, allow_empty: bool = False) -> np.ndarray:
@@ -436,35 +448,29 @@ def _native_pullback(param_labels: tuple) -> np.ndarray:
     return b
 
 
-def _block_stack(input_state: TwoModeState, grid: ParamGrid, derivatives: bool, which) -> tuple:
-    """A dense input's checked loss outputs (B, dim, dim) at each grid
-    point, the blocks ``which`` (an index into ``output_blocks``) of each,
-    and with ``derivatives`` those of their ∂/∂α₊, ∂/∂α₋, as a (1 or 3,
-    K·B, s, s) stack, and ∂/∂φ₊, ∂/∂φ₋ of those output blocks (2, K·B, s,
-    s).
+def _dense_outputs(input_state: TwoModeState, grid: ParamGrid) -> np.ndarray:
+    """A dense input's loss outputs (B, dim, dim) at φ± = 0, real for a real
+    input, checked once: finite, Hermitian and in the trace window."""
+    output = require_hermitian(grid_loss_outputs(input_state, grid.alpha_plus, grid.alpha_minus))
+    require_trace_window(np.trace(output, axis1=1, axis2=2), input_state.trace_deficit_budget)
+    return output
 
-    Loss keeps each mode's coherence order, so every output is block
-    diagonal in the ``output_blocks`` of the input.  The blocks of each
-    output are gathered into one zero-padded stack, at φ± = 0, where a real
-    input keeps real outputs.  The outputs are checked once, finite,
-    Hermitian and in the trace window, and the ∂/∂φ± come from the checked
-    blocks and each gathered level's (n₊, n₋).
-    """
+
+def _block_stack(input_state: TwoModeState, matrices, which) -> tuple:
+    """The blocks ``which`` (an index into ``output_blocks``) of each
+    (B, dim, dim) stack of ``matrices``, the outputs first, gathered into
+    one zero-padded (M, K·B, s, s) stack, and ∂/∂φ± of the output blocks
+    (2, K·B, s, s).  Loss keeps each mode's coherence order, so every
+    output and its ∂/∂α are block diagonal in the ``output_blocks``."""
     _, levels, phase_generators = input_state.output_blocks
     levels, phase_generators = levels[which], phase_generators[:, which]
-    dim, size = input_state.space.dim, levels.shape[-1]
-    loss = grid_output_and_alpha_derivatives(
-        input_state, grid.alpha_plus, grid.alpha_minus, derivatives
-    )
-    output = require_hermitian(loss[0])
-    require_trace_window(np.trace(output, axis1=1, axis2=2), input_state.trace_deficit_budget)
-    padded = np.zeros((len(loss), len(grid), dim + 1, dim + 1), output.dtype)
-    padded[:, :, :dim, :dim] = output, *loss[1:]
-    # (·, K, B, s, s): block k of each point's output and α-derivatives
-    points = np.arange(len(grid))[:, None, None]
-    stack = padded[:, points, levels[..., None], levels[..., None, :]]
+    count, (points, dim, _), size = len(matrices), matrices[0].shape, levels.shape[-1]
+    padded = np.zeros((count, points, dim + 1, dim + 1), matrices[0].dtype)
+    padded[:, :, :dim, :dim] = matrices
+    # (M, K, B, s, s): block k of each point's matrices
+    stack = padded[:, np.arange(points)[:, None, None], levels[..., None], levels[..., None, :]]
     d_phi = (phase_generators * stack[0]).reshape(2, -1, size, size)
-    return output, stack.reshape(len(loss), -1, size, size), d_phi
+    return stack.reshape(count, -1, size, size), d_phi
 
 
 def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> tuple:
@@ -474,20 +480,21 @@ def _block_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray
     An output's QFIM is the sum of its blocks' QFIMs (``_block_stack``),
     each cut at its own λ_max; a block that the channel leaves empty at a
     point gives 0 there.  A fully coherent input is one block, the whole
-    output.
+    output; ∂ρ/∂α± come from the whole outputs.
     """
-    _, (output, d_plus, d_minus), d_phi = _block_stack(input_state, grid, True, slice(None))
+    output = _dense_outputs(input_state, grid)
+    d_alpha = loss_output_slopes(output, (grid.alpha_plus, grid.alpha_minus), input_state.space)
+    (output, d_plus, d_minus), d_phi = _block_stack(input_state, (output, *d_alpha), slice(None))
     modes = len(input_state.output_blocks.blocks)
     f = _eigenbasis_qfim(output, [d_plus, d_minus, *d_phi], pullback, modes, allow_empty=True)
     return f.reshape(modes, len(grid), *f.shape[1:]).sum(axis=0), {}
 
 
-def _distinct_problems(inputs: ModeInputs, rows: list, derivatives: bool = True) -> tuple:
-    """Loss outputs, and with ``derivatives`` their ∂/∂α, for each distinct
-    (input, absorption) pair, from one list of absorptions per input, N
-    problems in all, in one kernel call on the inputs' loss tables; with
-    each input's distinct absorptions and the index of each entry of
-    ``rows`` among them."""
+def _distinct_problems(inputs: ModeInputs, rows: list) -> tuple:
+    """Loss outputs for each distinct (input, absorption) pair, from one
+    list of absorptions per input, N problems in all, in one kernel call on
+    the inputs' loss tables; with each problem's absorption (N,) and the
+    index of each entry of ``rows`` among the problems."""
     distinct, at = [], []
     for row in rows:
         # the row's distinct absorptions, numbered on from the rows before
@@ -497,9 +504,8 @@ def _distinct_problems(inputs: ModeInputs, rows: list, derivatives: bool = True)
         at += map(index.get, row)
     owners = [owner for owner, row in enumerate(distinct) for _ in row]
     problems = [a for row in distinct for a in row]
-    tables, spectra = inputs.tables, inputs.spectra
-    loss = factored_output_and_alpha_derivative(tables, spectra, owners, problems, derivatives)
-    return (*loss, distinct, np.array(at))
+    output = factored_loss_output(inputs.tables, inputs.spectra, owners, problems)
+    return output, np.array(problems), np.array(at)
 
 
 def _top_eigenpairs(rho: np.ndarray) -> tuple:
@@ -603,13 +609,13 @@ def _mode_qfims(output, hermitian, d_alpha, generator) -> tuple:
     return f, {"rank_one_problems": len(one), "eigensolved_problems": len(rest), **counts}
 
 
-def _product_stack(input_state: TwoModeState, grid: ParamGrid, derivatives: bool) -> tuple:
+def _product_stack(input_state: TwoModeState, grid: ParamGrid) -> tuple:
     """A product input's distinct single-mode problems at the grid's
-    points, solved by ``_mode_qfims``: their (α, φ) QFIMs (N, 2, 2) with
-    ``derivatives``, else their φ QFIMs (N, 1, 1), with how many problems
-    each route solved; their loss outputs as ``require_hermitian`` returns
-    them and their absorptions (N,); and for each point's modes, + then −,
-    the index of its problem and its output trace, (2, B) each.
+    points: their loss outputs (N, d, d) as the kernel gives them and as
+    ``require_hermitian`` returns them and their absorptions (N,), and for
+    each point's modes, + then −, the index of its problem and its output
+    trace, (2, B) each.  Callers check the traces' window after solving, so
+    an output with no support is refused by the support cut.
 
     The channel acts on each mode separately, so a product input ρ₊ ⊗ ρ₋
     gives the product output ρ₊' ⊗ ρ₋', and each mode's part, at φ = 0,
@@ -621,28 +627,22 @@ def _product_stack(input_state: TwoModeState, grid: ParamGrid, derivatives: bool
     call (``_distinct_problems``).  Repeated absorptions collapse: both
     modes of one input at a common absorption, an α₊ equal to another
     point's α₋, or a phase sweep.  Each problem is solved on its own, so
-    its bits do not depend on the other mode of its point.  The output
-    stack is checked once, finite and Hermitian, and each point's product
-    of output traces must lie in the window.
+    its bits do not depend on the other mode of its point.
     """
     inputs = input_state.mode_inputs
     # one row of absorptions per input, pooled over the modes that read it
     rows = [[] for _ in inputs.tables]
     for k, alphas in zip(inputs.reads, (grid.alpha_plus, grid.alpha_minus)):
         rows[k] += alphas.tolist()
-    output, *d_alpha, distinct, at = _distinct_problems(inputs, rows, derivatives)
-    hermitian = require_hermitian(output)
-    d_alpha = d_alpha[0] if derivatives else None
-    f, solved = _mode_qfims(output, hermitian, d_alpha, inputs.phase_generator)
-    at = at.reshape(2, len(grid))
-    tr = hermitian.diagonal(0, 1, 2).real.sum(axis=1)[at]
-    require_trace_window(tr[0] * tr[1], input_state.trace_deficit_budget)
-    return f, solved, hermitian, np.concatenate(distinct), at, tr
+    output, alpha, at = _distinct_problems(inputs, rows)
+    hermitian, at = require_hermitian(output), at.reshape(2, len(grid))
+    return output, hermitian, alpha, at, hermitian.diagonal(0, 1, 2).real.sum(axis=1)[at]
 
 
 def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarray) -> tuple:
     """The labels' QFIM at each grid point of a product input, from one
-    stack of its distinct single-mode problems (``_product_stack``), with
+    stack of its distinct single-mode problems (``_product_stack``), each
+    with ∂ρ/∂α from its output (``channel.loss_output_slopes``), with
     how many problems each route solved.
 
     Its native QFIM splits into an (α₊, φ₊) block, solved on ρ₊' alone and
@@ -651,7 +651,10 @@ def _product_qfim(input_state: TwoModeState, grid: ParamGrid, pullback: np.ndarr
     constant native-to-label pullback, the same combinations
     ``channel_derivatives`` forms.
     """
-    f, solved, _, _, at, tr = _product_stack(input_state, grid, derivatives=True)
+    output, hermitian, alpha, at, tr = _product_stack(input_state, grid)
+    (d_alpha,) = loss_output_slopes(output, [alpha])
+    f, solved = _mode_qfims(output, hermitian, d_alpha, input_state.mode_inputs.phase_generator)
+    require_trace_window(tr[0] * tr[1], input_state.trace_deficit_budget)
     f_plus, f_minus = f[at]
     # ALPHA_PHI_NAMES interleaves the modes: (α₊, α₋, φ₊, φ₋)
     native = np.zeros((len(grid), len(ALPHA_PHI_NAMES), len(ALPHA_PHI_NAMES)))
@@ -893,15 +896,18 @@ def _product_blocks(input_state: TwoModeState, grid: ParamGrid) -> tuple:
     has ∂p ≠ 0, its finite part (B, 4), and how many single-mode problems
     each route solved.
 
-    One kernel call, with no derivatives, gives each distinct problem's
-    loss output and φ QFIM (``_product_stack``).  Every entry is one mode's,
+    One kernel call gives each distinct problem's loss output
+    (``_product_stack``), and ``_mode_qfims`` its φ QFIM, with no ∂ρ/∂α
+    formed.  Every entry is one mode's,
     scaled by the other mode's output trace.  The α entries come from
     counting: Σ (∂p)²/p over p > 0, with p the output's diagonal and ∂p/∂α
     from p (``channel.loss_population_slope``).
     """
-    f_phi, solved, hermitian, distinct, at, tr = _product_stack(input_state, grid, False)
+    output, hermitian, alpha, at, tr = _product_stack(input_state, grid)
+    f_phi, solved = _mode_qfims(output, hermitian, None, input_state.mode_inputs.phase_generator)
+    require_trace_window(tr[0] * tr[1], input_state.trace_deficit_budget)
     p = hermitian.diagonal(0, 1, 2).real
-    d_p = loss_population_slope(p, distinct[:, None])
+    d_p = loss_population_slope(p, alpha[:, None])
     regular = p > 0.0
     f_alpha = (d_p * np.divide(d_p, p, out=np.zeros(p.shape), where=regular)).sum(axis=1)
     # (B, 4) in native order, each mode's entries scaled by the other's trace
@@ -943,7 +949,8 @@ def _dense_blocks(input_state: TwoModeState, grid: ParamGrid) -> tuple:
     blocks, space, points = input_state.output_blocks.blocks, input_state.space, len(grid)
     levels = (space.cutoff_plus + 1, space.cutoff_minus + 1)
     coherent, held = _block_levels(blocks, levels[1])
-    output, (stack,), d_phi = _block_stack(input_state, grid, False, coherent)
+    output = _dense_outputs(input_state, grid)
+    (stack,), d_phi = _block_stack(input_state, (output,), coherent)
     f_phi = np.zeros((points, 2, 2))
     if len(coherent):
         f = _eigenbasis_qfim(stack, list(d_phi), None, len(coherent))
@@ -1040,9 +1047,15 @@ def invert_and_bound(params, F) -> QfimResult:
     F⁻¹ = D C⁺ D.  Bounds are δX_j = sqrt((F⁻¹)_jj); parameters
     overlapping the kernel of C are flagged unidentifiable, without bound.
     F must be PSD: an eigenvalue below −QFIM_PSD_TOL·max(1, max|F|) raises
-    NumericError, read from the same eigensolve as the inversion.
+    NumericError, read from the same eigensolve as the inversion.  F, read
+    as real, must be finite and symmetric (``linalg.require_hermitian``),
+    with one row per label; labels, any names, must be distinct.
     """
-    return _inverted(tuple(params), np.asarray(F, dtype=float)[None], {})[0]
+    labels = _checked_labels(params)
+    f = require_hermitian(np.asarray(F, dtype=float))
+    if f.shape != (len(labels), len(labels)):
+        raise ValueError(f"F has shape {f.shape}, expected one row and column per label {labels}")
+    return _inverted(labels, f[None], {})[0]
 
 
 def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels) -> GridBounds:
@@ -1059,11 +1072,7 @@ def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels
     applies at each point, and the first point that fails one raises, with
     the message ``compute_bounds`` gives there.
     """
-    labels = tuple(param_labels)
-    if not labels:
-        raise ValueError("no parameter labels given")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate parameter labels in {labels}")
+    labels = _checked_labels(param_labels)
     pullback = _native_pullback(labels)
     if not len(grid):
         return _inverted(labels, np.zeros((0, len(labels), len(labels))), {})

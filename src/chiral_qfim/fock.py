@@ -131,8 +131,7 @@ def _root_binomials(cutoff: int) -> tuple:
     the running sum of row k − 1, C(m+k, k) = Σ_{j≤m} C(j+k−1, k−1), over
     Python ints, so each is exact before its one rounding to float and
     holds past int64 (cutoff ≥ 67), up to ``MAX_LOSS_CUTOFF``.  ``k`` =
-    0..cutoff, ``half_k`` = k/2 and ``k_minus_one`` = max(k − 1, 0) are the
-    exponents of the loss tables.
+    0..cutoff and ``half_k`` = k/2 are the exponents of the loss tables.
     """
     require_loss_cutoff(cutoff)
     m = np.arange(cutoff + 1)
@@ -141,7 +140,7 @@ def _root_binomials(cutoff: int) -> tuple:
     for k in m.tolist():
         binomials[k, : len(row)] = list(map(float, row))
         row = list(itertools.accumulate(row[:-1]))
-    tables = (np.sqrt(binomials), m, m / 2, np.maximum(m - 1, 0))
+    tables = (np.sqrt(binomials), m, m / 2)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -403,7 +402,7 @@ class TwoModeState:
 
     @functools.cached_property
     def kraus_tables(self) -> tuple:
-        """The loss tables of ``rho`` for ``channel.factored_output_and_alpha_derivative``,
+        """The loss tables of ``rho`` for ``channel.factored_loss_output``,
         formed once: R (1, d₊, d₋, dim·r), R[(m₊, m₋), (k, l, i)] =
         √C(m₊+k, k) √C(m₋+l, l) w_i[m₊+k, m₋+l] (``_kraus_table``), and the
         signed spectra (1, r).  The input is its own α = 0 output, so it is

@@ -12,7 +12,9 @@ independent way:
   input, against the Kraus engine;
 * ``kraus_loss``: the loss output and its exact α-derivatives by a loop
   over the Kraus operators, each reading the input's own entries through a
-  slice, against the factored loss kernel;
+  slice and differentiating its weights, against the factored loss kernel
+  and against ∂ρ/∂α = L(ρ_out)/(1 − α), which the package forms from each
+  output by the loss generator L;
 * ``population_moments``: the intensity signals' variances and slopes, and
   the sensitivities, from the joint output populations T₊ P T₋ᵀ and their
   α-derivatives, against the intensity moments, which read the input
@@ -22,11 +24,11 @@ independent way:
   that inverse about λtt†.
 
 ``mode_output_and_alpha_derivative`` runs the package's loss kernel on one
-mode's matrix, for the tests that solve a single mode alone.
+mode's matrix, and its slope rule on the output, for the tests that solve
+a single mode alone.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -38,7 +40,8 @@ from chiral_qfim.channel import (
     ChiralParams,
     DomainError,
     apply_channel_kraus,
-    factored_output_and_alpha_derivative,
+    factored_loss_output,
+    loss_output_slopes,
 )
 from chiral_qfim.estimation import (
     QfimResult,
@@ -103,17 +106,18 @@ def mode_output_and_alpha_derivative(rho: np.ndarray, alpha) -> tuple[np.ndarray
 
     ``rho`` is a single-mode Hermitian matrix on Fock levels 0..cutoff, or
     a stack of them, each factored by ``fock.mode_factor_tables`` and
-    passed to ``channel.factored_output_and_alpha_derivative``, the kernel
-    of the product route.  ``alpha`` is one value or an array whose shape
-    leads both results, its first axis over a stack's matrices.  Storage
-    stays real when ``rho`` is.
+    passed to ``channel.factored_loss_output``, the kernel of the product
+    route; ∂/∂α is ``channel.loss_output_slopes`` of each output.
+    ``alpha`` is one value or an array whose shape leads both results, its
+    first axis over a stack's matrices.  Storage stays real when ``rho`` is.
     """
     rho = np.asarray(rho)
     alpha = np.asarray(alpha, dtype=float)
     d = rho.shape[-1]
     tables, spectra = mode_factor_tables(rho.reshape(-1, d, d), d)
     owners = np.repeat(np.arange(len(tables)), alpha.size // len(tables))
-    out, d_out = factored_output_and_alpha_derivative(tables, spectra, owners, alpha.reshape(-1))
+    out = factored_loss_output(tables, spectra, owners, alpha.reshape(-1))
+    (d_out,) = loss_output_slopes(out, [alpha.reshape(-1)])
     return out.reshape(*alpha.shape, d, d), d_out.reshape(*alpha.shape, d, d)
 
 
@@ -139,20 +143,20 @@ def noon_output_analytic(params: ChiralParams, space) -> np.ndarray:
 
 
 def _loss_weights(cutoff: int, k: int, alpha: float) -> tuple:
-    """One mode's k-photon weights α^k √(C(m+k, k) C(m'+k, k)) η^((m+m')/2)
-    on the levels m, m' ≤ cutoff − k, and their exact α-derivative, each
-    entry from ``math.comb``."""
+    """One mode's k-photon weights α^k w_m w_m', w_m = √C(m+k, k) η^(m/2),
+    on the levels m, m' ≤ cutoff − k, and their exact α-derivative by the
+    product rule, (k α^(k−1) − α^k (m + m')/(2η)) w_m w_m', each binomial
+    an exact int, C(m+k, k) = C(m−1+k, k)(m+k)/m from C(k, k) = 1."""
     size, eta = cutoff + 1 - k, 1.0 - alpha
-    weights, derivatives = np.zeros((size, size)), np.zeros((size, size))
+    binomials = [1]
+    for m in range(1, size):
+        binomials.append(binomials[-1] * (m + k) // m)
+    half = np.arange(size) / 2.0
+    w = np.sqrt(np.array(binomials, dtype=float)) * eta**half
     d_alpha_k = k * alpha ** (k - 1) if k else 0.0  # with 0^0 = 1
-    for m in range(size):
-        for mp in range(size):
-            binom = math.sqrt(math.comb(m + k, k) * math.comb(mp + k, k))
-            half = (m + mp) / 2.0
-            d_eta = -half * eta ** (half - 1.0) if half else 0.0
-            weights[m, mp] = binom * alpha**k * eta**half
-            derivatives[m, mp] = binom * (d_alpha_k * eta**half + alpha**k * d_eta)
-    return weights, derivatives
+    weights = np.outer(w, w)
+    derivatives = (d_alpha_k - alpha**k * np.add.outer(half, half) / eta) * weights
+    return alpha**k * weights, derivatives
 
 
 def kraus_loss(rho: np.ndarray, space, alpha_plus: float, alpha_minus: float) -> tuple:
@@ -161,7 +165,7 @@ def kraus_loss(rho: np.ndarray, space, alpha_plus: float, alpha_minus: float) ->
     ρ[(m₊+k, m₋+l), (m₊'+k, m₋'+l)], read as a slice, weighted per mode."""
     dp, dm = space.cutoff_plus + 1, space.cutoff_minus + 1
     rho = np.asarray(rho).reshape(dp, dm, dp, dm)
-    out, d_plus, d_minus = (np.zeros(rho.shape, complex) for _ in range(3))
+    out, d_plus, d_minus = (np.zeros(rho.shape, np.result_type(rho, float)) for _ in range(3))
     minus = [_loss_weights(dm - 1, l, alpha_minus) for l in range(dm)]
     for k in range(dp):
         w_plus, dw_plus = _loss_weights(dp - 1, k, alpha_plus)
@@ -182,7 +186,7 @@ def _population_transfer(cutoff: int, alpha) -> tuple:
     """One mode's dense transfer matrices T[m, m+k] = C(m+k, k) η^m α^k and
     ∂T/∂α = k α^{k−1} C(m+k, k) η^m − T m/η, one (cutoff+1)² pair per
     absorption of the (B,) array ``alpha``."""
-    root, k, half_k, k_minus_one = _root_binomials(cutoff)
+    root, k, half_k = _root_binomials(cutoff)
     rows, cols = np.triu_indices(cutoff + 1)
     alpha = np.asarray(alpha, dtype=float)[..., None]
     eta = 1.0 - alpha
@@ -192,7 +196,8 @@ def _population_transfer(cutoff: int, alpha) -> tuple:
     d_transfer = np.zeros_like(transfer)
     kept, h = alpha**lost * g * g, k[rows] / (2.0 * eta)
     transfer[..., rows, cols] = kept
-    d_transfer[..., rows, cols] = k[lost] * alpha ** k_minus_one[lost] * g * g - kept * 2 * h
+    d_alpha_k = k[lost] * alpha ** np.maximum(lost - 1, 0)  # with 0^0 = 1
+    d_transfer[..., rows, cols] = d_alpha_k * g * g - kept * 2 * h
     return transfer, d_transfer
 
 

@@ -17,7 +17,8 @@ from chiral_qfim.channel import (
     RatePicture,
     apply_channel_kraus,
     apply_channel_rk4,
-    grid_output_and_alpha_derivatives,
+    grid_loss_outputs,
+    loss_output_slopes,
     loss_population_slope,
 )
 from chiral_qfim.estimation import channel_derivatives, compute_bounds
@@ -324,14 +325,14 @@ def _count_kernel_calls(monkeypatch):
     """Record every call of the loss kernel, dense or per mode, as the
     tuple of its table's cutoffs, one per mode."""
     cutoffs = []
-    kernel = channel.factored_output_and_alpha_derivative
+    kernel = channel.factored_loss_output
 
-    def counting_kernel(factor_tables, spectra, owners, alpha, derivatives=True):
+    def counting_kernel(factor_tables, spectra, owners, alpha):
         cutoffs.append(tuple(d - 1 for d in factor_tables.shape[1:-1]))
-        return kernel(factor_tables, spectra, owners, alpha, derivatives)
+        return kernel(factor_tables, spectra, owners, alpha)
 
     for module in (channel, estimation):
-        monkeypatch.setattr(module, "factored_output_and_alpha_derivative", counting_kernel)
+        monkeypatch.setattr(module, "factored_loss_output", counting_kernel)
     return cutoffs
 
 
@@ -342,7 +343,7 @@ def _refuse_dense_propagation(monkeypatch):
     for module in (channel, estimation, experiments):
         if hasattr(module, "apply_channel_kraus"):
             monkeypatch.setattr(module, "apply_channel_kraus", refuse)
-    monkeypatch.setattr(channel, "grid_output_and_alpha_derivatives", refuse)
+    monkeypatch.setattr(channel, "grid_loss_outputs", refuse)
 
 
 def test_channel_derivatives_take_one_kernel_call_and_intensity_none(monkeypatch):
@@ -513,11 +514,10 @@ def test_loss_tables_refuse_a_cutoff_past_float64_before_building(monkeypatch):
     assert len(sums) == 4  # the spy sees the rows of a table that is built
     monkeypatch.undo()
     # below the limit each entry is still √C(m+k, k), rounded once
-    root, k, half_k, k_minus_one = fock._root_binomials(80)
+    root, k, half_k = fock._root_binomials(80)
     exact = [[math.comb(i + j, j) if i + j <= 80 else 0 for i in range(81)] for j in range(81)]
     assert np.array_equal(root, np.sqrt(np.array(exact, dtype=float)))
     assert np.array_equal(k, np.arange(81)) and np.array_equal(half_k, np.arange(81) / 2)
-    assert np.array_equal(k_minus_one, np.maximum(np.arange(81) - 1, 0))
 
 
 def test_dense_route_makes_no_cutoff_fold_copy():
@@ -526,7 +526,7 @@ def test_dense_route_makes_no_cutoff_fold_copy():
     state = TwoModeState(space, product.rho, trace_deficit_budget=product.trace_deficit_budget)
     tracemalloc.start()
     try:
-        grid_output_and_alpha_derivatives(state, [0.3], [0.4])
+        grid_loss_outputs(state, [0.3], [0.4])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -568,8 +568,9 @@ def test_single_mode_kernel_factors_the_two_mode_engine(alpha_plus):
         rho_plus, rho_minus = state.factors
         out_plus, d_plus = mode_output_and_alpha_derivative(rho_plus, params.alpha_plus)
         out_minus, d_minus = mode_output_and_alpha_derivative(rho_minus, params.alpha_minus)
-        joint, exact_plus, exact_minus = grid_output_and_alpha_derivatives(
-            state, [params.alpha_plus], [params.alpha_minus]
+        joint = grid_loss_outputs(state, [params.alpha_plus], [params.alpha_minus])
+        exact_plus, exact_minus = loss_output_slopes(
+            joint, ([params.alpha_plus], [params.alpha_minus]), state.space
         )
         assert np.max(np.abs(np.kron(out_plus, out_minus) - joint[0])) <= 1e-15
         assert np.max(np.abs(np.kron(d_plus, out_minus) - exact_plus[0])) <= 1e-14
@@ -623,7 +624,7 @@ def test_factored_kernel_matches_the_two_mode_engine_on_every_input_kind(name):
     alphas = np.array(KERNEL_EDGE_ALPHAS)
     out_plus, d_plus = mode_output_and_alpha_derivative(rho_plus, alphas)
     out_minus, d_minus = mode_output_and_alpha_derivative(rho_minus, alphas[::-1])
-    # on the scale of each matrix, since at 1 − 1e-6 h_m = m/(2η) takes
+    # on the scale of each matrix, since at 1 − 1e-6 the slope's 1/η takes
     # ∂/∂α to entries near 1e3.  Factoring costs the output a few ulps: the
     # eigh reconstruction W S W† of the indefinite factor alone is 1.1e-15
     # from it, where the loop reads the input's own entries
@@ -789,7 +790,8 @@ def test_output_blocks_hold_every_output_of_the_grid():
         for block in blocks:
             inside[np.ix_(block, block)] = True
         assert not inside.all()
-        raw = grid_output_and_alpha_derivatives(state, alpha_plus, alpha_minus)
+        output = grid_loss_outputs(state, alpha_plus, alpha_minus)
+        raw = (output, *loss_output_slopes(output, (alpha_plus, alpha_minus), state.space))
         if state is mixture:
             assert max(np.max(np.abs(stack[:, ~inside])) for stack in raw) > 1e-14
         else:
@@ -814,26 +816,76 @@ def _dense_inputs():
         "single-photon-2-1": hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(2, 1)),
         "sparse-mixture": sparse_mixture(rng, FockSpace(3, 2), 3),
         "full-rank": random_density(rng, FockSpace(3, 2)),
+        "noon-3-3": hv_to_pm_state(NOON_HV, FockSpace(3, 3)),
+        "single-photon-3-3": hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(3, 3)),
+        "photon-pair-3-3": TwoModeState(
+            FockSpace(3, 3), fock_product_state(FockSpace(3, 3), 1, 1).rho
+        ),
+        "random-pure-3-3": random_pure(rng, FockSpace(3, 3)),
     }
+
+
+def random_pure(rng, space):
+    psi = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    return TwoModeState(space, np.outer(psi, psi.conj()) / np.vdot(psi, psi).real, label="pure")
+
+
+# the absorptions at which ∂ρ/∂α = L(ρ)/η is checked against the Kraus loop,
+# and with them the edge grid of the kernel tests
+LOSS_GENERATOR_ALPHAS = (0.0, 1e-300, 1e-13, 1e-6, 0.3, 0.999, 1 - 1e-6)
+DENSE_EDGE_ALPHAS = tuple(sorted({*LOSS_GENERATOR_ALPHAS, *KERNEL_EDGE_ALPHAS}))
 
 
 @pytest.mark.parametrize("name", list(_dense_inputs()))
 def test_dense_route_matches_the_kraus_loop(name):
-    # the kernel on the state's table of both modes, over the edge grid of
-    # absorption pairs, against the Kraus loop on the input's own entries
+    # the kernel on the state's table of both modes, and ∂ρ/∂α± = L±(ρ)/η±
+    # of each output, over the edge grid of absorption pairs, against the
+    # Kraus loop on the input's own entries
     state = _dense_inputs()[name]
-    alphas = np.array(KERNEL_EDGE_ALPHAS)
+    alphas = np.array(DENSE_EDGE_ALPHAS)
     alpha_plus, alpha_minus = np.repeat(alphas, len(alphas)), np.tile(alphas, len(alphas))
-    results = grid_output_and_alpha_derivatives(state, alpha_plus, alpha_minus)
+    output = grid_loss_outputs(state, alpha_plus, alpha_minus)
+    slopes = loss_output_slopes(output, (alpha_plus, alpha_minus), state.space)
     # the rank-1 probes stay within an ulp or two; a mixed input's eigh
     # reconstruction costs its output a few ulps, as in the product route
     mixed = name in ("sparse-mixture", "full-rank")
     tols = (2e-15, 1e-14, 1e-14) if mixed else (1e-15,) * 3
     for b, point in enumerate(zip(alpha_plus, alpha_minus)):
         references = kraus_loss(state.rho, state.space, *point)
-        for result, reference, tol in zip(results, references, tols):
+        for result, reference, tol in zip((output, *slopes), references, tols):
             scale = max(1.0, np.max(np.abs(reference)))
             assert np.max(np.abs(result[b] - reference)) <= tol * scale
+        # each ∂ρ/∂α within 1e-14 of its own largest entry
+        for slope, reference in zip(slopes, references[1:]):
+            assert np.max(np.abs(slope[b] - reference)) <= 1e-14 * np.max(np.abs(reference))
+    # on the diagonal the matrix slope is the slope of the populations, to the bit
+    levels = (state.space.cutoff_plus + 1, state.space.cutoff_minus + 1)
+    p = output.diagonal(0, 1, 2).reshape(len(output), *levels)
+    for axis, (slope, alpha) in enumerate(zip(slopes, (alpha_plus, alpha_minus)), 1):
+        populations = loss_population_slope(p, alpha[:, None, None], axis)
+        assert np.array_equal(slope.diagonal(0, 1, 2).reshape(p.shape), populations)
+
+
+@pytest.mark.parametrize("n0", [1, 4, 60, 400])
+def test_the_loss_slope_of_a_coherent_mode_is_the_kraus_derivative(n0):
+    # ∂ρ/∂α = L(ρ)/η of each output of one coherent mode, at cutoffs 12 to
+    # 534, against the Kraus loop's derivative of its weights.  Near the
+    # photon-number peak the two terms of L(ρ), each about n̄ρ, cancel to
+    # about √n̄ρ, so the output's rounding reaches ∂ρ/∂α as about √n̄ ulps of
+    # max|∂ρ| on either side: at n0 = 400, α = 0.3 a 40-digit sum puts the
+    # slope 5.4e-14 and the Kraus loop 2.0e-14 of max|∂ρ| from the exact value
+    space, budget = default_coherent_space(math.sqrt(n0), 0.0)
+    state = coherent_product_state(space, math.sqrt(n0), 0.0, truncation_budget=budget)
+    factor = real_if_exact(state.factors[0])
+    alphas = np.array(LOSS_GENERATOR_ALPHAS)
+    out, d_out = mode_output_and_alpha_derivative(factor, alphas)
+    tol = 1e-14 * max(1.0, math.sqrt(n0) / 2.0)
+    for b, alpha in enumerate(alphas):
+        reference = kraus_loss(factor, space, alpha, 0.0)[1]
+        assert np.max(np.abs(d_out[b] - reference)) <= tol * np.max(np.abs(reference))
+    # on the diagonal the matrix slope is the slope of the populations, to the bit
+    p = out.diagonal(0, 1, 2)
+    assert np.array_equal(d_out.diagonal(0, 1, 2), loss_population_slope(p, alphas[:, None]))
 
 
 @pytest.mark.parametrize("name", list(_dense_inputs()))

@@ -44,7 +44,7 @@ from chiral_qfim.fock import (
     hv_to_pm_state,
     mode_operators,
 )
-from chiral_qfim.linalg import require_hermitian
+from chiral_qfim.linalg import NonHermitianError, require_hermitian
 from oracles import (
     finite_difference,
     mode_output_and_alpha_derivative,
@@ -396,6 +396,57 @@ def test_invert_and_bound_refuses_a_qfim_that_is_not_psd():
     result = invert_and_bound(labels, np.diag([scale, kept]))
     assert result.identifiable == {"x_d": True, "x_s": False}
     assert result.bound("x_d") == pytest.approx(1e-3, rel=1e-15)
+
+
+def test_invert_and_bound_refuses_a_qfim_without_one_row_per_label():
+    # a 2×2 F bounds two labels, not three, and not one
+    for labels in (("a", "b", "c"), ("a",)):
+        with pytest.raises(ValueError, match="one row and column per label"):
+            invert_and_bound(labels, np.eye(2))
+    with pytest.raises(ValueError, match="square"):
+        invert_and_bound(("a", "b"), np.ones((2, 3)))
+
+
+def test_invert_and_bound_reads_only_a_finite_symmetric_qfim():
+    # one triangle of F is not F: each triangle and its transpose would
+    # give different bounds
+    for f in ([[1.0, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.5, 1.0]]):
+        with pytest.raises(NonHermitianError):
+            invert_and_bound(("a", "b"), f)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            invert_and_bound(("a", "b"), [[1.0, 0.0], [0.0, bad]])
+    # within HERMITICITY_TOL·max(1, max|F|) of symmetric, F is read as its
+    # symmetric part, and any label names are accepted
+    result = invert_and_bound(("a", "b"), [[1.0, 0.5], [0.5 + 1e-13, 1.0]])
+    assert result.bound("a") == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-12)
+    assert result.F[0, 1] == result.F[1, 0]
+
+
+def _single_photon_entry_points():
+    state = hv_to_pm_state(SINGLE_PHOTON_H, FockSpace(1, 1))
+    return {
+        "compute_bounds_grid": lambda labels: compute_bounds_grid(
+            state, ParamGrid([PARAMS_REF]), labels
+        ),
+        "channel_derivatives": lambda labels: channel_derivatives(state, PARAMS_REF, labels),
+        "invert_and_bound": lambda labels: invert_and_bound(labels, np.eye(len(labels))),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_single_photon_entry_points()))
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ((), "no parameter labels"),
+        (("x_d", "x_d"), "duplicate"),
+        (("x_s", "delta", "x_s"), "duplicate"),
+    ],
+    ids=["empty", "repeated", "repeated-apart"],
+)
+def test_every_entry_point_refuses_an_empty_or_repeated_label_tuple(entry, labels, message):
+    with pytest.raises(ValueError, match=message):
+        _single_photon_entry_points()[entry](labels)
 
 
 def noon_delta_closed_form(params: ChiralParams) -> float:
@@ -765,29 +816,37 @@ def test_a_product_grid_takes_one_table_pass_and_one_mode_solve(monkeypatch):
     # both are rank one, so neither needs an eigensolve
     inputs = state.mode_inputs
     assert calls == [] and inputs.spectra.shape == (2, 1)
-    passes, kernel = [], estimation.factored_output_and_alpha_derivative
+    passes, kernel = [], estimation.factored_loss_output
+    slopes, slope = [], estimation.loss_population_slope
 
-    def counting_kernel(tables, spectra, owners, alpha, derivatives=True):
-        passes.append((tables.shape[-2] - 1, np.shape(alpha), derivatives))
-        return kernel(tables, spectra, owners, alpha, derivatives)
+    def counting_kernel(tables, spectra, owners, alpha):
+        passes.append((tables.shape[-2] - 1, np.shape(alpha)))
+        return kernel(tables, spectra, owners, alpha)
 
-    monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", counting_kernel)
+    def recording_slope(rho, alpha, axis=-1, bra_axis=None):
+        slopes.append(rho.shape)
+        return slope(rho, alpha, axis, bra_axis)
+
+    monkeypatch.setattr(estimation, "factored_loss_output", counting_kernel)
+    monkeypatch.setattr(estimation, "loss_population_slope", recording_slope)
+    monkeypatch.setattr(channel, "loss_population_slope", recording_slope)
     compute_bounds_grid(state, ParamGrid(STACK_POINTS), CHIRAL_NAMES)
     # the modes' six absorptions hold five distinct problems (α₊ = 0.6
     # twice), one absorption per stack entry at the common cutoff 17, each
     # output of rank one and solved once, with no linear solve and no
     # α-derivative: counting reads the outputs' populations, and the native
     # blocks need no eigensolve
-    assert passes == [(17, (5,), False)]
+    assert passes == [(17, (5,))] and slopes == [(5, 18)]
     assert calls == []
     assert state.mode_inputs is inputs
     calls.clear()
     passes.clear()
+    slopes.clear()
     compute_bounds_grid(general(state), ParamGrid(STACK_POINTS), CHIRAL_NAMES)
-    # the general route: the kernel's α-derivatives, then each QFIM with its
+    # the general route: each output's α-derivative, then each QFIM with its
     # equilibrated form, for the PSD check and the inversion at once
     b = len(STACK_POINTS)
-    assert passes == [(17, (5,), True)]
+    assert passes == [(17, (5,))] and slopes == [(5, 18, 18)]
     assert calls == [("eigh", (2 * b, 4, 4))]
 
 
@@ -799,13 +858,13 @@ def test_one_point_makes_no_linalg_call_and_rebuilds_no_invariant(monkeypatch):
         channel._root_binomials,
     )
     inputs = state.mode_inputs  # the state's factors, formed once
-    read, kernel = [], estimation.factored_output_and_alpha_derivative
+    read, kernel = [], estimation.factored_loss_output
 
-    def recording_kernel(tables, spectra, owners, alpha, derivatives=True):
+    def recording_kernel(tables, spectra, owners, alpha):
         read.append(tables)
-        return kernel(tables, spectra, owners, alpha, derivatives)
+        return kernel(tables, spectra, owners, alpha)
 
-    monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", recording_kernel)
+    monkeypatch.setattr(estimation, "factored_loss_output", recording_kernel)
     calls = _record_linalg(monkeypatch)
     first = compute_bounds(state, PARAMS_REF, CHIRAL_NAMES)
     # the rank-one mode stack with no linear solve, and no eigensolve for
@@ -930,14 +989,14 @@ def test_a_one_point_call_is_bit_identical_to_its_grid_row(make_state):
 
 def _record_solves(monkeypatch) -> list:
     """The number of single-mode problems in each call of the loss kernel."""
-    solves, kernel = [], estimation.factored_output_and_alpha_derivative
+    solves, kernel = [], estimation.factored_loss_output
 
-    def recording_kernel(tables, spectra, owners, alpha, derivatives=True):
-        results = kernel(tables, spectra, owners, alpha, derivatives)
-        solves.append(math.prod(results[0].shape[:-2]))
-        return results
+    def recording_kernel(tables, spectra, owners, alpha):
+        output = kernel(tables, spectra, owners, alpha)
+        solves.append(math.prod(output.shape[:-2]))
+        return output
 
-    monkeypatch.setattr(estimation, "factored_output_and_alpha_derivative", recording_kernel)
+    monkeypatch.setattr(estimation, "factored_loss_output", recording_kernel)
     return solves
 
 
@@ -1073,7 +1132,8 @@ def test_a_stack_that_mixes_both_routes_gives_each_problem_its_bits_alone():
     # the absorbed population is below the cut; seeded complex problems of
     # both kinds interleave the routes in a complex stack
     inputs = photon_pair().mode_inputs
-    pair = estimation._distinct_problems(inputs, [[0.0, 0.3, 1e-13, 0.6, 1.0 - 1e-6]])[:2]
+    output, alpha, _ = estimation._distinct_problems(inputs, [[0.0, 0.3, 1e-13, 0.6, 1.0 - 1e-6]])
+    pair = output, *channel.loss_output_slopes(output, [alpha])
     rng = np.random.default_rng(11)
     spectra = (np.concatenate((1e-13 * rng.random(4), [1.0])), np.linspace(0.1, 1.0, 5))
     both = [seeded_problems(rng, 5, 3, spectrum, "complex") for spectrum in spectra]

@@ -960,7 +960,7 @@ def test_the_intensity_slope_is_the_dense_transfer_slope_with_no_kernel_call(mon
         raise AssertionError("the intensity moments called the loss kernel")
 
     for module in (channel, estimation):
-        monkeypatch.setattr(module, "factored_output_and_alpha_derivative", refuse)
+        monkeypatch.setattr(module, "factored_loss_output", refuse)
     _, slope = experiments._intensity_moments(state, grid)
     space = state.space
     if state.factors is None:
@@ -1034,16 +1034,14 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
     spec = replace(spec, methods=(QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT))
     clean = run_sweep(spec)
     broken = point_at(spec, 2)
-    kernel = channel.factored_output_and_alpha_derivative
+    kernel = channel.factored_loss_output
     moments = experiments._intensity_moments
 
-    def failing_kernel_at_one_point(factor_tables, spectra, owners, alpha, derivatives=True):
-        # the one loss kernel, dense or per mode: fill the results of every
+    def failing_kernel_at_one_point(factor_tables, spectra, owners, alpha):
+        # the one loss kernel, dense or per mode: fill the output of every
         # problem that reads the broken absorption
-        out = kernel(factor_tables, spectra, owners, alpha, derivatives)
-        broken_rows = (np.reshape(alpha, (len(owners), -1)) == broken.alpha_plus).any(axis=1)
-        for result in out:
-            result[broken_rows] = fill
+        out = kernel(factor_tables, spectra, owners, alpha)
+        out[(np.reshape(alpha, (len(owners), -1)) == broken.alpha_plus).any(axis=1)] = fill
         return out
 
     def failing_moments_at_one_point(state, grid):
@@ -1054,9 +1052,7 @@ def test_a_failing_point_flags_only_its_own_row(monkeypatch, kind, fill):
         return moments(state, grid)
 
     for module in (channel, estimation):
-        monkeypatch.setattr(
-            module, "factored_output_and_alpha_derivative", failing_kernel_at_one_point
-        )
+        monkeypatch.setattr(module, "factored_loss_output", failing_kernel_at_one_point)
     monkeypatch.setattr(experiments, "_intensity_moments", failing_moments_at_one_point)
     rows = run_sweep(spec)
     state = prepare_input_state(kind)

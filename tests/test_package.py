@@ -2,6 +2,9 @@
 
 import ast
 import pathlib
+import re
+
+import pytest
 
 import chiral_qfim
 
@@ -220,3 +223,25 @@ def test_no_input_kind_is_compared_outside_the_probe_table():
         if (lines := _kind_comparisons(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {}
+
+
+def test_the_readme_quick_start_prints_what_its_comments_say():
+    """The README's library example runs as written, each printed value
+    matches its comment to 1e-12, and the round trip through
+    ``invert_and_bound`` gives back the same bounds."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    printed = re.findall(r"^print\((.+)\) +# (.+?)(?:  \(=.*)?$", block, re.MULTILINE)
+    assert len(printed) == 3
+    for expression, comment in printed:
+        value, expected = eval(expression, namespace), ast.literal_eval(comment)
+        if isinstance(expected, float):
+            assert value == pytest.approx(expected, rel=0, abs=1e-12), expression
+        else:
+            assert value == expected, expression
+    result, again = namespace["result"], namespace["again"]
+    assert again.identifiable == result.identifiable
+    assert again.bounds == pytest.approx(result.bounds, rel=1e-12, abs=0)
+
