@@ -41,6 +41,7 @@ from .estimation import (
     ParamDerivative,
     _distinct_problems,
     _eigenbasis_qfim,
+    _general_bounds,
     _rank_one_qfim,
     _top_eigenpairs,
     channel_derivatives,
@@ -53,7 +54,6 @@ from .fock import (
     NOON_HV,
     SINGLE_PHOTON_H,
     FockSpace,
-    TwoModeState,
     coherent_product_state,
     mode_operators,
 )
@@ -439,18 +439,6 @@ def rank_one_route(problems=None) -> CheckResult:
     )
 
 
-def _general(state: TwoModeState) -> TwoModeState:
-    """The same input without its builder flag, for the general route."""
-    if state.factors is None:
-        return state.with_rho(state.rho)
-    return TwoModeState(
-        state.space,
-        label=state.label,
-        trace_deficit_budget=state.trace_deficit_budget,
-        factors=state.factors,
-    )
-
-
 def check_1_points() -> list:
     """Acceptance check 1's 10 x 10 (x_d, x_s) grid inside the physical
     wedge, at zero phase and at the phases (delta, sigma) = (0.7, -0.3)."""
@@ -470,8 +458,8 @@ def counting_attains_absorption(points=None, probes=None) -> CheckResult:
     1e-12 Poisson tail, and each quantum probe of ``PROBES``) the
     two-block route's native (α₊, α₋) block, counting's on the output
     populations, is compared at ``points`` (by default ``check_1_points()``)
-    with the eigenbasis block of the same outputs on the general route (the
-    input without its builder flag).  The residual is the largest gap
+    with the eigenbasis block of the same outputs on the general route
+    (``estimation._general_bounds``).  The residual is the largest gap
     relative to the eigenbasis block's largest entry over the untruncated
     probes; ``measured`` carries it and the truncated (coherent) probes',
     held to COUNTING_COHERENT_TOL.  Both coherent blocks carry the
@@ -488,7 +476,7 @@ def counting_attains_absorption(points=None, probes=None) -> CheckResult:
     gaps = {"exact": 0.0, "truncated": 0.0}
     for state in probes:
         counting = compute_bounds_grid(state, grid, labels).F
-        eigenbasis = compute_bounds_grid(_general(state), grid, labels).F
+        eigenbasis = _general_bounds(state, grid, labels).F
         scale = np.abs(eigenbasis).max(axis=(1, 2))
         gap = float((np.abs(counting - eigenbasis).max(axis=(1, 2)) / scale).max())
         key = "truncated" if state.trace_deficit_budget else "exact"

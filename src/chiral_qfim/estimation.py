@@ -15,53 +15,53 @@ keep the pairs that ``_support_threshold`` defines, the one support cut;
 
 ``compute_bounds_grid`` is the one route, over a grid of points, with
 stacked results; ``compute_bounds`` is its grid of one, as a QfimResult.
-It takes one of two inversions, which ``GridBounds.meta["inversion"]``
-names.
+The state's own matrix picks one of two inversions, which
+``GridBounds.meta["inversion"]`` names.
 
-The two-block inversion serves the inputs whose builder fixes the QFIM's
-structure (``TwoModeState.two_block``: coherent, Fock product, single
-photon and NOON): in native (α₊, α₋, φ₊, φ₋) it is two blocks with no α-φ
-cross block, and photon counting attains the absorption block (Monras &
-Paris, PRL 98, 160401 (2007); Adesso et al., PRA 79, 040305(R) (2009)).
-Both blocks come from one call of the loss kernel, with no ∂ρ/∂α formed:
-the α block is counting's Σ (∂p)²/p on the outputs' populations, ∂p/∂α
-from p itself (``channel.loss_population_slope``), and the φ block the
-QFIM of ∂ρ/∂φ±.  Each block is inverted on its own, in
-native coordinates, with no eigensolve: a product's blocks are diagonal;
-a dense input's α block is inverted by the Cauchy–Binet form, as sums of
-non-negative terms in log space, each zero population a limit, and its φ
-block as a plain 2×2, checked PSD, whose smaller equilibrated eigenvalue
-is cut at RCOND.  A zero population with ∂p ≠ 0 then pins its direction
-exactly, and a block with one weak and one strong direction keeps both.
-More than two labels in one block are dependent, so they are reported
-unidentifiable, and the other block is bounded as usual.
+The two-block inversion serves every state whose matrix proves ∂ρ/∂α± =
+½{G±, ρ} with G± diagonal (``TwoModeState.diagonal_loss_sld``; every
+probe the builders make does): in native (α₊, α₋, φ₊, φ₋) the QFIM is then
+two blocks with no α-φ cross block, and photon counting attains the
+absorption block (Monras & Paris, PRL 98, 160401 (2007); Adesso et al.,
+PRA 79, 040305(R) (2009)).  Both blocks come from one call of the loss
+kernel, with no ∂ρ/∂α formed: the α block is counting's Σ (∂p)²/p on the
+outputs' populations, ∂p/∂α from p itself
+(``channel.loss_population_slope``), and the φ block the QFIM of ∂ρ/∂φ±.
+Each block is inverted on its own, in native coordinates, with no
+eigensolve: a product's blocks are diagonal; a dense input's α block is
+inverted by the Cauchy–Binet form, as sums of non-negative terms in log
+space, each zero population a limit, and its φ block as a plain 2×2,
+checked PSD, whose smaller equilibrated eigenvalue is cut at RCOND.  A
+zero population with ∂p ≠ 0 then pins its direction exactly, and a block
+with one weak and one strong direction keeps both.  More than two labels
+in one block are dependent, so they are reported unidentifiable, and the
+other block is bounded as usual.
 
-The general inversion serves every other input: the labels' full QFIM is
-formed and pseudo-inverted (``_inverted``).  Product inputs (states
-carrying per-mode ``factors``) are solved as one stack of their distinct
-single-mode problems, one per (mode input, absorption): both modes of an
-H-polarized coherent probe or of the photon pair read one input, so a
-common absorption, an absorption that recurs across points, or a phase
-sweep is solved once and gathered back to each point; both inversions
-share this.  Loss maps a coherent state to a coherent state, so a coherent
-mode's output support is one vector: such a problem is solved from its
-top eigenpair, found by power steps, with no linear solve, the inverse of
-ρ + λ expanded about λtt† (``_rank_one_qfim``), and any other by an
-eigensolve.  For φ alone, which is all the two-block inversion asks of a
-mode, an output with no coherence (every output of a Fock product) has φ
-information 0 and takes neither.  ``_mode_qfims`` applies the rule, and
-``GridBounds.meta`` counts the problems each route solved.  Any other input is solved block
-by block, over a stack of the output blocks that the input's nonzero
-pattern fixes (``TwoModeState.output_blocks``), with the blocks' QFIMs
-summed.  Both take their outputs from one call of the loss kernel
-(``channel.factored_loss_output``), on the single-mode tables of a
-product's factors or the two-mode table of any other input, and ∂ρ/∂α
-from those outputs.  Both solve at zero phase: the phase stage
-e^{−i(φ₊n₊ + φ₋n₋)} is a unitary that commutes with n₊ and n₋, so it
-leaves the QFIM unchanged.  Only ``channel_derivatives``, which returns an
-output at its phase, applies ``channel.phase_stage``.  One eigensolve of
-the stacked [F; D F D] both checks each QFIM PSD, on F's own scale, and
-inverts it (``_inverted``, which ``invert_and_bound`` shares).
+The general inversion (``_general_bounds``) serves every other input: the
+labels' full QFIM is formed and pseudo-inverted (``_inverted``).  Product
+inputs (states carrying per-mode ``factors``) are solved as one stack of
+their distinct single-mode problems, one per (mode input, absorption):
+both modes of an H-polarized coherent probe or of the photon pair read one
+input, so a common absorption, an absorption that recurs across points,
+or a phase sweep is solved once and gathered back to each point; both
+inversions share this.  Loss maps a coherent state to a coherent state, so
+a coherent mode's output support is one vector: such a problem is solved
+from its top eigenpair, found by power steps, with no linear solve, the
+inverse of ρ + λ expanded about λtt† (``_rank_one_qfim``), and any other
+by an eigensolve.  For φ alone, which is all the two-block inversion asks
+of a mode, an output with no coherence (every output of a Fock product)
+has φ information 0 and takes neither.  ``_mode_qfims`` applies the rule,
+and ``GridBounds.meta`` counts the problems each route solved.  Any other
+input is solved block by block, over a stack of the output blocks that the
+input's nonzero pattern fixes (``TwoModeState.output_blocks``), with the
+blocks' QFIMs summed.  Both take their outputs from one call of the loss
+kernel (``channel.factored_loss_output``) and ∂ρ/∂α from those outputs,
+at zero phase: the phase stage e^{−i(φ₊n₊ + φ₋n₋)} is a unitary that
+commutes with n₊ and n₋, so it leaves the QFIM unchanged.  Only
+``channel_derivatives``, which returns an output at its phase, applies
+``channel.phase_stage``.  One eigensolve of the stacked [F; D F D] both
+checks each QFIM PSD, on F's own scale, and inverts it (``_inverted``,
+which ``invert_and_bound`` shares).
 
 What depends only on the state, the labels or the cutoff is built once and
 kept read-only: per state, a product's distinct padded mode inputs with
@@ -462,8 +462,8 @@ def _block_stack(input_state: TwoModeState, matrices, which) -> tuple:
     one zero-padded (M, K·B, s, s) stack, and ∂/∂φ± of the output blocks
     (2, K·B, s, s).  Loss keeps each mode's coherence order, so every
     output and its ∂/∂α are block diagonal in the ``output_blocks``."""
-    _, levels, phase_generators = input_state.output_blocks
-    levels, phase_generators = levels[which], phase_generators[:, which]
+    blocks = input_state.output_blocks
+    levels, phase_generators = blocks.levels[which], blocks.phase_generators[:, which]
     count, (points, dim, _), size = len(matrices), matrices[0].shape, levels.shape[-1]
     padded = np.zeros((count, points, dim + 1, dim + 1), matrices[0].dtype)
     padded[:, :, :dim, :dim] = matrices
@@ -960,16 +960,18 @@ def _dense_blocks(input_state: TwoModeState, grid: ParamGrid) -> tuple:
     g[..., 0] = loss_population_slope(p, grid.alpha_plus[:, None, None], axis=1)
     g[..., 1] = loss_population_slope(p, grid.alpha_minus[:, None, None], axis=2)
     p, g = p.reshape(points, -1)[:, held], g.reshape(points, -1, 2)[:, held]
-    scaled = g * np.divide(1.0, p, out=np.zeros(p.shape), where=p > 0.0)[..., None]
+    inverse = np.divide(1.0, p, out=np.zeros(p.shape), where=p > 0.0)[..., None]
+    # 1/p overflows on the least subnormal populations, where g/p is finite
+    scaled = np.where(np.isinf(inverse), g / p[..., None], g * inverse)
     return _level_pieces(p, g), _piece_sum(scaled, g), f_phi
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _two_block_bounds(
     input_state: TwoModeState, grid: ParamGrid, labels: tuple, plan: _BlockPlan
 ) -> GridBounds:
-    """Bounds at each grid point of a state whose builder fixes the two
-    native blocks (``TwoModeState.two_block``), block by block.
+    """Bounds at each grid point of a state whose matrix certifies the two
+    native blocks (``TwoModeState.diagonal_loss_sld``), block by block.
 
     The α block is photon counting's, which attains the QFIM's for these
     inputs, and the φ block the QFIM's from the outputs alone; the α-φ
@@ -981,8 +983,9 @@ def _two_block_bounds(
     (``_dense_blocks``, ``_phase_pieces``, ``_block_covariance``).  F and
     F⁻¹ are reported in label coordinates, with 0 between the blocks; F's
     α block is the finite part, the levels with p > 0.  The log of a zero
-    weight is −∞ by design, so the route runs with numpy's divide and
-    invalid warnings off; every input it reads is checked finite first.
+    weight is −∞ and 1/p of a subnormal p is ∞ by design, so the route runs
+    with numpy's divide, invalid and overflow warnings off; every input it
+    reads is checked finite first.
     """
     n, points = len(labels), len(grid)
     pullback = _native_pullback(labels)
@@ -1006,6 +1009,26 @@ def _two_block_bounds(
     singular = ~f.any(axis=(1, 2)) & ~identifiable.any(axis=1)
     meta = {"route": route, "inversion": "two_block", "state_label": input_state.label, **solved}
     return GridBounds(labels, f, f_inv, bounds, identifiable, singular, meta)
+
+
+def _general_bounds(input_state: TwoModeState, grid: ParamGrid, labels: tuple) -> GridBounds:
+    """Bounds at each point of a nonempty grid from the labels' full QFIM
+    (per mode for a product, else block by block), pseudo-inverted.  A QFIM
+    that is not finite, where 2/(λ_j + λ_k) overflows on a block of tiny
+    support, raises NumericError before the inversion, not numpy's warning."""
+    if input_state.factors is not None:
+        route, qfim = "per_mode", _product_qfim
+    else:
+        route, qfim = "eigenbasis", _block_qfim
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, solved = qfim(input_state, grid, _native_pullback(labels))
+    if not np.isfinite(f).all():
+        b = int(np.argmin(np.isfinite(f).all(axis=(1, 2))))
+        alphas = (float(grid.alpha_plus[b]), float(grid.alpha_minus[b]))
+        raise NumericError(f"QFIM is not finite at (alpha_plus, alpha_minus) = {alphas}")
+    f = (f + f.swapaxes(1, 2)) / 2.0  # exactly symmetric
+    meta = {"route": route, "inversion": "general", "state_label": input_state.label}
+    return _inverted(labels, f, {**meta, **solved})
 
 
 def _inverted(params: tuple, f: np.ndarray, meta: dict) -> GridBounds:
@@ -1064,28 +1087,19 @@ def compute_bounds_grid(input_state: TwoModeState, grid: ParamGrid, param_labels
 
     One pass serves every point: each layer, from the loss tables through
     the eigensolves, the QFIM's PSD check and the inversion, carries a
-    leading grid axis of len(params).  A product input (one carrying
-    ``factors``) is solved as one stack of its distinct single-mode
-    problems, any other as one stack of its output blocks, each cut at its
-    own scale; both at φ± = 0,
-    so the bounds at any phases equal those at zero phase.  Every check
-    applies at each point, and the first point that fails one raises, with
-    the message ``compute_bounds`` gives there.
+    leading grid axis of len(params).  The state's matrix picks the
+    two-block or the general inversion (``TwoModeState.diagonal_loss_sld``);
+    both solve at φ± = 0, so the bounds at any phases equal those at zero
+    phase.  Every check applies at each point, and the first point that
+    fails one raises, with the message ``compute_bounds`` gives there.
     """
     labels = _checked_labels(param_labels)
-    pullback = _native_pullback(labels)
+    _native_pullback(labels)  # refuses an unknown label, on an empty grid too
     if not len(grid):
         return _inverted(labels, np.zeros((0, len(labels), len(labels))), {})
-    if input_state.two_block:
+    if input_state.diagonal_loss_sld:
         return _two_block_bounds(input_state, grid, labels, _two_block_plan(labels))
-    if input_state.factors is not None:
-        route, qfim = "per_mode", _product_qfim
-    else:
-        route, qfim = "eigenbasis", _block_qfim
-    f, solved = qfim(input_state, grid, pullback)
-    f = (f + f.swapaxes(1, 2)) / 2.0  # exactly symmetric
-    meta = {"route": route, "inversion": "general", "state_label": input_state.label}
-    return _inverted(labels, f, {**meta, **solved})
+    return _general_bounds(input_state, grid, labels)
 
 
 def compute_bounds(input_state: TwoModeState, params: ChiralParams, param_labels) -> QfimResult:

@@ -91,13 +91,6 @@ def _kind_to_dict(kind: InputStateKind) -> dict:
     return payload
 
 
-def _kind_from_dict(payload: dict) -> InputStateKind:
-    """The kind ``_kind_to_dict`` wrote; ``InputStateKind`` refuses an
-    amplitude given to a quantum kind."""
-    amps = {amp: complex(*payload[amp]) for amp in ("amp_h", "amp_v") if amp in payload}
-    return InputStateKind(kind=payload["kind"], **amps)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One-dimensional grid sweep of a parameter for one input state."""
@@ -171,20 +164,6 @@ class SweepSpec:
         if self.note:
             payload["note"] = self.note
         return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        payload = json.loads(text)
-        return cls(
-            input_state=_kind_from_dict(payload["input"]),
-            vary=payload["vary"],
-            start=float(payload["start"]),
-            stop=float(payload["stop"]),
-            points=int(payload["points"]),
-            fixed={k: float(v) for k, v in payload.get("fixed", {}).items()},
-            methods=tuple(payload.get("methods", (QFIM_NUMERIC,))),
-            note=payload.get("note", ""),
-        )
 
 
 @dataclass(frozen=True)

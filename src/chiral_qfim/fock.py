@@ -40,6 +40,7 @@ from .linalg import real_if_exact, require_hermitian
 
 TRUNCATION_BUDGET_DEFAULT = 1e-10
 PSD_TOL = 1e-10
+COHERENT_VECTOR_TOL = 1e-12
 
 SINGLE_PHOTON_H = "single_photon_h"
 NOON_HV = "noon_hv"
@@ -234,12 +235,14 @@ class OutputBlocks(NamedTuple):
     """A dense state's output ``blocks`` (tuples of levels, from
     ``_reachable_blocks``), each block's levels padded to the largest block's
     size s with the level ``dim``, which holds zeros, as ``levels`` (K, 1,
-    s), and the phase generators of n₊ and of n₋ on each block's padded
-    levels, ``phase_generators`` (2, K, 1, s, s)."""
+    s), the phase generators of n₊ and of n₋ on each block's padded levels,
+    ``phase_generators`` (2, K, 1, s, s), and whether loss shifts no input
+    entry into a block of more than one level, ``unshifted``."""
 
     blocks: tuple
     levels: np.ndarray
     phase_generators: np.ndarray
+    unshifted: bool
 
 
 class ModeOperators(NamedTuple):
@@ -300,17 +303,6 @@ class TwoModeState:
     factor passed for both modes is held once) and a read-only ``meta``
     mapping, so one state can serve many callers
     (``experiments.prepare_input_state`` keeps the states it builds).
-
-    ``two_block`` is set only by the builders of this module (coherent,
-    Fock product, single photon, NOON), through ``_two_block``: for these
-    inputs the QFIM in native (α₊, α₋, φ₊, φ₋) is two blocks, with no α-φ
-    cross block, and photon counting attains its absorption block, since
-    every output coherence sector is rank one with phases that do not
-    depend on α (Monras & Paris, PRL 98, 160401 (2007)), a truncated
-    coherent state's up to its tail.  Nothing checks that structure on a
-    matrix, so the constructor takes no flag: ``with_rho`` and the
-    constructor leave it unset, and any other matrix takes the general
-    route.
     """
 
     space: FockSpace
@@ -318,7 +310,6 @@ class TwoModeState:
     trace_deficit_budget: float
     meta: MappingProxyType
     factors: tuple | None = field(repr=False)
-    two_block: bool = False
 
     def __init__(
         self,
@@ -336,7 +327,6 @@ class TwoModeState:
         meta = MappingProxyType({} if meta is None else dict(meta))
         vars(self).update(space=space, label=label, meta=meta)
         vars(self).update(trace_deficit_budget=trace_deficit_budget, factors=factors)
-        vars(self)["two_block"] = False
         if rho is not None:
             vars(self)["rho"] = rho
         self.__post_init__()
@@ -391,14 +381,35 @@ class TwoModeState:
         the input's nonzero pattern alone (``_reachable_blocks``), with their
         padded levels and phase generators, formed once; the arrays are
         read-only."""
-        blocks, dim = _reachable_blocks(self), self.space.dim
+        (blocks, unshifted), dim = _reachable_blocks(self), self.space.dim
         size = max(map(len, blocks))
         levels = np.array([block + (dim,) * (size - len(block)) for block in blocks])[:, None]
         numbers = np.array(np.divmod(levels, self.space.cutoff_minus + 1))
-        output_blocks = OutputBlocks(blocks, levels, phase_generator(numbers))
-        for array in output_blocks[1:]:
+        output_blocks = OutputBlocks(blocks, levels, phase_generator(numbers), unshifted)
+        for array in output_blocks[1:3]:
             array.flags.writeable = False
         return output_blocks
+
+    @functools.cached_property
+    def diagonal_loss_sld(self) -> bool:
+        """Whether the matrix proves ∂ρ/∂α± = ½{G±, ρ}, G± diagonal, for every
+        output, decided once.  The SLD G± then commutes with n±: the QFIM in
+        native (α₊, α₋, φ₊, φ₋) has no α-φ cross block, and its α block
+        tr(ρ G G) = Σ (∂p)²/p is photon counting's.  A dense input proves it
+        when loss shifts no input entry into an output block of more than
+        one level (``OutputBlocks.unshifted``): each is then D ρ D, D =
+        diag(η₊^(n₊/2) η₋^(n₋/2)).  A product does when each distinct factor
+        is diagonal, which loss keeps diagonal, or a truncated coherent
+        projector (``_coherent_vector``, on its loss table's vector), which
+        loss keeps coherent, |√η β⟩, to its tail."""
+        if self.factors is None:
+            return self.output_blocks.unshifted
+        inputs = self.mode_inputs
+        return all(
+            (np.count_nonzero(spectrum) == 1 and _coherent_vector(table[:, 0]))
+            or np.count_nonzero(factor) == np.count_nonzero(factor.diagonal())
+            for factor, table, spectrum in zip(self.factors, inputs.tables, inputs.spectra)
+        )
 
     @functools.cached_property
     def kraus_tables(self) -> tuple:
@@ -463,12 +474,14 @@ def _checked(matrix, dim: int) -> np.ndarray:
 def _reachable_blocks(state: TwoModeState) -> tuple:
     """The index blocks of every channel output of ``state``, read from the
     input's nonzero pattern alone: tuples of levels, in order of their
-    lowest level.
+    lowest level; and whether no input entry that loss shifts reaches a
+    block of more than one level.
 
     The phase stage rescales each entry in place, and loss maps |a,b⟩⟨c,d|
     to |a−k,b−l⟩⟨c−k,d−l|, so an output entry can be nonzero only where an
     input entry reaches it: an OR over every (k, l) shift, formed per mode
-    as a suffix OR along the shared ket-bra diagonal, by doubling.  Two
+    as a suffix OR along the shared ket-bra diagonal, by doubling.  A shift
+    other than (0, 0) is one step in either mode, then any shift.  Two
     levels share a block when a reachable entry couples them; a level that
     no entry reaches is empty at every point and belongs to no block.  The
     blocks follow from minimum-label propagation, each pass O(dim²).
@@ -483,6 +496,9 @@ def _reachable_blocks(state: TwoModeState) -> tuple:
         if shift < dm:
             reach[:, :-shift, :, :-shift] |= reach[:, shift:, :, shift:]
         shift *= 2
+    shifted = np.zeros_like(reach)
+    shifted[:-1, :, :-1] = reach[1:, :, 1:]
+    shifted[:, :-1, :, :-1] |= reach[:, 1:, :, 1:]
     # a Hermitian input reaches a symmetric pattern; each level starts at
     # its least neighbour (0 if unreached)
     reach = reach.reshape(space.dim, space.dim)
@@ -498,7 +514,8 @@ def _reachable_blocks(state: TwoModeState) -> tuple:
     for level, (root, reached) in enumerate(zip(label.tolist(), reach.any(axis=1).tolist())):
         if reached:
             blocks.setdefault(root, []).append(level)
-    return tuple(map(tuple, blocks.values()))
+    blocks, shifted = tuple(map(tuple, blocks.values())), shifted.reshape(space.dim, space.dim)
+    return blocks, not any(shifted[np.ix_(b, b)].any() for b in blocks if len(b) > 1)
 
 
 def _tail_sum(mean: float, cutoff: int, terms: dict) -> float:
@@ -599,6 +616,19 @@ def default_coherent_space(
     return FockSpace(cutoff_plus=cutoffs[means[0]], cutoff_minus=cutoffs[means[1]]), effective
 
 
+def _coherent_vector(w: np.ndarray) -> bool:
+    """Whether w ∝ β^n/√n! to rounding: √(n+1) w_{n+1} = β w_n below its
+    last nonzero level, β fitted by least squares, within
+    COHERENT_VECTOR_TOL of max √(n+1) w_{n+1}; not a number state |n > 0⟩."""
+    top = int(np.flatnonzero(w)[-1])
+    below, above = w[:top], np.sqrt(np.arange(1, top + 1)) * w[1 : top + 1]
+    norm = np.vdot(below, below).real
+    if not norm:
+        return not top  # the vacuum, or a number state
+    beta = np.vdot(below, above) / norm
+    return np.abs(above - beta * below).max() <= COHERENT_VECTOR_TOL * np.abs(above).max()
+
+
 def _coherent_factor(amp: complex, cutoff: int) -> np.ndarray:
     """|amp⟩⟨amp| on levels 0..cutoff, unnormalized: v_n = e^{−|amp|²/2} amp^n/√n!.
 
@@ -617,14 +647,6 @@ def _coherent_factor(amp: complex, cutoff: int) -> np.ndarray:
     for n in range(start + 1, cutoff + 1):
         vec[n] = vec[n - 1] * amp / math.sqrt(n)
     return np.outer(vec, vec.conj())
-
-
-def _two_block(state: TwoModeState) -> TwoModeState:
-    """``state``, flagged as an input whose QFIM is the two native blocks
-    (``TwoModeState.two_block``).  The flag is an unchecked claim about the
-    matrix, so only this module's builders set it."""
-    vars(state)["two_block"] = True
-    return state
 
 
 def coherent_product_state(
@@ -655,13 +677,12 @@ def coherent_product_state(
                 f" > budget {truncation_budget:.3e}; cutoff >= {needed} required"
             )
     factors = {mode: _coherent_factor(*mode) for mode in dict.fromkeys(modes.values())}
-    state = TwoModeState(
+    return TwoModeState(
         space,
         label=f"coherent(amp+={amp_plus!r}, amp-={amp_minus!r})",
         trace_deficit_budget=2.0 * truncation_budget,
         factors=tuple(factors[mode] for mode in modes.values()),
     )
-    return _two_block(state)
 
 
 # the ± amplitudes of the H/V-defined quantum inputs, by level (n₊, n₋)
@@ -683,7 +704,7 @@ def hv_to_pm_state(kind: str, space: FockSpace) -> TwoModeState:
     for levels, amplitude in _HV_AMPLITUDES[kind].items():
         psi[space.index(*levels)] = amplitude  # raises TruncationError outside the cutoffs
     rho = np.outer(psi, psi.conj())
-    return _two_block(TwoModeState(space=space, rho=rho, label=kind))
+    return TwoModeState(space=space, rho=rho, label=kind)
 
 
 def fock_product_state(space: FockSpace, n_plus: int, n_minus: int) -> TwoModeState:
@@ -691,4 +712,4 @@ def fock_product_state(space: FockSpace, n_plus: int, n_minus: int) -> TwoModeSt
     space.index(n_plus, n_minus)  # raises TruncationError outside the cutoffs
     cutoffs = (space.cutoff_plus, space.cutoff_minus)
     factors = tuple(np.diag(np.eye(c + 1)[n]) for c, n in zip(cutoffs, (n_plus, n_minus)))
-    return _two_block(TwoModeState(space, label=f"fock({n_plus},{n_minus})", factors=factors))
+    return TwoModeState(space, label=f"fock({n_plus},{n_minus})", factors=factors)

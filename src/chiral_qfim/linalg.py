@@ -103,26 +103,23 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
 
     ``a`` is one matrix or a stack of them along leading axes; each must be
     finite and Hermitian within ``tol * max(1, max|A|)`` of its own entries.
-    A NaN or ∞ anywhere in the stack raises first, then the first matrix
-    that is not Hermitian.  Real input stays real.  Finiteness is read from
-    max|A|, which is NaN or ∞ exactly when an entry is, and only once the
-    stack has failed the check.
+    A NaN or ∞ anywhere in the stack raises first, before A − A† is formed,
+    then the first matrix that is not Hermitian.  Real input stays real.
+    Finiteness is read from max|A|, which is NaN or ∞ exactly when an entry
+    is.
     """
     a = np.asarray(a)
     if a.dtype != np.float64:
         a = a.astype(np.complex128, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise DimensionMismatchError(f"expected a square matrix, got {a.shape}")
-    a_h = adjoint(a)
     scale = np.abs(a).max(axis=(-2, -1))
+    if np.count_nonzero(scale < np.inf) < scale.size:
+        raise ValueError("matrix contains NaN or Inf entries")
+    a_h = adjoint(a)
     defect = np.abs(a - a_h).max(axis=(-2, -1))
-    # scale < ∞ fails exactly where an entry is NaN or ∞, a lone off-diagonal
-    # ∞ included, which passes the defect test (∞ ≤ tol·∞); the two failures
-    # are told apart only once the stack has failed
-    ok = (defect <= tol * np.maximum(1.0, scale)) & (scale < np.inf)
+    ok = defect <= tol * np.maximum(1.0, scale)
     if np.count_nonzero(ok) < ok.size:
-        if not np.isfinite(scale).all():
-            raise ValueError("matrix contains NaN or Inf entries")
         first = np.unravel_index(np.argmin(ok), ok.shape)
         raise NonHermitianError(
             f"matrix is not Hermitian: max|A - A†| = {defect[first]:.3e}"

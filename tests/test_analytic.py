@@ -80,8 +80,9 @@ def test_input_state_kinds_expose_mean_photon_numbers():
 def test_input_state_kind_rejects_bad_construction():
     with pytest.raises(ValueError, match="unknown input state kind"):
         InputStateKind(kind="thermal")
-    with pytest.raises(ValueError, match="amplitudes only apply"):
-        InputStateKind(kind=NOON_HV, amp_h=1.0)
+    for amp in ("amp_h", "amp_v"):
+        with pytest.raises(ValueError, match="amplitudes only apply to the coherent kind"):
+            InputStateKind(kind=NOON_HV, **{amp: 1.0})
     with pytest.raises(ValueError, match="finite"):
         InputStateKind.coherent(float("inf"))
     # the vacuum is a valid kind; operations needing photons reject it themselves

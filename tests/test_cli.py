@@ -531,8 +531,9 @@ def test_each_probe_record_agrees_with_its_name_labels_and_builder(name, fresh_i
     kind = _input_kind(merge_config(parser, parser.parse_args(["bounds", *_state_flags(probe)])))
     assert kind.kind == name and kind.probe is probe
     assert probe.labels == default_param_labels(kind) == default_param_labels(name)
-    # the state its builder, or the coherent product, gives carries the flag
-    assert prepare_input_state(kind).two_block
+    # the state its builder, or the coherent product, gives certifies its two
+    # native blocks
+    assert prepare_input_state(kind).diagonal_loss_sld
     if probe.builder:
         assert kind.mean_photons == probe.photons
         with pytest.raises(TruncationError):  # its cutoff is the least

@@ -481,7 +481,7 @@ def test_invert_and_bound_reports_the_groups_of_the_qfim_it_inverts():
         # the general route inverts F as invert_and_bound does, to the bit;
         # the two-block route inverts each native block on its own
         two_block = compute_bounds(state, params, CHIRAL_NAMES)
-        result = compute_bounds(general(state), params, CHIRAL_NAMES)
+        result = general(state, params, CHIRAL_NAMES)
         assert result.blocks == two_block.blocks == groups
         inverted = invert_and_bound(CHIRAL_NAMES, result.F)
         assert inverted.blocks == groups
@@ -563,8 +563,9 @@ COUNTING_TOL = 1e-8
 ABSORPTION = ("x_d", "x_s")
 
 
-# the same input without its builder flag: the general route
-general = checks._general
+def general(state, params, labels):
+    """One point's bounds on the general route, whatever the state certifies."""
+    return estimation._general_bounds(state, ParamGrid([params]), labels)[0]
 
 
 def without_factors(state):
@@ -573,12 +574,14 @@ def without_factors(state):
     )
 
 
-def dense_two_block(state):
-    """A builder's product input as its dense matrix, still flagged: the
-    two-block route on joint populations and output blocks."""
-    return fock._two_block(
-        TwoModeState(state.space, state.rho, trace_deficit_budget=state.trace_deficit_budget)
-    )
+def dense_two_block(state, params, labels):
+    """One point's bounds on the two-block route of a product input's dense
+    matrix: joint populations and output blocks.  A dense coherent matrix is
+    not certified (loss shifts its entries into its one block), yet its slope
+    is ½{G, ρ} up to the truncation tail, as its product form's is, so the
+    route is called directly."""
+    plan, grid = estimation._two_block_plan(labels), ParamGrid([params])
+    return estimation._two_block_bounds(without_factors(state), grid, labels, plan)[0]
 
 
 def assert_same_bounds(result, other, tol):
@@ -595,16 +598,16 @@ def assert_routes_agree(state, params, labels, counting_tol=None):
     SLD routes; the two-block route matches its dense form, and, to
     ``counting_tol`` where given, the general route: counting attains the
     absorption block up to a coherent state's truncation."""
-    per_mode = compute_bounds(general(state), params, labels)
+    per_mode = general(state, params, labels)
     assert per_mode.meta["route"] == "per_mode" and per_mode.meta["inversion"] == "general"
     for other in (
-        compute_bounds(without_factors(state), params, labels),
+        general(without_factors(state), params, labels),
         sld_route_bounds(state, params, labels),
     ):
         assert other.meta["route"] != "per_mode"
         assert_same_bounds(per_mode, other, ROUTE_TOL)
     two_block = compute_bounds(state, params, labels)
-    dense = compute_bounds(dense_two_block(state), params, labels)
+    dense = dense_two_block(state, params, labels)
     assert two_block.meta["route"] == "per_mode" and dense.meta["route"] == "eigenbasis"
     assert two_block.meta["inversion"] == dense.meta["inversion"] == "two_block"
     assert_same_bounds(two_block, dense, ROUTE_TOL)
@@ -671,13 +674,13 @@ def test_per_mode_route_forms_label_subsets_and_native_labels():
     # identifiable; the other block's label keeps its bound
     labels = ("x_d", "x_s", "alpha_plus", "delta")
     delta = compute_bounds(state, PARAMS_REF, ("delta",))
-    for flagged in (state, dense_two_block(state)):
-        three = compute_bounds(flagged, PARAMS_REF, labels)
+    for route in (compute_bounds, dense_two_block):
+        three = route(state, PARAMS_REF, labels)
         assert three.meta["inversion"] == "two_block"
         assert three.identifiable == dict(zip(labels, (False, False, False, True)))
         assert three.bound("delta") == pytest.approx(delta.bound("delta"), rel=ROUTE_TOL, abs=0)
         assert not three.F_inverse[:3].any() and not three.F_inverse[:, :3].any()
-    general_three = compute_bounds(general(state), PARAMS_REF, labels)
+    general_three = general(state, PARAMS_REF, labels)
     assert general_three.identifiable == three.identifiable
     with pytest.raises(ValueError, match="duplicate"):
         compute_bounds(state, PARAMS_REF, ("x_d", "x_d"))
@@ -707,7 +710,7 @@ def test_per_mode_route_solves_single_modes_only(monkeypatch):
     # need no eigensolve
     assert calls == []
     calls.clear()
-    compute_bounds(general(state), PARAMS_REF, CHIRAL_NAMES)
+    general(state, PARAMS_REF, CHIRAL_NAMES)
     # the general route: the QFIM with its equilibrated form
     assert calls == [("eigh", (2, n, n))]
     calls.clear()
@@ -761,13 +764,13 @@ def test_stacked_route_matches_per_mode_kernel_and_dense_route(make_state):
     # dense route's support rule is relative to the joint largest eigenvalue,
     # which moves bounds by 2e-11 at this 1e-10 truncation, so it is held to
     # ROUTE_TOL and the per-mode kernel, whose rule is the stack's, to 1e-12
-    state = general(make_state())
+    state = make_state()
     assert state.space.cutoff_plus != state.space.cutoff_minus
     for labels in (CHIRAL_NAMES, ALPHA_PHI_NAMES):
-        stacked = compute_bounds_grid(state, ParamGrid(STACK_POINTS), labels)
+        stacked = estimation._general_bounds(state, ParamGrid(STACK_POINTS), labels)
         f = per_mode_kernel_qfim(state, STACK_POINTS, labels)
         kernel = estimation._inverted(labels, f, {})
-        dense = [compute_bounds(without_factors(state), p, labels) for p in STACK_POINTS]
+        dense = [general(without_factors(state), p, labels) for p in STACK_POINTS]
         for result, *references in zip(stacked, kernel, dense, strict=True):
             assert result.meta["route"] == "per_mode"
             for reference, rel in zip(references, (1e-12, ROUTE_TOL)):
@@ -783,10 +786,10 @@ def test_stacked_route_matches_per_mode_kernel_and_dense_route(make_state):
 def test_stacked_route_is_bit_identical_to_per_mode_kernel_on_equal_cutoffs(n0):
     # an H-polarized coherent probe has equal mode cutoffs, so nothing is
     # padded and each mode's matrices are those the per-mode kernel solves
-    state = general(coherent_pm(*hv_to_pm_amplitudes(math.sqrt(n0), 0.0)))
+    state = coherent_pm(*hv_to_pm_amplitudes(math.sqrt(n0), 0.0))
     assert state.space.cutoff_plus == state.space.cutoff_minus
     for point in STACK_POINTS:
-        result = compute_bounds(state, point, CHIRAL_NAMES)
+        result = general(state, point, CHIRAL_NAMES)
         f = per_mode_kernel_qfim(state, [point], CHIRAL_NAMES)
         (reference,) = estimation._inverted(CHIRAL_NAMES, f, {})
         assert np.array_equal(result.F, f[0])
@@ -842,7 +845,7 @@ def test_a_product_grid_takes_one_table_pass_and_one_mode_solve(monkeypatch):
     calls.clear()
     passes.clear()
     slopes.clear()
-    compute_bounds_grid(general(state), ParamGrid(STACK_POINTS), CHIRAL_NAMES)
+    estimation._general_bounds(state, ParamGrid(STACK_POINTS), CHIRAL_NAMES)
     # the general route: each output's α-derivative, then each QFIM with its
     # equilibrated form, for the PSD check and the inversion at once
     b = len(STACK_POINTS)
@@ -1151,11 +1154,13 @@ def test_a_stack_that_mixes_both_routes_gives_each_problem_its_bits_alone():
     # general route solves (α, φ) on both routes, the two-block route φ
     # alone, where every output of the pair is diagonal
     points = [ChiralParams(0.0, 0.3), ChiralParams(0.3, 0.0), ChiralParams(0.0, 0.0), PARAMS_REF]
-    for make_state, routes in ((lambda: general(photon_pair()), (1, 3, None)), (photon_pair, (0, 0, 4))):
-        grid = compute_bounds_grid(make_state(), ParamGrid(points), CHIRAL_NAMES)
+    general_route = estimation._general_bounds
+    for route, routes in ((general_route, (1, 3, None)), (compute_bounds_grid, (0, 0, 4))):
+        grid = route(photon_pair(), ParamGrid(points), CHIRAL_NAMES)
         assert _problem_counts_of(grid.meta) == routes
         for b, point in enumerate(points):
-            assert np.array_equal(compute_bounds(make_state(), point, CHIRAL_NAMES).F, grid.F[b])
+            alone = route(photon_pair(), ParamGrid([point]), CHIRAL_NAMES)
+            assert np.array_equal(alone.F[0], grid.F[b])
 
 
 def _problem_counts_of(meta) -> tuple:
@@ -1168,8 +1173,8 @@ def _problem_counts_of(meta) -> tuple:
     )
 
 
-def _problem_counts(state, points, labels=CHIRAL_NAMES):
-    return _problem_counts_of(compute_bounds_grid(state, ParamGrid(points), labels).meta)
+def _problem_counts(state, points, labels=CHIRAL_NAMES, route=compute_bounds_grid):
+    return _problem_counts_of(route(state, ParamGrid(points), labels).meta)
 
 
 @pytest.mark.parametrize("n0", [1.0, 4.0, 9.0])
@@ -1210,9 +1215,10 @@ def test_the_photon_pair_interior_takes_the_eigensolve_and_dense_inputs_count_no
     # pair is diagonal, with φ information 0 and no eigenpair
     interior = [p for p in CHECK_1_POINTS if p.alpha_minus > 0.0]
     assert len(interior) < len(CHECK_1_POINTS)
-    rank_one, eigensolved, diagonal = _problem_counts(general(photon_pair()), interior)
+    general_counts = partial(_problem_counts, route=estimation._general_bounds)
+    rank_one, eigensolved, diagonal = general_counts(photon_pair(), interior)
     assert rank_one == 0 and eigensolved > 0 and diagonal is None
-    assert _problem_counts(general(photon_pair()), CHECK_1_POINTS)[0] == 1
+    assert general_counts(photon_pair(), CHECK_1_POINTS)[0] == 1
     rank_one, eigensolved, diagonal = _problem_counts(photon_pair(), CHECK_1_POINTS)
     assert rank_one == eigensolved == 0 and diagonal > 0
     noon = hv_to_pm_state(NOON_HV, FockSpace(2, 2))
@@ -1397,14 +1403,15 @@ def test_block_route_solves_no_eigenproblem_larger_than_its_blocks(monkeypatch, 
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     grid = ParamGrid([PARAMS_REF, ChiralParams(0.2, 0.6)])
-    result = compute_bounds_grid(state, grid, QUANTUM_LABELS)
+    result = estimation._general_bounds(state, grid, QUANTUM_LABELS)
     # the input's blocks are rank one, so the state's loss tables take no
-    # eigensolve: the 2 x 2 block stack, then the equilibrated QFIMs
+    # eigensolve: on the general route, the 2 x 2 block stack, then the
+    # equilibrated QFIMs
     assert dims == [(2, 2), (3, 3)]
     assert state.kraus_tables[1].shape == (1, 1)
     assert result[0].meta["route"] == "eigenbasis"
     dims.clear()
-    compute_bounds_grid(state, grid, QUANTUM_LABELS)
+    estimation._general_bounds(state, grid, QUANTUM_LABELS)
     # a second call reads the tables the state formed
     assert dims == [(2, 2), (3, 3)]
 
@@ -1496,12 +1503,16 @@ BUILDER_PROBES = {
 
 
 @pytest.mark.parametrize("name", BUILDER_PROBES)
-def test_each_builder_flag_agrees_with_the_eigenbasis_qfim_at_phased_points(name):
-    # the native QFIM of the output at its phase, by the eigenbasis formula:
-    # no α-φ cross block, and a φ block of rank one along δ for the dense
-    # probes, whose photon number is fixed
+def test_each_certified_builder_probe_agrees_with_the_eigenbasis_qfim_at_phased_points(name):
+    # every builder probe certifies its two native blocks, and so does its
+    # dense copy, the same matrix, except a coherent one: loss shifts its
+    # entries into its one block.  The native QFIM of the output at its
+    # phase, by the eigenbasis formula: no α-φ cross block, and a φ block of
+    # rank one along δ for the dense probes, whose photon number is fixed
     state = BUILDER_PROBES[name]()
-    assert state.two_block and not state.with_rho(state.rho).two_block
+    coherent = name.startswith("coherent") or name == "elliptical"
+    assert state.diagonal_loss_sld
+    assert state.with_rho(state.rho).diagonal_loss_sld is not coherent
     rng = np.random.default_rng(7)
     for alphas, phases in zip(rng.uniform(0.0, 0.95, (6, 2)), rng.uniform(-3.0, 3.0, (6, 2))):
         params = ChiralParams(*alphas, *phases)
@@ -1522,7 +1533,7 @@ def test_a_random_complex_pure_state_takes_the_general_route_and_keeps_its_bits(
     space, rng = FockSpace(2, 2), np.random.default_rng(3)
     psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     state = TwoModeState(space, np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
-    assert not state.two_block
+    assert not state.diagonal_loss_sld
     points = [PARAMS_REF, ChiralParams(0.6, 0.05, 1.0, -0.3), ChiralParams(1e-9, 0.999)]
     grid = ParamGrid(points)
     for labels in (CHIRAL_NAMES, ALPHA_PHI_NAMES, QUANTUM_LABELS):
@@ -1535,6 +1546,103 @@ def test_a_random_complex_pure_state_takes_the_general_route_and_keeps_its_bits(
         assert np.array_equal(result.identifiable, reference.identifiable)
     native = compute_bounds(state, points[0], ALPHA_PHI_NAMES).F
     assert np.abs(native[:2, 2:]).max() > 1e-3 * np.abs(native).max()
+
+
+@pytest.mark.parametrize("kind", [kind for kind, probe in PROBES.items() if probe.builder])
+def test_a_dense_copy_of_a_quantum_probe_takes_its_route_on_the_edge_grid(kind):
+    # the route follows the matrix: a dense copy of a probe certifies its two
+    # native blocks as the builder's state does, and gets its bounds; F stays
+    # finite where 1/p of a subnormal population overflows
+    state = table_state(PROBES[kind])
+    copy = TwoModeState(state.space, state.rho)
+    cells = itertools.product(EDGE_ALPHAS, repeat=2)
+    grid = ParamGrid([ChiralParams(*alphas, 0.3, -0.2) for alphas in cells])
+    built, dense = (compute_bounds_grid(s, grid, CHIRAL_NAMES) for s in (state, copy))
+    assert copy.diagonal_loss_sld and dense.meta["inversion"] == "two_block"
+    assert np.isfinite(built.F).all() and np.isfinite(dense.F).all()
+    assert np.array_equal(dense.identifiable, built.identifiable)
+    ok = built.identifiable
+    np.testing.assert_allclose(dense.bounds[ok], built.bounds[ok], rtol=1e-12, atol=0)
+
+
+def dense_pure(space, amplitudes):
+    """The dense projector onto Σ a |levels⟩, normalized, from {levels: a}."""
+    psi = np.zeros(space.dim)
+    for levels, amplitude in amplitudes.items():
+        psi[space.index(*levels)] = amplitude
+    return TwoModeState(space, np.outer(psi, psi) / (psi @ psi))
+
+
+def random_psd(levels):
+    a = np.random.default_rng(6).normal(size=(levels, levels))
+    return a @ a.T / np.trace(a @ a.T)
+
+
+THERMAL = np.diag(0.6 ** np.arange(21) / (0.6 ** np.arange(21)).sum())
+
+# matrices that certify no two native blocks
+GENERAL_INPUTS = {
+    "random_real_pure": lambda: dense_pure(
+        FockSpace(3, 3),
+        dict(zip(itertools.product(range(4), repeat=2), np.random.default_rng(5).normal(size=16))),
+    ),
+    "two_zero_plus_one_zero": lambda: dense_pure(FockSpace(2, 2), {(2, 0): 1.0, (1, 0): 1.0}),
+    # (1, 0) and (0, 1) share a block that only loss fills, at α₊ = α₋ too
+    "one_one_plus_noon": lambda: dense_pure(
+        FockSpace(2, 2), {(1, 1): 1.0, (2, 0): 1.0, (0, 2): 1.0}
+    ),
+    "dense_coherent": lambda: without_factors(
+        coherent_product_state(FockSpace(20, 20), math.sqrt(2.0), math.sqrt(2.0))
+    ),
+    "random_psd_factor": lambda: TwoModeState(
+        FockSpace(3, 20), factors=(random_psd(4), THERMAL)
+    ),
+    # loss feeds the population |2,0⟩ of NOON's block from |3,0⟩
+    "noon_and_three_zero": lambda: TwoModeState(
+        FockSpace(3, 2),
+        (dense_pure(FockSpace(3, 2), {(2, 0): 1.0, (0, 2): -1.0}).rho + np.diag(np.eye(12)[9])) / 2,
+    ),
+    # rank one, yet no coherent vector: √2 w₂ ≠ β w₁ = 0
+    "zero_plus_two_factor": lambda: TwoModeState(
+        FockSpace(2, 20), factors=(np.full((3, 3), 0.5) * np.outer([1, 0, 1], [1, 0, 1]), THERMAL)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GENERAL_INPUTS)
+def test_a_matrix_that_certifies_no_two_blocks_takes_the_general_route(name):
+    state = GENERAL_INPUTS[name]()
+    assert not state.diagonal_loss_sld
+    for params in (PARAMS_REF, ChiralParams(0.3, 0.3, 0.2, -0.1)):
+        assert compute_bounds(state, params, CHIRAL_NAMES).meta["inversion"] == "general"
+
+
+def test_a_coherent_and_a_thermal_factor_take_the_two_block_route():
+    # each factor certifies on its own rule: a truncated coherent vector and
+    # a diagonal; counting then attains the general route's absorption block
+    coherent = fock._coherent_factor(1.0 + 0.5j, 20)
+    state = TwoModeState(FockSpace(20, 20), trace_deficit_budget=1e-12, factors=(coherent, THERMAL))
+    assert state.diagonal_loss_sld
+    # a bright probe too: n0 = 1600, on 987 levels per mode
+    assert experiments.prepare_input_state(InputStateKind.coherent(40.0)).diagonal_loss_sld
+    for params in (PARAMS_REF, ChiralParams(0.3, 0.3, 0.2, -0.1)):
+        result = compute_bounds(state, params, CHIRAL_NAMES)
+        assert result.meta["inversion"] == "two_block"
+        assert_same_bounds(result, general(state, params, CHIRAL_NAMES), COUNTING_TOL)
+
+
+@pytest.mark.parametrize(
+    "alphas", [(1e-300, 1e-13), (1e-300, 1e-9), (1e-13, 1e-300), (1e-9, 1e-300)]
+)
+def test_the_general_route_refuses_a_qfim_that_is_not_finite(alphas):
+    # 2/(λ_j + λ_k) overflows on the photon pair's subnormal |0,0⟩ population:
+    # the general route refuses F before its eigensolve, and the two-block
+    # route, which the matrix certifies, bounds the cell
+    dense = without_factors(fock_product_state(FockSpace(1, 1), 1, 1))
+    grid = ParamGrid([ChiralParams(*alphas, 0.3, -0.2)])
+    with pytest.raises(NumericError, match="QFIM is not finite"):
+        estimation._general_bounds(dense, grid, CHIRAL_NAMES)
+    assert compute_bounds_grid(dense, grid, CHIRAL_NAMES).identifiable[0, :2].all()
 
 
 @pytest.mark.parametrize("name", QUANTUM_STATES)

@@ -1,7 +1,6 @@
 """Sweep engine: grids, moments, error propagation, CSV, comparisons."""
 
 import csv
-import json
 import math
 import tracemalloc
 from collections import Counter
@@ -108,32 +107,6 @@ def test_sweep_spec_validation():
         spec_for(SP, methods=("qfim",))
     with pytest.raises(ValueError, match="applies to single-photon, noon inputs only"):
         spec_for(COH1, methods=(FIDELITY_FRINGE,))
-
-
-def test_sweep_spec_json_round_trip():
-    spec = SweepSpec(
-        input_state=InputStateKind.coherent(0.8, 0.2j),
-        vary="delta",
-        start=0.0,
-        stop=math.pi,
-        points=7,
-        fixed={"x_s": 0.3, "x_d": 0.05},
-        methods=(QFIM_NUMERIC, QFIM_ANALYTIC, INTENSITY_EXACT),
-        note="caption check",
-    )
-    assert SweepSpec.from_json(spec.to_json()) == spec
-    assert SweepSpec.from_json(spec_for(NOON).to_json()) == spec_for(NOON)
-
-
-@pytest.mark.parametrize("amp", ["amp_h", "amp_v"])
-def test_sweep_spec_json_refuses_amplitudes_on_a_quantum_input(amp):
-    # as InputStateKind(kind="noon_hv", amp_h=1.0) refuses them, never dropped
-    payload = json.loads(spec_for(NOON).to_json())
-    payload["input"][amp] = [1.0, 0.0]
-    with pytest.raises(ValueError, match="amplitudes only apply to the coherent kind"):
-        SweepSpec.from_json(json.dumps(payload))
-    with pytest.raises(ValueError, match="amplitudes only apply to the coherent kind"):
-        InputStateKind(kind=NOON.kind, **{amp: 1.0})
 
 
 def test_param_grid_common_alpha():
@@ -542,8 +515,7 @@ def test_sweep_csv_round_trip_and_formatting():
     rows = run_sweep(spec)
     text = sweep_to_csv_text(rows, spec)
     lines = text.strip().split("\n")
-    recovered = SweepSpec.from_json(lines[0].removeprefix("# spec: "))
-    assert recovered == spec
+    assert lines[0] == f"# spec: {spec.to_json()}"
     header = lines[1].split(",")
     assert header == ["x_s", *sweep_columns(spec), "status"]
     first = lines[2].split(",")
