@@ -961,8 +961,8 @@ def _dense_blocks(input_state: TwoModeState, grid: ParamGrid) -> tuple:
     g[..., 1] = loss_population_slope(p, grid.alpha_minus[:, None, None], axis=2)
     p, g = p.reshape(points, -1)[:, held], g.reshape(points, -1, 2)[:, held]
     inverse = np.divide(1.0, p, out=np.zeros(p.shape), where=p > 0.0)[..., None]
-    # 1/p overflows on the least subnormal populations, where g/p is finite
-    scaled = np.where(np.isinf(inverse), g / p[..., None], g * inverse)
+    scaled = g * inverse  # 1/p overflows on the least subnormal p, where g/p is finite
+    np.divide(g, p[..., None], out=scaled, where=np.isinf(inverse))
     return _level_pieces(p, g), _piece_sum(scaled, g), f_phi
 
 
@@ -1016,10 +1016,8 @@ def _general_bounds(input_state: TwoModeState, grid: ParamGrid, labels: tuple) -
     (per mode for a product, else block by block), pseudo-inverted.  A QFIM
     that is not finite, where 2/(λ_j + λ_k) overflows on a block of tiny
     support, raises NumericError before the inversion, not numpy's warning."""
-    if input_state.factors is not None:
-        route, qfim = "per_mode", _product_qfim
-    else:
-        route, qfim = "eigenbasis", _block_qfim
+    product = input_state.factors is not None
+    route, qfim = ("per_mode", _product_qfim) if product else ("eigenbasis", _block_qfim)
     with np.errstate(over="ignore", invalid="ignore"):
         f, solved = qfim(input_state, grid, _native_pullback(labels))
     if not np.isfinite(f).all():

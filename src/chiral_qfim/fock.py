@@ -400,13 +400,13 @@ class TwoModeState:
         one level (``OutputBlocks.unshifted``): each is then D ρ D, D =
         diag(η₊^(n₊/2) η₋^(n₋/2)).  A product does when each distinct factor
         is diagonal, which loss keeps diagonal, or a truncated coherent
-        projector (``_coherent_vector``, on its loss table's vector), which
-        loss keeps coherent, |√η β⟩, to its tail."""
+        projector whose Poisson tail is within ``trace_deficit_budget``
+        (``_coherent_vector``), which loss keeps coherent, |√η β⟩, to it."""
         if self.factors is None:
             return self.output_blocks.unshifted
-        inputs = self.mode_inputs
+        inputs, budget = self.mode_inputs, self.trace_deficit_budget
         return all(
-            (np.count_nonzero(spectrum) == 1 and _coherent_vector(table[:, 0]))
+            (np.count_nonzero(spectrum) == 1 and _coherent_vector(table[:, 0], budget))
             or np.count_nonzero(factor) == np.count_nonzero(factor.diagonal())
             for factor, table, spectrum in zip(self.factors, inputs.tables, inputs.spectra)
         )
@@ -616,17 +616,19 @@ def default_coherent_space(
     return FockSpace(cutoff_plus=cutoffs[means[0]], cutoff_minus=cutoffs[means[1]]), effective
 
 
-def _coherent_vector(w: np.ndarray) -> bool:
-    """Whether w ∝ β^n/√n! to rounding: √(n+1) w_{n+1} = β w_n below its
-    last nonzero level, β fitted by least squares, within
-    COHERENT_VECTOR_TOL of max √(n+1) w_{n+1}; not a number state |n > 0⟩."""
+def _coherent_vector(w: np.ndarray, budget: float) -> bool:
+    """Whether w ∝ β^n/√n! to rounding, cut in its tail: √(n+1) w_{n+1} =
+    β w_n below its last nonzero level, β fitted by least squares, within
+    COHERENT_VECTOR_TOL of max √(n+1) w_{n+1}, and |β⟩'s Poisson mass past
+    that level within ``budget``; not a number state |n > 0⟩."""
     top = int(np.flatnonzero(w)[-1])
     below, above = w[:top], np.sqrt(np.arange(1, top + 1)) * w[1 : top + 1]
     norm = np.vdot(below, below).real
     if not norm:
         return not top  # the vacuum, or a number state
     beta = np.vdot(below, above) / norm
-    return np.abs(above - beta * below).max() <= COHERENT_VECTOR_TOL * np.abs(above).max()
+    fits = np.abs(above - beta * below).max() <= COHERENT_VECTOR_TOL * np.abs(above).max()
+    return bool(fits) and poisson_tail(abs(beta) ** 2, top) <= budget
 
 
 def _coherent_factor(amp: complex, cutoff: int) -> np.ndarray:

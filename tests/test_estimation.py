@@ -1578,6 +1578,7 @@ def random_psd(levels):
     return a @ a.T / np.trace(a @ a.T)
 
 
+CUT_TRACE = np.trace(fock._coherent_factor(3.0, 2)).real
 THERMAL = np.diag(0.6 ** np.arange(21) / (0.6 ** np.arange(21)).sum())
 
 # matrices that certify no two native blocks
@@ -1605,6 +1606,15 @@ GENERAL_INPUTS = {
     # rank one, yet no coherent vector: √2 w₂ ≠ β w₁ = 0
     "zero_plus_two_factor": lambda: TwoModeState(
         FockSpace(2, 20), factors=(np.full((3, 3), 0.5) * np.outer([1, 0, 1], [1, 0, 1]), THERMAL)
+    ),
+    # every rank-one qubit fits β (one equation), but |β = 1⟩ keeps a 0.26
+    # tail past level 1; counting reads 1.099 of the QFI's 1.548 at α₊ = 0.3
+    "plus_qubit_factor": lambda: TwoModeState(
+        FockSpace(1, 1), factors=(np.full((2, 2), 0.5), np.diag([1.0, 0.0]))
+    ),
+    # |β = 3⟩ cut to two levels and normalized fits to rounding; its tail does not
+    "strongly_cut_coherent": lambda: TwoModeState(
+        FockSpace(2, 2), factors=(fock._coherent_factor(3.0, 2) / CUT_TRACE,) * 2
     ),
 }
 
